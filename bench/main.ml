@@ -449,7 +449,7 @@ let serving () =
     (fun (mname, dim_specs, batch_dim, qps) ->
       let entry = Suite.find mname in
       let arrivals = Q.generate_arrivals ~seed:11 ~qps ~n:300 ~dims:dim_specs in
-      let policy = { Q.max_batch = 8; max_wait_us = 2000.0 } in
+      let policy = Q.default_server_policy ~batching:{ Q.max_batch = 8; max_wait_us = 2000.0 } in
       List.iter
         (fun name ->
           let ex = Systems.make name (entry.Suite.build ()) in
@@ -458,14 +458,12 @@ let serving () =
           let service env =
             let r = ex.E.run ~device env in
             if r.E.compile_ms > 100.0 then incr stalls;
-            r.E.latency_us +. (r.E.compile_ms *. 1000.0)
+            (r.E.latency_us +. (r.E.compile_ms *. 1000.0), `Compiled)
           in
-          let o = Q.simulate ~arrivals ~policy ~batch_dim ~service in
-          Printf.printf "%-11s %-11s %9.1f %9.1f %9.1f %11.1f %7d\n" mname name
-            (Q.percentile o.Q.latencies_us 0.5 /. 1000.0)
-            (Q.percentile o.Q.latencies_us 0.95 /. 1000.0)
-            (Q.percentile o.Q.latencies_us 0.99 /. 1000.0)
-            o.Q.mean_batch !stalls)
+          let a = Q.simulate_server ~arrivals ~policy ~batch_dim ~service () in
+          let pct p = Obs.Metrics.exact_percentile a.Q.request_latencies_us p /. 1000.0 in
+          Printf.printf "%-11s %-11s %9.1f %9.1f %9.1f %11.1f %7d\n" mname name (pct 0.5)
+            (pct 0.95) (pct 0.99) a.Q.server_mean_batch !stalls)
         [ "bladedisc"; "onnxrt"; "xla"; "pytorch" ];
       print_newline ())
     [
@@ -551,8 +549,8 @@ let resilience () =
       Printf.printf "%-10.2f %8d %9d %5d %7d %8d %8d %7d %8.1f %9.1f\n" rate a.Q.served
         a.Q.fell_back a.Q.shed a.Q.expired s.Disc.Session.retries s.Disc.Session.faults
         s.Disc.Session.despeculated
-        (Q.percentile completed 0.5 /. 1000.0)
-        (Q.percentile completed 0.99 /. 1000.0))
+        (Obs.Metrics.exact_percentile completed 0.5 /. 1000.0)
+        (Obs.Metrics.exact_percentile completed 0.99 /. 1000.0))
     [ 0.0; 0.05; 0.10 ];
   Printf.printf
     "(every request accounted: served + fell-back + shed + expired = %d arrivals;\n\
@@ -966,7 +964,7 @@ let chaos_serving ?json () =
   let configs =
     [
       ("no-resilience", Pool.no_resilience);
-      ("redispatch", { Pool.no_resilience with Pool.redispatch = true; Pool.max_redispatch = 2 });
+      ("redispatch", { Pool.no_resilience with Pool.redispatch = true });
       ("no-brownout", { Pool.default_resilience with Pool.brownout = false });
       ("resilient", Pool.default_resilience);
     ]

@@ -42,6 +42,8 @@ let parse_dims s =
          | [ k; v ] -> (
              let k = String.trim k in
              match int_of_string_opt (String.trim v) with
+             | Some n when n < 1 ->
+                 raise (Usage (Printf.sprintf "bad dim %s=%d (must be >= 1)" k n))
              | Some n -> (k, n)
              | None ->
                  raise (Usage (Printf.sprintf "bad --dims value %S (want an integer)" v)))
@@ -430,10 +432,6 @@ let serve_cmd =
     let doc = "Max requests per formed batch." in
     Arg.(value & opt int 8 & info [ "max-batch" ] ~docv:"N" ~doc)
   in
-  let fail_arg =
-    let doc = "Inject a replica failure: TIME_US,REPLICA (repeatable)." in
-    Arg.(value & opt_all string [] & info [ "fail" ] ~docv:"T,ID" ~doc)
-  in
   let adaptive_arg =
     let doc =
       "Adaptive serving: observe the live shape distribution, re-derive bucket \
@@ -494,8 +492,8 @@ let serve_cmd =
      and side-table (reductions/schedules) counts at a glance, without
      --metrics. *)
   let cache_health = Disc.Compile_cache.health_to_string in
-  let run model tiny replicas devices qps requests seed router max_batch fails adaptive
-      chaos_file decode prefill_workers traffic hbm_budget_mb mem_blind trace metrics =
+  let run model tiny replicas devices qps requests seed router max_batch adaptive chaos_file
+      decode prefill_workers traffic hbm_budget_mb mem_blind trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     let entry = Suite.find model in
     (* Reject contradictory or out-of-range flag combinations up front:
@@ -531,30 +529,10 @@ let serve_cmd =
         raise (Usage "serve: --decode requires --model gpt2 (the decode-step graph)");
       if chaos_file <> None then raise (Usage "serve: --decode cannot combine with --chaos");
       if adaptive then raise (Usage "serve: --decode cannot combine with --adaptive");
-      if fails <> [] then raise (Usage "serve: --decode cannot combine with --fail");
       if traffic <> None then raise (Usage "serve: --decode cannot combine with --traffic");
       if hbm_budget_mb <> None then
         raise (Usage "serve: --decode cannot combine with --hbm-budget")
     end;
-    let failures =
-      List.map
-        (fun s ->
-          match String.split_on_char ',' s with
-          | [ t; id ] -> (
-              match (float_of_string_opt t, int_of_string_opt id) with
-              | Some t, Some id ->
-                  if t < 0.0 then
-                    raise (Usage (Printf.sprintf "bad --fail %S (time must be >= 0)" s));
-                  if id < 0 || id >= List.length devices then
-                    raise
-                      (Usage
-                         (Printf.sprintf "bad --fail %S (replica out of range 0..%d)" s
-                            (List.length devices - 1)));
-                  (t, id)
-              | _ -> raise (Usage (Printf.sprintf "bad --fail %S (want TIME_US,REPLICA)" s)))
-          | _ -> raise (Usage (Printf.sprintf "bad --fail %S (want TIME_US,REPLICA)" s)))
-        fails
-    in
     match decode_mode with
     | Some mode ->
         serve_decode ~tiny ~devices ~qps ~requests ~seed ~max_batch ~prefill_workers ~mode
@@ -636,7 +614,7 @@ let serve_cmd =
     let resilience =
       if chaos = None then None else Some Serving.Pool.default_resilience
     in
-    let r = Serving.Pool.run ~failures ?adaptive:adaptive_cfg ?chaos ?resilience pool reqs in
+    let r = Serving.Pool.run ?adaptive:adaptive_cfg ?chaos ?resilience pool reqs in
     Printf.printf "serve %s (%s): %d replicas [%s], router=%s, %.0f qps, %d requests%s%s\n"
       model
       (if tiny then "tiny" else "paper scale")
@@ -692,7 +670,7 @@ let serve_cmd =
        ~doc:"Simulate a multi-replica serving pool on a synthetic arrival trace")
     Term.(
       const run $ model_arg $ tiny_arg $ replicas_arg $ devices_arg $ qps_arg
-      $ requests_arg $ seed_arg $ router_arg $ max_batch_arg $ fail_arg $ adaptive_arg
+      $ requests_arg $ seed_arg $ router_arg $ max_batch_arg $ adaptive_arg
       $ chaos_arg $ decode_arg $ prefill_workers_arg $ traffic_arg $ hbm_budget_arg
       $ mem_blind_arg $ trace_arg $ metrics_arg)
 

@@ -11,11 +11,6 @@ module Systems = Baselines.Systems
 module Suite = Models.Suite
 module Trace = Workloads.Trace
 
-let percentile xs p =
-  let arr = Array.of_list xs in
-  Array.sort compare arr;
-  arr.(min (Array.length arr - 1) (int_of_float (p *. float_of_int (Array.length arr))))
-
 let () =
   let entry = Suite.find "bert" in
   let device = Gpusim.Device.a10 in
@@ -39,8 +34,9 @@ let () =
           if r.E.compile_ms > 100.0 then incr stalls;
           lats := r.E.latency_us :: !lats)
         trace;
+      let pct = Obs.Metrics.exact_percentile (Array.of_list !lats) in
       Printf.printf "%-11s %10.0f %10.0f %10.0f %14d %16.1f\n" name
-        (percentile !lats 0.5) (percentile !lats 0.95) (percentile !lats 0.999)
+        (pct 0.5) (pct 0.95) (pct 0.999)
         !stalls
         (ex.E.total_compile_ms () /. 1000.0))
     [ "bladedisc"; "pytorch"; "xla"; "onnxrt" ];

@@ -15,11 +15,12 @@ module Suite = Models.Suite
 let () =
   let entry = Suite.find "bert" in
   let device = Gpusim.Device.a10 in
-  let policy = { Q.max_batch = 8; max_wait_us = 2000.0 } in
+  let batching = { Q.max_batch = 8; max_wait_us = 2000.0 } in
+  let policy = Q.default_server_policy ~batching in
   Printf.printf
     "BERT endpoint, dynamic batching (max_batch=%d, max_wait=%.0fus), Poisson traffic,\n\
      per-request seq drawn from a bimodal query/document mix; simulated %s.\n\n"
-    policy.Q.max_batch policy.Q.max_wait_us device.Gpusim.Device.name;
+    batching.Q.max_batch batching.Q.max_wait_us device.Gpusim.Device.name;
   Printf.printf "%-9s %-11s %9s %9s %9s %11s %12s\n" "load" "system" "p50(ms)" "p95(ms)"
     "p99(ms)" "mean-batch" "stalls>0.1s";
   List.iter
@@ -39,16 +40,13 @@ let () =
             let r = ex.E.run ~device env in
             if r.E.compile_ms > 100.0 then incr stalls;
             (* a compile stall blocks the serving thread *)
-            r.E.latency_us +. (r.E.compile_ms *. 1000.0)
+            (r.E.latency_us +. (r.E.compile_ms *. 1000.0), `Compiled)
           in
-          let o = Q.simulate ~arrivals ~policy ~batch_dim:"batch" ~service in
+          let a = Q.simulate_server ~arrivals ~policy ~batch_dim:"batch" ~service () in
+          let pct p = Obs.Metrics.exact_percentile a.Q.request_latencies_us p /. 1000.0 in
           Printf.printf "%-9s %-11s %9.1f %9.1f %9.1f %11.1f %12d\n"
             (Printf.sprintf "%.0f qps" qps)
-            name
-            (Q.percentile o.Q.latencies_us 0.5 /. 1000.0)
-            (Q.percentile o.Q.latencies_us 0.95 /. 1000.0)
-            (Q.percentile o.Q.latencies_us 0.99 /. 1000.0)
-            o.Q.mean_batch !stalls)
+            name (pct 0.5) (pct 0.95) (pct 0.99) a.Q.server_mean_batch !stalls)
         [ "bladedisc"; "onnxrt"; "xla"; "pytorch" ];
       print_newline ())
     [ 50.0; 200.0 ];

@@ -697,29 +697,26 @@ let serve_data (t : t) (inputs : Tensor.Nd.t list) : Tensor.Nd.t list * Profile.
 
 (* --- statistics ----------------------------------------------------------- *)
 
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0.0
-  | n -> sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-
 (* The stats record is a *view*: outcome counts read straight from the
    metrics registry cells (no shadow ints to drift), percentiles are
    exact over the bounded latency window, breaker state comes from the
    tripped table. *)
 let stats (t : t) : stats =
   let arr = ring_contents t.latencies in
+  (* ascending, so the mean sums in a fixed order *)
   Array.sort compare arr;
   let n = Array.length arr in
   let total = Array.fold_left ( +. ) 0.0 arr in
+  let pct = Obs.Metrics.exact_percentile arr in
   {
     requests = Obs.Metrics.counter_value t.requests_c;
     compile_ms = t.compile_ms;
     cache_hit = t.cache_hit;
     mean_us = (if n = 0 then 0.0 else total /. float_of_int n);
-    p50_us = percentile arr 0.5;
-    p95_us = percentile arr 0.95;
-    p99_us = percentile arr 0.99;
-    max_us = (if n = 0 then 0.0 else arr.(n - 1));
+    p50_us = pct 0.5;
+    p95_us = pct 0.95;
+    p99_us = pct 0.99;
+    max_us = pct 1.0;
     served = Obs.Metrics.counter_value t.served_c;
     fell_back = Obs.Metrics.counter_value t.fell_back_c;
     failed = Obs.Metrics.counter_value t.failed_c;

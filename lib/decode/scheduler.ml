@@ -518,7 +518,6 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
   let gaps =
     Array.of_list (List.concat_map (fun (s : Sequence.t) -> List.rev s.gaps_us) finished)
   in
-  let pct a p = if Array.length a = 0 then 0.0 else Workloads.Queueing.percentile a p in
   let ttft_ok =
     List.length
       (List.filter
@@ -542,10 +541,10 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
     tokens;
     makespan_us = makespan;
     tokens_per_s = (if makespan > 0.0 then float_of_int tokens /. (makespan /. 1e6) else 0.0);
-    ttft_p50_us = pct ttfts 0.5;
-    ttft_p99_us = pct ttfts 0.99;
-    tpot_p50_us = pct gaps 0.5;
-    tpot_p99_us = pct gaps 0.99;
+    ttft_p50_us = Obs.Metrics.exact_percentile ttfts 0.5;
+    ttft_p99_us = Obs.Metrics.exact_percentile ttfts 0.99;
+    tpot_p50_us = Obs.Metrics.exact_percentile gaps 0.5;
+    tpot_p99_us = Obs.Metrics.exact_percentile gaps 0.99;
     ttft_ok;
     tpot_ok;
     tpot_total = Array.length gaps;

@@ -64,6 +64,11 @@ val percentile : histogram -> float -> float
 (** [percentile h 0.99]: bucket-midpoint estimate of the p-quantile,
     clamped to the exact observed [min, max]. 0 on an empty histogram. *)
 
+val exact_percentile : float array -> float -> float
+(** [exact_percentile xs 0.99]: the nearest-rank sample
+    [sorted.(min (n-1) (int_of_float (p *. n)))] of a sorted copy of
+    [xs] (the input is not mutated). 0 on an empty array. *)
+
 val histogram_count : histogram -> int
 val histogram_mean : histogram -> float
 

@@ -1,14 +1,14 @@
 (* Multi-replica serving pool: discrete-event simulation over virtual
    time. The pool owns the layers above a single session — admission,
-   bucketed batching, pad-vs-exact decision, routing, failure drain —
+   bucketed batching, pad-vs-exact decision, routing, replica loss —
    and accounts for every request exactly once.
 
    The event loop is chronological: at each event time it delivers
-   faults, admits arrivals, expires stale queue entries, then
+   chaos events, admits arrivals, expires stale queue entries, then
    dispatches batches while any (free replica, launchable bucket) pair
    exists. The next event is the earliest of: next arrival, a busy
    replica freeing, a waiting bucket's batching window closing, or a
-   scheduled fault. *)
+   scheduled chaos event. *)
 
 module Q = Workloads.Queueing
 module Session = Disc.Session
@@ -18,7 +18,6 @@ type config = {
   devices : Gpusim.Device.t list;
   batch_dim : string;
   max_batch : int;
-  max_wait_us : float;
   bucket : Bucket.spec;
   slo : Slo.policy;
   router : Router.policy;
@@ -37,7 +36,6 @@ let default_config ~devices ~batch_dim ~bucket =
     devices;
     batch_dim;
     max_batch = 8;
-    max_wait_us = 2000.0;
     bucket;
     slo = Slo.default_policy;
     router = Router.Warmth_aware;
@@ -67,87 +65,61 @@ let with_class_mix ~seed (mix : (Slo.cls * float) list) reqs =
       { r with cls = choose 0.0 mix })
     reqs
 
+(* --- fixed policy constants ------------------------------------------------ *)
+
+(* A bucket launches once its oldest request has waited this long. *)
+let max_wait_us = 2_000.0
+
+(* Adaptive control (every tick rebuckets): [max_edges] quantile-placed
+   boundaries per dim, snapped up to multiples of [edge_snap];
+   [stats_decay] per-tick decay of the shape stats; [hint_k] likely
+   values per dim and hot signatures pre-warmed per tick; a scaled-up
+   replica spins up for [prewarm_us] before it takes traffic. *)
+let max_edges = 4
+let edge_snap = 4
+let stats_decay = 0.9
+let hint_k = 4
+let prewarm_us = 5_000.0
+
+(* Resilience: a request is re-queued off at most [redispatch_budget]
+   crashes; a Degraded-hosted Interactive batch is hedged after
+   [hedge_age_us]; the watchdog degrades a replica above
+   [watchdog_degrade] x the median rate and restores it under
+   [watchdog_restore] x, after [watchdog_min_batches] batches; brownout
+   steps up at [brownout_up_backlog] queued per replica held for
+   [brownout_up_hold_us], and down at [brownout_down_backlog] held for
+   [brownout_down_hold_us]. *)
+let redispatch_budget = 2
+let hedge_age_us = 10_000.0
+let watchdog_degrade = 2.5
+let watchdog_restore = 1.3
+let watchdog_min_batches = 3
+let brownout_up_backlog = 12.0
+let brownout_down_backlog = 4.0
+let brownout_up_hold_us = 15_000.0
+let brownout_down_hold_us = 20_000.0
+
 (* Adaptive control loop: every [control_interval_us] of virtual time
    the pool decays its shape statistics, re-derives the bucket policy
    from observed mass, pushes likely-value hints into the replica
    sessions, cross-pollinates hot-signature warmth (the artifacts are in
    the shared cache — only the first replica paid the cold dispatch),
    and lets the autoscaler add or drain replicas. *)
-type adaptive = {
-  control_interval_us : float;
-  rebucket : bool; (* re-derive Bucket.Edges from observed traffic *)
-  max_edges : int; (* quantile-placed boundaries per dim *)
-  edge_quantum : int; (* snap derived boundaries up to a multiple *)
-  decay : float; (* per-tick multiplicative decay of shape stats *)
-  hint_k : int; (* likely values per dim / hot signatures to pre-warm *)
-  autoscale : Autoscaler.config option;
-  prewarm_us : float; (* spin-up delay before a minted replica takes traffic *)
-}
+type adaptive = { control_interval_us : float; autoscale : Autoscaler.config option }
 
-let default_adaptive =
-  {
-    control_interval_us = 20_000.0;
-    rebucket = true;
-    max_edges = 4;
-    edge_quantum = 4;
-    decay = 0.9;
-    hint_k = 4;
-    autoscale = None;
-    prewarm_us = 5_000.0;
-  }
+let default_adaptive = { control_interval_us = 20_000.0; autoscale = None }
 
-(* Resilience knobs: what the pool does *about* failure, as opposed to
-   [~failures]/[~chaos] which inject it. [no_resilience] is the ablation
-   baseline the chaos bench compares against. *)
+(* What the pool does *about* failure, as opposed to [~chaos], which
+   injects it. [no_resilience] is the ablation baseline the chaos bench
+   compares against. *)
 type resilience = {
   redispatch : bool; (* re-queue a crashed replica's in-flight requests *)
-  max_redispatch : int; (* per-request retry budget across crashes *)
-  hedge : bool; (* duplicate slow Interactive batches, first result wins *)
-  hedge_after_us : float; (* age before a Degraded-hosted batch is hedged *)
-  watchdog : bool; (* EWMA straggler detection -> Degraded/Healthy *)
-  watchdog_factor : float; (* rate above this multiple of pool rate degrades *)
-  watchdog_recover : float; (* rate back under this multiple restores *)
-  watchdog_min_batches : int; (* measurements before the watchdog may judge *)
+  watchdog : bool; (* EWMA straggler detection -> Degraded/Healthy, and hedging *)
   brownout : bool; (* stepwise degradation ladder under overload *)
-  brownout_up_backlog : float; (* queued-per-replica that arms a step up *)
-  brownout_down_backlog : float; (* queued-per-replica that arms a step down *)
-  brownout_up_hold_us : float; (* sustained overload before stepping up *)
-  brownout_down_hold_us : float; (* sustained calm before stepping down *)
 }
 
-let default_resilience =
-  {
-    redispatch = true;
-    max_redispatch = 2;
-    hedge = true;
-    hedge_after_us = 10_000.0;
-    watchdog = true;
-    watchdog_factor = 2.5;
-    watchdog_recover = 1.3;
-    watchdog_min_batches = 3;
-    brownout = true;
-    brownout_up_backlog = 12.0;
-    brownout_down_backlog = 4.0;
-    brownout_up_hold_us = 15_000.0;
-    brownout_down_hold_us = 20_000.0;
-  }
-
-let no_resilience =
-  {
-    redispatch = false;
-    max_redispatch = 0;
-    hedge = false;
-    hedge_after_us = infinity;
-    watchdog = false;
-    watchdog_factor = infinity;
-    watchdog_recover = infinity;
-    watchdog_min_batches = max_int;
-    brownout = false;
-    brownout_up_backlog = infinity;
-    brownout_down_backlog = 0.0;
-    brownout_up_hold_us = infinity;
-    brownout_down_hold_us = infinity;
-  }
+let default_resilience = { redispatch = true; watchdog = true; brownout = true }
+let no_resilience = { redispatch = false; watchdog = false; brownout = false }
 
 type disposition = Served | Fell_back | Shed | Expired | Rejected | Failed
 
@@ -290,7 +262,7 @@ let completed_latencies (r : report) =
   Array.of_list
     (List.filter (fun l -> not (Float.is_nan l)) (Array.to_list r.latencies_us))
 
-let percentile = Q.percentile
+let percentile = Obs.Metrics.exact_percentile
 
 let report_to_string (r : report) =
   let lats = completed_latencies r in
@@ -317,9 +289,6 @@ type t = {
 
 let replicas t = t.pool_replicas
 let cache t = t.pool_cache
-let config t = t.cfg
-let shape_stats t = t.stats
-let current_bucket t = t.cur_bucket
 
 let create ?options ?session_policy ?fault_config ?cache cfg build =
   if cfg.devices = [] then invalid_arg "Pool.create: empty device list";
@@ -355,16 +324,6 @@ let create ?options ?session_policy ?fault_config ?cache cfg build =
   }
 
 (* --- the event loop ------------------------------------------------------- *)
-
-let ewma_alpha = 0.3
-
-let note_rate t ~service_us ~elements =
-  if elements > 0 then begin
-    let rate = service_us /. float_of_int elements in
-    t.us_per_element <-
-      (if t.us_per_element <= 0.0 then rate
-       else (ewma_alpha *. rate) +. ((1.0 -. ewma_alpha) *. t.us_per_element))
-  end
 
 (* A dispatched batch whose completion is still in the future. Requests
    acquire their disposition when the batch *completes*, not when it
@@ -491,8 +450,7 @@ let d_expired = 4
 let d_rejected = 5
 let d_failed = 6
 
-let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
-    (reqs : request list) : report =
+let run ?adaptive ?chaos ?(resilience = no_resilience) t (reqs : request list) : report =
   let cfg = t.cfg in
   (* chaos spike traffic merges with the organic trace before indexing,
      so spiked requests are first-class: admitted, tracked, reported *)
@@ -600,9 +558,6 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
     if obs then Obs.Metrics.set_gauge g_depth (float_of_int !queued_total)
   in
   let cursor = ref 0 in
-  let pending_failures =
-    ref (List.sort (fun (a, _) (b, _) -> compare a b) failures)
-  in
   let pending_chaos =
     ref (match chaos with None -> [] | Some sc -> Chaos.deliveries sc)
   in
@@ -781,18 +736,6 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
       admit i arr.(i)
     done
   in
-  let process_failures time =
-    let rec go () =
-      match !pending_failures with
-      | (ft, id) :: rest when ft <= time ->
-          pending_failures := rest;
-          if id >= 0 && id < Array.length t.pool_replicas then
-            Replica.begin_drain t.pool_replicas.(id) ~now:time;
-          go ()
-      | _ -> ()
-    in
-    go ()
-  in
   let finish_drains time =
     Array.iter (fun r -> Replica.finish_drain_if_due r ~now:time) t.pool_replicas
   in
@@ -839,7 +782,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
   let launchable time b =
     Iq.length b.bq_q > 0
     && (Iq.length b.bq_q >= eff_max_batch ()
-        || arr.(Iq.peek b.bq_q).arrival_us +. cfg.max_wait_us <= time
+        || arr.(Iq.peek b.bq_q).arrival_us +. max_wait_us <= time
         || !cursor >= n)
   in
   (* bucket selection: class priority of the oldest request, then
@@ -937,7 +880,9 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
         if done_at > !last_done then last_done := done_at;
             (* the pool's rate model tracks nominal (unslowed) cost — that
                is what the watchdog compares a straggler's EWMA against *)
-            if hedge_of < 0 then note_rate t ~service_us:base_us ~elements:env_elems;
+            if hedge_of < 0 then
+              t.us_per_element <-
+                Replica.ewma_rate t.us_per_element ~service_us:base_us ~elements:env_elems;
             Replica.note_batch rep ~key ~elements:env_elems ~service_us
               ~rate_us:(base_us *. rep.Replica.slow_factor) ~requests:count ~cold ();
             incr batches;
@@ -1011,15 +956,14 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
     | _ -> Some (List.nth rates (List.length rates / 2))
   in
   let watchdog_check rep =
-    if resilience.watchdog && rep.Replica.batches >= resilience.watchdog_min_batches
-    then
+    if resilience.watchdog && rep.Replica.batches >= watchdog_min_batches then
       match watchdog_reference () with
       | None -> ()
       | Some median ->
           let r = rep.Replica.us_per_element in
           if
             rep.Replica.health = Replica.Healthy
-            && r > resilience.watchdog_factor *. median
+            && r > watchdog_degrade *. median
           then begin
             Replica.degrade rep;
             incr xr_degraded;
@@ -1035,7 +979,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
           end
           else if
             rep.Replica.health = Replica.Degraded
-            && r <= resilience.watchdog_recover *. median
+            && r <= watchdog_restore *. median
           then Replica.restore rep
   in
   let finalize (fl : inflight) =
@@ -1343,7 +1287,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
                 (fun (i, r) ->
                   if dispc.(i) = d_pending then begin
                     let tries = Option.value (Hashtbl.find_opt retry i) ~default:0 in
-                    if resilience.redispatch && tries < resilience.max_redispatch then begin
+                    if resilience.redispatch && tries < redispatch_budget then begin
                       Hashtbl.replace retry i (tries + 1);
                       Slo.requeue slo r.cls;
                       enqueue i r;
@@ -1442,9 +1386,10 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
   (* --- hedged re-dispatch -------------------------------------------------- *)
   (* An Interactive batch stuck on a Degraded replica past the hedge
      age gets a duplicate launch on a free Healthy replica; first
-     result wins (see [complete_inflights]). One hedge per primary. *)
+     result wins (see [complete_inflights]). One hedge per primary.
+     Only the watchdog marks a replica Degraded, so it gates hedging. *)
   let try_hedge time =
-    if resilience.hedge then begin
+    if resilience.watchdog then begin
       (* snapshot the candidates before launching anything: a hedge
          launch recycles slab slots (possibly compacting the array), so
          the scan must not interleave with allocation. Newest-first, the
@@ -1461,7 +1406,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
           && fl.if_hedge < 0
           && fl.if_done > time
           && fl.if_rep.Replica.health = Replica.Degraded
-          && time -. fl.if_started >= resilience.hedge_after_us -. 1e-9
+          && time -. fl.if_started >= hedge_age_us -. 1e-9
           && List.exists
                (fun (i, r) -> dispc.(i) = d_pending && r.cls = Slo.Interactive)
                fl.if_members
@@ -1539,15 +1484,13 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
       end
     end
   in
-  let bro_hold d =
-    if d > 0 then resilience.brownout_up_hold_us else resilience.brownout_down_hold_us
-  in
+  let bro_hold d = if d > 0 then brownout_up_hold_us else brownout_down_hold_us in
   let eval_brownout time =
     if resilience.brownout then begin
       let s = bro_signal () in
       let want =
-        if s >= resilience.brownout_up_backlog && !bro_level < 4 then 1
-        else if s <= resilience.brownout_down_backlog && !bro_level > 0 then -1
+        if s >= brownout_up_backlog && !bro_level < 4 then 1
+        else if s <= brownout_down_backlog && !bro_level > 0 then -1
         else 0
       in
       match (want, !bro_pending) with
@@ -1562,15 +1505,12 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
       | d, _ -> bro_pending := Some (d, time)
     end
   in
-  let do_tick (a : adaptive) time =
+  let do_tick time =
     incr ticks;
-    Shape_stats.decay t.stats ~factor:a.decay;
+    Shape_stats.decay t.stats ~factor:stats_decay;
     (* 1. re-derive the bucket policy from observed mass *)
-    if a.rebucket && Shape_stats.observations t.stats > 0 then begin
-      let spec' =
-        Shape_stats.spec ~quantum:a.edge_quantum t.stats ~max_edges:a.max_edges
-          ~dims:cfg.bucket
-      in
+    if Shape_stats.observations t.stats > 0 then begin
+      let spec' = Shape_stats.spec ~quantum:edge_snap t.stats ~max_edges ~dims:cfg.bucket in
       if spec' <> t.cur_bucket then begin
         t.cur_bucket <- spec';
         incr rebuckets;
@@ -1579,7 +1519,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
       end
     end;
     (* 2. distribution-constraint ingestion: likely values -> sessions *)
-    let hs = Shape_stats.hints ~k:a.hint_k t.stats in
+    let hs = Shape_stats.hints ~k:hint_k t.stats in
     if hs <> [] then begin
       last_hints := hs;
       let nvals = List.fold_left (fun acc (_, vs) -> acc + List.length vs) 0 hs in
@@ -1593,7 +1533,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
     end;
     (* 3. mint speculative warmth: every alive replica pre-warms on the
        pool's hottest signatures (the artifacts are in the shared cache) *)
-    let hot_keys = pool_hot_keys a.hint_k in
+    let hot_keys = pool_hot_keys hint_k in
     Array.iter
       (fun r -> if Replica.alive r then minted := !minted + Replica.prewarm r hot_keys)
       t.pool_replicas;
@@ -1625,7 +1565,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
         | Autoscaler.Hold -> ()
         | Autoscaler.Scale_up ->
             let rep = t.mint ~id:(Array.length t.pool_replicas) in
-            rep.Replica.free_at <- time +. a.prewarm_us;
+            rep.Replica.free_at <- time +. prewarm_us;
             rep.Replica.hbm_budget <- cfg.hbm_budget;
             ignore (Replica.prewarm rep hot_keys);
             (* fleet-warm tuned artifacts: a fresh replica adopts any
@@ -1653,7 +1593,7 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
     | None -> ()
     | Some a ->
         while !now >= !next_tick -. 1e-9 do
-          do_tick a !next_tick;
+          do_tick !next_tick;
           next_tick := !next_tick +. a.control_interval_us
         done
   in
@@ -1677,18 +1617,17 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
         for bi = 0 to !bcount - 1 do
           let b = (!bvec).(bi) in
           if Iq.length b.bq_q > 0 then begin
-            let w = arr.(Iq.peek b.bq_q).arrival_us +. cfg.max_wait_us in
+            let w = arr.(Iq.peek b.bq_q).arrival_us +. max_wait_us in
             if w < !acc then acc := w
           end
         done;
         !acc
       end
     in
-    let t_fail = match !pending_failures with [] -> infinity | (ft, _) :: _ -> ft in
     let t_chaos = match !pending_chaos with [] -> infinity | (ct, _) :: _ -> ct in
     let t_complete = min_done () in
     let t_hedge =
-      if not resilience.hedge then infinity
+      if not resilience.watchdog then infinity
       else begin
         let acc = ref infinity in
         for j = 0 to !slab_n - 1 do
@@ -1706,8 +1645,8 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
                already due fired in try_hedge this instant and retries
                piggyback on the next real event — otherwise a hedge
                with no eligible peer pins the clock and livelocks *)
-            && fl.if_started +. resilience.hedge_after_us > !now
-          then acc := Float.min !acc (fl.if_started +. resilience.hedge_after_us)
+            && fl.if_started +. hedge_age_us > !now
+          then acc := Float.min !acc (fl.if_started +. hedge_age_us)
         done;
         !acc
       end
@@ -1726,10 +1665,8 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
     Float.min t_arr
       (Float.min !t_free
          (Float.min t_window
-            (Float.min t_fail
-               (Float.min t_chaos
-                  (Float.min t_complete
-                     (Float.min t_hedge (Float.min t_brownout t_tick)))))))
+            (Float.min t_chaos
+               (Float.min t_complete (Float.min t_hedge (Float.min t_brownout t_tick))))))
   in
   let work_left () =
     !cursor < n || !queued_total > 0
@@ -1739,7 +1676,6 @@ let run ?(failures = []) ?adaptive ?chaos ?(resilience = no_resilience) t
   in
   let rec loop () =
     process_chaos !now;
-    process_failures !now;
     finish_drains !now;
     finish_recovers !now;
     complete_inflights !now;

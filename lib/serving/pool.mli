@@ -6,15 +6,16 @@
     Request flow: {e admission} (malformed dims rejected; a class at its
     queue bound sheds) → {e bucket queues} ({!Bucket.key_of} of the
     request dims) → {e batching} (a bucket launches when full, when its
-    oldest request has waited [max_wait_us], or when the trace is
-    drained; expired requests are dropped at dispatch) → {e pad-vs-exact}
+    oldest request has waited 2 ms, or when the trace is drained;
+    expired requests are dropped at dispatch) → {e pad-vs-exact}
     (measured cost model: the padded env repeats across batches and so
     runs warm, the exact env wastes fewer elements but rarely repeats)
     → {e routing} ({!Router}) → {e service} ({!Disc.Session.serve_result},
     plus a one-off warmup the first time a replica sees a signature).
 
-    Replica failure ([~failures]) drains: the in-flight batch completes,
-    the replica takes no further work, queued traffic re-routes to the
+    A replica is lost only to a chaos [Crash] ([~chaos]); autoscaler
+    scale-down drains one instead: the in-flight batch completes, the
+    replica takes no further work, queued traffic re-routes to the
     survivors. Every request ends in exactly one disposition
     ([lost = 0] is an invariant the tests pin). *)
 
@@ -22,7 +23,6 @@ type config = {
   devices : Gpusim.Device.t list;  (** one replica per device *)
   batch_dim : string;
   max_batch : int;
-  max_wait_us : float;  (** max delay past a bucket's oldest request *)
   bucket : Bucket.spec;
   slo : Slo.policy;
   router : Router.policy;
@@ -46,67 +46,47 @@ type config = {
 
 val default_config :
   devices:Gpusim.Device.t list -> batch_dim:string -> bucket:Bucket.spec -> config
-(** max_batch 8, max_wait 2 ms, default SLO policy, warmth-aware
-    routing, 50 % padding cap, 1.5 ms cold warmup, no memory budget
-    (gating on once a budget is set). *)
+(** max_batch 8, default SLO policy, warmth-aware routing, 50 % padding
+    cap, 1.5 ms cold warmup, no memory budget (gating on once a budget
+    is set). *)
 
+(** Every control tick re-derives the bucket policy as {!Bucket.Edges}
+    at observed traffic quantiles ({!Shape_stats.spec}: 4 edges per dim,
+    snapped up to multiples of 4 so quantile wobble does not mint cold
+    signatures; queued work is re-keyed in arrival order), decays the
+    shape stats by 0.9, and pushes 4 likely values per dim into the
+    sessions and pre-warms the 4 hottest signatures across replicas. A
+    scaled-up replica spins up for 5 ms, pre-warming meanwhile. *)
 type adaptive = {
   control_interval_us : float;  (** virtual time between control ticks *)
-  rebucket : bool;
-      (** re-derive the bucket policy as {!Bucket.Edges} at observed
-          traffic quantiles ({!Shape_stats.spec}); queued work is
-          re-keyed in arrival order when the policy changes *)
-  max_edges : int;  (** quantile-placed boundaries per dim *)
-  edge_quantum : int;
-      (** derived boundaries snap up to a multiple of this (capped at
-          the observed max): hysteresis so quantile wobble between ticks
-          does not mint fresh cold signatures *)
-  decay : float;  (** per-tick multiplicative decay of the shape stats *)
-  hint_k : int;
-      (** likely values per dim pushed into sessions, and hot
-          signatures pre-warmed across replicas, per tick *)
   autoscale : Autoscaler.config option;  (** [None]: fixed pool size *)
-  prewarm_us : float;
-      (** spin-up delay before a scaled-up replica takes traffic; it is
-          pre-warmed on the pool's hot signatures during this window *)
 }
 
 val default_adaptive : adaptive
-(** 20 ms ticks, rebucketing on with 4 edges snapped to multiples of 4,
-    0.9 decay, 4 hints/dim, no autoscaling, 5 ms replica spin-up. *)
+(** 20 ms ticks, no autoscaling. *)
 
-(** What the pool does {e about} failure — as opposed to [~failures] /
-    [~chaos], which inject it. The default for {!run} is
-    {!no_resilience} (every mechanism off), so chaos-free runs behave
-    exactly as before; the chaos bench compares {!default_resilience}
-    against {!no_resilience} under the same scenario. *)
+(** What the pool does {e about} failure — as opposed to [~chaos],
+    which injects it. The default for {!run} is {!no_resilience} (every
+    mechanism off), so chaos-free runs behave exactly as before; the
+    chaos bench compares {!default_resilience} against
+    {!no_resilience} under the same scenario. *)
 type resilience = {
   redispatch : bool;
-      (** re-queue a crashed replica's in-flight requests (never lost,
-          never served twice) *)
-  max_redispatch : int;  (** per-request retry budget across crashes *)
-  hedge : bool;
-      (** duplicate a slow Interactive batch stuck on a [Degraded]
-          replica; first result wins, the loser's work is wasted *)
-  hedge_after_us : float;  (** batch age before a hedge may launch *)
+      (** re-queue a crashed replica's in-flight requests, up to 2
+          crashes per request (never lost, never served twice) *)
   watchdog : bool;
-      (** flag a replica [Degraded] when its EWMA service rate drifts
-          far above the pool's nominal rate; restore on convergence *)
-  watchdog_factor : float;
-  watchdog_recover : float;
-  watchdog_min_batches : int;
-  brownout : bool;  (** stepwise degradation ladder under overload *)
-  brownout_up_backlog : float;  (** queued-per-replica arming a step up *)
-  brownout_down_backlog : float;  (** queued-per-replica arming a step down *)
-  brownout_up_hold_us : float;  (** overload must hold this long to step *)
-  brownout_down_hold_us : float;  (** calm must hold this long to recover *)
+      (** flag a replica [Degraded] once, after 3 batches, its EWMA
+          service rate exceeds 2.5× the median of its peers; restore
+          under 1.3×. An Interactive batch stuck 10 ms on a [Degraded]
+          replica is hedged onto a Healthy one; first result wins, the
+          loser's work is wasted *)
+  brownout : bool;
+      (** stepwise degradation ladder under overload: steps up at 12
+          queued per replica held 15 ms, down at 4 held 20 ms *)
 }
 
 val default_resilience : resilience
-(** Everything on: redispatch budget 2; hedge Interactive batches after
-    10 ms on a Degraded host; watchdog at 2.5× / recover at 1.3× after
-    3 batches; brownout arms up at 12 queued/replica (15 ms hold), down
-    at 4 (20 ms hold). *)
+(** Everything on. *)
 
 val no_resilience : resilience
 (** Every mechanism off — the ablation baseline, and {!run}'s default. *)
@@ -277,27 +257,17 @@ val replicas : t -> Replica.t array
 (** Includes replicas minted by adaptive scale-up. *)
 
 val cache : t -> Disc.Compile_cache.t
-val config : t -> config
-
-val shape_stats : t -> Shape_stats.t
-(** The online shape-distribution estimator (fed by adaptive runs). *)
-
-val current_bucket : t -> Bucket.spec
-(** The live bucket policy — [config.bucket] until an adaptive run
-    re-derives it from observed traffic. *)
 
 val run :
-  ?failures:(float * int) list ->
   ?adaptive:adaptive ->
   ?chaos:Chaos.scenario ->
   ?resilience:resilience ->
   t ->
   request list ->
   report
-(** Simulate the trace. [failures] is a list of [(time_us, replica_id)]
-    fault deliveries: at that virtual time the replica begins draining.
-    Replica warmth and stats persist across calls (a pool is normally
-    run once); the report's counters cover this run only.
+(** Simulate the trace. Replica warmth and stats persist across calls
+    (a pool is normally run once); the report's counters cover this run
+    only.
 
     [chaos] replays a {!Chaos.scenario} against the fleet: crashes
     cancel in-flight batches mid-service (members re-queued within the
@@ -309,11 +279,12 @@ val run :
     (trace, scenario, seeds): two runs produce identical dispositions.
 
     [resilience] (default {!no_resilience}) controls the response:
-    crash re-dispatch, hedged duplicates for Interactive batches stuck
-    on Degraded replicas (first result wins — never lost, never
-    double-counted), the EWMA straggler watchdog, and the brownout
-    ladder (L1 shed Best_effort, L2 halve the padding cap, L3 halve
-    the batch cap, L4 widen buckets; hysteretic in both directions).
+    crash re-dispatch, the EWMA straggler watchdog with hedged
+    duplicates for Interactive batches stuck on Degraded replicas
+    (first result wins — never lost, never double-counted), and the
+    brownout ladder (L1 shed Best_effort, L2 halve the padding cap, L3
+    halve the batch cap, L4 widen buckets; hysteretic in both
+    directions).
     With everything off, chaos-free runs are bit-identical to the
     pre-resilience pool.
 

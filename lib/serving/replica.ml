@@ -85,6 +85,12 @@ let estimate_us t ~elements =
 
 let ewma_alpha = 0.3
 
+let ewma_rate prev ~service_us ~elements =
+  if elements <= 0 then prev
+  else
+    let rate = service_us /. float_of_int elements in
+    if prev <= 0.0 then rate else (ewma_alpha *. rate) +. ((1.0 -. ewma_alpha) *. prev)
+
 let note_batch t ~key ~elements ~service_us ?rate_us ~requests ~cold () =
   Hashtbl.replace t.warmth key (1 + Option.value (Hashtbl.find_opt t.warmth key) ~default:0);
   t.batches <- t.batches + 1;
@@ -95,12 +101,7 @@ let note_batch t ~key ~elements ~service_us ?rate_us ~requests ~cold () =
      spikes would make replicas that happened to pay more cold
      dispatches look like stragglers to the watchdog *)
   let basis = Option.value rate_us ~default:service_us in
-  if elements > 0 then begin
-    let rate = basis /. float_of_int elements in
-    t.us_per_element <-
-      (if t.us_per_element <= 0.0 then rate
-       else (ewma_alpha *. rate) +. ((1.0 -. ewma_alpha) *. t.us_per_element))
-  end
+  t.us_per_element <- ewma_rate t.us_per_element ~service_us:basis ~elements
 
 (* Seed warmth without dispatch counters: the signature's artifact
    already exists in the shared compile cache, so warming is a cache

@@ -90,6 +90,13 @@ val estimate_us : t -> elements:int -> float option
 (** Predicted service time from the measured rate ([None] before the
     first batch). *)
 
+val ewma_rate : float -> service_us:float -> elements:int -> float
+(** One step of the µs-per-element rate EWMA (alpha 0.3) shared by each
+    replica and the pool's pad-vs-exact model: [ewma_rate prev
+    ~service_us ~elements] folds in one batch's rate. A non-positive
+    [prev] means unmeasured (the first rate is taken as is); a batch of
+    no elements leaves [prev] unchanged. *)
+
 val note_batch :
   t ->
   key:string ->

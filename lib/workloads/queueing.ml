@@ -19,30 +19,6 @@ type request = {
   dims : (string * int) list; (* per-request dims, excluding the batch dim *)
 }
 
-type outcome = {
-  latencies_us : float array; (* per served request, arrival order *)
-  makespan_us : float;
-  batches : int;
-  mean_batch : float;
-  actual_elements : int; (* sum over requests of the product of their dims *)
-  padded_elements : int; (* sum over batches of the batch-env element count *)
-}
-
-(* Padding-waste accounting: a batch executes at the batch env (batch
-   dim x per-dim max), so every member shorter than the max computes
-   wasted elements. [actual] is each request at its own dims; [padded]
-   is what the device actually ran. *)
-let request_elements (r : request) =
-  List.fold_left (fun acc (_, v) -> acc * v) 1 r.dims
-
-let env_elements (env : (string * int) list) =
-  List.fold_left (fun acc (_, v) -> acc * v) 1 env
-
-let padding_waste (o : outcome) =
-  if o.padded_elements = 0 then 0.0
-  else
-    float_of_int (o.padded_elements - o.actual_elements) /. float_of_int o.padded_elements
-
 (* Shape environment of one batch: batch dim = size; others = max.
    Total over heterogeneous batches: the dim set is the union over all
    members (in first-seen order), and a member missing a dim contributes
@@ -71,55 +47,6 @@ let batch_env ~batch_dim (reqs : request list) : (string * int) list =
              1 reqs ))
        names
 
-let simulate ~(arrivals : request list) ~(policy : policy) ~(batch_dim : string)
-    ~(service : (string * int) list -> float) : outcome =
-  let arrivals =
-    List.sort (fun a b -> compare a.arrival_us b.arrival_us) arrivals
-  in
-  let latencies = Array.make (List.length arrivals) 0.0 in
-  let actual_elems = ref 0 and padded_elems = ref 0 in
-  let rec loop pending idx t_free batches batched_total =
-    match pending with
-    | [] ->
-        { latencies_us = latencies; makespan_us = t_free; batches;
-          mean_batch =
-            (if batches = 0 then 0.0 else float_of_int batched_total /. float_of_int batches);
-          actual_elements = !actual_elems; padded_elements = !padded_elems }
-    | first :: _ ->
-        (* the server starts forming a batch when it is free and at
-           least one request is queued *)
-        let form_start = Float.max t_free first.arrival_us in
-        let deadline = form_start +. policy.max_wait_us in
-        (* requests that arrive by the deadline may join, up to max_batch *)
-        let rec take taken rest n =
-          match rest with
-          | r :: tl when n < policy.max_batch && r.arrival_us <= deadline ->
-              take (r :: taken) tl (n + 1)
-          | _ -> (List.rev taken, rest)
-        in
-        let batch, rest = take [] pending 0 in
-        let last_arrival =
-          List.fold_left (fun acc r -> Float.max acc r.arrival_us) 0.0 batch
-        in
-        (* the batch launches when full, or at the deadline, or as soon
-           as its members have all arrived — whichever is earliest valid *)
-        let launch =
-          if List.length batch = policy.max_batch then Float.max form_start last_arrival
-          else Float.max form_start (Float.min deadline (Float.max last_arrival form_start))
-        in
-        let env = batch_env ~batch_dim batch in
-        actual_elems := !actual_elems + List.fold_left (fun a r -> a + request_elements r) 0 batch;
-        padded_elems := !padded_elems + env_elements env;
-        let service_us = service env in
-        let done_at = launch +. service_us in
-        List.iteri
-          (fun k r -> latencies.(idx + k) <- done_at -. r.arrival_us)
-          batch;
-        loop rest (idx + List.length batch) done_at (batches + 1)
-          (batched_total + List.length batch)
-  in
-  loop arrivals 0 0.0 0 0
-
 (* Poisson-ish arrival generation with per-request dims drawn from a
    distribution spec. *)
 let generate_arrivals ~seed ~qps ~n ~(dims : (string * Trace.distribution) list) :
@@ -136,24 +63,15 @@ let generate_arrivals ~seed ~qps ~n ~(dims : (string * Trace.distribution) list)
   in
   go 0.0 [] n
 
-let percentile (xs : float array) p =
-  let arr = Array.copy xs in
-  (* Float.compare, not polymorphic compare: same order on the (finite)
-     latencies this ever sees, ~4x faster on the million-sample sorts
-     the scale bench does *)
-  Array.sort Float.compare arr;
-  if Array.length arr = 0 then 0.0
-  else arr.(min (Array.length arr - 1) (int_of_float (p *. float_of_int (Array.length arr))))
+(* --- the server loop ----------------------------------------------------
 
-(* --- overload-aware serving ----------------------------------------------
-
-   The plain [simulate] assumes an infinitely patient queue and a
-   service function that always succeeds. Under heavy traffic neither
-   holds: the queue must be bounded (shed arrivals beyond it), requests
-   carry deadlines (drop work that can no longer meet them), malformed
-   requests must be rejected at enqueue time, and the service layer may
-   serve a batch on its fallback path. [simulate_server] models all of
-   that and accounts for every request exactly once. *)
+   Under heavy traffic the queue must be bounded (shed arrivals beyond
+   it), requests carry deadlines (drop work that can no longer meet
+   them), malformed requests must be rejected at enqueue time, and the
+   service layer may serve a batch on its fallback path.
+   [simulate_server] models all of that and accounts for every request
+   exactly once; under [default_server_policy] (unbounded queue, no
+   deadline) it is the plain dynamic-batching server. *)
 
 type disposition =
   | Served (* completed on the compiled path *)
@@ -192,14 +110,20 @@ type accounting = {
   server_makespan_us : float;
   server_batches : int;
   server_mean_batch : float;
+  actual_elements : int; (* sum over batched requests of the product of their dims *)
+  padded_elements : int; (* sum over batches of the batch-env element count *)
 }
 
-let accounting_to_string (a : accounting) =
-  Printf.sprintf
-    "served=%d fell_back=%d warmed=%d shed=%d expired=%d rejected=%d batches=%d \
-     mean_batch=%.1f makespan=%.0fus"
-    a.served a.fell_back a.warmed a.shed a.expired a.rejected a.server_batches
-    a.server_mean_batch a.server_makespan_us
+(* Padding-waste accounting: a batch executes at the batch env (batch
+   dim x per-dim max), so every member shorter than the max computes
+   wasted elements. [actual] is each request at its own dims; [padded]
+   is what the device actually ran. *)
+let elements dims = List.fold_left (fun acc (_, v) -> acc * v) 1 dims
+
+let padding_waste (a : accounting) =
+  if a.padded_elements = 0 then 0.0
+  else
+    float_of_int (a.padded_elements - a.actual_elements) /. float_of_int a.padded_elements
 
 (* Structured enqueue-time validation: a request must bind exactly the
    expected dim names, each once, with positive values. *)
@@ -246,6 +170,7 @@ let simulate_server ~(arrivals : request list) ~(policy : server_policy)
     | Some e -> e
     | None -> ( match arrivals with [] -> [] | r :: _ -> List.map fst r.dims)
   in
+  let actual_elems = ref 0 and padded_elems = ref 0 in
   let bound = max 1 policy.queue_bound in
   let deadline_of (r : request) = r.arrival_us +. policy.deadline_us in
   (* enqueue-time validation: malformed requests never reach the queue *)
@@ -310,6 +235,9 @@ let simulate_server ~(arrivals : request list) ~(policy : server_policy)
                   (Float.min window_end (Float.max last_arrival form_start))
             in
             let env = batch_env ~batch_dim (List.map snd batch) in
+            actual_elems :=
+              List.fold_left (fun acc (_, r) -> acc + elements r.dims) !actual_elems batch;
+            padded_elems := !padded_elems + elements env;
             (* during the async-compile window (batch launches before the
                artifact is ready), the warmup service — typically the
                reference-fallback cost — serves the batch *)
@@ -364,4 +292,6 @@ let simulate_server ~(arrivals : request list) ~(policy : server_policy)
     server_batches = batches;
     server_mean_batch =
       (if batches = 0 then 0.0 else float_of_int batched_total /. float_of_int batches);
+    actual_elements = !actual_elems;
+    padded_elements = !padded_elems;
   }

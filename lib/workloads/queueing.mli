@@ -12,53 +12,23 @@ type request = {
   dims : (string * int) list;  (** per-request dims, excluding batch *)
 }
 
-type outcome = {
-  latencies_us : float array;  (** per served request, arrival order *)
-  makespan_us : float;
-  batches : int;
-  mean_batch : float;
-  actual_elements : int;  (** sum over requests of the product of their dims *)
-  padded_elements : int;  (** sum over batches of the batch-env element count *)
-}
-
-val request_elements : request -> int
-(** Product of the request's dim values (1 for an empty dim list). *)
-
-val env_elements : (string * int) list -> int
-(** Product of a shape environment's dim values. *)
-
-val padding_waste : outcome -> float
-(** Fraction of executed elements that were intra-batch padding:
-    [(padded - actual) / padded], 0 with no batches. *)
-
 val batch_env : batch_dim:string -> request list -> (string * int) list
 (** Shape of one formed batch: batch dim = size, others = max over
     members. Total over heterogeneous batches (the dim set is the union
     over members; a missing dim contributes 1).
     @raise Invalid_argument on an empty batch. *)
 
-val simulate :
-  arrivals:request list ->
-  policy:policy ->
-  batch_dim:string ->
-  service:((string * int) list -> float) ->
-  outcome
-(** Single server, one batch at a time; [service] returns the batch
-    execution latency in µs (e.g. from {!Disc.Session.serve}). *)
-
 val generate_arrivals :
   seed:int -> qps:float -> n:int -> dims:(string * Trace.distribution) list -> request list
 (** Poisson arrivals with per-request dims drawn from [dims]. *)
 
-val percentile : float array -> float -> float
+(** {1 The server}
 
-(** {1 Overload-aware serving}
-
-    {!simulate} assumes an unbounded, infinitely patient queue. The
-    server simulation below bounds the queue (shedding excess load),
-    enforces per-request deadlines (expiring stale work at dequeue
-    time), rejects malformed requests at enqueue time, and accounts
-    for every request exactly once. *)
+    One server, one batch at a time. The simulation rejects malformed
+    requests at enqueue time and, when the policy asks, bounds the queue
+    (shedding excess load) and enforces per-request deadlines (expiring
+    stale work at dequeue time). It accounts for every request exactly
+    once. *)
 
 type disposition =
   | Served  (** completed on the compiled path *)
@@ -77,7 +47,7 @@ type server_policy = {
 }
 
 val default_server_policy : batching:policy -> server_policy
-(** Unbounded queue, no deadline — behaves like {!simulate}. *)
+(** Unbounded queue, no deadline: the plain dynamic-batching server. *)
 
 type accounting = {
   dispositions : disposition array;  (** per request, arrival order *)
@@ -91,9 +61,13 @@ type accounting = {
   server_makespan_us : float;
   server_batches : int;
   server_mean_batch : float;
+  actual_elements : int;  (** sum over batched requests of the product of their dims *)
+  padded_elements : int;  (** sum over batches of the batch-env element count *)
 }
 
-val accounting_to_string : accounting -> string
+val padding_waste : accounting -> float
+(** Fraction of executed elements that were intra-batch padding:
+    [(padded - actual) / padded], 0 with no batches. *)
 
 val validate_request :
   expected:string list -> request -> (unit, string) result
@@ -109,9 +83,9 @@ val simulate_server :
   service:((string * int) list -> float * [ `Compiled | `Fallback ]) ->
   unit ->
   accounting
-(** Bounded-queue, deadline-aware variant of {!simulate}. [service]
-    returns the batch latency in µs plus which path served it (e.g.
-    from {!Disc.Session.serve_result}). [expected_dims] defaults to the
+(** Simulate the trace. [service] returns the batch execution latency
+    in µs plus which path served it (e.g. from
+    {!Disc.Session.serve_result}). [expected_dims] defaults to the
     first arrival's dim names. Every request ends in exactly one
     disposition.
 

@@ -185,6 +185,17 @@ let test_histogram_edge_cases () =
   Metrics.observe neg (-5.0);
   check_float "negative clamps to 0" 0.0 (Metrics.percentile neg 0.5)
 
+(* The raw-sample percentile the serving reports use: nearest rank over
+   a sorted copy, 0 on no samples. *)
+let test_exact_percentile () =
+  let xs = [| 5.0; 1.0; 4.0; 2.0; 3.0 |] in
+  check_float "p0 is the min" 1.0 (Metrics.exact_percentile xs 0.0);
+  check_float "p50 is sorted.(2)" 3.0 (Metrics.exact_percentile xs 0.5);
+  check_float "p99 is sorted.(4)" 5.0 (Metrics.exact_percentile xs 0.99);
+  check_float "p100 clamps to the max" 5.0 (Metrics.exact_percentile xs 1.0);
+  check_bool "input not mutated" true (xs = [| 5.0; 1.0; 4.0; 2.0; 3.0 |]);
+  check_float "empty is 0" 0.0 (Metrics.exact_percentile [||] 0.99)
+
 let test_snapshot_and_diff () =
   let m = Metrics.create () in
   let c = Metrics.counter m "reqs" in
@@ -325,6 +336,7 @@ let () =
           Alcotest.test_case "counters + gauges" `Quick test_counters_and_gauges;
           Alcotest.test_case "percentiles (uniform)" `Quick test_histogram_percentiles_uniform;
           Alcotest.test_case "histogram edge cases" `Quick test_histogram_edge_cases;
+          Alcotest.test_case "exact percentile" `Quick test_exact_percentile;
           Alcotest.test_case "snapshot + diff" `Quick test_snapshot_and_diff;
         ] );
       ( "compile",

@@ -1,11 +1,11 @@
 (* Randomized pool event-loop hardening. A scenario is explicit data —
-   arrivals, fault deliveries, chaos events, replica count,
+   arrivals, chaos events, replica count,
    adaptive/autoscale/resilience flags — so a failing case can be
    greedily shrunk (the test_pipeline_random mold) to a minimal
    reproducer before it is reported.
 
    The invariant under test is conservation: across random arrivals,
-   replica failures, chaos (crashes with recovery, stragglers, traffic
+   chaos (crashes with and without recovery, stragglers, traffic
    spikes, cache corruption), online rebucketing and scale events, every
    admitted request — spike traffic included — ends in exactly one
    disposition, lost = 0, no request is served twice, the per-class
@@ -44,7 +44,6 @@ type chaos_draw =
 
 type scenario = {
   arrivals : (int * int * int) list; (* arrival_us, hist value, class code *)
-  failures : (int * int) list; (* fault delivery time_us, replica id *)
   chaos : (int * chaos_draw) list; (* delivery time_us, chaos event *)
   replicas : int; (* initial pool size *)
   adaptive : bool;
@@ -81,9 +80,11 @@ let scenario_of_seed seed =
           (Random.State.int st 120_000, 1 + Random.State.int st 60, Random.State.int st 3))
   in
   let replicas = 1 + Random.State.int st 2 in
-  let failures =
+  (* permanent replica losses: crashes with no recovery *)
+  let losses =
     List.init (Random.State.int st 3) (fun _ ->
-        (Random.State.int st 100_000, Random.State.int st replicas))
+        let at = Random.State.int st 100_000 in
+        (at, C_crash (Random.State.int st replicas, None, 0)))
   in
   let chaos =
     List.init (Random.State.int st 3) (fun _ ->
@@ -111,8 +112,7 @@ let scenario_of_seed seed =
   in
   {
     arrivals;
-    failures;
-    chaos;
+    chaos = losses @ chaos;
     replicas;
     adaptive = Random.State.bool st;
     autoscale = Random.State.bool st;
@@ -174,9 +174,8 @@ let run_scenario ?cache:(c = shared_cache) (s : scenario) =
     else
       Some
         {
-          Pool.default_adaptive with
           Pool.control_interval_us = 10_000.0;
-          Pool.autoscale =
+          autoscale =
             (if s.autoscale then
                Some
                  {
@@ -194,9 +193,8 @@ let run_scenario ?cache:(c = shared_cache) (s : scenario) =
         { Pool.arrival_us = float_of_int t; dims = [ ("hist", h) ]; cls = cls_of_code c })
       s.arrivals
   in
-  let failures = List.map (fun (t, id) -> (float_of_int t, id)) s.failures in
   let resilience = if s.resilient then Pool.default_resilience else Pool.no_resilience in
-  Pool.run ~failures ?adaptive ?chaos:(chaos_scenario_of s) ~resilience pool reqs
+  Pool.run ?adaptive ?chaos:(chaos_scenario_of s) ~resilience pool reqs
 
 (* The conservation predicate the shrinker preserves: true when the
    scenario violates an invariant (or anything raises). *)
@@ -229,8 +227,9 @@ let violates (s : scenario) =
   | exception _ -> true
 
 (* --- greedy shrinker ------------------------------------------------------
-   Drop each arrival, then each failure, then clear the flags and shrink
-   the pool, re-testing every candidate; iterate to a fixed point. *)
+   Drop each arrival, then each chaos event, then clear the flags and
+   shrink the pool, re-testing every candidate; iterate to a fixed
+   point. *)
 
 let drop_nth l i = List.filteri (fun j _ -> j <> i) l
 
@@ -239,12 +238,6 @@ let rec drop_arrivals fails s i =
   else
     let cand = { s with arrivals = drop_nth s.arrivals i } in
     if fails cand then drop_arrivals fails cand i else drop_arrivals fails s (i + 1)
-
-let rec drop_failures fails s i =
-  if i >= List.length s.failures then s
-  else
-    let cand = { s with failures = drop_nth s.failures i } in
-    if fails cand then drop_failures fails cand i else drop_failures fails s (i + 1)
 
 let rec drop_chaos fails s i =
   if i >= List.length s.chaos then s
@@ -258,12 +251,12 @@ let simplify_config fails s =
   let s = try_with { s with adaptive = false } s in
   let s = try_with { s with resilient = false } s in
   (* chaos events may name replica ids, so they go when the pool does *)
-  try_with { s with replicas = 1; failures = []; chaos = [] } s
+  try_with { s with replicas = 1; chaos = [] } s
 
 let shrink ~fails s =
   let rec fix s =
     let s' =
-      simplify_config fails (drop_chaos fails (drop_failures fails (drop_arrivals fails s 0) 0) 0)
+      simplify_config fails (drop_chaos fails (drop_arrivals fails s 0) 0)
     in
     if s' = s then s else fix s'
   in
@@ -283,11 +276,10 @@ let chaos_draw_to_string (at, d) =
 
 let scenario_to_string s =
   Printf.sprintf
-    "replicas=%d adaptive=%b autoscale=%b resilient=%b\narrivals=%s\nfailures=%s\nchaos=%s\n"
+    "replicas=%d adaptive=%b autoscale=%b resilient=%b\narrivals=%s\nchaos=%s\n"
     s.replicas s.adaptive s.autoscale s.resilient
     (String.concat ";"
        (List.map (fun (t, h, c) -> Printf.sprintf "%d,%d,%d" t h c) s.arrivals))
-    (String.concat ";" (List.map (fun (t, id) -> Printf.sprintf "%d,%d" t id) s.failures))
     (String.concat ";" (List.map chaos_draw_to_string s.chaos))
 
 let report_reproducer ~seed s =
@@ -323,21 +315,27 @@ let test_shrinker_always_failing_shrinks_to_empty () =
   let s = scenario_of_seed 11 in
   let minimal = shrink ~fails:(fun _ -> true) s in
   Alcotest.(check int) "no arrivals left" 0 (List.length minimal.arrivals);
-  Alcotest.(check int) "no failures left" 0 (List.length minimal.failures);
   Alcotest.(check int) "no chaos left" 0 (List.length minimal.chaos);
   Alcotest.(check bool) "flags cleared" true
     ((not minimal.adaptive) && (not minimal.autoscale) && (not minimal.resilient)
     && minimal.replicas = 1)
 
+let crashes s =
+  List.length (List.filter (function _, C_crash _ -> true | _ -> false) s.chaos)
+
 let test_shrinker_injected_failure_is_minimal () =
-  (* a predicate we control — "at least 3 arrivals and a failure event" —
-     must shrink to exactly 3 arrivals and 1 failure *)
-  let fails s = List.length s.arrivals >= 3 && s.failures <> [] in
+  (* a predicate we control — "at least 3 arrivals and a crash event" —
+     must shrink to exactly 3 arrivals and 1 crash *)
+  let fails s = List.length s.arrivals >= 3 && crashes s > 0 in
   let s =
     {
       arrivals = List.init 20 (fun i -> (i * 1_000, 5 + i, i mod 3));
-      failures = [ (10_000, 0); (20_000, 1) ];
-      chaos = [ (15_000, C_straggle (0, 4, 20_000)) ];
+      chaos =
+        [
+          (10_000, C_crash (0, None, 0));
+          (15_000, C_straggle (0, 4, 20_000));
+          (20_000, C_crash (1, None, 0));
+        ];
       replicas = 2;
       adaptive = true;
       autoscale = true;
@@ -347,8 +345,8 @@ let test_shrinker_injected_failure_is_minimal () =
   let minimal = shrink ~fails s in
   Alcotest.(check bool) "still failing" true (fails minimal);
   Alcotest.(check int) "exactly 3 arrivals" 3 (List.length minimal.arrivals);
-  Alcotest.(check int) "exactly 1 failure" 1 (List.length minimal.failures);
-  Alcotest.(check int) "irrelevant chaos dropped" 0 (List.length minimal.chaos)
+  Alcotest.(check int) "exactly 1 crash" 1 (crashes minimal);
+  Alcotest.(check int) "irrelevant chaos dropped" 1 (List.length minimal.chaos)
 
 let test_reproducer_file_round_trips () =
   let s = scenario_of_seed 5 in
@@ -363,13 +361,13 @@ let test_reproducer_file_round_trips () =
   Sys.remove reproducer_file
 
 (* A pinned non-trivial scenario stays green even at POOL_FUZZ_ITERS=1:
-   failures + adaptive + autoscale together, conservation by hand. *)
+   a permanent crash + adaptive + autoscale together, conservation by
+   hand. *)
 let test_pinned_scenario_conserves () =
   let s =
     {
       arrivals = List.init 16 (fun i -> (i * 4_000, 30 + (i mod 10), i mod 3));
-      failures = [ (20_000, 0) ];
-      chaos = [];
+      chaos = [ (20_000, C_crash (0, None, 0)) ];
       replicas = 2;
       adaptive = true;
       autoscale = true;
@@ -383,7 +381,6 @@ let test_pinned_scenario_conserves () =
 let pinned_chaos =
   {
     arrivals = List.init 20 (fun i -> (i * 3_000, 10 + (i mod 12), i mod 3));
-    failures = [];
     chaos =
       [
         (8_000, C_straggle (1, 6, 30_000));

@@ -602,12 +602,26 @@ let test_warmth_beats_round_robin () =
     (Pool.percentile (Pool.completed_latencies warm) 0.99
     <= Pool.percentile (Pool.completed_latencies rr) 0.99)
 
-(* --- pool: replica failure and draining ------------------------------------- *)
+(* --- pool: replica loss ------------------------------------------------------- *)
+
+(* A replica is lost to a one-event chaos scenario: a crash with no
+   recovery, taken with the default (no) resilience. *)
+let crash_at at_us replica =
+  {
+    Serving.Chaos.seed = 0;
+    events =
+      [
+        {
+          Serving.Chaos.at_us;
+          event = Serving.Chaos.Crash { replica; recover_after_us = None; spinup_us = 0.0 };
+        };
+      ];
+  }
 
 let test_replica_failure_drains_cleanly () =
   let pool = Pool.create (base_config ()) dien in
   let reqs = List.init 40 (fun i -> req (float_of_int i *. 5_000.0) 20) in
-  let r = Pool.run ~failures:[ (90_000.0, 0) ] pool reqs in
+  let r = Pool.run ~chaos:(crash_at 90_000.0 0) pool reqs in
   check_int "no losses across the failure" 0 r.Pool.lost;
   check_int "every request completed" 40 (r.Pool.served + r.Pool.fell_back);
   let rep id = List.find (fun x -> x.Pool.rr_id = id) r.Pool.replicas in
@@ -619,7 +633,7 @@ let test_replica_failure_drains_cleanly () =
 let test_whole_pool_death_fails_remainder () =
   let pool = Pool.create (base_config ~devices:[ Device.a10 ] ()) dien in
   let reqs = List.init 10 (fun i -> req (float_of_int i *. 5_000.0) 20) in
-  let r = Pool.run ~failures:[ (12_000.0, 0) ] pool reqs in
+  let r = Pool.run ~chaos:(crash_at 12_000.0 0) pool reqs in
   check_int "no losses even when the pool dies" 0 r.Pool.lost;
   check_bool "some requests completed before the failure" true
     (r.Pool.served + r.Pool.fell_back >= 1);
@@ -823,8 +837,7 @@ let test_adaptive_scaling_no_loss () =
       cooldown_us = 2_000.0 }
   in
   let adaptive =
-    { Pool.default_adaptive with
-      Pool.control_interval_us = 1_000.0; Pool.autoscale = Some autoscale }
+    { Pool.control_interval_us = 1_000.0; autoscale = Some autoscale }
   in
   let r = Pool.run ~adaptive pool (burst @ tail) in
   check_int "no losses across scale events" 0 r.Pool.lost;

@@ -67,6 +67,13 @@ module Q = Workloads.Queueing
 
 let mk_req t dims = { Q.arrival_us = t; dims }
 
+(* the plain dynamic-batching server: unbounded queue, no deadline *)
+let simulate ~arrivals ~policy ~service =
+  Q.simulate_server ~arrivals ~policy:(Q.default_server_policy ~batching:policy)
+    ~batch_dim:"batch"
+    ~service:(fun env -> (service env, `Compiled))
+    ()
+
 let test_batch_env () =
   let reqs = [ mk_req 0.0 [ ("seq", 10) ]; mk_req 1.0 [ ("seq", 25) ]; mk_req 2.0 [ ("seq", 7) ] ] in
   let env = Q.batch_env ~batch_dim:"batch" reqs in
@@ -77,26 +84,27 @@ let test_simulate_respects_max_batch () =
   (* 10 simultaneous arrivals, max_batch 4 -> 3 batches (4,4,2) *)
   let arrivals = List.init 10 (fun _ -> mk_req 0.0 [ ("seq", 8) ]) in
   let policy = { Q.max_batch = 4; max_wait_us = 100.0 } in
-  let o = Q.simulate ~arrivals ~policy ~batch_dim:"batch" ~service:(fun _ -> 50.0) in
-  Alcotest.(check int) "three batches" 3 o.Q.batches;
+  let o = simulate ~arrivals ~policy ~service:(fun _ -> 50.0) in
+  Alcotest.(check int) "three batches" 3 o.Q.server_batches;
   (* serialized service: last batch completes at ~150us *)
-  check_bool "makespan ~ 3 services" true (Float.abs (o.Q.makespan_us -. 150.0) < 1.0)
+  check_bool "makespan ~ 3 services" true (Float.abs (o.Q.server_makespan_us -. 150.0) < 1.0)
 
 let test_latency_includes_queueing () =
   (* two arrivals at t=0, batch size 1: second waits for the first *)
   let arrivals = [ mk_req 0.0 [ ("seq", 4) ]; mk_req 0.0 [ ("seq", 4) ] ] in
   let policy = { Q.max_batch = 1; max_wait_us = 0.0 } in
-  let o = Q.simulate ~arrivals ~policy ~batch_dim:"batch" ~service:(fun _ -> 100.0) in
-  check_bool "first ~100us" true (Float.abs (o.Q.latencies_us.(0) -. 100.0) < 1.0);
-  check_bool "second ~200us (queued)" true (Float.abs (o.Q.latencies_us.(1) -. 200.0) < 1.0)
+  let o = simulate ~arrivals ~policy ~service:(fun _ -> 100.0) in
+  check_bool "first ~100us" true (Float.abs (o.Q.request_latencies_us.(0) -. 100.0) < 1.0);
+  check_bool "second ~200us (queued)" true
+    (Float.abs (o.Q.request_latencies_us.(1) -. 200.0) < 1.0)
 
 let test_wait_window_batches_close_arrivals () =
   (* arrivals 100us apart with a 1ms window coalesce into one batch *)
   let arrivals = List.init 5 (fun k -> mk_req (float_of_int k *. 100.0) [ ("seq", 4) ]) in
   let policy = { Q.max_batch = 8; max_wait_us = 1000.0 } in
-  let o = Q.simulate ~arrivals ~policy ~batch_dim:"batch" ~service:(fun _ -> 10.0) in
-  Alcotest.(check int) "one batch" 1 o.Q.batches;
-  check_bool "mean batch = 5" true (o.Q.mean_batch = 5.0)
+  let o = simulate ~arrivals ~policy ~service:(fun _ -> 10.0) in
+  Alcotest.(check int) "one batch" 1 o.Q.server_batches;
+  check_bool "mean batch = 5" true (o.Q.server_mean_batch = 5.0)
 
 let test_service_sees_padded_shape () =
   let arrivals = [ mk_req 0.0 [ ("seq", 10) ]; mk_req 1.0 [ ("seq", 90) ] ] in
@@ -106,7 +114,7 @@ let test_service_sees_padded_shape () =
     seen := env :: !seen;
     1.0
   in
-  ignore (Q.simulate ~arrivals ~policy ~batch_dim:"batch" ~service);
+  ignore (simulate ~arrivals ~policy ~service);
   match !seen with
   | [ env ] ->
       Alcotest.(check int) "padded seq" 90 (List.assoc "seq" env);
@@ -117,14 +125,15 @@ let test_padding_accounting () =
   (* seq 10 + seq 90 pad to one 2x90 batch: 180 executed for 100 asked *)
   let arrivals = [ mk_req 0.0 [ ("seq", 10) ]; mk_req 1.0 [ ("seq", 90) ] ] in
   let policy = { Q.max_batch = 2; max_wait_us = 1000.0 } in
-  let o = Q.simulate ~arrivals ~policy ~batch_dim:"batch" ~service:(fun _ -> 1.0) in
+  let o = simulate ~arrivals ~policy ~service:(fun _ -> 1.0) in
   Alcotest.(check int) "actual elements" 100 o.Q.actual_elements;
   Alcotest.(check int) "padded elements" 180 o.Q.padded_elements;
   check_bool "waste = 80/180" true (Float.abs (Q.padding_waste o -. (80.0 /. 180.0)) < 1e-9);
   (* homogeneous shapes: no intra-batch padding at all *)
   let arrivals = List.init 4 (fun k -> mk_req (float_of_int k) [ ("seq", 7) ]) in
-  let o = Q.simulate ~arrivals ~policy:{ Q.max_batch = 4; max_wait_us = 1000.0 }
-      ~batch_dim:"batch" ~service:(fun _ -> 1.0) in
+  let o =
+    simulate ~arrivals ~policy:{ Q.max_batch = 4; max_wait_us = 1000.0 } ~service:(fun _ -> 1.0)
+  in
   check_bool "no waste when shapes agree" true (Q.padding_waste o = 0.0)
 
 let test_generate_arrivals_sorted_and_positive () =
@@ -147,10 +156,10 @@ let prop_higher_load_never_lowers_latency =
         in
         let policy = { Q.max_batch = 4; max_wait_us = 500.0 } in
         let o =
-          Q.simulate ~arrivals ~policy ~batch_dim:"batch" ~service:(fun env ->
+          simulate ~arrivals ~policy ~service:(fun env ->
               50.0 +. float_of_int (List.assoc "batch" env * List.assoc "seq" env))
         in
-        Q.percentile o.Q.latencies_us 0.99
+        Obs.Metrics.exact_percentile o.Q.request_latencies_us 0.99
       in
       run 2000.0 >= run 20.0 *. 0.5)
 
