@@ -1,13 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the
    evaluation (see DESIGN.md §4 and EXPERIMENTS.md).
 
-     dune exec bench/main.exe [--] [e2e|suite|sweep|fusion_ablation|
-       speculation_ablation|compile_time|memory|constraints|
-       mixed_precision|horizontal|cpu|serving|specialization|
-       resilience|cache|micro|all]
+     dune exec bench/main.exe [--] [EXPERIMENT|all] [--json OUT.json]
+       [--trace OUT.json] [--requests N] [--decode]
 
-   "all" runs E1..E15; "micro" runs the Bechamel compiler
-   microbenchmarks. *)
+   The experiments are the rows of [experiments] at the end of this
+   file; "all" runs every row marked [in_all]. An experiment with an
+   acceptance check prints "(ACCEPTANCE NOT MET)" and exits 1 when the
+   check fails; --json writes one experiment's artifact. *)
 
 module Suite = Models.Suite
 module Common = Models.Common
@@ -17,6 +17,7 @@ module Planner = Fusion.Planner
 module Cluster = Fusion.Cluster
 module Kernel = Codegen.Kernel
 module Profile = Runtime.Profile
+module Compiler = Disc.Compiler
 
 let devices = [ Gpusim.Device.a10; Gpusim.Device.t4 ]
 
@@ -28,34 +29,28 @@ let header title =
 let env_to_string env =
   String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) env)
 
+(* What an experiment returns besides the tables it prints: its
+   acceptance verdict, if it has one, and the artifact --json writes,
+   if it has one — the experiment id and the fields that follow it. *)
+type outcome = {
+  verdict : bool option;
+  artifact : (string * (string * Obs.Json.t) list) option;
+}
+
+let tables_only = { verdict = None; artifact = None }
+let artifact ?verdict id fields = { verdict; artifact = Some (id, fields) }
+
+let acceptance ok = if ok then "" else "  (ACCEPTANCE NOT MET)"
+
 (* ----------------------------------------------------------------------
    E1: end-to-end inference latency & speedups (the headline figures:
-   one per device). With [--json OUT] the same numbers — per-model
-   latency, speedup vs every baseline, one-off compile time — are also
-   written as a machine-readable file, so each PR's perf trajectory can
-   be tracked without scraping tables. *)
+   one per device). The artifact holds the same numbers — per-model
+   latency, speedup vs every baseline, one-off compile time — so each
+   PR's perf trajectory can be tracked without scraping tables. *)
 
-let json_rows : Obs.Json.t list ref = ref []
-let json_compile : (string * float) list ref = ref []
-
-let write_bench_json ~path ~summary =
-  let doc =
-    Obs.Json.Obj
-      [
-        ("experiment", Obs.Json.Str "E1-e2e");
-        ("unit", Obs.Json.Obj [ ("latency", Obs.Json.Str "us"); ("compile", Obs.Json.Str "ms") ]);
-        ("rows", Obs.Json.List (List.rev !json_rows));
-        ( "compile_ms",
-          Obs.Json.Obj
-            (List.rev_map (fun (m, ms) -> (m, Obs.Json.Float ms)) !json_compile) );
-        ("summary", Obs.Json.List summary);
-      ]
-  in
-  Obs.Json.write_file path doc;
-  Printf.printf "\nheadline numbers -> %s\n" path
-
-let e2e ?json () =
+let e2e () =
   header "E1: end-to-end speedup of BladeDISC over each baseline (per device)";
+  let json_rows = ref [] and json_compile = ref [] in
   let paper_avg =
     [
       ("pytorch", 3.54); ("torchscript", 3.12); ("tvm", 1.95); ("onnxrt", 1.47);
@@ -135,7 +130,14 @@ let e2e ?json () =
           ])
       baseline_names
   in
-  match json with Some path -> write_bench_json ~path ~summary | None -> ()
+  artifact "E1-e2e"
+    [
+      ("unit", Obs.Json.Obj [ ("latency", Obs.Json.Str "us"); ("compile", Obs.Json.Str "ms") ]);
+      ("rows", Obs.Json.List (List.rev !json_rows));
+      ( "compile_ms",
+        Obs.Json.Obj (List.rev_map (fun (m, ms) -> (m, Obs.Json.Float ms)) !json_compile) );
+      ("summary", Obs.Json.List summary);
+    ]
 
 (* ----------------------------------------------------------------------
    E2: the model-suite characteristics table. *)
@@ -157,7 +159,8 @@ let suite () =
         (count Ir.Op.Reduction) (count Ir.Op.Library)
         (List.length built.Common.dims)
         entry.Suite.dynamism)
-    Suite.all
+    Suite.all;
+  tables_only
 
 (* ----------------------------------------------------------------------
    E3: latency across input shapes (figure: one line per system; static
@@ -196,7 +199,8 @@ let sweep () =
     Suite.all;
   Printf.printf
     "\n(compile-ms column: one-off compilation triggered by first sight of that shape;\n\
-    \ XLA recompiles per pow2 bucket, TVM re-tunes per exact shape, BladeDISC never.)\n"
+    \ XLA recompiles per pow2 bucket, TVM re-tunes per exact shape, BladeDISC never.)\n";
+  tables_only
 
 (* ----------------------------------------------------------------------
    E4: fusion ablation (figure: kernels & latency under each planner). *)
@@ -219,9 +223,10 @@ let fusion_ablation () =
       List.iter
         (fun (vname, cfg) ->
           let built = entry.Suite.build () in
-          ignore (Ir.Passes.run_all built.Common.graph);
-          let plan = Planner.plan ~config:cfg built.Common.graph in
-          let exe = Runtime.Executable.compile built.Common.graph plan in
+          let { Compiler.plan; exe; _ } =
+            Compiler.compile ~options:{ Compiler.default_options with planner = cfg }
+              built.Common.graph
+          in
           let env = List.hd entry.Suite.bench_dims in
           let bnd = Common.binding_for built env in
           let profile = Runtime.Executable.simulate ~device:Gpusim.Device.a10 exe bnd in
@@ -231,7 +236,8 @@ let fusion_ablation () =
             (Cluster.count_kind plan Cluster.Stitch)
             profile.Profile.launches (Profile.total_us profile))
         variants)
-    Suite.all
+    Suite.all;
+  tables_only
 
 (* ----------------------------------------------------------------------
    E5: speculation ablation (figure: latency with/without speculative
@@ -245,9 +251,10 @@ let speculation_ablation () =
     (fun entry ->
       let mk codegen =
         let built = entry.Suite.build () in
-        ignore (Ir.Passes.run_all built.Common.graph);
-        let plan = Planner.plan built.Common.graph in
-        (built, Runtime.Executable.compile ~codegen built.Common.graph plan)
+        let c =
+          Compiler.compile ~options:{ Compiler.default_options with codegen } built.Common.graph
+        in
+        (built, c.Compiler.exe)
       in
       let built_on, exe_on = mk Kernel.default_config in
       let built_off, exe_off = mk Kernel.no_speculation_config in
@@ -264,7 +271,8 @@ let speculation_ablation () =
           Printf.printf "%-11s %-26s %12.0f %12.0f %7.2fx\n" entry.Suite.name
             (env_to_string env) t_on t_off (t_off /. t_on))
         entry.Suite.bench_dims)
-    Suite.all
+    Suite.all;
+  tables_only
 
 (* ----------------------------------------------------------------------
    E6: compilation cost to serve a realistic trace of shapes. *)
@@ -290,7 +298,8 @@ let compile_time () =
       Printf.printf "%-11s %s\n" entry.Suite.name (String.concat " " cells))
     Suite.all;
   Printf.printf "\n(XLA compiles per pow2 bucket signature; TVM tunes per exact signature;\n\
-                \ the others compile once. BladeDISC's single compile is seconds.)\n"
+                \ the others compile once. BladeDISC's single compile is seconds.)\n";
+  tables_only
 
 (* ----------------------------------------------------------------------
    E7: peak device memory, including padding waste. *)
@@ -322,9 +331,7 @@ let memory () =
   List.iter
     (fun entry ->
       let built = entry.Suite.build () in
-      ignore (Ir.Passes.run_all built.Common.graph);
-      let plan = Planner.plan built.Common.graph in
-      let exe = Runtime.Executable.compile built.Common.graph plan in
+      let exe = (Compiler.compile built.Common.graph).Compiler.exe in
       let env = List.nth entry.Suite.bench_dims (List.length entry.Suite.bench_dims - 1) in
       let p = Runtime.Memplan.plan exe (Common.binding_for built env) in
       assert (Runtime.Memplan.validate p);
@@ -333,7 +340,8 @@ let memory () =
         (float_of_int p.Runtime.Memplan.naive_bytes /. 1e6)
         (float_of_int p.Runtime.Memplan.naive_bytes
         /. float_of_int (max 1 p.Runtime.Memplan.arena_bytes)))
-    Suite.all
+    Suite.all;
+  tables_only
 
 (* ----------------------------------------------------------------------
    E8: shape-constraint coverage — what the symbolic machinery proves. *)
@@ -353,7 +361,8 @@ let constraints () =
         s.Disc.Stats.proven_equal_pairs s.Disc.Stats.total_pairs_sampled)
     Suite.all;
   Printf.printf "\n(classes << symbols: propagation collapses almost all dynamic dims onto\n\
-                \ the handful of true input symbols — that collapse is what enables fusion.)\n"
+                \ the handful of true input symbols — that collapse is what enables fusion.)\n";
+  tables_only
 
 (* ----------------------------------------------------------------------
    E9 (extension): mixed-precision deployment — fp32 vs fp16 latency and
@@ -370,10 +379,8 @@ let mixed_precision () =
       let measure ~half =
         let built = entry.Suite.build () in
         if half then ignore (Ir.Precision.to_f16 built.Common.graph);
-        ignore (Ir.Passes.run_all built.Common.graph);
-        let plan = Planner.plan built.Common.graph in
-        let exe = Runtime.Executable.compile built.Common.graph plan in
-        Runtime.Executable.simulate exe (Common.binding_for built env)
+        let c = Compiler.compile built.Common.graph in
+        Runtime.Executable.simulate c.Compiler.exe (Common.binding_for built env)
       in
       let p32 = measure ~half:false and p16 = measure ~half:true in
       Printf.printf "%-11s %-26s %12.0f %12.0f %7.2fx %12.1f %12.1f\n" entry.Suite.name
@@ -381,7 +388,8 @@ let mixed_precision () =
         (Profile.total_us p32 /. Profile.total_us p16)
         (float_of_int p32.Profile.peak_bytes /. 1e6)
         (float_of_int p16.Profile.peak_bytes /. 1e6))
-    Suite.all
+    Suite.all;
+  tables_only
 
 (* ----------------------------------------------------------------------
    E10 (extension): horizontal fusion — packing independent same-domain
@@ -393,11 +401,11 @@ let horizontal_ablation () =
     "latency(us)" "+horiz(us)" "gain";
   List.iter
     (fun entry ->
-      let measure config =
+      let measure planner =
         let built = entry.Suite.build () in
-        ignore (Ir.Passes.run_all built.Common.graph);
-        let plan = Planner.plan ~config built.Common.graph in
-        let exe = Runtime.Executable.compile built.Common.graph plan in
+        let { Compiler.plan; exe; _ } =
+          Compiler.compile ~options:{ Compiler.default_options with planner } built.Common.graph
+        in
         let env = List.hd entry.Suite.bench_dims in
         let p = Runtime.Executable.simulate exe (Common.binding_for built env) in
         (plan, p)
@@ -409,7 +417,8 @@ let horizontal_ablation () =
         (Cluster.count_kind plan1 Cluster.Horizontal)
         (Profile.total_us p0) (Profile.total_us p1)
         (Profile.total_us p0 /. Profile.total_us p1))
-    Suite.all
+    Suite.all;
+  tables_only
 
 (* ----------------------------------------------------------------------
    E11 (extension): CPU deployment — the same compiled artifacts on the
@@ -431,7 +440,8 @@ let cpu () =
       let d = lat "bladedisc" and pt = lat "pytorch" and ort = lat "onnxrt" in
       Printf.printf "%-11s %-26s %12.0f %12.0f %12.0f %9.2fx\n" entry.Suite.name
         (env_to_string env) d pt ort (pt /. d))
-    Suite.all
+    Suite.all;
+  tables_only
 
 (* ----------------------------------------------------------------------
    E12 (extension): tail latency under dynamic batching — the serving
@@ -453,7 +463,7 @@ let serving () =
       List.iter
         (fun name ->
           let ex = Systems.make name (entry.Suite.build ()) in
-          ignore (ex.E.run ~device (Q.batch_env ~batch_dim [ List.hd arrivals ]));
+          ignore (ex.E.run ~device (Q.batch_env ~batch_dim [ (List.hd arrivals).Q.dims ]));
           let stalls = ref 0 in
           let service env =
             let r = ex.E.run ~device env in
@@ -470,7 +480,8 @@ let serving () =
       ("bert", [ ("seq", Workloads.Trace.Bimodal (24, 160)) ], "batch", 150.0);
       ("dien", [ ("hist", Workloads.Trace.Skewed (5, 100)) ], "batch", 2000.0);
     ];
-  Printf.printf "(a stall is an in-band compilation > 100 ms blocking the serving queue)\n"
+  Printf.printf "(a stall is an in-band compilation > 100 ms blocking the serving queue)\n";
+  tables_only
 
 (* ----------------------------------------------------------------------
    E13 (extension): hot-shape specialization — static variants for
@@ -494,14 +505,15 @@ let specialization () =
       ignore generic_p;
       (* compare generic artifact at the same hot shape *)
       let dims = List.map (fun (n, v) -> (Common.dim_exn sp.Disc.Specialize.built n, v)) hot_env in
-      let gen_p = Disc.Compiler.simulate sp.Disc.Specialize.generic dims in
+      let gen_p = Compiler.simulate sp.Disc.Specialize.generic dims in
       Printf.printf "%-11s %12.0f %12.0f %7.2fx %14.1f\n" entry.Suite.name
         (Profile.total_us gen_p) (Profile.total_us hot_p)
         (Profile.total_us gen_p /. Profile.total_us hot_p)
         ((Disc.Specialize.total_compile_ms sp
-         -. sp.Disc.Specialize.generic.Disc.Compiler.compile_time_ms)
+         -. sp.Disc.Specialize.generic.Compiler.compile_time_ms)
         /. 1000.0))
-    Suite.all
+    Suite.all;
+  tables_only
 
 (* ----------------------------------------------------------------------
    E14 (extension): fault-tolerant serving — deterministic fault
@@ -555,7 +567,8 @@ let resilience () =
   Printf.printf
     "(every request accounted: served + fell-back + shed + expired = %d arrivals;\n\
     \ fell-back requests are re-served on the op-by-op reference interpreter)\n"
-    (List.length arrivals)
+    (List.length arrivals);
+  tables_only
 
 (* ----------------------------------------------------------------------
    E15 (extension): compilation cache — cold vs warm session creation.
@@ -567,7 +580,7 @@ let resilience () =
    serves its first batches on the reference path ("warmed"
    disposition) and transparently switches to the compiled path. *)
 
-let cache_experiment ?json () =
+let cache_experiment () =
   header "E15 (extension): compilation cache — cold vs warm sessions (A10)";
   let cache = Disc.Compile_cache.create () in
   let replicas = 10 in
@@ -620,42 +633,34 @@ let cache_experiment ?json () =
   Printf.printf
     "async compile (crnn): warmup window %.0f ms -> %d warmed, %d compiled, %d fell back\n"
     (until_us /. 1000.0) a.Q.warmed a.Q.served a.Q.fell_back;
-  match json with
-  | None -> ()
-  | Some path ->
-      let doc =
+  artifact "E15-cache"
+    [
+      ("replicas_per_model", Obs.Json.Int replicas);
+      ( "rows",
+        Obs.Json.List
+          (List.map
+             (fun (name, cold_ms, warm_ms, hits) ->
+               Obs.Json.Obj
+                 [
+                   ("model", Obs.Json.Str name);
+                   ("cold_compile_ms", Obs.Json.Float cold_ms);
+                   ("warm_compile_ms", Obs.Json.Float warm_ms);
+                   ("hits", Obs.Json.Int hits);
+                 ])
+             rows) );
+      ("hits", Obs.Json.Int s.Disc.Compile_cache.hits);
+      ("misses", Obs.Json.Int s.Disc.Compile_cache.misses);
+      ("evictions", Obs.Json.Int s.Disc.Compile_cache.evictions);
+      ("hit_rate", Obs.Json.Float rate);
+      ( "async_warmup",
         Obs.Json.Obj
           [
-            ("experiment", Obs.Json.Str "E15-cache");
-            ("replicas_per_model", Obs.Json.Int replicas);
-            ( "rows",
-              Obs.Json.List
-                (List.map
-                   (fun (name, cold_ms, warm_ms, hits) ->
-                     Obs.Json.Obj
-                       [
-                         ("model", Obs.Json.Str name);
-                         ("cold_compile_ms", Obs.Json.Float cold_ms);
-                         ("warm_compile_ms", Obs.Json.Float warm_ms);
-                         ("hits", Obs.Json.Int hits);
-                       ])
-                   rows) );
-            ("hits", Obs.Json.Int s.Disc.Compile_cache.hits);
-            ("misses", Obs.Json.Int s.Disc.Compile_cache.misses);
-            ("evictions", Obs.Json.Int s.Disc.Compile_cache.evictions);
-            ("hit_rate", Obs.Json.Float rate);
-            ( "async_warmup",
-              Obs.Json.Obj
-                [
-                  ("window_ms", Obs.Json.Float (until_us /. 1000.0));
-                  ("warmed", Obs.Json.Int a.Q.warmed);
-                  ("served", Obs.Json.Int a.Q.served);
-                  ("fell_back", Obs.Json.Int a.Q.fell_back);
-                ] );
-          ]
-      in
-      Obs.Json.write_file path doc;
-      Printf.printf "cache numbers -> %s\n" path
+            ("window_ms", Obs.Json.Float (until_us /. 1000.0));
+            ("warmed", Obs.Json.Int a.Q.warmed);
+            ("served", Obs.Json.Int a.Q.served);
+            ("fell_back", Obs.Json.Int a.Q.fell_back);
+          ] );
+    ]
 
 (* ----------------------------------------------------------------------
    E16 (extension): the multi-replica serving pool — single replica vs
@@ -664,7 +669,7 @@ let cache_experiment ?json () =
    replica; warmth-aware routing then keeps each shape signature's
    warmup on one replica instead of paying it everywhere. *)
 
-let pool_serving ?json () =
+let pool_serving () =
   header "E16 (extension): serving pool — replicas, routing, padding (A10)";
   let module Pool = Serving.Pool in
   let module Bucket = Serving.Bucket in
@@ -734,18 +739,7 @@ let pool_serving ?json () =
   Printf.printf
     "(same offered load per model; pooling removes queueing delay, warmth-aware\n\
     \ routing then avoids re-paying each signature's warmup on every replica)\n";
-  match json with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Obs.Json.Obj
-          [
-            ("experiment", Obs.Json.Str "E16-serving-pool");
-            ("rows", Obs.Json.List (List.rev !rows));
-          ]
-      in
-      Obs.Json.write_file path doc;
-      Printf.printf "pool numbers -> %s\n" path
+  artifact "E16-serving-pool" [ ("rows", Obs.Json.List (List.rev !rows)) ]
 
 (* ----------------------------------------------------------------------
    E17 (extension): adaptive serving under a drifting shape
@@ -758,7 +752,7 @@ let pool_serving ?json () =
    p99 must both improve on the static policy, with zero lost requests
    across the scale events. *)
 
-let adaptive_serving ?json () =
+let adaptive_serving () =
   header "E17 (extension): adaptive serving — online rebucketing + autoscaling (bert, A10)";
   let module Pool = Serving.Pool in
   let module Bucket = Serving.Bucket in
@@ -857,29 +851,22 @@ let adaptive_serving ?json () =
         (cname, r, p99))
       configs
   in
-  (match results with
-  | (_, r_static, p99_static) :: adaptives ->
-      List.iter
-        (fun (cname, r_a, p99_a) ->
-          let w_s = Pool.padding_waste r_static and w_a = Pool.padding_waste r_a in
-          Printf.printf "%s vs static: waste %.1f%% -> %.1f%%, p99 %.2fms -> %.2fms%s\n"
-            cname (100.0 *. w_s) (100.0 *. w_a) (p99_static /. 1000.0) (p99_a /. 1000.0)
-            (if w_a < w_s && p99_a < p99_static then "" else "  (NO IMPROVEMENT)")
-        )
-        adaptives
-  | [] -> ());
-  match json with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Obs.Json.Obj
-          [
-            ("experiment", Obs.Json.Str "E17-adaptive-serving");
-            ("rows", Obs.Json.List (List.rev !rows));
-          ]
-      in
-      Obs.Json.write_file path doc;
-      Printf.printf "adaptive numbers -> %s\n" path
+  let oks =
+    match results with
+    | (_, r_static, p99_static) :: adaptives ->
+        List.map
+          (fun (cname, r_a, p99_a) ->
+            let w_s = Pool.padding_waste r_static and w_a = Pool.padding_waste r_a in
+            let ok = w_a < w_s && p99_a < p99_static in
+            Printf.printf "%s vs static: waste %.1f%% -> %.1f%%, p99 %.2fms -> %.2fms%s\n"
+              cname (100.0 *. w_s) (100.0 *. w_a) (p99_static /. 1000.0) (p99_a /. 1000.0)
+              (acceptance ok);
+            ok)
+          adaptives
+    | [] -> assert false
+  in
+  artifact ~verdict:(List.for_all Fun.id oks) "E17-adaptive-serving"
+    [ ("rows", Obs.Json.List (List.rev !rows)) ]
 
 (* ----------------------------------------------------------------------
    E18 (extension): availability under chaos. One seeded scenario —
@@ -893,7 +880,7 @@ let adaptive_serving ?json () =
    degrades. The resilient config runs twice to pin bit-reproducibility:
    chaos is a pure function of (seed, scenario). *)
 
-let chaos_serving ?json () =
+let chaos_serving () =
   header "E18 (extension): chaos — availability under crash + straggler + spike (dien, A10)";
   let module Pool = Serving.Pool in
   let module Bucket = Serving.Bucket in
@@ -1051,33 +1038,27 @@ let chaos_serving ?json () =
     \ Failed — excluded from its p99 — where resilient configs serve them, late;\n\
     \ availability is the served%% / failed columns, not the tail)\n";
   Printf.printf "reproducible: %b (two resilient runs, identical dispositions)\n" reproducible;
-  (match (results, List.rev results) with
-  | (_, rb, pb) :: _, (_, rr, pr) :: _ ->
-      let ok =
-        rr.Pool.lost = 0 && pr >= 99.0
-        && rr.Pool.resilience.Pool.xr_brownout_final = 0
-        && reproducible
-        && pb < pr
-      in
-      Printf.printf
-        "resilient vs baseline: served %.1f%% -> %.1f%%, failed %d -> %d%s\n" pb pr
-        rb.Pool.failed rr.Pool.failed
-        (if ok then "" else "  (ACCEPTANCE NOT MET)")
-  | _ -> assert false);
-  match json with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Obs.Json.Obj
-          [
-            ("experiment", Obs.Json.Str "E18-chaos-serving");
-            ("scenario", Chaos.to_json scenario);
-            ("reproducible", Obs.Json.Bool reproducible);
-            ("rows", Obs.Json.List (List.rev !rows));
-          ]
-      in
-      Obs.Json.write_file path doc;
-      Printf.printf "chaos numbers -> %s\n" path
+  let ok =
+    match (results, List.rev results) with
+    | (_, rb, pb) :: _, (_, rr, pr) :: _ ->
+        let ok =
+          rr.Pool.lost = 0 && pr >= 99.0
+          && rr.Pool.resilience.Pool.xr_brownout_final = 0
+          && reproducible
+          && pb < pr
+        in
+        Printf.printf
+          "resilient vs baseline: served %.1f%% -> %.1f%%, failed %d -> %d%s\n" pb pr
+          rb.Pool.failed rr.Pool.failed (acceptance ok);
+        ok
+    | _ -> assert false
+  in
+  artifact ~verdict:ok "E18-chaos-serving"
+    [
+      ("scenario", Chaos.to_json scenario);
+      ("reproducible", Obs.Json.Bool reproducible);
+      ("rows", Obs.Json.List (List.rev !rows));
+    ]
 
 (* ----------------------------------------------------------------------
    E19 (extension): request-level static batching vs token-level
@@ -1092,7 +1073,7 @@ let chaos_serving ?json () =
    is bit-identical, and each graph compiled exactly once — never once
    per token. *)
 
-let decode_serving ?json () =
+let decode_serving () =
   header "E19 (extension): continuous vs static batching — GPT-2 decode, 3x A10";
   let module S = Decode.Scheduler in
   let qps = 40.0 and n = 40 and seed = 7 in
@@ -1169,118 +1150,16 @@ let decode_serving ?json () =
     (ct.S.tokens_per_s /. st.S.tokens_per_s)
     (st.S.ttft_p99_us /. 1000.0)
     (ct.S.ttft_p99_us /. 1000.0)
-    (if ok then "" else "  (ACCEPTANCE NOT MET)");
-  match json with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Obs.Json.Obj
-          [
-            ("experiment", Obs.Json.Str "E19-decode-serving");
-            ("qps", Obs.Json.Float qps);
-            ("sequences", Obs.Json.Int n);
-            ("seed", Obs.Json.Int seed);
-            ("reproducible", Obs.Json.Bool reproducible);
-            ("compiles_once_per_graph", Obs.Json.Bool compiles_once);
-            ("rows", Obs.Json.List (List.rev !rows));
-          ]
-      in
-      Obs.Json.write_file path doc;
-      Printf.printf "decode numbers -> %s\n" path
-
-(* ----------------------------------------------------------------------
-   Bechamel microbenchmarks of the compiler itself. *)
-
-let micro () =
-  header "micro: Bechamel benchmarks of compiler phases (wall clock, this host)";
-  let open Bechamel in
-  let build_test =
-    Test.make ~name:"build_bert_graph" (Staged.stage (fun () -> ignore (Models.Bert.build ())))
-  in
-  let passes_test =
-    Test.make ~name:"graph_passes_bert"
-      (Staged.stage (fun () ->
-           let b = Models.Bert.build () in
-           ignore (Ir.Passes.run_all b.Common.graph)))
-  in
-  let fusion_test =
-    Test.make ~name:"fusion_planning_bert"
-      (Staged.stage
-         (let b = Models.Bert.build () in
-          ignore (Ir.Passes.run_all b.Common.graph);
-          fun () -> ignore (Planner.plan b.Common.graph)))
-  in
-  let simulate_test =
-    Test.make ~name:"simulate_bert_one_shape"
-      (Staged.stage
-         (let b = Models.Bert.build () in
-          ignore (Ir.Passes.run_all b.Common.graph);
-          let plan = Planner.plan b.Common.graph in
-          let exe = Runtime.Executable.compile b.Common.graph plan in
-          fun () ->
-            ignore
-              (Runtime.Executable.simulate exe
-                 (Common.binding_for b [ ("batch", 4); ("seq", 73) ]))))
-  in
-  let products_test =
-    Test.make ~name:"product_equality_query"
-      (Staged.stage
-         (let tab = Symshape.Table.create () in
-          let b = Symshape.Table.fresh tab and s = Symshape.Table.fresh tab in
-          let m = Symshape.Table.fresh tab in
-          Symshape.Table.record_product_equal tab [| b; s |] [| m |];
-          fun () ->
-            ignore
-              (Symshape.Table.products_equal tab
-                 [| b; s; Symshape.Sym.Static 768 |]
-                 [| m; Symshape.Sym.Static 768 |])))
-  in
-  let clone_test =
-    Test.make ~name:"clone_bert_graph"
-      (Staged.stage
-         (let b = Models.Bert.build () in
-          fun () -> ignore (Ir.Clone.clone b.Common.graph)))
-  in
-  let memplan_test =
-    Test.make ~name:"memplan_bert_one_shape"
-      (Staged.stage
-         (let b = Models.Bert.build () in
-          ignore (Ir.Passes.run_all b.Common.graph);
-          let plan = Planner.plan b.Common.graph in
-          let exe = Runtime.Executable.compile b.Common.graph plan in
-          fun () ->
-            ignore
-              (Runtime.Memplan.plan exe (Common.binding_for b [ ("batch", 4); ("seq", 73) ]))))
-  in
-  let parse_test =
-    Test.make ~name:"parse_softmax_mlp"
-      (Staged.stage
-         (let b = Models.Dien.build ~config:Models.Dien.tiny () in
-          let text = Ir.Printer.to_string ~with_symbols:true b.Common.graph in
-          fun () -> ignore (Ir.Parser.parse text)))
-  in
-  let tests =
+    (acceptance ok);
+  artifact ~verdict:ok "E19-decode-serving"
     [
-      build_test; passes_test; fusion_test; simulate_test; products_test; clone_test;
-      memplan_test; parse_test;
+      ("qps", Obs.Json.Float qps);
+      ("sequences", Obs.Json.Int n);
+      ("seed", Obs.Json.Int seed);
+      ("reproducible", Obs.Json.Bool reproducible);
+      ("compiles_once_per_graph", Obs.Json.Bool compiles_once);
+      ("rows", Obs.Json.List (List.rev !rows));
     ]
-  in
-  let benchmark test =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-    let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ]) in
-    let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "%-32s %12.1f ns/run\n" name est
-        | _ -> Printf.printf "%-32s (no estimate)\n" name)
-      results
-  in
-  List.iter benchmark tests
 
 (* ----------------------------------------------------------------------
    E20 (extension): million-request scale harness. One frozen trace
@@ -1297,7 +1176,7 @@ let micro () =
 let scale_pre_refactor_bytes_per_request = 23159.0
 let scale_pre_refactor_rps = 34038.0
 
-let scale ?json ?(requests = 1_000_000) () =
+let scale_pool ?(requests = 1_000_000) () =
   header
     (Printf.sprintf "E20 (extension): scale harness — %d requests, 4x A10" requests);
   let module Pool = Serving.Pool in
@@ -1365,44 +1244,35 @@ let scale ?json ?(requests = 1_000_000) () =
   in
   Printf.printf
     "allocation: %.0f B/req vs %.0f pre-refactor = %.1fx reduction (gate: >= 2x)%s\n"
-    bytes_per_req scale_pre_refactor_bytes_per_request reduction
-    (if ok then "" else "  (ACCEPTANCE NOT MET)");
-  match json with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Obs.Json.Obj
-          [
-            ("experiment", Obs.Json.Str "E20-scale");
-            ("trace", Obs.Json.Str (Trace_gen.describe spec));
-            ("requests", Obs.Json.Int requests);
-            ("wall_s", Obs.Json.Float wall);
-            ("sustained_rps", Obs.Json.Float rps);
-            ("bytes_per_request", Obs.Json.Float bytes_per_req);
-            ( "pre_refactor_bytes_per_request",
-              Obs.Json.Float scale_pre_refactor_bytes_per_request );
-            ("pre_refactor_rps", Obs.Json.Float scale_pre_refactor_rps);
-            ("allocation_reduction_x", Obs.Json.Float reduction);
-            ("p50_us", Obs.Json.Float p50);
-            ("p99_us", Obs.Json.Float p99);
-            ("p999_us", Obs.Json.Float p999);
-            ("padding_waste", Obs.Json.Float (Pool.padding_waste r));
-            ("mean_batch", Obs.Json.Float r.Pool.mean_batch);
-            ("peak_queued", Obs.Json.Int r.Pool.peak_queued);
-            ("served", Obs.Json.Int r.Pool.served);
-            ("fell_back", Obs.Json.Int r.Pool.fell_back);
-            ("shed", Obs.Json.Int r.Pool.shed);
-            ("expired", Obs.Json.Int r.Pool.expired);
-            ("rejected", Obs.Json.Int r.Pool.rejected);
-            ("failed", Obs.Json.Int r.Pool.failed);
-            ("lost", Obs.Json.Int r.Pool.lost);
-            ("audit_ok", Obs.Json.Bool (violations = []));
-            ("reproducible", Obs.Json.Bool reproducible);
-            ("acceptance", Obs.Json.Bool ok);
-          ]
-      in
-      Obs.Json.write_file path doc;
-      Printf.printf "scale numbers -> %s\n" path
+    bytes_per_req scale_pre_refactor_bytes_per_request reduction (acceptance ok);
+  artifact ~verdict:ok "E20-scale"
+    [
+      ("trace", Obs.Json.Str (Trace_gen.describe spec));
+      ("requests", Obs.Json.Int requests);
+      ("wall_s", Obs.Json.Float wall);
+      ("sustained_rps", Obs.Json.Float rps);
+      ("bytes_per_request", Obs.Json.Float bytes_per_req);
+      ( "pre_refactor_bytes_per_request",
+        Obs.Json.Float scale_pre_refactor_bytes_per_request );
+      ("pre_refactor_rps", Obs.Json.Float scale_pre_refactor_rps);
+      ("allocation_reduction_x", Obs.Json.Float reduction);
+      ("p50_us", Obs.Json.Float p50);
+      ("p99_us", Obs.Json.Float p99);
+      ("p999_us", Obs.Json.Float p999);
+      ("padding_waste", Obs.Json.Float (Pool.padding_waste r));
+      ("mean_batch", Obs.Json.Float r.Pool.mean_batch);
+      ("peak_queued", Obs.Json.Int r.Pool.peak_queued);
+      ("served", Obs.Json.Int r.Pool.served);
+      ("fell_back", Obs.Json.Int r.Pool.fell_back);
+      ("shed", Obs.Json.Int r.Pool.shed);
+      ("expired", Obs.Json.Int r.Pool.expired);
+      ("rejected", Obs.Json.Int r.Pool.rejected);
+      ("failed", Obs.Json.Int r.Pool.failed);
+      ("lost", Obs.Json.Int r.Pool.lost);
+      ("audit_ok", Obs.Json.Bool (violations = []));
+      ("reproducible", Obs.Json.Bool reproducible);
+      ("acceptance", Obs.Json.Bool ok);
+    ]
 
 (* ----------------------------------------------------------------------
    E20b (extension): the scale harness pointed at decode serving. The
@@ -1412,7 +1282,7 @@ let scale ?json ?(requests = 1_000_000) () =
    token-level report must pass every Decode.Audit invariant, lose
    nothing, and be bit-identical on a rerun. *)
 
-let scale_decode ?json ?(requests = 100_000) () =
+let scale_decode ?(requests = 100_000) () =
   header
     (Printf.sprintf "E20b (extension): scale harness, decode serving — %d sequences, 4x A10"
        requests);
@@ -1459,34 +1329,25 @@ let scale_decode ?json ?(requests = 100_000) () =
     audit = Ok () && reproducible && r.S.lost = 0 && r.S.finished = requests
   in
   Printf.printf "finished=%d/%d lost=%d tokens/s=%.0f%s\n" r.S.finished requests r.S.lost
-    r.S.tokens_per_s
-    (if ok then "" else "  (ACCEPTANCE NOT MET)");
-  match json with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Obs.Json.Obj
-          [
-            ("experiment", Obs.Json.Str "E20b-scale-decode");
-            ("trace", Obs.Json.Str (Trace_gen.describe spec));
-            ("sequences", Obs.Json.Int requests);
-            ("wall_s", Obs.Json.Float wall);
-            ("bytes_per_sequence", Obs.Json.Float bytes_per_seq);
-            ("finished", Obs.Json.Int r.S.finished);
-            ("lost", Obs.Json.Int r.S.lost);
-            ("tokens", Obs.Json.Int r.S.tokens);
-            ("tokens_per_s", Obs.Json.Float r.S.tokens_per_s);
-            ("ttft_p99_us", Obs.Json.Float r.S.ttft_p99_us);
-            ("tpot_p99_us", Obs.Json.Float r.S.tpot_p99_us);
-            ("signatures", Obs.Json.Int r.S.signatures);
-            ("warm_rate", Obs.Json.Float r.S.warm_rate);
-            ("audit_ok", Obs.Json.Bool (audit = Ok ()));
-            ("reproducible", Obs.Json.Bool reproducible);
-            ("acceptance", Obs.Json.Bool ok);
-          ]
-      in
-      Obs.Json.write_file path doc;
-      Printf.printf "scale-decode numbers -> %s\n" path
+    r.S.tokens_per_s (acceptance ok);
+  artifact ~verdict:ok "E20b-scale-decode"
+    [
+      ("trace", Obs.Json.Str (Trace_gen.describe spec));
+      ("sequences", Obs.Json.Int requests);
+      ("wall_s", Obs.Json.Float wall);
+      ("bytes_per_sequence", Obs.Json.Float bytes_per_seq);
+      ("finished", Obs.Json.Int r.S.finished);
+      ("lost", Obs.Json.Int r.S.lost);
+      ("tokens", Obs.Json.Int r.S.tokens);
+      ("tokens_per_s", Obs.Json.Float r.S.tokens_per_s);
+      ("ttft_p99_us", Obs.Json.Float r.S.ttft_p99_us);
+      ("tpot_p99_us", Obs.Json.Float r.S.tpot_p99_us);
+      ("signatures", Obs.Json.Int r.S.signatures);
+      ("warm_rate", Obs.Json.Float r.S.warm_rate);
+      ("audit_ok", Obs.Json.Bool (audit = Ok ()));
+      ("reproducible", Obs.Json.Bool reproducible);
+      ("acceptance", Obs.Json.Bool ok);
+    ]
 
 (* ----------------------------------------------------------------------
    E21 (extension): the symbolic-shape memory planner end to end.
@@ -1508,7 +1369,7 @@ let scale_decode ?json ?(requests = 100_000) () =
       Acceptance: aware finishes oom=0 lost=0 while blind OOMs, and a
       repeated aware run is bit-identical. *)
 
-let hbm_serving ?json () =
+let hbm_serving () =
   header "E21 (extension): symbolic memory planner — reduction, soundness, HBM serving";
   let module Pool = Serving.Pool in
   let module Bucket = Serving.Bucket in
@@ -1528,9 +1389,7 @@ let hbm_serving ?json () =
       | [] -> ()
       | grid ->
           let built = entry.Suite.build () in
-          ignore (Ir.Passes.run_all built.Common.graph);
-          let exe = Runtime.Executable.compile built.Common.graph (Planner.plan built.Common.graph) in
-          let est = Estimate.of_executable exe in
+          let est = Estimate.of_executable (Compiler.compile built.Common.graph).Compiler.exe in
           let best = ref None in
           List.iter
             (fun env ->
@@ -1571,8 +1430,7 @@ let hbm_serving ?json () =
       | [] -> ()
       | first :: _ as grid ->
           let built = entry.Suite.build () in
-          ignore (Ir.Passes.run_all built.Common.graph);
-          let exe = Runtime.Executable.compile built.Common.graph (Planner.plan built.Common.graph) in
+          let exe = (Compiler.compile built.Common.graph).Compiler.exe in
           let est = Estimate.of_executable exe in
           let keys = List.map fst first in
           let maxes =
@@ -1628,9 +1486,7 @@ let hbm_serving ?json () =
      unservable — the constraint squeezes batches, not singles *)
   let single_peak =
     let built = build () in
-    ignore (Ir.Passes.run_all built.Common.graph);
-    let exe = Runtime.Executable.compile built.Common.graph (Planner.plan built.Common.graph) in
-    let est = Estimate.of_executable exe in
+    let est = Estimate.of_executable (Compiler.compile built.Common.graph).Compiler.exe in
     Array.fold_left
       (fun acc h ->
         let cenv = [ ("batch", 1); ("hist", Bucket.round_up Bucket.Pow2 h) ] in
@@ -1675,49 +1531,42 @@ let hbm_serving ?json () =
     "acceptance: aware oom=%d lost=%d failed=%d | blind oom=%d | cuts>=15%%: %d \
      models | soak %d/%d clean%s\n"
     am.Pool.mr_oom aware.Pool.lost aware.Pool.failed bm.Pool.mr_oom
-    !models_over_bar !soaked !soaked
-    (if ok then "" else "  (ACCEPTANCE NOT MET)");
-  match json with
-  | None -> ()
-  | Some path ->
-      let mem_json m =
-        Obs.Json.Obj
-          [
-            ("budget_bytes", Obs.Json.Int m.Pool.mr_budget_bytes);
-            ("est_peak_bytes", Obs.Json.Int m.Pool.mr_est_peak_bytes);
-            ("capped", Obs.Json.Int m.Pool.mr_capped);
-            ("forced_exact", Obs.Json.Int m.Pool.mr_forced_exact);
-            ("rejected", Obs.Json.Int m.Pool.mr_rejected);
-            ("oom", Obs.Json.Int m.Pool.mr_oom);
-            ("pressure_ticks", Obs.Json.Int m.Pool.mr_pressure_ticks);
-          ]
-      in
-      let disposition_json r =
-        Obs.Json.Obj
-          [
-            ("served", Obs.Json.Int r.Pool.served);
-            ("shed", Obs.Json.Int r.Pool.shed);
-            ("rejected", Obs.Json.Int r.Pool.rejected);
-            ("failed", Obs.Json.Int r.Pool.failed);
-            ("lost", Obs.Json.Int r.Pool.lost);
-          ]
-      in
-      Obs.Json.write_file path
-        (Obs.Json.Obj
-           [
-             ("experiment", Obs.Json.Str "E21-hbm");
-             ("reduction", Obs.Json.List (List.rev !reduction_rows));
-             ("soak_cases", Obs.Json.Int !soaked);
-             ("soak_violations", Obs.Json.Int !violations);
-             ("budget_bytes", Obs.Json.Int budget);
-             ("aware", disposition_json aware);
-             ("aware_mem", mem_json am);
-             ("blind", disposition_json blind);
-             ("blind_mem", mem_json bm);
-             ("reproducible", Obs.Json.Bool identical);
-             ("acceptance", Obs.Json.Bool ok);
-           ]);
-      Printf.printf "hbm numbers -> %s\n" path
+    !models_over_bar !soaked !soaked (acceptance ok);
+  let mem_json m =
+    Obs.Json.Obj
+      [
+        ("budget_bytes", Obs.Json.Int m.Pool.mr_budget_bytes);
+        ("est_peak_bytes", Obs.Json.Int m.Pool.mr_est_peak_bytes);
+        ("capped", Obs.Json.Int m.Pool.mr_capped);
+        ("forced_exact", Obs.Json.Int m.Pool.mr_forced_exact);
+        ("rejected", Obs.Json.Int m.Pool.mr_rejected);
+        ("oom", Obs.Json.Int m.Pool.mr_oom);
+        ("pressure_ticks", Obs.Json.Int m.Pool.mr_pressure_ticks);
+      ]
+  in
+  let disposition_json r =
+    Obs.Json.Obj
+      [
+        ("served", Obs.Json.Int r.Pool.served);
+        ("shed", Obs.Json.Int r.Pool.shed);
+        ("rejected", Obs.Json.Int r.Pool.rejected);
+        ("failed", Obs.Json.Int r.Pool.failed);
+        ("lost", Obs.Json.Int r.Pool.lost);
+      ]
+  in
+  artifact ~verdict:ok "E21-hbm"
+    [
+      ("reduction", Obs.Json.List (List.rev !reduction_rows));
+      ("soak_cases", Obs.Json.Int !soaked);
+      ("soak_violations", Obs.Json.Int !violations);
+      ("budget_bytes", Obs.Json.Int budget);
+      ("aware", disposition_json aware);
+      ("aware_mem", mem_json am);
+      ("blind", disposition_json blind);
+      ("blind_mem", mem_json bm);
+      ("reproducible", Obs.Json.Bool identical);
+      ("acceptance", Obs.Json.Bool ok);
+    ]
 
 (* ----------------------------------------------------------------------
    E22 (extension): hardware-aware schedule autotuning. For every suite
@@ -1734,14 +1583,7 @@ let hbm_serving ?json () =
    3. determinism — a re-tune through a fresh cache yields a
       byte-identical plan (digest equality) for every model. *)
 
-let fused_us (p : Profile.t) =
-  List.fold_left
-    (fun acc (r : Profile.kernel_record) ->
-      if r.Profile.kind = "library" || r.Profile.kind = "interp" then acc
-      else acc +. r.Profile.time_us)
-    0.0 p.Profile.records
-
-let tune_experiment ?json () =
+let tune_experiment () =
   header "E22 (extension): schedule autotuner — tuned vs default speculative set";
   let module Plan = Tune.Plan in
   let module Executable = Runtime.Executable in
@@ -1763,7 +1605,7 @@ let tune_experiment ?json () =
           let envs = entry.Suite.bench_dims in
           let serve_us session env =
             match Disc.Session.serve_result session env with
-            | Ok (p, _) -> fused_us p
+            | Ok (p, _) -> Profile.fused_us p
             | Error e -> failwith (Runtime.Error.to_string e)
           in
           let session =
@@ -1776,7 +1618,7 @@ let tune_experiment ?json () =
           let gm = geomean ratios in
           (* gate 2: every emitted version re-validates against the
              device profile of the kernel it was minted for *)
-          let c = Disc.Compiler.compile (build ()).Common.graph in
+          let c = Compiler.compile (build ()).Common.graph in
           let illegal = ref 0 in
           List.iter
             (fun item ->
@@ -1794,7 +1636,7 @@ let tune_experiment ?json () =
                         e.Plan.versions
                   | None -> ())
               | Executable.Lib _ -> ())
-            c.Disc.Compiler.exe.Executable.items;
+            c.Compiler.exe.Executable.items;
           illegal_total := !illegal_total + !illegal;
           (* gate 3: fresh cache, fresh session — byte-identical plan *)
           let session' =
@@ -1831,105 +1673,118 @@ let tune_experiment ?json () =
   Printf.printf
     "A10 models with >= 10%% geomean kernel-time improvement: %d/%d (gate: >= 3); \
      illegal schedules: %d (gate: 0); unstable digests: %d (gate: 0)%s\n"
-    winners (List.length !a10_gains) !illegal_total (List.length !unstable)
-    (if ok then "" else "  (ACCEPTANCE NOT MET)");
-  match json with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Obs.Json.Obj
-          [
-            ("experiment", Obs.Json.Str "E22-tune");
-            ("a10_winners", Obs.Json.Int winners);
-            ("illegal_schedules", Obs.Json.Int !illegal_total);
-            ("unstable_digests", Obs.Json.Int (List.length !unstable));
-            ("acceptance", Obs.Json.Bool ok);
-            ("rows", Obs.Json.List (List.rev !rows));
-          ]
-      in
-      Obs.Json.write_file path doc;
-      Printf.printf "tune numbers -> %s\n" path
+    winners (List.length !a10_gains) !illegal_total (List.length !unstable) (acceptance ok);
+  artifact ~verdict:ok "E22-tune"
+    [
+      ("a10_winners", Obs.Json.Int winners);
+      ("illegal_schedules", Obs.Json.Int !illegal_total);
+      ("unstable_digests", Obs.Json.Int (List.length !unstable));
+      ("acceptance", Obs.Json.Bool ok);
+      ("rows", Obs.Json.List (List.rev !rows));
+    ]
 
-(* ---------------------------------------------------------------------- *)
+(* ----------------------------------------------------------------------
+   The experiment table: the one list of subcommands. Dispatch, "all",
+   the usage line and --json artifacts all read it. "all" skips the
+   scale harness (E20/E20b), whose default size is a million requests. *)
 
-let all ?json () =
-  e2e ?json ();
-  suite ();
-  sweep ();
-  fusion_ablation ();
-  speculation_ablation ();
-  compile_time ();
-  memory ();
-  constraints ();
-  mixed_precision ();
-  horizontal_ablation ();
-  cpu ();
-  serving ();
-  specialization ();
-  resilience ();
-  cache_experiment ();
-  pool_serving ();
-  adaptive_serving ();
-  chaos_serving ();
-  decode_serving ();
-  hbm_serving ();
-  tune_experiment ()
+type experiment = { name : string; in_all : bool; run : unit -> outcome }
+
+(* Flags only the scale harness reads. *)
+let requests = ref None
+let decode = ref false
+
+let scale () =
+  if !decode then scale_decode ?requests:!requests () else scale_pool ?requests:!requests ()
+
+let experiments =
+  let row name run = { name; in_all = true; run } in
+  [
+    row "e2e" e2e;
+    row "suite" suite;
+    row "sweep" sweep;
+    row "fusion_ablation" fusion_ablation;
+    row "speculation_ablation" speculation_ablation;
+    row "compile_time" compile_time;
+    row "memory" memory;
+    row "constraints" constraints;
+    row "mixed_precision" mixed_precision;
+    row "horizontal" horizontal_ablation;
+    row "cpu" cpu;
+    row "serving" serving;
+    row "specialization" specialization;
+    row "resilience" resilience;
+    row "cache" cache_experiment;
+    row "pool" pool_serving;
+    row "adaptive" adaptive_serving;
+    row "chaos" chaos_serving;
+    row "decode" decode_serving;
+    { name = "scale"; in_all = false; run = scale };
+    row "hbm" hbm_serving;
+    row "tune" tune_experiment;
+  ]
+
+let usage fmt =
+  Printf.kfprintf
+    (fun oc ->
+      Printf.fprintf oc
+        "\nusage: main.exe [%s|all] [--json OUT.json] [--trace OUT.json] [--requests N] \
+         [--decode]\n"
+        (String.concat "|" (List.map (fun e -> e.name) experiments));
+      exit 1)
+    stderr fmt
 
 let () =
-  (* main.exe [--] [EXPERIMENT] [--json OUT.json] [--trace OUT.json]
-     --json: write E1 headline numbers machine-readably (e2e / all)
+  (* --json: write the experiment's artifact ({"experiment": id} plus
+       its fields); one experiment only
      --trace: arm the observability layer and dump a Chrome trace of
-       every compile phase and kernel launch the experiments simulate *)
-  let rec parse_args cmd json trace requests dec = function
-    | [] -> (cmd, json, trace, requests, dec)
-    | "--" :: rest -> parse_args cmd json trace requests dec rest
-    | "--json" :: path :: rest -> parse_args cmd (Some path) trace requests dec rest
-    | "--trace" :: path :: rest -> parse_args cmd json (Some path) requests dec rest
+       every compile phase and kernel launch the experiments simulate
+     --requests, --decode: size and mode of the scale harness *)
+  let cmd = ref "all" and json = ref None and trace = ref None in
+  let rec parse = function
+    | [] -> ()
+    | "--" :: rest -> parse rest
+    | "--json" :: path :: rest -> json := Some path; parse rest
+    | "--trace" :: path :: rest -> trace := Some path; parse rest
     | "--requests" :: n :: rest ->
-        parse_args cmd json trace (Some (int_of_string n)) dec rest
-    | "--decode" :: rest -> parse_args cmd json trace requests true rest
-    | a :: rest -> parse_args (Some a) json trace requests dec rest
+        (match int_of_string_opt n with
+        | Some n -> requests := Some n
+        | None -> usage "bad --requests %s" n);
+        parse rest
+    | "--decode" :: rest -> decode := true; parse rest
+    | a :: rest -> cmd := a; parse rest
   in
-  let cmd, json, trace, requests, dec =
-    parse_args None None None None false (List.tl (Array.to_list Sys.argv))
+  parse (List.tl (Array.to_list Sys.argv));
+  let selected =
+    match !cmd with
+    | "all" ->
+        if !json <> None then usage "--json writes one experiment's artifact; name the experiment";
+        List.filter (fun e -> e.in_all) experiments
+    | name -> (
+        match List.find_opt (fun e -> e.name = name) experiments with
+        | Some e -> [ e ]
+        | None -> usage "unknown experiment %s" name)
   in
-  let cmd = Option.value cmd ~default:"all" in
-  if trace <> None then Obs.Scope.enable ();
-  (match cmd with
-  | "e2e" -> e2e ?json ()
-  | "suite" -> suite ()
-  | "sweep" -> sweep ()
-  | "fusion_ablation" -> fusion_ablation ()
-  | "speculation_ablation" -> speculation_ablation ()
-  | "compile_time" -> compile_time ()
-  | "memory" -> memory ()
-  | "constraints" -> constraints ()
-  | "mixed_precision" -> mixed_precision ()
-  | "horizontal" -> horizontal_ablation ()
-  | "cpu" -> cpu ()
-  | "serving" -> serving ()
-  | "specialization" -> specialization ()
-  | "resilience" -> resilience ()
-  | "cache" -> cache_experiment ?json ()
-  | "pool" -> pool_serving ?json ()
-  | "adaptive" -> adaptive_serving ?json ()
-  | "chaos" -> chaos_serving ?json ()
-  | "decode" -> decode_serving ?json ()
-  | "scale" -> if dec then scale_decode ?json ?requests () else scale ?json ?requests ()
-  | "hbm" -> hbm_serving ?json ()
-  | "tune" -> tune_experiment ?json ()
-  | "micro" -> micro ()
-  | "all" -> all ?json ()
-  | other ->
-      Printf.eprintf
-        "unknown experiment %s\n\
-         usage: main.exe \
-         [e2e|suite|sweep|fusion_ablation|speculation_ablation|compile_time|memory|constraints|mixed_precision|horizontal|cpu|serving|specialization|resilience|cache|pool|adaptive|chaos|decode|scale|hbm|tune|micro|all] \
-         [--json OUT.json] [--trace OUT.json] [--requests N] [--decode]\n"
-        other;
-      exit 1);
-  match trace with
+  if !trace <> None then Obs.Scope.enable ();
+  let failed =
+    List.filter
+      (fun e ->
+        let o = e.run () in
+        (match (!json, o.artifact) with
+        | Some path, Some (id, fields) ->
+            Obs.Json.write_file path (Obs.Json.Obj (("experiment", Obs.Json.Str id) :: fields));
+            Printf.printf "artifact %s -> %s\n" id path
+        | _ -> ());
+        o.verdict = Some false)
+      selected
+  in
+  (match !trace with
   | Some file ->
       Obs.Trace.write_chrome Obs.Trace.global file;
       Printf.printf "trace: %d spans -> %s\n" (Obs.Trace.length Obs.Trace.global) file
-  | None -> ()
+  | None -> ());
+  if failed <> [] then begin
+    Printf.eprintf "acceptance not met: %s\n"
+      (String.concat ", " (List.map (fun e -> e.name) failed));
+    exit 1
+  end

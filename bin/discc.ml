@@ -49,6 +49,13 @@ let parse_dims s =
                  raise (Usage (Printf.sprintf "bad --dims value %S (want an integer)" v)))
          | _ -> raise (Usage (Printf.sprintf "bad --dims entry %S (want name=value)" kv)))
 
+(* A request env must bind every model dim exactly once: checked before
+   any output, with the same checks a serving session makes. *)
+let check_dims built env =
+  match Disc.Session.check_env built env with
+  | Ok () -> ()
+  | Error e -> raise (Usage (Runtime.Error.to_string e))
+
 let device_of_string s =
   match Gpusim.Device.by_name s with
   | Some d -> d
@@ -233,9 +240,10 @@ let run_cmd =
   let run model tiny planner device dims trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     let built = build_model model tiny in
-    let c = Compiler.compile ~options:(options_of planner) built.Common.graph in
     let device = device_of_string device in
     let env = parse_dims dims in
+    check_dims built env;
+    let c = Compiler.compile ~options:(options_of planner) built.Common.graph in
     let binding =
       List.map (fun (n, v) -> (Common.dim_exn built n, v)) env
     in
@@ -275,6 +283,7 @@ let exec_cmd =
     with_obs ~trace ~metrics @@ fun () ->
     let built = build_model model true in
     let env = parse_dims dims in
+    check_dims built env;
     let inputs = Common.test_inputs built env in
     let c = Compiler.compile built.Common.graph in
     let outs, profile = Compiler.run c inputs in
@@ -676,16 +685,6 @@ let serve_cmd =
 
 (* --- tune ------------------------------------------------------------------- *)
 
-(* Fused-kernel time of a serve: what schedule tuning can move. Library
-   calls (cuBLAS-analog) and reference-path records are out of the
-   tuner's reach and excluded. *)
-let fused_time_us (p : Runtime.Profile.t) =
-  List.fold_left
-    (fun acc (r : Runtime.Profile.kernel_record) ->
-      if r.Runtime.Profile.kind = "library" || r.Runtime.Profile.kind = "interp" then acc
-      else acc +. r.Runtime.Profile.time_us)
-    0.0 p.Runtime.Profile.records
-
 let tune_cmd =
   let rungs_arg =
     let doc =
@@ -715,10 +714,7 @@ let tune_cmd =
                  List.map (fun (n, d) -> (n, max 1 (ub d / frac))) probe.Common.dims)
                [ 8; 2; 1 ])
     in
-    (* unknown dim names are usage errors (exit 1), as in `discc run` *)
-    List.iter
-      (List.iter (fun (n, _) -> ignore (Common.dim_exn probe n)))
-      envs;
+    List.iter (check_dims probe) envs;
     let cache = Disc.Compile_cache.create () in
     let session = Disc.Session.create ~device ~cache (build ()) in
     Printf.printf "tune %s (%s) on %s: %d rungs, %d schedule candidates/kernel ceiling\n"
@@ -728,7 +724,7 @@ let tune_cmd =
       (List.length (Tune.Space.enumerate device ~has_reduce:true ~kind:Fusion.Cluster.Loop));
     let serve_us s env =
       match Disc.Session.serve_result s env with
-      | Ok (p, _) -> fused_time_us p
+      | Ok (p, _) -> Runtime.Profile.fused_us p
       | Error e -> raise (Runtime.Error.Error e)
     in
     let default_us = List.map (fun env -> serve_us session env) envs in
@@ -779,8 +775,10 @@ let compare_cmd =
     let device = device_of_string device in
     let env = parse_dims dims in
     let entry = Suite.find model in
+    let built = entry.Suite.build () in
+    check_dims built env;
     Printf.printf "%-12s %12s %12s %10s\n" "system" "latency(us)" "compile(ms)" "vs disc";
-    let disc = Baselines.Systems.make "bladedisc" (entry.Suite.build ()) in
+    let disc = Baselines.Systems.make "bladedisc" built in
     let d = (disc.Baselines.Executor.run ~device env).Baselines.Executor.latency_us in
     List.iter
       (fun s ->

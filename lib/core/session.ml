@@ -270,8 +270,7 @@ let note_clean_pass t = Hashtbl.reset t.breakers
 
 (* --- request validation --------------------------------------------------- *)
 
-let validate_env (t : t) (env : (string * int) list) :
-    ((Symshape.Sym.dim * int) list, Error.t) result =
+let check_env (built : Common.built) (env : (string * int) list) : (unit, Error.t) result =
   let rec check_known = function
     | [] -> Ok ()
     | (name, v) :: rest -> (
@@ -280,26 +279,29 @@ let validate_env (t : t) (env : (string * int) list) :
         else if List.exists (fun (n, _) -> n = name) rest then
           Error (Error.Invalid_request (Printf.sprintf "dim %s bound twice" name))
         else
-          match Common.dim_opt t.built name with
+          match Common.dim_opt built name with
           | Some _ -> check_known rest
           | None ->
               Error
                 (Error.Invalid_request
-                   (Printf.sprintf "model %s has no dynamic dim %s" t.built.Common.name name)))
+                   (Printf.sprintf "model %s has no dynamic dim %s" built.Common.name name)))
   in
   match check_known env with
   | Error _ as e -> e
   | Ok () -> (
-      let missing =
-        List.filter (fun (n, _) -> not (List.mem_assoc n env)) t.built.Common.dims
-      in
-      match missing with
-      | (name, _) :: _ -> Error (Error.Unbound_dim name)
-      | [] ->
-          (* bind via [serve_dims]: on a cache hit the compiled graph is
-             the original session's, and its symbols — not this
-             session's — are what the executable evaluates *)
-          Ok (List.map (fun (n, v) -> (List.assoc n t.serve_dims, v)) env))
+      match List.find_opt (fun (n, _) -> not (List.mem_assoc n env)) built.Common.dims with
+      | Some (name, _) -> Error (Error.Unbound_dim name)
+      | None -> Ok ())
+
+let validate_env (t : t) (env : (string * int) list) :
+    ((Symshape.Sym.dim * int) list, Error.t) result =
+  match check_env t.built env with
+  | Error _ as e -> e
+  | Ok () ->
+      (* bind via [serve_dims]: on a cache hit the compiled graph is
+         the original session's, and its symbols — not this session's —
+         are what the executable evaluates *)
+      Ok (List.map (fun (n, v) -> (List.assoc n t.serve_dims, v)) env)
 
 (* --- reference (fallback) cost model --------------------------------------
 
@@ -539,10 +541,6 @@ let mem_peak_bytes t (env : (string * int) list) =
       Hashtbl.replace t.mem_peak_memo env r;
       r
 
-let rung_signature (env : (string * int) list) =
-  String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (List.sort compare env))
-
 let mem_reduction t (env : (string * int) list) =
   let compute () =
     let est = mem_estimate t in
@@ -552,7 +550,7 @@ let mem_reduction t (env : (string * int) list) =
   in
   match t.cache with
   | Some (cache, key) -> (
-      let rung = rung_signature env in
+      let rung = Tensor.Shape.env_key env in
       match Compile_cache.find_reduction cache ~key ~rung with
       | Some d -> d
       | None ->
@@ -594,14 +592,14 @@ let tune (t : t) ~(envs : (string * int) list list) :
         | None ->
             invalid_arg
               (Printf.sprintf "Session.tune: env %s does not bind the model's dims"
-                 (rung_signature env)))
+                 (Tensor.Shape.env_key env)))
       envs
   in
   let search () = Tune.Search.plan ~device:t.device ~rungs t.compiled.Compiler.exe in
   let plan, origin =
     match t.cache with
     | Some (cache, key) -> (
-        let bucket = schedule_bucket t (List.map (fun e -> rung_signature e) envs) in
+        let bucket = schedule_bucket t (List.map Tensor.Shape.env_key envs) in
         match Compile_cache.find_schedule cache ~key ~bucket with
         | Some plan -> (plan, `Cached)
         | None ->

@@ -114,6 +114,11 @@ val set_fault_rates :
 val fault_rates : t -> float * float
 (** Current [(kernel_fault_rate, oom_rate)] — [(0., 0.)] when unarmed. *)
 
+val check_env : Models.Common.built -> (string * int) list -> (unit, Runtime.Error.t) result
+(** The checks every request env passes before it is served: each dim
+    is >= 1, bound once and declared by the model ([Invalid_request]
+    otherwise), and every model dim is bound ([Unbound_dim] otherwise). *)
+
 val serve_result :
   ?deadline_us:float ->
   t ->

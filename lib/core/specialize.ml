@@ -49,9 +49,6 @@ type stats = {
 
 let norm env = List.sort compare env
 
-let sig_of_env env =
-  String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) (norm env))
-
 (* Default hot set: cartesian product of each dim's likely values
    (capped to avoid explosion). *)
 let default_hot_envs (built : Common.built) : (string * int) list list =
@@ -158,7 +155,7 @@ let ingest_hints ?options (t : t) (hints : (string * int list) list) : int =
 let observe_latency (t : t) env (p : Runtime.Profile.t) =
   Obs.Metrics.observe
     (Obs.Metrics.histogram t.metrics
-       (Printf.sprintf "specialize.latency_us{%s}" (sig_of_env env)))
+       (Printf.sprintf "specialize.latency_us{%s}" (Tensor.Shape.env_key env)))
     (Runtime.Profile.total_us p)
 
 (* De-specialize a hot variant: evict it so every future request at that

@@ -52,9 +52,6 @@ val misses : t -> int
 val stats : t -> stats
 (** Derived from the registry and the live hot-variant list. *)
 
-val sig_of_env : (string * int) list -> string
-(** Canonical signature string, e.g. ["batch=4,seq=73"] (sorted). *)
-
 val total_compile_ms : t -> float
 
 val despecialized_envs : t -> (string * int) list list

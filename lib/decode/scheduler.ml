@@ -40,14 +40,9 @@ type config = {
   mode : mode;
   devices : Gpusim.Device.t list; (* one worker per device *)
   prefill_workers : int; (* continuous: first K devices prefill-only *)
-  max_prefill_batch : int;
   max_decode_batch : int;
   batch_scheme : Bucket.scheme;
-  prompt_scheme : Bucket.scheme; (* prefill seq dim *)
   cache_scheme : Bucket.scheme; (* decode KV-cache dim *)
-  decode_slo : Slo.decode_policy;
-  cold_warmup_us : float; (* first dispatch of a signature on a worker *)
-  options : Disc.Compiler.options option;
 }
 
 let default_config ~devices =
@@ -55,15 +50,20 @@ let default_config ~devices =
     mode = Continuous;
     devices;
     prefill_workers = 1;
-    max_prefill_batch = 4;
     max_decode_batch = 16;
     batch_scheme = Bucket.Pow2;
-    prompt_scheme = Bucket.Pow2;
     cache_scheme = Bucket.Linear 64;
-    decode_slo = Slo.default_decode_policy;
-    cold_warmup_us = 1500.0;
-    options = None;
   }
+
+(* Fixed policy: a prefill batch takes at most [max_prefill_batch]
+   prompts, whose [seq] dim rounds up by [prompt_scheme]; TTFT/TPOT are
+   judged against [decode_slo]; the first dispatch of a signature on a
+   worker pays [cold_warmup_us] once. Sessions compile with the default
+   compiler options. *)
+let max_prefill_batch = 4
+let prompt_scheme = Bucket.Pow2
+let decode_slo = Slo.default_decode_policy
+let cold_warmup_us = 1500.0
 
 type request = { arrival_us : float; prompt : int; max_new : int; cls : Slo.cls }
 
@@ -189,8 +189,7 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
     (reqs : request list) : report =
   let n_workers = List.length cfg.devices in
   if n_workers < 1 then invalid_arg "Scheduler.run: need at least one device";
-  if cfg.max_prefill_batch < 1 || cfg.max_decode_batch < 1 then
-    invalid_arg "Scheduler.run: batch capacities must be >= 1";
+  if cfg.max_decode_batch < 1 then invalid_arg "Scheduler.run: max_decode_batch must be >= 1";
   (match cfg.mode with
   | Continuous ->
       if n_workers < 2 then
@@ -230,7 +229,7 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
              i (r.prompt + r.max_new) cache_ub))
     reqs;
   let mk_session ?device built_fn =
-    Session.create ?options:cfg.options ?device ~cache (built_fn ())
+    Session.create ?device ~cache (built_fn ())
   in
   (* Pre-declare the cache-length bucket ladder on decode sessions when
      the dim carries the monotone-growth fact: every signature rung the
@@ -311,7 +310,7 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
     let s = List.fold_left (fun acc (m : Sequence.t) -> max acc m.prompt) 1 members in
     [
       ("batch", clamp batch_ub (Bucket.round_up cfg.batch_scheme b));
-      ("seq", clamp seq_ub (Bucket.round_up cfg.prompt_scheme s));
+      ("seq", clamp seq_ub (Bucket.round_up prompt_scheme s));
     ]
   in
   let decode_env ~count members =
@@ -337,7 +336,7 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
         let key = Bucket.env_key env in
         let cold = not (Replica.is_warm w.rep key) in
         let base_us = Profile.total_us profile in
-        let service_us = base_us +. (if cold then cfg.cold_warmup_us else 0.0) in
+        let service_us = base_us +. (if cold then cold_warmup_us else 0.0) in
         let done_at = !now +. service_us in
         w.rep.Replica.free_at <- done_at;
         Replica.note_batch w.rep ~key ~elements:(Bucket.elements env) ~service_us
@@ -410,7 +409,7 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
       | Prefill_only ->
           if Queue.is_empty waiting then false
           else begin
-            let members = pop_waiting cfg.max_prefill_batch in
+            let members = pop_waiting max_prefill_batch in
             incr prefill_batches;
             launch w w.rep.Replica.session (prefill_env members) members ~is_prefill:true;
             true
@@ -522,13 +521,13 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
     List.length
       (List.filter
          (fun (s : Sequence.t) ->
-           s.ttft_us <= (Slo.decode_target_of cfg.decode_slo s.cls).Slo.ttft_us)
+           s.ttft_us <= (Slo.decode_target_of decode_slo s.cls).Slo.ttft_us)
          finished)
   in
   let tpot_ok =
     List.fold_left
       (fun acc (s : Sequence.t) ->
-        let budget = (Slo.decode_target_of cfg.decode_slo s.cls).Slo.tpot_us in
+        let budget = (Slo.decode_target_of decode_slo s.cls).Slo.tpot_us in
         acc + List.length (List.filter (fun g -> g <= budget) s.gaps_us))
       0 finished
   in

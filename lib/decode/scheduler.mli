@@ -26,21 +26,19 @@ type config = {
   prefill_workers : int;
       (** continuous: the first K devices prefill-only, the rest
           decode-only; must satisfy [1 <= K < devices] *)
-  max_prefill_batch : int;
   max_decode_batch : int;
   batch_scheme : Serving.Bucket.scheme;
-  prompt_scheme : Serving.Bucket.scheme;  (** prefill [seq] dim *)
   cache_scheme : Serving.Bucket.scheme;  (** decode KV-cache dim *)
-  decode_slo : Serving.Slo.decode_policy;
-  cold_warmup_us : float;
-      (** first dispatch of a signature on a worker pays this once *)
-  options : Disc.Compiler.options option;
 }
+(** Fixed, not configurable: prefill batches of at most 4 prompts with
+    Pow2-bucketed [seq], the default decode SLOs
+    ({!Serving.Slo.default_decode_policy}), a 1.5 ms one-off warmup on
+    a signature's first dispatch per worker, and the default compiler
+    options. *)
 
 val default_config : devices:Gpusim.Device.t list -> config
-(** Continuous, 1 prefill worker, prefill batch 4 / decode batch 16,
-    Pow2 batch+prompt buckets, Linear-64 cache buckets, default decode
-    SLOs, 1.5 ms cold warmup. *)
+(** Continuous, 1 prefill worker, decode batch 16, Pow2 batch buckets,
+    Linear-64 cache buckets. *)
 
 type request = {
   arrival_us : float;

@@ -65,7 +65,7 @@ let max_pool2d g a ~window ~strides =
   reduce_window g Op.R_max a ~window ~strides ~padding:(0, 0)
 
 let argmax g a ~dim = Graph.add g (Op.Argmax { dim }) [ a ]
-let iota g ~out ~dim = Graph.add g (Op.Iota { out; dim }) []
+let iota g ~out ~dim = Graph.add g (Op.Iota { out; dim; dtype = Tensor.Dtype.F32 }) []
 
 (* x + c, x * c, ... against a scalar constant. *)
 let addf g x c = add g x (constf g c)

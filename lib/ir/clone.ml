@@ -48,7 +48,7 @@ let clone ?(bind : (Sym.dim * int) list = []) (g : Graph.t) : Graph.t =
   let subst_shape (s : Sym.shape) : Sym.shape = Array.map subst_dim s in
   let subst_op (op : Op.t) : Op.t =
     match op with
-    | Op.Iota { out; dim } -> Op.Iota { out = subst_shape out; dim }
+    | Op.Iota { out; dim; dtype } -> Op.Iota { out = subst_shape out; dim; dtype }
     | Op.Broadcast { dims; out } -> Op.Broadcast { dims; out = subst_shape out }
     | Op.Reshape out -> Op.Reshape (subst_shape out)
     | other -> other

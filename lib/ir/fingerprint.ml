@@ -57,7 +57,7 @@ let canon_shape ctx (s : Sym.shape) =
    payloads are raw-symbol-free and reuse [Op.to_string]. *)
 let canon_op ctx (op : Op.t) =
   match op with
-  | Op.Iota { out; dim } -> Printf.sprintf "iota(%s,dim=%d)" (canon_shape ctx out) dim
+  | Op.Iota { out; dim; _ } -> Printf.sprintf "iota(%s,dim=%d)" (canon_shape ctx out) dim
   | Op.Broadcast { dims; out } ->
       Printf.sprintf "broadcast([%s],%s)"
         (String.concat "," (List.map string_of_int (Array.to_list dims)))

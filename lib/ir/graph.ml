@@ -88,10 +88,10 @@ let infer g (op : Op.t) (args : inst list) : Sym.shape * Dtype.t =
   | Op.Constant nd ->
       expect 0;
       (Sym.of_concrete (Tensor.Nd.shape nd), Tensor.Nd.dtype nd)
-  | Op.Iota { out; dim } ->
+  | Op.Iota { out; dim; dtype } ->
       expect 0;
       if dim < 0 || dim >= Sym.rank out then type_error "iota: dim out of range";
-      (out, Dtype.F32)
+      (out, dtype)
   | Op.Unary u ->
       expect 1;
       let a = arg 0 in

@@ -62,7 +62,7 @@ let eval_inst (g : Graph.t) (bnd : Table.binding) (value_of : int -> Nd.t)
   match i.op with
   | Op.Parameter _ -> eval_error "parameter %%%d reached eval_inst" i.id
   | Op.Constant nd -> nd
-  | Op.Iota { out; dim } -> Ops.iota (conc_shape out) ~dim
+  | Op.Iota { out; dim; dtype } -> Ops.iota ~dtype (conc_shape out) ~dim
   | Op.Unary u -> unary_fn u (arg 0)
   | Op.Binary b -> binary_fn b (arg 0) (arg 1)
   | Op.Compare c -> Ops.compare c (arg 0) (arg 1)

@@ -32,7 +32,7 @@ type reduce_kind = Tensor.Ops_ref.reduce_kind = R_sum | R_prod | R_max | R_min |
 type t =
   | Parameter of { index : int; pname : string }
   | Constant of Tensor.Nd.t
-  | Iota of { out : Symshape.Sym.shape; dim : int }
+  | Iota of { out : Symshape.Sym.shape; dim : int; dtype : Tensor.Dtype.t }
   | Unary of unary
   | Binary of binary
   | Compare of cmp
@@ -96,7 +96,7 @@ let ints_to_string a = String.concat "," (List.map string_of_int (Array.to_list 
 let to_string = function
   | Parameter { index; pname } -> Printf.sprintf "parameter(%d, %S)" index pname
   | Constant nd -> Printf.sprintf "constant(%s)" (Tensor.Nd.to_string nd)
-  | Iota { out; dim } -> Printf.sprintf "iota(%s, dim=%d)" (Symshape.Sym.to_string out) dim
+  | Iota { out; dim; _ } -> Printf.sprintf "iota(%s, dim=%d)" (Symshape.Sym.to_string out) dim
   | Unary u -> unary_to_string u
   | Binary b -> binary_to_string b
   | Compare c -> "compare." ^ cmp_to_string c

@@ -38,7 +38,7 @@ type reduce_kind = Tensor.Ops_ref.reduce_kind = R_sum | R_prod | R_max | R_min |
 type t =
   | Parameter of { index : int; pname : string }
   | Constant of Tensor.Nd.t
-  | Iota of { out : Symshape.Sym.shape; dim : int }
+  | Iota of { out : Symshape.Sym.shape; dim : int; dtype : Tensor.Dtype.t }
   | Unary of unary
   | Binary of binary
   | Compare of cmp

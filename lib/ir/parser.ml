@@ -277,7 +277,7 @@ let reduce_by_name =
 let parse_inst st =
   let text_id = expect_value st in
   expect st (Punct ':');
-  let _dt = parse_dtype_name (expect_ident st) in
+  let dt = parse_dtype_name (expect_ident st) in
   let declared_shape = parse_shape st in
   expect st (Punct '=');
   let opword = expect_ident st in
@@ -297,7 +297,7 @@ let parse_inst st =
         expect st (Punct ')');
         expect st (Punct '(');
         expect st (Punct ')');
-        Graph.parameter st.g ~name:pname declared_shape _dt
+        Graph.parameter st.g ~name:pname declared_shape dt
     | "constant" ->
         expect st (Punct '(');
         let nd = parse_constant st in
@@ -315,7 +315,7 @@ let parse_inst st =
         expect st (Punct ')');
         expect st (Punct '(');
         expect st (Punct ')');
-        Graph.add st.g (Op.Iota { out; dim }) []
+        Graph.add st.g (Op.Iota { out; dim; dtype = dt }) []
     | "compare" -> (
         match suffix with
         | Some c -> (

@@ -24,6 +24,11 @@ let create () =
 
 let total_us p = p.device_us +. p.host_us
 
+let fused_us p =
+  List.fold_left
+    (fun acc r -> if r.kind = "library" || r.kind = "interp" then acc else acc +. r.time_us)
+    0.0 p.records
+
 let add p ~kname ~kind ~version_tag ~time_us ~host_us ~bytes ~flops =
   p.device_us <- p.device_us +. time_us;
   p.host_us <- p.host_us +. host_us;

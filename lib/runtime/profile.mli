@@ -24,6 +24,11 @@ val create : unit -> t
 val total_us : t -> float
 (** device + host time: the per-inference latency. *)
 
+val fused_us : t -> float
+(** Fused-kernel device time: what schedule tuning can move. Library
+    calls (cuBLAS-analog) and reference-path ("interp") records are out
+    of the tuner's reach and excluded. *)
+
 val add :
   t ->
   kname:string ->

@@ -82,41 +82,18 @@ let widen_scheme = function
 
 let widen (spec : spec) : spec = List.map (fun (n, s) -> (n, widen_scheme s)) spec
 
-let canonical dims = List.sort (fun (a, _) (b, _) -> compare a b) dims
-
 let bucket_dims spec dims =
-  canonical (List.map (fun (n, v) -> (n, round_up (scheme_of spec n) v)) dims)
+  List.sort
+    (fun (a, _) (b, _) -> compare a b)
+    (List.map (fun (n, v) -> (n, round_up (scheme_of spec n) v)) dims)
 
-let env_key dims =
-  String.concat ","
-    (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) (canonical dims))
+let env_key = Tensor.Shape.env_key
 
 let key_of spec dims = env_key (bucket_dims spec dims)
 
-let elements dims = List.fold_left (fun acc (_, v) -> acc * v) 1 dims
+let elements = Workloads.Queueing.elements
 
-(* Batch env at the intra-batch max — the same union-of-dims rule as
-   [Workloads.Queueing.batch_env], over raw dim lists. *)
-let exact_env ~batch_dim (members : (string * int) list list) =
-  if members = [] then invalid_arg "Bucket.exact_env: empty batch";
-  let names =
-    List.fold_left
-      (fun acc dims ->
-        List.fold_left
-          (fun acc (name, _) -> if List.mem name acc then acc else name :: acc)
-          acc dims)
-      [] members
-    |> List.rev
-  in
-  (batch_dim, List.length members)
-  :: List.map
-       (fun name ->
-         ( name,
-           List.fold_left
-             (fun acc dims ->
-               match List.assoc_opt name dims with Some v -> max acc v | None -> acc)
-             1 members ))
-       names
+let exact_env = Workloads.Queueing.batch_env
 
 let padded_env spec ~batch_dim members =
   List.map

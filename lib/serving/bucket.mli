@@ -62,15 +62,17 @@ val key_of : spec -> (string * int) list -> string
 (** Canonical bucket key of one request's dims, e.g. ["hist=64,seq=128"]. *)
 
 val env_key : (string * int) list -> string
-(** Canonical key of a full shape environment (name-sorted, no
-    rounding) — the warmth identity of a dispatched batch. *)
+(** {!Tensor.Shape.env_key}: the canonical key of a full shape
+    environment (name-sorted, no rounding) — the warmth identity of a
+    dispatched batch. *)
 
 val elements : (string * int) list -> int
-(** Product of the dim values (1 for the empty list). *)
+(** {!Workloads.Queueing.elements}: product of the dim values (1 for
+    the empty list). *)
 
 val exact_env :
   batch_dim:string -> (string * int) list list -> (string * int) list
-(** Batch env at the intra-batch max: batch dim = member count, every
+(** {!Workloads.Queueing.batch_env}: batch dim = member count, every
     other dim = max over members (missing dims contribute 1).
     @raise Invalid_argument on an empty batch. *)
 

@@ -290,7 +290,7 @@ type t = {
 let replicas t = t.pool_replicas
 let cache t = t.pool_cache
 
-let create ?options ?session_policy ?fault_config ?cache cfg build =
+let create ?cache cfg build =
   if cfg.devices = [] then invalid_arg "Pool.create: empty device list";
   let shared = match cache with Some c -> c | None -> Disc.Compile_cache.create () in
   let surface = build () in
@@ -301,15 +301,7 @@ let create ?options ?session_policy ?fault_config ?cache cfg build =
          surface.Models.Common.name cfg.batch_dim);
   let mint ~id =
     let device = List.nth cfg.devices (id mod List.length cfg.devices) in
-    let fault_config =
-      Option.map (fun fc -> { fc with Gpusim.Fault.seed = fc.Gpusim.Fault.seed + (31 * id) })
-        fault_config
-    in
-    let session =
-      Session.create ?options ?policy:session_policy ?fault_config ~device ~cache:shared
-        (build ())
-    in
-    Replica.create ~id session
+    Replica.create ~id (Session.create ~device ~cache:shared (build ()))
   in
   {
     cfg;

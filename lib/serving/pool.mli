@@ -237,19 +237,13 @@ val report_to_string : report -> string
 
 type t
 
-val create :
-  ?options:Disc.Compiler.options ->
-  ?session_policy:Disc.Session.policy ->
-  ?fault_config:Gpusim.Fault.config ->
-  ?cache:Disc.Compile_cache.t ->
-  config ->
-  (unit -> Models.Common.built) ->
-  t
+val create : ?cache:Disc.Compile_cache.t -> config -> (unit -> Models.Common.built) -> t
 (** Builds one session per configured device, all sharing [cache]
     (default: a fresh private cache) — the first replica compiles, the
-    rest hit. [fault_config]'s seed is offset per replica so fault
-    streams are independent. [build] is called once per replica plus
-    once for the binding surface.
+    rest hit. Sessions use the default compiler options and session
+    policy; faults reach replicas through chaos [flaky] events.
+    [build] is called once per replica plus once for the binding
+    surface.
     @raise Invalid_argument on an empty device list or a [batch_dim]
     the model does not declare. *)
 

@@ -21,6 +21,12 @@ let to_string (t : t) =
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
+let env_key (env : (string * int) list) =
+  String.concat ","
+    (List.map
+       (fun (n, v) -> Printf.sprintf "%s=%d" n v)
+       (List.sort (fun (a, _) (b, _) -> String.compare a b) env))
+
 let validate (t : t) =
   Array.iter (fun d -> if d < 0 then error "negative dimension in %s" (to_string t)) t
 

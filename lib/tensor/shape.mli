@@ -29,6 +29,12 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
+val env_key : (string * int) list -> string
+(** Canonical signature of a named-dim environment once its symbols are
+    bound: [name=value] pairs sorted by name, comma-joined (e.g.
+    ["batch=4,seq=73"]). The key under which buckets, hot variants and
+    tuned rungs file a concrete shape. *)
+
 val validate : t -> unit
 (** @raise Shape_error on a negative extent. *)
 

@@ -28,10 +28,6 @@ module Executable = Runtime.Executable
 
 type rung = { env : (string * int) list; bnd : Table.binding }
 
-let rung_signature (env : (string * int) list) =
-  String.concat ","
-    (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) (List.sort compare env))
-
 (* Concrete shape facts of a kernel at a rung. *)
 let facts g bnd (k : Kernel.t) =
   let tab = Graph.symtab g in
@@ -132,6 +128,6 @@ let plan ~(device : Gpusim.Device.t) ~(rungs : rung list) (e : Executable.t) : P
   in
   {
     Plan.device = device.Gpusim.Device.name;
-    rungs = List.map (fun r -> rung_signature r.env) rungs;
+    rungs = List.map (fun r -> Tensor.Shape.env_key r.env) rungs;
     entries;
   }

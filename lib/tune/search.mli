@@ -4,9 +4,6 @@
 
 type rung = { env : (string * int) list; bnd : Symshape.Table.binding }
 
-val rung_signature : (string * int) list -> string
-(** Sorted ["k=v"] pairs joined with commas — the rung's identity. *)
-
 val tune_kernel :
   Ir.Graph.t ->
   Gpusim.Device.t ->

@@ -25,26 +25,25 @@ type request = {
    the lower bound 1 — so a stray request can no longer kill the server
    with [Not_found]. Mixed batches should be rejected at enqueue time
    ({!validate_request}); this is the second line of defense. *)
-let batch_env ~batch_dim (reqs : request list) : (string * int) list =
-  let n = List.length reqs in
-  if reqs = [] then invalid_arg "batch_env: empty batch";
+let batch_env ~batch_dim (members : (string * int) list list) : (string * int) list =
+  if members = [] then invalid_arg "batch_env: empty batch";
   let names =
     List.fold_left
-      (fun acc r ->
+      (fun acc dims ->
         List.fold_left
           (fun acc (name, _) -> if List.mem name acc then acc else name :: acc)
-          acc r.dims)
-      [] reqs
+          acc dims)
+      [] members
     |> List.rev
   in
-  (batch_dim, n)
+  (batch_dim, List.length members)
   :: List.map
        (fun name ->
          ( name,
            List.fold_left
-             (fun acc r ->
-               match List.assoc_opt name r.dims with Some v -> max acc v | None -> acc)
-             1 reqs ))
+             (fun acc dims ->
+               match List.assoc_opt name dims with Some v -> max acc v | None -> acc)
+             1 members ))
        names
 
 (* Poisson-ish arrival generation with per-request dims drawn from a
@@ -234,7 +233,7 @@ let simulate_server ~(arrivals : request list) ~(policy : server_policy)
                 Float.max form_start
                   (Float.min window_end (Float.max last_arrival form_start))
             in
-            let env = batch_env ~batch_dim (List.map snd batch) in
+            let env = batch_env ~batch_dim (List.map (fun (_, r) -> r.dims) batch) in
             actual_elems :=
               List.fold_left (fun acc (_, r) -> acc + elements r.dims) !actual_elems batch;
             padded_elems := !padded_elems + elements env;

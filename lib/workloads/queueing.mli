@@ -12,11 +12,14 @@ type request = {
   dims : (string * int) list;  (** per-request dims, excluding batch *)
 }
 
-val batch_env : batch_dim:string -> request list -> (string * int) list
-(** Shape of one formed batch: batch dim = size, others = max over
-    members. Total over heterogeneous batches (the dim set is the union
-    over members; a missing dim contributes 1).
+val batch_env : batch_dim:string -> (string * int) list list -> (string * int) list
+(** Shape of one formed batch from its members' dims: batch dim = size,
+    others = max over members. Total over heterogeneous batches (the dim
+    set is the union over members; a missing dim contributes 1).
     @raise Invalid_argument on an empty batch. *)
+
+val elements : (string * int) list -> int
+(** Product of the dim values (1 for the empty list). *)
 
 val generate_arrivals :
   seed:int -> qps:float -> n:int -> dims:(string * Trace.distribution) list -> request list

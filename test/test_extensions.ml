@@ -72,29 +72,46 @@ let test_fold_size_bound () =
 
 (* --- precision ------------------------------------------------------------- *)
 
+(* Every suite model, at both scales: iota-bearing graphs (position
+   ids, causal masks) must convert and still verify. *)
 let test_f16_conversion () =
-  let entry = Models.Suite.find "dien" in
-  let built = entry.Models.Suite.build_tiny () in
-  let n = Ir.Precision.to_f16 built.Models.Common.graph in
-  check_bool "converted many" true (n > 10);
-  (* integer/bool values untouched *)
-  Graph.iter built.Models.Common.graph (fun i ->
-      check_bool "no f32 left" true (i.Graph.dtype <> Dtype.F32));
-  Graph.verify built.Models.Common.graph
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun build ->
+          let g = (build ()).Models.Common.graph in
+          let n = Ir.Precision.to_f16 g in
+          check_bool (entry.Models.Suite.name ^ ": converted many") true (n > 10);
+          (* integer/bool values untouched *)
+          Graph.iter g (fun i ->
+              check_bool (entry.Models.Suite.name ^ ": no f32 left") true
+                (i.Graph.dtype <> Dtype.F32));
+          Graph.verify g;
+          (* the printed form carries every dtype back through the parser *)
+          let text = Ir.Printer.to_string ~with_symbols:true g in
+          Graph.verify (Ir.Parser.parse text);
+          ignore (Disc.Compiler.compile g))
+        [ entry.Models.Suite.build_tiny; entry.Models.Suite.build ])
+    Models.Suite.all
 
 let test_f16_numerics_preserved () =
-  let entry = Models.Suite.find "dien" in
-  let env = entry.Models.Suite.tiny_dims in
-  let b32 = entry.Models.Suite.build_tiny () in
-  let expected = Ir.Interp.run b32.Models.Common.graph (Models.Common.test_inputs b32 env) in
-  let b16 = entry.Models.Suite.build_tiny () in
-  ignore (Ir.Precision.to_f16 b16.Models.Common.graph);
-  let c = Disc.Compiler.compile b16.Models.Common.graph in
-  let inputs16 = Models.Common.test_inputs b16 env in
-  let got, _ = Disc.Compiler.run c inputs16 in
-  List.iter2
-    (fun e o -> check_bool "same floats" true (Nd.equal_approx ~eps:1e-5 e o))
-    expected got
+  List.iter
+    (fun entry ->
+      let env = entry.Models.Suite.tiny_dims in
+      let b32 = entry.Models.Suite.build_tiny () in
+      let expected =
+        Ir.Interp.run b32.Models.Common.graph (Models.Common.test_inputs b32 env)
+      in
+      let b16 = entry.Models.Suite.build_tiny () in
+      ignore (Ir.Precision.to_f16 b16.Models.Common.graph);
+      let c = Disc.Compiler.compile b16.Models.Common.graph in
+      let got, _ = Disc.Compiler.run c (Models.Common.test_inputs b16 env) in
+      List.iter2
+        (fun e o ->
+          check_bool (entry.Models.Suite.name ^ ": same floats") true
+            (Nd.equal_approx ~eps:1e-5 e o))
+        expected got)
+    Models.Suite.all
 
 let test_f16_halves_traffic_and_memory () =
   let measure ~half =

@@ -181,10 +181,22 @@ let test_invalid_request_error () =
   | Error (Error.Invalid_request _) -> ()
   | Ok _ -> Alcotest.fail "expected rejection"
   | Error e -> Alcotest.fail ("unexpected error: " ^ Error.to_string e));
-  match Session.serve_result sess [ ("batch", 4) ] with
+  (match Session.serve_result sess [ ("batch", 4) ] with
   | Error (Error.Unbound_dim _) -> ()
   | Ok _ -> Alcotest.fail "expected missing-dim rejection"
-  | Error e -> Alcotest.fail ("unexpected error: " ^ Error.to_string e)
+  | Error e -> Alcotest.fail ("unexpected error: " ^ Error.to_string e));
+  let twice = [ ("batch", 2); ("batch", 3); ("hist", 5) ] in
+  (match Session.serve_result sess twice with
+  | Error (Error.Invalid_request _) -> ()
+  | Ok _ -> Alcotest.fail "expected duplicate-dim rejection"
+  | Error e -> Alcotest.fail ("unexpected error: " ^ Error.to_string e));
+  (* the same checks without a session, as discc runs them before any output *)
+  let built = entry.Suite.build () in
+  check_bool "check_env rejects a duplicate" true (Session.check_env built twice <> Ok ());
+  check_bool "check_env rejects a missing dim" true
+    (Session.check_env built [ ("batch", 4) ] = Error (Error.Unbound_dim "hist"));
+  check_bool "check_env accepts a full env" true
+    (Session.check_env built [ ("hist", 5); ("batch", 2) ] = Ok ())
 
 let test_latency_window_bounded () =
   let entry = Suite.find "dien" in
@@ -232,7 +244,7 @@ let test_batch_env_heterogeneous () =
       { Q.arrival_us = 1.0; dims = [ ("hist", 3) ] };
     ]
   in
-  let env = Q.batch_env ~batch_dim:"batch" reqs in
+  let env = Q.batch_env ~batch_dim:"batch" (List.map (fun r -> r.Q.dims) reqs) in
   check_int "batch size" 2 (List.assoc "batch" env);
   check_int "seq max" 8 (List.assoc "seq" env);
   check_int "hist max" 3 (List.assoc "hist" env)

@@ -134,7 +134,7 @@ let test_default_hot_envs_from_likely () =
 
 let hot_sigs (sp : Disc.Specialize.t) =
   List.sort compare
-    (List.map (fun (env, _) -> Disc.Specialize.sig_of_env env) sp.Disc.Specialize.hot)
+    (List.map (fun (env, _) -> Tensor.Shape.env_key env) sp.Disc.Specialize.hot)
 
 (* A tiny two-dim model, optionally with likely-value constraints baked
    into the symbol table at build time. *)

@@ -76,7 +76,7 @@ let simulate ~arrivals ~policy ~service =
 
 let test_batch_env () =
   let reqs = [ mk_req 0.0 [ ("seq", 10) ]; mk_req 1.0 [ ("seq", 25) ]; mk_req 2.0 [ ("seq", 7) ] ] in
-  let env = Q.batch_env ~batch_dim:"batch" reqs in
+  let env = Q.batch_env ~batch_dim:"batch" (List.map (fun r -> r.Q.dims) reqs) in
   Alcotest.(check int) "batch = count" 3 (List.assoc "batch" env);
   Alcotest.(check int) "seq = max (intra-batch padding)" 25 (List.assoc "seq" env)
 
