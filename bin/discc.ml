@@ -159,7 +159,7 @@ let compile_cmd =
       | Some dir ->
           let cache = Disc.Compile_cache.create () in
           Disc.Compile_cache.attach_dir cache dir;
-          let c, _dims, outcome =
+          let c, _dims, outcome, _key =
             Disc.Compile_cache.find_or_compile cache ~options ~dims:built.Common.dims
               built.Common.graph
           in

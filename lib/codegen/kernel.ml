@@ -140,7 +140,23 @@ let build (g : Graph.t) (config : config) (c : Cluster.t) : t =
     reduce_ids = List.rev !reduce_ids;
   }
 
-(* --- runtime: launch-dimension + version selection ------------------------ *)
+(* --- runtime: binding-resolved sizes -----------------------------------------
+
+   Everything a kernel's launch and cost depend on at a binding, resolved
+   once: a schedule choice (threads, tile, speculation flags) changes
+   none of it, so the tuner scores every candidate, and the runtime picks
+   and costs a version, from one record. *)
+
+type sizes = {
+  domain_numel : int;
+  innermost : int; (* innermost domain dim (1 for a scalar domain) *)
+  row : int; (* product of reduced dims (1 if no reduce) *)
+  bytes_read : int; (* boundary inputs, gather tables by rows read *)
+  bytes_written : int; (* boundary outputs *)
+  flops_tree : float; (* member flops under a shuffle-tree reduction *)
+  flops_plain : float; (* member flops with reduces charged 1.35x *)
+  fp16 : bool; (* first member computes in F16 *)
+}
 
 let concrete_row (g : Graph.t) (bnd : Table.binding) (k : t) =
   match k.reduce_ids with
@@ -154,56 +170,13 @@ let concrete_row (g : Graph.t) (bnd : Table.binding) (k : t) =
           List.fold_left (fun acc d -> acc * Table.eval_dim_exn tab bnd input.shape.(d)) 1 dims
       | _ -> 1)
 
-(* Launch dims for an explicitly chosen version (no guard search): the
-   schedule fixes threads and per-thread tile, the shape fixes the rest.
-   The tuner scores candidate schedules through this, and the breaker's
-   despeculate path uses it to recompute *default* dims when pinning a
-   kernel to [generic_version] (a tuned version's block count must not
-   leak into the generic launch). *)
-let launch_with (g : Graph.t) (_d : Gpusim.Device.t) (bnd : Table.binding) (k : t)
-    (version : version) : launch =
+let sizes_of ~numel_of (g : Graph.t) (bnd : Table.binding) (k : t) : sizes =
   let tab = Graph.symtab g in
+  let bytes_of id = numel_of id * Tensor.Dtype.byte_size (Graph.inst g id).dtype in
   let domain = Table.eval_shape tab bnd k.cluster.Cluster.domain in
   let domain_numel = Tensor.Shape.numel domain in
   let row = concrete_row g bnd k in
-  let threads = sched_threads version in
-  let tile = sched_tile version in
-  let blocks =
-    match k.cluster.Cluster.kind with
-    | Cluster.Input | Cluster.Stitch -> max 1 (domain_numel / max 1 row)
-    | _ -> max 1 ((domain_numel + (threads * tile) - 1) / (threads * tile))
-  in
-  { version; domain_numel; row; blocks; threads }
-
-let launch_for (g : Graph.t) (d : Gpusim.Device.t) (bnd : Table.binding) (k : t) : launch =
-  let tab = Graph.symtab g in
-  let domain = Table.eval_shape tab bnd k.cluster.Cluster.domain in
-  let domain_numel = Tensor.Shape.numel domain in
-  let row = concrete_row g bnd k in
-  let innermost =
-    if Array.length domain = 0 then 1 else domain.(Array.length domain - 1)
-  in
-  let version =
-    List.find
-      (fun v -> version_guard d v ~innermost ~row ~domain_numel)
-      k.versions
-    (* the generic version always guards true, so find cannot fail *)
-  in
-  launch_with g d bnd k version
-
-(* --- runtime: cost ---------------------------------------------------------- *)
-
-let bytes_of_value (g : Graph.t) (bnd : Table.binding) id =
-  let i = Graph.inst g id in
-  let shape = Table.eval_shape (Graph.symtab g) bnd i.shape in
-  Tensor.Shape.numel shape * Tensor.Dtype.byte_size i.dtype
-
-(* Work descriptor of one fused-kernel execution: global traffic is only
-   the cluster's external inputs and outputs (that is the point of
-   fusion); arithmetic is summed over members. *)
-let work_of (g : Graph.t) (bnd : Table.binding) (k : t) (l : launch) : Gpusim.Cost.kernel_work
-    =
-  let tab = Graph.symtab g in
+  let innermost = if Array.length domain = 0 then 1 else domain.(Array.length domain - 1) in
   (* A gather kernel only touches the rows it looks up, not the whole
      table; charge the table operand as the gathered output size. *)
   let input_bytes id =
@@ -217,39 +190,76 @@ let work_of (g : Graph.t) (bnd : Table.binding) (k : t) (l : launch) : Gpusim.Co
       match i.op with Op.Gather -> i.args.(0) = id && i.args.(1) <> id | _ -> false
     in
     if uses <> [] && List.for_all gather_table_use uses then
-      min (bytes_of_value g bnd id)
-        (List.fold_left (fun acc m -> acc + bytes_of_value g bnd m) 0 uses)
-    else bytes_of_value g bnd id
+      min (bytes_of id) (List.fold_left (fun acc m -> acc + bytes_of m) 0 uses)
+    else bytes_of id
   in
   let bytes_read =
     List.fold_left (fun acc id -> acc + input_bytes id) 0 k.cluster.Cluster.inputs
   in
   let bytes_written =
-    List.fold_left (fun acc id -> acc + bytes_of_value g bnd id) 0 k.cluster.Cluster.outputs
+    List.fold_left (fun acc id -> acc + bytes_of id) 0 k.cluster.Cluster.outputs
   in
-  let flops =
+  (* both totals in one fold, in member order, so each sums exactly the
+     terms a per-version fold would *)
+  let flops_tree, flops_plain =
     List.fold_left
-      (fun acc m ->
+      (fun ((tree, plain) as acc) m ->
         let i = Graph.inst g m in
         let per_elem = Op.flops_per_element i.op in
         if per_elem = 0.0 then acc
         else
-          let numel =
-            match i.op with
-            | Op.Reduce _ ->
-                (* a reduce touches every input element once *)
-                let input = Graph.inst g i.args.(0) in
-                Tensor.Shape.numel (Table.eval_shape tab bnd input.shape)
-            | _ -> Tensor.Shape.numel (Table.eval_shape tab bnd i.shape)
-          in
-          let mult =
-            match i.op with
-            | Op.Reduce _ when not l.version.tree_reduce -> 1.35 *. per_elem
-            | _ -> per_elem
-          in
-          acc +. (mult *. float_of_int numel))
-      0.0 k.cluster.Cluster.members
+          match i.op with
+          | Op.Reduce _ ->
+              (* a reduce touches every input element once *)
+              let numel = float_of_int (numel_of i.args.(0)) in
+              (tree +. (per_elem *. numel), plain +. (1.35 *. per_elem *. numel))
+          | _ ->
+              let numel = float_of_int (numel_of m) in
+              (tree +. (per_elem *. numel), plain +. (per_elem *. numel)))
+      (0.0, 0.0) k.cluster.Cluster.members
   in
+  {
+    domain_numel;
+    innermost;
+    row;
+    bytes_read;
+    bytes_written;
+    flops_tree;
+    flops_plain;
+    fp16 =
+      (match k.cluster.Cluster.members with
+      | m :: _ -> (Graph.inst g m).dtype = Tensor.Dtype.F16
+      | [] -> false);
+  }
+
+(* --- runtime: launch-dimension + version selection ------------------------ *)
+
+(* Launch dims for a chosen version: the schedule fixes threads and
+   per-thread tile, the sizes fix the rest. *)
+let launch_at (k : t) (s : sizes) (version : version) : launch =
+  let threads = sched_threads version in
+  let tile = sched_tile version in
+  let blocks =
+    match k.cluster.Cluster.kind with
+    | Cluster.Input | Cluster.Stitch -> max 1 (s.domain_numel / max 1 s.row)
+    | _ -> max 1 ((s.domain_numel + (threads * tile) - 1) / (threads * tile))
+  in
+  { version; domain_numel = s.domain_numel; row = s.row; blocks; threads }
+
+(* First version whose guard holds. A kernel's own list ends in the
+   generic version, which always guards true. *)
+let select_at (d : Gpusim.Device.t) (s : sizes) (versions : version list) : version =
+  List.find
+    (fun v ->
+      version_guard d v ~innermost:s.innermost ~row:s.row ~domain_numel:s.domain_numel)
+    versions
+
+(* --- runtime: cost ---------------------------------------------------------- *)
+
+(* Work descriptor of one fused-kernel execution: global traffic is only
+   the cluster's external inputs and outputs (that is the point of
+   fusion); arithmetic is summed over members. *)
+let work_at (k : t) (s : sizes) (l : launch) : Gpusim.Cost.kernel_work =
   let mem_efficiency =
     let base = if l.version.vectorized then 0.92 else 0.68 in
     let base = if k.has_transpose then base *. 0.8 else base in
@@ -258,17 +268,14 @@ let work_of (g : Graph.t) (bnd : Table.binding) (k : t) (l : launch) : Gpusim.Co
     if k.cluster.Cluster.kind = Cluster.Stitch then Float.min 0.95 (base +. 0.02) else base
   in
   {
-    Gpusim.Cost.bytes_read;
-    bytes_written;
-    flops;
+    Gpusim.Cost.bytes_read = s.bytes_read;
+    bytes_written = s.bytes_written;
+    flops = (if l.version.tree_reduce then s.flops_tree else s.flops_plain);
     mem_efficiency;
     compute_efficiency = 0.55;
     blocks = l.blocks;
     threads_per_block = l.threads;
-    fp16_math =
-      (match k.cluster.Cluster.members with
-      | m :: _ -> (Graph.inst g m).dtype = Tensor.Dtype.F16
-      | [] -> false);
+    fp16_math = s.fp16;
   }
 
 (* Library (dot / conv) kernels bypass fusion codegen. *)

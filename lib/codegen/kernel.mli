@@ -3,14 +3,16 @@
     Each fusion cluster compiles into one {!t} carrying a set of
     speculative {!version}s ordered most-specialized-first, with the
     always-valid generic version last. At runtime, concrete shapes
-    select the first version whose guard holds ({!launch_for}) and fix
+    select the first version whose guard holds ({!select_at}) and fix
     the launch dimensions; a single compilation therefore serves
     arbitrary shapes.
 
     Two runtime facets per kernel: {!eval} computes the numeric result
     (reference semantics — fusion never changes numerics), and
-    {!work_of} / {!library_work} produce the analytical cost descriptor
-    charged to the simulated device. *)
+    {!work_at} / {!library_work} produce the analytical cost descriptor
+    charged to the simulated device. A binding's shapes are resolved
+    once into {!sizes}; selection ({!select_at}), launch dims
+    ({!launch_at}) and cost ({!work_at}) are pure functions of it. *)
 
 module Cluster = Fusion.Cluster
 
@@ -72,25 +74,41 @@ val version_guard :
 val build : Ir.Graph.t -> config -> Cluster.t -> t
 (** Compile-time half: derive the version set and kernel structure. *)
 
-val launch_for : Ir.Graph.t -> Gpusim.Device.t -> Symshape.Table.binding -> t -> launch
-(** Runtime half: evaluate shapes, pick the best guarded version and the
-    launch dimensions. *)
+type sizes = {
+  domain_numel : int;
+  innermost : int;  (** innermost domain dim (1 for a scalar domain) *)
+  row : int;  (** product of the reduced dims; 1 without a reduce *)
+  bytes_read : int;
+      (** boundary inputs; a gather table operand is charged by the rows
+          actually read *)
+  bytes_written : int;  (** boundary outputs *)
+  flops_tree : float;  (** member flops under a shuffle-tree reduction *)
+  flops_plain : float;  (** member flops with each reduce charged 1.35x *)
+  fp16 : bool;  (** the kernel computes in F16 *)
+}
+(** Everything a kernel's launch and cost depend on at one binding. A
+    schedule choice (threads, tile, speculation flags) changes none of
+    it, so one record serves every version scored or selected at that
+    binding. *)
 
-val launch_with :
-  Ir.Graph.t -> Gpusim.Device.t -> Symshape.Table.binding -> t -> version -> launch
-(** Launch dims for an explicitly chosen version (no guard search) — the
-    tuner's scoring hook, and how despeculation recomputes default dims. *)
+val sizes_of :
+  numel_of:(int -> int) -> Ir.Graph.t -> Symshape.Table.binding -> t -> sizes
+(** Resolve a kernel's shapes at a binding. [numel_of] gives a value's
+    element count at that binding; a caller sizing several kernels
+    there can share one memo across them. *)
 
-val concrete_row : Ir.Graph.t -> Symshape.Table.binding -> t -> int
-(** Product of the reduced dims at a binding (1 without a reduce). *)
+val launch_at : t -> sizes -> version -> launch
+(** Launch dims of a chosen version: the schedule fixes threads and
+    tile, the sizes fix the rest. *)
 
-val bytes_of_value : Ir.Graph.t -> Symshape.Table.binding -> int -> int
+val select_at : Gpusim.Device.t -> sizes -> version list -> version
+(** First version whose guard holds (runtime selection).
+    @raise Not_found if none does; a list ending in {!generic_version}
+    always matches. *)
 
-val work_of :
-  Ir.Graph.t -> Symshape.Table.binding -> t -> launch -> Gpusim.Cost.kernel_work
+val work_at : t -> sizes -> launch -> Gpusim.Cost.kernel_work
 (** Cost descriptor of one fused-kernel execution. Global traffic counts
-    only the cluster's boundary (that is fusion's point); gather table
-    operands are charged by rows actually read. *)
+    only the cluster's boundary (that is fusion's point). *)
 
 val library_work : Ir.Graph.t -> Symshape.Table.binding -> Cluster.t -> Gpusim.Cost.kernel_work
 (** Cost of a dot / conv2d library kernel. *)

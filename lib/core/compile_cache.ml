@@ -111,12 +111,11 @@ let stats t =
     schedules = Hashtbl.length t.schedules;
   }
 
+let key_of_canonical canonical (options : Compiler.options) =
+  Digest.to_hex (Digest.string (canonical ^ "options " ^ Compiler.options_signature options))
+
 let key_of ?(dims = []) ~(options : Compiler.options) (g : Graph.t) : string =
-  Digest.to_hex
-    (Digest.string
-       (Ir.Fingerprint.canonical ~dims g
-       ^ "options "
-       ^ Compiler.options_signature options))
+  key_of_canonical (Ir.Fingerprint.canonical ~dims g) options
 
 (* --- persistence ---------------------------------------------------------- *)
 
@@ -339,18 +338,19 @@ let lookup_span outcome key =
 
 let find_or_compile t ?(options = Compiler.default_options)
     ?(dims : (string * Sym.dim) list = []) (g : Graph.t) :
-    Compiler.compiled * (string * Sym.dim) list * outcome =
+    Compiler.compiled * (string * Sym.dim) list * outcome * string =
   (* key + fingerprint must be taken *before* compiling: graph passes
-     mutate the instruction list. *)
-  let key = key_of ~dims ~options g in
+     mutate the instruction list. Both digest one canonical form. *)
+  let canonical = Ir.Fingerprint.canonical ~dims g in
+  let key = key_of_canonical canonical options in
   match Hashtbl.find_opt t.table key with
   | Some e ->
       t.hits <- t.hits + 1;
       touch t e;
       lookup_span Hit key;
-      (e.compiled, e.dims, Hit)
+      (e.compiled, e.dims, Hit, key)
   | None ->
-      let fingerprint = Ir.Fingerprint.fingerprint ~dims g in
+      let fingerprint = Ir.Fingerprint.of_canonical canonical in
       let warm = Hashtbl.mem t.warm key in
       let compiled =
         if warm then
@@ -376,7 +376,7 @@ let find_or_compile t ?(options = Compiler.default_options)
       (match t.dir with
       | Some dir -> ( try write_record dir key e with Sys_error _ -> ())
       | None -> ());
-      (compiled, dims, outcome)
+      (compiled, dims, outcome, key)
 
 let invalidate t key =
   let present = Hashtbl.mem t.table key in

@@ -74,11 +74,13 @@ val find_or_compile :
   ?options:Compiler.options ->
   ?dims:(string * Symshape.Sym.dim) list ->
   Ir.Graph.t ->
-  Compiler.compiled * (string * Symshape.Sym.dim) list * outcome
+  Compiler.compiled * (string * Symshape.Sym.dim) list * outcome * string
 (** Returns the compiled artifact, the named dims {e of the cached
     graph} (on a hit these belong to the original graph's symbol table
     and must be used — not the caller's own dims — to bind requests
-    against the shared executable), and the lookup outcome. On a miss
+    against the shared executable), the lookup outcome, and the key
+    ({!key_of}). The key and the stored fingerprint digest one
+    {!Ir.Fingerprint.canonical} form, built once per lookup. On a miss
     the caller's graph is compiled (mutating it) and inserted. *)
 
 val invalidate : t -> string -> unit

@@ -134,9 +134,7 @@ let create ?(options = Compiler.default_options) ?(device = Gpusim.Device.a10)
         let c = Compiler.compile ~options built.Common.graph in
         (c, built.Common.dims, false, None)
     | Some cache ->
-        (* key before compile: the passes inside compile mutate the graph *)
-        let key = Compile_cache.key_of ~dims:built.Common.dims ~options built.Common.graph in
-        let compiled, dims, outcome =
+        let compiled, dims, outcome, key =
           Compile_cache.find_or_compile cache ~options ~dims:built.Common.dims
             built.Common.graph
         in
@@ -214,11 +212,9 @@ let fault_rates (t : t) =
    a recompile through the cache surface) actually reads; on a cache hit
    [serve_dims] points into the original session's graph, so hints reach
    every session sharing the artifact. Advisory only: serving behavior
-   at any shape is unchanged, bounds are never tightened. *)
+   at any shape is unchanged, bounds are never tightened. No profile
+   reads likely values, so the profile memo stays valid. *)
 let ingest_hints t (hints : (string * int list) list) =
-  (* hints are advisory for serving, but drop the memo anyway: anything
-     minted off the refreshed hints must be re-derived, not replayed *)
-  Hashtbl.reset t.profile_memo;
   let tab = Graph.symtab t.compiled.Compiler.exe.Runtime.Executable.g in
   List.iter
     (fun (name, vs) ->
@@ -587,12 +583,17 @@ let tune (t : t) ~(envs : (string * int) list list) :
   let rungs =
     List.map
       (fun env ->
-        match binding_for_env t env with
-        | Some bnd -> { Tune.Search.env; bnd }
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Session.tune: env %s does not bind the model's dims"
-                 (Tensor.Shape.env_key env)))
+        let bad why =
+          invalid_arg
+            (Printf.sprintf "Session.tune: env %s does not bind the model's dims (%s)"
+               (Tensor.Shape.env_key env) why)
+        in
+        match check_env t.built env with
+        | Error e -> bad (Error.to_string e)
+        | Ok () -> (
+            match binding_for_env t env with
+            | Some bnd -> { Tune.Search.env; bnd }
+            | None -> bad "inconsistent shapes"))
       envs
   in
   let search () = Tune.Search.plan ~device:t.device ~rungs t.compiled.Compiler.exe in

@@ -185,8 +185,10 @@ val tune :
     table keyed fingerprint × device × rung-set bucket: the first call
     searches and stores ([`Tuned]), later calls — from any session
     sharing the artifact — replay ([`Cached]).
-    @raise Invalid_argument if [envs] is empty or an env does not bind
-    the model's dynamic dims. *)
+    @raise Invalid_argument if [envs] is empty or an env fails
+    {!check_env} (a dim below 1, bound twice, unknown to the model, or
+    missing) or does not bind consistently; nothing is searched, stored
+    or adopted then. *)
 
 val adopt_tuned_schedules : t -> bool
 (** Warm-start from the fleet's tuned artifacts: look up any plan tuned
@@ -212,8 +214,11 @@ val ingest_hints : t -> (string * int list) list -> unit
     {!Symshape.Table.set_likely} — replace semantics, so stale hints
     age out). Advisory only: no bound is tightened and serving at any
     shape is unchanged; the hints steer what {!Specialize} mints and
-    what a recompile would speculate on. Unknown dim names are ignored.
-    Counted in the registry as [session.shape_hints]. *)
+    what a recompile would speculate on. No served profile depends on
+    likely values, so the warm-path profile memo of {!serve_result}
+    survives ingestion (only adopting a tuned plan drops it). Unknown
+    dim names are ignored. Counted in the registry as
+    [session.shape_hints]. *)
 
 val shape_hints : t -> int
 (** Total likely values ingested through {!ingest_hints}. *)

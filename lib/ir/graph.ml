@@ -48,6 +48,7 @@ let fold g f acc =
 let live_insts g = List.rev (fold g (fun acc i -> i :: acc) [])
 
 let num_insts g = fold g (fun n _ -> n + 1) 0
+let id_bound g = g.next_id
 
 let outputs g = g.outputs
 

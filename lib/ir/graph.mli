@@ -43,6 +43,10 @@ val fold : t -> ('a -> inst -> 'a) -> 'a -> 'a
 val live_insts : t -> inst list
 val num_insts : t -> int
 
+val id_bound : t -> int
+(** One past the largest id issued: every instruction id, live or
+    removed, is below it. *)
+
 val outputs : t -> int list
 val set_outputs : t -> int list -> unit
 val parameters : t -> (int * string) list

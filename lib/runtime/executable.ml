@@ -44,7 +44,7 @@ let num_kernels e = List.length e.items
    layer's circuit breakers: the cluster name "c<id>". *)
 let item_kname item =
   let c = match item with Fused k -> k.Kernel.cluster | Lib c -> c in
-  Printf.sprintf "c%d" c.Cluster.cid
+  "c" ^ string_of_int c.Cluster.cid
 
 (* Resilience hooks shared by both execution paths. [faults] injects
    seeded launch failures and request-level OOMs; [despeculate] pins the
@@ -70,16 +70,38 @@ let check_capacity (device : Gpusim.Device.t) ~live =
     Error.fail
       (Error.Oom { live_bytes = live; capacity_bytes = device.Gpusim.Device.memory_bytes })
 
-let select_launch ?(despeculate = fun _ -> false) g device bnd kname (k : Kernel.t) =
-  let l =
-    try Kernel.launch_for g device bnd k
-    with Not_found ->
-      Error.fail
-        (Error.Guard_violation (Printf.sprintf "no version guard held for kernel %s" kname))
-  in
-  (* pinning to generic must also recompute the launch dims: a tuned
-     version's block count reflects its own schedule, not the default *)
-  if despeculate kname then Kernel.launch_with g device bnd k Kernel.generic_version else l
+(* Cost descriptor and version tag of one item at a binding: a fused
+   kernel resolves its sizes once, then selects, launches and costs from
+   them. [numel_of] is the caller's per-call memo. *)
+let item_work ?(despeculate = fun _ -> false) ~numel_of g device bnd kname item =
+  match item with
+  | Fused k ->
+      let s = Kernel.sizes_of ~numel_of g bnd k in
+      let v =
+        try Kernel.select_at device s k.Kernel.versions
+        with Not_found ->
+          Error.fail
+            (Error.Guard_violation (Printf.sprintf "no version guard held for kernel %s" kname))
+      in
+      (* pinning to generic must also recompute the launch dims: a tuned
+         version's block count reflects its own schedule, not the default *)
+      let l = Kernel.launch_at k s (if despeculate kname then Kernel.generic_version else v) in
+      (Kernel.work_at k s l, l.Kernel.version.Kernel.tag)
+  | Lib c -> (Kernel.library_work g bnd c, "library")
+
+(* Element counts at [bnd], each value's shape evaluated at most once.
+   Indexed by id, not hashed: most values are read only once or twice,
+   and hashing them cost more than evaluating their shapes again. *)
+let numel_memo g bnd =
+  let tab = Graph.symtab g in
+  let memo = Array.make (Graph.id_bound g) (-1) in
+  fun id ->
+    let n = memo.(id) in
+    if n >= 0 then n
+    else
+      let n = Tensor.Shape.numel (Table.eval_shape tab bnd (Graph.inst g id).shape) in
+      memo.(id) <- n;
+      n
 
 (* Per-kernel-launch observability: one trace span per launch (advancing
    the simulated timeline by device + host time, so an enclosing request
@@ -93,6 +115,15 @@ let note_kernel_obs ~kname ~kind ~version_tag ~time_us ~host_us =
     Obs.Scope.count "runtime.kernel_launches";
     Obs.Scope.observe "runtime.kernel_time_us" time_us
   end
+
+(* Charge one launch to the profile and the observability layer. *)
+let charge profile (e : t) device ~kname (c : Cluster.t) (work, version_tag) =
+  let kind = Cluster.kind_to_string c.Cluster.kind in
+  let time_us = Gpusim.Cost.kernel_time_us device work in
+  Profile.add profile ~kname ~kind ~version_tag ~time_us ~host_us:e.host_overhead_us
+    ~bytes:(work.Gpusim.Cost.bytes_read + work.Gpusim.Cost.bytes_written)
+    ~flops:work.Gpusim.Cost.flops;
+  note_kernel_obs ~kname ~kind ~version_tag ~time_us ~host_us:e.host_overhead_us
 
 (* Last cluster (by position) that reads each value; used to free
    intermediate buffers and track peak memory. *)
@@ -115,11 +146,8 @@ let simulate ?(device = Gpusim.Device.a10) ?(profile = Profile.create ())
     ?(tune = fun (w : Gpusim.Cost.kernel_work) -> w) ?faults ?despeculate (e : t)
     (bnd : Table.binding) : Profile.t =
   let g = e.g in
-  let tab = Graph.symtab g in
-  let bytes_of id =
-    let i = Graph.inst g id in
-    Tensor.Shape.numel (Table.eval_shape tab bnd i.shape) * Tensor.Dtype.byte_size i.dtype
-  in
+  let numel_of = numel_memo g bnd in
+  let bytes_of id = numel_of id * Tensor.Dtype.byte_size (Graph.inst g id).dtype in
   (* parameters and constants are resident *)
   let resident = ref 0 in
   List.iter (fun (pid, _) -> resident := !resident + bytes_of pid) (Graph.parameters g);
@@ -137,23 +165,8 @@ let simulate ?(device = Gpusim.Device.a10) ?(profile = Profile.create ())
       List.iter (fun o -> live := !live + bytes_of o) c.Cluster.outputs;
       check_capacity device ~live:!live;
       Profile.note_live_bytes profile !live;
-      let work, version_tag =
-        match item with
-        | Fused k ->
-            let launch = select_launch ?despeculate g device bnd kname k in
-            (Kernel.work_of g bnd k launch, launch.Kernel.version.Kernel.tag)
-        | Lib c -> (Kernel.library_work g bnd c, "library")
-      in
-      let work = tune work in
-      let time_us = Gpusim.Cost.kernel_time_us device work in
-      Profile.add profile
-        ~kname:(Printf.sprintf "c%d" c.Cluster.cid)
-        ~kind:(Cluster.kind_to_string c.Cluster.kind)
-        ~version_tag ~time_us ~host_us:e.host_overhead_us
-        ~bytes:(work.Gpusim.Cost.bytes_read + work.Gpusim.Cost.bytes_written)
-        ~flops:work.Gpusim.Cost.flops;
-      note_kernel_obs ~kname ~kind:(Cluster.kind_to_string c.Cluster.kind) ~version_tag
-        ~time_us ~host_us:e.host_overhead_us;
+      let work, version_tag = item_work ?despeculate ~numel_of g device bnd kname item in
+      charge profile e device ~kname c (tune work, version_tag);
       List.iter
         (fun input ->
           match Hashtbl.find_opt last input with
@@ -171,6 +184,7 @@ let run ?(device = Gpusim.Device.a10) ?cost_binding ?(profile = Profile.create (
   let g = e.g in
   let bnd = Ir.Interp.bind_inputs g inputs in
   let cost_bnd = Option.value cost_binding ~default:bnd in
+  let cost_numel = numel_memo g cost_bnd in
   let values : (int, Nd.t) Hashtbl.t = Hashtbl.create 64 in
   (* parameters and constants are resident before execution starts *)
   let resident = ref 0 in
@@ -216,22 +230,8 @@ let run ?(device = Gpusim.Device.a10) ?cost_binding ?(profile = Profile.create (
       check_capacity device ~live:!live;
       Profile.note_live_bytes profile !live;
       (* charge simulated cost, possibly under a padded cost binding *)
-      let work, version_tag =
-        match item with
-        | Fused k ->
-            let launch = select_launch ?despeculate g device cost_bnd kname k in
-            (Kernel.work_of g cost_bnd k launch, launch.Kernel.version.Kernel.tag)
-        | Lib c -> (Kernel.library_work g cost_bnd c, "library")
-      in
-      let time_us = Gpusim.Cost.kernel_time_us device work in
-      Profile.add profile
-        ~kname:(Printf.sprintf "c%d" c.Cluster.cid)
-        ~kind:(Cluster.kind_to_string c.Cluster.kind)
-        ~version_tag ~time_us ~host_us:e.host_overhead_us
-        ~bytes:(work.Gpusim.Cost.bytes_read + work.Gpusim.Cost.bytes_written)
-        ~flops:work.Gpusim.Cost.flops;
-      note_kernel_obs ~kname ~kind:(Cluster.kind_to_string c.Cluster.kind) ~version_tag
-        ~time_us ~host_us:e.host_overhead_us;
+      charge profile e device ~kname c
+        (item_work ?despeculate ~numel_of:cost_numel g device cost_bnd kname item);
       (* free intermediates whose last use has passed *)
       List.iter
         (fun input ->

@@ -32,6 +32,12 @@ val item_kname : item -> string
 (** Kernel identity ("c<cluster-id>") used by profiles, fault injection
     and the serving layer's circuit breakers. *)
 
+val numel_memo : Ir.Graph.t -> Symshape.Table.binding -> int -> int
+(** [numel_memo g bnd] is a fresh memo of each value's element count at
+    [bnd], evaluating a value's shape at most once. {!simulate} and
+    {!run} build one per call (resident bytes, live accounting and every
+    kernel's {!Kernel.sizes_of} read it); the tuner, one per rung. *)
+
 val simulate :
   ?device:Gpusim.Device.t ->
   ?profile:Profile.t ->

@@ -20,7 +20,6 @@
    when distinct rungs share a domain size and disagree on winners). *)
 
 module Table = Symshape.Table
-module Graph = Ir.Graph
 module Kernel = Codegen.Kernel
 module Cluster = Fusion.Cluster
 module Cost = Gpusim.Cost
@@ -28,23 +27,14 @@ module Executable = Runtime.Executable
 
 type rung = { env : (string * int) list; bnd : Table.binding }
 
-(* Concrete shape facts of a kernel at a rung. *)
-let facts g bnd (k : Kernel.t) =
-  let tab = Graph.symtab g in
-  let domain = Table.eval_shape tab bnd k.Kernel.cluster.Cluster.domain in
-  let domain_numel = Tensor.Shape.numel domain in
-  let innermost = if Array.length domain = 0 then 1 else domain.(Array.length domain - 1) in
-  let row = Kernel.concrete_row g bnd k in
-  (domain_numel, innermost, row)
-
-let cost_of g device bnd (k : Kernel.t) (l : Kernel.launch) =
-  Cost.kernel_time_us device (Kernel.work_of g bnd k l)
+(* Modelled time of one version at resolved sizes. *)
+let cost_at device (k : Kernel.t) (s : Kernel.sizes) v =
+  Cost.kernel_time_us device (Kernel.work_at k s (Kernel.launch_at k s v))
 
 (* Serve cost under a given version list: first-guard-match selection,
    exactly what the runtime does. *)
-let served_cost g device bnd (k : Kernel.t) versions =
-  let k' = { k with Kernel.versions } in
-  cost_of g device bnd k' (Kernel.launch_for g device bnd k')
+let served_cost device (k : Kernel.t) (s : Kernel.sizes) versions =
+  cost_at device k s (Kernel.select_at device s versions)
 
 (* Deterministic winner: cheapest, then the fixed point order. *)
 let better (c1, p1) (c2, p2) =
@@ -55,29 +45,35 @@ let better (c1, p1) (c2, p2) =
      p2.Space.p_persistent)
   < 0
 
-let tune_kernel g device (rungs : rung list) (k : Kernel.t) : Kernel.version list =
+(* [candidates]: the legal points of the kernel's (has_reduce, kind)
+   class, each with its materialized version. [rungs]: each rung's
+   binding with the element-count memo all kernels share there. A
+   candidate changes only the schedule, so each rung's shapes are
+   resolved once and every candidate is scored from them. *)
+let tune_kernel candidates g device rungs (k : Kernel.t) : Kernel.version list =
   let kind = k.Kernel.cluster.Cluster.kind in
-  let candidates = Space.enumerate device ~has_reduce:k.Kernel.has_reduce ~kind in
+  let sized = List.map (fun (bnd, numel_of) -> Kernel.sizes_of ~numel_of g bnd k) rungs in
   (* per-rung winner over candidates whose guards hold there *)
   let winners =
     List.filter_map
-      (fun r ->
-        let domain_numel, innermost, row = facts g r.bnd k in
+      (fun (s : Kernel.sizes) ->
         let best =
           List.fold_left
-            (fun best p ->
-              let v = Space.version_of ~kind p in
-              if not (Kernel.version_guard device v ~innermost ~row ~domain_numel) then
-                best
+            (fun best (p, v) ->
+              if
+                not
+                  (Kernel.version_guard device v ~innermost:s.innermost ~row:s.row
+                     ~domain_numel:s.domain_numel)
+              then best
               else
-                let c = cost_of g device r.bnd k (Kernel.launch_with g device r.bnd k v) in
+                let c = cost_at device k s v in
                 match best with
                 | Some b when not (better (c, p) b) -> best
                 | _ -> Some (c, p))
             None candidates
         in
-        Option.map (fun (_, p) -> (domain_numel, p)) best)
-      rungs
+        Option.map (fun (_, p) -> (s.domain_numel, p)) best)
+      sized
   in
   (* ascending by domain, group adjacent equal winners into windows *)
   let winners = List.sort compare winners in
@@ -104,15 +100,31 @@ let tune_kernel g device (rungs : rung list) (k : Kernel.t) : Kernel.version lis
     (* serving-faithful verification: the tuned list must never serve a
        rung worse than the untuned kernel would have *)
     List.for_all
-      (fun r ->
-        served_cost g device r.bnd k tuned
-        <= served_cost g device r.bnd k k.Kernel.versions +. 1e-9)
-      rungs
+      (fun s ->
+        served_cost device k s tuned <= served_cost device k s k.Kernel.versions +. 1e-9)
+      sized
   then tuned
   else k.Kernel.versions
 
 let plan ~(device : Gpusim.Device.t) ~(rungs : rung list) (e : Executable.t) : Plan.t =
   let g = e.Executable.g in
+  let memoized = List.map (fun r -> (r.bnd, Executable.numel_memo g r.bnd)) rungs in
+  (* candidate lists depend only on (has_reduce, kind): build each once
+     per plan, not once per kernel *)
+  let classes = ref [] in
+  let candidates_for (k : Kernel.t) =
+    let has_reduce = k.Kernel.has_reduce and kind = k.Kernel.cluster.Cluster.kind in
+    match List.assoc_opt (has_reduce, kind) !classes with
+    | Some cs -> cs
+    | None ->
+        let cs =
+          List.map
+            (fun p -> (p, Space.version_of ~kind p))
+            (Space.enumerate device ~has_reduce ~kind)
+        in
+        classes := ((has_reduce, kind), cs) :: !classes;
+        cs
+  in
   let entries =
     List.filter_map
       (fun item ->
@@ -121,7 +133,7 @@ let plan ~(device : Gpusim.Device.t) ~(rungs : rung list) (e : Executable.t) : P
             Some
               {
                 Plan.kname = k.Kernel.name;
-                versions = tune_kernel g device rungs k;
+                versions = tune_kernel (candidates_for k) g device memoized k;
               }
         | Executable.Lib _ -> None)
       e.Executable.items

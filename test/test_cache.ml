@@ -288,6 +288,29 @@ let test_session_tune_populates_and_replays () =
   Alcotest.(check bool) "other device finds nothing to adopt" false
     (Session.adopt_tuned_schedules s4)
 
+let test_session_tune_rejects_bad_envs () =
+  (* every rung env must pass the serving-time env check: a bad one is
+     a typed usage error before any search, and nothing is stored in the
+     shared side table or adopted *)
+  let cache = Cache.create () in
+  let s = Session.create ~cache (build "bert") in
+  List.iter
+    (fun (what, env) ->
+      Alcotest.(check bool) what true
+        (match Session.tune s ~envs:[ [ ("batch", 2); ("seq", 4) ]; env ] with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("missing dim", [ ("batch", 1) ]);
+      ("zero dim", [ ("batch", 0); ("seq", 4) ]);
+      ("duplicated dim", [ ("batch", 1); ("batch", 1); ("seq", 4) ]);
+      ("unknown dim", [ ("batch", 1); ("seq", 4); ("bogus", 2) ]);
+    ];
+  Alcotest.(check bool) "no plan adopted" true (Session.tuned_plan s = None);
+  Alcotest.(check int) "no plan stored" 0 (Cache.stats cache).Cache.schedules;
+  Alcotest.(check bool) "nothing for a fresh session to adopt" false
+    (Session.adopt_tuned_schedules (Session.create ~cache (build "bert")))
+
 (* --- cache hit without cache: plain sessions unaffected ---------------------- *)
 
 let test_no_cache_defaults () =
@@ -369,6 +392,8 @@ let () =
             test_invalidate_drops_schedules;
           Alcotest.test_case "session tune populates and replays" `Quick
             test_session_tune_populates_and_replays;
+          Alcotest.test_case "session tune rejects bad envs" `Quick
+            test_session_tune_rejects_bad_envs;
         ] );
       ( "observability",
         [ Alcotest.test_case "counters and spans recorded" `Quick test_obs_counters ] );

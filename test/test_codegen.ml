@@ -49,6 +49,13 @@ let bind g dims =
   List.iter (fun (d, v) -> Table.bind_dim tab bnd d v) dims;
   bnd
 
+(* The runtime's path on A10: resolve the binding once, take the first
+   version whose guard holds, and cost that launch. *)
+let select g bnd k =
+  let s = Kernel.sizes_of ~numel_of:(Runtime.Executable.numel_memo g bnd) g bnd k in
+  let l = Kernel.launch_at k s (Kernel.select_at Device.a10 s k.Kernel.versions) in
+  (l, Kernel.work_at k s l)
+
 let test_version_generation () =
   let _, _, _, k = pointwise_kernel () in
   (* no reduce: axes are vec4 x persistent = 4 versions *)
@@ -75,33 +82,33 @@ let test_no_speculation_single_version () =
 let test_vectorization_guard () =
   let g, b, s, k = pointwise_kernel () in
   (* innermost = s; divisible by 4 -> vectorized version selected *)
-  let l = Kernel.launch_for g Device.a10 (bind g [ (b, 2); (s, 64) ]) k in
+  let l = fst (select g (bind g [ (b, 2); (s, 64) ]) k) in
   check_bool "vec4 selected" true l.Kernel.version.Kernel.vectorized;
-  let l = Kernel.launch_for g Device.a10 (bind g [ (b, 2); (s, 63) ]) k in
+  let l = fst (select g (bind g [ (b, 2); (s, 63) ]) k) in
   check_bool "vec4 rejected on odd innermost" false l.Kernel.version.Kernel.vectorized
 
 let test_tree_reduce_guard () =
   let g, b, s, k = softmax_kernel () in
-  let l = Kernel.launch_for g Device.a10 (bind g [ (b, 4); (s, 128) ]) k in
+  let l = fst (select g (bind g [ (b, 4); (s, 128) ]) k) in
   check_bool "tree reduce on pow2 row" true l.Kernel.version.Kernel.tree_reduce;
-  let l = Kernel.launch_for g Device.a10 (bind g [ (b, 4); (s, 100) ]) k in
+  let l = fst (select g (bind g [ (b, 4); (s, 100) ]) k) in
   check_bool "no tree reduce on 100" false l.Kernel.version.Kernel.tree_reduce
 
 let test_persistent_guard () =
   let g, b, s, k = pointwise_kernel () in
-  let small = Kernel.launch_for g Device.a10 (bind g [ (b, 1); (s, 64) ]) k in
+  let small = fst (select g (bind g [ (b, 1); (s, 64) ]) k) in
   check_bool "persistent on small domain" true small.Kernel.version.Kernel.persistent;
-  let large = Kernel.launch_for g Device.a10 (bind g [ (b, 4096); (s, 512) ]) k in
+  let large = fst (select g (bind g [ (b, 4096); (s, 512) ]) k) in
   check_bool "not persistent on large domain" false large.Kernel.version.Kernel.persistent
 
 let test_launch_dims () =
   let g, b, s, k = pointwise_kernel () in
-  let l = Kernel.launch_for g Device.a10 (bind g [ (b, 8); (s, 1024 ) ]) k in
+  let l = fst (select g (bind g [ (b, 8); (s, 1024 ) ]) k) in
   check_int "domain numel" 8192 l.Kernel.domain_numel;
   check_int "blocks = numel / (256*4)" 8 l.Kernel.blocks;
   (* stitch kernels: one block per outer row *)
   let g, b, s, ks = softmax_kernel () in
-  let l = Kernel.launch_for g Device.a10 (bind g [ (b, 16); (s, 128) ]) ks in
+  let l = fst (select g (bind g [ (b, 16); (s, 128) ]) ks) in
   check_int "row" 128 l.Kernel.row;
   check_int "one block per row" 16 l.Kernel.blocks
 
@@ -110,8 +117,7 @@ let test_fused_traffic_is_boundary_only () =
      global memory. bytes = in + out at f32. *)
   let g, b, s, k = pointwise_kernel () in
   let bnd = bind g [ (b, 2); (s, 100) ] in
-  let l = Kernel.launch_for g Device.a10 bnd k in
-  let w = Kernel.work_of g bnd k l in
+  let _, w = select g bnd k in
   (* the +1.0 scalar constant is also a (4-byte) kernel input *)
   check_int "read = input + scalar const" ((2 * 100 * 4) + 4) w.Cost.bytes_read;
   check_int "write = output" (2 * 100 * 4) w.Cost.bytes_written
@@ -128,8 +134,7 @@ let test_gather_charges_rows_not_table () =
   let c = List.hd plan.Cluster.clusters in
   let k = Kernel.build g Kernel.default_config c in
   let bnd = bind g [ (n, 32) ] in
-  let l = Kernel.launch_for g Device.a10 bnd k in
-  let w = Kernel.work_of g bnd k l in
+  let _, w = select g bnd k in
   (* 32 rows x 64 floats + 32 i32 ids, NOT the 12.8MB table *)
   check_int "gather reads looked-up rows" ((32 * 64 * 4) + (32 * 4)) w.Cost.bytes_read
 
@@ -152,13 +157,11 @@ let test_speculation_lowers_time () =
   let g, b, s, k = pointwise_kernel () in
   (* big memory-bound shape so bandwidth efficiency dominates *)
   let bnd = bind g [ (b, 512); (s, 4096) ] in
-  let l = Kernel.launch_for g Device.a10 bnd k in
-  let w_spec = Kernel.work_of g bnd k l in
+  let _, w_spec = select g bnd k in
   let k_generic =
     Kernel.build g Kernel.no_speculation_config k.Kernel.cluster
   in
-  let l_g = Kernel.launch_for g Device.a10 bnd k_generic in
-  let w_gen = Kernel.work_of g bnd k_generic l_g in
+  let _, w_gen = select g bnd k_generic in
   let t_spec = Cost.kernel_time_us Device.a10 w_spec in
   let t_gen = Cost.kernel_time_us Device.a10 w_gen in
   check_bool "vectorized faster" true (t_spec < t_gen)

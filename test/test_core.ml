@@ -11,6 +11,8 @@ module Nd = Tensor.Nd
 module Planner = Fusion.Planner
 module Kernel = Codegen.Kernel
 module Compiler = Disc.Compiler
+module Executable = Runtime.Executable
+module Profile = Runtime.Profile
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -95,12 +97,54 @@ let test_simulate_needs_only_dims () =
   check_bool "positive" true (t_small > 0.0);
   check_bool "monotone" true (t_big > t_small)
 
+(* The cost-only path charges exactly what the data plane charges. On
+   every suite model at test scale, [simulate] at the inputs' binding
+   agrees with [run] on device time, traffic, peak memory ([run] sizes
+   live buffers from the real tensors) and launches; and each fused
+   kernel's resolved written bytes equal its real outputs' sizes. *)
 let test_latency_agrees_with_simulate () =
   let g, b = mlp_graph () in
   let c = Compiler.compile g in
   let t_run = Compiler.latency_us c (inputs 6) in
   let t_sim = Compiler.simulated_latency_us c [ (b, 6) ] in
-  Alcotest.(check (float 1e-6)) "same" t_run t_sim
+  Alcotest.(check (float 1e-6)) "same" t_run t_sim;
+  List.iter
+    (fun (entry : Models.Suite.entry) ->
+      let name = entry.Models.Suite.name in
+      let built = entry.Models.Suite.build_tiny () in
+      let c = Compiler.compile built.Models.Common.graph in
+      let inputs = Models.Common.test_inputs built entry.Models.Suite.tiny_dims in
+      let exe = c.Compiler.exe in
+      let g = exe.Executable.g in
+      let bnd = Ir.Interp.bind_inputs g inputs in
+      let sim = Executable.simulate exe bnd in
+      let _, ran = Executable.run exe inputs in
+      Alcotest.(check (float 0.0)) (name ^ " device_us") ran.Profile.device_us sim.Profile.device_us;
+      check_int (name ^ " bytes_moved") ran.Profile.bytes_moved sim.Profile.bytes_moved;
+      check_int (name ^ " peak_bytes") ran.Profile.peak_bytes sim.Profile.peak_bytes;
+      check_int (name ^ " launches") ran.Profile.launches sim.Profile.launches;
+      let values = Hashtbl.create 64 in
+      List.iter2 (fun (pid, _) nd -> Hashtbl.replace values pid nd) (Graph.parameters g) inputs;
+      Graph.iter g (fun i ->
+          match i.Graph.op with Ir.Op.Constant nd -> Hashtbl.replace values i.Graph.id nd | _ -> ());
+      let value_of = Hashtbl.find values in
+      List.iter
+        (function
+          | Executable.Fused k ->
+              let outs = Kernel.eval g bnd k value_of in
+              List.iter (fun (id, nd) -> Hashtbl.replace values id nd) outs;
+              check_int
+                (name ^ " " ^ k.Kernel.name ^ " bytes_written")
+                (List.fold_left (fun acc (_, nd) -> acc + Nd.byte_size nd) 0 outs)
+                (Kernel.sizes_of ~numel_of:(Executable.numel_memo g bnd) g bnd k)
+                  .Kernel.bytes_written
+          | Executable.Lib cl ->
+              List.iter
+                (fun m ->
+                  Hashtbl.replace values m (Ir.Interp.eval_inst g bnd value_of (Graph.inst g m)))
+                cl.Fusion.Cluster.members)
+        exe.Executable.items)
+    Models.Suite.all
 
 let test_stats_coverage () =
   let entry = Models.Suite.find "bert" in

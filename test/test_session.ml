@@ -112,6 +112,21 @@ let test_all_requests_fall_back () =
   check_bool "fallback latencies recorded" true
     (Float.is_finite s.Session.p99_us && s.Session.p99_us > 0.0)
 
+let test_hints_keep_profile_memo () =
+  (* no profile reads likely values, so ingesting hints must not force
+     the next request at a served env to re-walk the executable *)
+  let entry = Suite.find "dien" in
+  let session = Session.create (entry.Suite.build ()) in
+  let env = [ ("batch", 16); ("hist", 5) ] in
+  let first = Session.serve session env in
+  Session.ingest_hints session [ ("batch", [ 8; 16 ]); ("hist", [ 5 ]) ];
+  check_int "hints ingested" 3 (Session.shape_hints session);
+  check_bool "memoized profile survives hint ingestion" true
+    (Session.serve session env == first);
+  (* adopting a tuned plan does change profiles: the memo goes *)
+  ignore (Session.tune session ~envs:[ env ]);
+  check_bool "plan adoption drops the memo" false (Session.serve session env == first)
+
 let prop_stats_match_recorded_latencies =
   QCheck.Test.make ~name:"session max equals slowest request" ~count:20
     QCheck.(list_of_size (QCheck.Gen.int_range 1 10) (pair (int_range 1 64) (int_range 1 100)))
@@ -140,6 +155,7 @@ let () =
           Alcotest.test_case "empty stats" `Quick test_empty_stats;
           Alcotest.test_case "window of one" `Quick test_window_one;
           Alcotest.test_case "all requests fall back" `Quick test_all_requests_fall_back;
+          Alcotest.test_case "hints keep the profile memo" `Quick test_hints_keep_profile_memo;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_stats_match_recorded_latencies ]);
     ]

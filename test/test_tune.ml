@@ -130,9 +130,9 @@ let prop_deterministic =
 (* -- property 3: tuned cost <= default cost at every rung ------------------- *)
 
 let served_us g device bnd (k : Kernel.t) versions =
-  let k' = { k with Kernel.versions } in
+  let s = Kernel.sizes_of ~numel_of:(Executable.numel_memo g bnd) g bnd k in
   Gpusim.Cost.kernel_time_us device
-    (Kernel.work_of g bnd k' (Kernel.launch_for g device bnd k'))
+    (Kernel.work_at k s (Kernel.launch_at k s (Kernel.select_at device s versions)))
 
 let prop_never_worse =
   QCheck.Test.make ~name:"tuned serve cost <= default speculative set at every rung"
