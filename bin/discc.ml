@@ -444,8 +444,8 @@ let serve_cmd =
   let adaptive_arg =
     let doc =
       "Adaptive serving: observe the live shape distribution, re-derive bucket \
-       boundaries at traffic quantiles, feed likely-value hints back into the \
-       sessions, and autoscale replicas against SLO attainment."
+       boundaries at traffic quantiles, pre-warm the hottest signatures across \
+       replicas, and autoscale replicas against SLO attainment."
     in
     Arg.(value & flag & info [ "adaptive" ] ~doc)
   in

@@ -216,7 +216,6 @@ let warm_keys t = Hashtbl.length t.warm
 
 let store_reduction t ~key ~rung d = Hashtbl.replace t.reductions (key, rung) d
 let find_reduction t ~key ~rung = Hashtbl.find_opt t.reductions (key, rung)
-let reductions_cached t = Hashtbl.length t.reductions
 
 let drop_reductions t key =
   let stale =

@@ -112,9 +112,6 @@ val store_reduction : t -> key:string -> rung:string -> Mem.Reduce.decision -> u
 
 val find_reduction : t -> key:string -> rung:string -> Mem.Reduce.decision option
 
-val reductions_cached : t -> int
-(** Number of reduction decisions currently attached. *)
-
 val store_schedule : t -> key:string -> bucket:string -> Tune.Plan.t -> unit
 (** Attach a tuned schedule plan ({!Tune.Search.plan}) to a compiled
     artifact, keyed by (cache key, ["<device>|<rung sigs>"] bucket

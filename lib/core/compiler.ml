@@ -79,12 +79,6 @@ let simulated_phase_times_ms ~num_insts ~num_kernels =
     ("executable_build", (insts *. 0.4) +. 400.0);
   ]
 
-let simulated_compile_time_ms ~num_insts ~num_kernels =
-  List.fold_left
-    (fun acc (_, ms) -> acc +. ms)
-    0.0
-    (simulated_phase_times_ms ~num_insts ~num_kernels)
-
 let compile ?(options = default_options) (g : Graph.t) : compiled =
   let pass_stats =
     if options.run_graph_passes then Ir.Passes.run_all g else Ir.Passes.empty_stats ()

@@ -39,12 +39,10 @@ type compiled = {
 val simulated_phase_times_ms :
   num_insts:int -> num_kernels:int -> (string * float) list
 (** The compilation-latency model decomposed per phase (per-instruction
-    pass/planning time, per-kernel codegen, constant build floor). *)
-
-val simulated_compile_time_ms : num_insts:int -> num_kernels:int -> float
-(** Sum of {!simulated_phase_times_ms}; paid once per model, never per
+    pass/planning time, per-kernel codegen, constant build floor). The
+    phases sum to the compile cost, paid once per model, never per
     shape. When observability is enabled ({!Obs.Scope}), {!compile}
-    records one nested trace span per phase whose durations sum to this. *)
+    records one nested trace span per phase. *)
 
 val compile : ?options:options -> Graph.t -> compiled
 (** Runs cleanup passes (mutating the graph), verifies, plans fusion and

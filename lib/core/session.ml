@@ -86,7 +86,6 @@ type t = {
   retries_c : Obs.Metrics.counter;
   faults_c : Obs.Metrics.counter; (* kernel faults + OOMs observed *)
   warmup_c : Obs.Metrics.counter; (* served during the async-compile window *)
-  hints_c : Obs.Metrics.counter; (* likely-value hints ingested from feedback *)
   latency_h : Obs.Metrics.histogram; (* all recorded request latencies, µs *)
   mutable mem_est : Mem.Estimate.t option;
       (* symbolic peak-memory estimate, built lazily from the compiled
@@ -125,18 +124,14 @@ type stats = {
 
 let default_window = 1024
 
-let create ?(options = Compiler.default_options) ?(device = Gpusim.Device.a10)
-    ?(policy = default_policy) ?fault_config ?(window = default_window) ?metrics ?cache
-    ?(async_compile = false) (built : Common.built) : t =
+let create ?(device = Gpusim.Device.a10) ?(policy = default_policy) ?fault_config
+    ?(window = default_window) ?cache ?(async_compile = false) (built : Common.built) : t =
   let compiled, serve_dims, cache_hit, cache_ref =
     match cache with
-    | None ->
-        let c = Compiler.compile ~options built.Common.graph in
-        (c, built.Common.dims, false, None)
+    | None -> (Compiler.compile built.Common.graph, built.Common.dims, false, None)
     | Some cache ->
         let compiled, dims, outcome, key =
-          Compile_cache.find_or_compile cache ~options ~dims:built.Common.dims
-            built.Common.graph
+          Compile_cache.find_or_compile cache ~dims:built.Common.dims built.Common.graph
         in
         (compiled, dims, outcome <> Compile_cache.Miss, Some (cache, key))
   in
@@ -144,7 +139,7 @@ let create ?(options = Compiler.default_options) ?(device = Gpusim.Device.a10)
      in-memory hit keeps the original cost in the shared record, but this
      session paid nothing *)
   let compile_ms = if cache_hit then 0.0 else compiled.Compiler.compile_time_ms in
-  let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+  let m = Obs.Metrics.create () in
   {
     built;
     compiled;
@@ -169,7 +164,6 @@ let create ?(options = Compiler.default_options) ?(device = Gpusim.Device.a10)
     retries_c = Obs.Metrics.counter m "session.retries";
     faults_c = Obs.Metrics.counter m "session.faults";
     warmup_c = Obs.Metrics.counter m "session.warmup_served";
-    hints_c = Obs.Metrics.counter m "session.shape_hints";
     latency_h = Obs.Metrics.histogram m "session.latency_us";
     mem_est = None;
     mem_peak_memo = Hashtbl.create 64;
@@ -179,7 +173,6 @@ let create ?(options = Compiler.default_options) ?(device = Gpusim.Device.a10)
 let metrics t = t.metrics
 let cache_hit (t : t) = t.cache_hit
 let device (t : t) = t.device
-let model_name (t : t) = t.built.Common.name
 let in_warmup t = t.warmup_remaining_us > 0.0
 let warmup_remaining_us t = t.warmup_remaining_us
 
@@ -205,27 +198,6 @@ let set_fault_rates (t : t) ?(seed = 0) ~kernel_fault_rate ~oom_rate () =
 
 let fault_rates (t : t) =
   match t.faults with Some f -> Gpusim.Fault.rates f | None -> (0.0, 0.0)
-
-(* Online distribution feedback: replace the likely-value hints on the
-   compiled graph's dynamic dims. The hints land in the symbol table the
-   executable (and anything minted from it — [Specialize.default_hot_envs],
-   a recompile through the cache surface) actually reads; on a cache hit
-   [serve_dims] points into the original session's graph, so hints reach
-   every session sharing the artifact. Advisory only: serving behavior
-   at any shape is unchanged, bounds are never tightened. No profile
-   reads likely values, so the profile memo stays valid. *)
-let ingest_hints t (hints : (string * int list) list) =
-  let tab = Graph.symtab t.compiled.Compiler.exe.Runtime.Executable.g in
-  List.iter
-    (fun (name, vs) ->
-      match List.assoc_opt name t.serve_dims with
-      | None -> ()
-      | Some d ->
-          Table.set_likely tab d vs;
-          Obs.Metrics.inc ~by:(List.length vs) t.hints_c)
-    hints
-
-let shape_hints t = Obs.Metrics.counter_value t.hints_c
 
 let record t lat =
   ring_push t.latencies lat;

@@ -49,21 +49,20 @@ val default_window : int
 (** Capacity of the latency ring buffer (1024). *)
 
 val create :
-  ?options:Compiler.options ->
   ?device:Gpusim.Device.t ->
   ?policy:policy ->
   ?fault_config:Gpusim.Fault.config ->
   ?window:int ->
-  ?metrics:Obs.Metrics.t ->
   ?cache:Compile_cache.t ->
   ?async_compile:bool ->
   Models.Common.built ->
   t
-(** Compiles immediately; every later request reuses the artifact.
-    [fault_config] arms deterministic fault injection for this session.
-    [metrics] is the registry the session's outcome counters and latency
-    histogram live in (default: a fresh private registry). The registry
-    is the single source of truth: {!stats} is a view over it.
+(** Compiles immediately with {!Compiler.default_options}; every later
+    request reuses the artifact. [fault_config] arms deterministic fault
+    injection for this session. The session's
+    outcome counters and latency histogram live in a private
+    {!metrics} registry, the single source of truth: {!stats} is a view
+    over it.
 
     [cache] consults/populates a shared {!Compile_cache}: on a hit the
     session reuses the cached executable, reports [compile_ms = 0.] and
@@ -86,9 +85,6 @@ val cache_hit : t -> bool
 
 val device : t -> Gpusim.Device.t
 (** The simulated device this session serves on. *)
-
-val model_name : t -> string
-(** Name of the built model this session was created from. *)
 
 val in_warmup : t -> bool
 (** Still inside the async-compile window (next request falls back). *)
@@ -207,21 +203,6 @@ val despeculated_kernels : t -> string list
 val despeculated_count : t -> int
 (** [List.length (despeculated_kernels t)] without building the list —
     the router scores replicas with this on every dispatch. *)
-
-val ingest_hints : t -> (string * int list) list -> unit
-(** Online distribution feedback: replace the likely-value hints on the
-    named dynamic dims of the compiled graph's symbol table (via
-    {!Symshape.Table.set_likely} — replace semantics, so stale hints
-    age out). Advisory only: no bound is tightened and serving at any
-    shape is unchanged; the hints steer what {!Specialize} mints and
-    what a recompile would speculate on. No served profile depends on
-    likely values, so the warm-path profile memo of {!serve_result}
-    survives ingestion (only adopting a tuned plan drops it). Unknown
-    dim names are ignored. Counted in the registry as
-    [session.shape_hints]. *)
-
-val shape_hints : t -> int
-(** Total likely values ingested through {!ingest_hints}. *)
 
 val stats : t -> stats
 val stats_to_string : stats -> string

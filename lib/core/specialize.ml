@@ -68,10 +68,9 @@ let default_hot_envs (built : Common.built) : (string * int) list list =
   in
   List.filteri (fun i _ -> i < 16) (List.map List.rev product)
 
-let create ?(options = Compiler.default_options) ?hot_envs ?fault_config
-    ?(breaker_threshold = 3) ?metrics (built : Common.built) : t =
+let create ?hot_envs ?fault_config ?(breaker_threshold = 3) (built : Common.built) : t =
   let envs = Option.value hot_envs ~default:(default_hot_envs built) in
-  let generic = Compiler.compile ~options built.Common.graph in
+  let generic = Compiler.compile built.Common.graph in
   let hot =
     List.map
       (fun env ->
@@ -79,10 +78,10 @@ let create ?(options = Compiler.default_options) ?hot_envs ?fault_config
           List.map (fun (name, v) -> (Common.dim_exn built name, v)) env
         in
         let static_g = Ir.Clone.clone ~bind built.Common.graph in
-        (norm env, Compiler.compile ~options static_g))
+        (norm env, Compiler.compile static_g))
       envs
   in
-  let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+  let m = Obs.Metrics.create () in
   {
     built;
     generic;
@@ -116,42 +115,6 @@ let stats (t : t) : stats =
 
 let despecialized_envs (t : t) = t.despecialized
 
-let max_hot = 16
-
-(* Mint one hot variant at runtime — the online analogue of the hot set
-   chosen at [create] time. Refuses signatures that are already hot,
-   were de-specialized by the breaker (the evidence against them stands),
-   or would push past the hot-variant cap. *)
-let add_hot_env ?(options = Compiler.default_options) (t : t) (env : (string * int) list) :
-    bool =
-  let key = norm env in
-  if List.mem_assoc key t.hot || List.mem key t.despecialized || List.length t.hot >= max_hot
-  then false
-  else begin
-    let bind = List.map (fun (name, v) -> (Common.dim_exn t.built name, v)) env in
-    let static_g = Ir.Clone.clone ~bind t.built.Common.graph in
-    t.hot <- t.hot @ [ (key, Compiler.compile ~options static_g) ];
-    Obs.Metrics.inc (Obs.Metrics.counter t.metrics "specialize.minted");
-    true
-  end
-
-(* Distribution-constraint ingestion: write the likely-value hints into
-   the model's symbol table (replace semantics), then mint whatever the
-   refreshed default hot set now contains. A hint arriving through this
-   path mints exactly the specializations an explicit likely-value
-   constraint at build time would have. *)
-let ingest_hints ?options (t : t) (hints : (string * int list) list) : int =
-  let tab = Graph.symtab t.built.Common.graph in
-  List.iter
-    (fun (name, vs) ->
-      match Common.dim_opt t.built name with
-      | Some d -> Table.set_likely tab d vs
-      | None -> ())
-    hints;
-  List.fold_left
-    (fun minted env -> if add_hot_env ?options t env then minted + 1 else minted)
-    0 (default_hot_envs t.built)
-
 let observe_latency (t : t) env (p : Runtime.Profile.t) =
   Obs.Metrics.observe
     (Obs.Metrics.histogram t.metrics
@@ -171,9 +134,12 @@ let note_hot_fault (t : t) key =
   Hashtbl.replace t.breakers key n;
   if n >= t.breaker_threshold then trip t key
 
+(* Every variant is served on the A10 profile. *)
+let device = Gpusim.Device.a10
+
 (* Cost-only request: exact signature match uses the static variant;
    a hot-variant fault falls back to the generic artifact in-request. *)
-let serve_result ?(device = Gpusim.Device.a10) (t : t) (env : (string * int) list) :
+let serve_result (t : t) (env : (string * int) list) :
     (Runtime.Profile.t * [ `Hot | `Generic ], Error.t) result =
   let generic_dims () =
     match
@@ -218,9 +184,8 @@ let serve_result ?(device = Gpusim.Device.a10) (t : t) (env : (string * int) lis
       Obs.Metrics.inc t.misses_c;
       serve_generic ()
 
-let serve ?(device = Gpusim.Device.a10) (t : t) (env : (string * int) list) :
-    Runtime.Profile.t * [ `Hot | `Generic ] =
-  match serve_result ~device t env with
+let serve (t : t) (env : (string * int) list) : Runtime.Profile.t * [ `Hot | `Generic ] =
+  match serve_result t env with
   | Ok v -> v
   | Error (Error.Invalid_request m) -> invalid_arg m
   | Error e -> Error.fail e

@@ -34,17 +34,17 @@ val default_hot_envs : Models.Common.built -> (string * int) list list
 (** Cartesian product of the dims' likely values (capped at 16). *)
 
 val create :
-  ?options:Compiler.options ->
   ?hot_envs:(string * int) list list ->
   ?fault_config:Gpusim.Fault.config ->
   ?breaker_threshold:int ->
-  ?metrics:Obs.Metrics.t ->
   Models.Common.built ->
   t
-(** [metrics] is the registry holding [specialize.hits/misses/
+(** Compiles the generic artifact and one static variant per hot env
+    (default {!default_hot_envs}) with {!Compiler.default_options}. The
+    private {!metrics} registry holds [specialize.hits/misses/
     despecialized] and the lazily-created per-signature latency
-    histograms [specialize.latency_us{sig}] (default: fresh private
-    registry). It is the single source of truth behind {!stats}. *)
+    histograms [specialize.latency_us{sig}]; it is the single source of
+    truth behind {!stats}. *)
 
 val metrics : t -> Obs.Metrics.t
 val hits : t -> int
@@ -57,34 +57,14 @@ val total_compile_ms : t -> float
 val despecialized_envs : t -> (string * int) list list
 (** Hot signatures evicted by the circuit breaker (normalized order). *)
 
-val add_hot_env :
-  ?options:Compiler.options -> t -> (string * int) list -> bool
-(** Mint one hot variant at runtime (online speculative specialization).
-    [false] — and no compile — if the signature is already hot, was
-    de-specialized by the breaker, or the live hot set is at its cap
-    (16). Counted in the registry as [specialize.minted].
-    @raise Invalid_argument on an unknown dim name. *)
-
-val ingest_hints :
-  ?options:Compiler.options -> t -> (string * int list) list -> int
-(** Distribution-constraint ingestion, the online feedback path: write
-    likely-value hints into the model's symbol table
-    ({!Symshape.Table.set_likely}, replace semantics; unknown dims
-    ignored), then mint the refreshed {!default_hot_envs} via
-    {!add_hot_env}. Returns how many variants were newly minted — a
-    hint ingested here yields exactly the specializations an explicit
-    likely-value constraint at build time would have. *)
-
 val serve_result :
-  ?device:Gpusim.Device.t ->
   t ->
   (string * int) list ->
   (Runtime.Profile.t * [ `Hot | `Generic ], Runtime.Error.t) result
-(** Structured-error serve: a faulting hot variant falls back to the
-    generic artifact within the request. *)
+(** Structured-error serve on the A10 profile: a faulting hot variant
+    falls back to the generic artifact within the request. *)
 
 val serve :
-  ?device:Gpusim.Device.t ->
   t ->
   (string * int) list ->
   Runtime.Profile.t * [ `Hot | `Generic ]

@@ -19,10 +19,7 @@
    Shape discipline is the paper's: both graphs compile once over
    symbolic dims and are served at every shape. The decode graph's
    cache dim grows by one per step; [Bucket] rounding keeps the
-   signature alphabet finite, and when the dim carries the
-   monotone-growth fact ([Symshape.Table.growing]) the sessions
-   pre-ingest the bucket ladder as likely values, so every rung the
-   cache will climb is a known hint before the first request. *)
+   signature alphabet finite ([Bucket.ladder] lists every rung). *)
 
 module Session = Disc.Session
 module Compile_cache = Disc.Compile_cache
@@ -159,13 +156,11 @@ let report_to_string r =
 
 (* ---------------------------------------------------------------- *)
 
-let dim_ub built name =
+let dim_bound built name =
   let tab = Ir.Graph.symtab built.Models.Common.graph in
   match Table.upper_bound tab (Models.Common.dim_exn built name) with
   | Some ub -> ub
   | None -> max_int
-
-let dim_bound = dim_ub
 
 (* Adapt a Pool/Trace_gen request stream to decode requests: the pool's
    named dims become prompt ("prompt") and generation length ("new"),
@@ -199,24 +194,15 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
   | Static -> ());
   let cache = match cache with Some c -> c | None -> Compile_cache.create () in
   (* Probe builds: dim bounds for env clamping and request validation.
-     Each session gets its own build (sessions mutate their symbol
-     table via hint ingestion); the shared cache makes every build
-     after the first a compile hit. *)
+     Each session gets its own build, because a compile-cache miss
+     rewrites the graph it compiles in place
+     ([Compile_cache.find_or_compile]); the shared cache makes every
+     build after the first a compile hit. *)
   let probe_decode = decode_built () in
   let probe_prefill = prefill_built () in
-  let cache_ub = dim_ub probe_decode "cache" in
-  let batch_ub = dim_ub probe_decode "batch" in
-  let seq_ub = dim_ub probe_prefill "seq" in
-  let cache_lb =
-    Table.lower_bound
-      (Ir.Graph.symtab probe_decode.Models.Common.graph)
-      (Models.Common.dim_exn probe_decode "cache")
-  in
-  let growing =
-    Table.growing
-      (Ir.Graph.symtab probe_decode.Models.Common.graph)
-      (Models.Common.dim_exn probe_decode "cache")
-  in
+  let cache_ub = dim_bound probe_decode "cache" in
+  let batch_ub = dim_bound probe_decode "batch" in
+  let seq_ub = dim_bound probe_prefill "seq" in
   List.iteri
     (fun i r ->
       if r.prompt < 1 || r.max_new < 1 then
@@ -230,14 +216,6 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
     reqs;
   let mk_session ?device built_fn =
     Session.create ?device ~cache (built_fn ())
-  in
-  (* Pre-declare the cache-length bucket ladder on decode sessions when
-     the dim carries the monotone-growth fact: every signature rung the
-     cache will climb becomes a likely-value hint before any request. *)
-  let ladder_hints session =
-    if growing then
-      Session.ingest_hints session
-        [ ("cache", Bucket.ladder cfg.cache_scheme ~lb:cache_lb ~ub:cache_ub) ]
   in
   let workers =
     List.mapi
@@ -254,24 +232,20 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
               inflight = None;
             }
         | Continuous ->
-            let s = mk_session ~device decode_built in
-            ladder_hints s;
             {
               wid;
               role = Decode_only;
-              rep = Replica.create ~id:wid s;
+              rep = Replica.create ~id:wid (mk_session ~device decode_built);
               prefill_session = None;
               residents = [];
               static_members = [];
               inflight = None;
             }
         | Static ->
-            let s = mk_session ~device decode_built in
-            ladder_hints s;
             {
               wid;
               role = Both;
-              rep = Replica.create ~id:wid s;
+              rep = Replica.create ~id:wid (mk_session ~device decode_built);
               prefill_session = Some (mk_session ~device prefill_built);
               residents = [];
               static_members = [];

@@ -122,8 +122,6 @@ val run :
     are builders (e.g. [Models.Gpt2.build] / [Models.Gpt2.build_decode])
     called once per session; the shared compile cache (a fresh one when
     [?cache] is omitted) makes every build after the first a compile
-    hit. When the decode cache dim carries the monotone-growth fact
-    ({!Symshape.Table.set_growing}), decode sessions pre-ingest the
-    {!Serving.Bucket.ladder} as likely-value hints.
+    hit.
     @raise Invalid_argument on a malformed config or a request whose
     [prompt + max_new] exceeds the cache bound. *)

@@ -11,8 +11,6 @@ let const g nd = Graph.add g (Op.Constant nd) []
 
 let constf g x = const g (Tensor.Nd.scalar x)
 
-let consti g x = const g (Tensor.Nd.scalar ~dtype:Dtype.I32 (float_of_int x))
-
 let unary g u a = Graph.add g (Op.Unary u) [ a ]
 let neg g a = unary g Op.Neg a
 let abs g a = unary g Op.Abs a
@@ -53,7 +51,6 @@ let slice g a ~starts ~limits ~strides = Graph.add g (Op.Slice { starts; limits;
 let pad g a ~low ~high ~value = Graph.add g (Op.Pad { low; high; value }) [ a ]
 let reduce g kind a ~dims = Graph.add g (Op.Reduce { kind; dims }) [ a ]
 let reduce_sum g a ~dims = reduce g Op.R_sum a ~dims
-let reduce_max g a ~dims = reduce g Op.R_max a ~dims
 let dot g x y = Graph.add g Op.Dot [ x; y ]
 let conv2d g x w ~strides ~padding = Graph.add g (Op.Conv2d { strides; padding }) [ x; w ]
 let gather g operand indices = Graph.add g Op.Gather [ operand; indices ]

@@ -14,9 +14,6 @@ val const : Graph.t -> Tensor.Nd.t -> v
 val constf : Graph.t -> float -> v
 (** Scalar f32 constant. *)
 
-val consti : Graph.t -> int -> v
-(** Scalar i32 constant. *)
-
 (** {1 Elementwise} *)
 
 val unary : Graph.t -> Op.unary -> v -> v
@@ -68,7 +65,6 @@ val slice : Graph.t -> v -> starts:int array -> limits:int array -> strides:int 
 val pad : Graph.t -> v -> low:int array -> high:int array -> value:float -> v
 val reduce : Graph.t -> Op.reduce_kind -> v -> dims:int list -> v
 val reduce_sum : Graph.t -> v -> dims:int list -> v
-val reduce_max : Graph.t -> v -> dims:int list -> v
 val dot : Graph.t -> v -> v -> v
 val conv2d : Graph.t -> v -> v -> strides:int * int -> padding:int * int -> v
 val gather : Graph.t -> v -> v -> v

@@ -33,8 +33,6 @@ let inst g id =
   | Some i -> i
   | None -> type_error "value %%%d was removed" id
 
-let inst_opt g id = if id < 0 || id >= g.next_id then None else g.insts.(id)
-
 let iter g f =
   for id = 0 to g.next_id - 1 do
     match g.insts.(id) with Some i -> f i | None -> ()
@@ -346,12 +344,6 @@ let users g id =
     (fun acc i -> if Array.exists (fun a -> a = id) i.args then i.id :: acc else acc)
     []
   |> List.rev
-
-let use_counts g =
-  let counts = Array.make g.next_id 0 in
-  iter g (fun i -> Array.iter (fun a -> counts.(a) <- counts.(a) + 1) i.args);
-  List.iter (fun o -> counts.(o) <- counts.(o) + 1) g.outputs;
-  counts
 
 let replace_uses g ~old_id ~new_id =
   if old_id <> new_id then begin

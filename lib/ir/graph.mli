@@ -34,8 +34,6 @@ val symtab : t -> Table.t
 val inst : t -> int -> inst
 (** @raise Type_error for unknown or removed ids. *)
 
-val inst_opt : t -> int -> inst option
-
 val iter : t -> (inst -> unit) -> unit
 (** Visit live instructions in topological (id) order. *)
 
@@ -62,9 +60,6 @@ val infer : t -> Op.t -> inst list -> Sym.shape * Dtype.t
 (** The inference relation itself (exposed for the verifier and tests). *)
 
 val users : t -> int -> int list
-
-val use_counts : t -> int array
-(** Per-id use count; graph outputs count as one use. *)
 
 val replace_uses : t -> old_id:int -> new_id:int -> unit
 (** Redirect all uses (including outputs) of [old_id] to [new_id]. *)

@@ -26,7 +26,6 @@ let rec compare_vars a b =
 
 let zero = []
 let const c = if c = 0 then [] else [ { coeff = c; vars = [] } ]
-let is_zero p = p = []
 let var id = [ { coeff = 1; vars = [ (id, 1) ] } ]
 
 let rec add (a : t) (b : t) : t =
@@ -106,7 +105,6 @@ let compare (a : t) (b : t) =
     a b
 
 let mono_degree m = List.fold_left (fun acc (_, p) -> acc + p) 0 m.vars
-let degree p = List.fold_left (fun acc m -> max acc (mono_degree m)) 0 p
 
 let to_string ?(namer = Printf.sprintf "s%d") (p : t) =
   if p = [] then "0"

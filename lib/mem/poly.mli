@@ -14,7 +14,6 @@ type t
 
 val zero : t
 val const : int -> t
-val is_zero : t -> bool
 
 val var : int -> t
 (** The monomial [1·s_id]. *)
@@ -42,8 +41,6 @@ val dominates : t -> t -> bool
 
 val compare : t -> t -> int
 (** Total structural order (for use as a map key / dedup). *)
-
-val degree : t -> int
 
 val to_string : ?namer:(int -> string) -> t -> string
 (** ["4·b·h + 1024·b + 512"]; [namer] maps variable ids to display names

@@ -48,9 +48,9 @@ let build ?(config = small) () : C.built =
 
 (* One autoregressive decode step. The query is the single newest token
    ([batch, 1]); the KV-cache is a symbolic-shape tensor
-   [batch, cache, hidden] whose length dim carries the monotone-growth
-   fact ([Table.set_growing]) — it climbs by one every step, so serving
-   layers bucket it ([Serving.Bucket]) to keep the signature set finite.
+   [batch, cache, hidden] whose length dim climbs by one every step, so
+   serving layers bucket it ([Serving.Bucket]) to keep the signature set
+   finite.
    The cache holds layer-shared hidden states including the current
    token's slot; each layer recomputes its own K/V projections from it
    (cost-faithful to cache-length scaling, simpler than per-layer KV
@@ -63,7 +63,6 @@ let build_decode ?(config = small) () : C.built =
   let cache =
     C.fresh_dim ~name:"cache" ~lb:1 ~ub:config.max_pos ~likely:[ 64; 128; 256 ] ctx
   in
-  Symshape.Table.set_growing (C.symtab ctx) cache;
   let one = Sym.Static 1 in
   let ids = C.param ctx ~name:"input_ids" [| batch; one |] Dtype.I32 (C.Ids config.vocab) in
   let pos_ids =

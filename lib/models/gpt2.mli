@@ -14,6 +14,5 @@ val build : ?config:config -> unit -> Common.built
 val build_decode : ?config:config -> unit -> Common.built
 (** One autoregressive decode step: query = the newest token
     ([batch, 1]), KV-cache = a symbolic-shape tensor
-    [[batch, cache, hidden]] whose [cache] dim carries the
-    monotone-growth fact ({!Symshape.Table.set_growing}) — it grows by
-    one per generated token. Dynamic dims: [batch], [cache]. *)
+    [[batch, cache, hidden]] whose [cache] dim grows by one per
+    generated token. Dynamic dims: [batch], [cache]. *)

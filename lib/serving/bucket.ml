@@ -51,10 +51,8 @@ let scheme_of spec name =
 (* The finite signature alphabet [round_up] can mint on [lb, ub]: every
    bucket ceiling some value in the range rounds to, ascending. For a
    monotonically growing dim (KV-cache length) this is exactly the
-   ladder of shape signatures a sequence climbs while decoding, which is
-   what the decode sessions pre-declare as likely values. Exact degrades
-   to one rung per value, so callers should cap consumption (e.g. the
-   [Table.set_likely] cap of 16). *)
+   ladder of shape signatures a sequence climbs while decoding. Exact
+   degrades to one rung per value. *)
 let ladder scheme ~lb ~ub =
   if lb < 1 || ub < lb then invalid_arg "Bucket.ladder: need 1 <= lb <= ub";
   let rec go v acc =

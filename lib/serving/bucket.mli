@@ -40,11 +40,9 @@ val ladder : scheme -> lb:int -> ub:int -> int list
 (** The finite, ascending set of bucket ceilings {!round_up} can
     produce for values in [[lb, ub]] — the signature alphabet of a dim
     bounded to that range. For a monotonically growing dim (KV-cache
-    length, {!Symshape.Table.set_growing}) this is the ladder of
-    signatures a sequence climbs while decoding; decode sessions
-    pre-declare it as likely values so every rung compiles against
-    known hints. [Exact] yields one rung per value — callers cap
-    consumption. @raise Invalid_argument unless [1 <= lb <= ub]. *)
+    length) this is the ladder of signatures a sequence climbs while
+    decoding. [Exact] yields one rung per value.
+    @raise Invalid_argument unless [1 <= lb <= ub]. *)
 
 val widen_scheme : scheme -> scheme
 (** One step coarser: [Exact] -> [Pow2], [Linear s] -> [Linear 2s],

@@ -72,13 +72,13 @@ let max_wait_us = 2_000.0
 
 (* Adaptive control (every tick rebuckets): [max_edges] quantile-placed
    boundaries per dim, snapped up to multiples of [edge_snap];
-   [stats_decay] per-tick decay of the shape stats; [hint_k] likely
-   values per dim and hot signatures pre-warmed per tick; a scaled-up
-   replica spins up for [prewarm_us] before it takes traffic. *)
+   [stats_decay] per-tick decay of the shape stats; [hot_k] hot
+   signatures pre-warmed per tick; a scaled-up replica spins up for
+   [prewarm_us] before it takes traffic. *)
 let max_edges = 4
 let edge_snap = 4
 let stats_decay = 0.9
-let hint_k = 4
+let hot_k = 4
 let prewarm_us = 5_000.0
 
 (* Resilience: a request is re-queued off at most [redispatch_budget]
@@ -101,10 +101,9 @@ let brownout_down_hold_us = 20_000.0
 
 (* Adaptive control loop: every [control_interval_us] of virtual time
    the pool decays its shape statistics, re-derives the bucket policy
-   from observed mass, pushes likely-value hints into the replica
-   sessions, cross-pollinates hot-signature warmth (the artifacts are in
-   the shared cache — only the first replica paid the cold dispatch),
-   and lets the autoscaler add or drain replicas. *)
+   from observed mass, cross-pollinates hot-signature warmth (the
+   artifacts are in the shared cache — only the first replica paid the
+   cold dispatch), and lets the autoscaler add or drain replicas. *)
 type adaptive = { control_interval_us : float; autoscale : Autoscaler.config option }
 
 let default_adaptive = { control_interval_us = 20_000.0; autoscale = None }
@@ -156,28 +155,20 @@ type adaptive_report = {
   ar_ticks : int;
   ar_rebuckets : int;
   ar_minted : int; (* hot signatures pre-warmed across replicas *)
-  ar_hints : int; (* likely values ingested into replica sessions *)
+  ar_hints : int; (* always 0; perfbench still reads it as [serving.hints] *)
   ar_scale_ups : int;
   ar_scale_downs : int;
   ar_final_replicas : int; (* alive when the trace drained *)
   ar_final_spec : string; (* Bucket.spec_to_string of the final policy *)
-  ar_likely : (string * int list) list; (* last hint set pushed *)
 }
 
 let adaptive_summary_to_string (a : adaptive_report) =
   Printf.sprintf
-    "adaptive: ticks=%d rebuckets=%d minted=%d hints=%d scale_ups=%d scale_downs=%d \
-     alive=%d\nbucket: %s\nlikely: %s"
-    a.ar_ticks a.ar_rebuckets a.ar_minted a.ar_hints a.ar_scale_ups a.ar_scale_downs
+    "adaptive: ticks=%d rebuckets=%d minted=%d scale_ups=%d scale_downs=%d alive=%d\n\
+     bucket: %s"
+    a.ar_ticks a.ar_rebuckets a.ar_minted a.ar_scale_ups a.ar_scale_downs
     a.ar_final_replicas
     (if a.ar_final_spec = "" then "(none)" else a.ar_final_spec)
-    (if a.ar_likely = [] then "(none)"
-     else
-       String.concat " "
-         (List.map
-            (fun (n, vs) ->
-              Printf.sprintf "%s=%s" n (String.concat "," (List.map string_of_int vs)))
-            a.ar_likely))
 
 type resilience_report = {
   xr_crashes : int;
@@ -564,8 +555,7 @@ let run ?adaptive ?chaos ?(resilience = no_resilience) t (reqs : request list) :
   let next_tick =
     ref (match adaptive with Some a -> a.control_interval_us | None -> infinity)
   in
-  let ticks = ref 0 and rebuckets = ref 0 and minted = ref 0 and hints_total = ref 0 in
-  let last_hints = ref [] in
+  let ticks = ref 0 and rebuckets = ref 0 and minted = ref 0 in
   let win_total = ref 0 and win_met = ref 0 in
   let alive_count () =
     Array.fold_left (fun n r -> if Replica.alive r then n + 1 else n) 0 t.pool_replicas
@@ -1510,26 +1500,13 @@ let run ?adaptive ?chaos ?(resilience = no_resilience) t (reqs : request list) :
         if obs then Obs.Scope.count "pool.rebucket"
       end
     end;
-    (* 2. distribution-constraint ingestion: likely values -> sessions *)
-    let hs = Shape_stats.hints ~k:hint_k t.stats in
-    if hs <> [] then begin
-      last_hints := hs;
-      let nvals = List.fold_left (fun acc (_, vs) -> acc + List.length vs) 0 hs in
-      Array.iter
-        (fun r ->
-          if Replica.alive r then begin
-            Session.ingest_hints r.Replica.session hs;
-            hints_total := !hints_total + nvals
-          end)
-        t.pool_replicas
-    end;
-    (* 3. mint speculative warmth: every alive replica pre-warms on the
+    (* 2. mint speculative warmth: every alive replica pre-warms on the
        pool's hottest signatures (the artifacts are in the shared cache) *)
-    let hot_keys = pool_hot_keys hint_k in
+    let hot_keys = pool_hot_keys hot_k in
     Array.iter
       (fun r -> if Replica.alive r then minted := !minted + Replica.prewarm r hot_keys)
       t.pool_replicas;
-    (* 4. memory-pressure window: a majority of this tick's dispatches
+    (* 3. memory-pressure window: a majority of this tick's dispatches
        estimated near (>85% of) the budget, or any capped/forced-exact
        gate event, reads as sustained pressure — more replicas spread
        the same footprint, so it feeds the autoscaler as a scale-up
@@ -1540,7 +1517,7 @@ let run ?adaptive ?chaos ?(resilience = no_resilience) t (reqs : request list) :
     if mem_pressure then incr pressure_ticks;
     win_disp := 0;
     win_hi := 0;
-    (* 5. autoscale against windowed attainment + backlog + pressure *)
+    (* 4. autoscale against windowed attainment + backlog + pressure *)
     (match scaler with
     | None -> ()
     | Some asc ->
@@ -1804,12 +1781,11 @@ let run ?adaptive ?chaos ?(resilience = no_resilience) t (reqs : request list) :
             ar_ticks = !ticks;
             ar_rebuckets = !rebuckets;
             ar_minted = !minted;
-            ar_hints = !hints_total;
+            ar_hints = 0;
             ar_scale_ups = (match scaler with Some s -> Autoscaler.ups s | None -> 0);
             ar_scale_downs = (match scaler with Some s -> Autoscaler.downs s | None -> 0);
             ar_final_replicas = alive_count ();
             ar_final_spec = Bucket.spec_to_string t.cur_bucket;
-            ar_likely = !last_hints;
           })
         adaptive;
     replicas =

@@ -54,9 +54,9 @@ val default_config :
     at observed traffic quantiles ({!Shape_stats.spec}: 4 edges per dim,
     snapped up to multiples of 4 so quantile wobble does not mint cold
     signatures; queued work is re-keyed in arrival order), decays the
-    shape stats by 0.9, and pushes 4 likely values per dim into the
-    sessions and pre-warms the 4 hottest signatures across replicas. A
-    scaled-up replica spins up for 5 ms, pre-warming meanwhile. *)
+    shape stats by 0.9, and pre-warms the 4 hottest signatures across
+    replicas. A scaled-up replica spins up for 5 ms, pre-warming
+    meanwhile. *)
 type adaptive = {
   control_interval_us : float;  (** virtual time between control ticks *)
   autoscale : Autoscaler.config option;  (** [None]: fixed pool size *)
@@ -140,12 +140,13 @@ type adaptive_report = {
   ar_ticks : int;
   ar_rebuckets : int;  (** control ticks that changed the bucket policy *)
   ar_minted : int;  (** hot signatures pre-warmed across replicas *)
-  ar_hints : int;  (** likely values ingested into replica sessions *)
+  ar_hints : int;
+      (** always 0: the pool feeds no likely values to its sessions;
+          kept because perfbench reports it as [serving.hints] *)
   ar_scale_ups : int;
   ar_scale_downs : int;
   ar_final_replicas : int;  (** alive when the trace drained *)
   ar_final_spec : string;  (** {!Bucket.spec_to_string} of the final policy *)
-  ar_likely : (string * int list) list;  (** last hint set pushed *)
 }
 
 val adaptive_summary_to_string : adaptive_report -> string
@@ -285,10 +286,9 @@ val run :
     With [~adaptive], a control tick fires every [control_interval_us]
     of virtual time: shape stats decay; the bucket policy is re-derived
     from observed mass (queued work re-keyed, nothing dropped);
-    likely-value hints flow into every alive session
-    ({!Disc.Session.ingest_hints}); replicas pre-warm on the pool's
-    hottest signatures (their artifacts already live in the shared
-    cache); and, when [autoscale] is set, the {!Autoscaler} may mint a
-    pre-warmed replica or begin draining the youngest one. Scale events
-    never lose work: a draining replica finishes its in-flight batch
-    and queued traffic re-routes ([lost = 0] holds throughout). *)
+    replicas pre-warm on the pool's hottest signatures (their artifacts
+    already live in the shared cache); and, when [autoscale] is set,
+    the {!Autoscaler} may mint a pre-warmed replica or begin draining
+    the youngest one. Scale events never lose work: a draining replica
+    finishes its in-flight batch and queued traffic re-routes
+    ([lost = 0] holds throughout). *)

@@ -63,7 +63,7 @@ let mem_headroom t =
 
 (* Degraded replicas still take traffic (the router just deprioritizes
    them), so for every purpose except routing preference they are as
-   alive as Healthy ones: warmth upkeep, hint ingestion, prewarming. *)
+   alive as Healthy ones: warmth upkeep and prewarming. *)
 let alive t = match t.health with Healthy | Degraded -> true | _ -> false
 
 let dispatchable = alive
@@ -78,10 +78,6 @@ let counts_capacity t =
 
 let is_free t ~now = dispatchable t && t.free_at <= now
 let is_warm t key = Hashtbl.mem t.warmth key
-
-let estimate_us t ~elements =
-  if t.us_per_element <= 0.0 then None
-  else Some (t.us_per_element *. float_of_int elements)
 
 let ewma_alpha = 0.3
 

@@ -86,10 +86,6 @@ val is_free : t -> now:float -> bool
 val is_warm : t -> string -> bool
 (** Has this replica served the shape signature before? *)
 
-val estimate_us : t -> elements:int -> float option
-(** Predicted service time from the measured rate ([None] before the
-    first batch). *)
-
 val ewma_rate : float -> service_us:float -> elements:int -> float
 (** One step of the µs-per-element rate EWMA (alpha 0.3) shared by each
     replica and the pool's pad-vs-exact model: [ewma_rate prev

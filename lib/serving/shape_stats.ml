@@ -1,15 +1,13 @@
 (* Online per-dim shape-distribution statistics.
 
    The paper's symbol table carries distribution constraints — likely
-   values and ranges — as *static* compilation hints. This module closes
-   the loop at runtime: every admitted request's dims land in decayed
-   log-linear histograms (the same bucket geometry as [Obs.Metrics], so
-   quantile error is bounded by one bucket width, i.e. 1/sub_buckets
-   relative), and the accumulated mass is exported back as
-
-     - quantile-placed bucket boundaries ([edges] -> [Bucket.Edges]),
-     - top-k likely-value hints ([hints] -> [Symshape.Table.set_likely]
-       via [Disc.Session.ingest_hints] / [Disc.Specialize.ingest_hints]).
+   values and ranges — as *static* compilation hints. This module
+   measures the distribution at runtime instead: every admitted
+   request's dims land in decayed log-linear histograms (the same
+   bucket geometry as [Obs.Metrics], so quantile error is bounded by one
+   bucket width, i.e. 1/sub_buckets relative), and the accumulated mass
+   is exported as quantile-placed bucket boundaries
+   ([edges] -> [Bucket.Edges]).
 
    Counts decay multiplicatively between control ticks so the estimator
    tracks a drifting distribution; decay rescales every bucket by the
@@ -111,33 +109,6 @@ let quantile t name p =
            s.counts
        with Exit -> ());
       max s.vmin (min s.vmax !est)
-
-(* Top-k likely values: the k buckets holding the most mass, reported at
-   their covering integer edge, ascending. Ties break toward the lower
-   bucket so the result is deterministic. *)
-let likely ?(k = 4) t name =
-  match Hashtbl.find_opt t.dims name with
-  | None -> []
-  | Some s when s.total <= 0.0 -> []
-  | Some s ->
-      let weighted = ref [] in
-      Array.iteri (fun i c -> if c > 0.0 then weighted := (i, c) :: !weighted) s.counts;
-      let ranked =
-        List.sort
-          (fun (ia, ca) (ib, cb) ->
-            match compare cb ca with 0 -> compare ia ib | c -> c)
-          (List.rev !weighted)
-      in
-      let top = List.filteri (fun idx _ -> idx < max 1 k) ranked in
-      List.sort_uniq compare
-        (List.map
-           (fun (i, _) -> max s.vmin (min s.vmax (int_of_float (Float.ceil (M.bucket_hi i)) - 1)))
-           top)
-
-let hints ?k t =
-  List.filter_map
-    (fun name -> match likely ?k t name with [] -> None | vs -> Some (name, vs))
-    t.order
 
 (* Bucket boundaries at the mass quantiles 1/n, 2/n, .., 1: equal traffic
    per bucket instead of equal (or doubling) width. The last edge is the

@@ -5,15 +5,10 @@
     {e decayed log-linear histograms} (the {!Obs.Metrics} bucket
     geometry: [sub_buckets] linear slices per power of two, so quantile
     estimates carry at most one bucket of error — ≤ 6.25 % relative).
-    The accumulated mass is exported in two forms:
-
-    - {!edges}/{!spec}: bucket boundaries placed at traffic quantiles
-      (equal mass per bucket), feeding {!Bucket.Edges} so the batcher
-      pads to ceilings traffic actually clusters under;
-    - {!hints}/{!likely}: top-k likely values per dim, feeding
-      [Symshape.Table.set_likely] through the session/specialize
-      ingestion points so speculative specializations are minted for
-      the shapes traffic actually has.
+    The accumulated mass is exported as bucket boundaries placed at
+    traffic quantiles ({!edges}/{!spec}: equal mass per bucket), feeding
+    {!Bucket.Edges} so the batcher pads to ceilings traffic actually
+    clusters under.
 
     Counts decay multiplicatively between control ticks ({!decay}), so
     the estimator tracks drift. Decay rescales all buckets uniformly:
@@ -42,14 +37,6 @@ val quantile : t -> string -> float -> int
 (** Smallest integer bucket edge covering fraction [p] of the decayed
     mass, clamped to the exact observed [[min, max]]. Error is bounded
     by one bucket width. 0 for an unseen dim or fully-decayed mass. *)
-
-val likely : ?k:int -> t -> string -> int list
-(** Covering edges of the [k] (default 4) heaviest buckets, ascending
-    (mass ties break toward the smaller value). [[]] when unseen. *)
-
-val hints : ?k:int -> t -> (string * int list) list
-(** {!likely} per dim in first-seen order, omitting empty dims — the
-    payload for [Session.ingest_hints] / [Specialize.ingest_hints]. *)
 
 val edges : ?quantum:int -> t -> max_edges:int -> string -> int list
 (** Bucket boundaries at the mass quantiles [1/n .. 1], deduplicated

@@ -28,8 +28,6 @@ let dim_to_string = function
 let to_string (s : shape) =
   "[" ^ String.concat "x" (List.map dim_to_string (Array.to_list s)) ^ "]"
 
-let pp_dim fmt d = Format.pp_print_string fmt (dim_to_string d)
-
 let pp fmt s = Format.pp_print_string fmt (to_string s)
 
 let numel_static (s : shape) =

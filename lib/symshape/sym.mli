@@ -28,7 +28,6 @@ val dim_to_string : dim -> string
 val to_string : shape -> string
 (** E.g. ["[s0x128xs1]"]. *)
 
-val pp_dim : Format.formatter -> dim -> unit
 val pp : Format.formatter -> shape -> unit
 
 val numel_static : shape -> int option

@@ -18,7 +18,6 @@ type info = {
   mutable lb : int; (* lower bound, >= 1 for tensor dims *)
   mutable ub : int option; (* upper bound if known *)
   mutable likely : int list; (* distribution hint: likely runtime values *)
-  mutable growing : bool; (* monotone across a request's lifetime (KV cache) *)
   mutable deriv : deriv option;
   name : string;
 }
@@ -46,8 +45,7 @@ let ensure_capacity t n =
     let fresh_info i =
       if i < cap then t.syms.(i)
       else
-        { parent = i; static = None; lb = 1; ub = None; likely = []; growing = false;
-          deriv = None; name = "" }
+        { parent = i; static = None; lb = 1; ub = None; likely = []; deriv = None; name = "" }
     in
     t.syms <- Array.init ncap fresh_info
   end
@@ -57,7 +55,7 @@ let fresh ?(name = "") ?(lb = 1) ?ub ?(likely = []) t =
   ensure_capacity t (id + 1);
   t.count <- id + 1;
   t.syms.(id) <-
-    { parent = id; static = None; lb; ub; likely; growing = false; deriv = None; name };
+    { parent = id; static = None; lb; ub; likely; deriv = None; name };
   Sym.Sym id
 
 let num_symbols t = t.count
@@ -107,8 +105,7 @@ let merge_roots t a b =
       (match (ia.ub, ib.ub) with
       | Some x, Some y -> Some (min x y)
       | (Some _ as s), None | None, s -> s);
-    ia.likely <- List.sort_uniq Stdlib.compare (ia.likely @ ib.likely);
-    ia.growing <- ia.growing || ib.growing
+    ia.likely <- List.sort_uniq Stdlib.compare (ia.likely @ ib.likely)
   end
 
 let merge t (a : Sym.dim) (b : Sym.dim) =
@@ -167,36 +164,6 @@ let add_likely t (d : Sym.dim) vs =
   | Sym.Sym id ->
       let i = info t id in
       i.likely <- List.sort_uniq Stdlib.compare (vs @ i.likely)
-
-(* Monotone-growth fact: the dim only ever increases over a request's
-   lifetime (the KV-cache length of autoregressive decoding). Advisory,
-   like [likely]: it never constrains a binding, and it is deliberately
-   left out of the structural fingerprint so marking a dim cannot cold a
-   persisted compile cache. Consumers (the decode scheduler) use it to
-   pre-declare the finite bucket ladder the dim will climb, so growth
-   mints a bounded set of shape signatures instead of one per step. *)
-let set_growing t (d : Sym.dim) =
-  match resolve t d with
-  | Sym.Static _ -> ()
-  | Sym.Sym id -> (info t id).growing <- true
-
-let growing t (d : Sym.dim) =
-  match resolve t d with Sym.Static _ -> false | Sym.Sym id -> (info t id).growing
-
-let max_likely = 16
-
-(* Replace semantics: an online feedback loop re-estimates the likely
-   set from live traffic, so stale hints must be droppable — [add_likely]
-   only ever grows the set. Values outside [lb, ub] are discarded rather
-   than raised: a hint is advisory, never a new constraint. *)
-let set_likely t (d : Sym.dim) vs =
-  match resolve t d with
-  | Sym.Static _ -> ()
-  | Sym.Sym id ->
-      let i = info t id in
-      let ok v = v >= i.lb && match i.ub with Some u -> v <= u | None -> true in
-      let vs = List.sort_uniq Stdlib.compare (List.filter ok vs) in
-      i.likely <- List.filteri (fun idx _ -> idx < max_likely) vs
 
 let shape_upper_bound_numel t (s : Sym.shape) =
   Array.fold_left
@@ -464,10 +431,9 @@ let pp fmt t =
         i.lb
         (match i.ub with Some u -> Printf.sprintf " ub=%d" u | None -> "")
         (match i.static with Some v -> Printf.sprintf " =%d" v | None -> "")
-        ((match i.likely with
-         | [] -> ""
-         | vs -> " likely=" ^ String.concat "," (List.map string_of_int vs))
-        ^ if i.growing then " growing" else "")
+        (match i.likely with
+        | [] -> ""
+        | vs -> " likely=" ^ String.concat "," (List.map string_of_int vs))
     end
   done;
   Format.fprintf fmt "@]"

@@ -47,28 +47,6 @@ val dim_name : t -> Sym.dim -> string option
 val set_range : t -> Sym.dim -> ?lb:int -> ?ub:int -> unit -> unit
 val add_likely : t -> Sym.dim -> int list -> unit
 
-val set_likely : t -> Sym.dim -> int list -> unit
-(** Replace the likely-value hint set (sorted, deduplicated, capped at
-    16). Unlike {!add_likely} this {e drops} values no longer present —
-    the ingestion point for online distribution feedback re-estimated
-    from live traffic. Values outside [[lb, ub]] are discarded (hints
-    are advisory, never constraints); no-op on a static dim. *)
-
-val set_growing : t -> Sym.dim -> unit
-(** Record a monotone-growth fact: the dim only ever increases over a
-    request's lifetime — the KV-cache length of autoregressive decoding,
-    which climbs by one every step. Advisory, like likely values: it
-    never constrains a binding and is excluded from the structural
-    fingerprint (marking a dim must not cold a persisted compile cache).
-    The decode scheduler uses it to pre-declare the finite bucket ladder
-    the dim will climb ({!Serving.Bucket} ceilings), so cache growth
-    mints a bounded signature set instead of one per token. Survives
-    {!merge} (or-union); no-op on a static dim. *)
-
-val growing : t -> Sym.dim -> bool
-(** Whether the dim carries the monotone-growth fact ([false] for
-    static dims). *)
-
 val shape_upper_bound_numel : t -> Sym.shape -> int option
 (** Upper bound on element count, if every dim has one (kStitch
     shared-memory feasibility). *)

@@ -32,7 +32,6 @@ let byte_size t = numel t * Dtype.byte_size t.dtype
 let get t idx = t.data.(Shape.linear_of_index t.shape idx)
 let set t idx v = t.data.(Shape.linear_of_index t.shape idx) <- v
 let get_linear t lin = t.data.(lin)
-let set_linear t lin v = t.data.(lin) <- v
 
 let to_scalar t =
   if numel t <> 1 then Shape.error "to_scalar on shape %s" (Shape.to_string t.shape);

@@ -31,7 +31,6 @@ val byte_size : t -> int
 val get : t -> int array -> float
 val set : t -> int array -> float -> unit
 val get_linear : t -> int -> float
-val set_linear : t -> int -> float -> unit
 
 val to_scalar : t -> float
 (** @raise Shape.Shape_error if the tensor has more than one element. *)

@@ -71,19 +71,6 @@ let test_sequence_validation () =
 
 (* --- decode-step graph ----------------------------------------------------- *)
 
-let test_decode_graph_growing_fact () =
-  let built = tiny_decode () in
-  let tab = Ir.Graph.symtab built.Models.Common.graph in
-  check_bool "cache dim carries the monotone-growth fact" true
-    (Table.growing tab (Models.Common.dim_exn built "cache"));
-  check_bool "batch dim does not" false
-    (Table.growing tab (Models.Common.dim_exn built "batch"));
-  let prefill = tiny_prefill () in
-  check_bool "prefill seq dim does not" false
-    (Table.growing
-       (Ir.Graph.symtab prefill.Models.Common.graph)
-       (Models.Common.dim_exn prefill "seq"))
-
 let test_decode_graph_serves_along_ladder () =
   (* one session, one compile; the cache dim climbs its bucket ladder
      and every rung serves on the compiled path *)
@@ -218,7 +205,6 @@ let () =
         ] );
       ( "graph",
         [
-          Alcotest.test_case "growing fact" `Quick test_decode_graph_growing_fact;
           Alcotest.test_case "serves along the cache ladder" `Quick
             test_decode_graph_serves_along_ladder;
         ] );

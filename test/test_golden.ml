@@ -100,27 +100,80 @@ let test_adaptive_summary_golden () =
       Serving.Pool.ar_ticks = 12;
       ar_rebuckets = 3;
       ar_minted = 5;
-      ar_hints = 24;
+      ar_hints = 0;
       ar_scale_ups = 2;
       ar_scale_downs = 1;
       ar_final_replicas = 3;
       ar_final_spec = "hist:edges20-24-40";
-      ar_likely = [ ("hist", [ 20; 24; 40 ]) ];
     }
   in
   check_string "adaptive serve summary"
-    "adaptive: ticks=12 rebuckets=3 minted=5 hints=24 scale_ups=2 scale_downs=1 alive=3\n\
-     bucket: hist:edges20-24-40\n\
-     likely: hist=20,24,40"
+    "adaptive: ticks=12 rebuckets=3 minted=5 scale_ups=2 scale_downs=1 alive=3\n\
+     bucket: hist:edges20-24-40"
     (Serving.Pool.adaptive_summary_to_string a);
-  let empty =
-    { a with Serving.Pool.ar_final_spec = ""; ar_likely = []; ar_scale_ups = 0 }
-  in
-  check_string "placeholders before a policy is derived"
-    "adaptive: ticks=12 rebuckets=3 minted=5 hints=24 scale_ups=0 scale_downs=1 alive=3\n\
-     bucket: (none)\n\
-     likely: (none)"
+  let empty = { a with Serving.Pool.ar_final_spec = ""; ar_scale_ups = 0 } in
+  check_string "placeholder before a policy is derived"
+    "adaptive: ticks=12 rebuckets=3 minted=5 scale_ups=0 scale_downs=1 alive=3\n\
+     bucket: (none)"
     (Serving.Pool.adaptive_summary_to_string empty)
+
+(* One adaptive pool run pinned exactly, at the shape of the benchmark's
+   serve-adaptive workload scaled down: bert-tiny on A10 + T4, exact seq
+   buckets, a 2 MB HBM budget, rebucketing and autoscaling on. Every
+   served number — the report line, the memory line, the final bucket
+   policy, the control counters and the disposition mix — is fixed, so
+   a change to the control loop that moves any of them fails here. *)
+let test_adaptive_run_golden () =
+  let module Pool = Serving.Pool in
+  let spec =
+    Serving.Trace_gen.mixed ~seed:42 ~qps:3500.0
+      ~dims_a:[ ("seq", Workloads.Trace.Uniform (1, 64)) ]
+      ~dims_b:[ ("seq", Workloads.Trace.Bimodal (8, 60)) ]
+      ()
+  in
+  let cfg =
+    {
+      (Pool.default_config
+         ~devices:[ Gpusim.Device.a10; Gpusim.Device.t4 ]
+         ~batch_dim:"batch"
+         ~bucket:[ ("seq", Serving.Bucket.Exact) ])
+      with
+      Pool.hbm_budget = Some 2_000_000;
+    }
+  in
+  let pool = Pool.create cfg (Models.Suite.find "bert").Models.Suite.build_tiny in
+  let r =
+    Pool.run
+      ~adaptive:
+        { Pool.default_adaptive with Pool.autoscale = Some Serving.Autoscaler.default_config }
+      pool
+      (Serving.Trace_gen.generate spec ~n:1_000)
+  in
+  check_string "report"
+    "served=1000 fell_back=0 shed=0 expired=0 rejected=0 failed=0 lost=0 batches=192 \
+     mean_batch=5.2 (padded=110 exact=82 cold=127) pad_waste=15.8% p50=2256us p99=21984us \
+     makespan=115051us"
+    (Pool.report_to_string r);
+  check_string "memory"
+    "mem: budget=2.0MB est_peak=1.9MB capped=27 forced_exact=0 rejected=0 oom=0 \
+     pressure_ticks=0"
+    (match r.Pool.mem with Some m -> Pool.mem_summary_to_string m | None -> "(none)");
+  let a = Option.get r.Pool.adaptive in
+  check_string "final bucket policy" "seq:edges16-32-52-64" a.Pool.ar_final_spec;
+  check_string "control counters"
+    "ticks=5 rebuckets=2 minted=8 scale_ups=1 scale_downs=0 alive=3"
+    (Printf.sprintf "ticks=%d rebuckets=%d minted=%d scale_ups=%d scale_downs=%d alive=%d"
+       a.Pool.ar_ticks a.Pool.ar_rebuckets a.Pool.ar_minted a.Pool.ar_scale_ups
+       a.Pool.ar_scale_downs a.Pool.ar_final_replicas);
+  check_string "dispositions" "served=1000 fell_back=0 shed=0 expired=0 rejected=0 failed=0"
+    (String.concat " "
+       (List.map
+          (fun d ->
+            let n =
+              Array.fold_left (fun n d' -> if d' = d then n + 1 else n) 0 r.Pool.dispositions
+            in
+            Printf.sprintf "%s=%d" (Pool.disposition_to_string d) n)
+          [ Pool.Served; Pool.Fell_back; Pool.Shed; Pool.Expired; Pool.Rejected; Pool.Failed ]))
 
 (* Pinned structural fingerprints of the tiny suite models — the
    identities the compilation cache keys on. A mismatch here means the
@@ -243,6 +296,7 @@ let () =
           Alcotest.test_case "profile" `Quick test_profile_string_golden;
           Alcotest.test_case "stats" `Quick test_stats_string_golden;
           Alcotest.test_case "adaptive summary" `Quick test_adaptive_summary_golden;
+          Alcotest.test_case "adaptive run" `Quick test_adaptive_run_golden;
         ] );
       ( "fingerprints",
         [ Alcotest.test_case "suite models pinned" `Quick test_fingerprint_golden ] );

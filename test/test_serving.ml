@@ -234,14 +234,6 @@ let test_stats_decay_invariance () =
     (Stats.edges st ~max_edges:4 "hist");
   check_int "fully decayed mass: quantile 0" 0 (Stats.quantile st "hist" 0.5)
 
-let test_stats_likely_topk () =
-  let st = Stats.create () in
-  observe_all st (List.init 20 (fun _ -> 8) @ List.init 10 (fun _ -> 16) @ [ 3 ]);
-  Alcotest.(check (list int)) "top-2 heaviest values, ascending" [ 8; 16 ]
-    (Stats.likely ~k:2 st "hist");
-  Alcotest.(check (list int)) "unseen dim: no likely values" [] (Stats.likely st "bogus");
-  check_bool "hints carry the dim name" true (Stats.hints ~k:2 st = [ ("hist", [ 8; 16 ]) ])
-
 let test_stats_edges_quantum () =
   let st = Stats.create () in
   observe_all st (List.init 7 (fun i -> 33 + i));
@@ -756,9 +748,6 @@ let test_stats_single_sample () =
   check_int "p01 is the sample" 17 (Stats.quantile st "hist" 0.01);
   check_int "p50 is the sample" 17 (Stats.quantile st "hist" 0.5);
   check_int "p999 is the sample" 17 (Stats.quantile st "hist" 0.999);
-  (match Stats.likely st "hist" with
-  | [ v ] -> check_bool "one likely value, covering the sample" true (v >= 17)
-  | l -> Alcotest.failf "expected one likely value, got %d" (List.length l));
   let es = Stats.edges st ~max_edges:4 "hist" in
   check_bool "edges non-empty" true (es <> []);
   check_int "edges end at the observed max" 17 (List.nth es (List.length es - 1));
@@ -770,9 +759,7 @@ let test_stats_all_equal () =
   check_int "every quantile is the point mass" 64 (Stats.quantile st "hist" 0.05);
   check_int "p99 too" 64 (Stats.quantile st "hist" 0.99);
   check_bool "edges collapse to the single value" true
-    (Stats.edges st ~max_edges:8 "hist" = [ 64 ]);
-  check_bool "likely is the single value's edge" true
-    (match Stats.likely st "hist" with [ v ] -> v >= 64 | _ -> false)
+    (Stats.edges st ~max_edges:8 "hist" = [ 64 ])
 
 let test_stats_decayed_to_zero () =
   let st = Stats.create () in
@@ -781,7 +768,6 @@ let test_stats_decayed_to_zero () =
   Stats.decay st ~factor:1e-6;
   (* sub-1e-9 mass is dropped: the dim reads as unseen again *)
   check_int "quantile on zero mass is 0, not NaN" 0 (Stats.quantile st "hist" 0.5);
-  check_bool "likely empties" true (Stats.likely st "hist" = []);
   check_bool "edges empty" true (Stats.edges st ~max_edges:4 "hist" = []);
   check_bool "spec keeps the static scheme" true
     (Stats.spec st ~max_edges:4 ~dims:[ ("hist", Bucket.Pow2) ]
@@ -820,8 +806,7 @@ let test_adaptive_rebucket_cuts_waste () =
   check_bool "control ticks fired" true (a.Pool.ar_ticks >= 1);
   check_bool "the bucket policy was re-derived" true (a.Pool.ar_rebuckets >= 1);
   check_bool "final policy is observed edges" true (contains a.Pool.ar_final_spec "edges");
-  check_bool "likely-value hints were ingested" true (a.Pool.ar_hints > 0);
-  check_bool "last hint set reported" true (a.Pool.ar_likely <> []);
+  check_int "no likely-value hints are fed to sessions" 0 a.Pool.ar_hints;
   check_bool "padding waste strictly reduced" true
     (Pool.padding_waste adap < Pool.padding_waste stat)
 
@@ -863,9 +848,7 @@ let test_adaptive_prewarm_spreads_warmth () =
   check_bool "hot signatures pre-warmed across replicas" true (a.Pool.ar_minted >= 1);
   let reps = Pool.replicas pool in
   check_bool "the idle replica is warm without having served" true
-    (Hashtbl.length reps.(1).Replica.warmth >= 1);
-  check_bool "hints reached the replica sessions" true
-    (Disc.Session.shape_hints reps.(0).Replica.session >= 1)
+    (Hashtbl.length reps.(1).Replica.warmth >= 1)
 
 let () =
   Alcotest.run "serving"
@@ -889,7 +872,6 @@ let () =
         [
           Alcotest.test_case "quantile error bound" `Quick test_stats_quantile_bound;
           Alcotest.test_case "decay invariance" `Quick test_stats_decay_invariance;
-          Alcotest.test_case "likely top-k" `Quick test_stats_likely_topk;
           Alcotest.test_case "edge quantization" `Quick test_stats_edges_quantum;
           Alcotest.test_case "unseen dims keep scheme" `Quick test_stats_spec_keeps_unseen;
           Alcotest.test_case "rebucket key stability" `Quick

@@ -130,67 +130,6 @@ let test_default_hot_envs_from_likely () =
     (fun env -> check_int "binds both dims" 2 (List.length env))
     envs
 
-(* --- online minting and distribution-hint ingestion ------------------------- *)
-
-let hot_sigs (sp : Disc.Specialize.t) =
-  List.sort compare
-    (List.map (fun (env, _) -> Tensor.Shape.env_key env) sp.Disc.Specialize.hot)
-
-(* A tiny two-dim model, optionally with likely-value constraints baked
-   into the symbol table at build time. *)
-let two_dim_model ?b_likely ?s_likely () =
-  let ctx = Common.new_ctx () in
-  let g = ctx.Common.g in
-  let b = Common.fresh_dim ~name:"b" ~lb:1 ~ub:64 ?likely:b_likely ctx in
-  let s = Common.fresh_dim ~name:"s" ~lb:1 ~ub:64 ?likely:s_likely ctx in
-  let x = Common.param ctx ~name:"x" [| b; s |] Dtype.F32 (Common.Normal 1.0) in
-  let y = B.softmax g x in
-  Common.finish ctx ~name:"twodim" ~dims:[ ("b", b); ("s", s) ] ~outputs:[ y ]
-
-let test_hint_mints_same_as_explicit_likely () =
-  (* the online feedback path: a distribution hint ingested at runtime
-     must mint exactly the hot variants an explicit likely-value
-     constraint at build time would have produced *)
-  let explicit =
-    Disc.Specialize.create (two_dim_model ~b_likely:[ 2; 4 ] ~s_likely:[ 8 ] ())
-  in
-  let hinted = Disc.Specialize.create ~hot_envs:[] (two_dim_model ()) in
-  check_int "no constraints, no hot variants" 0 (List.length hinted.Disc.Specialize.hot);
-  (* unknown dims are ignored and out-of-range values discarded on the way in *)
-  let minted =
-    Disc.Specialize.ingest_hints hinted
-      [ ("bogus", [ 3 ]); ("b", [ 2; 4; 9_999 ]); ("s", [ 8 ]) ]
-  in
-  check_int "one variant per likely combination" 2 minted;
-  Alcotest.(check (list string)) "hint-minted signatures = build-time signatures"
-    (hot_sigs explicit) (hot_sigs hinted);
-  (* the minted variants actually serve hot *)
-  let _, src = Disc.Specialize.serve hinted [ ("b", 2); ("s", 8) ] in
-  check_bool "minted variant serves hot" true (src = `Hot);
-  (* re-ingesting the same hints mints nothing new *)
-  check_int "idempotent" 0
-    (Disc.Specialize.ingest_hints hinted [ ("b", [ 2; 4 ]); ("s", [ 8 ]) ])
-
-let test_add_hot_env_refusals () =
-  let sp = Disc.Specialize.create ~hot_envs:[] (two_dim_model ()) in
-  check_bool "first mint succeeds" true
-    (Disc.Specialize.add_hot_env sp [ ("b", 2); ("s", 8) ]);
-  check_bool "duplicate signature refused" false
-    (Disc.Specialize.add_hot_env sp [ ("s", 8); ("b", 2) ]);
-  check_bool "unknown dim rejected" true
-    (try
-       ignore (Disc.Specialize.add_hot_env sp [ ("bogus", 1) ]);
-       false
-     with Invalid_argument _ -> true);
-  (* fill to the cap (16 live variants), then one more is refused *)
-  for v = 1 to 15 do
-    check_bool "fill mint succeeds" true
-      (Disc.Specialize.add_hot_env sp [ ("b", 1); ("s", v) ])
-  done;
-  check_int "at the cap" 16 (List.length sp.Disc.Specialize.hot);
-  check_bool "cap reached: further mints refused" false
-    (Disc.Specialize.add_hot_env sp [ ("b", 3); ("s", 3) ])
-
 let test_specialization_compile_cost_accumulates () =
   let entry = Suite.find "dien" in
   let sp =
@@ -219,11 +158,5 @@ let () =
           Alcotest.test_case "hot not slower" `Quick test_specialized_not_slower;
           Alcotest.test_case "default envs" `Quick test_default_hot_envs_from_likely;
           Alcotest.test_case "compile cost" `Quick test_specialization_compile_cost_accumulates;
-        ] );
-      ( "online minting",
-        [
-          Alcotest.test_case "hints = explicit likely" `Quick
-            test_hint_mints_same_as_explicit_likely;
-          Alcotest.test_case "add_hot_env refusals" `Quick test_add_hot_env_refusals;
         ] );
     ]

@@ -63,20 +63,6 @@ let test_likely () =
   Table.add_likely t a [ 128; 64 ];
   Alcotest.(check (list int)) "sorted unique" [ 64; 128 ] (Table.likely_values t a)
 
-let test_growing () =
-  let t = Table.create () in
-  let a = Table.fresh ~name:"cache" t in
-  let b = Table.fresh t in
-  Alcotest.(check bool) "fresh is not growing" false (Table.growing t a);
-  Table.set_growing t a;
-  Alcotest.(check bool) "marked" true (Table.growing t a);
-  (* the fact is a class property: it survives merging *)
-  Table.merge t a b;
-  Alcotest.(check bool) "survives merge (queried via b)" true (Table.growing t b);
-  (* static dims: advisory no-op on both sides *)
-  Table.set_growing t (Sym.Static 7);
-  Alcotest.(check bool) "static never grows" false (Table.growing t (Sym.Static 7))
-
 let test_binding_out_of_range_rejected () =
   let t = Table.create () in
   let a = Table.fresh ~lb:2 ~ub:8 t in
@@ -308,7 +294,6 @@ let () =
           Alcotest.test_case "ranges" `Quick test_ranges;
           Alcotest.test_case "range merge tightens" `Quick test_range_merge_tightens;
           Alcotest.test_case "likely values" `Quick test_likely;
-          Alcotest.test_case "monotone-growth fact" `Quick test_growing;
           Alcotest.test_case "range rejects binding" `Quick test_binding_out_of_range_rejected;
         ] );
       ( "products",
