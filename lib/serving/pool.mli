@@ -17,7 +17,15 @@
     scale-down drains one instead: the in-flight batch completes, the
     replica takes no further work, queued traffic re-routes to the
     survivors. Every request ends in exactly one disposition
-    ([lost = 0] is an invariant the tests pin). *)
+    ([lost = 0] is an invariant the tests pin).
+
+    A pool runs once ({!run}). The run keeps its state in one record and
+    steps it through named stages at each event time, in this order:
+    chaos delivery, due drains and spin-ups, batch completions
+    (first result of a hedged pair wins), adaptive control ticks,
+    admission, queue expiry, dispatch while a replica is free and a
+    bucket is launchable, the brownout ladder, hedging; then virtual
+    time jumps to the next event. *)
 
 type config = {
   devices : Gpusim.Device.t list;  (** one replica per device *)
@@ -244,7 +252,8 @@ val create : ?cache:Disc.Compile_cache.t -> config -> (unit -> Models.Common.bui
     rest hit. Sessions use the default compiler options and session
     policy; faults reach replicas through chaos [flaky] events.
     [build] is called once per replica plus once for the binding
-    surface.
+    surface. The pool can be {!run} once; create one per run (sharing
+    [cache] keeps the compiles warm).
     @raise Invalid_argument on an empty device list or a [batch_dim]
     the model does not declare. *)
 
@@ -260,9 +269,11 @@ val run :
   t ->
   request list ->
   report
-(** Simulate the trace. Replica warmth and stats persist across calls
-    (a pool is normally run once); the report's counters cover this run
-    only.
+(** Simulate the trace. A pool runs once: the run leaves its replicas
+    busy, warm and counted, so a second run on the same pool would
+    start from the first one's end state. The report reads batch,
+    cold-dispatch, crash and recovery counts off the pool's replicas,
+    which are fresh when the run starts.
 
     [chaos] replays a {!Chaos.scenario} against the fleet: crashes
     cancel in-flight batches mid-service (members re-queued within the
@@ -291,4 +302,6 @@ val run :
     the {!Autoscaler} may mint a pre-warmed replica or begin draining
     the youngest one. Scale events never lose work: a draining replica
     finishes its in-flight batch and queued traffic re-routes
-    ([lost = 0] holds throughout). *)
+    ([lost = 0] holds throughout).
+
+    @raise Invalid_argument when the pool has already run. *)

@@ -66,8 +66,6 @@ let mem_headroom t =
    alive as Healthy ones: warmth upkeep and prewarming. *)
 let alive t = match t.health with Healthy | Degraded -> true | _ -> false
 
-let dispatchable = alive
-
 (* Capacity accounting for the autoscaler: a Degraded replica is slow,
    not absent — counting it out would double-provision (the autoscaler
    would add a replica *and* the router already shifts load). Recovering
@@ -76,7 +74,7 @@ let dispatchable = alive
 let counts_capacity t =
   match t.health with Healthy | Degraded | Recovering -> true | Draining | Dead -> false
 
-let is_free t ~now = dispatchable t && t.free_at <= now
+let is_free t ~now = alive t && t.free_at <= now
 let is_warm t key = Hashtbl.mem t.warmth key
 
 let ewma_alpha = 0.3

@@ -68,10 +68,7 @@ val mem_headroom : t -> float
     across the fleet. *)
 
 val alive : t -> bool
-(** [Healthy] or [Degraded] — serving traffic. *)
-
-val dispatchable : t -> bool
-(** Synonym of {!alive}: may receive new batches. *)
+(** [Healthy] or [Degraded] — serving traffic: may receive new batches. *)
 
 val counts_capacity : t -> bool
 (** [Healthy], [Degraded] or [Recovering] — counted as fleet capacity

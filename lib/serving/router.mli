@@ -1,6 +1,6 @@
 (** Replica selection for one formed batch.
 
-    The router chooses among the replicas that are free (dispatchable
+    The router chooses among the replicas that are free (alive
     and idle) at dispatch time, preferring [Healthy] replicas over
     [Degraded] stragglers under every policy: a Degraded replica is
     picked only when no Healthy one is free, so it drains its backlog

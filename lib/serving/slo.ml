@@ -54,20 +54,13 @@ let decode_target_of policy cls =
   | Some t -> t
   | None -> List.assoc cls default_decode_policy
 
-(* Controller state: one backlog counter and shed/expired tallies per
-   class. Index by a fixed class order so state is flat arrays. *)
+(* Controller state: one backlog counter per class, indexed by a fixed
+   class order so the state is a flat array. *)
 let idx = function Interactive -> 0 | Standard -> 1 | Best_effort -> 2
 
-type t = {
-  p : policy;
-  queued_a : int array;
-  shed_a : int array;
-  expired_a : int array;
-}
+type t = { p : policy; queued_a : int array }
 
-let create p = { p; queued_a = Array.make 3 0; shed_a = Array.make 3 0; expired_a = Array.make 3 0 }
-
-let policy t = t.p
+let create p = { p; queued_a = Array.make 3 0 }
 
 (* Metric names precomputed per class: sheds and expiries are hot under
    overload, and a Printf per event would dominate the admission path. *)
@@ -76,10 +69,7 @@ let shed_name = [| "pool.shed.interactive"; "pool.shed.standard"; "pool.shed.bes
 let expired_name =
   [| "pool.expired.interactive"; "pool.expired.standard"; "pool.expired.best_effort" |]
 
-let note_shed t cls =
-  let i = idx cls in
-  t.shed_a.(i) <- t.shed_a.(i) + 1;
-  if Obs.Scope.on () then Obs.Scope.count shed_name.(i)
+let note_shed _ cls = if Obs.Scope.on () then Obs.Scope.count shed_name.(idx cls)
 
 let admit t cls =
   let i = idx cls in
@@ -103,11 +93,5 @@ let dequeue t cls =
   let i = idx cls in
   t.queued_a.(i) <- max 0 (t.queued_a.(i) - 1)
 
-let note_expired t cls =
-  let i = idx cls in
-  t.expired_a.(i) <- t.expired_a.(i) + 1;
-  if Obs.Scope.on () then Obs.Scope.count expired_name.(i)
-
+let note_expired _ cls = if Obs.Scope.on () then Obs.Scope.count expired_name.(idx cls)
 let queued t cls = t.queued_a.(idx cls)
-let shed t cls = t.shed_a.(idx cls)
-let expired t cls = t.expired_a.(idx cls)

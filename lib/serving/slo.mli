@@ -57,19 +57,19 @@ val decode_target_of : decode_policy -> cls -> decode_target
     {!default_decode_policy}. *)
 
 type t
-(** Admission-controller state: per-class backlog and shed/expiry
-    accounting. *)
+(** Admission-controller state: the per-class backlog. *)
 
 val create : policy -> t
-val policy : t -> policy
 
 val admit : t -> cls -> bool
 (** [true]: the request may queue (backlog incremented). [false]: the
-    class is at its bound — shed (counted). *)
+    class is at its bound — shed (counted in [pool.shed.<class>] when
+    {!Obs.Scope} is on). *)
 
 val note_shed : t -> cls -> unit
-(** Count a shed without touching the backlog — for sheds decided
-    outside the queue-bound check (brownout shedding a class outright). *)
+(** Count a shed in [pool.shed.<class>] without touching the backlog —
+    for sheds decided outside the queue-bound check (brownout shedding a
+    class outright). *)
 
 val requeue : t -> cls -> unit
 (** Put an already-admitted request back in the backlog (crash
@@ -80,6 +80,6 @@ val dequeue : t -> cls -> unit
     expired). *)
 
 val note_expired : t -> cls -> unit
+(** Count an expiry in [pool.expired.<class>]. *)
+
 val queued : t -> cls -> int
-val shed : t -> cls -> int
-val expired : t -> cls -> int

@@ -262,22 +262,65 @@ let test_watchdog_flags_straggler () =
 let test_hedge_first_result_wins () =
   (* a straggle strong enough that a batch on the Degraded replica is
      still in flight at the 10 ms hedge age *)
-  let scenario =
-    {
-      Chaos.seed = 6;
-      events =
-        [
-          { Chaos.at_us = 5_000.0;
-            event = Chaos.Straggle { replica = 0; factor = 100.0; duration_us = 300_000.0 } };
-        ];
-    }
+  let run ?crash factor =
+    let straggle =
+      { Chaos.at_us = 5_000.0;
+        event = Chaos.Straggle { replica = 0; factor; duration_us = 300_000.0 } }
+    in
+    let crashes =
+      match crash with
+      | None -> []
+      | Some replica ->
+          [ { Chaos.at_us = 54_701.0;
+              event = Chaos.Crash { replica; recover_after_us = None; spinup_us = 0.0 } } ]
+    in
+    run_chaos ~replicas:3
+      ~scenario:{ Chaos.seed = 6; events = straggle :: crashes }
+      (varied ~cls:Slo.Interactive 150)
   in
-  let reqs = varied ~cls:Slo.Interactive 150 in
-  let r = run_chaos ~replicas:3 ~scenario reqs in
+  let r = run 100.0 in
   check_bool "conserved (no double-count despite duplicates)" true (conserved r 150);
   check_bool "hedges launched" true (r.Pool.resilience.Pool.xr_hedges >= 1);
   check_bool "hedge wins counted at most once per hedge" true
-    (r.Pool.resilience.Pool.xr_hedge_wins <= r.Pool.resilience.Pool.xr_hedges)
+    (r.Pool.resilience.Pool.xr_hedge_wins <= r.Pool.resilience.Pool.xr_hedges);
+  (* at 150x the primary finishes after its hedge: the hedge's result wins *)
+  Obs.Trace.clear Obs.Trace.global;
+  Obs.Scope.enable ();
+  let r = Fun.protect ~finally:Obs.Scope.disable (fun () -> run 150.0) in
+  let launches =
+    List.filter_map
+      (fun (s : Obs.Trace.span) ->
+        if s.Obs.Trace.name = "hedge_launch" then
+          Some
+            ( s.Obs.Trace.begin_us,
+              List.assoc "primary" s.Obs.Trace.args,
+              List.assoc "hedge" s.Obs.Trace.args )
+        else None)
+      (Obs.Trace.spans Obs.Trace.global)
+  in
+  Obs.Trace.clear Obs.Trace.global;
+  check_bool "one hedge, replica 0 -> 1 at 54,700 us" true
+    (launches = [ (54_700.0, "0", "1") ]);
+  let xr = r.Pool.resilience in
+  check_int "one hedge" 1 xr.Pool.xr_hedges;
+  check_int "the hedge won" 1 xr.Pool.xr_hedge_wins;
+  check_int "150x: all served" 150 r.Pool.served;
+  (* the primary's replica crashes after the hedge launched: the hedge
+     covers its members, nothing is re-queued *)
+  let r = run ~crash:0 150.0 in
+  check_bool "crash 0: conserved" true (conserved r 150);
+  check_int "crash 0: delivered" 1 r.Pool.resilience.Pool.xr_crashes;
+  check_int "crash 0: hedge covers, nothing re-queued" 0
+    r.Pool.resilience.Pool.xr_redispatched;
+  check_int "crash 0: all served" 150 r.Pool.served;
+  (* the hedge's replica crashes instead: the primary covers *)
+  let r = run ~crash:1 150.0 in
+  check_bool "crash 1: conserved" true (conserved r 150);
+  check_int "crash 1: delivered" 1 r.Pool.resilience.Pool.xr_crashes;
+  check_int "crash 1: primary covers, no hedge win" 0
+    r.Pool.resilience.Pool.xr_hedge_wins;
+  check_int "crash 1: nothing re-queued" 0 r.Pool.resilience.Pool.xr_redispatched;
+  check_int "crash 1: all served" 150 r.Pool.served
 
 let test_brownout_rises_and_recovers () =
   let scenario =

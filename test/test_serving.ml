@@ -324,7 +324,6 @@ let test_slo_admission () =
   check_bool "first admitted" true (Slo.admit c Slo.Standard);
   check_bool "second admitted" true (Slo.admit c Slo.Standard);
   check_bool "at bound: shed" false (Slo.admit c Slo.Standard);
-  check_int "shed counted" 1 (Slo.shed c Slo.Standard);
   check_int "queued" 2 (Slo.queued c Slo.Standard);
   Slo.dequeue c Slo.Standard;
   check_bool "slot freed" true (Slo.admit c Slo.Standard);
@@ -380,7 +379,7 @@ let test_replica_health_lifecycle () =
       check_bool "starts healthy and free" true (Replica.is_free r ~now:0.0);
       Replica.degrade r;
       check_string "watchdog verdict" "degraded" (Replica.health_to_string r.Replica.health);
-      check_bool "degraded still dispatchable" true (Replica.dispatchable r);
+      check_bool "degraded still dispatchable" true (Replica.alive r);
       check_bool "degraded counts as capacity" true (Replica.counts_capacity r);
       Replica.restore r;
       check_string "all-clear restores" "healthy" (Replica.health_to_string r.Replica.health);
@@ -397,7 +396,7 @@ let test_replica_health_lifecycle () =
       Replica.begin_recover r ~now:200.0 ~spinup_us:1_000.0;
       check_string "restart spins up" "recovering" (Replica.health_to_string r.Replica.health);
       check_bool "recovering counts as capacity" true (Replica.counts_capacity r);
-      check_bool "but takes no traffic yet" false (Replica.dispatchable r);
+      check_bool "but takes no traffic yet" false (Replica.alive r);
       check_int "warmth wiped by the restart" 0 (Hashtbl.length r.Replica.warmth);
       check_bool "rate forgotten too" true (r.Replica.us_per_element = 0.0);
       Replica.finish_recover_if_due r ~now:600.0;
@@ -439,7 +438,6 @@ let test_slo_shed_requeue_counters () =
   check_bool "admit queues" true (Slo.admit s Slo.Standard);
   check_int "queued" 1 (Slo.queued s Slo.Standard);
   Slo.note_shed s Slo.Best_effort;
-  check_int "shed counted without backlog" 1 (Slo.shed s Slo.Best_effort);
   check_int "backlog untouched by note_shed" 0 (Slo.queued s Slo.Best_effort);
   Slo.dequeue s Slo.Standard;
   check_int "dequeue drains" 0 (Slo.queued s Slo.Standard);
@@ -467,6 +465,29 @@ let test_pool_create_validation () =
        ignore (Pool.create cfg dien);
        false
      with Invalid_argument _ -> true)
+
+(* A pool runs once. Its replicas keep their free times, warmth and
+   counters, and the pool its router and bucket state, so a second run
+   on the same pool would start from the first run's end state and
+   report wrong numbers; it is refused instead. *)
+let test_pool_runs_once () =
+  let build () = (Suite.find "dien").Suite.build_tiny () in
+  let reqs =
+    Serving.Trace_gen.generate
+      (Serving.Trace_gen.steady ~seed:3 ~qps:2000.0
+         ~dims:[ ("hist", Workloads.Trace.Uniform (1, 60)) ]
+         ())
+      ~n:400
+  in
+  let pool = Pool.create (base_config ()) build in
+  let first = Pool.report_to_string (Pool.run pool reqs) in
+  check_bool "second run on the same pool refused" true
+    (try
+       ignore (Pool.run pool reqs);
+       false
+     with Invalid_argument _ -> true);
+  check_string "a fresh pool reproduces the first run" first
+    (Pool.report_to_string (Pool.run (Pool.create (base_config ()) build) reqs))
 
 (* --- pool: bucket formation and padding accounting ------------------------- *)
 
@@ -914,6 +935,7 @@ let () =
         [
           Alcotest.test_case "shares cache" `Quick test_pool_shares_cache;
           Alcotest.test_case "create validation" `Quick test_pool_create_validation;
+          Alcotest.test_case "runs once" `Quick test_pool_runs_once;
           Alcotest.test_case "bucketed batching" `Quick test_bucketed_batching_and_padding;
           Alcotest.test_case "pad waste cap" `Quick test_pad_waste_cap_forces_exact;
           Alcotest.test_case "distinct buckets" `Quick test_distinct_buckets_do_not_mix;
