@@ -1748,8 +1748,8 @@ let () =
     | "--trace" :: path :: rest -> trace := Some path; parse rest
     | "--requests" :: n :: rest ->
         (match int_of_string_opt n with
-        | Some n -> requests := Some n
-        | None -> usage "bad --requests %s" n);
+        | Some k when k >= 1 -> requests := Some k
+        | _ -> usage "bad --requests %s (must be an integer >= 1)" n);
         parse rest
     | "--decode" :: rest -> decode := true; parse rest
     | a :: rest -> cmd := a; parse rest

@@ -498,8 +498,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "mem-blind" ] ~doc)
   in
   (* Shared cache line for the end-of-run report: warm/corrupt health
-     and side-table (reductions/schedules) counts at a glance, without
-     --metrics. *)
+     and the schedule side-table count at a glance, without --metrics. *)
   let cache_health = Disc.Compile_cache.health_to_string in
   let run model tiny replicas devices qps requests seed router max_batch adaptive chaos_file
       decode prefill_workers traffic hbm_budget_mb mem_blind trace metrics =

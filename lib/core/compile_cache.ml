@@ -43,7 +43,6 @@ type stats = {
   invalidations : int;
   corrupt : int;
   entries : int;
-  reductions : int; (* memory-reduction decisions attached (side table) *)
   schedules : int; (* tuned schedule plans attached (side table) *)
 }
 
@@ -51,17 +50,11 @@ type t = {
   capacity : int;
   table : (string, entry) Hashtbl.t;
   warm : (string, unit) Hashtbl.t;
-  reductions : (string * string, Mem.Reduce.decision) Hashtbl.t;
-      (* (key, rung signature) -> memory-reduction decision. Decisions
-         are a pure function of (executable, rung-ceiling binding), so
-         they ride alongside the artifact: one decide per fingerprint ×
-         bucket rung, replayed by every sharing session. Dropped with the
-         artifact on invalidation — a recompiled graph re-decides. *)
   schedules : (string * string, Tune.Plan.t) Hashtbl.t;
       (* (key, device|rungs bucket signature) -> tuned schedule plan.
          Plans are a pure function of (executable, device, rung set) —
-         the tuner samples nothing — so like reductions they ride
-         alongside the artifact: one search per fingerprint × device ×
+         the tuner samples nothing — so they ride alongside the
+         artifact: one search per fingerprint × device ×
          shape-bucket set, replayed by every sharing session and adopted
          by pool replicas on prewarm/revive. Dropped with the artifact
          on invalidation/corruption — a recompiled graph re-tunes. *)
@@ -82,7 +75,6 @@ let create ?(capacity = default_capacity) () =
     capacity = max 1 capacity;
     table = Hashtbl.create 32;
     warm = Hashtbl.create 32;
-    reductions = Hashtbl.create 32;
     schedules = Hashtbl.create 32;
     dir = None;
     tick = 0;
@@ -107,7 +99,6 @@ let stats t =
     invalidations = t.invalidations;
     corrupt = t.corrupt;
     entries = Hashtbl.length t.table;
-    reductions = Hashtbl.length t.reductions;
     schedules = Hashtbl.length t.schedules;
   }
 
@@ -212,22 +203,11 @@ let attach_dir t dir =
 
 let warm_keys t = Hashtbl.length t.warm
 
-(* --- memory-reduction decisions ------------------------------------------- *)
-
-let store_reduction t ~key ~rung d = Hashtbl.replace t.reductions (key, rung) d
-let find_reduction t ~key ~rung = Hashtbl.find_opt t.reductions (key, rung)
-
-let drop_reductions t key =
-  let stale =
-    Hashtbl.fold (fun (k, r) _ acc -> if k = key then (k, r) :: acc else acc) t.reductions []
-  in
-  List.iter (Hashtbl.remove t.reductions) stale
-
 (* --- tuned schedule plans --------------------------------------------------
 
-   Same lifecycle as reduction decisions: pure side artifacts of a
-   cached executable, keyed (cache key, "<device>|<rung sigs>" bucket),
-   dropped whenever the artifact itself is dropped. *)
+   Pure side artifacts of a cached executable, keyed (cache key,
+   "<device>|<rung sigs>" bucket), dropped whenever the artifact itself
+   is dropped. *)
 
 let store_schedule t ~key ~bucket plan = Hashtbl.replace t.schedules (key, bucket) plan
 let find_schedule t ~key ~bucket = Hashtbl.find_opt t.schedules (key, bucket)
@@ -278,7 +258,6 @@ let corrupt t ~seed ~fraction =
       if Gpusim.Fault.stream_uniform ~seed ~counter:i < fraction then begin
         Hashtbl.remove t.table key;
         Hashtbl.remove t.warm key;
-        drop_reductions t key;
         drop_schedules t key;
         t.corrupt <- t.corrupt + 1;
         incr hit;
@@ -382,7 +361,6 @@ let invalidate t key =
   Hashtbl.remove t.table key;
   let was_warm = Hashtbl.mem t.warm key in
   Hashtbl.remove t.warm key;
-  drop_reductions t key;
   drop_schedules t key;
   if present || was_warm then begin
     t.invalidations <- t.invalidations + 1;
@@ -402,11 +380,11 @@ let hit_rate (s : stats) =
   if total = 0 then 0.0 else float_of_int (s.hits + s.warm_hits) /. float_of_int total
 
 (* The one cache-health line serving surfaces print: core stats, the
-   side-table entry counts (reductions, schedules), the hit rate, and an
-   explicit verdict that calls out corrupt-artifact quarantines. *)
+   schedule side-table entry count, the hit rate, and an explicit
+   verdict that calls out corrupt-artifact quarantines. *)
 let health_to_string (s : stats) =
-  Printf.sprintf "cache: %s; side: reductions=%d schedules=%d; hit_rate=%.0f%%%s"
-    (stats_to_string s) s.reductions s.schedules (100.0 *. hit_rate s)
+  Printf.sprintf "cache: %s; side: schedules=%d; hit_rate=%.0f%%%s"
+    (stats_to_string s) s.schedules (100.0 *. hit_rate s)
     (if s.corrupt > 0 then
        Printf.sprintf "; UNHEALTHY (%d corrupt artifacts quarantined)" s.corrupt
      else "; healthy")

@@ -12,7 +12,11 @@
     next run their presence makes the key {e warm}: the artifact is
     re-materialized in-process (the simulation has no real object code
     to load) but the simulated compile cost is waived
-    ([compile_time_ms = 0.]). *)
+    ([compile_time_ms = 0.]).
+
+    The only side artifacts are tuned schedule plans ({!store_schedule});
+    memory-reduction decisions are not cached ({!Session.mem_reduction}
+    decides on each call). *)
 
 type t
 
@@ -33,7 +37,6 @@ type stats = {
       (** persisted records quarantined at {!attach_dir} + entries
           destroyed by chaos {!corrupt} *)
   entries : int;
-  reductions : int;  (** memory-reduction decisions attached (side table) *)
   schedules : int;  (** tuned schedule plans attached (side table) *)
 }
 
@@ -59,8 +62,8 @@ val hit_rate : stats -> float
 
 val health_to_string : stats -> string
 (** The one cache-health line serving surfaces print: core stats plus
-    side-table entry counts (reductions, schedules), the hit rate, and
-    a verdict — [healthy], or [UNHEALTHY (n corrupt artifacts
+    the schedule side-table entry count ([side: schedules=N]), the hit
+    rate, and a verdict — [healthy], or [UNHEALTHY (n corrupt artifacts
     quarantined)] when any record was quarantined or destroyed. *)
 
 val key_of :
@@ -101,16 +104,6 @@ val attach_dir : t -> string -> unit
 
 val warm_keys : t -> int
 (** Number of warm (persisted, not yet re-materialized) keys known. *)
-
-val store_reduction : t -> key:string -> rung:string -> Mem.Reduce.decision -> unit
-(** Attach a memory-reduction decision ({!Mem.Reduce.decide}) to a
-    compiled artifact, keyed by (cache key, shape-bucket rung
-    signature). A decision is a pure function of (executable,
-    rung-ceiling binding), so one decide per fingerprint × rung is
-    replayed by every session sharing the artifact. Dropped together
-    with the artifact by {!invalidate} and chaos {!corrupt}. *)
-
-val find_reduction : t -> key:string -> rung:string -> Mem.Reduce.decision option
 
 val store_schedule : t -> key:string -> bucket:string -> Tune.Plan.t -> unit
 (** Attach a tuned schedule plan ({!Tune.Search.plan}) to a compiled

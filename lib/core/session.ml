@@ -510,30 +510,18 @@ let mem_peak_bytes t (env : (string * int) list) =
       r
 
 let mem_reduction t (env : (string * int) list) =
-  let compute () =
-    let est = mem_estimate t in
-    match binding_for_env t env with
-    | Some bnd -> Mem.Reduce.decide ~env est bnd
-    | None -> Mem.Reduce.identity ~env est (Table.empty_binding ())
-  in
-  match t.cache with
-  | Some (cache, key) -> (
-      let rung = Tensor.Shape.env_key env in
-      match Compile_cache.find_reduction cache ~key ~rung with
-      | Some d -> d
-      | None ->
-          let d = compute () in
-          Compile_cache.store_reduction cache ~key ~rung d;
-          d)
-  | None -> compute ()
+  let est = mem_estimate t in
+  match binding_for_env t env with
+  | Some bnd -> Mem.Reduce.decide ~env est bnd
+  | None -> Mem.Reduce.identity ~env est (Table.empty_binding ())
 
 (* --- hardware-aware schedule tuning ----------------------------------------
 
    The tuner is sample-free: [Tune.Search] ranks the device-pruned
    schedule space with the analytical cost model at the given bucket
    rungs, so a plan is a pure function of (artifact, device, rung set).
-   Plans ride the shared Compile_cache in a side table (like reduction
-   decisions) keyed fingerprint × device × bucket, so one search warms
+   Plans ride the shared Compile_cache in a side table keyed
+   fingerprint × device × bucket, so one search warms
    every session sharing the artifact — and pool replicas adopt on
    prewarm/revive via [adopt_tuned_schedules]. Adoption rewrites a
    *copy* of the executable into [active]; the cached artifact is never

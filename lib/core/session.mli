@@ -163,9 +163,9 @@ val mem_peak_bytes : t -> (string * int) list -> int option
 
 val mem_reduction : t -> (string * int) list -> Mem.Reduce.decision
 (** The memory-reduction decision ({!Mem.Reduce.decide}) at a
-    bucket-rung-ceiling env. With a shared {!Compile_cache} attached the
-    decision is decided once per (artifact, rung) and replayed by every
-    sharing session. *)
+    bucket-rung-ceiling env, decided afresh on every call (a pure
+    function of the artifact and the env); {!Mem.Reduce.identity} when
+    the env doesn't bind. *)
 
 val tune :
   t -> envs:(string * int) list list -> Tune.Plan.t * [ `Tuned | `Cached ]

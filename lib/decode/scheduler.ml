@@ -65,28 +65,26 @@ let cold_warmup_us = 1500.0
 type request = { arrival_us : float; prompt : int; max_new : int; cls : Slo.cls }
 
 (* Deterministic request stream: Poisson arrivals, short-biased prompts,
-   uniform generation lengths, a fixed class mix. *)
+   uniform generation lengths, a fixed class mix. The draw order per
+   request (class, generation length, prompt) is part of the stream. *)
 let gen_requests ~seed ~qps ~n ~prompt ~max_new =
   if qps <= 0.0 then invalid_arg "Scheduler.gen_requests: qps must be > 0";
   if n < 1 then invalid_arg "Scheduler.gen_requests: n must be >= 1";
-  let rng = Workloads.Trace.create_rng seed in
-  let mean_gap = 1_000_000.0 /. qps in
-  let t = ref 0.0 in
-  List.init n (fun _ ->
-      let u = max 1e-9 (Workloads.Trace.float01 rng) in
-      t := !t +. (-.mean_gap *. log u);
-      let cls =
-        match Workloads.Trace.uniform rng 0 9 with
-        | 0 | 1 | 2 -> Slo.Interactive
-        | 9 -> Slo.Best_effort
-        | _ -> Slo.Standard
-      in
+  let dims = [ ("cls", Workloads.Trace.Uniform (0, 9)); ("new", max_new); ("prompt", prompt) ] in
+  List.map
+    (fun (r : Workloads.Queueing.request) ->
+      let dim k = List.assoc k r.Workloads.Queueing.dims in
       {
-        arrival_us = !t;
-        prompt = Workloads.Trace.sample rng prompt;
-        max_new = Workloads.Trace.sample rng max_new;
-        cls;
+        arrival_us = r.Workloads.Queueing.arrival_us;
+        prompt = dim "prompt";
+        max_new = dim "new";
+        cls =
+          (match dim "cls" with
+          | 0 | 1 | 2 -> Slo.Interactive
+          | 9 -> Slo.Best_effort
+          | _ -> Slo.Standard);
       })
+    (Workloads.Queueing.generate_arrivals ~seed ~qps ~n ~dims)
 
 (* ---------------------------------------------------------------- *)
 

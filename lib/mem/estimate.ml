@@ -25,8 +25,6 @@ type t = {
   n_items : int;
 }
 
-let align up n = (n + up - 1) / up * up
-
 let of_executable ?(alignment = 256) (exe : Executable.t) : t =
   let g = exe.Executable.g in
   let tab = Graph.symtab g in
@@ -93,7 +91,7 @@ let sum_aligned t lookup polys =
   List.fold_left
     (fun acc p ->
       match (acc, Poly.eval p ~lookup) with
-      | Some a, Some v -> Some (a + align t.alignment v)
+      | Some a, Some v -> Some (a + Memplan.align t.alignment v)
       | _ -> None)
     (Some 0) polys
 

@@ -24,8 +24,6 @@ type decision = {
   peak_after : int;
 }
 
-let align up n = (n + up - 1) / up * up
-
 let block_align = 256 (* arena blocks: the planner's alignment *)
 let sub_align = 64 (* packing inside a regrouped block *)
 let small_buffer_bytes = 262_144 (* regroup only sub-256KB buffers *)
@@ -48,13 +46,9 @@ type ctx = {
 
 exception Unsized
 
-let cluster_of = function
-  | Executable.Fused k -> k.Codegen.Kernel.cluster
-  | Executable.Lib c -> c
-
 let build_ctx est bnd : ctx =
   let exe = Estimate.executable est in
-  let clusters = Array.of_list (List.map cluster_of exe.Executable.items) in
+  let clusters = Array.of_list (List.map Executable.cluster_of exe.Executable.items) in
   let n = Array.length clusters in
   let outs = Array.map (fun c -> List.sort_uniq Int.compare c.Cluster.outputs) clusters in
   let producer = Hashtbl.create 64 in
@@ -117,56 +111,79 @@ let lifetime ctx pos_of extra v =
   in
   (first, last)
 
-let peak_of_segments n segs =
-  let best = ref 0 in
-  for p = 0 to n - 1 do
-    let s =
-      List.fold_left (fun acc (sz, f, l) -> if f <= p && p <= l then acc + sz else acc) 0 segs
-    in
-    if s > !best then best := s
-  done;
-  !best
+(* An arena unit: one value per lifetime segment, or a regrouped block
+   of values packed at offsets within it. *)
+type unit_ = {
+  u_values : (int * int * int) list; (* value, offset within block, size *)
+  u_size : int;
+  u_first : int;
+  u_last : int;
+}
 
-(* Segments (size, first, last) of every value: one per lifetime, or one
-   per recompute site for recomputed values; grouped values contribute a
-   single coalesced block segment. *)
-let segments ctx pos_of ~recomputed ~extra ~groups =
-  let size v = align block_align (Hashtbl.find ctx.sizes v) in
+(* Units of every value: one per lifetime, or one per recompute site for
+   recomputed values; grouped values share a single coalesced block. *)
+let units_of ctx pos_of ~recomputed ~extra ~groups =
   let grouped = Hashtbl.create 8 in
   Array.iter (fun g -> Array.iter (fun v -> Hashtbl.replace grouped v ()) g) groups;
   let singles =
     List.concat_map
       (fun v ->
         if Hashtbl.mem grouped v then []
-        else if List.mem v recomputed then
-          (* just-in-time: materialized at production (the fused cluster
-             writes it regardless), then only at each consumer site *)
-          let first = pos_of.(Hashtbl.find ctx.producer v) in
-          let cs =
-            List.sort Int.compare
-              (List.map (fun j -> pos_of.(j)) (Hashtbl.find ctx.consumers v))
-          in
-          (size v, first, first) :: List.map (fun c -> (size v, c, c)) cs
         else
-          let first, last = lifetime ctx pos_of extra v in
-          [ (size v, first, last) ])
+          let sz = Memplan.align block_align (Hashtbl.find ctx.sizes v) in
+          let unit_at (first, last) =
+            { u_values = [ (v, 0, sz) ]; u_size = sz; u_first = first; u_last = last }
+          in
+          if List.mem v recomputed then
+            (* just-in-time: materialized at production (the fused cluster
+               writes it regardless), then only at each consumer site *)
+            let first = pos_of.(Hashtbl.find ctx.producer v) in
+            let cs =
+              List.sort Int.compare
+                (List.map (fun j -> pos_of.(j)) (Hashtbl.find ctx.consumers v))
+            in
+            List.map unit_at ((first, first) :: List.map (fun c -> (c, c)) cs)
+          else [ unit_at (lifetime ctx pos_of extra v) ])
       ctx.values
   in
-  let group_segs =
+  let group_units =
     Array.to_list
       (Array.map
          (fun g ->
-           let total =
-             Array.fold_left (fun a v -> a + align sub_align (Hashtbl.find ctx.sizes v)) 0 g
+           let within = ref 0 in
+           let members =
+             Array.to_list
+               (Array.map
+                  (fun v ->
+                    let sz = Memplan.align sub_align (Hashtbl.find ctx.sizes v) in
+                    let off = !within in
+                    within := !within + sz;
+                    (v, off, sz))
+                  g)
            in
            let first, last = lifetime ctx pos_of extra g.(0) in
-           (align block_align total, first, last))
+           {
+             u_values = members;
+             u_size = Memplan.align block_align !within;
+             u_first = first;
+             u_last = last;
+           })
          groups)
   in
-  singles @ group_segs
+  singles @ group_units
 
 let eval_peak ctx pos_of ~recomputed ~extra ~groups =
-  peak_of_segments ctx.n (segments ctx pos_of ~recomputed ~extra ~groups)
+  let units = units_of ctx pos_of ~recomputed ~extra ~groups in
+  let best = ref 0 in
+  for p = 0 to ctx.n - 1 do
+    let s =
+      List.fold_left
+        (fun acc u -> if u.u_first <= p && p <= u.u_last then acc + u.u_size else acc)
+        0 units
+    in
+    if s > !best then best := s
+  done;
+  !best
 
 (* --- pass 1: greedy memory-minimizing list schedule ---------------------- *)
 
@@ -186,7 +203,7 @@ let greedy_order ctx =
       Hashtbl.replace remaining v
         (match Hashtbl.find_opt ctx.consumers v with Some cs -> List.length cs | None -> 0))
     ctx.values;
-  let size v = align block_align (Hashtbl.find ctx.sizes v) in
+  let size v = Memplan.align block_align (Hashtbl.find ctx.sizes v) in
   let alloc j = List.fold_left (fun a v -> a + size v) 0 ctx.outs.(j) in
   let freed j =
     List.fold_left
@@ -439,75 +456,6 @@ let reduced_peak est d bnd =
 
 (* --- concrete planning over the transformed lifetimes -------------------- *)
 
-type block = { b_off : int; b_size : int }
-
-let rec insert_free blk = function
-  | [] -> [ blk ]
-  | b :: rest as all ->
-      if blk.b_off + blk.b_size = b.b_off then
-        { b_off = blk.b_off; b_size = blk.b_size + b.b_size } :: rest
-      else if b.b_off + b.b_size = blk.b_off then
-        insert_free { b_off = b.b_off; b_size = b.b_size + blk.b_size } rest
-      else if blk.b_off < b.b_off then blk :: all
-      else b :: insert_free blk rest
-
-type unit_ = {
-  u_values : (int * int * int) list; (* value, offset within block, size *)
-  u_size : int;
-  u_first : int;
-  u_last : int;
-}
-
-let units_of ctx pos_of ~recomputed ~extra ~groups =
-  let grouped = Hashtbl.create 8 in
-  Array.iter (fun g -> Array.iter (fun v -> Hashtbl.replace grouped v ()) g) groups;
-  let singles =
-    List.concat_map
-      (fun v ->
-        if Hashtbl.mem grouped v then []
-        else
-          let sz = align block_align (Hashtbl.find ctx.sizes v) in
-          if List.mem v recomputed then
-            let first = pos_of.(Hashtbl.find ctx.producer v) in
-            let cs =
-              List.sort Int.compare
-                (List.map (fun j -> pos_of.(j)) (Hashtbl.find ctx.consumers v))
-            in
-            let segs = (first, first) :: List.map (fun c -> (c, c)) cs in
-            List.map
-              (fun (f, l) -> { u_values = [ (v, 0, sz) ]; u_size = sz; u_first = f; u_last = l })
-              segs
-          else
-            let first, last = lifetime ctx pos_of extra v in
-            [ { u_values = [ (v, 0, sz) ]; u_size = sz; u_first = first; u_last = last } ])
-      ctx.values
-  in
-  let group_units =
-    Array.to_list
-      (Array.map
-         (fun g ->
-           let within = ref 0 in
-           let members =
-             Array.to_list
-               (Array.map
-                  (fun v ->
-                    let sz = align sub_align (Hashtbl.find ctx.sizes v) in
-                    let off = !within in
-                    within := !within + sz;
-                    (v, off, sz))
-                  g)
-           in
-           let first, last = lifetime ctx pos_of extra g.(0) in
-           {
-             u_values = members;
-             u_size = align block_align !within;
-             u_first = first;
-             u_last = last;
-           })
-         groups)
-  in
-  singles @ group_units
-
 let plan est d bnd : Memplan.t =
   let ctx = build_ctx est bnd in
   let pos_of = pos_of_order d.order in
@@ -517,57 +465,29 @@ let plan est d bnd : Memplan.t =
   in
   (* stable creation order within a position keeps planning deterministic *)
   let units = List.stable_sort (fun a b -> Int.compare a.u_first b.u_first) units in
-  let free = ref [] in
-  let top = ref 0 in
-  let allocate size =
-    let best =
-      List.fold_left
-        (fun acc b ->
-          if b.b_size >= size then
-            match acc with Some best when best.b_size <= b.b_size -> acc | _ -> Some b
-          else acc)
-        None !free
-    in
-    match best with
-    | Some b ->
-        free := List.filter (fun x -> x <> b) !free;
-        if b.b_size > size then
-          free := insert_free { b_off = b.b_off + size; b_size = b.b_size - size } !free;
-        b.b_off
-    | None ->
-        let off = !top in
-        top := !top + size;
-        off
+  let offsets, arena_bytes =
+    Memplan.place (List.map (fun u -> (u.u_size, u.u_first, u.u_last)) units)
   in
-  let placed = ref [] in
-  for p = 0 to ctx.n - 1 do
-    List.iter
-      (fun u -> if u.u_first = p then placed := (u, allocate u.u_size) :: !placed)
-      units;
-    List.iter
-      (fun (u, off) ->
-        if u.u_last = p then free := insert_free { b_off = off; b_size = u.u_size } !free)
-      !placed
-  done;
   let assignments =
-    List.concat_map
-      (fun (u, off) ->
-        List.map
-          (fun (v, w, sz) ->
-            {
-              Memplan.value = v;
-              offset = off + w;
-              size = sz;
-              first_pos = u.u_first;
-              last_pos = u.u_last;
-            })
-          u.u_values)
-      (List.rev !placed)
+    List.concat
+      (List.map2
+         (fun u off ->
+           List.map
+             (fun (v, w, sz) ->
+               {
+                 Memplan.value = v;
+                 offset = off + w;
+                 size = sz;
+                 first_pos = u.u_first;
+                 last_pos = u.u_last;
+               })
+             u.u_values)
+         units offsets)
   in
   let naive_bytes = List.fold_left (fun a (x : Memplan.assignment) -> a + x.Memplan.size) 0 assignments in
   {
     Memplan.assignments;
-    arena_bytes = !top;
+    arena_bytes;
     naive_bytes;
     resident_bytes = Option.value (Estimate.resident_bytes est bnd) ~default:0;
   }

@@ -15,10 +15,12 @@
       positions coalesce into one arena block with 64-byte internal
       packing, cutting per-buffer alignment waste and fragmentation.
 
-    Decisions are made {e once per fingerprint × shape-bucket rung} by
-    evaluating polynomials at the rung-ceiling binding, and are cached
-    in {!Disc.Compile_cache} alongside the compiled artifact; applying a
-    cached decision at serve time is pure arithmetic. *)
+    A decision is made at a shape-bucket rung's ceiling binding and is
+    a pure function of (executable, binding); nothing caches it. Peaks
+    are evaluated over the same arena units {!plan} places, and {!plan}
+    places them with {!Runtime.Memplan.place}, the allocator
+    {!Runtime.Memplan.plan} uses — at {!identity} the two plans are
+    equal field for field. *)
 
 module Table = Symshape.Table
 
@@ -53,11 +55,11 @@ val reduced_peak : Estimate.t -> decision -> Table.binding -> int option
     [peak_after] of [decide]'s binding, re-evaluated elsewhere). *)
 
 val plan : Estimate.t -> decision -> Table.binding -> Runtime.Memplan.t
-(** Concrete best-fit arena plan over the transformed lifetimes: same
-    allocator discipline as {!Runtime.Memplan.plan} (allocate at birth,
-    best-fit free list, free after death), with grouped buffers placed
-    inside one block and recomputed values assigned per lifetime
-    segment. The result satisfies {!Runtime.Memplan.validate}. *)
+(** Concrete arena plan over the transformed lifetimes by
+    {!Runtime.Memplan.place} (allocate at birth, best-fit free list,
+    free after death), with grouped buffers placed inside one block and
+    recomputed values assigned per lifetime segment. The result
+    satisfies {!Runtime.Memplan.validate}. *)
 
 val savings_pct : decision -> float
 (** [100·(1 − peak_after/peak_before)]; 0 for a degenerate peak. *)

@@ -24,7 +24,23 @@ type t = {
   plan : Cluster.plan;
   items : item list; (* in cluster topological order *)
   host_overhead_us : float; (* host cost per kernel dispatch *)
+  last_use : int array; (* value id -> last reading position *)
 }
+
+let cluster_of = function Fused k -> k.Kernel.cluster | Lib c -> c
+
+(* Buffer liveness of the schedule, computed once: the last position
+   whose item reads each value. Graph outputs, parameters and constants
+   are never freed ([max_int]); a value nothing reads stays [-1]. *)
+let liveness g items =
+  let last = Array.make (Graph.id_bound g) (-1) in
+  List.iteri
+    (fun pos item -> List.iter (fun v -> last.(v) <- pos) (cluster_of item).Cluster.inputs)
+    items;
+  List.iter (fun o -> last.(o) <- max_int) (Graph.outputs g);
+  Graph.iter g (fun i ->
+      match i.op with Op.Parameter _ | Op.Constant _ -> last.(i.id) <- max_int | _ -> ());
+  last
 
 let compile ?(codegen = Kernel.default_config) ?(host_overhead_us = 0.3) (g : Graph.t)
     (plan : Cluster.plan) : t =
@@ -36,15 +52,13 @@ let compile ?(codegen = Kernel.default_config) ?(host_overhead_us = 0.3) (g : Gr
         | _ -> Fused (Kernel.build g codegen c))
       plan.Cluster.clusters
   in
-  { g; plan; items; host_overhead_us }
+  { g; plan; items; host_overhead_us; last_use = liveness g items }
 
 let num_kernels e = List.length e.items
 
 (* Kernel identity used by profiles, fault injection and the serving
    layer's circuit breakers: the cluster name "c<id>". *)
-let item_kname item =
-  let c = match item with Fused k -> k.Kernel.cluster | Lib c -> c in
-  "c" ^ string_of_int c.Cluster.cid
+let item_kname item = "c" ^ string_of_int (cluster_of item).Cluster.cid
 
 (* Resilience hooks shared by both execution paths. [faults] injects
    seeded launch failures and request-level OOMs; [despeculate] pins the
@@ -125,19 +139,6 @@ let charge profile (e : t) device ~kname (c : Cluster.t) (work, version_tag) =
     ~flops:work.Gpusim.Cost.flops;
   note_kernel_obs ~kname ~kind ~version_tag ~time_us ~host_us:e.host_overhead_us
 
-(* Last cluster (by position) that reads each value; used to free
-   intermediate buffers and track peak memory. *)
-let last_use_positions (e : t) =
-  let last : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iteri
-    (fun pos item ->
-      let c = match item with Fused k -> k.Kernel.cluster | Lib c -> c in
-      List.iter (fun input -> Hashtbl.replace last input pos) c.Cluster.inputs)
-    e.items;
-  (* graph outputs live to the end *)
-  List.iter (fun o -> Hashtbl.replace last o max_int) (Graph.outputs e.g);
-  last
-
 (* Cost-only execution: walks the kernel schedule under a shape binding
    without touching tensor data. This is what the benchmarks use, so
    they can run at the paper's real model sizes; the data plane (below)
@@ -154,12 +155,11 @@ let simulate ?(device = Gpusim.Device.a10) ?(profile = Profile.create ())
   Graph.iter g (fun i ->
       match i.op with Op.Constant _ -> resident := !resident + bytes_of i.id | _ -> ());
   check_request_oom ?faults device ~resident:!resident;
-  let last = last_use_positions e in
   let live = ref !resident in
   Profile.note_live_bytes profile !live;
   List.iteri
     (fun pos item ->
-      let c = match item with Fused k -> k.Kernel.cluster | Lib c -> c in
+      let c = cluster_of item in
       let kname = item_kname item in
       check_kernel_fault ?faults kname;
       List.iter (fun o -> live := !live + bytes_of o) c.Cluster.outputs;
@@ -168,13 +168,7 @@ let simulate ?(device = Gpusim.Device.a10) ?(profile = Profile.create ())
       let work, version_tag = item_work ?despeculate ~numel_of g device bnd kname item in
       charge profile e device ~kname c (tune work, version_tag);
       List.iter
-        (fun input ->
-          match Hashtbl.find_opt last input with
-          | Some p when p <= pos -> (
-              match (Graph.inst g input).op with
-              | Op.Parameter _ | Op.Constant _ -> ()
-              | _ -> live := !live - bytes_of input)
-          | _ -> ())
+        (fun input -> if e.last_use.(input) = pos then live := !live - bytes_of input)
         c.Cluster.inputs)
     e.items;
   profile
@@ -205,12 +199,11 @@ let run ?(device = Gpusim.Device.a10) ?cost_binding ?(profile = Profile.create (
     | Some v -> v
     | None -> Ir.Interp.eval_error "value %%%d not materialized" id
   in
-  let last = last_use_positions e in
   let live = ref !resident in
   Profile.note_live_bytes profile !live;
   List.iteri
     (fun pos item ->
-      let c = match item with Fused k -> k.Kernel.cluster | Lib c -> c in
+      let c = cluster_of item in
       let kname = item_kname item in
       check_kernel_fault ?faults kname;
       (* run the kernel's data plane *)
@@ -232,18 +225,13 @@ let run ?(device = Gpusim.Device.a10) ?cost_binding ?(profile = Profile.create (
       (* charge simulated cost, possibly under a padded cost binding *)
       charge profile e device ~kname c
         (item_work ?despeculate ~numel_of:cost_numel g device cost_bnd kname item);
-      (* free intermediates whose last use has passed *)
+      (* free intermediates read for the last time here *)
       List.iter
         (fun input ->
-          match Hashtbl.find_opt last input with
-          | Some p when p <= pos -> (
-              match (Graph.inst g input).op with
-              | Op.Parameter _ | Op.Constant _ -> () (* resident *)
-              | _ -> (
-                  match Hashtbl.find_opt values input with
-                  | Some nd -> live := !live - Nd.byte_size nd
-                  | None -> ()))
-          | _ -> ())
+          if e.last_use.(input) = pos then
+            match Hashtbl.find_opt values input with
+            | Some nd -> live := !live - Nd.byte_size nd
+            | None -> ())
         c.Cluster.inputs)
     e.items;
   (List.map value_of (Graph.outputs g), profile)

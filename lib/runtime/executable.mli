@@ -21,12 +21,25 @@ type t = {
   plan : Cluster.plan;
   items : item list;  (** cluster topological order *)
   host_overhead_us : float;
+  last_use : int array;
+      (** Buffer liveness of [items], indexed by value id: the last
+          schedule position whose item reads the value; [max_int] for
+          graph outputs, parameters and constants (never freed); [-1]
+          when nothing reads it. {!simulate} and {!run} free a buffer at
+          the position equal to its last use, and
+          {!Runtime.Memplan.lifetimes} derives from it. Computed once by
+          {!compile}: a rewrite that keeps every item's position (as
+          {!Tune.Plan.apply} does) may keep the table, but anything that
+          reorders, adds or drops items must rebuild it. *)
 }
 
 val compile :
   ?codegen:Kernel.config -> ?host_overhead_us:float -> Ir.Graph.t -> Cluster.plan -> t
 
 val num_kernels : t -> int
+
+val cluster_of : item -> Cluster.t
+(** The fusion cluster an item executes. *)
 
 val item_kname : item -> string
 (** Kernel identity ("c<cluster-id>") used by profiles, fault injection

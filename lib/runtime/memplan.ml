@@ -41,42 +41,65 @@ let rec insert_free (blk : block) = function
       else if blk.b_off < b.b_off then blk :: all
       else b :: insert_free blk rest
 
-let cluster_of = function
-  | Executable.Fused k -> k.Codegen.Kernel.cluster
-  | Executable.Lib c -> c
+(* Best-fit arena placement, shared by [plan] and the memory reducers
+   (lib/mem). [units] are [(size, first, last)] sorted by birth: at each
+   position, allocate the units born there in list order (best fit over
+   the free list, else bump the top), then free the placed units that
+   die there, newest first. Returns each unit's offset, in list order,
+   and the arena's high-water mark. *)
+let place units =
+  let free = ref [] and top = ref 0 in
+  let allocate size =
+    let best =
+      List.fold_left
+        (fun acc b ->
+          if b.b_size >= size then
+            match acc with Some best when best.b_size <= b.b_size -> acc | _ -> Some b
+          else acc)
+        None !free
+    in
+    match best with
+    | Some b ->
+        free := List.filter (fun x -> x <> b) !free;
+        if b.b_size > size then
+          free := insert_free { b_off = b.b_off + size; b_size = b.b_size - size } !free;
+        b.b_off
+    | None ->
+        let off = !top in
+        top := !top + size;
+        off
+  in
+  let births = List.fold_left (fun n (_, first, _) -> max n (first + 1)) 0 units in
+  let dying = Array.make births [] in
+  let pending = ref units and offsets = ref [] in
+  for pos = 0 to births - 1 do
+    let rec born = function
+      | (size, first, last) :: rest when first <= pos ->
+          let off = allocate size in
+          offsets := off :: !offsets;
+          if last < births then dying.(last) <- { b_off = off; b_size = size } :: dying.(last);
+          born rest
+      | rest -> rest
+    in
+    pending := born !pending;
+    List.iter (fun blk -> free := insert_free blk !free) dying.(pos)
+  done;
+  (List.rev !offsets, !top)
 
 (* Lifetime of every cluster-produced intermediate under the schedule:
-   born at the producing item's position, dead after the position of its
-   last consuming item (graph outputs live to the end: [max_int]). The
-   symbolic estimator (lib/mem) walks exactly these lifetimes with sizes
-   as polynomials, so the walk is shared rather than mirrored. *)
+   born at the producing item's position, dead after its last use (the
+   producing position when nothing reads it; [max_int] for graph
+   outputs). The symbolic estimator (lib/mem) walks exactly these
+   lifetimes with sizes as polynomials, so the walk is shared rather
+   than mirrored. *)
 let lifetimes (e : Executable.t) : (int * int * int) list =
-  let items = e.Executable.items in
-  let produced_at = Hashtbl.create 64 in
-  List.iteri
-    (fun pos item ->
-      List.iter (fun o -> Hashtbl.replace produced_at o pos) (cluster_of item).Cluster.outputs)
-    items;
-  let last_use = Hashtbl.create 64 in
-  List.iteri
-    (fun pos item ->
-      List.iter
-        (fun input -> if Hashtbl.mem produced_at input then Hashtbl.replace last_use input pos)
-        (cluster_of item).Cluster.inputs)
-    items;
-  List.iter
-    (fun o -> if Hashtbl.mem produced_at o then Hashtbl.replace last_use o max_int)
-    (Graph.outputs (e.Executable.g));
-  let acc = ref [] in
-  List.iteri
-    (fun pos item ->
-      List.iter
-        (fun o ->
-          let last = Option.value (Hashtbl.find_opt last_use o) ~default:pos in
-          acc := (o, pos, last) :: !acc)
-        (cluster_of item).Cluster.outputs)
-    items;
-  List.rev !acc
+  List.concat
+    (List.mapi
+       (fun pos item ->
+         List.map
+           (fun o -> (o, pos, max pos e.Executable.last_use.(o)))
+           (Executable.cluster_of item).Cluster.outputs)
+       e.Executable.items)
 
 let plan ?(alignment = 256) (e : Executable.t) (bnd : Table.binding) : t =
   let g = e.Executable.g in
@@ -96,53 +119,17 @@ let plan ?(alignment = 256) (e : Executable.t) (bnd : Table.binding) : t =
         | _ -> acc)
       0
   in
-  let items = e.Executable.items in
-  let last_use = Hashtbl.create 64 in
-  List.iter (fun (v, _, last) -> Hashtbl.replace last_use v last) (lifetimes e);
-  (* walk the schedule: allocate at production, free after last use *)
-  let free : block list ref = ref [] in
-  let top = ref 0 in
-  let assignments = ref [] in
-  let allocate size =
-    (* best-fit over the free list *)
-    let best =
-      List.fold_left
-        (fun acc b ->
-          if b.b_size >= size then
-            match acc with
-            | Some best when best.b_size <= b.b_size -> acc
-            | _ -> Some b
-          else acc)
-        None !free
-    in
-    match best with
-    | Some b ->
-        free := List.filter (fun x -> x <> b) !free;
-        if b.b_size > size then
-          free := insert_free { b_off = b.b_off + size; b_size = b.b_size - size } !free;
-        b.b_off
-    | None ->
-        let off = !top in
-        top := !top + size;
-        off
+  let buffers = List.map (fun (v, first, last) -> (v, size_of v, first, last)) (lifetimes e) in
+  let offsets, arena_bytes =
+    place (List.map (fun (_, size, first, last) -> (size, first, last)) buffers)
   in
-  List.iteri
-    (fun pos item ->
-      List.iter
-        (fun o ->
-          let size = size_of o in
-          let offset = allocate size in
-          let last_pos = Option.value (Hashtbl.find_opt last_use o) ~default:pos in
-          assignments := { value = o; offset; size; first_pos = pos; last_pos } :: !assignments)
-        (cluster_of item).Cluster.outputs;
-      (* free buffers whose last use is this position *)
-      List.iter
-        (fun a ->
-          if a.last_pos = pos then free := insert_free { b_off = a.offset; b_size = a.size } !free)
-        !assignments)
-    items;
-  let naive_bytes = List.fold_left (fun acc a -> acc + a.size) 0 !assignments in
-  { assignments = List.rev !assignments; arena_bytes = !top; naive_bytes; resident_bytes }
+  let assignments =
+    List.map2
+      (fun (value, size, first_pos, last_pos) offset -> { value; offset; size; first_pos; last_pos })
+      buffers offsets
+  in
+  let naive_bytes = List.fold_left (fun acc a -> acc + a.size) 0 assignments in
+  { assignments; arena_bytes; naive_bytes; resident_bytes }
 
 (* Structured-error planning: injected allocation failures and capacity
    checks surface as [Error.Oom] instead of silently planning an arena

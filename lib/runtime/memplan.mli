@@ -2,9 +2,9 @@
 
     For one executable and one shape binding, assigns every intermediate
     buffer an offset in a single device arena: disjoint lifetimes share
-    memory (greedy best-fit free list); overlapping lifetimes never
-    overlap in space ({!validate}). Re-planned per shape binding, which
-    is exactly what a dynamic-shape runtime must do. *)
+    memory (greedy best-fit free list, {!place}); overlapping lifetimes
+    never overlap in space ({!validate}). Re-planned per shape binding,
+    which is exactly what a dynamic-shape runtime must do. *)
 
 type assignment = {
   value : int;
@@ -21,15 +21,28 @@ type t = {
   resident_bytes : int;  (** parameters + constants, outside the arena *)
 }
 
+val align : int -> int -> int
+(** [align up n] rounds [n] up to a multiple of [up]. *)
+
 val lifetimes : Executable.t -> (int * int * int) list
 (** [(value, first_pos, last_pos)] of every cluster-produced
     intermediate, in production order: born at the producing item's
-    schedule position, dead after its last consuming item's position
-    (graph outputs report [max_int]). Binding-independent — the symbolic
-    memory estimator ({!Mem.Estimate}) walks these same lifetimes with
-    sizes as polynomials instead of concrete bytes. *)
+    schedule position [pos], dead after [max pos last_use.(value)] (the
+    executable's liveness table; graph outputs report [max_int]). Binding-independent — the symbolic memory estimator
+    ({!Mem.Estimate}) walks these same lifetimes with sizes as
+    polynomials instead of concrete bytes. *)
+
+val place : (int * int * int) list -> int list * int
+(** The one best-fit arena allocator, shared with {!Mem.Reduce.plan}.
+    Units are [(size, first, last)], sorted by [first]; at each schedule
+    position it allocates the units born there in list order (best fit
+    over an offset-sorted, coalescing free list, else at the arena top),
+    then frees the placed units whose [last] is that position. Returns
+    each unit's offset, in list order, and the arena high-water mark. *)
 
 val plan : ?alignment:int -> Executable.t -> Symshape.Table.binding -> t
+(** {!place} over {!lifetimes}, each buffer sized at the binding and
+    rounded up to [alignment] (default 256). *)
 
 val plan_result :
   ?alignment:int ->

@@ -103,6 +103,7 @@ let exp_draw rng ~mean_us =
 
 let generate (s : spec) ~n : Pool.request list =
   (match validate s with Ok () -> () | Error m -> invalid_arg ("Trace_gen: " ^ m));
+  if n < 0 then invalid_arg "Trace_gen: n must be >= 0";
   let rng = T.create_rng s.seed in
   let segs = Array.of_list s.segments in
   let nsegs = Array.length segs in

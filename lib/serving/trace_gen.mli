@@ -55,7 +55,8 @@ val spec_peak_qps : spec -> float
 val generate : spec -> n:int -> Pool.request list
 (** The first [n] requests of the endless trace the spec describes, in
     strictly increasing arrival order.
-    @raise Invalid_argument when {!validate} rejects the spec. *)
+    @raise Invalid_argument when {!validate} rejects the spec or
+    [n < 0]. *)
 
 (** {1 Presets} *)
 

@@ -23,7 +23,9 @@ val elements : (string * int) list -> int
 
 val generate_arrivals :
   seed:int -> qps:float -> n:int -> dims:(string * Trace.distribution) list -> request list
-(** Poisson arrivals with per-request dims drawn from [dims]. *)
+(** [n] Poisson arrivals at [qps] with per-request dims drawn from
+    [dims], in [dims] order. Same seed, same stream.
+    @raise Invalid_argument when [qps <= 0] or [n < 0]. *)
 
 (** {1 The server}
 

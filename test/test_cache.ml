@@ -249,7 +249,7 @@ let test_schedule_side_table_stats () =
   (* the serving health line surfaces the side-table counts *)
   let line = Cache.health_to_string s in
   Alcotest.(check bool) "health line carries side-table counts" true
-    (contains line "side: reductions=0 schedules=3");
+    (contains line "side: schedules=3");
   Alcotest.(check bool) "health line verdict" true (contains line "; healthy");
   let sick = Cache.health_to_string { s with Cache.corrupt = 2 } in
   Alcotest.(check bool) "quarantines surface as UNHEALTHY" true

@@ -175,7 +175,37 @@ let test_gen_requests_deterministic () =
   check_bool "all classes representable" true
     (List.for_all
        (fun (q : Scheduler.request) -> q.Scheduler.prompt >= 1 && q.Scheduler.max_new >= 1)
-       a)
+       a);
+  (* E19's stream: the first ten requests are pinned (arrival, prompt,
+     new tokens, class) *)
+  let e19 =
+    Scheduler.gen_requests ~seed:7 ~qps:40.0 ~n:40
+      ~prompt:(Workloads.Trace.Skewed (16, 256))
+      ~max_new:(Workloads.Trace.Uniform (16, 96))
+  in
+  let pinned =
+    [
+      (15931.411249907233, 21, 37, Slo.Standard);
+      (58917.986561909653, 139, 16, Slo.Standard);
+      (85383.801937725468, 81, 29, Slo.Standard);
+      (129706.32646768377, 76, 67, Slo.Interactive);
+      (153083.64629483127, 21, 34, Slo.Interactive);
+      (174644.87706750276, 58, 62, Slo.Standard);
+      (189091.03216708754, 41, 77, Slo.Interactive);
+      (284529.33618439274, 16, 53, Slo.Interactive);
+      (293116.10365891695, 168, 27, Slo.Best_effort);
+      (302263.21419324249, 61, 82, Slo.Standard);
+    ]
+  in
+  List.iteri
+    (fun i (arrival, prompt, max_new, cls) ->
+      let q = List.nth e19 i in
+      check_bool (Printf.sprintf "E19 request %d pinned" i) true
+        (q.Scheduler.arrival_us = arrival
+        && q.Scheduler.prompt = prompt
+        && q.Scheduler.max_new = max_new
+        && q.Scheduler.cls = cls))
+    pinned
 
 let test_config_validation () =
   let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in

@@ -246,17 +246,39 @@ let test_decide_deterministic () =
   check_int "same peak" d1.Reduce.peak_after d2.Reduce.peak_after;
   check_string "same rendering" (Reduce.to_string d1) (Reduce.to_string d2)
 
+(* The two planners are one: at the identity decision, the reducer's
+   concrete plan is the RAL planner's, field for field, on every suite
+   model and env (bench envs plus the tiny env) at both scales. *)
 let test_identity_decision () =
-  let entry = Suite.find "dien" in
-  let built = entry.Suite.build () in
-  ignore (Ir.Passes.run_all built.Models.Common.graph);
-  let g = built.Models.Common.graph in
-  let exe = Executable.compile g (Planner.plan g) in
-  let est = Estimate.of_executable exe in
-  let env = ceil_env (List.hd entry.Suite.bench_dims) in
-  let d = Reduce.identity ~env est (Models.Common.binding_for built env) in
-  check_int "identity saves nothing" d.Reduce.peak_before d.Reduce.peak_after;
-  check_bool "identity savings 0" true (Reduce.savings_pct d = 0.0)
+  List.iter
+    (fun (entry : Suite.entry) ->
+      List.iter
+        (fun (scale, build) ->
+          let built = build () in
+          ignore (Ir.Passes.run_all built.Models.Common.graph);
+          let g = built.Models.Common.graph in
+          let exe = Executable.compile g (Planner.plan g) in
+          let est = Estimate.of_executable exe in
+          List.iter
+            (fun env ->
+              let cell =
+                Printf.sprintf "%s %s %s" entry.Suite.name scale (Tensor.Shape.env_key env)
+              in
+              let bnd = Models.Common.binding_for built env in
+              let d = Reduce.identity ~env est bnd in
+              check_int (cell ^ ": identity saves nothing") d.Reduce.peak_before
+                d.Reduce.peak_after;
+              check_bool (cell ^ ": identity savings 0") true (Reduce.savings_pct d = 0.0);
+              let r = Reduce.plan est d bnd and p = Memplan.plan exe bnd in
+              check_bool (cell ^ ": same assignments") true
+                (r.Memplan.assignments = p.Memplan.assignments);
+              check_int (cell ^ ": same arena") p.Memplan.arena_bytes r.Memplan.arena_bytes;
+              check_int (cell ^ ": same naive") p.Memplan.naive_bytes r.Memplan.naive_bytes;
+              check_int (cell ^ ": same resident") p.Memplan.resident_bytes
+                r.Memplan.resident_bytes)
+            (entry.Suite.bench_dims @ [ entry.Suite.tiny_dims ]))
+        [ ("paper", entry.Suite.build); ("tiny", entry.Suite.build_tiny) ])
+    Suite.all
 
 (* --- serving: router headroom, autoscaler pressure --------------------- *)
 

@@ -273,6 +273,10 @@ let test_validate_rejects_bad_specs () =
     (match Tg.generate bad_qps ~n:10 with
     | _ -> false
     | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "generate raises on n < 0" true
+    (match Tg.generate good ~n:(-1) with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
   let bad_diurnal =
     {
       good with

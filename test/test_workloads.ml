@@ -144,7 +144,17 @@ let test_generate_arrivals_sorted_and_positive () =
     | _ -> true
   in
   check_bool "sorted arrivals" true (mono reqs);
-  check_bool "positive times" true (List.for_all (fun r -> r.Q.arrival_us > 0.0) reqs)
+  check_bool "positive times" true (List.for_all (fun r -> r.Q.arrival_us > 0.0) reqs);
+  check_bool "n = 0 is empty" true
+    (Q.generate_arrivals ~seed:3 ~qps:100.0 ~n:0 ~dims:[ ("seq", T.Fixed 8) ] = []);
+  let rejects ~qps ~n =
+    match Q.generate_arrivals ~seed:3 ~qps ~n ~dims:[ ("seq", T.Fixed 8) ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "n < 0 rejected" true (rejects ~qps:100.0 ~n:(-1));
+  check_bool "qps = 0 rejected" true (rejects ~qps:0.0 ~n:5);
+  check_bool "qps < 0 rejected" true (rejects ~qps:(-100.0) ~n:5)
 
 let prop_higher_load_never_lowers_latency =
   QCheck.Test.make ~name:"p99 latency is monotone in load" ~count:20
