@@ -484,34 +484,28 @@ let serving () =
   tables_only
 
 (* ----------------------------------------------------------------------
-   E13 (extension): hot-shape specialization — static variants for
-   likely shapes next to the shape-generic artifact (hybrid
-   static/dynamic deployment). *)
+   E13 (extension): hot-shape specialization — what a fully static
+   variant (Ir.Clone.clone ~bind) compiled for one shape gains over the
+   shape-generic artifact at that shape, and what it costs to compile. *)
 
 let specialization () =
-  header "E13 (extension): hot-shape specialization (A10, first likely shape)";
+  header "E13 (extension): hot-shape specialization (A10, first bench shape)";
   Printf.printf "%-11s %12s %12s %8s %14s\n" "model" "generic(us)" "hot(us)" "gain"
     "extra-compile(s)";
   List.iter
     (fun entry ->
       let built = entry.Suite.build () in
-      let hot_env = List.hd entry.Suite.bench_dims in
-      let sp = Disc.Specialize.create ~hot_envs:[ hot_env ] built in
-      let hot_p, src = Disc.Specialize.serve sp hot_env in
-      assert (src = `Hot);
-      (* a near-miss shape runs the generic artifact *)
-      let miss_env = List.map (fun (n, v) -> (n, v)) hot_env in
-      let generic_p, _ = Disc.Specialize.serve sp miss_env in
-      ignore generic_p;
-      (* compare generic artifact at the same hot shape *)
-      let dims = List.map (fun (n, v) -> (Common.dim_exn sp.Disc.Specialize.built n, v)) hot_env in
-      let gen_p = Compiler.simulate sp.Disc.Specialize.generic dims in
-      Printf.printf "%-11s %12.0f %12.0f %7.2fx %14.1f\n" entry.Suite.name
-        (Profile.total_us gen_p) (Profile.total_us hot_p)
-        (Profile.total_us gen_p /. Profile.total_us hot_p)
-        ((Disc.Specialize.total_compile_ms sp
-         -. sp.Disc.Specialize.generic.Compiler.compile_time_ms)
-        /. 1000.0))
+      let dims =
+        List.map (fun (n, v) -> (Common.dim_exn built n, v)) (List.hd entry.Suite.bench_dims)
+      in
+      let generic = Compiler.compile built.Common.graph in
+      let hot = Compiler.compile (Ir.Clone.clone ~bind:dims built.Common.graph) in
+      let gen_us = Profile.total_us (Compiler.simulate generic dims) in
+      (* the static variant has no dynamic dims left to bind *)
+      let hot_us = Profile.total_us (Compiler.simulate hot []) in
+      Printf.printf "%-11s %12.0f %12.0f %7.2fx %14.1f\n" entry.Suite.name gen_us hot_us
+        (gen_us /. hot_us)
+        (hot.Compiler.compile_time_ms /. 1000.0))
     Suite.all;
   tables_only
 

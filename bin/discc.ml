@@ -839,6 +839,8 @@ let () =
   | exception Invalid_argument msg -> die 1 msg
   | exception Runtime.Error.Error e -> die 2 (Runtime.Error.to_string e)
   | exception Symshape.Table.Inconsistent msg -> die 2 ("shape error: " ^ msg)
+  | exception Ir.Parser.Parse_error msg -> die 2 ("parse error: " ^ msg)
+  | exception Ir.Graph.Type_error msg -> die 2 ("type error: " ^ msg)
   | exception Ir.Interp.Eval_error msg -> die 2 ("eval error: " ^ msg)
   | exception Failure msg -> die 2 msg
   | exception Sys_error msg -> die 2 msg

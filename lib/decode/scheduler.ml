@@ -1,5 +1,5 @@
 (* Token-level scheduling of autoregressive decoding over the serving
-   stack (paper §2 workload, ROADMAP item 1).
+   stack (paper §2 workload).
 
    Two modes share one discrete-event virtual-time loop:
 

@@ -4,7 +4,6 @@
    down planner behaviour. *)
 
 module Sym = Symshape.Sym
-module Table = Symshape.Table
 module Graph = Ir.Graph
 module Op = Ir.Op
 
@@ -75,56 +74,29 @@ let explain ?(config = Planner.default_config) (g : Graph.t) (plan : Cluster.pla
             in
             if producer == consumer then Not_adjacent
             else
-              let has_reduce c =
-                List.exists
-                  (fun m ->
-                    match (Graph.inst g m).Graph.op with Op.Reduce _ -> true | _ -> false)
-                  c.Cluster.members
-              in
               let domains_eq =
                 Planner.numel_eq config tab producer.Cluster.domain consumer.Cluster.domain
               in
-              if has_reduce producer then
+              (* the shared-memory bytes each reduce row of the producer
+                 needs, by the planner's own fit rule (None: unbounded) *)
+              let rows =
+                List.filter_map
+                  (fun m ->
+                    match (Graph.inst g m).Graph.op with
+                    | Op.Reduce _ -> Some (Planner.reduce_row_upper_bound_bytes g m)
+                    | _ -> None)
+                  producer.Cluster.members
+              in
+              let budget = config.Planner.shared_mem_bytes in
+              if rows <> [] then
                 (* a stitch would be needed; find the blocking condition *)
-                let rows_bounded =
-                  List.for_all
-                    (fun m ->
-                      match (Graph.inst g m).Graph.op with
-                      | Op.Reduce { dims; _ } -> (
-                          let input = Graph.inst g (Graph.inst g m).Graph.args.(0) in
-                          let row =
-                            Array.of_list (List.map (fun d -> input.Graph.shape.(d)) dims)
-                          in
-                          match Table.shape_upper_bound_numel tab row with
-                          | Some n ->
-                              n * Tensor.Dtype.byte_size input.Graph.dtype
-                              <= config.Planner.shared_mem_bytes
-                          | None -> false)
-                      | _ -> true)
-                    producer.Cluster.members
-                in
+                let fits = function Some n -> n <= budget | None -> false in
+                let need = List.fold_left (fun acc r -> max acc (Option.value r ~default:0)) 0 rows in
                 if not config.Planner.enable_stitch then Reduce_in_producer
-                else if rows_bounded then Would_create_cycle
-                else
-                  let need =
-                    List.fold_left
-                      (fun acc m ->
-                        match (Graph.inst g m).Graph.op with
-                        | Op.Reduce { dims; _ } -> (
-                            let input = Graph.inst g (Graph.inst g m).Graph.args.(0) in
-                            let row =
-                              Array.of_list (List.map (fun d -> input.Graph.shape.(d)) dims)
-                            in
-                            match Table.shape_upper_bound_numel tab row with
-                            | Some n -> max acc (n * Tensor.Dtype.byte_size input.Graph.dtype)
-                            | None -> acc)
-                        | _ -> acc)
-                      0 producer.Cluster.members
-                  in
-                  if need = 0 then Stitch_row_unbounded
-                  else if need > config.Planner.shared_mem_bytes then
-                    Stitch_row_too_large (need, config.Planner.shared_mem_bytes)
-                  else Would_create_cycle
+                else if List.for_all fits rows then Would_create_cycle
+                else if need = 0 then Stitch_row_unbounded
+                else if need > budget then Stitch_row_too_large (need, budget)
+                else Would_create_cycle
               else if not domains_eq then
                 Domain_mismatch
                   (Sym.to_string producer.Cluster.domain, Sym.to_string consumer.Cluster.domain)

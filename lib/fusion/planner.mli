@@ -36,4 +36,10 @@ val horizontal_config : config
 val numel_eq : config -> Symshape.Table.t -> Symshape.Sym.shape -> Symshape.Sym.shape -> bool
 (** The oracle-filtered numel-equality test the planner uses. *)
 
+val reduce_row_upper_bound_bytes : Ir.Graph.t -> int -> int option
+(** [reduce_row_upper_bound_bytes g id]: an upper bound on the
+    shared-memory bytes one row of reduce instruction [id] needs —
+    kStitch's fit test. [None] when the row has no upper bound, or when
+    [id] is not a reduce. *)
+
 val plan : ?config:config -> Ir.Graph.t -> Cluster.plan

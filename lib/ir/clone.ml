@@ -2,13 +2,13 @@
 
    [clone ~bind g] rebuilds [g] into a fresh graph (fresh symbol table),
    substituting the given symbolic dims with static values. With all
-   dynamic dims bound the result is a fully static program — the basis
-   of hot-shape specialization (compile a static variant for a likely
-   shape next to the shape-generic artifact).
+   dynamic dims bound the result is a fully static program (E13 sets
+   one against the shape-generic artifact at the same shape).
 
    Reconstruction goes through Graph.add, so the clone's shapes and
-   constraints are re-inferred from scratch; unbound symbols are
-   re-created with their range/likely metadata copied. *)
+   constraints are re-inferred from scratch — re-recorded product facts
+   re-derive their ranges; unbound symbols are re-created with their
+   range/likely metadata copied. *)
 
 module Sym = Symshape.Sym
 module Table = Symshape.Table

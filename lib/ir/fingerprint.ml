@@ -19,9 +19,10 @@
    It is deliberately {e sensitive} to everything a compile result
    depends on: the op sequence and op payloads (including constants),
    dtypes, the symbolic shape structure (which dims are provably equal),
-   each symbol's distribution constraints (lb/ub/likely — they steer
-   kStitch feasibility and speculation), and the product facts recorded
-   by reshapes. Compiler options are hashed separately by the cache
+   each symbol's range (lb/ub — it steers kStitch feasibility and
+   speculation) and likely values (metadata no compile decision reads,
+   hashed so the key covers everything the printer shows), and the
+   product facts recorded by reshapes. Compiler options are hashed separately by the cache
    (they live above the IR). *)
 
 module Sym = Symshape.Sym

@@ -50,12 +50,23 @@ let ensure_capacity t n =
     t.syms <- Array.init ncap fresh_info
   end
 
+(* Every range change goes through here: an empty range means the
+   constraints contradict each other. *)
+let check_range id (i : info) =
+  match i.ub with
+  | Some ub when ub < i.lb ->
+      inconsistent "symbol %s has empty range [%d, %d]"
+        (if i.name = "" then Printf.sprintf "s%d" id else i.name)
+        i.lb ub
+  | _ -> ()
+
 let fresh ?(name = "") ?(lb = 1) ?ub ?(likely = []) t =
   let id = t.count in
+  let i = { parent = id; static = None; lb; ub; likely; deriv = None; name } in
+  check_range id i;
   ensure_capacity t (id + 1);
   t.count <- id + 1;
-  t.syms.(id) <-
-    { parent = id; static = None; lb; ub; likely; deriv = None; name };
+  t.syms.(id) <- i;
   Sym.Sym id
 
 let num_symbols t = t.count
@@ -105,6 +116,7 @@ let merge_roots t a b =
       (match (ia.ub, ib.ub) with
       | Some x, Some y -> Some (min x y)
       | (Some _ as s), None | None, s -> s);
+    check_range a ia;
     ia.likely <- List.sort_uniq Stdlib.compare (ia.likely @ ib.likely)
   end
 
@@ -156,7 +168,8 @@ let set_range t (d : Sym.dim) ?lb ?ub () =
       (match ub with
       | Some u ->
           i.ub <- (match i.ub with Some u' -> Some (min u u') | None -> Some u)
-      | None -> ())
+      | None -> ());
+      check_range id i
 
 let add_likely t (d : Sym.dim) vs =
   match resolve t d with
@@ -282,8 +295,23 @@ let record_product_equal t (a : Sym.dim array) (b : Sym.dim array) =
       bind_static t y (pa.coeff / pb.coeff)
   | [ x ], [ y ] when pa.coeff = pb.coeff -> merge t (Sym.Sym x) (Sym.Sym y)
   | _ ->
-      if not (product_equal_trivial pa pb) then
-        t.product_facts <- (Array.copy a, Array.copy b) :: t.product_facts
+      if not (product_equal_trivial pa pb) then begin
+        t.product_facts <- (Array.copy a, Array.copy b) :: t.product_facts;
+        (* A symbol standing alone on one side (np = h'*w') lies within
+           the other side's range product. *)
+        let bound_lone (lone : product) (other : product) =
+          match lone with
+          | { coeff = 1; syms = [ x ] } ->
+              let dims = Array.of_list (List.map (fun s -> Sym.Sym s) other.syms) in
+              set_range t (Sym.Sym x)
+                ~lb:(Array.fold_left (fun acc d -> acc * lower_bound t d) other.coeff dims)
+                ?ub:(Option.map (( * ) other.coeff) (shape_upper_bound_numel t dims))
+                ()
+          | _ -> ()
+        in
+        bound_lone pa pb;
+        bound_lone pb pa
+      end
 
 let products_equal t (a : Sym.dim array) (b : Sym.dim array) =
   let target = normalize_product t b in

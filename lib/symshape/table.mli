@@ -4,9 +4,11 @@
     - {b structural constraints}: dimension-equality classes (union-find,
       possibly resolved to a static value) and product-of-dimensions
       equality facts (recorded by reshape-like ops, queried by fusion);
-    - {b distribution constraints}: value range [[lb, ub]] and likely
-      runtime values, used as compilation hints (launch-schedule choice,
-      shared-memory feasibility for kStitch).
+    - {b distribution constraints}: value range [[lb, ub]] — declared,
+      or derived from a product fact ({!record_product_equal}) — which
+      proves shared-memory feasibility for kStitch; and likely runtime
+      values, display and fingerprint metadata that no compile decision
+      reads.
 
     All queries are conservative: [true] means {e provably} equal. *)
 
@@ -19,7 +21,8 @@ val create : unit -> t
 
 val fresh : ?name:string -> ?lb:int -> ?ub:int -> ?likely:int list -> t -> Sym.dim
 (** New symbol; [lb] defaults to 1 (tensor dims are non-empty unless
-    stated otherwise). *)
+    stated otherwise).
+    @raise Inconsistent if [lb > ub]. *)
 
 val num_symbols : t -> int
 
@@ -45,6 +48,11 @@ val dim_name : t -> Sym.dim -> string option
     never used for reasoning. [None] for statics and unnamed symbols. *)
 
 val set_range : t -> Sym.dim -> ?lb:int -> ?ub:int -> unit -> unit
+(** Narrow a dim's range (never widens it). Merging two classes narrows
+    the same way.
+    @raise Inconsistent if the range becomes empty, or excludes the
+    dim's static value. *)
+
 val add_likely : t -> Sym.dim -> int list -> unit
 
 val shape_upper_bound_numel : t -> Sym.shape -> int option
@@ -53,7 +61,11 @@ val shape_upper_bound_numel : t -> Sym.shape -> int option
 
 val record_product_equal : t -> Sym.dim array -> Sym.dim array -> unit
 (** Assert product(a) = product(b); recorded by reshapes. Degenerate
-    cases (single symbols) collapse into merges/static bindings. *)
+    cases (single symbols) collapse into merges/static bindings. When,
+    after cancelling common factors, one side is a lone symbol (the
+    collapsed dim of a reshape: [np = h'·w']), its range is narrowed to
+    the other side's range product.
+    @raise Inconsistent on contradiction. *)
 
 val products_equal : t -> Sym.dim array -> Sym.dim array -> bool
 (** Provable product equality, reasoning transitively through recorded

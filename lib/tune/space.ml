@@ -1,5 +1,5 @@
 (* Candidate schedule space with hierarchical hardware pruning
-   (ROADMAP item 3; Vortex/FTuner-style sample-free tuning).
+   (Vortex/FTuner-style sample-free tuning).
 
    A point fixes the launch schedule axes the cost model is sensitive
    to: threads per block, per-thread tile (elements each thread

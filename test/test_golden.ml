@@ -325,9 +325,9 @@ let pinned_fingerprints =
     ("seq2seq", "63081b005394d57737bfab0ddc6f98c7");
     ("t5", "7d7d7d35fe1d9e1dba086ec1e908fbb6");
     ("crnn", "1ae88223a32328bd03cdcb1e90902ac3");
-    ("fastspeech", "c1fceb5a6dcecf0caaa22581f9a345f8");
+    ("fastspeech", "ec65e818647ed36aed728514c0a845c4");
     ("asr", "bde60ac2e1b32aae1dffd94526eda5cc");
-    ("vit", "e3caf31ed25430c501202dd8d6e84dae");
+    ("vit", "5a873cf0c7997e1ba3c539b4f53e2344");
     ("dien", "1928611d2f30f59fcc617bbe3780e25a");
   ]
 
@@ -384,7 +384,7 @@ let pinned_tuned_digests =
     ("crnn", "f9e2b0112ebb73a34c4d0cf156346720");
     ("fastspeech", "0171d9153257ec36266695b8ba1834bf");
     ("asr", "7f4147149bc5f9f17b61b2c7d1b0e061");
-    ("vit", "0c2ca848bb046fec12f173a57b91d2ca");
+    ("vit", "dcd6959b97d66dd2f7a1de4a95163347");
     ("dien", "7333a92e1e741264ebef62a0a28d304f");
   ]
 

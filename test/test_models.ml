@@ -214,6 +214,25 @@ let test_fastspeech_expand_map () =
       check_bool "identical frames" true (Nd.equal_approx ~eps:1e-4 (row 0) (row 3))
   | _ -> Alcotest.fail "one output"
 
+(* Every symbol of every suite model has an upper bound: the input dims
+   by declaration, the rest derived from them (conv extents, concat
+   sums, and a reshape's collapsed dim through its product fact), so
+   kStitch can prove shared-memory fit without binding a shape. *)
+let test_every_symbol_bounded () =
+  List.iter
+    (fun e ->
+      List.iter
+        (fun (scale, build) ->
+          let tab = Graph.symtab (build ()).Common.graph in
+          for id = 0 to Symshape.Table.num_symbols tab - 1 do
+            check_bool
+              (Printf.sprintf "%s (%s) s%d has an upper bound" e.Suite.name scale id)
+              true
+              (Symshape.Table.upper_bound tab (Symshape.Sym.Sym id) <> None)
+          done)
+        [ ("paper", e.Suite.build); ("tiny", e.Suite.build_tiny) ])
+    Suite.all
+
 let test_suite_registry () =
   check_int "ten models" 10 (List.length Suite.all);
   List.iter
@@ -243,5 +262,6 @@ let () =
           Alcotest.test_case "t5 bias" `Quick test_t5_bias_symmetry;
           Alcotest.test_case "fastspeech expand" `Quick test_fastspeech_expand_map;
           Alcotest.test_case "registry" `Quick test_suite_registry;
+          Alcotest.test_case "every symbol bounded" `Quick test_every_symbol_bounded;
         ] );
     ]

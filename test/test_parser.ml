@@ -89,6 +89,17 @@ let test_errors () =
   bad "bad constant arity" {|graph { %0 : f32[3] = constant(f32[3]{1, 2})() return %0 }|};
   bad "garbage" {|graph { ??? }|}
 
+let test_empty_range_rejected () =
+  Alcotest.check_raises "lb above ub"
+    (Table.Inconsistent "symbol s1 has empty range [300, 256]") (fun () ->
+      ignore
+        (Ir.Parser.parse
+           {|graph {
+               sym s1 lb=300 ub=256
+               %0 : f32[s1] = parameter(0, "x")()
+               return %0
+             }|}))
+
 (* round-trip: build programmatically, print with symbols, parse, compare *)
 let roundtrip_graph build inputs =
   let g1 = build () in
@@ -173,6 +184,23 @@ let test_roundtrip_gather_conv () =
       g)
     [ Nd.init [| 2; 6; 6; 1 |] (fun i -> float_of_int (i.(1) + i.(2)) /. 3.0) ]
 
+(* a reshape-born dim prints with the range its product fact derives;
+   parsing re-records the fact, which re-derives the same range *)
+let test_roundtrip_derived_range () =
+  roundtrip_graph
+    (fun () ->
+      let g = Graph.create () in
+      let tab = Graph.symtab g in
+      let b = Table.fresh ~lb:1 ~ub:8 tab and s = Table.fresh ~lb:2 ~ub:16 tab in
+      let m = Table.fresh tab in
+      let x = B.param g ~name:"x" [| b; s; Sym.Static 4 |] Dtype.F32 in
+      let y = B.reshape g (B.exp g x) [| m; Sym.Static 4 |] in
+      check_int "derived lb" 2 (Table.lower_bound tab m);
+      Alcotest.(check (option int)) "derived ub" (Some 128) (Table.upper_bound tab m);
+      Graph.set_outputs g [ y ];
+      g)
+    [ Nd.init [| 3; 5; 4 |] (fun i -> float_of_int (i.(0) + i.(1) + i.(2)) /. 8.0) ]
+
 let prop_roundtrip_random_pointwise =
   QCheck.Test.make ~name:"random pointwise programs round-trip" ~count:40
     QCheck.(int_bound 100000)
@@ -214,6 +242,7 @@ let () =
           Alcotest.test_case "symbol constraints" `Quick test_symbol_constraints_recovered;
           Alcotest.test_case "shared symbols" `Quick test_shared_symbols_unify;
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "empty range" `Quick test_empty_range_rejected;
         ] );
       ( "round trips",
         [
@@ -222,6 +251,7 @@ let () =
           Alcotest.test_case "structured ops" `Quick test_roundtrip_structured_ops;
           Alcotest.test_case "gather+conv" `Quick test_roundtrip_gather_conv;
           Alcotest.test_case "pool+argmax" `Quick test_roundtrip_pool_argmax;
+          Alcotest.test_case "derived range" `Quick test_roundtrip_derived_range;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_roundtrip_random_pointwise ]);
     ]

@@ -214,27 +214,6 @@ let test_latency_window_bounded () =
   let big = Profile.total_us (Session.serve sess [ ("batch", 256); ("hist", 100) ]) in
   check_bool "window max tracks recent requests" true ((Session.stats sess).Session.max_us = big)
 
-(* --- specialization breaker ----------------------------------------------- *)
-
-let test_specialize_despecializes () =
-  let entry = Suite.find "dien" in
-  let built = entry.Suite.build () in
-  let hot_env = List.hd entry.Suite.bench_dims in
-  let sp =
-    Disc.Specialize.create ~hot_envs:[ hot_env ]
-      ~fault_config:(Fault.create ~seed:9 ~kernel_fault_rate:1.0 ())
-      ~breaker_threshold:2 built
-  in
-  (* hot variant faults; request is re-served on the generic artifact.
-     With rate 1.0 the generic path faults too, so accept either a
-     served-generic result or a structured error — never an abort. *)
-  for _ = 1 to 3 do
-    match Disc.Specialize.serve_result sp hot_env with
-    | Ok (_, src) -> check_bool "hot variant never serves while faulting" true (src = `Generic)
-    | Error e -> check_bool "structured error" true (Error.is_transient e)
-  done;
-  check_bool "hot signature evicted" true (Disc.Specialize.despecialized_envs sp <> [])
-
 (* --- overload-aware queueing ----------------------------------------------- *)
 
 let test_batch_env_heterogeneous () =
@@ -410,7 +389,6 @@ let () =
           Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;
           Alcotest.test_case "invalid requests" `Quick test_invalid_request_error;
           Alcotest.test_case "latency window bounded" `Quick test_latency_window_bounded;
-          Alcotest.test_case "hot variant despecializes" `Quick test_specialize_despecializes;
         ] );
       ( "overload serving",
         [

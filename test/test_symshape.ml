@@ -1,6 +1,6 @@
 (* Tests for the symbolic shape representation: union-find merges,
-   ranges, likely values, product-equality reasoning, derived dims and
-   runtime bindings. *)
+   ranges (declared and derived from product facts), likely values,
+   product-equality reasoning, derived dims and runtime bindings. *)
 
 module Sym = Symshape.Sym
 module Table = Symshape.Table
@@ -69,6 +69,18 @@ let test_binding_out_of_range_rejected () =
   Alcotest.check_raises "below lb" (Table.Inconsistent "symbol  value 1 below lower bound 2")
     (fun () -> Table.merge t a (Sym.Static 1))
 
+let test_empty_range_rejected () =
+  let t = Table.create () in
+  Alcotest.check_raises "fresh"
+    (Table.Inconsistent "symbol s0 has empty range [300, 256]") (fun () ->
+      ignore (Table.fresh ~lb:300 ~ub:256 t));
+  let a = Table.fresh ~name:"a" ~lb:2 ~ub:8 t in
+  Alcotest.check_raises "set_range" (Table.Inconsistent "symbol a has empty range [9, 8]")
+    (fun () -> Table.set_range t a ~lb:9 ());
+  let b = Table.fresh ~name:"b" ~lb:1 ~ub:4 t and c = Table.fresh ~name:"c" ~lb:6 ~ub:9 t in
+  Alcotest.check_raises "merge of disjoint ranges"
+    (Table.Inconsistent "symbol b has empty range [6, 4]") (fun () -> Table.merge t b c)
+
 (* --- products ----------------------------------------------------------- *)
 
 let test_product_basic () =
@@ -111,6 +123,30 @@ let test_numel_equal_through_reshape_chain () =
   check_bool "numel equal" true (Table.numel_equal t [| b; s; h |] [| m; h |]);
   check_bool "numel differs with extra factor" false
     (Table.numel_equal t [| b; s; h |] [| m; h; Sym.Static 2 |])
+
+let test_product_derives_range () =
+  (* np = h' * w' (ViT's token count): np lies in the range product *)
+  let t = Table.create () in
+  let h = Table.fresh ~lb:2 ~ub:24 t and w = Table.fresh ~lb:2 ~ub:24 t in
+  let np = Table.fresh t in
+  Table.record_product_equal t [| h; w |] [| np |];
+  check_int "lb" 4 (Table.lower_bound t np);
+  Alcotest.(check (option int)) "ub" (Some 576) (Table.upper_bound t np);
+  (* static factors scale the range; common factors cancel first *)
+  let s = Table.fresh ~lb:3 ~ub:5 t and m = Table.fresh t in
+  Table.record_product_equal t [| Sym.Static 2; s; h |] [| h; m |];
+  check_int "scaled lb" 6 (Table.lower_bound t m);
+  Alcotest.(check (option int)) "scaled ub" (Some 10) (Table.upper_bound t m);
+  (* an unbounded factor leaves the ub open *)
+  let u = Table.fresh ~lb:3 t and n = Table.fresh t in
+  Table.record_product_equal t [| h; u |] [| n |];
+  check_int "open lb" 6 (Table.lower_bound t n);
+  Alcotest.(check (option int)) "open ub" None (Table.upper_bound t n);
+  (* a declared range disjoint from the derived one is a contradiction *)
+  let small = Table.fresh ~name:"small" ~ub:3 t in
+  Alcotest.check_raises "contradiction"
+    (Table.Inconsistent "symbol small has empty range [4, 3]") (fun () ->
+      Table.record_product_equal t [| h; w |] [| small |])
 
 let test_static_products () =
   let t = Table.create () in
@@ -282,6 +318,69 @@ let prop_products_respect_merges =
       Table.merge t a (Sym.Static n);
       Table.products_equal t [| Sym.Static n; b |] [| m |])
 
+(* Random reshape chains: each reshape collapses k adjacent dims into a
+   fresh symbol, whose range comes only from the recorded product fact.
+   At every in-range binding of the inputs, every evaluated dim lies
+   within its [lb, ub]. Input dims are static (kind 0), ranged with
+   width kind - 1, or unbounded (kind 5, tried at lb .. lb + 3). *)
+let prop_derived_ranges_sound =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 2 4) (pair (int_range 1 4) (int_range 0 5)))
+        (list_size (int_range 1 3) (pair nat nat)))
+  in
+  QCheck.Test.make ~name:"reshape-derived ranges hold at every in-range binding" ~count:200
+    (QCheck.make gen) (fun (specs, steps) ->
+      let g = Ir.Graph.create () in
+      let tab = Ir.Graph.symtab g in
+      let inputs =
+        List.map
+          (fun (lb, kind) ->
+            if kind = 0 then (Sym.Static lb, [ lb ])
+            else
+              let ub = if kind = 5 then None else Some (lb + kind - 1) in
+              let hi = Option.value ub ~default:(lb + 3) in
+              (Table.fresh ~lb ?ub tab, List.init (hi - lb + 1) (fun i -> lb + i)))
+          specs
+      in
+      let shape = Array.of_list (List.map fst inputs) in
+      let x = Ir.Builder.param g ~name:"x" shape Tensor.Dtype.F32 in
+      let rec chain x = function
+        | [] -> ()
+        | (i, k) :: rest ->
+            let s = (Ir.Graph.inst g x).Ir.Graph.shape in
+            let r = Array.length s in
+            if r >= 2 then begin
+              let k = 2 + (k mod (r - 1)) in
+              let i = i mod (r - k + 1) in
+              let out =
+                Array.concat [ Array.sub s 0 i; [| Table.fresh tab |]; Array.sub s (i + k) (r - i - k) ]
+              in
+              chain (Ir.Builder.reshape g x out) rest
+            end
+      in
+      chain x steps;
+      let rec bindings = function
+        | [] -> [ [] ]
+        | (_, vs) :: rest ->
+            List.concat_map (fun v -> List.map (fun b -> v :: b) (bindings rest)) vs
+      in
+      List.for_all
+        (fun values ->
+          let bnd = Table.empty_binding () in
+          Table.bind_shape tab bnd shape (Array.of_list values);
+          let ok = ref true in
+          Ir.Graph.iter g (fun inst ->
+              Array.iter
+                (fun d ->
+                  let v = Table.eval_dim_exn tab bnd d in
+                  if v < Table.lower_bound tab d then ok := false;
+                  match Table.upper_bound tab d with Some u when v > u -> ok := false | _ -> ())
+                inst.Ir.Graph.shape);
+          !ok)
+        (bindings inputs))
+
 let () =
   Alcotest.run "symshape"
     [
@@ -295,6 +394,7 @@ let () =
           Alcotest.test_case "range merge tightens" `Quick test_range_merge_tightens;
           Alcotest.test_case "likely values" `Quick test_likely;
           Alcotest.test_case "range rejects binding" `Quick test_binding_out_of_range_rejected;
+          Alcotest.test_case "empty range rejected" `Quick test_empty_range_rejected;
         ] );
       ( "products",
         [
@@ -304,6 +404,7 @@ let () =
           Alcotest.test_case "static binding" `Quick test_product_static_binding;
           Alcotest.test_case "numel through reshape" `Quick test_numel_equal_through_reshape_chain;
           Alcotest.test_case "static products" `Quick test_static_products;
+          Alcotest.test_case "derived range" `Quick test_product_derives_range;
         ] );
       ( "derived",
         [
@@ -330,5 +431,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_merge_equiv_relation; prop_products_respect_merges ] );
+          [ prop_merge_equiv_relation; prop_products_respect_merges; prop_derived_ranges_sound ] );
     ]
