@@ -64,10 +64,10 @@ let explain ?(config = Planner.default_config) (g : Graph.t) (plan : Cluster.pla
             let feeds x y =
               List.exists
                 (fun m ->
-                  List.exists
-                    (fun u -> List.mem u y.Cluster.members)
-                    (Graph.users g m))
-                x.Cluster.members
+                  Array.exists
+                    (fun a -> cluster_of a = Some x.Cluster.cid)
+                    (Graph.inst g m).Graph.args)
+                y.Cluster.members
             in
             let producer, consumer =
               if feeds ca cb then (ca, cb) else if feeds cb ca then (cb, ca) else (ca, ca)

@@ -67,6 +67,7 @@ type cstate = {
   mutable stitched : bool;
   mutable horizontal : bool;
   mutable members : int list; (* instruction ids in this cluster *)
+  mutable succs : int list; (* successor cluster ids; stale until read by [successors] *)
 }
 
 type t = {
@@ -75,6 +76,7 @@ type t = {
   parent : int array; (* union-find over instruction ids *)
   states : (int, cstate) Hashtbl.t; (* root id -> state *)
   users_of : int list array; (* precomputed inst-level use lists *)
+  rank : int array; (* root id -> topological rank: every cluster edge goes up *)
 }
 
 let rec find st id =
@@ -96,32 +98,78 @@ let fusable_consumer (i : Graph.inst) =
   | Op.Elementwise | Op.Shape_manipulating | Op.Reduction -> true
   | Op.Library | Op.Opaque -> false
 
-(* Successor clusters of cluster [c] (excluding itself). *)
+(* Successor clusters of cluster [c] (excluding itself). Merges leave
+   merged-away ids in the cache; reading compacts it through [find]. *)
 let successors st c =
-  let ms = (Hashtbl.find st.states c).members in
-  List.sort_uniq Stdlib.compare
-    (List.concat_map
-       (fun m ->
-         List.filter_map
-           (fun u ->
-             let cu = find st u in
-             if cu = c then None else Some cu)
-           st.users_of.(m))
-       ms)
+  let s = Hashtbl.find st.states c in
+  let live =
+    List.sort_uniq Int.compare
+      (List.filter_map
+         (fun u ->
+           let cu = find st u in
+           if cu = c then None else Some cu)
+         s.succs)
+  in
+  s.succs <- live;
+  live
+
+(* Predecessor clusters of cluster [c], from its members' operands. *)
+let predecessors st c =
+  List.concat_map
+    (fun m ->
+      List.filter_map
+        (fun a ->
+          let ca = find st a in
+          if ca = c then None else Some ca)
+        (Array.to_list (Graph.inst st.g m).args))
+    (Hashtbl.find st.states c).members
 
 (* Would making [ca] and [cb] one cluster create a cycle? I.e. is there a
-   path from ca to cb through a third cluster in the cluster DAG? *)
+   path from ca to cb through a third cluster in the cluster DAG? Ranks
+   rise along every path, so nothing ranked above [cb] can reach it. *)
 let creates_cycle st ca cb =
+  let rb = st.rank.(cb) in
+  st.rank.(ca) < rb
+  &&
   let visited = Hashtbl.create 32 in
   let rec dfs c =
     if c = cb then true
-    else if Hashtbl.mem visited c then false
+    else if st.rank.(c) > rb || Hashtbl.mem visited c then false
     else begin
       Hashtbl.add visited c ();
       List.exists (fun cu -> cu <> ca && dfs cu) (successors st c)
     end
   in
   List.exists (fun cu -> cu <> cb && dfs cu) (successors st ca)
+
+(* Restore the rank order after [c] took the larger rank of a merge
+   (Pearce–Kelly, as in TensorFlow's GraphCycles). Only successors of
+   the lower-ranked half can now rank below [c]. Forward from them,
+   collect what ranks below [c]; backward from [c], what ranks above
+   the lowest of them. The backward set takes the lowest ranks of the
+   two sets' pool, in its old order, and the forward set the rest. *)
+let repair_rank st c =
+  let r = st.rank.(c) in
+  match List.filter (fun y -> st.rank.(y) < r) (successors st c) with
+  | [] -> ()
+  | bad ->
+      let lb = List.fold_left (fun m y -> min m st.rank.(y)) r bad in
+      let seen = Hashtbl.create 16 in
+      let rec walk next keep acc x =
+        if Hashtbl.mem seen x then acc
+        else begin
+          Hashtbl.add seen x ();
+          List.fold_left
+            (fun acc y -> if keep st.rank.(y) then walk next keep acc y else acc)
+            (x :: acc) (next st x)
+        end
+      in
+      let fwd = List.fold_left (walk successors (fun k -> k < r)) [] bad in
+      let bwd = walk predecessors (fun k -> k > lb) [] c in
+      let by_rank xs = List.sort (fun x y -> Int.compare st.rank.(x) st.rank.(y)) xs in
+      let order = by_rank bwd @ by_rank fwd in
+      let pool = List.sort Int.compare (List.map (fun x -> st.rank.(x)) order) in
+      List.iter2 (fun x k -> st.rank.(x) <- k) order pool
 
 let do_merge st ~into:cb ca ~domain ~stitched =
   let sa = Hashtbl.find st.states ca and sb = Hashtbl.find st.states cb in
@@ -131,7 +179,10 @@ let do_merge st ~into:cb ca ~domain ~stitched =
   sb.stitched <- stitched || sa.stitched || sb.stitched;
   sb.horizontal <- sa.horizontal || sb.horizontal;
   sb.members <- List.rev_append sa.members sb.members;
-  Hashtbl.remove st.states ca
+  sb.succs <- List.rev_append sa.succs sb.succs;
+  Hashtbl.remove st.states ca;
+  st.rank.(cb) <- max st.rank.(ca) st.rank.(cb);
+  repair_rank st cb
 
 (* Phase A merge test: producer cluster [ca] (via edge value [a]) into
    consumer cluster [cb]. *)
@@ -242,7 +293,8 @@ let initial_state (g : Graph.t) config =
   Graph.iter g (fun i ->
       Array.iter (fun a -> users_of.(a) <- i.id :: users_of.(a)) i.args);
   let st =
-    { g; config; parent = Array.init n (fun i -> i); states = Hashtbl.create 64; users_of }
+    { g; config; parent = Array.init n (fun i -> i); states = Hashtbl.create 64; users_of;
+      rank = Array.init n (fun i -> i) }
   in
   Graph.iter g (fun i ->
       let domain =
@@ -252,20 +304,19 @@ let initial_state (g : Graph.t) config =
       in
       let reduces = match i.op with Op.Reduce _ -> [ i.id ] | _ -> [] in
       Hashtbl.replace st.states i.id
-        { domain; reduces; stitched = false; horizontal = false; members = [ i.id ] });
+        { domain; reduces; stitched = false; horizontal = false; members = [ i.id ];
+          succs = users_of.(i.id) });
   st
 
 let finalize (st : t) : Cluster.plan =
   let g = st.g in
-  let members : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter (fun root s -> Hashtbl.replace members root s.members) st.states;
   let cluster_of = Hashtbl.create 64 in
   let outputs_set = Graph.outputs g in
-  let mk_cluster root ms =
-    let ms = List.sort Stdlib.compare ms in
-    let in_cluster id = List.mem id ms in
+  let mk_cluster root (s : cstate) =
+    let ms = List.sort Int.compare s.members in
+    let in_cluster id = find st id = root in
     let inputs =
-      List.sort_uniq Stdlib.compare
+      List.sort_uniq Int.compare
         (List.concat_map
            (fun id ->
              Array.to_list (Graph.inst g id).args |> List.filter (fun a -> not (in_cluster a)))
@@ -275,10 +326,9 @@ let finalize (st : t) : Cluster.plan =
       List.filter
         (fun id ->
           List.mem id outputs_set
-          || List.exists (fun u -> not (in_cluster u)) (Graph.users g id))
+          || List.exists (fun u -> not (in_cluster u)) st.users_of.(id))
         ms
     in
-    let s = Hashtbl.find st.states root in
     let kind =
       match ms with
       | [ single ] -> (
@@ -296,16 +346,16 @@ let finalize (st : t) : Cluster.plan =
   in
   let clusters =
     Hashtbl.fold
-      (fun root ms acc ->
+      (fun root s acc ->
         (* parameters & constants never launch kernels; skip pure ones *)
-        match ms with
+        match s.members with
         | [ single ] when
             (match (Graph.inst g single).op with
             | Op.Parameter _ | Op.Constant _ -> true
             | _ -> false) ->
             acc
-        | _ -> mk_cluster root ms :: acc)
-      members []
+        | _ -> mk_cluster root s :: acc)
+      st.states []
   in
   (* True topological order over the cluster DAG (Kahn), tie-broken by
      smallest member id for determinism. Min-member order alone is not
@@ -334,8 +384,9 @@ let finalize (st : t) : Cluster.plan =
           (preds c))
       clusters;
     let key cid = List.hd (Hashtbl.find by_cid cid).Cluster.members in
-    let sorted_insert cid l =
-      List.sort (fun a b -> Stdlib.compare (key a) (key b)) (cid :: l)
+    let rec sorted_insert cid = function
+      | c :: rest when key c < key cid -> c :: sorted_insert cid rest
+      | l -> cid :: l
     in
     let ready =
       ref
@@ -430,12 +481,7 @@ let plan ?(config = default_config) (g : Graph.t) : Cluster.plan =
       in
       let no_edge ca cb =
         (* no member of one cluster directly feeds the other *)
-        let feeds x y =
-          List.exists
-            (fun m -> List.exists (fun u -> find st u = y) st.users_of.(m))
-            (Hashtbl.find st.states x).members
-        in
-        (not (feeds ca cb)) && not (feeds cb ca)
+        (not (List.mem cb (successors st ca))) && not (List.mem ca (successors st cb))
       in
       let changed = ref true in
       while !changed do

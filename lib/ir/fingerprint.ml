@@ -17,13 +17,14 @@
      symbols, normalized per fact, and sorted before hashing.
 
    It is deliberately {e sensitive} to everything a compile result
-   depends on: the op sequence and op payloads (including constants),
-   dtypes, the symbolic shape structure (which dims are provably equal),
-   each symbol's range (lb/ub — it steers kStitch feasibility and
-   speculation) and likely values (metadata no compile decision reads,
-   hashed so the key covers everything the printer shows), and the
-   product facts recorded by reshapes. Compiler options are hashed separately by the cache
-   (they live above the IR). *)
+   depends on: the op sequence and op payloads (constants with every
+   element at full precision), dtypes, the symbolic shape structure
+   (which dims are provably equal), each symbol's range (lb/ub — it
+   steers kStitch feasibility and speculation) and likely values
+   (metadata no compile decision reads, hashed so the key covers
+   everything the printer shows), and the product facts recorded by
+   reshapes. Compiler options are hashed separately by the cache (they
+   live above the IR). *)
 
 module Sym = Symshape.Sym
 module Table = Symshape.Table
@@ -54,10 +55,13 @@ let canon_dim ctx (d : Sym.dim) : string =
 let canon_shape ctx (s : Sym.shape) =
   "[" ^ String.concat "x" (List.map (canon_dim ctx) (Array.to_list s)) ^ "]"
 
-(* Op payloads that embed shapes must render them canonically; all other
-   payloads are raw-symbol-free and reuse [Op.to_string]. *)
+(* Op payloads that embed shapes must render them canonically; constants
+   render every element in full (not [Op.to_string]'s truncated
+   display); all other payloads are raw-symbol-free and reuse
+   [Op.to_string]. *)
 let canon_op ctx (op : Op.t) =
   match op with
+  | Op.Constant nd -> Printer.constant_to_string nd
   | Op.Iota { out; dim; _ } -> Printf.sprintf "iota(%s,dim=%d)" (canon_shape ctx out) dim
   | Op.Broadcast { dims; out } ->
       Printf.sprintf "broadcast([%s],%s)"

@@ -339,12 +339,6 @@ let add g op arg_ids =
 
 (* --- Uses --------------------------------------------------------------- *)
 
-let users g id =
-  fold g
-    (fun acc i -> if Array.exists (fun a -> a = id) i.args then i.id :: acc else acc)
-    []
-  |> List.rev
-
 let replace_uses g ~old_id ~new_id =
   if old_id <> new_id then begin
     iter g (fun i ->

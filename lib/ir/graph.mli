@@ -59,8 +59,6 @@ val add : t -> Op.t -> int list -> int
 val infer : t -> Op.t -> inst list -> Sym.shape * Dtype.t
 (** The inference relation itself (exposed for the verifier and tests). *)
 
-val users : t -> int -> int list
-
 val replace_uses : t -> old_id:int -> new_id:int -> unit
 (** Redirect all uses (including outputs) of [old_id] to [new_id]. *)
 

@@ -4,6 +4,11 @@
     ([sym s0 lb=1 ub=512 likely=64,128]) so that {!Parser.parse} can
     round-trip the full program. *)
 
+val constant_to_string : Tensor.Nd.t -> string
+(** [constant(dtype\[shape\]{v0, v1, ...})] with every element at
+    [%.17g], so the text pins the value exactly: {!Parser.parse} reads it
+    back, and {!Fingerprint} hashes it. *)
+
 val inst_to_string : Graph.inst -> string
 
 val symbol_headers : Graph.t -> string

@@ -244,6 +244,46 @@ let test_options_split_keys () =
         Alcotest.failf "options variant %d did not change the cache key" i)
     variants
 
+(* --- constants are hashed in full ------------------------------------------ *)
+
+(* Two graphs that differ only in a constant element the display printer
+   drops (index 20 of 32; it shows the first 16) or rounds (%g keeps 6
+   significant digits) must get distinct cache keys: the second lookup
+   in a shared cache is a miss, and the served output is the
+   interpreter's, not the first graph's. *)
+let test_constants_hashed_in_full () =
+  let vector_graph v20 () =
+    let g = Graph.create () in
+    let x = B.param g ~name:"x" [| Sym.Static 32 |] Dtype.F32 in
+    let c = Nd.init [| 32 |] (fun i -> if i.(0) = 20 then v20 else float_of_int (i.(0) mod 4)) in
+    Graph.set_outputs g [ B.add g x (B.const g c) ];
+    g
+  in
+  let scalar_graph v () =
+    let g = Graph.create () in
+    let x = B.param g ~name:"x" [| Sym.Static 4 |] Dtype.F32 in
+    Graph.set_outputs g [ B.mulf g x v ];
+    g
+  in
+  let pair what g1 g2 input =
+    let cache = Disc.Compile_cache.create () in
+    let lookup g =
+      let c, _, outcome, _ = Disc.Compile_cache.find_or_compile cache (g ()) in
+      (c, Disc.Compile_cache.outcome_to_string outcome)
+    in
+    let _, first = lookup g1 in
+    let c2, second = lookup g2 in
+    Alcotest.(check string) (what ^ ": first lookup") "miss" first;
+    Alcotest.(check string) (what ^ ": second lookup") "miss" second;
+    let got, _ = Disc.Compiler.run c2 [ input ] in
+    let expected = Ir.Interp.run (g2 ()) [ input ] in
+    Alcotest.(check bool) (what ^ ": served output = interp") true
+      (List.for_all2 (Nd.equal_approx ~eps:0.0) expected got)
+  in
+  pair "element 20 of 32" (vector_graph 1.0) (vector_graph 5.0) (Nd.init [| 32 |] (fun _ -> 0.0));
+  pair "1e-5 vs 1.000001e-5" (scalar_graph 1e-5) (scalar_graph 1.000001e-5)
+    (Nd.init [| 4 |] (fun _ -> 1.0))
+
 let () =
   Alcotest.run "fingerprint"
     [
@@ -264,5 +304,6 @@ let () =
             test_suite_fingerprints_distinct;
           Alcotest.test_case "suite clones hash equal" `Quick test_suite_clone_stable;
           Alcotest.test_case "compiler options split keys" `Quick test_options_split_keys;
+          Alcotest.test_case "constants hashed in full" `Quick test_constants_hashed_in_full;
         ] );
     ]

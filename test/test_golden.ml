@@ -319,16 +319,16 @@ let test_hbm_pair_golden () =
    and paste the table below. *)
 let pinned_fingerprints =
   [
-    ("bert", "c03f3e37724cc0fe6b139351679fe716");
-    ("gpt2", "46a4ab043e88f8d651d3a057db795e87");
-    ("gpt2-decode", "77bff835fdbd2224cacc8ebb30de89ad");
-    ("seq2seq", "63081b005394d57737bfab0ddc6f98c7");
-    ("t5", "7d7d7d35fe1d9e1dba086ec1e908fbb6");
+    ("bert", "3c97396cc6b4027ed2dceb1cc9699611");
+    ("gpt2", "2c902eabae696664fe80966c43a05283");
+    ("gpt2-decode", "d12a1be6573a844dcda1f061e65e5f7e");
+    ("seq2seq", "3da6971b3153156719f484bd435687dd");
+    ("t5", "3493c6723cc310befc0860fff61de119");
     ("crnn", "1ae88223a32328bd03cdcb1e90902ac3");
-    ("fastspeech", "ec65e818647ed36aed728514c0a845c4");
-    ("asr", "bde60ac2e1b32aae1dffd94526eda5cc");
-    ("vit", "5a873cf0c7997e1ba3c539b4f53e2344");
-    ("dien", "1928611d2f30f59fcc617bbe3780e25a");
+    ("fastspeech", "50658d2d53e8fe959ec8e4c7edcf40c8");
+    ("asr", "fce4877b4dba7ede889cf54b88991d11");
+    ("vit", "cc12fc158842977dba567ef3d51b4629");
+    ("dien", "f41b7444936c3f49093f194e38c8332e");
   ]
 
 let test_fingerprint_golden () =
@@ -342,6 +342,128 @@ let test_fingerprint_golden () =
         (Ir.Fingerprint.fingerprint ~dims:built.Models.Common.dims
            built.Models.Common.graph))
     pinned_fingerprints
+
+(* Pinned fusion plans: the MD5 of [Fusion.Cluster.to_string] for every
+   suite model, at paper and tiny scale, under each planner config, on
+   the graph the compiler plans (after [Ir.Passes.run_all]). Any change
+   to a fusion decision, a cluster's inputs/outputs or the kernel order
+   fails here; a planner refactor must leave every digest in place. *)
+let plan_configs =
+  [
+    ("default", Planner.default_config);
+    ("no-fusion", Planner.no_fusion_config);
+    ("static-only", Planner.static_only_config);
+    ("no-products", Planner.no_product_config);
+    ("no-stitch", Planner.no_stitch_config);
+    ("horizontal", Planner.horizontal_config);
+  ]
+
+(* (model, scale, one digest per [plan_configs] entry, in order) *)
+let pinned_plan_digests =
+  [
+    ( "bert", "paper",
+      [ "2fd7dd815a71ce26756c472fc81dbc71"; "55f2ba40ff0d42227c046ff39ffb9d75";
+        "55f2ba40ff0d42227c046ff39ffb9d75"; "a33abb9400e2a07e5000f480251860f7";
+        "dd9289e890ac5f1d971cc16fc5309831"; "f13e4679b8a0b8518a3bf78c29f3d687" ] );
+    ( "bert", "tiny",
+      [ "42969fb1f873a2d35327f962f32340a1"; "c80d7fc6ec9b004e07a5b9fdfa16b521";
+        "c80d7fc6ec9b004e07a5b9fdfa16b521"; "9b0e0f6bdbef272bbee2ec35631e70a4";
+        "136e73c98df484f5c8b86d768fd97b19"; "dce65a18101380e705f72df06042861c" ] );
+    ( "gpt2", "paper",
+      [ "9d40e2fbfeb788f59632bcb3818f7957"; "470399e2a01b29af4c39ec0533b0cae0";
+        "470399e2a01b29af4c39ec0533b0cae0"; "cb200a2567c74b59f9c8990f44c7677c";
+        "c7f0d078c145c3f7a3a13a30b17d8789"; "2ad482283dfe77680ecb63bcf1e8eb08" ] );
+    ( "gpt2", "tiny",
+      [ "900cc122e294ad272a9a8518141e1015"; "c7d28abc6a4a24bc3991b7b3cca9ba67";
+        "c7d28abc6a4a24bc3991b7b3cca9ba67"; "d29634a167b2b3f6906829bbffc97c58";
+        "367af5d061aa8367b2bcbd8b8dbe72eb"; "b57e572a44c2117f76e776e158be2e19" ] );
+    ( "gpt2-decode", "paper",
+      [ "93d8ed798a6ce44f5a8df07391797f47"; "f2abaf986958e58687f670111fcc7b61";
+        "f2abaf986958e58687f670111fcc7b61"; "0956080b6bb3dd9881337aacdbe2a03d";
+        "e92969a4fec56857fec82836183848e9"; "e11c5369ee5303d4f6963ef480b2792e" ] );
+    ( "gpt2-decode", "tiny",
+      [ "add02f9ce9e1f6159e8b7d71eb4540a0"; "ec9ba66aeeccad3326e769f6649d4c42";
+        "ec9ba66aeeccad3326e769f6649d4c42"; "82ec3cc88969672f46882540c4b7f476";
+        "c62361e5285dd81fc37d2b202e237990"; "1956d5c4d300e077d520d796bffccd34" ] );
+    ( "seq2seq", "paper",
+      [ "9604448d10d01060388bcafc53914e9b"; "21312ca64dca7a37c0ca2c659c7c0ace";
+        "21312ca64dca7a37c0ca2c659c7c0ace"; "99afd5dcc5b6b367eef2de0f70d0885d";
+        "6d00d418a7f87cd3f201046deb332deb"; "99177dc9b3ccbdddf6db67044a3d6c19" ] );
+    ( "seq2seq", "tiny",
+      [ "137f972ae8d5a8fde969762cbf00ae33"; "715b8f071b5ef3161bb9e0b1d72fe0b2";
+        "715b8f071b5ef3161bb9e0b1d72fe0b2"; "4fb2841b64090885599fb14d685ad3e6";
+        "54cbd5f5c9049e8a0f5b42a13a626fcb"; "4afee3adfe59bb5bbab5bc90addf0f75" ] );
+    ( "t5", "paper",
+      [ "d37e75885056e847dd28c16335580045"; "f543b031fc13e1f119e02b48fc8daf34";
+        "f543b031fc13e1f119e02b48fc8daf34"; "628d802974807d57e26d2756a8c59abd";
+        "0dec5f2a17afb0e04694b0d460ab797a"; "bbcce88068e8864078f1b2d24b7e7dfd" ] );
+    ( "t5", "tiny",
+      [ "ba590fda58d5e89026fb285b05ccde19"; "abfdb8b0773696e40c9b0b01ae0c9d6e";
+        "abfdb8b0773696e40c9b0b01ae0c9d6e"; "783aa15da05f8c17270391307cf447fd";
+        "662643234ada4dfc18bb2ed56f246b80"; "98ed063fb0849b36376fbd52dfeef926" ] );
+    ( "crnn", "paper",
+      [ "b9e85e8f7bfc77970c9be3f3bc66eb68"; "26e019ad1a3887712b8c4a768f2cdf1e";
+        "26e019ad1a3887712b8c4a768f2cdf1e"; "cb76ded1355bdd2f4723c7208f20f07d";
+        "d46704506129a6419ffde359d001b301"; "b9e85e8f7bfc77970c9be3f3bc66eb68" ] );
+    ( "crnn", "tiny",
+      [ "89b56cbf6c69b1800eed81e7a3d8e0fa"; "42f2338869327dddfcfcdf3397c8582b";
+        "42f2338869327dddfcfcdf3397c8582b"; "0bf633f76abb19fd48cff601990c8206";
+        "11773901bf914dbbbcea8452cd80839c"; "89b56cbf6c69b1800eed81e7a3d8e0fa" ] );
+    ( "fastspeech", "paper",
+      [ "320a079537cc62cfe74febcea0a8b18b"; "d9b56f27df422e28e44e466c28a0d3a6";
+        "d9b56f27df422e28e44e466c28a0d3a6"; "cc50715ad9cb9e6644dd2e35648015c8";
+        "a362618541f3321ffde59daeeb9daf4b"; "07a7d8da77482cbc1ac8215765a5df2e" ] );
+    ( "fastspeech", "tiny",
+      [ "e279ce0434e64649edb907fb1906c1c6"; "1bb64e58009d9418806ccc7c6e3e7139";
+        "1bb64e58009d9418806ccc7c6e3e7139"; "b585d1d91b62091d2cb68ba6bc7b8954";
+        "fcc9837d240890df62af4019e6f3a8bf"; "546125ca43e7efd6efe4d9a62d5bc4bf" ] );
+    ( "asr", "paper",
+      [ "7e02f4ae1c3de3ad8869ebc5289539c1"; "b1de20bb364ee663e4c425221d2a6dbf";
+        "b1de20bb364ee663e4c425221d2a6dbf"; "bd401e1f7063a4637bf7dbac9afdf82a";
+        "0602a787b450d50f7964c519d9ba7ee6"; "7b1dc26a35f6bc6e0d094da18679b522" ] );
+    ( "asr", "tiny",
+      [ "7374e6a4e388b5a6d3f5a61836829dfd"; "7922ef4b4a3e626fa2f326689fbe1ac1";
+        "7922ef4b4a3e626fa2f326689fbe1ac1"; "907b4465eb2ff60c75235989b88a552f";
+        "4d22671359c04ea5e0a08545571e0389"; "8ced4fad62168b5dfbf713fc871906a4" ] );
+    ( "vit", "paper",
+      [ "e07b3076220a7ef2765b0050ba34db24"; "9a5da3f746e59dd29a6e2c3d8e2d4fe7";
+        "9a5da3f746e59dd29a6e2c3d8e2d4fe7"; "ac6ca8f26e105763726746efb31e309f";
+        "60104672ed18f74f7f1d53b579007e10"; "0438d8a6cf021c2e0820528d837e3c93" ] );
+    ( "vit", "tiny",
+      [ "53f31f1502dca7b35b712f8091e99270"; "8cce9a66ee52d0ca58a47145ca739ff4";
+        "8cce9a66ee52d0ca58a47145ca739ff4"; "e7752cb9ce49aa0b6b00351da33cfdd2";
+        "c5bd6227d42676b755b2afd5efd9ca63"; "8a3322fb6d016299194c6e1a8158659f" ] );
+    ( "dien", "paper",
+      [ "1d3802ac1cfb7f5985269e8ccdf11fa7"; "5e748e8adb59f6134159857a653425f8";
+        "5e748e8adb59f6134159857a653425f8"; "4eaa04ba51b5a5c82417c3ab3f112603";
+        "20270157f08ead6b7427d7366992e71a"; "1d3802ac1cfb7f5985269e8ccdf11fa7" ] );
+    ( "dien", "tiny",
+      [ "3d57c9345498800c8b453a607da8fc16"; "e92c82f2fdd4065dc9bed097b16cbdf6";
+        "e92c82f2fdd4065dc9bed097b16cbdf6"; "86c0955235deb71bc4881fb40fbe1365";
+        "9b5bd3360c4206794ce0633501c0ed0b"; "3d57c9345498800c8b453a607da8fc16" ] );
+  ]
+
+let test_plan_digests_golden () =
+  Alcotest.(check int) "every suite model pinned at both scales"
+    (2 * List.length Models.Suite.all)
+    (List.length pinned_plan_digests);
+  List.iter
+    (fun (name, scale, digests) ->
+      let entry = Models.Suite.find name in
+      let build =
+        if scale = "paper" then entry.Models.Suite.build else entry.Models.Suite.build_tiny
+      in
+      let g = (build ()).Models.Common.graph in
+      ignore (Ir.Passes.run_all g);
+      List.iter2
+        (fun (cname, config) expected ->
+          check_string
+            (Printf.sprintf "%s %s %s plan digest" name scale cname)
+            expected
+            (Digest.to_hex
+               (Digest.string (Fusion.Cluster.to_string (Planner.plan ~config g)))))
+        plan_configs digests)
+    pinned_plan_digests
 
 (* Tuned-schedule pins: the autotuner's plan text must be byte-stable —
    the digest doubles as the schedule-cache identity, so silent drift
@@ -435,6 +557,8 @@ let () =
         ] );
       ( "fingerprints",
         [ Alcotest.test_case "suite models pinned" `Quick test_fingerprint_golden ] );
+      ( "fusion plans",
+        [ Alcotest.test_case "suite plan digests, six configs" `Quick test_plan_digests_golden ] );
       ( "tuned schedules",
         [
           Alcotest.test_case "single-kernel plan text" `Quick test_tuned_plan_golden;

@@ -24,10 +24,14 @@ module Cluster = Fusion.Cluster
    fixes the operand choices made while building. *)
 type program = { h : int; pick_seed : int; steps : int list }
 
-let program_of_seed seed =
+(* 4-11 steps, or 20-79 with [~long]: long programs read older values
+   again and again, so cluster graphs grow the alternative paths the
+   planner's cycle check must see. *)
+let program_of_seed ?(long = false) seed =
   let st = Random.State.make [| seed |] in
   let h = 4 * (1 + Random.State.int st 3) in
-  let steps = List.init (4 + Random.State.int st 8) (fun _ -> Random.State.int st 100) in
+  let n = if long then 20 + Random.State.int st 60 else 4 + Random.State.int st 8 in
+  let steps = List.init n (fun _ -> Random.State.int st 100) in
   { h; pick_seed = seed; steps }
 
 (* Random structured graph over [b, s, h] with h static. Operations are
@@ -104,6 +108,7 @@ let pipeline_variants =
   [
     ("default", Planner.default_config);
     ("no-fusion", Planner.no_fusion_config);
+    ("static-only", Planner.static_only_config);
     ("no-stitch", Planner.no_stitch_config);
     ("no-products", Planner.no_product_config);
     ("horizontal", Planner.horizontal_config);
@@ -182,7 +187,7 @@ let differential_fails ~input_dims ~seed (p : program) : bool =
 
 let prop_all_pipelines_match_interp =
   QCheck.Test.make ~name:"structured graphs: all pipelines = interp at random shapes"
-    ~count:60
+    ~count:60 ~long_factor:20
     QCheck.(pair (int_bound 1_000_000) (pair (int_range 1 5) (int_range 1 9)))
     (fun (seed, (bv, sv)) ->
       let p = program_of_seed seed in
@@ -193,55 +198,91 @@ let prop_all_pipelines_match_interp =
         false
       end)
 
+(* The invariants every plan must meet, under one planner config. *)
+let plan_invariants_hold (g : Graph.t) config =
+  let plan = Planner.plan ~config g in
+  (* 1. partition: every live non-param/const inst in exactly one cluster *)
+  let counts = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun m ->
+          Hashtbl.replace counts m (1 + Option.value (Hashtbl.find_opt counts m) ~default:0))
+        c.Cluster.members)
+    plan.Cluster.clusters;
+  let partition_ok =
+    Graph.fold g
+      (fun ok i ->
+        ok
+        &&
+        match i.Graph.op with
+        | Op.Parameter _ | Op.Constant _ -> true
+        | _ -> Option.value (Hashtbl.find_opt counts i.Graph.id) ~default:0 = 1)
+      true
+  in
+  (* 2. schedule: producer clusters precede consumers *)
+  let order = Hashtbl.create 16 in
+  List.iteri (fun k c -> Hashtbl.replace order c.Cluster.cid k) plan.Cluster.clusters;
+  let schedule_ok =
+    List.for_all
+      (fun c ->
+        List.for_all
+          (fun input ->
+            match Hashtbl.find_opt plan.Cluster.cluster_of input with
+            | None -> true
+            | Some pc -> Hashtbl.find order pc < Hashtbl.find order c.Cluster.cid)
+          c.Cluster.inputs)
+      plan.Cluster.clusters
+  in
+  (* 3. library ops are always singletons *)
+  let library_ok =
+    List.for_all
+      (fun c -> c.Cluster.kind <> Cluster.Library || List.length c.Cluster.members = 1)
+      plan.Cluster.clusters
+  in
+  (* 4. boundaries, recomputed by brute force: an input is a member
+     operand outside the cluster; an output is a member that is a graph
+     output or that some instruction outside the cluster reads *)
+  let boundary_ok =
+    List.for_all
+      (fun c ->
+        let inside id = List.mem id c.Cluster.members in
+        let inputs =
+          List.sort_uniq compare
+            (List.concat_map
+               (fun m ->
+                 List.filter (fun a -> not (inside a)) (Array.to_list (Graph.inst g m).Graph.args))
+               c.Cluster.members)
+        in
+        let read_outside m =
+          Graph.fold g
+            (fun r i -> r || ((not (inside i.Graph.id)) && Array.mem m i.Graph.args))
+            false
+        in
+        let outputs =
+          List.filter (fun m -> List.mem m (Graph.outputs g) || read_outside m) c.Cluster.members
+        in
+        inputs = c.Cluster.inputs && outputs = c.Cluster.outputs)
+      plan.Cluster.clusters
+  in
+  partition_ok && schedule_ok && library_ok && boundary_ok
+
+(* Every invariant, under every pipeline variant's planner config; half
+   the programs are long. *)
 let prop_plan_invariants =
   QCheck.Test.make ~name:"structured graphs: plan invariants" ~count:60
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let p = program_of_seed seed in
-      let g, _ = build_program p in
+    ~long_factor:50
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, long) ->
+      let g, _ = build_program (program_of_seed ~long seed) in
+      let holds () =
+        List.for_all (fun (_, config) -> plan_invariants_hold g config) pipeline_variants
+      in
+      (* the raw graph keeps every step, dead ones included; the passes
+         then drop all that the one output does not read *)
+      let raw_ok = holds () in
       ignore (Ir.Passes.run_all g);
-      let plan = Planner.plan g in
-      (* 1. partition: every live non-param/const inst in exactly one cluster *)
-      let counts = Hashtbl.create 64 in
-      List.iter
-        (fun c ->
-          List.iter
-            (fun m ->
-              Hashtbl.replace counts m (1 + Option.value (Hashtbl.find_opt counts m) ~default:0))
-            c.Cluster.members)
-        plan.Cluster.clusters;
-      let partition_ok =
-        Graph.fold g
-          (fun ok i ->
-            ok
-            &&
-            match i.Graph.op with
-            | Op.Parameter _ | Op.Constant _ -> true
-            | _ -> Option.value (Hashtbl.find_opt counts i.Graph.id) ~default:0 = 1)
-          true
-      in
-      (* 2. schedule: producer clusters precede consumers *)
-      let order = Hashtbl.create 16 in
-      List.iteri (fun k c -> Hashtbl.replace order c.Cluster.cid k) plan.Cluster.clusters;
-      let schedule_ok =
-        List.for_all
-          (fun c ->
-            List.for_all
-              (fun input ->
-                match Hashtbl.find_opt plan.Cluster.cluster_of input with
-                | None -> true
-                | Some pc -> Hashtbl.find order pc < Hashtbl.find order c.Cluster.cid)
-              c.Cluster.inputs)
-          plan.Cluster.clusters
-      in
-      (* 3. library ops are always singletons *)
-      let library_ok =
-        List.for_all
-          (fun c ->
-            c.Cluster.kind <> Cluster.Library || List.length c.Cluster.members = 1)
-          plan.Cluster.clusters
-      in
-      partition_ok && schedule_ok && library_ok)
+      raw_ok && holds ())
 
 let prop_fusion_never_increases_traffic =
   QCheck.Test.make ~name:"structured graphs: fusion never increases traffic or launches"
