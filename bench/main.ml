@@ -7,7 +7,8 @@
    The experiments are the rows of [experiments] at the end of this
    file; "all" runs every row marked [in_all]. An experiment with an
    acceptance check prints "(ACCEPTANCE NOT MET)" and exits 1 when the
-   check fails; --json writes one experiment's artifact. *)
+   check fails; --json writes the experiment's document (for "all",
+   every document in one file, keyed by experiment name). *)
 
 module Suite = Models.Suite
 module Common = Models.Common
@@ -21,98 +22,151 @@ module Compiler = Disc.Compiler
 
 let devices = [ Gpusim.Device.a10; Gpusim.Device.t4 ]
 
-let header title =
-  Printf.printf "\n==============================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "==============================================================\n"
-
 let env_to_string env =
   String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) env)
 
-(* What an experiment returns besides the tables it prints: its
-   acceptance verdict, if it has one, and the artifact --json writes,
-   if it has one — the experiment id and the fields that follow it. *)
-type outcome = {
-  verdict : bool option;
-  artifact : (string * (string * Obs.Json.t) list) option;
-}
+(* ----------------------------------------------------------------------
+   Documents. An experiment returns its title, its acceptance verdict
+   (if it has one) and its blocks; [print] renders them as the stdout
+   tables and [to_json] as the --json document, from the same cells, so
+   every number has one source. A cell names its column header (a table
+   prints its first row's headers), its stdout format and its JSON key:
+   a cell without a format is JSON-only, a [text] cell stdout-only. A
+   line or row with no stdout cell prints nothing, a row with no keyed
+   cell exports nothing, and tables sharing a key export one list. *)
 
-let tables_only = { verdict = None; artifact = None }
-let artifact ?verdict id fields = { verdict; artifact = Some (id, fields) }
+type cell = { head : string option; text : string option; field : (string * Obs.Json.t) option }
+type block = Line of cell list | Table of string * cell list list
+type doc = { id : string; title : string; verdict : bool option; blocks : block list }
+
+let doc ?verdict id title blocks = { id; title; verdict; blocks }
+let heading h = Option.map (fun (f, s) -> Printf.sprintf f s) h
+
+let cell json show ?h ?fmt key v =
+  { head = heading h; text = Option.map (fun f -> Printf.sprintf f (show v)) fmt;
+    field = Some (key, json v) }
+
+let int = cell (fun i -> Obs.Json.Int i) Fun.id
+let float ?(by = Fun.id) = cell (fun f -> Obs.Json.Float f) by
+let str = cell (fun s -> Obs.Json.Str s) Fun.id
+let bool = cell (fun b -> Obs.Json.Bool b) Fun.id
+let mb = cell (fun b -> Obs.Json.Int b) (fun b -> float_of_int b /. 1e6) (* bytes, shown in MB *)
+let raw key v = { head = None; text = None; field = Some (key, v) }
+let text ?h s = { head = heading h; text = Some s; field = None }
+let line s = Line [ text s ]
+let model name = str "model" ~h:("%-11s", "model") ~fmt:"%-11s" name
+let shape env = str "shape" ~h:(" %-26s", "shape") ~fmt:" %-26s" (env_to_string env)
+
+(* display scalings: values export in their base unit *)
+let ms us = us /. 1000.0
+let sec ms = ms /. 1000.0
+let pct x = 100.0 *. x
+
+let print d =
+  Printf.printf "\n==============================================================\n%s\n\
+                 ==============================================================\n" d.title;
+  let print_line parts =
+    match List.filter_map Fun.id parts with
+    | [] -> ()
+    | ps -> Printf.printf "%s\n" (String.concat "" ps)
+  in
+  let texts = List.map (fun c -> c.text) in
+  List.iter
+    (function
+      | Line cells -> print_line (texts cells)
+      | Table (_, rows) ->
+          (match rows with r :: _ -> print_line (List.map (fun c -> c.head) r) | [] -> ());
+          List.iter (fun r -> print_line (texts r)) rows)
+    d.blocks
+
+let to_json d =
+  let fields = List.filter_map (fun c -> c.field) in
+  let add acc = function
+    | Line cells -> acc @ fields cells
+    | Table (key, rows) -> (
+        let objs =
+          List.filter_map (fun r -> match fields r with [] -> None | fs -> Some (Obs.Json.Obj fs)) rows
+        in
+        match List.assoc_opt key acc with
+        | Some (Obs.Json.List prev) ->
+            List.map
+              (fun (k, v) -> if k = key then (k, Obs.Json.List (prev @ objs)) else (k, v))
+              acc
+        | _ -> acc @ [ (key, Obs.Json.List objs) ])
+  in
+  let verdict =
+    Option.to_list (Option.map (fun ok -> ("acceptance", Obs.Json.Bool ok)) d.verdict)
+  in
+  Obs.Json.Obj (List.fold_left add (("experiment", Obs.Json.Str d.id) :: verdict) d.blocks)
+
+(* The --json file: the document, or with [~all] an object mapping each
+   experiment's name to its document. *)
+let write_json ~all path named =
+  Obs.Json.write_file path
+    (if all then Obs.Json.Obj (List.map (fun (name, d) -> (name, to_json d)) named)
+     else to_json (snd (List.hd named)))
 
 let acceptance ok = if ok then "" else "  (ACCEPTANCE NOT MET)"
 
 (* ----------------------------------------------------------------------
    E1: end-to-end inference latency & speedups (the headline figures:
-   one per device). The artifact holds the same numbers — per-model
-   latency, speedup vs every baseline, one-off compile time — so each
-   PR's perf trajectory can be tracked without scraping tables. *)
+   one per device). The document holds per-model latency, speedup vs
+   every baseline and one-off compile time, so each PR's perf
+   trajectory can be tracked without scraping tables. *)
 
 let e2e () =
-  header "E1: end-to-end speedup of BladeDISC over each baseline (per device)";
-  let json_rows = ref [] and json_compile = ref [] in
   let paper_avg =
     [
       ("pytorch", 3.54); ("torchscript", 3.12); ("tvm", 1.95); ("onnxrt", 1.47);
       ("xla", 1.24); ("inductor", 2.93); ("tensorrt", 1.46);
     ]
   in
-  let names = List.map (fun s -> s.E.s_name) Systems.all_strategies in
-  let baseline_names = List.filter (fun n -> n <> "bladedisc") names in
-  let speedups : (string, float list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace speedups n (ref [])) baseline_names;
-  List.iter
-    (fun device ->
-      Printf.printf "\n-- device %s --\n" device.Gpusim.Device.name;
-      Printf.printf "%-11s %-26s %10s  %s\n" "model" "shape" "disc(us)"
-        (String.concat " " (List.map (fun n -> Printf.sprintf "%11s" n) baseline_names));
-      List.iter
-        (fun entry ->
-          let execs =
-            List.map
-              (fun s -> (s.E.s_name, E.make_from_strategy s (entry.Suite.build ())))
-              Systems.all_strategies
-          in
-          let disc = List.assoc "bladedisc" execs in
-          List.iter
-            (fun env ->
-              let d = (disc.E.run ~device env).E.latency_us in
-              let row_speedups = ref [] in
-              let cells =
-                List.map
-                  (fun n ->
-                    let r = (List.assoc n execs).E.run ~device env in
-                    let x = r.E.latency_us /. d in
-                    (Hashtbl.find speedups n) := x :: !(Hashtbl.find speedups n);
-                    row_speedups := (n, Obs.Json.Float x) :: !row_speedups;
-                    Printf.sprintf "%10.2fx" x)
-                  baseline_names
-              in
-              json_rows :=
-                Obs.Json.Obj
-                  [
-                    ("model", Obs.Json.Str entry.Suite.name);
-                    ("device", Obs.Json.Str device.Gpusim.Device.name);
-                    ("shape", Obs.Json.Str (env_to_string env));
-                    ("disc_us", Obs.Json.Float d);
-                    ("speedups", Obs.Json.Obj (List.rev !row_speedups));
-                  ]
-                :: !json_rows;
-              Printf.printf "%-11s %-26s %10.0f  %s\n" entry.Suite.name (env_to_string env) d
-                (String.concat " " cells))
-            entry.Suite.bench_dims;
-          if not (List.mem_assoc entry.Suite.name !json_compile) then
-            json_compile :=
-              (entry.Suite.name, disc.E.total_compile_ms ()) :: !json_compile)
-        Suite.all)
-    devices;
-  Printf.printf "\n-- summary over both devices (speedup of BladeDISC) --\n";
-  Printf.printf "%-12s %10s %10s %12s %10s\n" "baseline" "avg" "max" "paper-avg" "paper-max";
   let paper_max =
     [
       ("pytorch", 6.95); ("torchscript", 6.25); ("tvm", 4.08); ("onnxrt", 2.04);
       ("xla", 2.06); ("inductor", 7.92); ("tensorrt", 4.16);
     ]
+  in
+  let names = List.map (fun s -> s.E.s_name) Systems.all_strategies in
+  let baseline_names = List.filter (fun n -> n <> "bladedisc") names in
+  let speedups : (string, float list ref) Hashtbl.t = Hashtbl.create 8 in
+  List.iter (fun n -> Hashtbl.replace speedups n (ref [])) baseline_names;
+  let compile_ms = ref [] in
+  let per_device =
+    List.concat_map
+      (fun device ->
+        let rows =
+          List.concat_map
+            (fun entry ->
+              let execs =
+                List.map
+                  (fun s -> (s.E.s_name, E.make_from_strategy s (entry.Suite.build ())))
+                  Systems.all_strategies
+              in
+              let disc = List.assoc "bladedisc" execs in
+              let rows =
+                List.map
+                  (fun env ->
+                    let d = (disc.E.run ~device env).E.latency_us in
+                    [ model entry.Suite.name; str "device" device.Gpusim.Device.name; shape env;
+                      float "disc_us" ~h:(" %10s ", "disc(us)") ~fmt:" %10.0f " d ]
+                    @ List.map
+                        (fun n ->
+                          let r = (List.assoc n execs).E.run ~device env in
+                          let x = r.E.latency_us /. d in
+                          (Hashtbl.find speedups n) := x :: !(Hashtbl.find speedups n);
+                          float n ~h:(" %11s", n) ~fmt:" %10.2fx" x)
+                        baseline_names)
+                  entry.Suite.bench_dims
+              in
+              if not (List.mem_assoc entry.Suite.name !compile_ms) then
+                compile_ms := (entry.Suite.name, disc.E.total_compile_ms ()) :: !compile_ms;
+              rows)
+            Suite.all
+        in
+        [ line (Printf.sprintf "\n-- device %s --" device.Gpusim.Device.name);
+          Table ("rows", rows) ])
+      devices
   in
   let summary =
     List.map
@@ -120,47 +174,45 @@ let e2e () =
         let xs = !(Hashtbl.find speedups n) in
         let avg = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
         let mx = List.fold_left Float.max 0.0 xs in
-        Printf.printf "%-12s %9.2fx %9.2fx %11.2fx %9.2fx\n" n avg mx (List.assoc n paper_avg)
-          (List.assoc n paper_max);
-        Obs.Json.Obj
-          [
-            ("baseline", Obs.Json.Str n);
-            ("avg_speedup", Obs.Json.Float avg);
-            ("max_speedup", Obs.Json.Float mx);
-          ])
+        [ str "baseline" ~h:("%-12s", "baseline") ~fmt:"%-12s" n;
+          float "avg_speedup" ~h:(" %10s", "avg") ~fmt:" %9.2fx" avg;
+          float "max_speedup" ~h:(" %10s", "max") ~fmt:" %9.2fx" mx;
+          float "paper_avg" ~h:(" %12s", "paper-avg") ~fmt:" %11.2fx" (List.assoc n paper_avg);
+          float "paper_max" ~h:(" %10s", "paper-max") ~fmt:" %9.2fx" (List.assoc n paper_max) ])
       baseline_names
   in
-  artifact "E1-e2e"
-    [
-      ("unit", Obs.Json.Obj [ ("latency", Obs.Json.Str "us"); ("compile", Obs.Json.Str "ms") ]);
-      ("rows", Obs.Json.List (List.rev !json_rows));
-      ( "compile_ms",
-        Obs.Json.Obj (List.rev_map (fun (m, ms) -> (m, Obs.Json.Float ms)) !json_compile) );
-      ("summary", Obs.Json.List summary);
-    ]
+  doc "E1-e2e" "E1: end-to-end speedup of BladeDISC over each baseline (per device)"
+    ((Line [ str "latency_unit" "us"; str "compile_unit" "ms" ] :: per_device)
+    @ [ Table
+          ( "compile_ms",
+            List.rev_map (fun (m, c) -> [ str "model" m; float "compile_ms" c ]) !compile_ms );
+        line "\n-- summary over both devices (speedup of BladeDISC) --";
+        Table ("summary", summary) ])
 
 (* ----------------------------------------------------------------------
    E2: the model-suite characteristics table. *)
 
 let suite () =
-  header "E2: model suite (Table: workloads and their dynamism)";
-  Printf.printf "%-11s %6s %5s %5s %5s %5s %5s  %s\n" "model" "insts" "ew" "shape" "red"
-    "lib" "dyn" "dynamism";
-  List.iter
-    (fun entry ->
-      let built = entry.Suite.build () in
-      let g = built.Common.graph in
-      ignore (Ir.Passes.run_all g);
-      let count cls =
-        Ir.Graph.fold g (fun n i -> if Ir.Op.fusion_class i.Ir.Graph.op = cls then n + 1 else n) 0
-      in
-      Printf.printf "%-11s %6d %5d %5d %5d %5d %5d  %s\n" entry.Suite.name
-        (Ir.Graph.num_insts g) (count Ir.Op.Elementwise) (count Ir.Op.Shape_manipulating)
-        (count Ir.Op.Reduction) (count Ir.Op.Library)
-        (List.length built.Common.dims)
-        entry.Suite.dynamism)
-    Suite.all;
-  tables_only
+  let rows =
+    List.map
+      (fun entry ->
+        let built = entry.Suite.build () in
+        let g = built.Common.graph in
+        ignore (Ir.Passes.run_all g);
+        let count cls =
+          Ir.Graph.fold g (fun n i -> if Ir.Op.fusion_class i.Ir.Graph.op = cls then n + 1 else n) 0
+        in
+        [ model entry.Suite.name;
+          int "insts" ~h:(" %6s", "insts") ~fmt:" %6d" (Ir.Graph.num_insts g);
+          int "elementwise" ~h:(" %5s", "ew") ~fmt:" %5d" (count Ir.Op.Elementwise);
+          int "shape" ~h:(" %5s", "shape") ~fmt:" %5d" (count Ir.Op.Shape_manipulating);
+          int "reduction" ~h:(" %5s", "red") ~fmt:" %5d" (count Ir.Op.Reduction);
+          int "library" ~h:(" %5s", "lib") ~fmt:" %5d" (count Ir.Op.Library);
+          int "dynamic_dims" ~h:(" %5s", "dyn") ~fmt:" %5d" (List.length built.Common.dims);
+          str "dynamism" ~h:("  %s", "dynamism") ~fmt:"  %s" entry.Suite.dynamism ])
+      Suite.all
+  in
+  doc "E2-suite" "E2: model suite (Table: workloads and their dynamism)" [ Table ("rows", rows) ]
 
 (* ----------------------------------------------------------------------
    E3: latency across input shapes (figure: one line per system; static
@@ -169,44 +221,44 @@ let suite () =
    per-signature systems. *)
 
 let sweep () =
-  header "E3: latency across the dynamic-dimension sweep (A10)";
   let device = Gpusim.Device.a10 in
   let systems = [ "pytorch"; "xla"; "tvm"; "tensorrt"; "bladedisc" ] in
-  List.iter
-    (fun entry ->
-      let dim_name, values = entry.Suite.sweep in
-      Printf.printf "\n-- %s: sweeping %s (other dims at first bench point) --\n"
-        entry.Suite.name dim_name;
-      let base_env = List.hd entry.Suite.bench_dims in
-      let execs =
-        List.map (fun n -> (n, Systems.make n (entry.Suite.build ()))) systems
-      in
-      Printf.printf "%-6s %s\n" dim_name
-        (String.concat " "
-           (List.map (fun n -> Printf.sprintf "%18s" (n ^ "(us|cms)")) systems));
-      List.iter
-        (fun v ->
-          let env = List.map (fun (n, b) -> (n, if n = dim_name then v else b)) base_env in
-          let cells =
-            List.map
-              (fun n ->
-                let r = (List.assoc n execs).E.run ~device env in
-                Printf.sprintf "%10.0f|%6.0f" r.E.latency_us r.E.compile_ms)
-              systems
-          in
-          Printf.printf "%-6d %s\n" v (String.concat " " cells))
-        values)
-    Suite.all;
-  Printf.printf
-    "\n(compile-ms column: one-off compilation triggered by first sight of that shape;\n\
-    \ XLA recompiles per pow2 bucket, TVM re-tunes per exact shape, BladeDISC never.)\n";
-  tables_only
+  let per_model =
+    List.concat_map
+      (fun entry ->
+        let dim_name, values = entry.Suite.sweep in
+        let base_env = List.hd entry.Suite.bench_dims in
+        let execs =
+          List.map (fun n -> (n, Systems.make n (entry.Suite.build ()))) systems
+        in
+        let rows =
+          List.map
+            (fun v ->
+              let env = List.map (fun (n, b) -> (n, if n = dim_name then v else b)) base_env in
+              [ str "model" entry.Suite.name; str "dim" dim_name;
+                int "value" ~h:("%-6s", dim_name) ~fmt:"%-6d" v ]
+              @ List.concat_map
+                  (fun n ->
+                    let r = (List.assoc n execs).E.run ~device env in
+                    [ float (n ^ "_us") ~h:(" %18s", n ^ "(us|cms)") ~fmt:" %10.0f" r.E.latency_us;
+                      float (n ^ "_compile_ms") ~fmt:"|%6.0f" r.E.compile_ms ])
+                  systems)
+            values
+        in
+        [ line (Printf.sprintf "\n-- %s: sweeping %s (other dims at first bench point) --"
+                  entry.Suite.name dim_name);
+          Table ("rows", rows) ])
+      Suite.all
+  in
+  doc "E3-sweep" "E3: latency across the dynamic-dimension sweep (A10)"
+    (per_model
+    @ [ line "\n(compile-ms column: one-off compilation triggered by first sight of that shape;\n\
+              \ XLA recompiles per pow2 bucket, TVM re-tunes per exact shape, BladeDISC never.)" ])
 
 (* ----------------------------------------------------------------------
    E4: fusion ablation (figure: kernels & latency under each planner). *)
 
 let fusion_ablation () =
-  header "E4: fusion ablation — kernel counts and latency per planner variant (A10)";
   let variants =
     [
       ("no-fusion", Planner.no_fusion_config);
@@ -216,153 +268,167 @@ let fusion_ablation () =
       ("+kStitch", Planner.default_config);
     ]
   in
-  Printf.printf "%-11s %-13s %8s %6s %7s %8s %10s\n" "model" "variant" "kernels" "loops"
-    "stitch" "launches" "latency_us";
-  List.iter
-    (fun entry ->
-      List.iter
-        (fun (vname, cfg) ->
-          let built = entry.Suite.build () in
-          let { Compiler.plan; exe; _ } =
-            Compiler.compile ~options:{ Compiler.default_options with planner = cfg }
-              built.Common.graph
-          in
-          let env = List.hd entry.Suite.bench_dims in
-          let bnd = Common.binding_for built env in
-          let profile = Runtime.Executable.simulate ~device:Gpusim.Device.a10 exe bnd in
-          Printf.printf "%-11s %-13s %8d %6d %7d %8d %10.0f\n" entry.Suite.name vname
-            (Cluster.num_kernels plan)
-            (Cluster.count_kind plan Cluster.Loop + Cluster.count_kind plan Cluster.Input)
-            (Cluster.count_kind plan Cluster.Stitch)
-            profile.Profile.launches (Profile.total_us profile))
-        variants)
-    Suite.all;
-  tables_only
+  let rows =
+    List.concat_map
+      (fun entry ->
+        List.map
+          (fun (vname, cfg) ->
+            let built = entry.Suite.build () in
+            let { Compiler.plan; exe; _ } =
+              Compiler.compile ~options:{ Compiler.default_options with planner = cfg }
+                built.Common.graph
+            in
+            let env = List.hd entry.Suite.bench_dims in
+            let bnd = Common.binding_for built env in
+            let profile = Runtime.Executable.simulate ~device:Gpusim.Device.a10 exe bnd in
+            [ model entry.Suite.name; str "variant" ~h:(" %-13s", "variant") ~fmt:" %-13s" vname;
+              int "kernels" ~h:(" %8s", "kernels") ~fmt:" %8d" (Cluster.num_kernels plan);
+              int "loops" ~h:(" %6s", "loops") ~fmt:" %6d"
+                (Cluster.count_kind plan Cluster.Loop + Cluster.count_kind plan Cluster.Input);
+              int "stitch" ~h:(" %7s", "stitch") ~fmt:" %7d"
+                (Cluster.count_kind plan Cluster.Stitch);
+              int "launches" ~h:(" %8s", "launches") ~fmt:" %8d" profile.Profile.launches;
+              float "latency_us" ~h:(" %10s", "latency_us") ~fmt:" %10.0f"
+                (Profile.total_us profile) ])
+          variants)
+      Suite.all
+  in
+  doc "E4-fusion-ablation"
+    "E4: fusion ablation — kernel counts and latency per planner variant (A10)"
+    [ Table ("rows", rows) ]
 
 (* ----------------------------------------------------------------------
    E5: speculation ablation (figure: latency with/without speculative
    codegen versions, on vectorization-friendly and -unfriendly shapes). *)
 
 let speculation_ablation () =
-  header "E5: speculation ablation — compile-time versions + runtime selection (A10)";
-  Printf.printf "%-11s %-26s %12s %12s %8s\n" "model" "shape" "spec-on(us)" "spec-off(us)"
-    "gain";
-  List.iter
-    (fun entry ->
-      let mk codegen =
-        let built = entry.Suite.build () in
-        let c =
-          Compiler.compile ~options:{ Compiler.default_options with codegen } built.Common.graph
+  let rows =
+    List.concat_map
+      (fun entry ->
+        let mk codegen =
+          let built = entry.Suite.build () in
+          let c =
+            Compiler.compile ~options:{ Compiler.default_options with codegen } built.Common.graph
+          in
+          (built, c.Compiler.exe)
         in
-        (built, c.Compiler.exe)
-      in
-      let built_on, exe_on = mk Kernel.default_config in
-      let built_off, exe_off = mk Kernel.no_speculation_config in
-      List.iter
-        (fun env ->
-          let t_on =
-            Profile.total_us
-              (Runtime.Executable.simulate exe_on (Common.binding_for built_on env))
-          in
-          let t_off =
-            Profile.total_us
-              (Runtime.Executable.simulate exe_off (Common.binding_for built_off env))
-          in
-          Printf.printf "%-11s %-26s %12.0f %12.0f %7.2fx\n" entry.Suite.name
-            (env_to_string env) t_on t_off (t_off /. t_on))
-        entry.Suite.bench_dims)
-    Suite.all;
-  tables_only
+        let built_on, exe_on = mk Kernel.default_config in
+        let built_off, exe_off = mk Kernel.no_speculation_config in
+        List.map
+          (fun env ->
+            let t_on =
+              Profile.total_us
+                (Runtime.Executable.simulate exe_on (Common.binding_for built_on env))
+            in
+            let t_off =
+              Profile.total_us
+                (Runtime.Executable.simulate exe_off (Common.binding_for built_off env))
+            in
+            [ model entry.Suite.name; shape env;
+              float "spec_on_us" ~h:(" %12s", "spec-on(us)") ~fmt:" %12.0f" t_on;
+              float "spec_off_us" ~h:(" %12s", "spec-off(us)") ~fmt:" %12.0f" t_off;
+              float "gain_x" ~h:(" %8s", "gain") ~fmt:" %7.2fx" (t_off /. t_on) ])
+          entry.Suite.bench_dims)
+      Suite.all
+  in
+  doc "E5-speculation-ablation"
+    "E5: speculation ablation — compile-time versions + runtime selection (A10)"
+    [ Table ("rows", rows) ]
 
 (* ----------------------------------------------------------------------
    E6: compilation cost to serve a realistic trace of shapes. *)
 
 let compile_time () =
-  header "E6: one-off compilation/tuning cost to serve a 64-request shape trace";
   let systems = [ "bladedisc"; "xla"; "tvm"; "tensorrt"; "inductor"; "onnxrt" ] in
-  Printf.printf "%-11s %s\n" "model"
-    (String.concat " " (List.map (fun n -> Printf.sprintf "%14s" (n ^ "(s)")) systems));
-  List.iter
-    (fun entry ->
-      let envs = Workloads.Trace.environments ~seed:7 (Workloads.Trace.serving_mix entry) ~n:64 in
-      let cells =
-        List.map
-          (fun n ->
-            let ex = Systems.make n (entry.Suite.build ()) in
-            List.iter
-              (fun env -> ignore (ex.E.run ~device:Gpusim.Device.a10 env))
-              envs;
-            Printf.sprintf "%14.1f" (ex.E.total_compile_ms () /. 1000.0))
-          systems
-      in
-      Printf.printf "%-11s %s\n" entry.Suite.name (String.concat " " cells))
-    Suite.all;
-  Printf.printf "\n(XLA compiles per pow2 bucket signature; TVM tunes per exact signature;\n\
-                \ the others compile once. BladeDISC's single compile is seconds.)\n";
-  tables_only
+  let rows =
+    List.map
+      (fun entry ->
+        let envs = Workloads.Trace.environments ~seed:7 (Workloads.Trace.serving_mix entry) ~n:64 in
+        model entry.Suite.name
+        :: List.map
+             (fun n ->
+               let ex = Systems.make n (entry.Suite.build ()) in
+               List.iter
+                 (fun env -> ignore (ex.E.run ~device:Gpusim.Device.a10 env))
+                 envs;
+               float (n ^ "_compile_ms") ~h:(" %14s", n ^ "(s)") ~fmt:" %14.1f" ~by:sec
+                 (ex.E.total_compile_ms ()))
+             systems)
+      Suite.all
+  in
+  doc "E6-compile-time" "E6: one-off compilation/tuning cost to serve a 64-request shape trace"
+    [ Table ("rows", rows);
+      line "\n(XLA compiles per pow2 bucket signature; TVM tunes per exact signature;\n\
+            \ the others compile once. BladeDISC's single compile is seconds.)" ]
 
 (* ----------------------------------------------------------------------
    E7: peak device memory, including padding waste. *)
 
 let memory () =
-  header "E7: peak device memory at the largest benchmark shape (A10)";
   let systems = [ "bladedisc"; "xla"; "pytorch" ] in
-  Printf.printf "%-11s %-26s %s\n" "model" "shape"
-    (String.concat " " (List.map (fun n -> Printf.sprintf "%16s" (n ^ "(MB)")) systems));
-  List.iter
-    (fun entry ->
-      let env = List.nth entry.Suite.bench_dims (List.length entry.Suite.bench_dims - 1) in
-      let cells =
-        List.map
-          (fun n ->
-            let ex = Systems.make n (entry.Suite.build ()) in
-            let r = ex.E.run ~device:Gpusim.Device.a10 env in
-            Printf.sprintf "%16.1f"
-              (float_of_int r.E.profile.Profile.peak_bytes /. 1e6))
-          systems
-      in
-      Printf.printf "%-11s %-26s %s\n" entry.Suite.name (env_to_string env)
-        (String.concat " " cells))
-    Suite.all;
-  Printf.printf "\n(PyTorch keeps every intermediate alive longer (no fused liveness);\n\
-                \ XLA additionally pads buffers to bucket shapes.)\n";
-  Printf.printf "\n-- RAL static buffer planning (BladeDISC, largest shape) --\n";
-  Printf.printf "%-11s %12s %12s %8s\n" "model" "arena(MB)" "naive(MB)" "reuse";
-  List.iter
-    (fun entry ->
-      let built = entry.Suite.build () in
-      let exe = (Compiler.compile built.Common.graph).Compiler.exe in
-      let env = List.nth entry.Suite.bench_dims (List.length entry.Suite.bench_dims - 1) in
-      let p = Runtime.Memplan.plan exe (Common.binding_for built env) in
-      assert (Runtime.Memplan.validate p);
-      Printf.printf "%-11s %12.2f %12.2f %7.1fx\n" entry.Suite.name
-        (float_of_int p.Runtime.Memplan.arena_bytes /. 1e6)
-        (float_of_int p.Runtime.Memplan.naive_bytes /. 1e6)
-        (float_of_int p.Runtime.Memplan.naive_bytes
-        /. float_of_int (max 1 p.Runtime.Memplan.arena_bytes)))
-    Suite.all;
-  tables_only
+  let largest entry = List.nth entry.Suite.bench_dims (List.length entry.Suite.bench_dims - 1) in
+  let peaks =
+    List.map
+      (fun entry ->
+        let env = largest entry in
+        [ model entry.Suite.name; shape env ]
+        @ List.map
+            (fun n ->
+              let ex = Systems.make n (entry.Suite.build ()) in
+              let r = ex.E.run ~device:Gpusim.Device.a10 env in
+              mb (n ^ "_peak_bytes") ~h:(" %16s", n ^ "(MB)") ~fmt:" %16.1f"
+                r.E.profile.Profile.peak_bytes)
+            systems)
+      Suite.all
+  in
+  let arenas =
+    List.map
+      (fun entry ->
+        let built = entry.Suite.build () in
+        let exe = (Compiler.compile built.Common.graph).Compiler.exe in
+        let p = Runtime.Memplan.plan exe (Common.binding_for built (largest entry)) in
+        assert (Runtime.Memplan.validate p);
+        [ model entry.Suite.name;
+          mb "arena_bytes" ~h:(" %12s", "arena(MB)") ~fmt:" %12.2f" p.Runtime.Memplan.arena_bytes;
+          mb "naive_bytes" ~h:(" %12s", "naive(MB)") ~fmt:" %12.2f" p.Runtime.Memplan.naive_bytes;
+          float "reuse_x" ~h:(" %8s", "reuse") ~fmt:" %7.1fx"
+            (float_of_int p.Runtime.Memplan.naive_bytes
+            /. float_of_int (max 1 p.Runtime.Memplan.arena_bytes)) ])
+      Suite.all
+  in
+  doc "E7-memory" "E7: peak device memory at the largest benchmark shape (A10)"
+    [ Table ("rows", peaks);
+      line "\n(PyTorch keeps every intermediate alive longer (no fused liveness);\n\
+            \ XLA additionally pads buffers to bucket shapes.)";
+      line "\n-- RAL static buffer planning (BladeDISC, largest shape) --"; Table ("ral", arenas) ]
 
 (* ----------------------------------------------------------------------
    E8: shape-constraint coverage — what the symbolic machinery proves. *)
 
 let constraints () =
-  header "E8: shape-constraint coverage per model";
-  Printf.printf "%-11s %6s %8s %8s %10s %10s %13s\n" "model" "insts" "symbols" "classes"
-    "prod.facts" "dyn.slots" "equal-pairs";
-  List.iter
-    (fun entry ->
-      let built = entry.Suite.build () in
-      ignore (Ir.Passes.run_all built.Common.graph);
-      let s = Disc.Stats.coverage built.Common.graph in
-      Printf.printf "%-11s %6d %8d %8d %10d %10d %6d/%6d\n" entry.Suite.name
-        s.Disc.Stats.num_insts s.Disc.Stats.num_symbols s.Disc.Stats.num_classes
-        s.Disc.Stats.num_product_facts s.Disc.Stats.dynamic_dim_slots
-        s.Disc.Stats.proven_equal_pairs s.Disc.Stats.total_pairs_sampled)
-    Suite.all;
-  Printf.printf "\n(classes << symbols: propagation collapses almost all dynamic dims onto\n\
-                \ the handful of true input symbols — that collapse is what enables fusion.)\n";
-  tables_only
+  let rows =
+    List.map
+      (fun entry ->
+        let built = entry.Suite.build () in
+        ignore (Ir.Passes.run_all built.Common.graph);
+        let s = Disc.Stats.coverage built.Common.graph in
+        [ model entry.Suite.name;
+          int "insts" ~h:(" %6s", "insts") ~fmt:" %6d" s.Disc.Stats.num_insts;
+          int "symbols" ~h:(" %8s", "symbols") ~fmt:" %8d" s.Disc.Stats.num_symbols;
+          int "classes" ~h:(" %8s", "classes") ~fmt:" %8d" s.Disc.Stats.num_classes;
+          int "product_facts" ~h:(" %10s", "prod.facts") ~fmt:" %10d"
+            s.Disc.Stats.num_product_facts;
+          int "dynamic_dim_slots" ~h:(" %10s", "dyn.slots") ~fmt:" %10d"
+            s.Disc.Stats.dynamic_dim_slots;
+          int "proven_equal_pairs" ~h:(" %13s", "equal-pairs") ~fmt:" %6d"
+            s.Disc.Stats.proven_equal_pairs;
+          int "pairs_sampled" ~fmt:"/%6d" s.Disc.Stats.total_pairs_sampled ])
+      Suite.all
+  in
+  doc "E8-constraints" "E8: shape-constraint coverage per model"
+    [ Table ("rows", rows);
+      line "\n(classes << symbols: propagation collapses almost all dynamic dims onto\n\
+            \ the handful of true input symbols — that collapse is what enables fusion.)" ]
 
 (* ----------------------------------------------------------------------
    E9 (extension): mixed-precision deployment — fp32 vs fp16 latency and
@@ -370,55 +436,61 @@ let constraints () =
    mode BladeDISC supports; DESIGN.md lists it as an extension. *)
 
 let mixed_precision () =
-  header "E9 (extension): fp16 inference vs fp32 (A10)";
-  Printf.printf "%-11s %-26s %12s %12s %8s %12s %12s\n" "model" "shape" "fp32(us)"
-    "fp16(us)" "speedup" "fp32-peakMB" "fp16-peakMB";
-  List.iter
-    (fun entry ->
-      let env = List.hd entry.Suite.bench_dims in
-      let measure ~half =
-        let built = entry.Suite.build () in
-        if half then ignore (Ir.Precision.to_f16 built.Common.graph);
-        let c = Compiler.compile built.Common.graph in
-        Runtime.Executable.simulate c.Compiler.exe (Common.binding_for built env)
-      in
-      let p32 = measure ~half:false and p16 = measure ~half:true in
-      Printf.printf "%-11s %-26s %12.0f %12.0f %7.2fx %12.1f %12.1f\n" entry.Suite.name
-        (env_to_string env) (Profile.total_us p32) (Profile.total_us p16)
-        (Profile.total_us p32 /. Profile.total_us p16)
-        (float_of_int p32.Profile.peak_bytes /. 1e6)
-        (float_of_int p16.Profile.peak_bytes /. 1e6))
-    Suite.all;
-  tables_only
+  let rows =
+    List.map
+      (fun entry ->
+        let env = List.hd entry.Suite.bench_dims in
+        let measure ~half =
+          let built = entry.Suite.build () in
+          if half then ignore (Ir.Precision.to_f16 built.Common.graph);
+          let c = Compiler.compile built.Common.graph in
+          Runtime.Executable.simulate c.Compiler.exe (Common.binding_for built env)
+        in
+        let p32 = measure ~half:false and p16 = measure ~half:true in
+        [ model entry.Suite.name; shape env;
+          float "fp32_us" ~h:(" %12s", "fp32(us)") ~fmt:" %12.0f" (Profile.total_us p32);
+          float "fp16_us" ~h:(" %12s", "fp16(us)") ~fmt:" %12.0f" (Profile.total_us p16);
+          float "speedup_x" ~h:(" %8s", "speedup") ~fmt:" %7.2fx"
+            (Profile.total_us p32 /. Profile.total_us p16);
+          mb "fp32_peak_bytes" ~h:(" %12s", "fp32-peakMB") ~fmt:" %12.1f" p32.Profile.peak_bytes;
+          mb "fp16_peak_bytes" ~h:(" %12s", "fp16-peakMB") ~fmt:" %12.1f" p16.Profile.peak_bytes ])
+      Suite.all
+  in
+  doc "E9-mixed-precision" "E9 (extension): fp16 inference vs fp32 (A10)" [ Table ("rows", rows) ]
 
 (* ----------------------------------------------------------------------
    E10 (extension): horizontal fusion — packing independent same-domain
    kLoop kernels into one launch (AStitch-style, off by default). *)
 
 let horizontal_ablation () =
-  header "E10 (extension): horizontal kLoop packing (A10, smallest bench shape)";
-  Printf.printf "%-11s %9s %9s %8s %12s %12s %8s\n" "model" "kernels" "+horiz" "packed"
-    "latency(us)" "+horiz(us)" "gain";
-  List.iter
-    (fun entry ->
-      let measure planner =
-        let built = entry.Suite.build () in
-        let { Compiler.plan; exe; _ } =
-          Compiler.compile ~options:{ Compiler.default_options with planner } built.Common.graph
+  let rows =
+    List.map
+      (fun entry ->
+        let measure planner =
+          let built = entry.Suite.build () in
+          let { Compiler.plan; exe; _ } =
+            Compiler.compile ~options:{ Compiler.default_options with planner } built.Common.graph
+          in
+          let env = List.hd entry.Suite.bench_dims in
+          let p = Runtime.Executable.simulate exe (Common.binding_for built env) in
+          (plan, p)
         in
-        let env = List.hd entry.Suite.bench_dims in
-        let p = Runtime.Executable.simulate exe (Common.binding_for built env) in
-        (plan, p)
-      in
-      let plan0, p0 = measure Planner.default_config in
-      let plan1, p1 = measure Planner.horizontal_config in
-      Printf.printf "%-11s %9d %9d %8d %12.0f %12.0f %7.2fx\n" entry.Suite.name
-        (Cluster.num_kernels plan0) (Cluster.num_kernels plan1)
-        (Cluster.count_kind plan1 Cluster.Horizontal)
-        (Profile.total_us p0) (Profile.total_us p1)
-        (Profile.total_us p0 /. Profile.total_us p1))
-    Suite.all;
-  tables_only
+        let plan0, p0 = measure Planner.default_config in
+        let plan1, p1 = measure Planner.horizontal_config in
+        [ model entry.Suite.name;
+          int "kernels" ~h:(" %9s", "kernels") ~fmt:" %9d" (Cluster.num_kernels plan0);
+          int "kernels_horizontal" ~h:(" %9s", "+horiz") ~fmt:" %9d" (Cluster.num_kernels plan1);
+          int "packed" ~h:(" %8s", "packed") ~fmt:" %8d"
+            (Cluster.count_kind plan1 Cluster.Horizontal);
+          float "latency_us" ~h:(" %12s", "latency(us)") ~fmt:" %12.0f" (Profile.total_us p0);
+          float "latency_horizontal_us" ~h:(" %12s", "+horiz(us)") ~fmt:" %12.0f"
+            (Profile.total_us p1);
+          float "gain_x" ~h:(" %8s", "gain") ~fmt:" %7.2fx"
+            (Profile.total_us p0 /. Profile.total_us p1) ])
+      Suite.all
+  in
+  doc "E10-horizontal" "E10 (extension): horizontal kLoop packing (A10, smallest bench shape)"
+    [ Table ("rows", rows) ]
 
 (* ----------------------------------------------------------------------
    E11 (extension): CPU deployment — the same compiled artifacts on the
@@ -426,22 +498,25 @@ let horizontal_ablation () =
    wins, mostly through memory traffic rather than launch count). *)
 
 let cpu () =
-  header "E11 (extension): CPU inference (Xeon profile), BladeDISC vs op-by-op";
   let device = Gpusim.Device.xeon in
-  Printf.printf "%-11s %-26s %12s %12s %12s %10s\n" "model" "shape" "disc(us)"
-    "pytorch(us)" "onnxrt(us)" "vs eager";
-  List.iter
-    (fun entry ->
-      let env = List.hd entry.Suite.bench_dims in
-      let lat name =
-        let ex = Systems.make name (entry.Suite.build ()) in
-        (ex.E.run ~device env).E.latency_us
-      in
-      let d = lat "bladedisc" and pt = lat "pytorch" and ort = lat "onnxrt" in
-      Printf.printf "%-11s %-26s %12.0f %12.0f %12.0f %9.2fx\n" entry.Suite.name
-        (env_to_string env) d pt ort (pt /. d))
-    Suite.all;
-  tables_only
+  let rows =
+    List.map
+      (fun entry ->
+        let env = List.hd entry.Suite.bench_dims in
+        let lat name =
+          let ex = Systems.make name (entry.Suite.build ()) in
+          (ex.E.run ~device env).E.latency_us
+        in
+        let d = lat "bladedisc" and pt = lat "pytorch" and ort = lat "onnxrt" in
+        [ model entry.Suite.name; shape env;
+          float "disc_us" ~h:(" %12s", "disc(us)") ~fmt:" %12.0f" d;
+          float "pytorch_us" ~h:(" %12s", "pytorch(us)") ~fmt:" %12.0f" pt;
+          float "onnxrt_us" ~h:(" %12s", "onnxrt(us)") ~fmt:" %12.0f" ort;
+          float "vs_eager_x" ~h:(" %10s", "vs eager") ~fmt:" %9.2fx" (pt /. d) ])
+      Suite.all
+  in
+  doc "E11-cpu" "E11 (extension): CPU inference (Xeon profile), BladeDISC vs op-by-op"
+    [ Table ("rows", rows) ]
 
 (* ----------------------------------------------------------------------
    E12 (extension): tail latency under dynamic batching — the serving
@@ -450,38 +525,42 @@ let cpu () =
    new shape signature. *)
 
 let serving () =
-  header "E12 (extension): p99 latency behind a dynamically-batched endpoint (A10)";
   let device = Gpusim.Device.a10 in
   let module Q = Workloads.Queueing in
-  Printf.printf "%-11s %-11s %9s %9s %9s %11s %7s\n" "model" "system" "p50(ms)" "p95(ms)"
-    "p99(ms)" "mean-batch" "stalls";
-  List.iter
-    (fun (mname, dim_specs, batch_dim, qps) ->
-      let entry = Suite.find mname in
-      let arrivals = Q.generate_arrivals ~seed:11 ~qps ~n:300 ~dims:dim_specs in
-      let policy = Q.default_server_policy ~batching:{ Q.max_batch = 8; max_wait_us = 2000.0 } in
-      List.iter
-        (fun name ->
-          let ex = Systems.make name (entry.Suite.build ()) in
-          ignore (ex.E.run ~device (Q.batch_env ~batch_dim [ (List.hd arrivals).Q.dims ]));
-          let stalls = ref 0 in
-          let service env =
-            let r = ex.E.run ~device env in
-            if r.E.compile_ms > 100.0 then incr stalls;
-            (r.E.latency_us +. (r.E.compile_ms *. 1000.0), `Compiled)
-          in
-          let a = Q.simulate_server ~arrivals ~policy ~batch_dim ~service () in
-          let pct p = Obs.Metrics.exact_percentile a.Q.request_latencies_us p /. 1000.0 in
-          Printf.printf "%-11s %-11s %9.1f %9.1f %9.1f %11.1f %7d\n" mname name (pct 0.5)
-            (pct 0.95) (pct 0.99) a.Q.server_mean_batch !stalls)
-        [ "bladedisc"; "onnxrt"; "xla"; "pytorch" ];
-      print_newline ())
-    [
-      ("bert", [ ("seq", Workloads.Trace.Bimodal (24, 160)) ], "batch", 150.0);
-      ("dien", [ ("hist", Workloads.Trace.Skewed (5, 100)) ], "batch", 2000.0);
-    ];
-  Printf.printf "(a stall is an in-band compilation > 100 ms blocking the serving queue)\n";
-  tables_only
+  let rows =
+    List.concat_map
+      (fun (mname, dim_specs, batch_dim, qps) ->
+        let entry = Suite.find mname in
+        let arrivals = Q.generate_arrivals ~seed:11 ~qps ~n:300 ~dims:dim_specs in
+        let policy = Q.default_server_policy ~batching:{ Q.max_batch = 8; max_wait_us = 2000.0 } in
+        List.map
+          (fun name ->
+            let ex = Systems.make name (entry.Suite.build ()) in
+            ignore (ex.E.run ~device (Q.batch_env ~batch_dim [ (List.hd arrivals).Q.dims ]));
+            let stalls = ref 0 in
+            let service env =
+              let r = ex.E.run ~device env in
+              if r.E.compile_ms > 100.0 then incr stalls;
+              (r.E.latency_us +. (r.E.compile_ms *. 1000.0), `Compiled)
+            in
+            let a = Q.simulate_server ~arrivals ~policy ~batch_dim ~service () in
+            let p q = Obs.Metrics.exact_percentile a.Q.request_latencies_us q in
+            [ model mname; str "system" ~h:(" %-11s", "system") ~fmt:" %-11s" name;
+              float "p50_us" ~h:(" %9s", "p50(ms)") ~fmt:" %9.1f" ~by:ms (p 0.5);
+              float "p95_us" ~h:(" %9s", "p95(ms)") ~fmt:" %9.1f" ~by:ms (p 0.95);
+              float "p99_us" ~h:(" %9s", "p99(ms)") ~fmt:" %9.1f" ~by:ms (p 0.99);
+              float "mean_batch" ~h:(" %11s", "mean-batch") ~fmt:" %11.1f" a.Q.server_mean_batch;
+              int "stalls" ~h:(" %7s", "stalls") ~fmt:" %7d" !stalls ])
+          [ "bladedisc"; "onnxrt"; "xla"; "pytorch" ]
+        @ [ [ text "" ] ])
+      [
+        ("bert", [ ("seq", Workloads.Trace.Bimodal (24, 160)) ], "batch", 150.0);
+        ("dien", [ ("hist", Workloads.Trace.Skewed (5, 100)) ], "batch", 2000.0);
+      ]
+  in
+  doc "E12-serving" "E12 (extension): p99 latency behind a dynamically-batched endpoint (A10)"
+    [ Table ("rows", rows);
+      line "(a stall is an in-band compilation > 100 ms blocking the serving queue)" ]
 
 (* ----------------------------------------------------------------------
    E13 (extension): hot-shape specialization — what a fully static
@@ -489,25 +568,28 @@ let serving () =
    shape-generic artifact at that shape, and what it costs to compile. *)
 
 let specialization () =
-  header "E13 (extension): hot-shape specialization (A10, first bench shape)";
-  Printf.printf "%-11s %12s %12s %8s %14s\n" "model" "generic(us)" "hot(us)" "gain"
-    "extra-compile(s)";
-  List.iter
-    (fun entry ->
-      let built = entry.Suite.build () in
-      let dims =
-        List.map (fun (n, v) -> (Common.dim_exn built n, v)) (List.hd entry.Suite.bench_dims)
-      in
-      let generic = Compiler.compile built.Common.graph in
-      let hot = Compiler.compile (Ir.Clone.clone ~bind:dims built.Common.graph) in
-      let gen_us = Profile.total_us (Compiler.simulate generic dims) in
-      (* the static variant has no dynamic dims left to bind *)
-      let hot_us = Profile.total_us (Compiler.simulate hot []) in
-      Printf.printf "%-11s %12.0f %12.0f %7.2fx %14.1f\n" entry.Suite.name gen_us hot_us
-        (gen_us /. hot_us)
-        (hot.Compiler.compile_time_ms /. 1000.0))
-    Suite.all;
-  tables_only
+  let rows =
+    List.map
+      (fun entry ->
+        let built = entry.Suite.build () in
+        let dims =
+          List.map (fun (n, v) -> (Common.dim_exn built n, v)) (List.hd entry.Suite.bench_dims)
+        in
+        let generic = Compiler.compile built.Common.graph in
+        let hot = Compiler.compile (Ir.Clone.clone ~bind:dims built.Common.graph) in
+        let gen_us = Profile.total_us (Compiler.simulate generic dims) in
+        (* the static variant has no dynamic dims left to bind *)
+        let hot_us = Profile.total_us (Compiler.simulate hot []) in
+        [ model entry.Suite.name;
+          float "generic_us" ~h:(" %12s", "generic(us)") ~fmt:" %12.0f" gen_us;
+          float "hot_us" ~h:(" %12s", "hot(us)") ~fmt:" %12.0f" hot_us;
+          float "gain_x" ~h:(" %8s", "gain") ~fmt:" %7.2fx" (gen_us /. hot_us);
+          float "extra_compile_ms" ~h:(" %14s", "extra-compile(s)") ~fmt:" %14.1f" ~by:sec
+            hot.Compiler.compile_time_ms ])
+      Suite.all
+  in
+  doc "E13-specialization" "E13 (extension): hot-shape specialization (A10, first bench shape)"
+    [ Table ("rows", rows) ]
 
 (* ----------------------------------------------------------------------
    E14 (extension): fault-tolerant serving — deterministic fault
@@ -516,7 +598,6 @@ let specialization () =
    Every request ends in exactly one disposition. *)
 
 let resilience () =
-  header "E14 (extension): fault injection vs graceful degradation (dien, A10)";
   let module Q = Workloads.Queueing in
   let entry = Suite.find "dien" in
   let arrivals =
@@ -530,39 +611,46 @@ let resilience () =
       deadline_us = 200_000.0;
     }
   in
-  Printf.printf "%-10s %8s %9s %5s %7s %8s %8s %7s %8s %9s\n" "fault-rate" "served"
-    "fell-back" "shed" "expired" "retries" "faults" "despec" "p50(ms)" "p99(ms)";
-  List.iter
-    (fun rate ->
-      let built = entry.Suite.build () in
-      let sess =
-        Disc.Session.create
-          ~fault_config:(Gpusim.Fault.create ~seed:7 ~kernel_fault_rate:rate ())
-          built
-      in
-      let service env =
-        match Disc.Session.serve_result sess env with
-        | Ok (p, path) -> (Profile.total_us p, path)
-        | Error _ -> (1e6, `Fallback)
-      in
-      let a = Q.simulate_server ~arrivals ~policy ~batch_dim:"batch" ~service () in
-      let s = Disc.Session.stats sess in
-      let completed =
-        Array.of_list
-          (List.filter (fun l -> not (Float.is_nan l))
-             (Array.to_list a.Q.request_latencies_us))
-      in
-      Printf.printf "%-10.2f %8d %9d %5d %7d %8d %8d %7d %8.1f %9.1f\n" rate a.Q.served
-        a.Q.fell_back a.Q.shed a.Q.expired s.Disc.Session.retries s.Disc.Session.faults
-        s.Disc.Session.despeculated
-        (Obs.Metrics.exact_percentile completed 0.5 /. 1000.0)
-        (Obs.Metrics.exact_percentile completed 0.99 /. 1000.0))
-    [ 0.0; 0.05; 0.10 ];
-  Printf.printf
-    "(every request accounted: served + fell-back + shed + expired = %d arrivals;\n\
-    \ fell-back requests are re-served on the op-by-op reference interpreter)\n"
-    (List.length arrivals);
-  tables_only
+  let rows =
+    List.map
+      (fun rate ->
+        let built = entry.Suite.build () in
+        let sess =
+          Disc.Session.create
+            ~fault_config:(Gpusim.Fault.create ~seed:7 ~kernel_fault_rate:rate ())
+            built
+        in
+        let service env =
+          match Disc.Session.serve_result sess env with
+          | Ok (p, path) -> (Profile.total_us p, path)
+          | Error _ -> (1e6, `Fallback)
+        in
+        let a = Q.simulate_server ~arrivals ~policy ~batch_dim:"batch" ~service () in
+        let s = Disc.Session.stats sess in
+        let completed =
+          Array.of_list
+            (List.filter (fun l -> not (Float.is_nan l))
+               (Array.to_list a.Q.request_latencies_us))
+        in
+        [ float "fault_rate" ~h:("%-10s", "fault-rate") ~fmt:"%-10.2f" rate;
+          int "served" ~h:(" %8s", "served") ~fmt:" %8d" a.Q.served;
+          int "fell_back" ~h:(" %9s", "fell-back") ~fmt:" %9d" a.Q.fell_back;
+          int "shed" ~h:(" %5s", "shed") ~fmt:" %5d" a.Q.shed;
+          int "expired" ~h:(" %7s", "expired") ~fmt:" %7d" a.Q.expired;
+          int "retries" ~h:(" %8s", "retries") ~fmt:" %8d" s.Disc.Session.retries;
+          int "faults" ~h:(" %8s", "faults") ~fmt:" %8d" s.Disc.Session.faults;
+          int "despeculated" ~h:(" %7s", "despec") ~fmt:" %7d" s.Disc.Session.despeculated;
+          float "p50_us" ~h:(" %8s", "p50(ms)") ~fmt:" %8.1f" ~by:ms
+            (Obs.Metrics.exact_percentile completed 0.5);
+          float "p99_us" ~h:(" %9s", "p99(ms)") ~fmt:" %9.1f" ~by:ms
+            (Obs.Metrics.exact_percentile completed 0.99) ])
+      [ 0.0; 0.05; 0.10 ]
+  in
+  doc "E14-resilience" "E14 (extension): fault injection vs graceful degradation (dien, A10)"
+    [ Table ("rows", rows);
+      Line [ int "arrivals" (List.length arrivals)
+               ~fmt:"(every request accounted: served + fell-back + shed + expired = %d arrivals;\n\
+                     \ fell-back requests are re-served on the op-by-op reference interpreter)" ] ]
 
 (* ----------------------------------------------------------------------
    E15 (extension): compilation cache — cold vs warm session creation.
@@ -572,13 +660,13 @@ let resilience () =
    one hits the cache and reports compile_ms = 0. A second segment
    shows async compile: a session created with the compile in flight
    serves its first batches on the reference path ("warmed"
-   disposition) and transparently switches to the compiled path. *)
+   disposition) and transparently switches to the compiled path.
+   Acceptance: every batch inside the warmup window takes the reference
+   path, every later batch the compiled one. *)
 
 let cache_experiment () =
-  header "E15 (extension): compilation cache — cold vs warm sessions (A10)";
   let cache = Disc.Compile_cache.create () in
   let replicas = 10 in
-  Printf.printf "%-12s %12s %12s %9s\n" "model" "cold(ms)" "warm(ms)" "hits";
   let rows =
     List.map
       (fun entry ->
@@ -590,29 +678,29 @@ let cache_experiment () =
           warm_ms := !warm_ms +. s.Disc.Session.compile_ms;
           if s.Disc.Session.cache_hit then incr hits
         done;
-        let warm_mean = !warm_ms /. float_of_int (replicas - 1) in
-        Printf.printf "%-12s %12.1f %12.1f %6d/%d\n" entry.Suite.name cold_ms warm_mean
-          !hits (replicas - 1);
-        (entry.Suite.name, cold_ms, warm_mean, !hits))
+        [ str "model" ~h:("%-12s", "model") ~fmt:"%-12s" entry.Suite.name;
+          float "cold_compile_ms" ~h:(" %12s", "cold(ms)") ~fmt:" %12.1f" cold_ms;
+          float "warm_compile_ms" ~h:(" %12s", "warm(ms)") ~fmt:" %12.1f"
+            (!warm_ms /. float_of_int (replicas - 1));
+          int "hits" ~h:(" %9s", "hits") ~fmt:" %6d" !hits;
+          text (Printf.sprintf "/%d" (replicas - 1)) ])
       Suite.all
   in
   let s = Disc.Compile_cache.stats cache in
-  let rate = Disc.Compile_cache.hit_rate s in
-  Printf.printf "cache: %s; overall hit rate %.1f%%\n"
-    (Disc.Compile_cache.stats_to_string s)
-    (100.0 *. rate);
   (* async-compile warmup: serve through the queue while the compile is
      in flight; batches launching inside the window are "warmed" *)
   let module Q = Workloads.Queueing in
   let sess = Disc.Session.create ~async_compile:true ((Suite.find "crnn").Suite.build ()) in
   let until_us = Disc.Session.warmup_remaining_us sess in
-  let service env =
-    (* the queue owns the wall clock: it only routes here after the
-       warmup window, i.e. the background compile has finished *)
-    Disc.Session.finish_warmup sess;
-    match Disc.Session.serve_result sess env with
-    | Ok (p, path) -> (Profile.total_us p, path)
-    | Error _ -> (1e6, `Fallback)
+  let batches = ref [] (* (inside the window, service us, path), latest first *) in
+  let serve ~window env =
+    let us, path =
+      match Disc.Session.serve_result sess env with
+      | Ok (p, path) -> (Profile.total_us p, path)
+      | Error _ -> (1e6, `Fallback)
+    in
+    batches := (window, us, path) :: !batches;
+    (us, path)
   in
   let arrivals =
     Q.generate_arrivals ~seed:5 ~qps:800.0 ~n:4000
@@ -621,40 +709,35 @@ let cache_experiment () =
   let policy = Q.default_server_policy ~batching:{ Q.max_batch = 8; max_wait_us = 2000.0 } in
   let a =
     Q.simulate_server ~arrivals ~policy ~batch_dim:"batch"
-      ~warmup:(until_us, fun env -> fst (service env))
-      ~service ()
+      ~warmup:(until_us, fun env -> fst (serve ~window:true env))
+      ~service:(fun env ->
+        (* the queue owns the wall clock: it only routes here after the
+           warmup window, i.e. the background compile has finished *)
+        Disc.Session.finish_warmup sess;
+        serve ~window:false env)
+      ()
   in
-  Printf.printf
-    "async compile (crnn): warmup window %.0f ms -> %d warmed, %d compiled, %d fell back\n"
-    (until_us /. 1000.0) a.Q.warmed a.Q.served a.Q.fell_back;
-  artifact "E15-cache"
-    [
-      ("replicas_per_model", Obs.Json.Int replicas);
-      ( "rows",
-        Obs.Json.List
-          (List.map
-             (fun (name, cold_ms, warm_ms, hits) ->
-               Obs.Json.Obj
-                 [
-                   ("model", Obs.Json.Str name);
-                   ("cold_compile_ms", Obs.Json.Float cold_ms);
-                   ("warm_compile_ms", Obs.Json.Float warm_ms);
-                   ("hits", Obs.Json.Int hits);
-                 ])
-             rows) );
-      ("hits", Obs.Json.Int s.Disc.Compile_cache.hits);
-      ("misses", Obs.Json.Int s.Disc.Compile_cache.misses);
-      ("evictions", Obs.Json.Int s.Disc.Compile_cache.evictions);
-      ("hit_rate", Obs.Json.Float rate);
-      ( "async_warmup",
-        Obs.Json.Obj
-          [
-            ("window_ms", Obs.Json.Float (until_us /. 1000.0));
-            ("warmed", Obs.Json.Int a.Q.warmed);
-            ("served", Obs.Json.Int a.Q.served);
-            ("fell_back", Obs.Json.Int a.Q.fell_back);
-          ] );
-    ]
+  let window = List.filter_map (fun (w, us, _) -> if w then Some us else None) !batches in
+  let ok =
+    window <> []
+    && List.for_all (fun (w, _, path) -> path = if w then `Fallback else `Compiled) !batches
+  in
+  doc ~verdict:ok "E15-cache" "E15 (extension): compilation cache — cold vs warm sessions (A10)"
+    [ Line [ int "replicas_per_model" replicas ];
+      Table ("rows", rows);
+      Line [ text ("cache: " ^ Disc.Compile_cache.stats_to_string s);
+             int "hits" s.Disc.Compile_cache.hits; int "misses" s.Disc.Compile_cache.misses;
+             int "evictions" s.Disc.Compile_cache.evictions;
+             float "hit_rate" ~fmt:"; overall hit rate %.1f%%" ~by:pct
+               (Disc.Compile_cache.hit_rate s) ];
+      Line [ float "window_ms" ~fmt:"async compile (crnn): warmup window %.0f ms" (ms until_us);
+             int "warmed" ~fmt:" -> %d warmed" a.Q.warmed;
+             int "served" ~fmt:", %d compiled" a.Q.served;
+             int "fell_back" ~fmt:", %d fell back" a.Q.fell_back;
+             int "window_batches" (List.length window);
+             float "window_mean_service_us"
+               (List.fold_left ( +. ) 0.0 window /. float_of_int (List.length window));
+             text (acceptance ok) ] ]
 
 (* ----------------------------------------------------------------------
    E16 (extension): the multi-replica serving pool — single replica vs
@@ -664,7 +747,6 @@ let cache_experiment () =
    warmup on one replica instead of paying it everywhere. *)
 
 let pool_serving () =
-  header "E16 (extension): serving pool — replicas, routing, padding (A10)";
   let module Pool = Serving.Pool in
   let module Bucket = Serving.Bucket in
   let module Router = Serving.Router in
@@ -681,59 +763,47 @@ let pool_serving () =
       ("pool-warmth", [ Gpusim.Device.a10; Gpusim.Device.a10 ], Router.Warmth_aware);
     ]
   in
-  Printf.printf "%-6s %-12s %8s %9s %5s %7s %6s %7s %8s %9s\n" "model" "config" "served"
-    "fell-back" "shed" "expired" "cold" "waste%" "p50(ms)" "p99(ms)";
-  let rows = ref [] in
-  List.iter
-    (fun (model, qps, dims) ->
-      let entry = Suite.find model in
-      let reqs =
-        Workloads.Queueing.generate_arrivals ~seed:13 ~qps ~n:400 ~dims
-        |> Pool.of_arrivals
-        |> Pool.with_class_mix ~seed:13
-             [ (Serving.Slo.Interactive, 0.25); (Serving.Slo.Standard, 0.5);
-               (Serving.Slo.Best_effort, 0.25) ]
-      in
-      let bucket = List.map (fun (n, _) -> (n, Bucket.Pow2)) dims in
-      List.iter
-        (fun (cname, devices, router) ->
-          let cfg =
-            { (Pool.default_config ~devices ~batch_dim:"batch" ~bucket) with
-              Pool.router }
-          in
-          let pool = Pool.create cfg (fun () -> entry.Suite.build ()) in
-          let r = Pool.run pool reqs in
-          let lats = Pool.completed_latencies r in
-          let p50 = Pool.percentile lats 0.5 and p99 = Pool.percentile lats 0.99 in
-          Printf.printf "%-6s %-12s %8d %9d %5d %7d %6d %7.1f %8.1f %9.1f\n" model cname
-            r.Pool.served r.Pool.fell_back r.Pool.shed r.Pool.expired
-            r.Pool.cold_dispatches
-            (100.0 *. Pool.padding_waste r)
-            (p50 /. 1000.0) (p99 /. 1000.0);
-          rows :=
-            Obs.Json.Obj
-              [
-                ("model", Obs.Json.Str model);
-                ("config", Obs.Json.Str cname);
-                ("replicas", Obs.Json.Int (List.length devices));
-                ("router", Obs.Json.Str (Router.policy_to_string router));
-                ("qps", Obs.Json.Float qps);
-                ("served", Obs.Json.Int r.Pool.served);
-                ("fell_back", Obs.Json.Int r.Pool.fell_back);
-                ("shed", Obs.Json.Int r.Pool.shed);
-                ("expired", Obs.Json.Int r.Pool.expired);
-                ("cold_dispatches", Obs.Json.Int r.Pool.cold_dispatches);
-                ("padding_waste", Obs.Json.Float (Pool.padding_waste r));
-                ("p50_us", Obs.Json.Float p50);
-                ("p99_us", Obs.Json.Float p99);
-              ]
-            :: !rows)
-        configs)
-    traces;
-  Printf.printf
-    "(same offered load per model; pooling removes queueing delay, warmth-aware\n\
-    \ routing then avoids re-paying each signature's warmup on every replica)\n";
-  artifact "E16-serving-pool" [ ("rows", Obs.Json.List (List.rev !rows)) ]
+  let rows =
+    List.concat_map
+      (fun (model, qps, dims) ->
+        let entry = Suite.find model in
+        let reqs =
+          Workloads.Queueing.generate_arrivals ~seed:13 ~qps ~n:400 ~dims
+          |> Pool.of_arrivals
+          |> Pool.with_class_mix ~seed:13
+               [ (Serving.Slo.Interactive, 0.25); (Serving.Slo.Standard, 0.5);
+                 (Serving.Slo.Best_effort, 0.25) ]
+        in
+        let bucket = List.map (fun (n, _) -> (n, Bucket.Pow2)) dims in
+        List.map
+          (fun (cname, devices, router) ->
+            let cfg =
+              { (Pool.default_config ~devices ~batch_dim:"batch" ~bucket) with
+                Pool.router }
+            in
+            let pool = Pool.create cfg (fun () -> entry.Suite.build ()) in
+            let r = Pool.run pool reqs in
+            let lats = Pool.completed_latencies r in
+            [ str "model" ~h:("%-6s", "model") ~fmt:"%-6s" model;
+              str "config" ~h:(" %-12s", "config") ~fmt:" %-12s" cname;
+              int "replicas" (List.length devices); str "router" (Router.policy_to_string router);
+              float "qps" qps; int "served" ~h:(" %8s", "served") ~fmt:" %8d" r.Pool.served;
+              int "fell_back" ~h:(" %9s", "fell-back") ~fmt:" %9d" r.Pool.fell_back;
+              int "shed" ~h:(" %5s", "shed") ~fmt:" %5d" r.Pool.shed;
+              int "expired" ~h:(" %7s", "expired") ~fmt:" %7d" r.Pool.expired;
+              int "cold_dispatches" ~h:(" %6s", "cold") ~fmt:" %6d" r.Pool.cold_dispatches;
+              float "padding_waste" ~h:(" %7s", "waste%") ~fmt:" %7.1f" ~by:pct
+                (Pool.padding_waste r);
+              float "p50_us" ~h:(" %8s", "p50(ms)") ~fmt:" %8.1f" ~by:ms (Pool.percentile lats 0.5);
+              float "p99_us" ~h:(" %9s", "p99(ms)") ~fmt:" %9.1f" ~by:ms
+                (Pool.percentile lats 0.99) ])
+          configs)
+      traces
+  in
+  doc "E16-serving-pool" "E16 (extension): serving pool — replicas, routing, padding (A10)"
+    [ Table ("rows", rows);
+      line "(same offered load per model; pooling removes queueing delay, warmth-aware\n\
+            \ routing then avoids re-paying each signature's warmup on every replica)" ]
 
 (* ----------------------------------------------------------------------
    E17 (extension): adaptive serving under a drifting shape
@@ -747,7 +817,6 @@ let pool_serving () =
    across the scale events. *)
 
 let adaptive_serving () =
-  header "E17 (extension): adaptive serving — online rebucketing + autoscaling (bert, A10)";
   let module Pool = Serving.Pool in
   let module Bucket = Serving.Bucket in
   let entry = Suite.find "bert" in
@@ -786,9 +855,6 @@ let adaptive_serving () =
       ("adaptive+scale", Some { Pool.default_adaptive with Pool.autoscale = Some autoscale });
     ]
   in
-  Printf.printf "%-14s %8s %6s %6s %6s %7s %8s %9s %7s %7s %5s\n" "config" "served" "cold"
-    "waste%" "util%" "p50(ms)" "p99(ms)" "rebucket" "scale+" "scale-" "lost";
-  let rows = ref [] in
   let results =
     List.map
       (fun (cname, adaptive) ->
@@ -805,7 +871,12 @@ let adaptive_serving () =
         let pool = Pool.create cfg (fun () -> entry.Suite.build ()) in
         let r = Pool.run ?adaptive pool reqs in
         let lats = Pool.completed_latencies r in
-        let p50 = Pool.percentile lats 0.5 and p99 = Pool.percentile lats 0.99 in
+        (cname, r, Pool.percentile lats 0.5, Pool.percentile lats 0.99))
+      configs
+  in
+  let rows =
+    List.map
+      (fun (cname, r, p50, p99) ->
         let ups, downs, rebuckets =
           match r.Pool.adaptive with
           | Some a -> (a.Pool.ar_scale_ups, a.Pool.ar_scale_downs, a.Pool.ar_rebuckets)
@@ -817,50 +888,42 @@ let adaptive_serving () =
           in
           busy /. (float_of_int (List.length r.Pool.replicas) *. r.Pool.makespan_us)
         in
-        Printf.printf "%-14s %8d %6d %6.1f %6.1f %7.2f %8.2f %9d %7d %7d %5d\n" cname
-          r.Pool.served r.Pool.cold_dispatches
-          (100.0 *. Pool.padding_waste r) (100.0 *. util)
-          (p50 /. 1000.0) (p99 /. 1000.0) rebuckets ups downs r.Pool.lost;
-        (match r.Pool.adaptive with
-        | Some a -> Printf.printf "  %s -> %s\n" cname a.Pool.ar_final_spec
-        | None -> ());
-        rows :=
-          Obs.Json.Obj
-            [
-              ("config", Obs.Json.Str cname);
-              ("served", Obs.Json.Int r.Pool.served);
-              ("cold_dispatches", Obs.Json.Int r.Pool.cold_dispatches);
-              ("padding_waste", Obs.Json.Float (Pool.padding_waste r));
-              ("p50_us", Obs.Json.Float p50);
-              ("p99_us", Obs.Json.Float p99);
-              ("rebuckets", Obs.Json.Int rebuckets);
-              ("scale_ups", Obs.Json.Int ups);
-              ("scale_downs", Obs.Json.Int downs);
-              ("lost", Obs.Json.Int r.Pool.lost);
-              ( "final_spec",
-                Obs.Json.Str
-                  (match r.Pool.adaptive with Some a -> a.Pool.ar_final_spec | None -> "") );
-            ]
-          :: !rows;
-        (cname, r, p99))
-      configs
+        [ str "config" ~h:("%-14s", "config") ~fmt:"%-14s" cname;
+          int "served" ~h:(" %8s", "served") ~fmt:" %8d" r.Pool.served;
+          int "cold_dispatches" ~h:(" %6s", "cold") ~fmt:" %6d" r.Pool.cold_dispatches;
+          float "padding_waste" ~h:(" %6s", "waste%") ~fmt:" %6.1f" ~by:pct (Pool.padding_waste r);
+          float "utilization" ~h:(" %6s", "util%") ~fmt:" %6.1f" ~by:pct util;
+          float "p50_us" ~h:(" %7s", "p50(ms)") ~fmt:" %7.2f" ~by:ms p50;
+          float "p99_us" ~h:(" %8s", "p99(ms)") ~fmt:" %8.2f" ~by:ms p99;
+          int "rebuckets" ~h:(" %9s", "rebucket") ~fmt:" %9d" rebuckets;
+          int "scale_ups" ~h:(" %7s", "scale+") ~fmt:" %7d" ups;
+          int "scale_downs" ~h:(" %7s", "scale-") ~fmt:" %7d" downs;
+          int "lost" ~h:(" %5s", "lost") ~fmt:" %5d" r.Pool.lost ]
+        @
+        match r.Pool.adaptive with
+        | Some a ->
+            [ text (Printf.sprintf "\n  %s -> %s" cname a.Pool.ar_final_spec);
+              str "final_spec" a.Pool.ar_final_spec ]
+        | None -> [ str "final_spec" "" ])
+      results
   in
-  let oks =
+  let verdicts =
     match results with
-    | (_, r_static, p99_static) :: adaptives ->
+    | (_, r_static, _, p99_static) :: adaptives ->
         List.map
-          (fun (cname, r_a, p99_a) ->
+          (fun (cname, r_a, _, p99_a) ->
             let w_s = Pool.padding_waste r_static and w_a = Pool.padding_waste r_a in
             let ok = w_a < w_s && p99_a < p99_static in
-            Printf.printf "%s vs static: waste %.1f%% -> %.1f%%, p99 %.2fms -> %.2fms%s\n"
-              cname (100.0 *. w_s) (100.0 *. w_a) (p99_static /. 1000.0) (p99_a /. 1000.0)
-              (acceptance ok);
-            ok)
+            ( ok,
+              line
+                (Printf.sprintf "%s vs static: waste %.1f%% -> %.1f%%, p99 %.2fms -> %.2fms%s"
+                   cname (pct w_s) (pct w_a) (ms p99_static) (ms p99_a) (acceptance ok)) ))
           adaptives
     | [] -> assert false
   in
-  artifact ~verdict:(List.for_all Fun.id oks) "E17-adaptive-serving"
-    [ ("rows", Obs.Json.List (List.rev !rows)) ]
+  doc ~verdict:(List.for_all fst verdicts) "E17-adaptive-serving"
+    "E17 (extension): adaptive serving — online rebucketing + autoscaling (bert, A10)"
+    (Table ("rows", rows) :: List.map snd verdicts)
 
 (* ----------------------------------------------------------------------
    E18 (extension): availability under chaos. One seeded scenario —
@@ -875,7 +938,6 @@ let adaptive_serving () =
    chaos is a pure function of (seed, scenario). *)
 
 let chaos_serving () =
-  header "E18 (extension): chaos — availability under crash + straggler + spike (dien, A10)";
   let module Pool = Serving.Pool in
   let module Bucket = Serving.Bucket in
   let module Chaos = Serving.Chaos in
@@ -906,41 +968,25 @@ let chaos_serving () =
         ];
     }
   in
-  Printf.printf "scenario: %s\n" (Chaos.scenario_to_string scenario);
-  (* reconstruct the pool's merged (organic + spike) arrival order so
-     per-request latencies can be attributed to SLO classes: the pool
-     appends spike arrivals and stable-sorts by arrival time, and
-     Chaos.spike_arrivals is a pure function of the scenario *)
-  let merged_cls =
-    let spike =
-      Chaos.spike_arrivals scenario
-      |> List.map (fun (at, dims, cls) -> { Pool.arrival_us = at; dims; cls })
-    in
-    List.sort
-      (fun a b -> compare a.Pool.arrival_us b.Pool.arrival_us)
-      (reqs @ spike)
-    |> List.map (fun r -> r.Pool.cls)
-    |> Array.of_list
+  let cfg =
+    Pool.default_config
+      ~devices:[ Gpusim.Device.a10; Gpusim.Device.a10; Gpusim.Device.a10 ]
+      ~batch_dim:"batch"
+      ~bucket:[ ("hist", Bucket.Pow2) ]
   in
-  let classes = [ Slo.Interactive; Slo.Standard; Slo.Best_effort ] in
-  let class_p99 r cls =
+  (* per-request latencies are attributed to SLO classes through the
+     trace the pool serves (organic + spike arrivals) *)
+  let run_config resilience =
+    let pool = Pool.create cfg (fun () -> entry.Suite.build ()) in
+    let trace = Pool.trace ~chaos:scenario pool reqs in
+    (trace, Pool.run ~chaos:scenario ~resilience pool reqs)
+  in
+  let class_p99 (trace, r) cls =
     let lats = ref [] in
     Array.iteri
-      (fun i l ->
-        if i < Array.length merged_cls && merged_cls.(i) = cls && not (Float.is_nan l)
-        then lats := l :: !lats)
+      (fun i l -> if trace.(i).Pool.cls = cls && not (Float.is_nan l) then lats := l :: !lats)
       r.Pool.latencies_us;
     Pool.percentile (Array.of_list !lats) 0.99
-  in
-  let run_config resilience =
-    let cfg =
-      Pool.default_config
-        ~devices:[ Gpusim.Device.a10; Gpusim.Device.a10; Gpusim.Device.a10 ]
-        ~batch_dim:"batch"
-        ~bucket:[ ("hist", Bucket.Pow2) ]
-    in
-    let pool = Pool.create cfg (fun () -> entry.Suite.build ()) in
-    Pool.run ~chaos:scenario ~resilience pool reqs
   in
   let configs =
     [
@@ -950,13 +996,10 @@ let chaos_serving () =
       ("resilient", Pool.default_resilience);
     ]
   in
-  Printf.printf "%-14s %8s %7s %7s %6s %5s %7s %8s %8s %8s %9s %4s\n" "config" "served%"
-    "goodput" "failed" "exp" "lost" "crash" "p99-I" "p99-S" "p99-BE" "ttr(ms)" "bro";
-  let rows = ref [] in
   let results =
     List.map
       (fun (cname, res) ->
-        let r = run_config res in
+        let trace, r = run_config res in
         let xr = r.Pool.resilience in
         let total = Array.length r.Pool.dispositions in
         let admitted = total - r.Pool.rejected - r.Pool.shed in
@@ -964,95 +1007,72 @@ let chaos_serving () =
         let served_pct =
           if admitted = 0 then 0.0 else 100.0 *. float_of_int completed /. float_of_int admitted
         in
-        let goodput = 1.0e6 *. float_of_int completed /. r.Pool.makespan_us in
         (* time-to-recover: first fault until the brownout ladder last
            returned to level 0 (0 when it never stepped up) *)
         let ttr_us =
           if xr.Pool.xr_last_level0_us > 0.0 then xr.Pool.xr_last_level0_us -. first_fault_us
           else 0.0
         in
-        let p99s = List.map (fun cls -> (cls, class_p99 r cls)) classes in
-        let p99 cls = List.assoc cls p99s in
-        Printf.printf "%-14s %8.1f %7.1f %7d %6d %5d %7d %8.1f %8.1f %8.1f %9.1f %4d\n"
-          cname served_pct goodput r.Pool.failed r.Pool.expired r.Pool.lost
-          xr.Pool.xr_crashes
-          (p99 Slo.Interactive /. 1000.0) (p99 Slo.Standard /. 1000.0)
-          (p99 Slo.Best_effort /. 1000.0) (ttr_us /. 1000.0)
-          xr.Pool.xr_brownout_final;
-        Printf.printf "  %s\n"
-          (String.concat "\n  "
-             (String.split_on_char '\n' (Pool.resilience_summary_to_string xr)));
-        rows :=
-          Obs.Json.Obj
-            [
-              ("config", Obs.Json.Str cname);
-              ("requests", Obs.Json.Int total);
-              ("admitted", Obs.Json.Int admitted);
-              ("completed", Obs.Json.Int completed);
-              ("served_pct_of_admitted", Obs.Json.Float served_pct);
-              ("goodput_rps", Obs.Json.Float goodput);
-              ("served", Obs.Json.Int r.Pool.served);
-              ("fell_back", Obs.Json.Int r.Pool.fell_back);
-              ("failed", Obs.Json.Int r.Pool.failed);
-              ("shed", Obs.Json.Int r.Pool.shed);
-              ("expired", Obs.Json.Int r.Pool.expired);
-              ("lost", Obs.Json.Int r.Pool.lost);
-              ( "p99_us_by_class",
-                Obs.Json.Obj
-                  (List.map
-                     (fun (cls, v) -> (Slo.cls_to_string cls, Obs.Json.Float v))
-                     p99s) );
-              ("time_to_recover_us", Obs.Json.Float ttr_us);
-              ("crashes", Obs.Json.Int xr.Pool.xr_crashes);
-              ("recoveries", Obs.Json.Int xr.Pool.xr_recoveries);
-              ("redispatched", Obs.Json.Int xr.Pool.xr_redispatched);
-              ("hedges", Obs.Json.Int xr.Pool.xr_hedges);
-              ("hedge_wins", Obs.Json.Int xr.Pool.xr_hedge_wins);
-              ("degraded_events", Obs.Json.Int xr.Pool.xr_degraded_events);
-              ("brownout_transitions", Obs.Json.Int xr.Pool.xr_brownout_transitions);
-              ("brownout_max", Obs.Json.Int xr.Pool.xr_brownout_max);
-              ("brownout_final", Obs.Json.Int xr.Pool.xr_brownout_final);
-              ("brownout_us", Obs.Json.Float xr.Pool.xr_brownout_us);
-              ("spike_requests", Obs.Json.Int xr.Pool.xr_spike_requests);
-            ]
-          :: !rows;
-        (cname, r, served_pct))
+        let row =
+          [ str "config" ~h:("%-14s", "config") ~fmt:"%-14s" cname;
+            int "requests" total; int "admitted" admitted; int "completed" completed;
+            float "served_pct_of_admitted" ~h:(" %8s", "served%") ~fmt:" %8.1f" served_pct;
+            float "goodput_rps" ~h:(" %7s", "goodput") ~fmt:" %7.1f"
+              (1.0e6 *. float_of_int completed /. r.Pool.makespan_us);
+            int "served" r.Pool.served; int "fell_back" r.Pool.fell_back;
+            int "failed" ~h:(" %7s", "failed") ~fmt:" %7d" r.Pool.failed; int "shed" r.Pool.shed;
+            int "expired" ~h:(" %6s", "exp") ~fmt:" %6d" r.Pool.expired;
+            int "lost" ~h:(" %5s", "lost") ~fmt:" %5d" r.Pool.lost;
+            int "crashes" ~h:(" %7s", "crash") ~fmt:" %7d" xr.Pool.xr_crashes ]
+          @ List.map
+              (fun (cls, head) ->
+                float ("p99_us_" ^ Slo.cls_to_string cls) ~h:(" %8s", head) ~fmt:" %8.1f" ~by:ms
+                  (class_p99 (trace, r) cls))
+              [ (Slo.Interactive, "p99-I"); (Slo.Standard, "p99-S"); (Slo.Best_effort, "p99-BE") ]
+          @ [ float "time_to_recover_us" ~h:(" %9s", "ttr(ms)") ~fmt:" %9.1f" ~by:ms ttr_us;
+              int "brownout_final" ~h:(" %4s", "bro") ~fmt:" %4d" xr.Pool.xr_brownout_final;
+              text ("\n  " ^ String.concat "\n  "
+                                (String.split_on_char '\n' (Pool.resilience_summary_to_string xr)));
+              int "recoveries" xr.Pool.xr_recoveries; int "redispatched" xr.Pool.xr_redispatched;
+              int "hedges" xr.Pool.xr_hedges; int "hedge_wins" xr.Pool.xr_hedge_wins;
+              int "degraded_events" xr.Pool.xr_degraded_events;
+              int "brownout_transitions" xr.Pool.xr_brownout_transitions;
+              int "brownout_max" xr.Pool.xr_brownout_max;
+              float "brownout_us" xr.Pool.xr_brownout_us;
+              int "spike_requests" xr.Pool.xr_spike_requests ]
+        in
+        (row, r, served_pct))
       configs
   in
   (* bit-reproducibility: the whole run is a pure function of (trace,
      scenario, seeds) — a second resilient run must produce identical
      per-request dispositions *)
-  let r2 = run_config Pool.default_resilience in
-  let r1 =
-    match List.rev results with (_, r, _) :: _ -> r | [] -> assert false
-  in
-  let reproducible = r1.Pool.dispositions = r2.Pool.dispositions in
-  Printf.printf
-    "(p99 is over completed requests only: the baseline's crash victims are\n\
-    \ Failed — excluded from its p99 — where resilient configs serve them, late;\n\
-    \ availability is the served%% / failed columns, not the tail)\n";
-  Printf.printf "reproducible: %b (two resilient runs, identical dispositions)\n" reproducible;
-  let ok =
+  let _, r2 = run_config Pool.default_resilience in
+  let (_, rb, pb), (_, rr, pr) =
     match (results, List.rev results) with
-    | (_, rb, pb) :: _, (_, rr, pr) :: _ ->
-        let ok =
-          rr.Pool.lost = 0 && pr >= 99.0
-          && rr.Pool.resilience.Pool.xr_brownout_final = 0
-          && reproducible
-          && pb < pr
-        in
-        Printf.printf
-          "resilient vs baseline: served %.1f%% -> %.1f%%, failed %d -> %d%s\n" pb pr
-          rb.Pool.failed rr.Pool.failed (acceptance ok);
-        ok
+    | first :: _, last :: _ -> (first, last)
     | _ -> assert false
   in
-  artifact ~verdict:ok "E18-chaos-serving"
-    [
-      ("scenario", Chaos.to_json scenario);
-      ("reproducible", Obs.Json.Bool reproducible);
-      ("rows", Obs.Json.List (List.rev !rows));
-    ]
+  let reproducible = rr.Pool.dispositions = r2.Pool.dispositions in
+  let ok =
+    rr.Pool.lost = 0 && pr >= 99.0
+    && rr.Pool.resilience.Pool.xr_brownout_final = 0
+    && reproducible
+    && pb < pr
+  in
+  doc ~verdict:ok "E18-chaos-serving"
+    "E18 (extension): chaos — availability under crash + straggler + spike (dien, A10)"
+    [ Line [ text ("scenario: " ^ Chaos.scenario_to_string scenario);
+             raw "scenario" (Chaos.to_json scenario) ];
+      Table ("rows", List.map (fun (row, _, _) -> row) results);
+      line "(p99 is over completed requests only: the baseline's crash victims are\n\
+            \ Failed — excluded from its p99 — where resilient configs serve them, late;\n\
+            \ availability is the served% / failed columns, not the tail)";
+      Line
+        [ bool "reproducible" ~fmt:"reproducible: %b (two resilient runs, identical dispositions)"
+            reproducible ];
+      line (Printf.sprintf "resilient vs baseline: served %.1f%% -> %.1f%%, failed %d -> %d%s" pb pr
+              rb.Pool.failed rr.Pool.failed (acceptance ok)) ]
 
 (* ----------------------------------------------------------------------
    E19 (extension): request-level static batching vs token-level
@@ -1068,7 +1088,6 @@ let chaos_serving () =
    per token. *)
 
 let decode_serving () =
-  header "E19 (extension): continuous vs static batching — GPT-2 decode, 3x A10";
   let module S = Decode.Scheduler in
   let qps = 40.0 and n = 40 and seed = 7 in
   let reqs =
@@ -1081,56 +1100,31 @@ let decode_serving () =
     let cfg = { (S.default_config ~devices) with S.mode } in
     S.run ~prefill:Models.Gpt2.build ~decode:Models.Gpt2.build_decode cfg reqs
   in
-  Printf.printf "workload: %d sequences at %.0f qps, prompts skewed 16..256, 16..96 new tokens\n"
-    n qps;
-  Printf.printf "%-12s %9s %9s %9s %9s %6s %7s %5s %5s %5s\n" "mode" "tokens/s"
-    "p99TTFT" "p99TPOT" "meanBatch" "waste" "sigs" "warm%" "lost" "compiles";
-  let rows = ref [] in
-  let show (r : S.report) =
-    Printf.printf "%-12s %9.1f %8.1fms %8.1fms %9.2f %5.1f%% %7d %5.0f %5d %8d\n"
-      (S.mode_to_string r.S.mode) r.S.tokens_per_s (r.S.ttft_p99_us /. 1000.0)
-      (r.S.tpot_p99_us /. 1000.0) r.S.mean_decode_batch
-      (100.0 *. r.S.decode_slot_waste) r.S.signatures (100.0 *. r.S.warm_rate)
-      r.S.lost r.S.cache.Disc.Compile_cache.misses;
-    rows :=
-      Obs.Json.Obj
-        [
-          ("mode", Obs.Json.Str (S.mode_to_string r.S.mode));
-          ("sequences", Obs.Json.Int r.S.sequences);
-          ("finished", Obs.Json.Int r.S.finished);
-          ("lost", Obs.Json.Int r.S.lost);
-          ("tokens", Obs.Json.Int r.S.tokens);
-          ("tokens_per_s", Obs.Json.Float r.S.tokens_per_s);
-          ("makespan_us", Obs.Json.Float r.S.makespan_us);
-          ("ttft_p50_us", Obs.Json.Float r.S.ttft_p50_us);
-          ("ttft_p99_us", Obs.Json.Float r.S.ttft_p99_us);
-          ("tpot_p50_us", Obs.Json.Float r.S.tpot_p50_us);
-          ("tpot_p99_us", Obs.Json.Float r.S.tpot_p99_us);
-          ("ttft_ok", Obs.Json.Int r.S.ttft_ok);
-          ("tpot_ok", Obs.Json.Int r.S.tpot_ok);
-          ("prefill_batches", Obs.Json.Int r.S.prefill_batches);
-          ("decode_steps", Obs.Json.Int r.S.decode_steps);
-          ("mean_decode_batch", Obs.Json.Float r.S.mean_decode_batch);
-          ("decode_slot_waste", Obs.Json.Float r.S.decode_slot_waste);
-          ("signatures", Obs.Json.Int r.S.signatures);
-          ("warm_rate", Obs.Json.Float r.S.warm_rate);
-          ("compiles", Obs.Json.Int r.S.cache.Disc.Compile_cache.misses);
-          ("cache_hits", Obs.Json.Int r.S.cache.Disc.Compile_cache.hits);
-        ]
-      :: !rows
+  let row (r : S.report) =
+    [ str "mode" ~h:("%-12s", "mode") ~fmt:"%-12s" (S.mode_to_string r.S.mode);
+      int "sequences" r.S.sequences; int "finished" r.S.finished; int "tokens" r.S.tokens;
+      float "tokens_per_s" ~h:(" %9s", "tokens/s") ~fmt:" %9.1f" r.S.tokens_per_s;
+      float "makespan_us" r.S.makespan_us; float "ttft_p50_us" r.S.ttft_p50_us;
+      float "ttft_p99_us" ~h:(" %9s", "p99TTFT") ~fmt:" %8.1fms" ~by:ms r.S.ttft_p99_us;
+      float "tpot_p50_us" r.S.tpot_p50_us;
+      float "tpot_p99_us" ~h:(" %9s", "p99TPOT") ~fmt:" %8.1fms" ~by:ms r.S.tpot_p99_us;
+      int "ttft_ok" r.S.ttft_ok; int "tpot_ok" r.S.tpot_ok;
+      int "prefill_batches" r.S.prefill_batches; int "decode_steps" r.S.decode_steps;
+      float "mean_decode_batch" ~h:(" %9s", "meanBatch") ~fmt:" %9.2f" r.S.mean_decode_batch;
+      float "decode_slot_waste" ~h:(" %6s", "waste") ~fmt:" %5.1f%%" ~by:pct r.S.decode_slot_waste;
+      int "signatures" ~h:(" %7s", "sigs") ~fmt:" %7d" r.S.signatures;
+      float "warm_rate" ~h:(" %5s", "warm%") ~fmt:" %5.0f" ~by:pct r.S.warm_rate;
+      int "lost" ~h:(" %5s", "lost") ~fmt:" %5d" r.S.lost;
+      int "compiles" ~h:(" %5s", "compiles") ~fmt:" %8d" r.S.cache.Disc.Compile_cache.misses;
+      int "cache_hits" r.S.cache.Disc.Compile_cache.hits ]
   in
   let st = run S.Static in
-  show st;
   let ct = run S.Continuous in
-  show ct;
   let ct2 = run S.Continuous in
   let reproducible = S.digest ct = S.digest ct2 in
-  Printf.printf "reproducible: %b (two continuous runs, identical token schedules)\n"
-    reproducible;
   let compiles_once =
     ct.S.cache.Disc.Compile_cache.misses = 2 && st.S.cache.Disc.Compile_cache.misses = 2
   in
-  Printf.printf "compiled once per graph (2 graphs, shared cache): %b\n" compiles_once;
   let ok =
     ct.S.tokens_per_s > st.S.tokens_per_s
     && ct.S.ttft_p99_us < st.S.ttft_p99_us
@@ -1138,22 +1132,22 @@ let decode_serving () =
     && ct.S.finished = n && st.S.finished = n
     && reproducible && compiles_once
   in
-  Printf.printf
-    "continuous vs static: tokens/s %.1f -> %.1f (%.2fx), p99 TTFT %.1fms -> %.1fms%s\n"
-    st.S.tokens_per_s ct.S.tokens_per_s
-    (ct.S.tokens_per_s /. st.S.tokens_per_s)
-    (st.S.ttft_p99_us /. 1000.0)
-    (ct.S.ttft_p99_us /. 1000.0)
-    (acceptance ok);
-  artifact ~verdict:ok "E19-decode-serving"
-    [
-      ("qps", Obs.Json.Float qps);
-      ("sequences", Obs.Json.Int n);
-      ("seed", Obs.Json.Int seed);
-      ("reproducible", Obs.Json.Bool reproducible);
-      ("compiles_once_per_graph", Obs.Json.Bool compiles_once);
-      ("rows", Obs.Json.List (List.rev !rows));
-    ]
+  doc ~verdict:ok "E19-decode-serving"
+    "E19 (extension): continuous vs static batching — GPT-2 decode, 3x A10"
+    [ Line [ int "sequences" ~fmt:"workload: %d sequences" n;
+             float "qps" ~fmt:" at %.0f qps, prompts skewed 16..256, 16..96 new tokens" qps;
+             int "seed" seed ];
+      Table ("rows", [ row st; row ct ]);
+      Line
+        [ bool "reproducible"
+            ~fmt:"reproducible: %b (two continuous runs, identical token schedules)" reproducible ];
+      Line
+        [ bool "compiles_once_per_graph"
+            ~fmt:"compiled once per graph (2 graphs, shared cache): %b" compiles_once ];
+      line (Printf.sprintf
+              "continuous vs static: tokens/s %.1f -> %.1f (%.2fx), p99 TTFT %.1fms -> %.1fms%s"
+              st.S.tokens_per_s ct.S.tokens_per_s (ct.S.tokens_per_s /. st.S.tokens_per_s)
+              (ms st.S.ttft_p99_us) (ms ct.S.ttft_p99_us) (acceptance ok)) ]
 
 (* ----------------------------------------------------------------------
    E20 (extension): million-request scale harness. One frozen trace
@@ -1171,8 +1165,6 @@ let scale_pre_refactor_bytes_per_request = 23159.0
 let scale_pre_refactor_rps = 34038.0
 
 let scale_pool ?(requests = 1_000_000) () =
-  header
-    (Printf.sprintf "E20 (extension): scale harness — %d requests, 4x A10" requests);
   let module Pool = Serving.Pool in
   let module Bucket = Serving.Bucket in
   let module Trace_gen = Serving.Trace_gen in
@@ -1184,7 +1176,6 @@ let scale_pool ?(requests = 1_000_000) () =
       ~dims_b:[ ("hist", Workloads.Trace.Bimodal (8, 96)) ]
       ()
   in
-  Printf.printf "trace: %s\n%!" (Trace_gen.describe spec);
   let reqs = Trace_gen.generate spec ~n:requests in
   let bucket = [ ("hist", Bucket.Pow2) ] in
   let cfg =
@@ -1204,7 +1195,6 @@ let scale_pool ?(requests = 1_000_000) () =
   let r = Pool.run pool reqs in
   let wall = Unix.gettimeofday () -. t0 in
   let bytes_per_req = (Gc.allocated_bytes () -. b0) /. float_of_int requests in
-  let rps = float_of_int requests /. wall in
   (* a fresh pool over the same trace: the whole run is a pure function
      of (trace, seeds), so dispositions and latencies must be identical *)
   let r2 = Pool.run (Pool.create cfg build) reqs in
@@ -1216,57 +1206,39 @@ let scale_pool ?(requests = 1_000_000) () =
   in
   let violations = Audit.check r @ Audit.check r2 in
   let lats = Pool.completed_latencies r in
-  let p50 = Pool.percentile lats 0.5
-  and p99 = Pool.percentile lats 0.99
-  and p999 = Pool.percentile lats 0.999 in
   let reduction = scale_pre_refactor_bytes_per_request /. bytes_per_req in
-  Printf.printf "n=%d wall=%.2fs sustained=%.0f req/s alloc=%.0f B/req\n" requests wall
-    rps bytes_per_req;
-  Printf.printf "latency (completed): p50=%.0fus p99=%.0fus p99.9=%.0fus\n" p50 p99 p999;
-  Printf.printf "padding waste %.1f%%  mean batch %.2f  peak queued %d  batches %d\n"
-    (100.0 *. Pool.padding_waste r)
-    r.Pool.mean_batch r.Pool.peak_queued r.Pool.batches;
-  Printf.printf
-    "served=%d fell_back=%d shed=%d expired=%d rejected=%d failed=%d lost=%d\n"
-    r.Pool.served r.Pool.fell_back r.Pool.shed r.Pool.expired r.Pool.rejected
-    r.Pool.failed r.Pool.lost;
-  Printf.printf "%s\n" (Audit.to_string violations);
-  Printf.printf "reproducible: %b (two pools, identical dispositions and latencies)\n"
-    reproducible;
   let ok =
     violations = [] && reproducible && r.Pool.lost = 0 && reduction >= 2.0
   in
-  Printf.printf
-    "allocation: %.0f B/req vs %.0f pre-refactor = %.1fx reduction (gate: >= 2x)%s\n"
-    bytes_per_req scale_pre_refactor_bytes_per_request reduction (acceptance ok);
-  artifact ~verdict:ok "E20-scale"
-    [
-      ("trace", Obs.Json.Str (Trace_gen.describe spec));
-      ("requests", Obs.Json.Int requests);
-      ("wall_s", Obs.Json.Float wall);
-      ("sustained_rps", Obs.Json.Float rps);
-      ("bytes_per_request", Obs.Json.Float bytes_per_req);
-      ( "pre_refactor_bytes_per_request",
-        Obs.Json.Float scale_pre_refactor_bytes_per_request );
-      ("pre_refactor_rps", Obs.Json.Float scale_pre_refactor_rps);
-      ("allocation_reduction_x", Obs.Json.Float reduction);
-      ("p50_us", Obs.Json.Float p50);
-      ("p99_us", Obs.Json.Float p99);
-      ("p999_us", Obs.Json.Float p999);
-      ("padding_waste", Obs.Json.Float (Pool.padding_waste r));
-      ("mean_batch", Obs.Json.Float r.Pool.mean_batch);
-      ("peak_queued", Obs.Json.Int r.Pool.peak_queued);
-      ("served", Obs.Json.Int r.Pool.served);
-      ("fell_back", Obs.Json.Int r.Pool.fell_back);
-      ("shed", Obs.Json.Int r.Pool.shed);
-      ("expired", Obs.Json.Int r.Pool.expired);
-      ("rejected", Obs.Json.Int r.Pool.rejected);
-      ("failed", Obs.Json.Int r.Pool.failed);
-      ("lost", Obs.Json.Int r.Pool.lost);
-      ("audit_ok", Obs.Json.Bool (violations = []));
-      ("reproducible", Obs.Json.Bool reproducible);
-      ("acceptance", Obs.Json.Bool ok);
-    ]
+  doc ~verdict:ok "E20-scale"
+    (Printf.sprintf "E20 (extension): scale harness — %d requests, 4x A10" requests)
+    [ Line [ str "trace" ~fmt:"trace: %s" (Trace_gen.describe spec) ];
+      Line [ int "requests" ~fmt:"n=%d" requests; float "wall_s" ~fmt:" wall=%.2fs" wall;
+             float "sustained_rps" ~fmt:" sustained=%.0f req/s" (float_of_int requests /. wall);
+             text (Printf.sprintf " alloc=%.0f B/req" bytes_per_req) ];
+      Line [ float "p50_us" ~fmt:"latency (completed): p50=%.0fus" (Pool.percentile lats 0.5);
+             float "p99_us" ~fmt:" p99=%.0fus" (Pool.percentile lats 0.99);
+             float "p999_us" ~fmt:" p99.9=%.0fus" (Pool.percentile lats 0.999) ];
+      Line [ float "padding_waste" ~fmt:"padding waste %.1f%%" ~by:pct (Pool.padding_waste r);
+             float "mean_batch" ~fmt:"  mean batch %.2f" r.Pool.mean_batch;
+             int "peak_queued" ~fmt:"  peak queued %d" r.Pool.peak_queued;
+             int "batches" ~fmt:"  batches %d" r.Pool.batches ];
+      Line [ int "served" ~fmt:"served=%d" r.Pool.served;
+             int "fell_back" ~fmt:" fell_back=%d" r.Pool.fell_back;
+             int "shed" ~fmt:" shed=%d" r.Pool.shed;
+             int "expired" ~fmt:" expired=%d" r.Pool.expired;
+             int "rejected" ~fmt:" rejected=%d" r.Pool.rejected;
+             int "failed" ~fmt:" failed=%d" r.Pool.failed; int "lost" ~fmt:" lost=%d" r.Pool.lost ];
+      Line [ text (Audit.to_string violations); bool "audit_ok" (violations = []) ];
+      Line
+        [ bool "reproducible"
+            ~fmt:"reproducible: %b (two pools, identical dispositions and latencies)"
+            reproducible ];
+      Line [ float "bytes_per_request" ~fmt:"allocation: %.0f B/req" bytes_per_req;
+             float "pre_refactor_bytes_per_request" ~fmt:" vs %.0f pre-refactor"
+               scale_pre_refactor_bytes_per_request;
+             float "allocation_reduction_x" ~fmt:" = %.1fx reduction (gate: >= 2x)" reduction;
+             float "pre_refactor_rps" scale_pre_refactor_rps; text (acceptance ok) ] ]
 
 (* ----------------------------------------------------------------------
    E20b (extension): the scale harness pointed at decode serving. The
@@ -1277,9 +1249,6 @@ let scale_pool ?(requests = 1_000_000) () =
    nothing, and be bit-identical on a rerun. *)
 
 let scale_decode ?(requests = 100_000) () =
-  header
-    (Printf.sprintf "E20b (extension): scale harness, decode serving — %d sequences, 4x A10"
-       requests);
   let module S = Decode.Scheduler in
   let module Trace_gen = Serving.Trace_gen in
   let prefill () = Models.Gpt2.build ~config:Models.Gpt2.tiny () in
@@ -1294,7 +1263,6 @@ let scale_decode ?(requests = 100_000) () =
         [ ("prompt", Workloads.Trace.Bimodal (4, 16)); ("new", Workloads.Trace.Uniform (2, 8)) ]
       ()
   in
-  Printf.printf "trace: %s\n%!" (Trace_gen.describe spec);
   let reqs = S.of_pool_requests ~seq_ub ~cache_ub (Trace_gen.generate spec ~n:requests) in
   let cfg =
     {
@@ -1313,35 +1281,25 @@ let scale_decode ?(requests = 100_000) () =
   let audit = Decode.Audit.check r in
   let r2 = S.run ~prefill ~decode cfg reqs in
   let reproducible = S.digest r = S.digest r2 in
-  Printf.printf "n=%d wall=%.2fs sustained=%.0f seq/s alloc=%.0f B/seq\n" requests wall
-    (float_of_int requests /. wall)
-    bytes_per_seq;
-  String.split_on_char '\n' (S.report_to_string r) |> List.iter (Printf.printf "%s\n");
-  Printf.printf "%s\n" (Decode.Audit.to_string audit);
-  Printf.printf "reproducible: %b (two runs, identical token schedules)\n" reproducible;
   let ok =
     audit = Ok () && reproducible && r.S.lost = 0 && r.S.finished = requests
   in
-  Printf.printf "finished=%d/%d lost=%d tokens/s=%.0f%s\n" r.S.finished requests r.S.lost
-    r.S.tokens_per_s (acceptance ok);
-  artifact ~verdict:ok "E20b-scale-decode"
-    [
-      ("trace", Obs.Json.Str (Trace_gen.describe spec));
-      ("sequences", Obs.Json.Int requests);
-      ("wall_s", Obs.Json.Float wall);
-      ("bytes_per_sequence", Obs.Json.Float bytes_per_seq);
-      ("finished", Obs.Json.Int r.S.finished);
-      ("lost", Obs.Json.Int r.S.lost);
-      ("tokens", Obs.Json.Int r.S.tokens);
-      ("tokens_per_s", Obs.Json.Float r.S.tokens_per_s);
-      ("ttft_p99_us", Obs.Json.Float r.S.ttft_p99_us);
-      ("tpot_p99_us", Obs.Json.Float r.S.tpot_p99_us);
-      ("signatures", Obs.Json.Int r.S.signatures);
-      ("warm_rate", Obs.Json.Float r.S.warm_rate);
-      ("audit_ok", Obs.Json.Bool (audit = Ok ()));
-      ("reproducible", Obs.Json.Bool reproducible);
-      ("acceptance", Obs.Json.Bool ok);
-    ]
+  doc ~verdict:ok "E20b-scale-decode"
+    (Printf.sprintf "E20b (extension): scale harness, decode serving — %d sequences, 4x A10"
+       requests)
+    [ Line [ str "trace" ~fmt:"trace: %s" (Trace_gen.describe spec) ];
+      Line [ int "sequences" ~fmt:"n=%d" requests; float "wall_s" ~fmt:" wall=%.2fs" wall;
+             text (Printf.sprintf " sustained=%.0f seq/s" (float_of_int requests /. wall));
+             float "bytes_per_sequence" ~fmt:" alloc=%.0f B/seq" bytes_per_seq ];
+      Line [ text (S.report_to_string r); int "tokens" r.S.tokens;
+             float "ttft_p99_us" r.S.ttft_p99_us; float "tpot_p99_us" r.S.tpot_p99_us;
+             int "signatures" r.S.signatures; float "warm_rate" r.S.warm_rate ];
+      Line [ text (Decode.Audit.to_string audit); bool "audit_ok" (audit = Ok ()) ];
+      Line [ bool "reproducible" ~fmt:"reproducible: %b (two runs, identical token schedules)"
+               reproducible ];
+      Line [ int "finished" ~fmt:"finished=%d" r.S.finished; text (Printf.sprintf "/%d" requests);
+             int "lost" ~fmt:" lost=%d" r.S.lost;
+             float "tokens_per_s" ~fmt:" tokens/s=%.0f" r.S.tokens_per_s; text (acceptance ok) ] ]
 
 (* ----------------------------------------------------------------------
    E21 (extension): the symbolic-shape memory planner end to end.
@@ -1364,7 +1322,6 @@ let scale_decode ?(requests = 100_000) () =
       repeated aware run is bit-identical. *)
 
 let hbm_serving () =
-  header "E21 (extension): symbolic memory planner — reduction, soundness, HBM serving";
   let module Pool = Serving.Pool in
   let module Bucket = Serving.Bucket in
   let module Estimate = Mem.Estimate in
@@ -1372,47 +1329,37 @@ let hbm_serving () =
   let module Memplan = Runtime.Memplan in
   let ceil_env env = List.map (fun (k, v) -> (k, Bucket.round_up Bucket.Pow2 v)) env in
   (* -- panel 1: symbolic peak reduction across the suite -- *)
-  Printf.printf "\n-- symbolic peak reduction (decided at Pow2 rung ceilings) --\n";
-  Printf.printf "%-11s %-26s %12s %12s %8s\n" "model" "best rung" "before(MB)"
-    "after(MB)" "cut";
-  let reduction_rows = ref [] in
   let models_over_bar = ref 0 in
-  List.iter
-    (fun entry ->
-      match entry.Suite.bench_dims with
-      | [] -> ()
-      | grid ->
-          let built = entry.Suite.build () in
-          let est = Estimate.of_executable (Compiler.compile built.Common.graph).Compiler.exe in
-          let best = ref None in
-          List.iter
-            (fun env ->
-              let cenv = ceil_env env in
-              let d = Reduce.decide ~env:cenv est (Common.binding_for built cenv) in
-              assert (Memplan.validate (Reduce.plan est d (Common.binding_for built cenv)));
-              match !best with
-              | Some (_, b) when Reduce.savings_pct b >= Reduce.savings_pct d -> ()
-              | _ -> best := Some (cenv, d))
-            grid;
-          let cenv, d = Option.get !best in
-          let cut = Reduce.savings_pct d in
-          if cut >= 15.0 then incr models_over_bar;
-          Printf.printf "%-11s %-26s %12.2f %12.2f %7.1f%%\n" entry.Suite.name
-            (env_to_string cenv)
-            (float_of_int d.Reduce.peak_before /. 1e6)
-            (float_of_int d.Reduce.peak_after /. 1e6)
-            cut;
-          reduction_rows :=
-            Obs.Json.Obj
-              [
-                ("model", Obs.Json.Str entry.Suite.name);
-                ("rung", Obs.Json.Str (env_to_string cenv));
-                ("peak_before_bytes", Obs.Json.Int d.Reduce.peak_before);
-                ("peak_after_bytes", Obs.Json.Int d.Reduce.peak_after);
-                ("cut_pct", Obs.Json.Float cut);
-              ]
-            :: !reduction_rows)
-    Suite.all;
+  let reduction =
+    List.filter_map
+      (fun entry ->
+        match entry.Suite.bench_dims with
+        | [] -> None
+        | grid ->
+            let built = entry.Suite.build () in
+            let est = Estimate.of_executable (Compiler.compile built.Common.graph).Compiler.exe in
+            let best = ref None in
+            List.iter
+              (fun env ->
+                let cenv = ceil_env env in
+                let d = Reduce.decide ~env:cenv est (Common.binding_for built cenv) in
+                assert (Memplan.validate (Reduce.plan est d (Common.binding_for built cenv)));
+                match !best with
+                | Some (_, b) when Reduce.savings_pct b >= Reduce.savings_pct d -> ()
+                | _ -> best := Some (cenv, d))
+              grid;
+            let cenv, d = Option.get !best in
+            let cut = Reduce.savings_pct d in
+            if cut >= 15.0 then incr models_over_bar;
+            Some
+              [ model entry.Suite.name;
+                str "rung" ~h:(" %-26s", "best rung") ~fmt:" %-26s" (env_to_string cenv);
+                mb "peak_before_bytes" ~h:(" %12s", "before(MB)") ~fmt:" %12.2f"
+                  d.Reduce.peak_before;
+                mb "peak_after_bytes" ~h:(" %12s", "after(MB)") ~fmt:" %12.2f" d.Reduce.peak_after;
+                float "cut_pct" ~h:(" %8s", "cut") ~fmt:" %7.1f%%" cut ])
+      Suite.all
+  in
   (* -- panel 2: seeded estimator soundness soak -- *)
   let soak_cases = 400 in
   let rng = Random.State.make [| 0xB1ADE; 21 |] in
@@ -1449,8 +1396,6 @@ let hbm_serving () =
             | _ -> incr violations
           done)
     Suite.all;
-  Printf.printf "\nestimator soundness: %d random cases, %d violations\n" !soaked
-    !violations;
   (* -- panel 3: HBM-budgeted serving, aware vs blind -- *)
   let bucket = [ ("hist", Bucket.Pow2) ] in
   let base =
@@ -1490,77 +1435,53 @@ let hbm_serving () =
       0 hists
   in
   let budget = single_peak + ((batch_peak - single_peak) * 2 / 5) in
-  Printf.printf
-    "\nadversarial mix: %d requests, hist in {%s}; unconstrained batch peak %.1fMB, \
-     largest single %.1fMB\n"
-    (List.length reqs)
-    (String.concat "," (Array.to_list (Array.map string_of_int hists)))
-    (float_of_int batch_peak /. 1e6)
-    (float_of_int single_peak /. 1e6);
-  Printf.printf "HBM budget: %.1fMB per replica (single + 40%% of the batch headroom)\n"
-    (float_of_int budget /. 1e6);
   let aware = run ~aware:true budget in
   let blind = run ~aware:false budget in
   let aware2 = run ~aware:true budget in
   let am = Option.get aware.Pool.mem and bm = Option.get blind.Pool.mem in
-  Printf.printf "\nmemory-aware: %s\n              %s\n"
-    (Pool.report_to_string aware)
-    (Pool.mem_summary_to_string am);
-  Printf.printf "memory-blind: %s\n              %s\n"
-    (Pool.report_to_string blind)
-    (Pool.mem_summary_to_string bm);
+  let mode name (r : Pool.report) (m : Pool.mem_report) =
+    [ text (Printf.sprintf "%s: %s\n              %s" name (Pool.report_to_string r)
+              (Pool.mem_summary_to_string m));
+      str "mode" name; int "served" r.Pool.served; int "shed" r.Pool.shed;
+      int "rejected" r.Pool.rejected; int "failed" r.Pool.failed; int "lost" r.Pool.lost;
+      int "budget_bytes" m.Pool.mr_budget_bytes; int "est_peak_bytes" m.Pool.mr_est_peak_bytes;
+      int "capped" m.Pool.mr_capped; int "forced_exact" m.Pool.mr_forced_exact;
+      int "mem_rejected" m.Pool.mr_rejected; int "oom" m.Pool.mr_oom;
+      int "pressure_ticks" m.Pool.mr_pressure_ticks ]
+  in
   let identical =
     Pool.report_to_string aware = Pool.report_to_string aware2
     && Pool.mem_summary_to_string am
        = Pool.mem_summary_to_string (Option.get aware2.Pool.mem)
   in
-  Printf.printf "reproducible: %b (two aware pools, identical reports)\n" identical;
   let ok =
     !violations = 0 && !soaked >= 300 && !models_over_bar >= 2
     && am.Pool.mr_oom = 0 && aware.Pool.lost = 0 && aware.Pool.failed = 0
     && aware.Pool.rejected = 0 && aware.Pool.served > 0
     && bm.Pool.mr_oom > 0 && identical
   in
-  Printf.printf
-    "acceptance: aware oom=%d lost=%d failed=%d | blind oom=%d | cuts>=15%%: %d \
-     models | soak %d/%d clean%s\n"
-    am.Pool.mr_oom aware.Pool.lost aware.Pool.failed bm.Pool.mr_oom
-    !models_over_bar !soaked !soaked (acceptance ok);
-  let mem_json m =
-    Obs.Json.Obj
-      [
-        ("budget_bytes", Obs.Json.Int m.Pool.mr_budget_bytes);
-        ("est_peak_bytes", Obs.Json.Int m.Pool.mr_est_peak_bytes);
-        ("capped", Obs.Json.Int m.Pool.mr_capped);
-        ("forced_exact", Obs.Json.Int m.Pool.mr_forced_exact);
-        ("rejected", Obs.Json.Int m.Pool.mr_rejected);
-        ("oom", Obs.Json.Int m.Pool.mr_oom);
-        ("pressure_ticks", Obs.Json.Int m.Pool.mr_pressure_ticks);
-      ]
-  in
-  let disposition_json r =
-    Obs.Json.Obj
-      [
-        ("served", Obs.Json.Int r.Pool.served);
-        ("shed", Obs.Json.Int r.Pool.shed);
-        ("rejected", Obs.Json.Int r.Pool.rejected);
-        ("failed", Obs.Json.Int r.Pool.failed);
-        ("lost", Obs.Json.Int r.Pool.lost);
-      ]
-  in
-  artifact ~verdict:ok "E21-hbm"
-    [
-      ("reduction", Obs.Json.List (List.rev !reduction_rows));
-      ("soak_cases", Obs.Json.Int !soaked);
-      ("soak_violations", Obs.Json.Int !violations);
-      ("budget_bytes", Obs.Json.Int budget);
-      ("aware", disposition_json aware);
-      ("aware_mem", mem_json am);
-      ("blind", disposition_json blind);
-      ("blind_mem", mem_json bm);
-      ("reproducible", Obs.Json.Bool identical);
-      ("acceptance", Obs.Json.Bool ok);
-    ]
+  doc ~verdict:ok "E21-hbm"
+    "E21 (extension): symbolic memory planner — reduction, soundness, HBM serving"
+    [ line "\n-- symbolic peak reduction (decided at Pow2 rung ceilings) --";
+      Table ("reduction", reduction);
+      Line [ int "soak_cases" ~fmt:"\nestimator soundness: %d random cases" !soaked;
+             int "soak_violations" ~fmt:", %d violations" !violations ];
+      Line [ int "mix_requests" ~fmt:"\nadversarial mix: %d requests" (List.length reqs);
+             text (Printf.sprintf ", hist in {%s}"
+                     (String.concat "," (Array.to_list (Array.map string_of_int hists))));
+             mb "batch_peak_bytes" ~fmt:"; unconstrained batch peak %.1fMB" batch_peak;
+             mb "single_peak_bytes" ~fmt:", largest single %.1fMB" single_peak ];
+      Line
+        [ mb "budget_bytes"
+            ~fmt:"HBM budget: %.1fMB per replica (single + 40%% of the batch headroom)" budget ];
+      line ""; Table ("serving", [ mode "memory-aware" aware am; mode "memory-blind" blind bm ]);
+      Line
+        [ bool "reproducible" ~fmt:"reproducible: %b (two aware pools, identical reports)"
+            identical ];
+      Line [ text (Printf.sprintf "acceptance: aware oom=%d lost=%d failed=%d | blind oom=%d"
+                     am.Pool.mr_oom aware.Pool.lost aware.Pool.failed bm.Pool.mr_oom);
+             int "models_cut_15pct" ~fmt:" | cuts>=15%%: %d models" !models_over_bar;
+             text (Printf.sprintf " | soak %d/%d clean%s" !soaked !soaked (acceptance ok)) ] ]
 
 (* ----------------------------------------------------------------------
    E22 (extension): hardware-aware schedule autotuning. For every suite
@@ -1578,7 +1499,6 @@ let hbm_serving () =
       byte-identical plan (digest equality) for every model. *)
 
 let tune_experiment () =
-  header "E22 (extension): schedule autotuner — tuned vs default speculative set";
   let module Plan = Tune.Plan in
   let module Executable = Runtime.Executable in
   let geomean = function
@@ -1587,102 +1507,92 @@ let tune_experiment () =
   in
   let illegal_total = ref 0 in
   let unstable = ref [] in
-  let rows = ref [] in
   let a10_gains = ref [] in
-  Printf.printf "%-11s %-5s %10s %10s %9s %8s %7s %s\n" "model" "dev" "default_us"
-    "tuned_us" "geomean" "kernels" "illegal" "digest";
-  List.iter
-    (fun device ->
-      List.iter
-        (fun entry ->
-          let build () = entry.Suite.build () in
-          let envs = entry.Suite.bench_dims in
-          let serve_us session env =
-            match Disc.Session.serve_result session env with
-            | Ok (p, _) -> Profile.fused_us p
-            | Error e -> failwith (Runtime.Error.to_string e)
-          in
-          let session =
-            Disc.Session.create ~device ~cache:(Disc.Compile_cache.create ()) (build ())
-          in
-          let default_us = List.map (serve_us session) envs in
-          let plan, _ = Disc.Session.tune session ~envs in
-          let tuned_us = List.map (serve_us session) envs in
-          let ratios = List.map2 (fun d t -> if t > 0.0 then d /. t else 1.0) default_us tuned_us in
-          let gm = geomean ratios in
-          (* gate 2: every emitted version re-validates against the
-             device profile of the kernel it was minted for *)
-          let c = Compiler.compile (build ()).Common.graph in
-          let illegal = ref 0 in
-          List.iter
-            (fun item ->
-              match item with
-              | Executable.Fused k -> (
-                  match Plan.find plan k.Kernel.name with
-                  | Some e ->
-                      List.iter
-                        (fun v ->
-                          if
-                            not
-                              (Tune.Space.validate device ~has_reduce:k.Kernel.has_reduce
-                                 ~kind:k.Kernel.cluster.Cluster.kind v)
-                          then incr illegal)
-                        e.Plan.versions
-                  | None -> ())
-              | Executable.Lib _ -> ())
-            c.Compiler.exe.Executable.items;
-          illegal_total := !illegal_total + !illegal;
-          (* gate 3: fresh cache, fresh session — byte-identical plan *)
-          let session' =
-            Disc.Session.create ~device ~cache:(Disc.Compile_cache.create ()) (build ())
-          in
-          let plan', _ = Disc.Session.tune session' ~envs in
-          let stable = Plan.digest plan = Plan.digest plan' in
-          if not stable then
-            unstable := (entry.Suite.name, device.Gpusim.Device.name) :: !unstable;
-          if device.Gpusim.Device.name = "A10" then a10_gains := gm :: !a10_gains;
-          let dsum = List.fold_left ( +. ) 0.0 default_us in
-          let tsum = List.fold_left ( +. ) 0.0 tuned_us in
-          Printf.printf "%-11s %-5s %10.1f %10.1f %8.2fx %8d %7d %s\n" entry.Suite.name
-            device.Gpusim.Device.name dsum tsum gm (Plan.kernels_tuned plan) !illegal
-            (if stable then "stable" else "UNSTABLE");
-          rows :=
-            Obs.Json.Obj
-              [
-                ("model", Obs.Json.Str entry.Suite.name);
-                ("device", Obs.Json.Str device.Gpusim.Device.name);
-                ("default_us", Obs.Json.Float dsum);
-                ("tuned_us", Obs.Json.Float tsum);
-                ("geomean_improvement_x", Obs.Json.Float gm);
-                ("kernels_tuned", Obs.Json.Int (Plan.kernels_tuned plan));
-                ("illegal_versions", Obs.Json.Int !illegal);
-                ("digest", Obs.Json.Str (Plan.digest plan));
-                ("digest_stable", Obs.Json.Bool stable);
-              ]
-            :: !rows)
-        Suite.all)
-    devices;
+  let rows =
+    List.concat_map
+      (fun device ->
+        List.map
+          (fun entry ->
+            let build () = entry.Suite.build () in
+            let envs = entry.Suite.bench_dims in
+            let serve_us session env =
+              match Disc.Session.serve_result session env with
+              | Ok (p, _) -> Profile.fused_us p
+              | Error e -> failwith (Runtime.Error.to_string e)
+            in
+            let session =
+              Disc.Session.create ~device ~cache:(Disc.Compile_cache.create ()) (build ())
+            in
+            let default_us = List.map (serve_us session) envs in
+            let plan, _ = Disc.Session.tune session ~envs in
+            let tuned_us = List.map (serve_us session) envs in
+            let ratios =
+              List.map2 (fun d t -> if t > 0.0 then d /. t else 1.0) default_us tuned_us
+            in
+            let gm = geomean ratios in
+            (* gate 2: every emitted version re-validates against the
+               device profile of the kernel it was minted for *)
+            let c = Compiler.compile (build ()).Common.graph in
+            let illegal = ref 0 in
+            List.iter
+              (fun item ->
+                match item with
+                | Executable.Fused k -> (
+                    match Plan.find plan k.Kernel.name with
+                    | Some e ->
+                        List.iter
+                          (fun v ->
+                            if
+                              not
+                                (Tune.Space.validate device ~has_reduce:k.Kernel.has_reduce
+                                   ~kind:k.Kernel.cluster.Cluster.kind v)
+                            then incr illegal)
+                          e.Plan.versions
+                    | None -> ())
+                | Executable.Lib _ -> ())
+              c.Compiler.exe.Executable.items;
+            illegal_total := !illegal_total + !illegal;
+            (* gate 3: fresh cache, fresh session — byte-identical plan *)
+            let session' =
+              Disc.Session.create ~device ~cache:(Disc.Compile_cache.create ()) (build ())
+            in
+            let plan', _ = Disc.Session.tune session' ~envs in
+            let stable = Plan.digest plan = Plan.digest plan' in
+            if not stable then
+              unstable := (entry.Suite.name, device.Gpusim.Device.name) :: !unstable;
+            if device.Gpusim.Device.name = "A10" then a10_gains := gm :: !a10_gains;
+            [ model entry.Suite.name;
+              str "device" ~h:(" %-5s", "dev") ~fmt:" %-5s" device.Gpusim.Device.name;
+              float "default_us" ~h:(" %10s", "default_us") ~fmt:" %10.1f"
+                (List.fold_left ( +. ) 0.0 default_us);
+              float "tuned_us" ~h:(" %10s", "tuned_us") ~fmt:" %10.1f"
+                (List.fold_left ( +. ) 0.0 tuned_us);
+              float "geomean_improvement_x" ~h:(" %9s", "geomean") ~fmt:" %8.2fx" gm;
+              int "kernels_tuned" ~h:(" %8s", "kernels") ~fmt:" %8d" (Plan.kernels_tuned plan);
+              int "illegal_versions" ~h:(" %7s", "illegal") ~fmt:" %7d" !illegal;
+              text ~h:(" %s", "digest") (if stable then " stable" else " UNSTABLE");
+              str "digest" (Plan.digest plan); bool "digest_stable" stable ])
+          Suite.all)
+      devices
+  in
   let winners = List.length (List.filter (fun g -> g >= 1.10) !a10_gains) in
   let ok = winners >= 3 && !illegal_total = 0 && !unstable = [] in
-  Printf.printf
-    "A10 models with >= 10%% geomean kernel-time improvement: %d/%d (gate: >= 3); \
-     illegal schedules: %d (gate: 0); unstable digests: %d (gate: 0)%s\n"
-    winners (List.length !a10_gains) !illegal_total (List.length !unstable) (acceptance ok);
-  artifact ~verdict:ok "E22-tune"
-    [
-      ("a10_winners", Obs.Json.Int winners);
-      ("illegal_schedules", Obs.Json.Int !illegal_total);
-      ("unstable_digests", Obs.Json.Int (List.length !unstable));
-      ("acceptance", Obs.Json.Bool ok);
-      ("rows", Obs.Json.List (List.rev !rows));
-    ]
+  doc ~verdict:ok "E22-tune"
+    "E22 (extension): schedule autotuner — tuned vs default speculative set"
+    [ Table ("rows", rows);
+      Line [ int "a10_winners" ~fmt:"A10 models with >= 10%% geomean kernel-time improvement: %d"
+               winners;
+             int "a10_models" ~fmt:"/%d (gate: >= 3)" (List.length !a10_gains);
+             int "illegal_schedules" ~fmt:"; illegal schedules: %d (gate: 0)" !illegal_total;
+             int "unstable_digests" ~fmt:"; unstable digests: %d (gate: 0)" (List.length !unstable);
+             text (acceptance ok) ] ]
 
 (* ----------------------------------------------------------------------
    The experiment table: the one list of subcommands. Dispatch, "all",
-   the usage line and --json artifacts all read it. "all" skips the
+   the usage line and --json documents all read it. "all" skips the
    scale harness (E20/E20b), whose default size is a million requests. *)
 
-type experiment = { name : string; in_all : bool; run : unit -> outcome }
+type experiment = { name : string; in_all : bool; run : unit -> doc }
 
 (* Flags only the scale harness reads. *)
 let requests = ref None
@@ -1729,8 +1639,8 @@ let usage fmt =
     stderr fmt
 
 let () =
-  (* --json: write the experiment's artifact ({"experiment": id} plus
-       its fields); one experiment only
+  (* --json: write the experiment's document; for "all", an object
+       mapping each experiment's name to its document
      --trace: arm the observability layer and dump a Chrome trace of
        every compile phase and kernel launch the experiments simulate
      --requests, --decode: size and mode of the scale harness *)
@@ -1751,34 +1661,32 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let selected =
     match !cmd with
-    | "all" ->
-        if !json <> None then usage "--json writes one experiment's artifact; name the experiment";
-        List.filter (fun e -> e.in_all) experiments
+    | "all" -> List.filter (fun e -> e.in_all) experiments
     | name -> (
         match List.find_opt (fun e -> e.name = name) experiments with
         | Some e -> [ e ]
         | None -> usage "unknown experiment %s" name)
   in
   if !trace <> None then Obs.Scope.enable ();
-  let failed =
-    List.filter
+  let docs =
+    List.map
       (fun e ->
-        let o = e.run () in
-        (match (!json, o.artifact) with
-        | Some path, Some (id, fields) ->
-            Obs.Json.write_file path (Obs.Json.Obj (("experiment", Obs.Json.Str id) :: fields));
-            Printf.printf "artifact %s -> %s\n" id path
-        | _ -> ());
-        o.verdict = Some false)
+        let d = e.run () in
+        print d;
+        (e, d))
       selected
   in
+  Option.iter
+    (fun path -> write_json ~all:(!cmd = "all") path (List.map (fun (e, d) -> (e.name, d)) docs))
+    !json;
   (match !trace with
   | Some file ->
       Obs.Trace.write_chrome Obs.Trace.global file;
       Printf.printf "trace: %d spans -> %s\n" (Obs.Trace.length Obs.Trace.global) file
   | None -> ());
+  let failed = List.filter (fun (_, d) -> d.verdict = Some false) docs in
   if failed <> [] then begin
     Printf.eprintf "acceptance not met: %s\n"
-      (String.concat ", " (List.map (fun e -> e.name) failed));
+      (String.concat ", " (List.map (fun (e, _) -> e.name) failed));
     exit 1
   end

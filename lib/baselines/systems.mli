@@ -5,7 +5,6 @@
 
 val pytorch : Executor.strategy
 val torchscript : Executor.strategy
-val onnxruntime : Executor.strategy
 val xla : Executor.strategy
 val tvm : Executor.strategy
 val inductor : Executor.strategy

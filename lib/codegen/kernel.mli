@@ -43,12 +43,6 @@ type version = {
 
 val generic_version : version
 
-val sched_threads : version -> int
-(** Threads per block the version launches with (256 when untuned). *)
-
-val sched_tile : version -> int
-(** Elements per thread (4 when untuned). *)
-
 type t = {
   name : string;
   cluster : Cluster.t;

@@ -40,10 +40,8 @@ type stats = {
   schedules : int;  (** tuned schedule plans attached (side table) *)
 }
 
-val default_capacity : int
-
 val create : ?capacity:int -> unit -> t
-(** [capacity] (default {!default_capacity}) bounds in-memory entries;
+(** [capacity] (default 64) bounds in-memory entries;
     least-recently-used entries are evicted beyond it. *)
 
 val capacity : t -> int

@@ -36,14 +36,6 @@ type compiled = {
           executable_build) in ms; sums to [compile_time_ms] *)
 }
 
-val simulated_phase_times_ms :
-  num_insts:int -> num_kernels:int -> (string * float) list
-(** The compilation-latency model decomposed per phase (per-instruction
-    pass/planning time, per-kernel codegen, constant build floor). The
-    phases sum to the compile cost, paid once per model, never per
-    shape. When observability is enabled ({!Obs.Scope}), {!compile}
-    records one nested trace span per phase. *)
-
 val compile : ?options:options -> Graph.t -> compiled
 (** Runs cleanup passes (mutating the graph), verifies, plans fusion and
     builds the executable. @raise Graph.Type_error on invalid graphs. *)

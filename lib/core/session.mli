@@ -45,9 +45,6 @@ type stats = {
   window : int;  (** latencies retained for the percentile window *)
 }
 
-val default_window : int
-(** Capacity of the latency ring buffer (1024). *)
-
 val create :
   ?device:Gpusim.Device.t ->
   ?policy:policy ->

@@ -33,7 +33,6 @@ val sub : Graph.t -> v -> v -> v
 val mul : Graph.t -> v -> v -> v
 val div : Graph.t -> v -> v -> v
 val pow : Graph.t -> v -> v -> v
-val max_ : Graph.t -> v -> v -> v
 val min_ : Graph.t -> v -> v -> v
 
 val cmp : Graph.t -> Op.cmp -> v -> v -> v
@@ -47,7 +46,6 @@ val mulf : Graph.t -> v -> float -> v
 val subf : Graph.t -> v -> float -> v
 val divf : Graph.t -> v -> float -> v
 val maxf : Graph.t -> v -> float -> v
-val minf : Graph.t -> v -> float -> v
 
 val clamp : Graph.t -> v -> lo:float -> hi:float -> v
 (** min(max(x, lo), hi) composite. *)

@@ -56,9 +56,6 @@ val add : t -> Op.t -> int list -> int
 (** Append an instruction; infers its shape/dtype and records implied
     shape constraints. @raise Type_error on ill-typed construction. *)
 
-val infer : t -> Op.t -> inst list -> Sym.shape * Dtype.t
-(** The inference relation itself (exposed for the verifier and tests). *)
-
 val replace_uses : t -> old_id:int -> new_id:int -> unit
 (** Redirect all uses (including outputs) of [old_id] to [new_id]. *)
 

@@ -9,10 +9,6 @@ val constant_to_string : Tensor.Nd.t -> string
     [%.17g], so the text pins the value exactly: {!Parser.parse} reads it
     back, and {!Fingerprint} hashes it. *)
 
-val inst_to_string : Graph.inst -> string
-
-val symbol_headers : Graph.t -> string
-
 val to_string : ?with_symbols:bool -> Graph.t -> string
 
 val pp : Format.formatter -> Graph.t -> unit

@@ -37,9 +37,6 @@ val dim_opt : built -> string -> Sym.dim option
 val dim_exn : built -> string -> Sym.dim
 (** @raise Invalid_argument for unknown dim names. *)
 
-val generate_value : gen -> int -> int -> float
-(** Deterministic value stream (seed, index). *)
-
 val test_inputs : ?seed:int -> built -> (string * int) list -> Tensor.Nd.t list
 (** Materialize every parameter (weights and data) at the given
     dynamic-dim values; tests/examples only — benchmarks never

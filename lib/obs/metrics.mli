@@ -47,9 +47,6 @@ val bucket_of : float -> int
     slices. Exposed so other online estimators (e.g. the serving
     layer's shape-distribution statistics) share one bucket geometry. *)
 
-val bucket_mid : int -> float
-(** Midpoint of a bucket — the estimate returned for samples in it. *)
-
 val bucket_hi : int -> float
 (** Exclusive upper edge of a bucket ([1.0] for bucket 0). Quantile
     estimates that must {e cover} the observed mass (e.g. bucket

@@ -41,10 +41,6 @@ val num_kernels : t -> int
 val cluster_of : item -> Cluster.t
 (** The fusion cluster an item executes. *)
 
-val item_kname : item -> string
-(** Kernel identity ("c<cluster-id>") used by profiles, fault injection
-    and the serving layer's circuit breakers. *)
-
 val numel_memo : Ir.Graph.t -> Symshape.Table.binding -> int -> int
 (** [numel_memo g bnd] is a fresh memo of each value's element count at
     [bnd], evaluating a value's shape at most once. {!simulate} and

@@ -53,9 +53,6 @@ val widen_scheme : scheme -> scheme
 val widen : spec -> spec
 (** {!widen_scheme} applied to every dim of the spec. *)
 
-val bucket_dims : spec -> (string * int) list -> (string * int) list
-(** Each dim rounded per the spec, name-sorted (canonical order). *)
-
 val key_of : spec -> (string * int) list -> string
 (** Canonical bucket key of one request's dims, e.g. ["hist=64,seq=128"]. *)
 

@@ -43,8 +43,6 @@ type timed = { at_us : float; event : event }
 
 type scenario = { seed : int; events : timed list }
 
-val event_name : event -> string
-val event_to_string : event -> string
 val scenario_to_string : scenario -> string
 
 val validate : scenario -> (unit, string list) result

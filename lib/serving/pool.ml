@@ -1580,10 +1580,7 @@ let spike_request expected (at, dims, cls) =
     cls;
   }
 
-let start ?adaptive ?chaos ~resilience t (reqs : request list) =
-  if t.ran then invalid_arg "Pool.run: this pool has already run; create a fresh pool per run";
-  t.ran <- true;
-  let cfg = t.cfg in
+let trace ?chaos t (reqs : request list) =
   (* chaos spike traffic merges with the organic trace before indexing,
      so spiked requests are first-class: admitted, tracked, reported *)
   let spikes =
@@ -1596,12 +1593,15 @@ let start ?adaptive ?chaos ~resilience t (reqs : request list) =
      boxed list dominates the whole run's cost at scale. Detect
      sortedness in O(n) and skip the sort; fall back to the stable
      [List.sort] (identical tie order) for unsorted or spiked input. *)
-  let arr =
-    match spikes with
-    | [] when is_sorted neg_infinity reqs -> Array.of_list reqs
-    | _ ->
-        Array.of_list (List.sort (fun a b -> compare a.arrival_us b.arrival_us) (reqs @ spikes))
-  in
+  match spikes with
+  | [] when is_sorted neg_infinity reqs -> Array.of_list reqs
+  | _ -> Array.of_list (List.sort (fun a b -> compare a.arrival_us b.arrival_us) (reqs @ spikes))
+
+let start ?adaptive ?chaos ~resilience t (reqs : request list) =
+  if t.ran then invalid_arg "Pool.run: this pool has already run; create a fresh pool per run";
+  t.ran <- true;
+  let cfg = t.cfg in
+  let arr = trace ?chaos t reqs in
   let n = Array.length arr in
   let obs = Obs.Scope.on () in
   let mreg = if obs then Obs.Metrics.global else Obs.Metrics.create () in

@@ -305,3 +305,8 @@ val run :
     ([lost = 0] holds throughout).
 
     @raise Invalid_argument when the pool has already run. *)
+
+val trace : ?chaos:Chaos.scenario -> t -> request list -> request array
+(** The trace {!run} serves: the requests merged with [chaos]'s spike
+    arrivals, stably sorted by arrival time. The report's per-request
+    arrays ([dispositions], [latencies_us]) follow this order. *)

@@ -35,22 +35,16 @@ type segment = {
 
 type spec = { seed : int; segments : segment list }
 
-val default_mix : (Slo.cls * float) list
-(** 25 % Interactive, 50 % Standard, 25 % Best_effort. *)
-
 val validate : spec -> (unit, string) result
 (** Structural validation; errors name the offending segment index. *)
-
-val peak_qps : segment -> float
-(** The thinning envelope: base rate at diurnal crest under burst. No
-    window of a generated trace sustains a higher rate (the property
-    tests check this). *)
 
 val trough_qps : segment -> float
 (** Base rate at the diurnal trough with the burst off. *)
 
 val spec_peak_qps : spec -> float
-(** Max {!peak_qps} over the spec's segments. *)
+(** The thinning envelope: the largest base rate at diurnal crest under
+    burst over the spec's segments. No window of a generated trace
+    sustains a higher rate (the property tests check this). *)
 
 val generate : spec -> n:int -> Pool.request list
 (** The first [n] requests of the endless trace the spec describes, in

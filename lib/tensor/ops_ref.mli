@@ -57,9 +57,6 @@ val pad : Nd.t -> low:int array -> high:int array -> value:float -> Nd.t
 
 type reduce_kind = R_sum | R_prod | R_max | R_min | R_any
 
-val reduce_init : reduce_kind -> float
-val reduce_combine : reduce_kind -> float -> float -> float
-
 val reduce : reduce_kind -> Nd.t -> dims:int list -> Nd.t
 (** Reduce over [dims] (removed from the result shape). *)
 

@@ -12,9 +12,6 @@ type t = {
 
 val kernels_tuned : t -> int
 
-val version_to_string : Codegen.Kernel.version -> string
-(** Tag plus applicability window, e.g. ["t64.c1@<=28416"]. *)
-
 val to_string : t -> string
 (** Byte-stable rendering — golden tests pin this. *)
 

@@ -12,27 +12,12 @@ type point = {
   p_persistent : bool;
 }
 
-val thread_candidates : int list
-val tile_candidates : int list
-
-val regs_per_thread : point -> int
-(** Analytical register model: 24 base + 4/tile element + 8 for float4
-    staging + 8 for the shuffle-tree accumulator. *)
-
-val smem_bytes : kind:Fusion.Cluster.kind -> point -> int
-(** Static shared memory: double-buffered kStitch relay staging
-    ([2 x threads x tile x 4] bytes) plus one float per thread for a
-    tree reduction. *)
-
 val legal : Gpusim.Device.t -> has_reduce:bool -> kind:Fusion.Cluster.kind -> point -> bool
 (** The full constraint conjunction {!enumerate} prunes with. *)
 
 val enumerate :
   Gpusim.Device.t -> has_reduce:bool -> kind:Fusion.Cluster.kind -> point list
 (** Every legal point, in a fixed deterministic order. *)
-
-val tag_of : point -> string
-(** e.g. ["t64.c1"], ["t256.c4+vec4+tree"]. *)
 
 val version_of :
   kind:Fusion.Cluster.kind -> ?max_domain:int -> point -> Codegen.Kernel.version

@@ -381,6 +381,67 @@ let test_bit_reproducible () =
     (Pool.resilience_summary_to_string r1.Pool.resilience
     = Pool.resilience_summary_to_string r2.Pool.resilience)
 
+(* The report's per-request arrays follow Pool.trace: organic arrivals
+   merged with the spike arrivals, stably sorted. The crash strands a
+   batch (no re-dispatch), so per-class completions depend on the order. *)
+let test_trace_order () =
+  let scenario =
+    {
+      Chaos.seed = 3;
+      events =
+        [
+          { Chaos.at_us = 1_000.0;
+            event = Chaos.Straggle { replica = 0; factor = 50.0; duration_us = 10_000.0 } };
+          { Chaos.at_us = 2_000.0;
+            event =
+              Chaos.Spike
+                { duration_us = 4_000.0; requests = 12; dim = "hist"; lo = 2; hi = 40;
+                  cls = Slo.Interactive } };
+          { Chaos.at_us = 5_000.0;
+            event = Chaos.Crash { replica = 0; recover_after_us = None; spinup_us = 0.0 } };
+        ];
+    }
+  in
+  let classes = [| Slo.Interactive; Slo.Standard; Slo.Best_effort |] in
+  let reqs =
+    List.init 40 (fun i ->
+        { Pool.arrival_us = float_of_int i *. 200.0;
+          dims = [ ("hist", [| 6; 20; 40 |].(i mod 3)) ];
+          cls = classes.(i * 7 mod 3) })
+  in
+  let cfg =
+    Pool.default_config ~devices:[ Device.a10; Device.a10 ] ~batch_dim:"batch"
+      ~bucket:[ ("hist", Bucket.Pow2) ]
+  in
+  let pool = Pool.create ~cache cfg build in
+  let trace = Pool.trace ~chaos:scenario pool reqs in
+  let r = Pool.run ~chaos:scenario pool reqs in
+  check_int "one entry per report slot" (Array.length r.Pool.dispositions) (Array.length trace);
+  check_int "organic plus spike arrivals"
+    (List.length reqs + Chaos.spike_request_count scenario)
+    (Array.length trace);
+  check_bool "arrival times never decrease" true
+    (Array.for_all Fun.id
+       (Array.init (Array.length trace - 1) (fun i ->
+            trace.(i).Pool.arrival_us <= trace.(i + 1).Pool.arrival_us)));
+  check_bool "the crash fails requests" true (r.Pool.failed > 0);
+  List.iter
+    (fun c ->
+      let arrivals = ref 0 and completed = ref 0 in
+      Array.iteri
+        (fun i q ->
+          if q.Pool.cls = c.Pool.cr_class then begin
+            incr arrivals;
+            match r.Pool.dispositions.(i) with
+            | Pool.Served | Pool.Fell_back -> incr completed
+            | _ -> ()
+          end)
+        trace;
+      let name = Slo.cls_to_string c.Pool.cr_class in
+      check_int (name ^ " arrivals") c.Pool.cr_arrivals !arrivals;
+      check_int (name ^ " completed") c.Pool.cr_completed !completed)
+    r.Pool.classes
+
 let test_chaos_free_run_has_zero_report () =
   let pool =
     Pool.create
@@ -425,6 +486,7 @@ let () =
             test_brownout_rises_and_recovers;
           Alcotest.test_case "cache corruption survives" `Quick test_corrupt_cache_event;
           Alcotest.test_case "bit-reproducible" `Quick test_bit_reproducible;
+          Alcotest.test_case "report follows the merged trace" `Quick test_trace_order;
           Alcotest.test_case "chaos-free report is zero" `Quick
             test_chaos_free_run_has_zero_report;
         ] );
