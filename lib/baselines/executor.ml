@@ -9,8 +9,6 @@
    documented per system in EXPERIMENTS.md. *)
 
 module Graph = Ir.Graph
-module Table = Symshape.Table
-module Sym = Symshape.Sym
 module Planner = Fusion.Planner
 module Kernel = Codegen.Kernel
 module Executable = Runtime.Executable
@@ -33,12 +31,6 @@ type t = {
 (* Round a dim value up to the next power of two (shape bucketing). *)
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 let bucket v = next_pow2 v 1
-
-let binding_for (m : Models.Common.built) env =
-  let tab = Graph.symtab m.Models.Common.graph in
-  let bnd = Table.empty_binding () in
-  List.iter (fun (n, v) -> Table.bind_dim tab bnd (Models.Common.dim_exn m n) v) env;
-  bnd
 
 (* Shared skeleton: compile once with the given strategy; each run
    simulates under the (possibly transformed) shape environment. *)
@@ -89,7 +81,7 @@ let make_from_strategy (s : strategy) (built : Models.Common.built) : t =
       else 0.0
     in
     first_call := false;
-    let bnd = binding_for built cost_env in
+    let bnd = Models.Common.binding_for built cost_env in
     let profile = Executable.simulate ~device ~tune:s.tune exe bnd in
     profile.Profile.host_us <- profile.Profile.host_us +. s.fixed_host_us;
     {

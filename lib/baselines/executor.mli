@@ -20,9 +20,6 @@ type t = {
 val bucket : int -> int
 (** Round up to the next power of two. *)
 
-val binding_for :
-  Models.Common.built -> (string * int) list -> Symshape.Table.binding
-
 type strategy = {
   s_name : string;
   s_description : string;

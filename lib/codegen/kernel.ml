@@ -54,6 +54,9 @@ type t = {
   has_reduce : bool;
   has_transpose : bool; (* non-coalesced access pattern *)
   reduce_ids : int list;
+  table_reads : (int * int list) list;
+      (* boundary inputs every reader reads only as a gather table, each
+         with those readers in member order *)
 }
 
 (* Concrete per-execution facts derived from the runtime shape binding. *)
@@ -131,6 +134,34 @@ let build (g : Graph.t) (config : config) (c : Cluster.t) : t =
       List.sort (fun a b -> Stdlib.compare (specificity b) (specificity a)) combos
     end
   in
+  (* A gather kernel only touches the rows it looks up, not the whole
+     table: an input is charged by the rows read when every member
+     reading it reads it as the table operand (and not also as the
+     indices). Only a gather's table operand can qualify. *)
+  let tables =
+    List.filter_map
+      (fun m ->
+        let i = Graph.inst g m in
+        match i.op with Op.Gather -> Some i.args.(0) | _ -> None)
+      c.Cluster.members
+  in
+  let table_reads =
+    List.filter_map
+      (fun id ->
+        if not (List.mem id tables) then None
+        else
+          let uses =
+            List.filter
+              (fun m -> Array.exists (fun a -> a = id) (Graph.inst g m).args)
+              c.Cluster.members
+          in
+          let gather_table_use m =
+            let i = Graph.inst g m in
+            match i.op with Op.Gather -> i.args.(0) = id && i.args.(1) <> id | _ -> false
+          in
+          if List.for_all gather_table_use uses then Some (id, uses) else None)
+      c.Cluster.inputs
+  in
   {
     name = Printf.sprintf "kernel_%d_%s" c.Cluster.cid (Cluster.kind_to_string c.Cluster.kind);
     cluster = c;
@@ -138,6 +169,7 @@ let build (g : Graph.t) (config : config) (c : Cluster.t) : t =
     has_reduce = !has_reduce;
     has_transpose = !has_transpose;
     reduce_ids = List.rev !reduce_ids;
+    table_reads;
   }
 
 (* --- runtime: binding-resolved sizes -----------------------------------------
@@ -145,7 +177,10 @@ let build (g : Graph.t) (config : config) (c : Cluster.t) : t =
    Everything a kernel's launch and cost depend on at a binding, resolved
    once: a schedule choice (threads, tile, speculation flags) changes
    none of it, so the tuner scores every candidate, and the runtime picks
-   and costs a version, from one record. *)
+   and costs a version, from one record. Dims and element counts come
+   from the caller's per-binding memo. *)
+
+type memo = { dim_of : Sym.dim -> int; numel_of : int -> int }
 
 type sizes = {
   domain_numel : int;
@@ -158,7 +193,7 @@ type sizes = {
   fp16 : bool; (* first member computes in F16 *)
 }
 
-let concrete_row (g : Graph.t) (bnd : Table.binding) (k : t) =
+let concrete_row (memo : memo) (g : Graph.t) (k : t) =
   match k.reduce_ids with
   | [] -> 1
   | rid :: _ -> (
@@ -166,32 +201,20 @@ let concrete_row (g : Graph.t) (bnd : Table.binding) (k : t) =
       match i.op with
       | Op.Reduce { dims; _ } ->
           let input = Graph.inst g i.args.(0) in
-          let tab = Graph.symtab g in
-          List.fold_left (fun acc d -> acc * Table.eval_dim_exn tab bnd input.shape.(d)) 1 dims
+          List.fold_left (fun acc d -> acc * memo.dim_of input.shape.(d)) 1 dims
       | _ -> 1)
 
-let sizes_of ~numel_of (g : Graph.t) (bnd : Table.binding) (k : t) : sizes =
-  let tab = Graph.symtab g in
+let sizes_of (memo : memo) (g : Graph.t) (k : t) : sizes =
+  let numel_of = memo.numel_of in
   let bytes_of id = numel_of id * Tensor.Dtype.byte_size (Graph.inst g id).dtype in
-  let domain = Table.eval_shape tab bnd k.cluster.Cluster.domain in
+  let domain = Array.map memo.dim_of k.cluster.Cluster.domain in
   let domain_numel = Tensor.Shape.numel domain in
-  let row = concrete_row g bnd k in
+  let row = concrete_row memo g k in
   let innermost = if Array.length domain = 0 then 1 else domain.(Array.length domain - 1) in
-  (* A gather kernel only touches the rows it looks up, not the whole
-     table; charge the table operand as the gathered output size. *)
   let input_bytes id =
-    let uses =
-      List.filter
-        (fun m -> Array.exists (fun a -> a = id) (Graph.inst g m).args)
-        k.cluster.Cluster.members
-    in
-    let gather_table_use m =
-      let i = Graph.inst g m in
-      match i.op with Op.Gather -> i.args.(0) = id && i.args.(1) <> id | _ -> false
-    in
-    if uses <> [] && List.for_all gather_table_use uses then
-      min (bytes_of id) (List.fold_left (fun acc m -> acc + bytes_of m) 0 uses)
-    else bytes_of id
+    match List.assoc_opt id k.table_reads with
+    | Some uses -> min (bytes_of id) (List.fold_left (fun acc m -> acc + bytes_of m) 0 uses)
+    | None -> bytes_of id
   in
   let bytes_read =
     List.fold_left (fun acc id -> acc + input_bytes id) 0 k.cluster.Cluster.inputs
@@ -279,8 +302,7 @@ let work_at (k : t) (s : sizes) (l : launch) : Gpusim.Cost.kernel_work =
   }
 
 (* Library (dot / conv) kernels bypass fusion codegen. *)
-let library_work (g : Graph.t) (bnd : Table.binding) (c : Cluster.t) : Gpusim.Cost.kernel_work =
-  let tab = Graph.symtab g in
+let library_work (memo : memo) (g : Graph.t) (c : Cluster.t) : Gpusim.Cost.kernel_work =
   match c.Cluster.members with
   | [ m ] -> (
       let i = Graph.inst g m in
@@ -288,24 +310,21 @@ let library_work (g : Graph.t) (bnd : Table.binding) (c : Cluster.t) : Gpusim.Co
       match i.op with
       | Op.Dot ->
           let lhs = Graph.inst g i.args.(0) in
-          let out_shape = Table.eval_shape tab bnd i.shape in
-          let lhs_shape = Table.eval_shape tab bnd lhs.shape in
+          let out_shape = Array.map memo.dim_of i.shape in
+          let lhs_shape = Array.map memo.dim_of lhs.shape in
           let r = Array.length out_shape in
           let m_dim = out_shape.(r - 2) and n_dim = out_shape.(r - 1) in
           let k_dim = lhs_shape.(Array.length lhs_shape - 1) in
           let batch = Tensor.Shape.numel (Array.sub out_shape 0 (r - 2)) in
           Gpusim.Cost.gemm_work ~batch ~m:m_dim ~n:n_dim ~k:k_dim ~elem_bytes:eb
       | Op.Conv2d _ ->
-          let input = Graph.inst g i.args.(0) in
           let filt = Graph.inst g i.args.(1) in
-          let out_shape = Table.eval_shape tab bnd i.shape in
-          let in_shape = Table.eval_shape tab bnd input.shape in
+          let out_numel = memo.numel_of m in
+          let in_numel = memo.numel_of i.args.(0) in
           let f_shape = Sym.concrete_exn filt.shape in
-          Gpusim.Cost.conv2d_work
-            ~out_numel:(Tensor.Shape.numel out_shape)
-            ~kh:f_shape.(0) ~kw:f_shape.(1) ~cin:f_shape.(2)
-            ~in_bytes:((Tensor.Shape.numel in_shape + Tensor.Shape.numel f_shape) * eb)
-            ~out_bytes:(Tensor.Shape.numel out_shape * eb)
+          Gpusim.Cost.conv2d_work ~out_numel ~kh:f_shape.(0) ~kw:f_shape.(1) ~cin:f_shape.(2)
+            ~in_bytes:((in_numel + Tensor.Shape.numel f_shape) * eb)
+            ~out_bytes:(out_numel * eb)
       | _ -> invalid_arg "library_work: not a library op")
   | _ -> invalid_arg "library_work: library clusters are singletons"
 

@@ -10,9 +10,11 @@
     Two runtime facets per kernel: {!eval} computes the numeric result
     (reference semantics — fusion never changes numerics), and
     {!work_at} / {!library_work} produce the analytical cost descriptor
-    charged to the simulated device. A binding's shapes are resolved
-    once into {!sizes}; selection ({!select_at}), launch dims
-    ({!launch_at}) and cost ({!work_at}) are pure functions of it. *)
+    charged to the simulated device. What the cluster fixes is recorded
+    by {!build} (versions, reduce members, gather-table reads); a
+    binding's dims and element counts are read through a per-binding
+    {!memo} and resolved into {!sizes}; selection ({!select_at}), launch
+    dims ({!launch_at}) and cost ({!work_at}) are pure functions of it. *)
 
 module Cluster = Fusion.Cluster
 
@@ -50,6 +52,12 @@ type t = {
   has_reduce : bool;
   has_transpose : bool;
   reduce_ids : int list;
+  table_reads : (int * int list) list;
+      (** The boundary inputs that every member reading them reads only
+          as a gather table (operand 0 of a [Gather] whose indices are
+          another value), each with those members in member order.
+          {!sizes_of} charges such an input by the rows the gathers
+          read, every other input in full. Fixed by {!build}. *)
 }
 
 type launch = {
@@ -68,6 +76,17 @@ val version_guard :
 val build : Ir.Graph.t -> config -> Cluster.t -> t
 (** Compile-time half: derive the version set and kernel structure. *)
 
+type memo = {
+  dim_of : Symshape.Sym.dim -> int;  (** a dim's value at the binding *)
+  numel_of : int -> int;  (** a value's element count at the binding *)
+}
+(** One binding's shapes, memoized: {!Runtime.Executable.numel_memo}
+    builds one per call and shares it across every kernel sized there.
+    [dim_of] evaluates each symbol once, on first touch, and [numel_of]
+    each value's count once, as the product of its dims' values; an
+    unbound dim raises {!Symshape.Table.Inconsistent} at its first touch,
+    as evaluating the shape directly would. *)
+
 type sizes = {
   domain_numel : int;
   innermost : int;  (** innermost domain dim (1 for a scalar domain) *)
@@ -85,11 +104,10 @@ type sizes = {
     it, so one record serves every version scored or selected at that
     binding. *)
 
-val sizes_of :
-  numel_of:(int -> int) -> Ir.Graph.t -> Symshape.Table.binding -> t -> sizes
-(** Resolve a kernel's shapes at a binding. [numel_of] gives a value's
-    element count at that binding; a caller sizing several kernels
-    there can share one memo across them. *)
+val sizes_of : memo -> Ir.Graph.t -> t -> sizes
+(** Resolve a kernel's shapes at the memo's binding: the domain and the
+    reduced row through [dim_of], boundary bytes and member flops
+    through [numel_of]. *)
 
 val launch_at : t -> sizes -> version -> launch
 (** Launch dims of a chosen version: the schedule fixes threads and
@@ -104,8 +122,8 @@ val work_at : t -> sizes -> launch -> Gpusim.Cost.kernel_work
 (** Cost descriptor of one fused-kernel execution. Global traffic counts
     only the cluster's boundary (that is fusion's point). *)
 
-val library_work : Ir.Graph.t -> Symshape.Table.binding -> Cluster.t -> Gpusim.Cost.kernel_work
-(** Cost of a dot / conv2d library kernel. *)
+val library_work : memo -> Ir.Graph.t -> Cluster.t -> Gpusim.Cost.kernel_work
+(** Cost of a dot / conv2d library kernel at the memo's binding. *)
 
 val eval :
   Ir.Graph.t ->

@@ -284,21 +284,16 @@ let interp_dispatch_us = 4.0 (* framework per-op host overhead *)
    cost-only serving (shared across cached sessions), the session's own
    graph for data-plane interpretation. *)
 let reference_profile (t : t) ~(g : Graph.t) (bnd : Table.binding) : Profile.t =
-  let tab = Graph.symtab g in
+  let numel_of = (Runtime.Executable.numel_memo g bnd).Codegen.Kernel.numel_of in
   let profile = Profile.create () in
-  let bytes_of (i : Graph.inst) =
-    Tensor.Shape.numel (Table.eval_shape tab bnd i.Graph.shape)
-    * Tensor.Dtype.byte_size i.Graph.dtype
-  in
+  let bytes_of id = numel_of id * Tensor.Dtype.byte_size (Graph.inst g id).Graph.dtype in
   Graph.iter g (fun i ->
       match i.Graph.op with
       | Op.Parameter _ | Op.Constant _ -> ()
       | op ->
-          let out_bytes = bytes_of i in
-          let in_bytes =
-            Array.fold_left (fun acc a -> acc + bytes_of (Graph.inst g a)) 0 i.Graph.args
-          in
-          let numel = Tensor.Shape.numel (Table.eval_shape tab bnd i.Graph.shape) in
+          let out_bytes = bytes_of i.Graph.id in
+          let in_bytes = Array.fold_left (fun acc a -> acc + bytes_of a) 0 i.Graph.args in
+          let numel = numel_of i.Graph.id in
           let work =
             {
               Gpusim.Cost.default_work with

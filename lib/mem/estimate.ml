@@ -77,15 +77,25 @@ let candidates t =
   List.map (fun c -> (c.at_pos, Poly.sum (List.map (fun b -> b.poly) c.live))) t.cands
 
 (* Binding values first; dims the binding leaves free close via the
-   table's recorded upper bounds (bucket ceilings as range facts). *)
-let lookup_of t bnd =
+   table's recorded upper bounds (bucket ceilings as range facts). Each
+   variable is resolved once per lookup, on first touch. *)
+let lookup t bnd =
   let tab = Graph.symtab t.exe.Executable.g in
-  fun id ->
+  let resolve id =
     match Table.eval_dim tab bnd (Sym.Sym id) with
     | Some v -> Some v
     | None -> Table.upper_bound tab (Sym.Sym id)
-
-let eval_poly t bnd p = Poly.eval p ~lookup:(lookup_of t bnd)
+  in
+  let memo = Array.make (Table.num_symbols tab) None in
+  fun id ->
+    if id >= Array.length memo then resolve id
+    else
+      match memo.(id) with
+      | Some v -> v
+      | None ->
+          let v = resolve id in
+          memo.(id) <- Some v;
+          v
 
 let sum_aligned t lookup polys =
   List.fold_left
@@ -96,7 +106,7 @@ let sum_aligned t lookup polys =
     (Some 0) polys
 
 let live_peak_bytes t bnd =
-  let lookup = lookup_of t bnd in
+  let lookup = lookup t bnd in
   List.fold_left
     (fun acc c ->
       match (acc, sum_aligned t lookup (List.map (fun b -> b.poly) c.live)) with
@@ -104,14 +114,14 @@ let live_peak_bytes t bnd =
       | _ -> None)
     (Some 0) t.cands
 
-let resident_bytes t bnd = sum_aligned t (lookup_of t bnd) t.resident
+let resident_bytes t bnd = sum_aligned t (lookup t bnd) t.resident
 
 (* The live-sum peak is a lower bound on any correct arena (live buffers
    occupy disjoint ranges), and the concrete plan at the same binding is
    an achievable arena; their max is sound against best-fit
    fragmentation while staying exact at the evaluated binding. The plan
-   belt needs every dim bound (eval_shape), so a partially-closed
-   binding falls back to the symbolic peak alone. *)
+   belt needs every dim bound (Memplan.plan raises on an unbound one),
+   so a partially-closed binding falls back to the symbolic peak alone. *)
 let arena_bound t bnd =
   match live_peak_bytes t bnd with
   | None -> None

@@ -48,11 +48,13 @@ val candidates : t -> (int * Poly.t) list
 (** The non-dominated live-set snapshots [(position, byte polynomial)]
     whose max is the peak expression. *)
 
-val eval_poly : t -> Table.binding -> Poly.t -> int option
-(** Evaluate a byte polynomial at a binding, closing dims the binding
-    leaves free via the table's recorded upper bounds ({!Table.upper_bound}
-    — bucket ceilings declared as range facts). [None] when a dim has
-    neither a bound value nor an upper bound. No alignment applied. *)
+val lookup : t -> Table.binding -> int -> int option
+(** [lookup t bnd] is a fresh memo of every polynomial variable's value
+    at [bnd]: the bound value, else the table's recorded upper bound
+    ({!Table.upper_bound} — bucket ceilings declared as range facts),
+    else [None]. Each variable is resolved once, on first touch; build
+    one per binding and evaluate every byte polynomial there with
+    [Poly.eval ~lookup] (no alignment applied). *)
 
 val live_peak_bytes : t -> Table.binding -> int option
 (** Max over candidates of the live-set byte sum, each buffer rounded up

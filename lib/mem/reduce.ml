@@ -77,10 +77,11 @@ let build_ctx est bnd : ctx =
     (fun o -> if Hashtbl.mem producer o then Hashtbl.replace is_out o ())
     (Graph.outputs exe.Executable.g);
   let sizes = Hashtbl.create 64 in
+  let lookup = Estimate.lookup est bnd in
   let values =
     List.map
       (fun b ->
-        (match Estimate.eval_poly est bnd b.Estimate.poly with
+        (match Poly.eval b.Estimate.poly ~lookup with
         | Some raw -> Hashtbl.replace sizes b.Estimate.value raw
         | None -> raise Unsized);
         b.Estimate.value)

@@ -25,9 +25,15 @@ type t = {
   items : item list; (* in cluster topological order *)
   host_overhead_us : float; (* host cost per kernel dispatch *)
   last_use : int array; (* value id -> last reading position *)
+  knames : string array; (* position -> the item's "c<cid>" name *)
+  resident : int array; (* parameter ids, then constant ids *)
 }
 
 let cluster_of = function Fused k -> k.Kernel.cluster | Lib c -> c
+
+(* Kernel identity used by profiles, fault injection and the serving
+   layer's circuit breakers: the cluster name "c<id>". *)
+let item_kname item = "c" ^ string_of_int (cluster_of item).Cluster.cid
 
 (* Buffer liveness of the schedule, computed once: the last position
    whose item reads each value. Graph outputs, parameters and constants
@@ -52,13 +58,22 @@ let compile ?(codegen = Kernel.default_config) ?(host_overhead_us = 0.3) (g : Gr
         | _ -> Fused (Kernel.build g codegen c))
       plan.Cluster.clusters
   in
-  { g; plan; items; host_overhead_us; last_use = liveness g items }
+  (* parameters and constants are resident for the whole call *)
+  let constants =
+    List.rev
+      (Graph.fold g (fun acc i -> match i.op with Op.Constant _ -> i.id :: acc | _ -> acc) [])
+  in
+  {
+    g;
+    plan;
+    items;
+    host_overhead_us;
+    last_use = liveness g items;
+    knames = Array.of_list (List.map item_kname items);
+    resident = Array.of_list (List.map fst (Graph.parameters g) @ constants);
+  }
 
 let num_kernels e = List.length e.items
-
-(* Kernel identity used by profiles, fault injection and the serving
-   layer's circuit breakers: the cluster name "c<id>". *)
-let item_kname item = "c" ^ string_of_int (cluster_of item).Cluster.cid
 
 (* Resilience hooks shared by both execution paths. [faults] injects
    seeded launch failures and request-level OOMs; [despeculate] pins the
@@ -86,11 +101,11 @@ let check_capacity (device : Gpusim.Device.t) ~live =
 
 (* Cost descriptor and version tag of one item at a binding: a fused
    kernel resolves its sizes once, then selects, launches and costs from
-   them. [numel_of] is the caller's per-call memo. *)
-let item_work ?(despeculate = fun _ -> false) ~numel_of g device bnd kname item =
+   them. [memo] is the caller's per-call memo. *)
+let item_work ?(despeculate = fun _ -> false) memo g device kname item =
   match item with
   | Fused k ->
-      let s = Kernel.sizes_of ~numel_of g bnd k in
+      let s = Kernel.sizes_of memo g k in
       let v =
         try Kernel.select_at device s k.Kernel.versions
         with Not_found ->
@@ -101,21 +116,41 @@ let item_work ?(despeculate = fun _ -> false) ~numel_of g device bnd kname item 
          version's block count reflects its own schedule, not the default *)
       let l = Kernel.launch_at k s (if despeculate kname then Kernel.generic_version else v) in
       (Kernel.work_at k s l, l.Kernel.version.Kernel.tag)
-  | Lib c -> (Kernel.library_work g bnd c, "library")
+  | Lib c -> (Kernel.library_work memo g c, "library")
 
-(* Element counts at [bnd], each value's shape evaluated at most once.
-   Indexed by id, not hashed: most values are read only once or twice,
-   and hashing them cost more than evaluating their shapes again. *)
-let numel_memo g bnd =
+(* Dims and element counts at [bnd]: each symbol evaluated once, on
+   first touch, and each value's count once, as the product of its
+   dims. Indexed by symbol and value id, not hashed: most values are
+   read only once or twice, and hashing them cost more than evaluating
+   their shapes again. A symbol the table issued after this memo was
+   built is evaluated on every touch. *)
+let numel_memo g bnd : Kernel.memo =
   let tab = Graph.symtab g in
-  let memo = Array.make (Graph.id_bound g) (-1) in
-  fun id ->
-    let n = memo.(id) in
+  let values = Array.make (Table.num_symbols tab) min_int in
+  let dim_of (d : Symshape.Sym.dim) =
+    match d with
+    | Symshape.Sym.Static v -> v
+    | Symshape.Sym.Sym s when s < Array.length values ->
+        let v = values.(s) in
+        if v <> min_int then v
+        else begin
+          let v = Table.eval_dim_exn tab bnd d in
+          values.(s) <- v;
+          v
+        end
+    | Symshape.Sym.Sym _ -> Table.eval_dim_exn tab bnd d
+  in
+  let counts = Array.make (Graph.id_bound g) (-1) in
+  let numel_of id =
+    let n = counts.(id) in
     if n >= 0 then n
-    else
-      let n = Tensor.Shape.numel (Table.eval_shape tab bnd (Graph.inst g id).shape) in
-      memo.(id) <- n;
+    else begin
+      let n = Array.fold_left (fun acc d -> acc * dim_of d) 1 (Graph.inst g id).shape in
+      counts.(id) <- n;
       n
+    end
+  in
+  { Kernel.dim_of; numel_of }
 
 (* Per-kernel-launch observability: one trace span per launch (advancing
    the simulated timeline by device + host time, so an enclosing request
@@ -147,25 +182,21 @@ let simulate ?(device = Gpusim.Device.a10) ?(profile = Profile.create ())
     ?(tune = fun (w : Gpusim.Cost.kernel_work) -> w) ?faults ?despeculate (e : t)
     (bnd : Table.binding) : Profile.t =
   let g = e.g in
-  let numel_of = numel_memo g bnd in
-  let bytes_of id = numel_of id * Tensor.Dtype.byte_size (Graph.inst g id).dtype in
-  (* parameters and constants are resident *)
-  let resident = ref 0 in
-  List.iter (fun (pid, _) -> resident := !resident + bytes_of pid) (Graph.parameters g);
-  Graph.iter g (fun i ->
-      match i.op with Op.Constant _ -> resident := !resident + bytes_of i.id | _ -> ());
-  check_request_oom ?faults device ~resident:!resident;
-  let live = ref !resident in
+  let memo = numel_memo g bnd in
+  let bytes_of id = memo.numel_of id * Tensor.Dtype.byte_size (Graph.inst g id).dtype in
+  let resident = Array.fold_left (fun acc id -> acc + bytes_of id) 0 e.resident in
+  check_request_oom ?faults device ~resident;
+  let live = ref resident in
   Profile.note_live_bytes profile !live;
   List.iteri
     (fun pos item ->
       let c = cluster_of item in
-      let kname = item_kname item in
+      let kname = e.knames.(pos) in
       check_kernel_fault ?faults kname;
       List.iter (fun o -> live := !live + bytes_of o) c.Cluster.outputs;
       check_capacity device ~live:!live;
       Profile.note_live_bytes profile !live;
-      let work, version_tag = item_work ?despeculate ~numel_of g device bnd kname item in
+      let work, version_tag = item_work ?despeculate memo g device kname item in
       charge profile e device ~kname c (tune work, version_tag);
       List.iter
         (fun input -> if e.last_use.(input) = pos then live := !live - bytes_of input)
@@ -178,7 +209,7 @@ let run ?(device = Gpusim.Device.a10) ?cost_binding ?(profile = Profile.create (
   let g = e.g in
   let bnd = Ir.Interp.bind_inputs g inputs in
   let cost_bnd = Option.value cost_binding ~default:bnd in
-  let cost_numel = numel_memo g cost_bnd in
+  let cost_memo = numel_memo g cost_bnd in
   let values : (int, Nd.t) Hashtbl.t = Hashtbl.create 64 in
   (* parameters and constants are resident before execution starts *)
   let resident = ref 0 in
@@ -204,7 +235,7 @@ let run ?(device = Gpusim.Device.a10) ?cost_binding ?(profile = Profile.create (
   List.iteri
     (fun pos item ->
       let c = cluster_of item in
-      let kname = item_kname item in
+      let kname = e.knames.(pos) in
       check_kernel_fault ?faults kname;
       (* run the kernel's data plane *)
       let outs =
@@ -224,7 +255,7 @@ let run ?(device = Gpusim.Device.a10) ?cost_binding ?(profile = Profile.create (
       Profile.note_live_bytes profile !live;
       (* charge simulated cost, possibly under a padded cost binding *)
       charge profile e device ~kname c
-        (item_work ?despeculate ~numel_of:cost_numel g device cost_bnd kname item);
+        (item_work ?despeculate cost_memo g device kname item);
       (* free intermediates read for the last time here *)
       List.iter
         (fun input ->

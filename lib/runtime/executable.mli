@@ -27,11 +27,23 @@ type t = {
           graph outputs, parameters and constants (never freed); [-1]
           when nothing reads it. {!simulate} and {!run} free a buffer at
           the position equal to its last use, and
-          {!Runtime.Memplan.lifetimes} derives from it. Computed once by
-          {!compile}: a rewrite that keeps every item's position (as
-          {!Tune.Plan.apply} does) may keep the table, but anything that
-          reorders, adds or drops items must rebuild it. *)
+          {!Runtime.Memplan.lifetimes} derives from it. *)
+  knames : string array;
+      (** Indexed by schedule position: the item's kernel name,
+          ["c<cid>"] of its cluster, as profiles, fault injection and
+          [despeculate] see it. *)
+  resident : int array;
+      (** The values resident for a whole call: parameter ids in
+          {!Ir.Graph.parameters} order, then constant ids in id order.
+          {!simulate} and {!Runtime.Memplan.plan} size them at the
+          binding. *)
 }
+(** [last_use], [knames] and [resident] are computed once by {!compile}.
+    A rewrite that keeps every item's position and cluster (as
+    {!Tune.Plan.apply} does, swapping kernel versions) may keep them;
+    anything that reorders, adds or drops items must rebuild [last_use]
+    and [knames], and anything that adds or drops parameters or
+    constants must rebuild [resident]. *)
 
 val compile :
   ?codegen:Kernel.config -> ?host_overhead_us:float -> Ir.Graph.t -> Cluster.plan -> t
@@ -41,11 +53,17 @@ val num_kernels : t -> int
 val cluster_of : item -> Cluster.t
 (** The fusion cluster an item executes. *)
 
-val numel_memo : Ir.Graph.t -> Symshape.Table.binding -> int -> int
-(** [numel_memo g bnd] is a fresh memo of each value's element count at
-    [bnd], evaluating a value's shape at most once. {!simulate} and
-    {!run} build one per call (resident bytes, live accounting and every
-    kernel's {!Kernel.sizes_of} read it); the tuner, one per rung. *)
+val numel_memo : Ir.Graph.t -> Symshape.Table.binding -> Kernel.memo
+(** [numel_memo g bnd] is a fresh memo of [bnd]'s shapes: each symbol's
+    value is computed once ({!Symshape.Table.eval_dim_exn} on first
+    touch, so a reshape-born symbol runs its product-fact search once per
+    call, not once per dim occurrence), and each value's element count
+    once, as the product of its dims' values. {!simulate} and {!run}
+    build one per call (resident bytes, live accounting,
+    {!Kernel.sizes_of} and {!Kernel.library_work} read it);
+    {!Runtime.Memplan.plan} and the session's reference path, one per
+    call; the tuner, one per rung. An unbound dim raises
+    {!Symshape.Table.Inconsistent} at its first touch. *)
 
 val simulate :
   ?device:Gpusim.Device.t ->

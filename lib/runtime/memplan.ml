@@ -9,7 +9,6 @@
    time instead of baking offsets into the executable. *)
 
 module Graph = Ir.Graph
-module Op = Ir.Op
 module Table = Symshape.Table
 module Cluster = Fusion.Cluster
 
@@ -103,21 +102,13 @@ let lifetimes (e : Executable.t) : (int * int * int) list =
 
 let plan ?(alignment = 256) (e : Executable.t) (bnd : Table.binding) : t =
   let g = e.Executable.g in
-  let tab = Graph.symtab g in
+  let memo = Executable.numel_memo g bnd in
   let size_of id =
-    let i = Graph.inst g id in
     align alignment
-      (Tensor.Shape.numel (Table.eval_shape tab bnd i.Graph.shape)
-      * Tensor.Dtype.byte_size i.Graph.dtype)
+      (memo.Codegen.Kernel.numel_of id * Tensor.Dtype.byte_size (Graph.inst g id).Graph.dtype)
   in
-  (* resident values: parameters and constants *)
   let resident_bytes =
-    Graph.fold g
-      (fun acc i ->
-        match i.Graph.op with
-        | Op.Parameter _ | Op.Constant _ -> acc + size_of i.Graph.id
-        | _ -> acc)
-      0
+    Array.fold_left (fun acc id -> acc + size_of id) 0 e.Executable.resident
   in
   let buffers = List.map (fun (v, first, last) -> (v, size_of v, first, last)) (lifetimes e) in
   let offsets, arena_bytes =

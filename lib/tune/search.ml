@@ -46,13 +46,13 @@ let better (c1, p1) (c2, p2) =
   < 0
 
 (* [candidates]: the legal points of the kernel's (has_reduce, kind)
-   class, each with its materialized version. [rungs]: each rung's
-   binding with the element-count memo all kernels share there. A
-   candidate changes only the schedule, so each rung's shapes are
-   resolved once and every candidate is scored from them. *)
+   class, each with its materialized version. [rungs]: each rung's shape
+   memo, shared by all kernels there. A candidate changes only the
+   schedule, so each rung's shapes are resolved once and every candidate
+   is scored from them. *)
 let tune_kernel candidates g device rungs (k : Kernel.t) : Kernel.version list =
   let kind = k.Kernel.cluster.Cluster.kind in
-  let sized = List.map (fun (bnd, numel_of) -> Kernel.sizes_of ~numel_of g bnd k) rungs in
+  let sized = List.map (fun memo -> Kernel.sizes_of memo g k) rungs in
   (* per-rung winner over candidates whose guards hold there *)
   let winners =
     List.filter_map
@@ -108,7 +108,7 @@ let tune_kernel candidates g device rungs (k : Kernel.t) : Kernel.version list =
 
 let plan ~(device : Gpusim.Device.t) ~(rungs : rung list) (e : Executable.t) : Plan.t =
   let g = e.Executable.g in
-  let memoized = List.map (fun r -> (r.bnd, Executable.numel_memo g r.bnd)) rungs in
+  let memoized = List.map (fun r -> Executable.numel_memo g r.bnd) rungs in
   (* candidate lists depend only on (has_reduce, kind): build each once
      per plan, not once per kernel *)
   let classes = ref [] in

@@ -52,7 +52,7 @@ let bind g dims =
 (* The runtime's path on A10: resolve the binding once, take the first
    version whose guard holds, and cost that launch. *)
 let select g bnd k =
-  let s = Kernel.sizes_of ~numel_of:(Runtime.Executable.numel_memo g bnd) g bnd k in
+  let s = Kernel.sizes_of (Runtime.Executable.numel_memo g bnd) g k in
   let l = Kernel.launch_at k s (Kernel.select_at Device.a10 s k.Kernel.versions) in
   (l, Kernel.work_at k s l)
 
@@ -149,7 +149,7 @@ let test_library_gemm_work () =
   let plan = Planner.plan g in
   let c = List.hd plan.Cluster.clusters in
   let bnd = bind g [ (m, 64) ] in
-  let w = Kernel.library_work g bnd c in
+  let w = Kernel.library_work (Runtime.Executable.numel_memo g bnd) g c in
   Alcotest.(check (float 1.0)) "gemm flops" (2.0 *. 64.0 *. 512.0 *. 256.0) w.Cost.flops;
   check_int "gemm reads A and B" ((64 * 256 * 4) + (256 * 512 * 4)) w.Cost.bytes_read
 

@@ -136,7 +136,7 @@ let test_latency_agrees_with_simulate () =
               check_int
                 (name ^ " " ^ k.Kernel.name ^ " bytes_written")
                 (List.fold_left (fun acc (_, nd) -> acc + Nd.byte_size nd) 0 outs)
-                (Kernel.sizes_of ~numel_of:(Executable.numel_memo g bnd) g bnd k)
+                (Kernel.sizes_of (Executable.numel_memo g bnd) g k)
                   .Kernel.bytes_written
           | Executable.Lib cl ->
               List.iter

@@ -539,6 +539,164 @@ let test_tuned_digests_golden () =
       check_string (name ^ " tuned-plan digest") expected (Tune.Plan.digest plan))
     pinned_tuned_digests
 
+(* Cost-plane pins: MD5 digests of everything the runtime computes from
+   a shape binding, for the ten paper-scale suite models. Per model,
+   three digests:
+   - every [Profile] field of [Executable.simulate] at each bench env
+     and at [drawn_envs] seeded in-range envs, untuned on A10 and tuned
+     ([Tune.Search.plan] at the bench rungs) on A10 and on T4;
+   - [Memplan.plan], [Estimate.peak_bound] and [Reduce.decide] at each
+     Pow2 rung ceiling of the bench envs;
+   - one reference-path profile (an async-compile window request).
+   Floats print as [%h], so a digest moves with any bit of any number. *)
+
+let profile_text buf (p : Runtime.Profile.t) =
+  let module P = Runtime.Profile in
+  Printf.bprintf buf "%h %h %d %d %d\n" p.P.device_us p.P.host_us p.P.launches p.P.bytes_moved
+    p.P.peak_bytes;
+  List.iter
+    (fun (r : P.kernel_record) ->
+      Printf.bprintf buf "%s %s %s %h %d %h\n" r.P.kname r.P.kind r.P.version_tag r.P.time_us
+        r.P.bytes r.P.flops)
+    (List.rev p.P.records)
+
+let drawn_envs = 3
+
+(* Each dim uniform over its declared range; a dim without an upper
+   bound draws up to twice its largest bench value. *)
+let seeded_envs (entry : Models.Suite.entry) (built : Models.Common.built) =
+  let tab = Graph.symtab built.Models.Common.graph in
+  let st = Random.State.make [| 42; Hashtbl.hash entry.Models.Suite.name |] in
+  List.init drawn_envs (fun _ ->
+      List.map
+        (fun (name, d) ->
+          let lb = Table.lower_bound tab d in
+          let ub =
+            match Table.upper_bound tab d with
+            | Some u -> u
+            | None ->
+                2 * List.fold_left (fun m env -> max m (List.assoc name env)) lb
+                      entry.Models.Suite.bench_dims
+          in
+          (name, lb + Random.State.int st (ub - lb + 1)))
+        built.Models.Common.dims)
+
+let pow2_ceilings envs =
+  List.sort_uniq compare
+    (List.map
+       (List.map (fun (k, v) -> (k, Serving.Bucket.round_up Serving.Bucket.Pow2 v)))
+       envs)
+
+let cost_plane_digests (entry : Models.Suite.entry) =
+  let built = entry.Models.Suite.build () in
+  let exe = (Disc.Compiler.compile built.Models.Common.graph).Disc.Compiler.exe in
+  let bnd env = Models.Common.binding_for built env in
+  let bench = entry.Models.Suite.bench_dims in
+  let digest f =
+    let buf = Buffer.create 65536 in
+    f buf;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  in
+  let sim =
+    digest (fun buf ->
+        let rungs = List.map (fun env -> { Tune.Search.env; bnd = bnd env }) bench in
+        let tuned device =
+          (device, Tune.Plan.apply (Tune.Search.plan ~device ~rungs exe) exe)
+        in
+        let variants =
+          [ (Gpusim.Device.a10, exe); tuned Gpusim.Device.a10; tuned Gpusim.Device.t4 ]
+        in
+        List.iter
+          (fun env ->
+            List.iter
+              (fun (device, e) ->
+                profile_text buf (Runtime.Executable.simulate ~device e (bnd env)))
+              variants)
+          (bench @ seeded_envs entry built))
+  in
+  let mem =
+    digest (fun buf ->
+        let est = Mem.Estimate.of_executable exe in
+        List.iter
+          (fun env ->
+            let b = bnd env in
+            let p = Runtime.Memplan.plan exe b in
+            Printf.bprintf buf "plan %d %d %d\n" p.Runtime.Memplan.arena_bytes
+              p.Runtime.Memplan.naive_bytes p.Runtime.Memplan.resident_bytes;
+            List.iter
+              (fun (a : Runtime.Memplan.assignment) ->
+                Printf.bprintf buf "%d %d %d %d %d\n" a.Runtime.Memplan.value
+                  a.Runtime.Memplan.offset a.Runtime.Memplan.size a.Runtime.Memplan.first_pos
+                  a.Runtime.Memplan.last_pos)
+              p.Runtime.Memplan.assignments;
+            Printf.bprintf buf "peak %s\n"
+              (match Mem.Estimate.peak_bound est b with
+              | Some v -> string_of_int v
+              | None -> "none");
+            let d = Mem.Reduce.decide ~env est b in
+            let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+            Printf.bprintf buf "decide [%s] [%s] [%s] %d %d\n" (ints d.Mem.Reduce.order)
+              (String.concat ";" (Array.to_list (Array.map ints d.Mem.Reduce.groups)))
+              (ints d.Mem.Reduce.recomputed) d.Mem.Reduce.peak_before d.Mem.Reduce.peak_after)
+          (pow2_ceilings bench))
+  in
+  let reference =
+    digest (fun buf ->
+        let s = Disc.Session.create ~async_compile:true (entry.Models.Suite.build ()) in
+        match Disc.Session.serve_result s (List.hd bench) with
+        | Ok (p, `Fallback) -> profile_text buf p
+        | Ok (_, `Compiled) -> Alcotest.fail "inside the async-compile window, served compiled"
+        | Error e -> Alcotest.fail (Runtime.Error.to_string e))
+  in
+  [ sim; mem; reference ]
+
+(* (model, [simulate; memory plans; reference profile]) *)
+let pinned_cost_plane_digests =
+  [
+    ( "bert",
+      [ "4adddeea497ccb13d0b9f86c486f1243"; "d270c4d4f0fd8c5b57c0f2e9a24d60e2";
+        "a7e254fdee33922cbf9adf87e47ac6a8" ] );
+    ( "gpt2",
+      [ "83ce391f21111505303f5dd205efca7e"; "6b468307b1638fbc895c2582bc37266b";
+        "edf9b05ea52423b1fbdfedff91cc023b" ] );
+    ( "gpt2-decode",
+      [ "c8f5367d074a79225ad18eb6acb012f6"; "24c709a09669ba2864402da0bfd847d4";
+        "cbee08d8076cc90c94405fdf80fcc7e1" ] );
+    ( "seq2seq",
+      [ "7c71f2ba80086fafbc32f8d62640532e"; "2929a41102ec26cf9cd9deb902675225";
+        "70d22ada366ff6a680701cde15ce941f" ] );
+    ( "t5",
+      [ "33acf60b321d0d6378e22e5e65aa83a9"; "38119729ebae0412ed52828479a9afb6";
+        "b632be102f6fa1ebf6d2d37286a5f5f1" ] );
+    ( "crnn",
+      [ "1e24ed4e6656f0751c41e4dba4fd0b39"; "85b61e216b5ddc9ca29f606d024dbecb";
+        "ad2ab89ab973f9bf73955fd79f859118" ] );
+    ( "fastspeech",
+      [ "d4279d9d010dfa27795c3518c9e54696"; "b01827af85902eaf337cce6263d627d2";
+        "8d700f7c6b553a8341aed928bcc4cb7e" ] );
+    ( "asr",
+      [ "1cf1f6353253ddbc0f523412cdfffa50"; "b5151338717d79c753acad8dce698377";
+        "d26942029f7d31aa1dcdd53f5845d46d" ] );
+    ( "vit",
+      [ "1ceea95d65b1145723b3a8855903d05d"; "81bda34e2bb3c5b40463f1cb10361f0b";
+        "2af3a687aa3ec5d1553398b324dd6547" ] );
+    ( "dien",
+      [ "cfd15f352cc91772c9cdb29e84a0d7d5"; "0e57da668dd71e4c6dcd25371a80cb35";
+        "ab7ac46dcf506ffc8cd3f2df49f4e072" ] );
+  ]
+
+let test_cost_plane_golden () =
+  Alcotest.(check int) "every suite model pinned"
+    (List.length Models.Suite.all)
+    (List.length pinned_cost_plane_digests);
+  List.iter
+    (fun (name, expected) ->
+      List.iter2
+        (fun what (e, got) -> check_string (Printf.sprintf "%s %s digest" name what) e got)
+        [ "simulate"; "memory"; "reference" ]
+        (List.combine expected (cost_plane_digests (Models.Suite.find name))))
+    pinned_cost_plane_digests
+
 let () =
   Alcotest.run "golden"
     [
@@ -564,5 +722,10 @@ let () =
           Alcotest.test_case "single-kernel plan text" `Quick test_tuned_plan_golden;
           Alcotest.test_case "suite plan digests (A10)" `Quick
             test_tuned_digests_golden;
+        ] );
+      ( "cost plane",
+        [
+          Alcotest.test_case "paper-scale profiles, memory plans, reference path" `Quick
+            test_cost_plane_golden;
         ] );
     ]

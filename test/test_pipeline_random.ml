@@ -316,6 +316,156 @@ let prop_roundtrip_structured =
       let a = Ir.Interp.run g1 [ input ] and b = Ir.Interp.run g2 [ input ] in
       List.for_all2 (Nd.equal_approx ~eps:1e-6) a b)
 
+(* --- kernel facts against a shape oracle ------------------------------------
+
+   What the runtime reads per call — each fused kernel's
+   [Kernel.sizes_of] and each library item's [Kernel.library_work] —
+   recomputed straight from [Table.eval_shape] at the same binding,
+   with nothing recorded at compile time and nothing memoized. The
+   random programs have reduces and dots but no gathers; the tiny suite
+   models' embeddings supply the gathers. *)
+
+module Kernel = Codegen.Kernel
+module Executable = Runtime.Executable
+
+let oracle_sizes g bnd (k : Kernel.t) : Kernel.sizes =
+  let tab = Graph.symtab g in
+  let inst = Graph.inst g in
+  let shape id = Table.eval_shape tab bnd (inst id).Graph.shape in
+  let numel id = Tensor.Shape.numel (shape id) in
+  let bytes id = numel id * Dtype.byte_size (inst id).Graph.dtype in
+  let c = k.Kernel.cluster in
+  let domain = Table.eval_shape tab bnd c.Cluster.domain in
+  let row =
+    match
+      List.find_map
+        (fun m -> match (inst m).Graph.op with Op.Reduce { dims; _ } -> Some (m, dims) | _ -> None)
+        c.Cluster.members
+    with
+    | None -> 1
+    | Some (m, dims) ->
+        let input = shape (inst m).Graph.args.(0) in
+        List.fold_left (fun acc d -> acc * input.(d)) 1 dims
+  in
+  (* an input every reader reads only as a gather table is charged by
+     the rows the gathers read *)
+  let read id =
+    let readers = List.filter (fun m -> Array.mem id (inst m).Graph.args) c.Cluster.members in
+    let table_read m =
+      let i = inst m in
+      i.Graph.op = Op.Gather && i.Graph.args.(0) = id && i.Graph.args.(1) <> id
+    in
+    if readers <> [] && List.for_all table_read readers then
+      min (bytes id) (List.fold_left (fun acc m -> acc + bytes m) 0 readers)
+    else bytes id
+  in
+  let flops ~reduce_factor =
+    List.fold_left
+      (fun acc m ->
+        let i = inst m in
+        let per_elem = Op.flops_per_element i.Graph.op in
+        if per_elem = 0.0 then acc
+        else
+          match i.Graph.op with
+          | Op.Reduce _ ->
+              acc +. (reduce_factor *. per_elem *. float_of_int (numel i.Graph.args.(0)))
+          | _ -> acc +. (per_elem *. float_of_int (numel m)))
+      0.0 c.Cluster.members
+  in
+  {
+    Kernel.domain_numel = Tensor.Shape.numel domain;
+    innermost = (if Array.length domain = 0 then 1 else domain.(Array.length domain - 1));
+    row;
+    bytes_read = List.fold_left (fun acc id -> acc + read id) 0 c.Cluster.inputs;
+    bytes_written = List.fold_left (fun acc id -> acc + bytes id) 0 c.Cluster.outputs;
+    flops_tree = flops ~reduce_factor:1.0;
+    flops_plain = flops ~reduce_factor:1.35;
+    fp16 =
+      (match c.Cluster.members with
+      | m :: _ -> (inst m).Graph.dtype = Dtype.F16
+      | [] -> false);
+  }
+
+let oracle_library_work g bnd (c : Cluster.t) : Gpusim.Cost.kernel_work =
+  let tab = Graph.symtab g in
+  let i = Graph.inst g (List.hd c.Cluster.members) in
+  let shape id = Table.eval_shape tab bnd (Graph.inst g id).Graph.shape in
+  let eb = Dtype.byte_size i.Graph.dtype in
+  let out = Table.eval_shape tab bnd i.Graph.shape in
+  match i.Graph.op with
+  | Op.Dot ->
+      let lhs = shape i.Graph.args.(0) in
+      let r = Array.length out in
+      Gpusim.Cost.gemm_work
+        ~batch:(Tensor.Shape.numel (Array.sub out 0 (r - 2)))
+        ~m:out.(r - 2) ~n:out.(r - 1)
+        ~k:lhs.(Array.length lhs - 1)
+        ~elem_bytes:eb
+  | Op.Conv2d _ ->
+      let input = shape i.Graph.args.(0) in
+      let f = Sym.concrete_exn (Graph.inst g i.Graph.args.(1)).Graph.shape in
+      Gpusim.Cost.conv2d_work ~out_numel:(Tensor.Shape.numel out) ~kh:f.(0) ~kw:f.(1)
+        ~cin:f.(2)
+        ~in_bytes:((Tensor.Shape.numel input + Tensor.Shape.numel f) * eb)
+        ~out_bytes:(Tensor.Shape.numel out * eb)
+  | _ -> Alcotest.fail "library cluster without a dot or conv2d"
+
+(* Every item of [exe] against the oracle at [bnd], with one memo shared
+   across the items as the runtime shares it. *)
+let kernel_facts_hold (exe : Executable.t) bnd =
+  let g = exe.Executable.g in
+  let memo = Executable.numel_memo g bnd in
+  List.for_all
+    (function
+      | Executable.Fused k -> Kernel.sizes_of memo g k = oracle_sizes g bnd k
+      | Executable.Lib c -> Kernel.library_work memo g c = oracle_library_work g bnd c)
+    exe.Executable.items
+
+(* Each tiny suite model compiled once; a binding draws every dim
+   uniformly over its declared range. *)
+let tiny_suite =
+  lazy
+    (List.map
+       (fun (entry : Models.Suite.entry) ->
+         let built = entry.Models.Suite.build_tiny () in
+         (built, (Disc.Compiler.compile built.Models.Common.graph).Disc.Compiler.exe))
+       Models.Suite.all)
+
+let in_range_env st (built : Models.Common.built) =
+  let tab = Graph.symtab built.Models.Common.graph in
+  List.map
+    (fun (name, d) ->
+      let lb = Table.lower_bound tab d in
+      let ub = Option.value (Table.upper_bound tab d) ~default:64 in
+      (name, lb + Random.State.int st (ub - lb + 1)))
+    built.Models.Common.dims
+
+let prop_kernel_facts_oracle =
+  QCheck.Test.make ~name:"kernel facts: sizes_of and library_work = eval_shape oracle"
+    ~count:30 ~long_factor:40
+    QCheck.(pair (int_bound 1_000_000) (pair (int_range 1 64) (int_range 1 64)))
+    (fun (seed, (bv, sv)) ->
+      let p = program_of_seed seed in
+      let programs_ok =
+        List.for_all
+          (fun (_, config) ->
+            let g, dims = build_program p in
+            ignore (Ir.Passes.run_all g);
+            let exe = Executable.compile g (Planner.plan ~config g) in
+            let tab = Graph.symtab g in
+            let bnd = Table.empty_binding () in
+            Table.bind_dim tab bnd (List.assoc "b" dims) bv;
+            Table.bind_dim tab bnd (List.assoc "s" dims) sv;
+            kernel_facts_hold exe bnd)
+          pipeline_variants
+      in
+      let st = Random.State.make [| seed |] in
+      programs_ok
+      && List.for_all
+           (fun (built, exe) ->
+             kernel_facts_hold exe (Models.Common.binding_for built (in_range_env st built)))
+           (Lazy.force tiny_suite))
+
 (* --- shrinker self-tests --------------------------------------------------
 
    Inject a failure we control — "the built graph contains a Dot op" —
@@ -375,6 +525,7 @@ let () =
             prop_plan_invariants;
             prop_fusion_never_increases_traffic;
             prop_roundtrip_structured;
+            prop_kernel_facts_oracle;
           ] );
       ( "shrinker",
         [

@@ -130,7 +130,7 @@ let prop_deterministic =
 (* -- property 3: tuned cost <= default cost at every rung ------------------- *)
 
 let served_us g device bnd (k : Kernel.t) versions =
-  let s = Kernel.sizes_of ~numel_of:(Executable.numel_memo g bnd) g bnd k in
+  let s = Kernel.sizes_of (Executable.numel_memo g bnd) g k in
   Gpusim.Cost.kernel_time_us device
     (Kernel.work_at k s (Kernel.launch_at k s (Kernel.select_at device s versions)))
 
