@@ -228,9 +228,8 @@ let sweep () =
       (fun entry ->
         let dim_name, values = entry.Suite.sweep in
         let base_env = List.hd entry.Suite.bench_dims in
-        let execs =
-          List.map (fun n -> (n, Systems.make n (entry.Suite.build ()))) systems
-        in
+        let built = entry.Suite.build () in
+        let execs = List.map (fun n -> (n, Systems.make n built)) systems in
         let rows =
           List.map
             (fun v ->
@@ -576,7 +575,9 @@ let specialization () =
           List.map (fun (n, v) -> (Common.dim_exn built n, v)) (List.hd entry.Suite.bench_dims)
         in
         let generic = Compiler.compile built.Common.graph in
-        let hot = Compiler.compile (Ir.Clone.clone ~bind:dims built.Common.graph) in
+        let hot =
+          Compiler.compile (Ir.Clone.clone ~bind:dims generic.Compiler.exe.Runtime.Executable.g)
+        in
         let gen_us = Profile.total_us (Compiler.simulate generic dims) in
         (* the static variant has no dynamic dims left to bind *)
         let hot_us = Profile.total_us (Compiler.simulate hot []) in

@@ -165,10 +165,11 @@ let compile_cmd =
           in
           (c, Some (outcome, Disc.Compile_cache.stats cache))
     in
+    let g = c.Compiler.exe.Runtime.Executable.g in
     Printf.printf
       "compiled %s (%s): %d instructions -> %d kernels; simulated compile %.1f s; %s\n" model
       (if tiny then "tiny" else "paper scale")
-      (Ir.Graph.num_insts built.Common.graph)
+      (Ir.Graph.num_insts g)
       (List.length c.Compiler.plan.Fusion.Cluster.clusters)
       (c.Compiler.compile_time_ms /. 1000.0)
       (Ir.Passes.stats_to_string c.Compiler.pass_stats);
@@ -185,16 +186,12 @@ let compile_cmd =
     List.iter
       (fun what ->
         match what with
-        | "ir" -> print_string (Ir.Printer.to_string built.Common.graph)
+        | "ir" -> print_string (Ir.Printer.to_string g)
         | "plan" -> print_string (Fusion.Cluster.to_string c.Compiler.plan)
-        | "symbols" ->
-            Format.printf "%a@." Symshape.Table.pp (Ir.Graph.symtab built.Common.graph)
-        | "stats" ->
-            print_endline (Disc.Stats.to_string (Disc.Stats.coverage built.Common.graph))
+        | "symbols" -> Format.printf "%a@." Symshape.Table.pp (Ir.Graph.symtab g)
+        | "stats" -> print_endline (Disc.Stats.to_string (Disc.Stats.coverage g))
         | "kernels" ->
-            print_string
-              (Codegen.Emit.emit_program built.Common.graph c.Compiler.plan
-                 Codegen.Kernel.default_config)
+            print_string (Codegen.Emit.emit_program g c.Compiler.plan Codegen.Kernel.default_config)
         | other -> Printf.eprintf "unknown --dump %s\n" other)
       dumps
   in
@@ -255,7 +252,7 @@ let run_cmd =
     Printf.printf "  memory: %s\n"
       (Runtime.Memplan.to_string
          (Runtime.Memplan.plan c.Compiler.exe
-            (Compiler.binding_of_dims built.Common.graph binding)));
+            (Compiler.binding_of_dims c.Compiler.exe.Runtime.Executable.g binding)));
     (* top kernels *)
     let recs =
       List.sort
@@ -309,8 +306,8 @@ let compile_file_cmd =
   in
   let run file planner dumps =
     let src = In_channel.with_open_text file In_channel.input_all in
-    let g = Ir.Parser.parse src in
-    let c = Compiler.compile ~options:(options_of planner) g in
+    let c = Compiler.compile ~options:(options_of planner) (Ir.Parser.parse src) in
+    let g = c.Compiler.exe.Runtime.Executable.g in
     Printf.printf "parsed and compiled %s: %d instructions -> %d kernels\n" file
       (Ir.Graph.num_insts g)
       (List.length c.Compiler.plan.Fusion.Cluster.clusters);
@@ -339,14 +336,12 @@ let explain_cmd =
     let built = build_model model tiny in
     let options = options_of planner in
     let c = Compiler.compile ~options built.Common.graph in
-    let v =
-      Fusion.Explain.explain ~config:options.Compiler.planner built.Common.graph
-        c.Compiler.plan ~a ~b
-    in
+    let g = c.Compiler.exe.Runtime.Executable.g in
+    let v = Fusion.Explain.explain ~config:options.Compiler.planner g c.Compiler.plan ~a ~b in
     Printf.printf "%%%d (%s) vs %%%d (%s): %s\n" a
-      (Ir.Op.to_string (Ir.Graph.inst built.Common.graph a).Ir.Graph.op)
+      (Ir.Op.to_string (Ir.Graph.inst g a).Ir.Graph.op)
       b
-      (Ir.Op.to_string (Ir.Graph.inst built.Common.graph b).Ir.Graph.op)
+      (Ir.Op.to_string (Ir.Graph.inst g b).Ir.Graph.op)
       (Fusion.Explain.verdict_to_string v)
   in
   Cmd.v
@@ -781,9 +776,7 @@ let compare_cmd =
     let d = (disc.Baselines.Executor.run ~device env).Baselines.Executor.latency_us in
     List.iter
       (fun s ->
-        let ex =
-          Baselines.Executor.make_from_strategy s (entry.Suite.build ())
-        in
+        let ex = Baselines.Executor.make_from_strategy s built in
         let r = ex.Baselines.Executor.run ~device env in
         Printf.printf "%-12s %12.0f %12.0f %9.2fx\n" s.Baselines.Executor.s_name
           r.Baselines.Executor.latency_us r.Baselines.Executor.compile_ms

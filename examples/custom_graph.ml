@@ -17,6 +17,8 @@ let () =
 
   let c = Disc.Compiler.compile g in
   Printf.printf "fusion plan:\n%s\n" (Fusion.Cluster.to_string c.Disc.Compiler.plan);
+  (* the plan indexes the compiled graph, which the cleanup passes made *)
+  let g = c.Disc.Compiler.exe.Runtime.Executable.g in
 
   (* why is the dot not part of the big fused kernel? ask the compiler *)
   let dot_id =

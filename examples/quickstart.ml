@@ -47,5 +47,5 @@ let () =
 
   (* 4. The same artifact can also be *simulated* at any shape without
         tensor data — that is how the benchmarks run at paper scale. *)
-  let t = Disc.Compiler.simulated_latency_us compiled [ (batch, 100000) ] in
+  let t = Runtime.Profile.total_us (Disc.Compiler.simulate compiled [ (batch, 100000) ]) in
   Printf.printf "\nsimulated latency at batch=100000: %.1f us (A10 model)\n" t

@@ -52,12 +52,16 @@ type strategy = {
 let id_tune w = w
 
 let make_from_strategy (s : strategy) (built : Models.Common.built) : t =
-  ignore (Ir.Passes.run_all built.Models.Common.graph);
-  let g = built.Models.Common.graph in
-  let plan = Planner.plan ~config:s.planner g in
-  let exe =
-    Executable.compile ~codegen:s.codegen ~host_overhead_us:s.host_overhead_us g plan
+  let options =
+    {
+      Disc.Compiler.planner = s.planner;
+      codegen = s.codegen;
+      host_overhead_us = s.host_overhead_us;
+      run_graph_passes = true;
+    }
   in
+  let exe = (Disc.Compiler.compile ~options built.Models.Common.graph).Disc.Compiler.exe in
+  let g = exe.Executable.g in
   let seen : (int list, unit) Hashtbl.t = Hashtbl.create 8 in
   let total_compile = ref 0.0 in
   let base_cost =
@@ -81,7 +85,10 @@ let make_from_strategy (s : strategy) (built : Models.Common.built) : t =
       else 0.0
     in
     first_call := false;
-    let bnd = Models.Common.binding_for built cost_env in
+    let bnd =
+      Disc.Compiler.binding_of_dims g
+        (List.map (fun (n, v) -> (Models.Common.dim_exn built n, v)) cost_env)
+    in
     let profile = Executable.simulate ~device ~tune:s.tune exe bnd in
     profile.Profile.host_us <- profile.Profile.host_us +. s.fixed_host_us;
     {

@@ -136,8 +136,11 @@ let build (g : Graph.t) (config : config) (c : Cluster.t) : t =
   in
   (* A gather kernel only touches the rows it looks up, not the whole
      table: an input is charged by the rows read when every member
-     reading it reads it as the table operand (and not also as the
-     indices). Only a gather's table operand can qualify. *)
+     reading it reads it as the table operand. Only a gather's table
+     operand can qualify. A gather of [x] by itself needs no exclusion:
+     its output has [numel x * numel (tail x) >= numel x] elements of
+     [x]'s dtype, so [min (bytes x) (sum of readers)] in [sizes_of]
+     already charges the full table. *)
   let tables =
     List.filter_map
       (fun m ->
@@ -157,7 +160,7 @@ let build (g : Graph.t) (config : config) (c : Cluster.t) : t =
           in
           let gather_table_use m =
             let i = Graph.inst g m in
-            match i.op with Op.Gather -> i.args.(0) = id && i.args.(1) <> id | _ -> false
+            match i.op with Op.Gather -> i.args.(0) = id | _ -> false
           in
           if List.for_all gather_table_use uses then Some (id, uses) else None)
       c.Cluster.inputs

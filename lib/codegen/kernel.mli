@@ -54,10 +54,10 @@ type t = {
   reduce_ids : int list;
   table_reads : (int * int list) list;
       (** The boundary inputs that every member reading them reads only
-          as a gather table (operand 0 of a [Gather] whose indices are
-          another value), each with those members in member order.
-          {!sizes_of} charges such an input by the rows the gathers
-          read, every other input in full. Fixed by {!build}. *)
+          as a gather table (operand 0 of a [Gather]), each with those
+          members in member order. {!sizes_of} charges such an input by
+          the rows the gathers read, capped at the full table, and every
+          other input in full. Fixed by {!build}. *)
 }
 
 type launch = {

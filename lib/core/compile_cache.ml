@@ -317,8 +317,7 @@ let lookup_span outcome key =
 let find_or_compile t ?(options = Compiler.default_options)
     ?(dims : (string * Sym.dim) list = []) (g : Graph.t) :
     Compiler.compiled * (string * Sym.dim) list * outcome * string =
-  (* key + fingerprint must be taken *before* compiling: graph passes
-     mutate the instruction list. Both digest one canonical form. *)
+  (* key and fingerprint digest one canonical form *)
   let canonical = Ir.Fingerprint.canonical ~dims g in
   let key = key_of_canonical canonical options in
   match Hashtbl.find_opt t.table key with

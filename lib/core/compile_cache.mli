@@ -67,8 +67,8 @@ val health_to_string : stats -> string
 val key_of :
   ?dims:(string * Symshape.Sym.dim) list -> options:Compiler.options -> Ir.Graph.t -> string
 (** The cache key: digest of {!Ir.Fingerprint.canonical} (with [dims])
-    and {!Compiler.options_signature}. Compute before {!Compiler.compile}
-    — graph passes mutate the graph. *)
+    and {!Compiler.options_signature}. Compiling a graph leaves its key
+    unchanged. *)
 
 val find_or_compile :
   t ->
@@ -82,7 +82,8 @@ val find_or_compile :
     against the shared executable), the lookup outcome, and the key
     ({!key_of}). The key and the stored fingerprint digest one
     {!Ir.Fingerprint.canonical} form, built once per lookup. On a miss
-    the caller's graph is compiled (mutating it) and inserted. *)
+    the graph is compiled ({!Compiler.compile}, which leaves it
+    unchanged) and inserted. *)
 
 val invalidate : t -> string -> unit
 (** Drop a key (by {!key_of}) from memory, the warm set, and the

@@ -79,7 +79,14 @@ let simulated_phase_times_ms ~num_insts ~num_kernels =
     ("executable_build", (insts *. 0.4) +. 400.0);
   ]
 
-let compile ?(options = default_options) (g : Graph.t) : compiled =
+(* The passes rewrite a private copy, so [compile] is a function of its
+   input: the caller's graph, its fingerprint and every later compile of
+   it are unchanged. The copy keeps instruction and symbol ids, so the
+   input's dims name the compiled graph's symbols. It has its own symbol
+   table because verifying the rewritten graph re-infers its shapes,
+   which can prove new equalities between symbols. *)
+let compile ?(options = default_options) (input : Graph.t) : compiled =
+  let g = Graph.copy input in
   let pass_stats =
     if options.run_graph_passes then Ir.Passes.run_all g else Ir.Passes.empty_stats ()
   in
@@ -119,10 +126,6 @@ let run_result ?(device = Gpusim.Device.a10) ?faults ?despeculate (c : compiled)
     (inputs : Nd.t list) : (Nd.t list * Runtime.Profile.t, Runtime.Error.t) result =
   Executable.run_result ~device ?faults ?despeculate c.exe inputs
 
-let latency_us ?device (c : compiled) (inputs : Nd.t list) : float =
-  let _, profile = run ?device c inputs in
-  Runtime.Profile.total_us profile
-
 (* Cost-only execution at given dynamic-dimension values (no tensor
    data); the benchmark path. *)
 let binding_of_dims (g : Graph.t) (dims : (Symshape.Sym.dim * int) list) =
@@ -140,6 +143,3 @@ let simulate_result ?(device = Gpusim.Device.a10) ?faults ?despeculate (c : comp
   match binding_of_dims c.exe.Executable.g dims with
   | bnd -> Executable.simulate_result ~device ?faults ?despeculate c.exe bnd
   | exception Symshape.Table.Inconsistent m -> Error (Runtime.Error.Invalid_request m)
-
-let simulated_latency_us ?device (c : compiled) dims =
-  Runtime.Profile.total_us (simulate ?device c dims)

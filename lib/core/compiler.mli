@@ -37,8 +37,14 @@ type compiled = {
 }
 
 val compile : ?options:options -> Graph.t -> compiled
-(** Runs cleanup passes (mutating the graph), verifies, plans fusion and
-    builds the executable. @raise Graph.Type_error on invalid graphs. *)
+(** Runs the cleanup passes on a private {!Ir.Graph.copy}, verifies it,
+    plans fusion and builds the executable. The input graph and its
+    symbol table are never modified, so one graph can be compiled any
+    number of times, always to the same result. The compiled graph is
+    [exe.g]: read instructions, plans and kernels from it, not from the
+    input, and bind it with {!binding_of_dims} [exe.g]. It keeps the
+    input's instruction and symbol ids, so the input's dims name its
+    symbols. @raise Graph.Type_error on invalid graphs. *)
 
 val run :
   ?device:Gpusim.Device.t ->
@@ -55,8 +61,6 @@ val run_result :
   (Tensor.Nd.t list * Runtime.Profile.t, Runtime.Error.t) result
 (** {!run} with structured errors; [faults] injects seeded failures,
     [despeculate] pins named kernels to their generic version. *)
-
-val latency_us : ?device:Gpusim.Device.t -> compiled -> Tensor.Nd.t list -> float
 
 val binding_of_dims : Graph.t -> (Symshape.Sym.dim * int) list -> Symshape.Table.binding
 
@@ -76,5 +80,3 @@ val simulate_result :
   (Runtime.Profile.t, Runtime.Error.t) result
 (** {!simulate} with structured errors instead of exceptions. *)
 
-val simulated_latency_us :
-  ?device:Gpusim.Device.t -> compiled -> (Symshape.Sym.dim * int) list -> float

@@ -63,9 +63,9 @@ type t = {
   mutable tuned : Tune.Plan.t option; (* the adopted plan, if any *)
   serve_dims : (string * Symshape.Sym.dim) list;
       (* named dynamic dims resolved in the symbol table of
-         [compiled.exe.g] — on a cache hit that is the *original*
-         session's graph, not [built.graph], and bindings for the
-         compiled path must go through these *)
+         [compiled.exe.g] — on a cache hit that graph was compiled from
+         another build, and bindings for both paths must go through
+         these *)
   compile_ms : float; (* compile cost charged to THIS session (0. on cache hit) *)
   cache_hit : bool;
   cache : (Compile_cache.t * string) option; (* cache + this session's key *)
@@ -266,9 +266,8 @@ let validate_env (t : t) (env : (string * int) list) :
   match check_env t.built env with
   | Error _ as e -> e
   | Ok () ->
-      (* bind via [serve_dims]: on a cache hit the compiled graph is
-         the original session's, and its symbols — not this session's —
-         are what the executable evaluates *)
+      (* bind via [serve_dims]: the compiled graph's symbols are what
+         the executable evaluates *)
       Ok (List.map (fun (n, v) -> (List.assoc n t.serve_dims, v)) env)
 
 (* --- reference (fallback) cost model --------------------------------------
@@ -280,10 +279,11 @@ let validate_env (t : t) (env : (string * int) list) :
 
 let interp_dispatch_us = 4.0 (* framework per-op host overhead *)
 
-(* [g] must be the graph [bnd] was built against: the compiled graph for
-   cost-only serving (shared across cached sessions), the session's own
-   graph for data-plane interpretation. *)
-let reference_profile (t : t) ~(g : Graph.t) (bnd : Table.binding) : Profile.t =
+(* A request's reference cost. Both planes price [compiled.exe.g], so
+   it is the same on either plane, whether the artifact came from the
+   cache or not; [bnd] binds its symbols. *)
+let reference_profile (t : t) (bnd : Table.binding) : Profile.t =
+  let g = t.compiled.Compiler.exe.Runtime.Executable.g in
   let numel_of = (Runtime.Executable.numel_memo g bnd).Codegen.Kernel.numel_of in
   let profile = Profile.create () in
   let bytes_of id = numel_of id * Tensor.Dtype.byte_size (Graph.inst g id).Graph.dtype in
@@ -366,32 +366,30 @@ let end_request_span t ~outcome ~path ~retries_used =
 
 let path_to_string = function `Compiled -> "compiled" | `Fallback -> "fallback"
 
-(* Cost-only request at named dynamic-dim values: the full ladder. *)
-let serve_result_slow ?deadline_us (t : t) (env : (string * int) list) :
-    (Profile.t * path, Error.t) result =
+(* One request through the ladder both planes share: warmup → retry →
+   fallback → record. [request] is the validated request; [compiled]
+   and [reference] serve it once each, and [profile_of] reads the cost
+   of a result. *)
+let ladder ?deadline_us t ~name ~env ~request ~profile_of ~compiled ~reference =
   let retries_used = ref 0 in
-  begin_request_span t "serve" env;
+  begin_request_span t name env;
   let fail ~outcome e =
     Obs.Metrics.inc t.failed_c;
     end_request_span t ~outcome ~path:"none" ~retries_used:!retries_used;
     Error e
   in
-  match validate_env t env with
+  match request with
   | Error e -> fail ~outcome:"invalid" e
-  | Ok dims -> (
-      let compiled () =
-        Compiler.simulate_result ~device:t.device ?faults:t.faults
-          ~despeculate:(is_tripped t) t.active dims
-      in
+  | Ok r -> (
       let reference () =
-        match Compiler.binding_of_dims t.compiled.Compiler.exe.Runtime.Executable.g dims with
-        | bnd ->
-            let p = reference_profile t ~g:t.compiled.Compiler.exe.Runtime.Executable.g bnd in
-            if Obs.Scope.on () then
-              Obs.Scope.span ~advance:true ~cat:"fallback" ~dur_us:(Profile.total_us p)
-                "reference_fallback";
-            Ok p
-        | exception Table.Inconsistent m -> Error (Error.Fallback_failed m)
+        let res = reference r in
+        if Obs.Scope.on () then
+          Result.iter
+            (fun v ->
+              Obs.Scope.span ~advance:true ~cat:"fallback"
+                ~dur_us:(Profile.total_us (profile_of v)) "reference_fallback")
+            res;
+        res
       in
       let outcome =
         if t.warmup_remaining_us > 0.0 then
@@ -399,20 +397,21 @@ let serve_result_slow ?deadline_us (t : t) (env : (string * int) list) :
              reference path, and its (virtual) duration is time the
              background compile makes progress in *)
           match reference () with
-          | Ok p ->
-              t.warmup_remaining_us <- t.warmup_remaining_us -. Profile.total_us p;
+          | Ok v ->
+              t.warmup_remaining_us <- t.warmup_remaining_us -. Profile.total_us (profile_of v);
               Obs.Metrics.inc t.warmup_c;
-              Ok (p, `Fallback)
+              Ok (v, `Fallback)
           | Error e -> Error e
         else
-          attempt t ~retries_used ~tries_left:t.policy.max_retries ~compiled
+          attempt t ~retries_used ~tries_left:t.policy.max_retries
+            ~compiled:(fun () -> compiled r)
             ~fallback:(fun e -> fallback_or_fail t e ~reference)
             ()
       in
       match outcome with
       | Error e -> fail ~outcome:"error" e
-      | Ok (profile, path) -> (
-          let lat = Profile.total_us profile in
+      | Ok (v, path) -> (
+          let lat = Profile.total_us (profile_of v) in
           match deadline_us with
           | Some budget when lat > budget ->
               fail ~outcome:"deadline"
@@ -424,7 +423,19 @@ let serve_result_slow ?deadline_us (t : t) (env : (string * int) list) :
               | `Fallback -> Obs.Metrics.inc t.fell_back_c);
               end_request_span t ~outcome:"ok" ~path:(path_to_string path)
                 ~retries_used:!retries_used;
-              Ok (profile, path)))
+              Ok (v, path)))
+
+(* Cost-only request at named dynamic-dim values. *)
+let serve_result_slow ?deadline_us (t : t) (env : (string * int) list) :
+    (Profile.t * path, Error.t) result =
+  ladder ?deadline_us t ~name:"serve" ~env ~request:(validate_env t env) ~profile_of:Fun.id
+    ~compiled:(fun dims ->
+      Compiler.simulate_result ~device:t.device ?faults:t.faults
+        ~despeculate:(is_tripped t) t.active dims)
+    ~reference:(fun dims ->
+      match Compiler.binding_of_dims t.compiled.Compiler.exe.Runtime.Executable.g dims with
+      | bnd -> Ok (reference_profile t bnd)
+      | exception Table.Inconsistent m -> Error (Error.Fallback_failed m))
 
 (* Steady state: the compiled path is live, no fault stream or breaker
    state advances per request, and tracing is off — exactly the regime
@@ -470,9 +481,8 @@ let serve_result ?deadline_us (t : t) (env : (string * int) list) :
 
    The estimate is binding-free (one per compiled artifact); evaluating
    it at a request env is the serving fleet's pre-dispatch HBM check.
-   Reduction decisions are decided once per (artifact, bucket rung) and
-   cached in the shared Compile_cache so sharing sessions replay rather
-   than re-derive them. *)
+   Reduction decisions are not cached: [mem_reduction] decides afresh on
+   each call, a pure function of the artifact and the env. *)
 
 let mem_estimate t =
   match t.mem_est with
@@ -482,8 +492,7 @@ let mem_estimate t =
       t.mem_est <- Some e;
       e
 
-(* Bind an env against the compiled graph's symbols (serve_dims — on a
-   cache hit these belong to the original session's graph). *)
+(* Bind an env against the compiled graph's symbols (via serve_dims). *)
 let binding_for_env t (env : (string * int) list) =
   match List.map (fun (n, v) -> (List.assoc n t.serve_dims, v)) env with
   | dims -> (
@@ -582,72 +591,20 @@ let adopt_tuned_schedules (t : t) : bool =
 
 let tuned_plan (t : t) = t.tuned
 
-(* Data-plane request on real tensors; the fallback path computes the
-   outputs with the reference interpreter (bit-identical to [Ir.Interp])
-   and charges the op-by-op reference cost. *)
+(* Data-plane request on real tensors; the fallback path interprets the
+   compiled graph (bit-identical to [Ir.Interp]) and charges the
+   op-by-op reference cost. *)
 let serve_data_result (t : t) (inputs : Tensor.Nd.t list) :
     (Tensor.Nd.t list * Profile.t * path, Error.t) result =
-  let g = t.built.Common.graph in
-  let retries_used = ref 0 in
-  begin_request_span t "serve_data" [];
-  let compiled () = Compiler.run_result ~device:t.device ?faults:t.faults t.active inputs in
-  let reference () =
-    match Ir.Interp.run g inputs with
-    | outs ->
-        let bnd = Ir.Interp.bind_inputs g inputs in
-        let p = reference_profile t ~g bnd in
-        if Obs.Scope.on () then
-          Obs.Scope.span ~advance:true ~cat:"fallback" ~dur_us:(Profile.total_us p)
-            "reference_fallback";
-        Ok (outs, p)
-    | exception Ir.Interp.Eval_error m -> Error (Error.Fallback_failed m)
-    | exception Table.Inconsistent m -> Error (Error.Fallback_failed m)
-  in
-  let outcome =
-    if t.warmup_remaining_us > 0.0 then
-      (* async compile in flight: exact Interp numerics, fallback cost *)
-      match reference () with
-      | Ok v ->
-          t.warmup_remaining_us <-
-            t.warmup_remaining_us -. Profile.total_us (snd v);
-          Obs.Metrics.inc t.warmup_c;
-          Ok (v, `Fallback)
-      | Error e -> Error e
-    else
-      attempt t ~retries_used ~tries_left:t.policy.max_retries ~compiled
-        ~fallback:(fun e -> fallback_or_fail t e ~reference)
-        ()
-  in
-  match outcome with
-  | Error e ->
-      Obs.Metrics.inc t.failed_c;
-      end_request_span t ~outcome:"error" ~path:"none" ~retries_used:!retries_used;
-      Error e
-  | Ok ((outs, profile), path) ->
-      record t (Profile.total_us profile);
-      (match path with
-      | `Compiled -> Obs.Metrics.inc t.served_c
-      | `Fallback -> Obs.Metrics.inc t.fell_back_c);
-      end_request_span t ~outcome:"ok" ~path:(path_to_string path)
-        ~retries_used:!retries_used;
-      Ok (outs, profile, path)
-
-(* --- legacy exception wrappers -------------------------------------------- *)
-
-let raise_of_error (e : Error.t) =
-  match e with
-  | Error.Invalid_request m | Error.Unbound_dim m -> invalid_arg m
-  | e -> Error.fail e
-
-let serve (t : t) (env : (string * int) list) : Profile.t =
-  match serve_result t env with
-  | Ok (profile, _) -> profile
-  | Error e -> raise_of_error e
-
-let serve_data (t : t) (inputs : Tensor.Nd.t list) : Tensor.Nd.t list * Profile.t =
-  match serve_data_result t inputs with
-  | Ok (outs, profile, _) -> (outs, profile)
-  | Error e -> raise_of_error e
+  let g = t.compiled.Compiler.exe.Runtime.Executable.g in
+  ladder t ~name:"serve_data" ~env:[] ~request:(Ok inputs) ~profile_of:snd
+    ~compiled:(fun inputs -> Compiler.run_result ~device:t.device ?faults:t.faults t.active inputs)
+    ~reference:(fun inputs ->
+      match Ir.Interp.run g inputs with
+      | outs -> Ok (outs, reference_profile t (Ir.Interp.bind_inputs g inputs))
+      | exception Ir.Interp.Eval_error m -> Error (Error.Fallback_failed m)
+      | exception Table.Inconsistent m -> Error (Error.Fallback_failed m))
+  |> Result.map (fun ((outs, profile), path) -> (outs, profile, path))
 
 (* --- statistics ----------------------------------------------------------- *)
 

@@ -135,17 +135,11 @@ val serve_data_result :
   t ->
   Tensor.Nd.t list ->
   (Tensor.Nd.t list * Runtime.Profile.t * path, Runtime.Error.t) result
-(** Data-plane request on real tensors. On fallback the outputs are
-    computed by the reference interpreter — bit-identical to
-    [Ir.Interp.run] — and cost is charged at the op-by-op rate. *)
-
-val serve : t -> (string * int) list -> Runtime.Profile.t
-(** Legacy wrapper over {!serve_result}.
-    @raise Invalid_argument on malformed requests (unknown or missing dim)
-    @raise Runtime.Error.Error on execution failures *)
-
-val serve_data : t -> Tensor.Nd.t list -> Tensor.Nd.t list * Runtime.Profile.t
-(** Legacy wrapper over {!serve_data_result}; same raising behaviour. *)
+(** Data-plane request on real tensors, through the same ladder as
+    {!serve_result} (without a deadline). On fallback the reference
+    interpreter runs the compiled graph — bit-identical to
+    [Ir.Interp.run] on it — and cost is charged at the op-by-op rate,
+    exactly as {!serve_result} prices the same shapes. *)
 
 val mem_estimate : t -> Mem.Estimate.t
 (** The symbolic peak-memory estimate of this session's compiled

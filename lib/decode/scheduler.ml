@@ -191,16 +191,13 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
         invalid_arg "Scheduler.run: need 1 <= prefill_workers < devices"
   | Static -> ());
   let cache = match cache with Some c -> c | None -> Compile_cache.create () in
-  (* Probe builds: dim bounds for env clamping and request validation.
-     Each session gets its own build, because a compile-cache miss
-     rewrites the graph it compiles in place
-     ([Compile_cache.find_or_compile]); the shared cache makes every
-     build after the first a compile hit. *)
-  let probe_decode = decode_built () in
-  let probe_prefill = prefill_built () in
-  let cache_ub = dim_bound probe_decode "cache" in
-  let batch_ub = dim_bound probe_decode "batch" in
-  let seq_ub = dim_bound probe_prefill "seq" in
+  (* One build per graph serves every session; the shared cache makes
+     every session after the first per graph a compile hit. *)
+  let decode = decode_built () in
+  let prefill = prefill_built () in
+  let cache_ub = dim_bound decode "cache" in
+  let batch_ub = dim_bound decode "batch" in
+  let seq_ub = dim_bound prefill "seq" in
   List.iteri
     (fun i r ->
       if r.prompt < 1 || r.max_new < 1 then
@@ -212,9 +209,6 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
           (Printf.sprintf "Scheduler.run: request %d: prompt+max_new %d exceeds cache bound %d"
              i (r.prompt + r.max_new) cache_ub))
     reqs;
-  let mk_session ?device built_fn =
-    Session.create ?device ~cache (built_fn ())
-  in
   let workers =
     List.mapi
       (fun wid device ->
@@ -223,7 +217,7 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
             {
               wid;
               role = Prefill_only;
-              rep = Replica.create ~id:wid (mk_session ~device prefill_built);
+              rep = Replica.create ~id:wid (Session.create ~device ~cache prefill);
               prefill_session = None;
               residents = [];
               static_members = [];
@@ -233,7 +227,7 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
             {
               wid;
               role = Decode_only;
-              rep = Replica.create ~id:wid (mk_session ~device decode_built);
+              rep = Replica.create ~id:wid (Session.create ~device ~cache decode);
               prefill_session = None;
               residents = [];
               static_members = [];
@@ -243,8 +237,8 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
             {
               wid;
               role = Both;
-              rep = Replica.create ~id:wid (mk_session ~device decode_built);
-              prefill_session = Some (mk_session ~device prefill_built);
+              rep = Replica.create ~id:wid (Session.create ~device ~cache decode);
+              prefill_session = Some (Session.create ~device ~cache prefill);
               residents = [];
               static_members = [];
               inflight = None;

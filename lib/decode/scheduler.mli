@@ -119,9 +119,9 @@ val run :
   request list ->
   report
 (** Simulate the full request stream to completion. [prefill]/[decode]
-    are builders (e.g. [Models.Gpt2.build] / [Models.Gpt2.build_decode])
-    called once per session; the shared compile cache (a fresh one when
-    [?cache] is omitted) makes every build after the first a compile
-    hit.
+    are builders (e.g. [Models.Gpt2.build] / [Models.Gpt2.build_decode]),
+    each called once; every session of a phase serves that one build,
+    and the shared compile cache (a fresh one when [?cache] is omitted)
+    makes every session after the first per graph a compile hit.
     @raise Invalid_argument on a malformed config or a request whose
     [prompt + max_new] exceeds the cache bound. *)

@@ -25,6 +25,13 @@ type t = {
 let create () =
   { insts = Array.make 64 None; next_id = 0; symtab = Table.create (); outputs = []; params = [] }
 
+let copy g =
+  {
+    g with
+    insts = Array.map (Option.map (fun i -> { i with args = Array.copy i.args })) g.insts;
+    symtab = Table.copy g.symtab;
+  }
+
 let symtab g = g.symtab
 
 let inst g id =

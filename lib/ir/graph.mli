@@ -29,6 +29,14 @@ type inst = {
 type t
 
 val create : unit -> t
+
+val copy : t -> t
+(** A graph with the same instructions, ids, parameters and outputs,
+    over a copy of the symbol table that keeps every symbol's id. Its
+    instructions and uses can be rewritten, and constraints recorded in
+    its table, without touching the original; a dim of one graph names
+    the same symbol in the other. *)
+
 val symtab : t -> Table.t
 
 val inst : t -> int -> inst

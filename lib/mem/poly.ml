@@ -1,9 +1,7 @@
 (* Multivariate polynomials with non-negative integer coefficients over
    symbolic-dimension root ids. Canonical form: monomials sorted by
    variable list (each variable list sorted by id, powers >= 1), no zero
-   coefficients — so structural equality is semantic equality and
-   monomial-wise dominance is a sound pointwise order (all dims >= 1,
-   all coefficients >= 0). *)
+   coefficients — so structural equality is semantic equality. *)
 
 module Sym = Symshape.Sym
 
@@ -87,15 +85,6 @@ let eval (p : t) ~lookup =
       | Some a, Some v -> Some (a + v)
       | _ -> None)
     (Some 0) p
-
-(* a >= b pointwise over non-negative assignments: every monomial of b
-   must appear in a with a coefficient at least as large. Sound because
-   coefficients and variable values are non-negative. *)
-let dominates (a : t) (b : t) =
-  List.for_all
-    (fun mb ->
-      List.exists (fun ma -> compare_vars ma.vars mb.vars = 0 && ma.coeff >= mb.coeff) a)
-    b
 
 let compare (a : t) (b : t) =
   List.compare

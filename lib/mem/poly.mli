@@ -6,9 +6,7 @@
     byte coefficient times a product of symbol powers ([s3^2·s7]).
     Variables are the {e root} ids of resolved [Symshape.Sym.Sym] dims —
     static dims and dtype widths fold into coefficients at construction
-    time. All coefficients are non-negative (sizes), which is what makes
-    monomial-wise comparison ({!dominates}) a sound order: dims are
-    always ≥ 1. *)
+    time. All coefficients are non-negative (sizes). *)
 
 type t
 
@@ -32,12 +30,6 @@ val mul : t -> t -> t
 val eval : t -> lookup:(int -> int option) -> int option
 (** Substitute concrete values for every variable; [None] when any
     variable is unresolved by [lookup]. *)
-
-val dominates : t -> t -> bool
-(** [dominates a b]: [a ≥ b] for {e every} assignment of values ≥ 0 to
-    the variables, decided conservatively monomial-by-monomial (each
-    monomial of [b] must be matched in [a] with a coefficient at least
-    as large). [true] is a proof; [false] is "not provable this way". *)
 
 val compare : t -> t -> int
 (** Total structural order (for use as a map key / dedup). *)

@@ -14,10 +14,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** Body of a JSON string literal (no surrounding quotes): quotes,
-    backslashes and control characters escaped. *)
-
 val to_string : ?pretty:bool -> t -> string
 (** Compact by default; [~pretty:true] indents objects and lists. *)
 

@@ -4,9 +4,8 @@
    One compilation serves every runtime shape: executing binds the input
    shapes to the symbol table, selects a speculative version and launch
    dims per kernel, runs the data plane, and charges the analytical
-   device cost. Timing and numerics are independent: an optional
-   [cost_binding] lets baseline executors charge for padded shapes while
-   computing on the true ones. *)
+   device cost. Cost needs only a binding, never data, so baseline
+   executors charge padded shapes by simulating at a padded binding. *)
 
 module Graph = Ir.Graph
 module Op = Ir.Op
@@ -178,10 +177,10 @@ let charge profile (e : t) device ~kname (c : Cluster.t) (work, version_tag) =
    without touching tensor data. This is what the benchmarks use, so
    they can run at the paper's real model sizes; the data plane (below)
    validates correctness at test-sized shapes. *)
-let simulate ?(device = Gpusim.Device.a10) ?(profile = Profile.create ())
-    ?(tune = fun (w : Gpusim.Cost.kernel_work) -> w) ?faults ?despeculate (e : t)
-    (bnd : Table.binding) : Profile.t =
+let simulate ?(device = Gpusim.Device.a10) ?(tune = fun (w : Gpusim.Cost.kernel_work) -> w)
+    ?faults ?despeculate (e : t) (bnd : Table.binding) : Profile.t =
   let g = e.g in
+  let profile = Profile.create () in
   let memo = numel_memo g bnd in
   let bytes_of id = memo.numel_of id * Tensor.Dtype.byte_size (Graph.inst g id).dtype in
   let resident = Array.fold_left (fun acc id -> acc + bytes_of id) 0 e.resident in
@@ -204,12 +203,12 @@ let simulate ?(device = Gpusim.Device.a10) ?(profile = Profile.create ())
     e.items;
   profile
 
-let run ?(device = Gpusim.Device.a10) ?cost_binding ?(profile = Profile.create ()) ?faults
-    ?despeculate (e : t) (inputs : Nd.t list) : Nd.t list * Profile.t =
+let run ?(device = Gpusim.Device.a10) ?faults ?despeculate (e : t) (inputs : Nd.t list) :
+    Nd.t list * Profile.t =
   let g = e.g in
   let bnd = Ir.Interp.bind_inputs g inputs in
-  let cost_bnd = Option.value cost_binding ~default:bnd in
-  let cost_memo = numel_memo g cost_bnd in
+  let memo = numel_memo g bnd in
+  let profile = Profile.create () in
   let values : (int, Nd.t) Hashtbl.t = Hashtbl.create 64 in
   (* parameters and constants are resident before execution starts *)
   let resident = ref 0 in
@@ -253,9 +252,7 @@ let run ?(device = Gpusim.Device.a10) ?cost_binding ?(profile = Profile.create (
         outs;
       check_capacity device ~live:!live;
       Profile.note_live_bytes profile !live;
-      (* charge simulated cost, possibly under a padded cost binding *)
-      charge profile e device ~kname c
-        (item_work ?despeculate cost_memo g device kname item);
+      charge profile e device ~kname c (item_work ?despeculate memo g device kname item);
       (* free intermediates read for the last time here *)
       List.iter
         (fun input ->
@@ -283,10 +280,10 @@ let map_exn (f : unit -> 'a) : ('a, Error.t) result =
       Error (Error.Kernel_fault { kernel = "data-plane"; reason = m })
   | exception Invalid_argument m -> Error (Error.Invalid_request m)
 
-let simulate_result ?device ?profile ?tune ?faults ?despeculate (e : t)
-    (bnd : Table.binding) : (Profile.t, Error.t) result =
-  map_exn (fun () -> simulate ?device ?profile ?tune ?faults ?despeculate e bnd)
+let simulate_result ?device ?tune ?faults ?despeculate (e : t) (bnd : Table.binding) :
+    (Profile.t, Error.t) result =
+  map_exn (fun () -> simulate ?device ?tune ?faults ?despeculate e bnd)
 
-let run_result ?device ?cost_binding ?profile ?faults ?despeculate (e : t)
-    (inputs : Nd.t list) : (Nd.t list * Profile.t, Error.t) result =
-  map_exn (fun () -> run ?device ?cost_binding ?profile ?faults ?despeculate e inputs)
+let run_result ?device ?faults ?despeculate (e : t) (inputs : Nd.t list) :
+    (Nd.t list * Profile.t, Error.t) result =
+  map_exn (fun () -> run ?device ?faults ?despeculate e inputs)

@@ -4,10 +4,10 @@
     One compilation serves every runtime shape. Two execution paths over
     the same kernel schedule:
     - {!run}: the data plane — binds input shapes, evaluates kernels on
-      real tensors, and charges analytical device cost (optionally under
-      a different, e.g. padded, [cost_binding]);
+      real tensors, and charges analytical device cost at those shapes;
     - {!simulate}: cost only, from a shape binding, never touching data —
-      how the benchmarks run at paper scale. *)
+      how the benchmarks run at paper scale, and how baseline executors
+      charge padded shapes (a padded binding). *)
 
 module Cluster = Fusion.Cluster
 module Kernel = Codegen.Kernel
@@ -67,7 +67,6 @@ val numel_memo : Ir.Graph.t -> Symshape.Table.binding -> Kernel.memo
 
 val simulate :
   ?device:Gpusim.Device.t ->
-  ?profile:Profile.t ->
   ?tune:(Gpusim.Cost.kernel_work -> Gpusim.Cost.kernel_work) ->
   ?faults:Gpusim.Fault.t ->
   ?despeculate:(string -> bool) ->
@@ -83,20 +82,17 @@ val simulate :
 
 val run :
   ?device:Gpusim.Device.t ->
-  ?cost_binding:Symshape.Table.binding ->
-  ?profile:Profile.t ->
   ?faults:Gpusim.Fault.t ->
   ?despeculate:(string -> bool) ->
   t ->
   Tensor.Nd.t list ->
   Tensor.Nd.t list * Profile.t
-(** Data-plane execution; numerics always use the true input shapes,
-    cost is charged under [cost_binding] when given (padding baselines).
-    Failures raise {!Error.Error} — prefer {!run_result}. *)
+(** Data-plane execution at the input shapes: numerics and cost both
+    use the binding the inputs imply. Failures raise {!Error.Error} —
+    prefer {!run_result}. *)
 
 val simulate_result :
   ?device:Gpusim.Device.t ->
-  ?profile:Profile.t ->
   ?tune:(Gpusim.Cost.kernel_work -> Gpusim.Cost.kernel_work) ->
   ?faults:Gpusim.Fault.t ->
   ?despeculate:(string -> bool) ->
@@ -108,8 +104,6 @@ val simulate_result :
 
 val run_result :
   ?device:Gpusim.Device.t ->
-  ?cost_binding:Symshape.Table.binding ->
-  ?profile:Profile.t ->
   ?faults:Gpusim.Fault.t ->
   ?despeculate:(string -> bool) ->
   t ->

@@ -285,15 +285,15 @@ let cache t = t.pool_cache
 let create ?cache cfg build =
   if cfg.devices = [] then invalid_arg "Pool.create: empty device list";
   let shared = match cache with Some c -> c | None -> Disc.Compile_cache.create () in
-  let surface = build () in
-  let dim_names = List.map fst surface.Models.Common.dims in
+  let built = build () in
+  let dim_names = List.map fst built.Models.Common.dims in
   if not (List.mem cfg.batch_dim dim_names) then
     invalid_arg
       (Printf.sprintf "Pool.create: model %s has no batch dim %s"
-         surface.Models.Common.name cfg.batch_dim);
+         built.Models.Common.name cfg.batch_dim);
   let mint ~id =
     let device = List.nth cfg.devices (id mod List.length cfg.devices) in
-    Replica.create ~id (Session.create ~device ~cache:shared (build ()))
+    Replica.create ~id (Session.create ~device ~cache:shared built)
   in
   {
     cfg;

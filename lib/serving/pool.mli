@@ -251,9 +251,9 @@ val create : ?cache:Disc.Compile_cache.t -> config -> (unit -> Models.Common.bui
     (default: a fresh private cache) — the first replica compiles, the
     rest hit. Sessions use the default compiler options and session
     policy; faults reach replicas through chaos [flaky] events.
-    [build] is called once per replica plus once for the binding
-    surface. The pool can be {!run} once; create one per run (sharing
-    [cache] keeps the compiles warm).
+    [build] is called once: every replica, including those minted by
+    scale-up, serves the same build. The pool can be {!run} once;
+    create one per run (sharing [cache] keeps the compiles warm).
     @raise Invalid_argument on an empty device list or a [batch_dim]
     the model does not declare. *)
 

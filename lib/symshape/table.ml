@@ -38,6 +38,10 @@ let inconsistent fmt = Format.kasprintf (fun s -> raise (Inconsistent s)) fmt
 
 let create () = { syms = Array.make 0 (Obj.magic 0); count = 0; product_facts = [] }
 
+let copy t =
+  let syms = Array.sub t.syms 0 t.count in
+  { t with syms = Array.map (fun (i : info) -> { i with parent = i.parent }) syms }
+
 let ensure_capacity t n =
   let cap = Array.length t.syms in
   if n > cap then begin

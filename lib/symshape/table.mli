@@ -19,6 +19,11 @@ exception Inconsistent of string
 
 val create : unit -> t
 
+val copy : t -> t
+(** An independent table with the same symbols (same ids), classes,
+    ranges and facts: constraints recorded in one never reach the
+    other. *)
+
 val fresh : ?name:string -> ?lb:int -> ?ub:int -> ?likely:int list -> t -> Sym.dim
 (** New symbol; [lb] defaults to 1 (tensor dims are non-empty unless
     stated otherwise).

@@ -12,6 +12,12 @@ module Nd = Tensor.Nd
 let build name = (Suite.find name).Suite.build_tiny ()
 let tiny_env name = (Suite.find name).Suite.tiny_dims
 
+(* A cost-plane request's profile; a structured error fails the test. *)
+let serve session env =
+  match Session.serve_result session env with
+  | Ok (profile, _) -> profile
+  | Error e -> Alcotest.fail (Runtime.Error.to_string e)
+
 (* --- sharing --------------------------------------------------------------- *)
 
 let test_two_sessions_share_one_compile () =
@@ -29,7 +35,7 @@ let test_two_sessions_share_one_compile () =
   (* the shared executable serves the hit session at the same cost as
      the owner — the binding goes through the cached graph's symbols *)
   let env = tiny_env "dien" in
-  let p1 = Session.serve s1 env and p2 = Session.serve s2 env in
+  let p1 = serve s1 env and p2 = serve s2 env in
   Alcotest.(check (float 1e-6))
     "identical latency through the shared artifact"
     (Runtime.Profile.total_us p1) (Runtime.Profile.total_us p2)
@@ -48,6 +54,41 @@ let test_hit_session_data_plane_matches_interp () =
       Alcotest.(check bool) "served compiled" true (path = `Compiled);
       Alcotest.(check bool) "outputs match interpreter" true
         (List.for_all2 (Nd.equal_approx ~eps:1e-5) expected outs)
+
+(* One request costs the same however the session got its artifact.
+   With every kernel faulting each request falls back: a miss session's
+   data-plane fallback, a hit session's on a build it never compiled,
+   and the cost plane's reference all price the compiled graph. *)
+let test_fallback_priced_alike_hit_or_miss () =
+  let cache = Cache.create () in
+  let faulty built =
+    Session.create ~cache ~fault_config:(Gpusim.Fault.create ~kernel_fault_rate:1.0 ()) built
+  in
+  let env = tiny_env "bert" in
+  let miss_built = build "bert" and hit_built = build "bert" in
+  let miss = faulty miss_built in
+  let hit = faulty hit_built in
+  let cost = faulty (build "bert") in
+  Alcotest.(check bool) "second session hits" true (Session.cache_hit hit);
+  let fell_back = function
+    | Ok (profile, `Fallback) -> profile
+    | Ok (_, `Compiled) -> Alcotest.fail "compiled path cannot succeed at fault rate 1"
+    | Error e -> Alcotest.fail (Runtime.Error.to_string e)
+  in
+  let data session built =
+    Session.serve_data_result session (Common.test_inputs built env)
+    |> Result.map (fun (_, profile, path) -> (profile, path))
+    |> fell_back
+  in
+  let p_miss = data miss miss_built and p_hit = data hit hit_built in
+  let p_cost = fell_back (Session.serve_result cost env) in
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check (float 0.0))
+        (what ^ ": time") (Runtime.Profile.total_us p_cost) (Runtime.Profile.total_us p);
+      Alcotest.(check int)
+        (what ^ ": launches") p_cost.Runtime.Profile.launches p.Runtime.Profile.launches)
+    [ ("miss data plane", p_miss); ("hit data plane", p_hit) ]
 
 (* --- eviction --------------------------------------------------------------- *)
 
@@ -133,7 +174,7 @@ let test_warm_persistence () =
   Alcotest.(check (float 0.0)) "warm compile_ms = 0" 0.0 st.Session.compile_ms;
   Alcotest.(check int) "counted as warm hit" 1 (Cache.stats c2).Cache.warm_hits;
   (* warm artifacts still serve correctly *)
-  ignore (Session.serve s2 (tiny_env "dien"))
+  ignore (serve s2 (tiny_env "dien"))
 
 let test_bit_flipped_record_quarantined () =
   with_tmp_dir @@ fun dir ->
@@ -356,6 +397,8 @@ let () =
             test_two_sessions_share_one_compile;
           Alcotest.test_case "hit session data plane matches interp" `Quick
             test_hit_session_data_plane_matches_interp;
+          Alcotest.test_case "fallback priced alike, hit or miss" `Quick
+            test_fallback_priced_alike_hit_or_miss;
           Alcotest.test_case "no cache: defaults unchanged" `Quick test_no_cache_defaults;
         ] );
       ( "eviction",

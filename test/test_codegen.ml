@@ -138,6 +138,26 @@ let test_gather_charges_rows_not_table () =
   (* 32 rows x 64 floats + 32 i32 ids, NOT the 12.8MB table *)
   check_int "gather reads looked-up rows" ((32 * 64 * 4) + (32 * 4)) w.Cost.bytes_read
 
+(* A gather of a table by itself reads at least the whole table (its
+   output has numel table * numel (tail table) elements of the table's
+   dtype), so its kernel is charged the full table; a gather of the same
+   table by a short index is charged the rows it looks up. *)
+let test_gather_by_itself_reads_full_table () =
+  let g = Graph.create () in
+  let n = 6 and k = 3 in
+  let table = B.param g ~name:"table" [| Sym.Static n; Sym.Static k |] Dtype.I32 in
+  let ids = B.param g ~name:"ids" [| Sym.Static 2 |] Dtype.I32 in
+  let by_itself = B.gather g table table in
+  let by_ids = B.gather g table ids in
+  Graph.set_outputs g [ by_itself; by_ids ];
+  let plan = Planner.plan g in
+  let bytes_read out =
+    let c = List.find (fun c -> List.mem out c.Cluster.outputs) plan.Cluster.clusters in
+    (snd (select g (bind g []) (Kernel.build g Kernel.default_config c))).Cost.bytes_read
+  in
+  check_int "gather by itself reads the full table" (n * k * 4) (bytes_read by_itself);
+  check_int "gather by a short index reads its rows" ((2 * k * 4) + (2 * 4)) (bytes_read by_ids)
+
 let test_library_gemm_work () =
   let g = Graph.create () in
   let tab = Graph.symtab g in
@@ -245,6 +265,7 @@ let () =
         [
           Alcotest.test_case "boundary traffic" `Quick test_fused_traffic_is_boundary_only;
           Alcotest.test_case "gather rows" `Quick test_gather_charges_rows_not_table;
+          Alcotest.test_case "gather by itself" `Quick test_gather_by_itself_reads_full_table;
           Alcotest.test_case "library gemm" `Quick test_library_gemm_work;
           Alcotest.test_case "speculation lowers time" `Quick test_speculation_lowers_time;
           Alcotest.test_case "eval matches interp" `Quick test_eval_matches_interp;

@@ -92,8 +92,8 @@ let test_compile_time_model () =
 let test_simulate_needs_only_dims () =
   let g, b = mlp_graph () in
   let c = Compiler.compile g in
-  let t_small = Compiler.simulated_latency_us c [ (b, 4) ] in
-  let t_big = Compiler.simulated_latency_us c [ (b, 256) ] in
+  let t_small = Profile.total_us (Compiler.simulate c [ (b, 4) ]) in
+  let t_big = Profile.total_us (Compiler.simulate c [ (b, 256) ]) in
   check_bool "positive" true (t_small > 0.0);
   check_bool "monotone" true (t_big > t_small)
 
@@ -105,8 +105,8 @@ let test_simulate_needs_only_dims () =
 let test_latency_agrees_with_simulate () =
   let g, b = mlp_graph () in
   let c = Compiler.compile g in
-  let t_run = Compiler.latency_us c (inputs 6) in
-  let t_sim = Compiler.simulated_latency_us c [ (b, 6) ] in
+  let t_run = Profile.total_us (snd (Compiler.run c (inputs 6))) in
+  let t_sim = Profile.total_us (Compiler.simulate c [ (b, 6) ]) in
   Alcotest.(check (float 1e-6)) "same" t_run t_sim;
   List.iter
     (fun (entry : Models.Suite.entry) ->
@@ -168,6 +168,29 @@ let test_verify_runs_in_compile () =
        false
      with Graph.Type_error _ -> true)
 
+(* Compile is a function of its input: compiling a graph leaves its
+   text, symbol table and canonical form as they were, so a second
+   session on the same build hits the cache. *)
+let test_compile_leaves_input_unchanged () =
+  List.iter
+    (fun (entry : Models.Suite.entry) ->
+      let name = entry.Models.Suite.name in
+      let built = entry.Models.Suite.build_tiny () in
+      let g = built.Models.Common.graph and dims = built.Models.Common.dims in
+      let symbols () = Format.asprintf "%a" Table.pp (Graph.symtab g) in
+      let text = Ir.Printer.to_string g and table = symbols () in
+      let canonical = Ir.Fingerprint.canonical ~dims g in
+      ignore (Compiler.compile g);
+      Alcotest.(check string) (name ^ ": text") text (Ir.Printer.to_string g);
+      Alcotest.(check string) (name ^ ": symbol table") table (symbols ());
+      Alcotest.(check string)
+        (name ^ ": canonical form") canonical (Ir.Fingerprint.canonical ~dims g);
+      let cache = Disc.Compile_cache.create () in
+      ignore (Disc.Session.create ~cache built);
+      check_bool (name ^ ": second session hits") true
+        (Disc.Session.cache_hit (Disc.Session.create ~cache built)))
+    Models.Suite.all
+
 let prop_variants_agree_on_random_batches =
   QCheck.Test.make ~name:"all pipeline variants agree numerically" ~count:20
     QCheck.(int_range 1 32)
@@ -196,6 +219,8 @@ let () =
           Alcotest.test_case "latency = simulate" `Quick test_latency_agrees_with_simulate;
           Alcotest.test_case "stats coverage" `Quick test_stats_coverage;
           Alcotest.test_case "verify in compile" `Quick test_verify_runs_in_compile;
+          Alcotest.test_case "compile leaves its input unchanged" `Quick
+            test_compile_leaves_input_unchanged;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest [ prop_variants_agree_on_random_batches ]);
     ]

@@ -110,7 +110,18 @@ let test_continuous_completes_all () =
 
 let test_shared_cache_compiles_once_per_graph () =
   let cache = Disc.Compile_cache.create () in
-  let r = run ~cache (tiny_reqs ~seed:3 ~qps:2000.0 ~n:16) in
+  let prefills = ref 0 and decodes = ref 0 in
+  let counted n build () =
+    incr n;
+    build ()
+  in
+  let r =
+    Scheduler.run ~cache ~prefill:(counted prefills tiny_prefill)
+      ~decode:(counted decodes tiny_decode) (tiny_config ())
+      (tiny_reqs ~seed:3 ~qps:2000.0 ~n:16)
+  in
+  check_int "one prefill build serves every prefill session" 1 !prefills;
+  check_int "one decode build serves every decode session" 1 !decodes;
   (* 3 workers = 1 prefill session + 2 decode sessions, but only two
      graphs: each compiles exactly once, the rest are cache hits —
      never once per token *)

@@ -297,7 +297,7 @@ let test_disabled_serving_identical () =
   let run () =
     let session = Disc.Session.create (entry.Suite.build ()) in
     List.iter
-      (fun (b, h) -> ignore (Disc.Session.serve session [ ("batch", b); ("hist", h) ]))
+      (fun (b, h) -> ignore (Disc.Session.serve_result session [ ("batch", b); ("hist", h) ]))
       reqs;
     Disc.Session.stats session
   in

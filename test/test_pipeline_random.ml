@@ -169,12 +169,11 @@ let report_reproducer ~seed (p : program) =
    anything crashes): the condition the shrinker preserves. *)
 let differential_fails ~input_dims ~seed (p : program) : bool =
   match
-    let g_ref, _ = build_program p in
-    let input = input_for g_ref input_dims seed in
-    let expected = Ir.Interp.run g_ref [ input ] in
+    let g, _ = build_program p in
+    let input = input_for g input_dims seed in
+    let expected = Ir.Interp.run g [ input ] in
     List.for_all
       (fun (_, planner) ->
-        let g, _ = build_program p in
         let c =
           Disc.Compiler.compile ~options:{ Disc.Compiler.default_options with planner } g
         in
@@ -283,6 +282,29 @@ let prop_plan_invariants =
       let raw_ok = holds () in
       ignore (Ir.Passes.run_all g);
       raw_ok && holds ())
+
+(* Compile leaves its input unchanged under every planner config: the
+   text and canonical form stay as built, and a second lookup of the
+   same graph hits the cache. *)
+let prop_compile_leaves_input_unchanged =
+  QCheck.Test.make ~name:"structured graphs: compile leaves its input unchanged" ~count:30
+    ~long_factor:40
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, long) ->
+      let g, dims = build_program (program_of_seed ~long seed) in
+      let text = Ir.Printer.to_string g and canonical = Ir.Fingerprint.canonical ~dims g in
+      let cache = Disc.Compile_cache.create () in
+      let lookup () =
+        let _, _, outcome, _ = Disc.Compile_cache.find_or_compile cache ~dims g in
+        outcome
+      in
+      List.for_all
+        (fun (_, planner) ->
+          ignore (Disc.Compiler.compile ~options:{ Disc.Compiler.default_options with planner } g);
+          Ir.Printer.to_string g = text && Ir.Fingerprint.canonical ~dims g = canonical)
+        pipeline_variants
+      && lookup () = Disc.Compile_cache.Miss
+      && lookup () = Disc.Compile_cache.Hit)
 
 let prop_fusion_never_increases_traffic =
   QCheck.Test.make ~name:"structured graphs: fusion never increases traffic or launches"
@@ -523,6 +545,7 @@ let () =
           [
             prop_all_pipelines_match_interp;
             prop_plan_invariants;
+            prop_compile_leaves_input_unchanged;
             prop_fusion_never_increases_traffic;
             prop_roundtrip_structured;
             prop_kernel_facts_oracle;

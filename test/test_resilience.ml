@@ -215,7 +215,7 @@ let test_latency_window_bounded () =
   let entry = Suite.find "dien" in
   let sess = Session.create ~window:4 (entry.Suite.build ()) in
   for b = 1 to 10 do
-    ignore (Session.serve sess [ ("batch", b); ("hist", 10) ])
+    ignore (Session.serve_result sess [ ("batch", b); ("hist", 10) ])
   done;
   let s = Session.stats sess in
   check_int "all requests counted" 10 s.Session.requests;
@@ -224,7 +224,11 @@ let test_latency_window_bounded () =
     (s.Session.p50_us <= s.Session.p95_us && s.Session.p95_us <= s.Session.max_us);
   (* the window holds the 4 most recent latencies: batches 7..10; the
      max over the window must be below the latency of batch 256 *)
-  let big = Profile.total_us (Session.serve sess [ ("batch", 256); ("hist", 100) ]) in
+  let big =
+    match Session.serve_result sess [ ("batch", 256); ("hist", 100) ] with
+    | Ok (profile, _) -> Profile.total_us profile
+    | Error e -> Alcotest.fail (Error.to_string e)
+  in
   check_bool "window max tracks recent requests" true ((Session.stats sess).Session.max_us = big)
 
 (* --- overload-aware queueing ----------------------------------------------- *)

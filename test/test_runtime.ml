@@ -67,20 +67,6 @@ let test_simulate_agrees_with_run_cost () =
   check_int "same traffic" p_run.Profile.bytes_moved p_sim.Profile.bytes_moved;
   check_int "same peak" p_run.Profile.peak_bytes p_sim.Profile.peak_bytes
 
-let test_cost_binding_padding () =
-  (* charging costs at a padded shape must increase simulated time but
-     not change results *)
-  let g, b, s = softmax_model () in
-  let exe = compile g in
-  let input = Nd.init [| 2; 100 |] (fun i -> float_of_int i.(1)) in
-  let expected = Ir.Interp.run g [ input ] in
-  let padded = bind g [ (b, 2); (s, 128) ] in
-  let got, p_padded = Executable.run ~cost_binding:padded exe [ input ] in
-  let _, p_exact = Executable.run exe [ input ] in
-  List.iter2 (fun e o -> check_bool "data exact" true (Nd.equal_approx ~eps:1e-6 e o)) expected got;
-  check_bool "padded cost >= exact cost" true
-    (p_padded.Profile.device_us >= p_exact.Profile.device_us)
-
 let test_peak_memory_liveness () =
   (* a long pointwise chain under fusion keeps peak = in + out (+ const);
      unfused, the runtime must still free dead intermediates so peak
@@ -191,7 +177,6 @@ let () =
           Alcotest.test_case "shape-generic correctness" `Quick test_run_correct_and_shape_generic;
           Alcotest.test_case "profile counts" `Quick test_profile_counts;
           Alcotest.test_case "simulate = run cost" `Quick test_simulate_agrees_with_run_cost;
-          Alcotest.test_case "cost-binding padding" `Quick test_cost_binding_padding;
           Alcotest.test_case "peak memory liveness" `Quick test_peak_memory_liveness;
           Alcotest.test_case "fusion saves traffic" `Quick test_fusion_reduces_traffic_and_launches;
           Alcotest.test_case "host overhead" `Quick test_host_overhead_accounting;

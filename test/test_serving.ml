@@ -832,7 +832,12 @@ let test_adaptive_rebucket_cuts_waste () =
     (Pool.padding_waste adap < Pool.padding_waste stat)
 
 let test_adaptive_scaling_no_loss () =
-  let pool = Pool.create (base_config ~devices:[ Device.a10 ] ()) dien in
+  let builds = ref 0 in
+  let build () =
+    incr builds;
+    dien ()
+  in
+  let pool = Pool.create (base_config ~devices:[ Device.a10 ] ()) build in
   (* a burst deep enough to outlast the first control ticks, then a
      sparse tail that keeps ticks firing while the backlog is empty *)
   let burst = List.init 24 (fun _ -> req 0.0 20) in
@@ -855,6 +860,7 @@ let test_adaptive_scaling_no_loss () =
   check_bool "the quiet tail drained a replica" true (a.Pool.ar_scale_downs >= 1);
   check_bool "replicas were minted beyond the configured devices" true
     (Array.length (Pool.replicas pool) > 1);
+  check_int "one build serves every replica" 1 !builds;
   check_bool "the pool ends at or above the floor" true (a.Pool.ar_final_replicas >= 1)
 
 let test_adaptive_prewarm_spreads_warmth () =

@@ -8,11 +8,17 @@ module Nd = Tensor.Nd
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* A cost-plane request's profile; a structured error fails the test. *)
+let serve session env =
+  match Session.serve_result session env with
+  | Ok (profile, _) -> profile
+  | Error e -> Alcotest.fail (Runtime.Error.to_string e)
+
 let test_serve_and_stats () =
   let entry = Suite.find "dien" in
   let session = Session.create (entry.Suite.build ()) in
   List.iter
-    (fun (b, h) -> ignore (Session.serve session [ ("batch", b); ("hist", h) ]))
+    (fun (b, h) -> ignore (serve session [ ("batch", b); ("hist", h) ]))
     [ (16, 5); (64, 20); (256, 50); (16, 5); (128, 30) ];
   let s = Session.stats session in
   check_int "five requests" 5 s.Session.requests;
@@ -29,11 +35,12 @@ let test_serve_data_correct () =
   let built = entry.Suite.build_tiny () in
   let inputs = Common.test_inputs built entry.Suite.tiny_dims in
   let expected = Ir.Interp.run built.Common.graph inputs in
-  (* session compiles (and mutates) the same graph; build fresh for it *)
-  let built2 = entry.Suite.build_tiny () in
-  let session = Session.create built2 in
-  let inputs2 = Common.test_inputs built2 entry.Suite.tiny_dims in
-  let outs, profile = Session.serve_data session inputs2 in
+  let session = Session.create built in
+  let outs, profile =
+    match Session.serve_data_result session inputs with
+    | Ok (outs, profile, _) -> (outs, profile)
+    | Error e -> Alcotest.fail (Runtime.Error.to_string e)
+  in
   List.iter2
     (fun e o -> check_bool "served result correct" true (Nd.equal_approx ~eps:1e-5 e o))
     expected outs;
@@ -45,18 +52,17 @@ let test_device_selection () =
   let fast = Session.create ~device:Gpusim.Device.a10 (entry.Suite.build ()) in
   let slow = Session.create ~device:Gpusim.Device.t4 (entry.Suite.build ()) in
   let env = [ ("batch", 256); ("hist", 50) ] in
-  let f = Runtime.Profile.total_us (Session.serve fast env) in
-  let s = Runtime.Profile.total_us (Session.serve slow env) in
+  let f = Runtime.Profile.total_us (serve fast env) in
+  let s = Runtime.Profile.total_us (serve slow env) in
   check_bool "T4 session slower" true (s > f)
 
 let test_unknown_dim_rejected () =
   let entry = Suite.find "dien" in
   let session = Session.create (entry.Suite.build ()) in
   check_bool "unknown dim" true
-    (try
-       ignore (Session.serve session [ ("bogus", 1) ]);
-       false
-     with Invalid_argument _ -> true)
+    (match Session.serve_result session [ ("bogus", 1) ] with
+    | Error (Runtime.Error.Invalid_request _) -> true
+    | _ -> false)
 
 let test_empty_stats () =
   let entry = Suite.find "dien" in
@@ -77,7 +83,7 @@ let test_window_one () =
   let last = ref 0.0 in
   List.iter
     (fun (b, h) ->
-      last := Runtime.Profile.total_us (Session.serve session [ ("batch", b); ("hist", h) ]))
+      last := Runtime.Profile.total_us (serve session [ ("batch", b); ("hist", h) ]))
     [ (256, 50); (64, 20); (16, 5) ];
   let s = Session.stats session in
   check_int "window" 1 s.Session.window;
@@ -118,12 +124,12 @@ let test_profile_memo () =
   let entry = Suite.find "dien" in
   let session = Session.create (entry.Suite.build ()) in
   let env = [ ("batch", 16); ("hist", 5) ] in
-  let first = Session.serve session env in
+  let first = serve session env in
   check_bool "a repeated env replays the memoized profile" true
-    (Session.serve session env == first);
+    (serve session env == first);
   (* adopting a tuned plan does change profiles: the memo goes *)
   ignore (Session.tune session ~envs:[ env ]);
-  check_bool "plan adoption drops the memo" false (Session.serve session env == first)
+  check_bool "plan adoption drops the memo" false (serve session env == first)
 
 let prop_stats_match_recorded_latencies =
   QCheck.Test.make ~name:"session max equals slowest request" ~count:20
@@ -134,7 +140,7 @@ let prop_stats_match_recorded_latencies =
       let lats =
         List.map
           (fun (b, h) ->
-            Runtime.Profile.total_us (Session.serve session [ ("batch", b); ("hist", h) ]))
+            Runtime.Profile.total_us (serve session [ ("batch", b); ("hist", h) ]))
           reqs
       in
       let s = Session.stats session in
