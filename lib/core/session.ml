@@ -598,7 +598,9 @@ let serve_data_result (t : t) (inputs : Tensor.Nd.t list) :
     (Tensor.Nd.t list * Profile.t * path, Error.t) result =
   let g = t.compiled.Compiler.exe.Runtime.Executable.g in
   ladder t ~name:"serve_data" ~env:[] ~request:(Ok inputs) ~profile_of:snd
-    ~compiled:(fun inputs -> Compiler.run_result ~device:t.device ?faults:t.faults t.active inputs)
+    ~compiled:(fun inputs ->
+      Compiler.run_result ~device:t.device ?faults:t.faults ~despeculate:(is_tripped t)
+        t.active inputs)
     ~reference:(fun inputs ->
       match Ir.Interp.run g inputs with
       | outs -> Ok (outs, reference_profile t (Ir.Interp.bind_inputs g inputs))

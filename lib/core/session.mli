@@ -136,10 +136,11 @@ val serve_data_result :
   Tensor.Nd.t list ->
   (Tensor.Nd.t list * Runtime.Profile.t * path, Runtime.Error.t) result
 (** Data-plane request on real tensors, through the same ladder as
-    {!serve_result} (without a deadline). On fallback the reference
-    interpreter runs the compiled graph — bit-identical to
-    [Ir.Interp.run] on it — and cost is charged at the op-by-op rate,
-    exactly as {!serve_result} prices the same shapes. *)
+    {!serve_result} (without a deadline); a kernel the circuit breaker
+    has tripped runs its generic version, as on the cost plane. On
+    fallback the reference interpreter runs the compiled graph —
+    bit-identical to [Ir.Interp.run] on it — and cost is charged at the
+    op-by-op rate, exactly as {!serve_result} prices the same shapes. *)
 
 val mem_estimate : t -> Mem.Estimate.t
 (** The symbolic peak-memory estimate of this session's compiled

@@ -29,108 +29,126 @@
 module Sym = Symshape.Sym
 module Table = Symshape.Table
 
-type ctx = {
-  tab : Table.t;
-  sym_ids : (int, int) Hashtbl.t; (* table root -> canonical index *)
-  mutable sym_order : int list; (* roots in reverse canonical order *)
-  mutable next_sym : int;
-}
+(* Every cache lookup builds the form, so it is streamed into one
+   buffer: no [sprintf] or intermediate string per instruction. *)
 
-let canon_dim ctx (d : Sym.dim) : string =
-  match Table.resolve ctx.tab d with
-  | Sym.Static v -> string_of_int v
-  | Sym.Sym root ->
-      let id =
-        match Hashtbl.find_opt ctx.sym_ids root with
-        | Some id -> id
-        | None ->
-            let id = ctx.next_sym in
-            ctx.next_sym <- id + 1;
-            Hashtbl.add ctx.sym_ids root id;
-            ctx.sym_order <- root :: ctx.sym_order;
-            id
-      in
-      Printf.sprintf "d%d" id
+(* [string_of_int]'s digits. *)
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  end
 
-let canon_shape ctx (s : Sym.shape) =
-  "[" ^ String.concat "x" (List.map (canon_dim ctx) (Array.to_list s)) ^ "]"
-
-(* Op payloads that embed shapes must render them canonically; constants
-   render every element in full (not [Op.to_string]'s truncated
-   display); all other payloads are raw-symbol-free and reuse
-   [Op.to_string]. *)
-let canon_op ctx (op : Op.t) =
-  match op with
-  | Op.Constant nd -> Printer.constant_to_string nd
-  | Op.Iota { out; dim; _ } -> Printf.sprintf "iota(%s,dim=%d)" (canon_shape ctx out) dim
-  | Op.Broadcast { dims; out } ->
-      Printf.sprintf "broadcast([%s],%s)"
-        (String.concat "," (List.map string_of_int (Array.to_list dims)))
-        (canon_shape ctx out)
-  | Op.Reshape out -> Printf.sprintf "reshape(%s)" (canon_shape ctx out)
-  | other -> Op.to_string other
+(* [f] on each element of [a], [sep] between them. *)
+let add_sep buf sep f a =
+  Array.iteri
+    (fun k x ->
+      if k > 0 then Buffer.add_char buf sep;
+      f x)
+    a
 
 let canonical ?(dims : (string * Sym.dim) list = []) (g : Graph.t) : string =
-  let ctx =
-    { tab = Graph.symtab g; sym_ids = Hashtbl.create 32; sym_order = []; next_sym = 0 }
-  in
+  let tab = Graph.symtab g in
   let buf = Buffer.create 4096 in
-  let value_no : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let next_v = ref 0 in
-  let rec visit id =
-    match Hashtbl.find_opt value_no id with
-    | Some v -> v
-    | None ->
-        let i = Graph.inst g id in
-        let args = Array.map visit i.Graph.args in
-        (* post-order: operand lines are already emitted *)
-        let v = !next_v in
-        incr next_v;
-        Hashtbl.add value_no id v;
-        Buffer.add_string buf
-          (Printf.sprintf "v%d:%s%s=%s(%s)\n" v
-             (Tensor.Dtype.to_string i.Graph.dtype)
-             (canon_shape ctx i.Graph.shape)
-             (canon_op ctx i.Graph.op)
-             (String.concat ","
-                (Array.to_list (Array.map (Printf.sprintf "v%d") args))));
-        v
+  (* symbols are numbered at first encounter; an op's payload shape and
+     its instruction's shape hold the same dims (inference derives one
+     from the other), so the order within a line cannot matter *)
+  let sym_ids = Array.make (Table.num_symbols tab) (-1) in
+  let sym_order = ref [] (* roots in reverse canonical order *) and next_sym = ref 0 in
+  let add_dim d =
+    match Table.resolve tab d with
+    | Sym.Static v -> add_int buf v
+    | Sym.Sym root ->
+        if sym_ids.(root) < 0 then begin
+          sym_ids.(root) <- !next_sym;
+          incr next_sym;
+          sym_order := root :: !sym_order
+        end;
+        Buffer.add_char buf 'd';
+        add_int buf sym_ids.(root)
   in
-  List.iter (fun (pid, _) -> ignore (visit pid)) (Graph.parameters g);
-  List.iter (fun o -> ignore (visit o)) (Graph.outputs g);
-  Buffer.add_string buf
-    (Printf.sprintf "return %s\n"
-       (String.concat ","
-          (List.map (fun o -> Printf.sprintf "v%d" (Hashtbl.find value_no o)) (Graph.outputs g))));
+  let add_shape s =
+    Buffer.add_char buf '[';
+    add_sep buf 'x' add_dim s;
+    Buffer.add_char buf ']'
+  in
+  (* Op payloads that embed shapes render them canonically; constants
+     render every element in full (not [Op.to_string]'s truncated
+     display); all other payloads are raw-symbol-free and reuse
+     [Op.to_string]. *)
+  let add_op (op : Op.t) =
+    match op with
+    | Op.Constant nd -> Printer.add_constant buf nd
+    | Op.Iota { out; dim; _ } ->
+        Buffer.add_string buf "iota(";
+        add_shape out;
+        Buffer.add_string buf ",dim=";
+        add_int buf dim;
+        Buffer.add_char buf ')'
+    | Op.Broadcast { dims; out } ->
+        Buffer.add_string buf "broadcast([";
+        add_sep buf ',' (add_int buf) dims;
+        Buffer.add_string buf "],";
+        add_shape out;
+        Buffer.add_char buf ')'
+    | Op.Reshape out ->
+        Buffer.add_string buf "reshape(";
+        add_shape out;
+        Buffer.add_char buf ')'
+    | other -> Buffer.add_string buf (Op.to_string other)
+  in
+  let value_no = Array.make (Graph.id_bound g) (-1) in
+  let next_v = ref 0 in
+  let add_value id =
+    Buffer.add_char buf 'v';
+    add_int buf value_no.(id)
+  in
+  let rec visit id =
+    if value_no.(id) < 0 then begin
+      let i = Graph.inst g id in
+      (* post-order: operand lines are already emitted *)
+      Array.iter visit i.Graph.args;
+      value_no.(id) <- !next_v;
+      incr next_v;
+      add_value id;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (Tensor.Dtype.to_string i.Graph.dtype);
+      add_shape i.Graph.shape;
+      Buffer.add_char buf '=';
+      add_op i.Graph.op;
+      Buffer.add_char buf '(';
+      add_sep buf ',' add_value i.Graph.args;
+      Buffer.add_string buf ")\n"
+    end
+  in
+  List.iter (fun (pid, _) -> visit pid) (Graph.parameters g);
+  List.iter visit (Graph.outputs g);
+  Buffer.add_string buf "return ";
+  add_sep buf ',' add_value (Array.of_list (Graph.outputs g));
+  Buffer.add_char buf '\n';
   (* named dynamic dims (the serving-level binding surface), if given *)
   List.iter
     (fun (name, d) ->
-      Buffer.add_string buf (Printf.sprintf "dim %s=%s\n" name (canon_dim ctx d)))
+      Printf.bprintf buf "dim %s=" name;
+      add_dim d;
+      Buffer.add_char buf '\n')
     dims;
   (* distribution constraints of every canonical symbol, in canonical order *)
-  List.iter
-    (fun root ->
+  List.iteri
+    (fun id root ->
       let d = Sym.Sym root in
-      Buffer.add_string buf
-        (Printf.sprintf "sym d%d lb=%d ub=%s likely=%s\n"
-           (Hashtbl.find ctx.sym_ids root)
-           (Table.lower_bound ctx.tab d)
-           (match Table.upper_bound ctx.tab d with
-           | Some u -> string_of_int u
-           | None -> "-")
-           (String.concat ","
-              (List.map string_of_int (Table.likely_values ctx.tab d)))))
-    (List.rev ctx.sym_order);
+      Printf.bprintf buf "sym d%d lb=%d ub=%s likely=%s\n" id (Table.lower_bound tab d)
+        (match Table.upper_bound tab d with Some u -> string_of_int u | None -> "-")
+        (String.concat "," (List.map string_of_int (Table.likely_values tab d))))
+    (List.rev !sym_order);
   (* product facts: canonical symbols, per-side sort, side sort, fact
      sort — recording order and raw ids cannot leak in. Symbols that
      never appear in a live shape render as "u" (unreachable). *)
   let fact_dim d =
-    match Table.resolve ctx.tab d with
+    match Table.resolve tab d with
     | Sym.Static v -> string_of_int v
-    | Sym.Sym root -> (
-        match Hashtbl.find_opt ctx.sym_ids root with
-        | Some id -> Printf.sprintf "d%d" id
-        | None -> "u")
+    | Sym.Sym root -> if sym_ids.(root) >= 0 then "d" ^ string_of_int sym_ids.(root) else "u"
   in
   let fact_side side =
     String.concat "*"
@@ -141,11 +159,9 @@ let canonical ?(dims : (string * Sym.dim) list = []) (g : Graph.t) : string =
       (fun (a, b) ->
         let sa = fact_side a and sb = fact_side b in
         if Stdlib.compare sa sb <= 0 then sa ^ "=" ^ sb else sb ^ "=" ^ sa)
-      (Table.product_facts ctx.tab)
+      (Table.product_facts tab)
   in
-  List.iter
-    (fun f -> Buffer.add_string buf (Printf.sprintf "fact %s\n" f))
-    (List.sort_uniq Stdlib.compare facts);
+  List.iter (Printf.bprintf buf "fact %s\n") (List.sort_uniq Stdlib.compare facts);
   Buffer.contents buf
 
 let of_canonical canonical = Digest.to_hex (Digest.string canonical)

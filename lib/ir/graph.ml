@@ -344,14 +344,7 @@ let add g op arg_ids =
   let shape, dtype = infer g op args in
   append g op arg_ids shape dtype
 
-(* --- Uses --------------------------------------------------------------- *)
-
-let replace_uses g ~old_id ~new_id =
-  if old_id <> new_id then begin
-    iter g (fun i ->
-        Array.iteri (fun k a -> if a = old_id then i.args.(k) <- new_id) i.args);
-    g.outputs <- List.map (fun o -> if o = old_id then new_id else o) g.outputs
-  end
+(* --- Removal ------------------------------------------------------------ *)
 
 let remove g id =
   (match g.insts.(id) with

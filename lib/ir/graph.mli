@@ -64,9 +64,6 @@ val add : t -> Op.t -> int list -> int
 (** Append an instruction; infers its shape/dtype and records implied
     shape constraints. @raise Type_error on ill-typed construction. *)
 
-val replace_uses : t -> old_id:int -> new_id:int -> unit
-(** Redirect all uses (including outputs) of [old_id] to [new_id]. *)
-
 val remove : t -> int -> unit
 (** Delete a dead instruction. @raise Type_error on parameters/outputs. *)
 

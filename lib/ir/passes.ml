@@ -32,25 +32,39 @@ let dce ?(stats = empty_stats ()) (g : Graph.t) =
     dead;
   stats
 
-(* --- Common subexpression elimination ---------------------------------- *)
+(* --- Forward substitution walk ------------------------------------------ *)
 
-let op_key (i : Graph.inst) = Hashtbl.hash (Op.to_string i.op, Array.to_list i.args)
+(* CSE and simplify redirect a use only to an earlier instruction, so
+   one walk in id order settles both: [subst.(id)] is where uses of [id]
+   now point (itself unless redirected), and each instruction's operands
+   are rewritten through it before the instruction is looked at. [visit]
+   returns the redirect target of an instruction, if any. *)
+let substitute (g : Graph.t) (visit : Graph.inst -> int option) =
+  let subst = Array.init (Graph.id_bound g) Fun.id in
+  Graph.iter g (fun i ->
+      Array.iteri (fun k a -> i.args.(k) <- subst.(a)) i.args;
+      Option.iter (fun target -> subst.(i.id) <- target) (visit i));
+  Graph.set_outputs g (List.map (fun o -> subst.(o)) (Graph.outputs g))
+
+(* --- Common subexpression elimination ---------------------------------- *)
 
 let insts_equal (a : Graph.inst) (b : Graph.inst) = a.op = b.op && a.args = b.args
 
 let cse ?(stats = empty_stats ()) (g : Graph.t) =
   let seen : (int, Graph.inst list) Hashtbl.t = Hashtbl.create 64 in
-  Graph.iter g (fun i ->
+  substitute g (fun i ->
       match i.op with
-      | Op.Parameter _ -> ()
+      | Op.Parameter _ -> None
       | _ -> (
-          let key = op_key i in
+          let key = Hashtbl.hash (i.op, i.args) in
           let bucket = Option.value (Hashtbl.find_opt seen key) ~default:[] in
           match List.find_opt (insts_equal i) bucket with
           | Some earlier ->
-              Graph.replace_uses g ~old_id:i.id ~new_id:earlier.id;
-              stats.cse_removed <- stats.cse_removed + 1
-          | None -> Hashtbl.replace seen key (i :: bucket)));
+              stats.cse_removed <- stats.cse_removed + 1;
+              Some earlier.id
+          | None ->
+              Hashtbl.replace seen key (i :: bucket);
+              None));
   stats
 
 (* --- Algebraic & shape-constraint simplification ----------------------- *)
@@ -136,20 +150,19 @@ let simplify_inst (g : Graph.t) (i : Graph.inst) : int option =
       | _ -> None)
   | _ -> None
 
+(* A rewrite in place can enable another on the same instruction (a
+   composed broadcast may now be an identity), so each instruction is
+   retried until it stops changing; its operands are already final. *)
 let simplify ?(stats = empty_stats ()) (g : Graph.t) =
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 8 do
-    changed := false;
-    incr rounds;
-    Graph.iter g (fun i ->
-        match simplify_inst g i with
-        | Some target ->
-            Graph.replace_uses g ~old_id:i.id ~new_id:target;
-            stats.simplified <- stats.simplified + 1;
-            changed := true
-        | None -> ())
-  done;
+  let rec settle (i : Graph.inst) =
+    let op = i.op and args = i.args in
+    match simplify_inst g i with
+    | Some target ->
+        stats.simplified <- stats.simplified + 1;
+        Some target
+    | None -> if i.op != op || i.args != args then settle i else None
+  in
+  substitute g settle;
   stats
 
 (* --- Constant folding --------------------------------------------------- *)

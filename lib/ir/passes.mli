@@ -20,14 +20,16 @@ val dce : ?stats:stats -> Graph.t -> stats
     always kept). *)
 
 val cse : ?stats:stats -> Graph.t -> stats
-(** Deduplicate structurally identical instructions (run {!dce} after to
-    delete the husks). *)
+(** Deduplicate structurally identical instructions in one walk in id
+    order (run {!dce} after to delete the husks). *)
 
 val simplify : ?stats:stats -> Graph.t -> stats
 (** Algebraic identities (x+0, x·1, …), cast/transpose/slice/pad
     identities, transpose and broadcast composition, reshape-chain
     collapsing, and the shape-constraint-driven broadcast/reshape
-    elimination. Iterates to a bounded fixpoint. *)
+    elimination. One walk in id order: each instruction sees its
+    operands already simplified and is rewritten until it stops
+    changing. [simplified] counts each redirected instruction once. *)
 
 val fold_constants : ?stats:stats -> ?max_elements:int -> Graph.t -> stats
 (** Evaluate constant subgraphs with static shapes into literal

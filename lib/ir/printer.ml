@@ -3,30 +3,26 @@
 
 (* Constants are rendered in full (unlike the human-oriented Nd.pp,
    which truncates) so that Parser.parse can round-trip them. *)
-let constant_to_string nd =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf
-    (Printf.sprintf "constant(%s%s{"
-       (Tensor.Dtype.to_string (Tensor.Nd.dtype nd))
-       (Tensor.Shape.to_string (Tensor.Nd.shape nd)));
+let add_constant buf nd =
+  Buffer.add_string buf "constant(";
+  Buffer.add_string buf (Tensor.Dtype.to_string (Tensor.Nd.dtype nd));
+  Buffer.add_string buf (Tensor.Shape.to_string (Tensor.Nd.shape nd));
+  Buffer.add_char buf '{';
   for k = 0 to Tensor.Nd.numel nd - 1 do
     if k > 0 then Buffer.add_string buf ", ";
-    Buffer.add_string buf (Printf.sprintf "%.17g" (Tensor.Nd.get_linear nd k))
+    Printf.bprintf buf "%.17g" (Tensor.Nd.get_linear nd k)
   done;
-  Buffer.add_string buf "})";
-  Buffer.contents buf
+  Buffer.add_string buf "})"
 
-let inst_to_string (i : Graph.inst) =
-  let args =
-    String.concat ", " (List.map (fun a -> "%" ^ string_of_int a) (Array.to_list i.args))
-  in
-  let op_str =
-    match i.op with Op.Constant nd -> constant_to_string nd | op -> Op.to_string op
-  in
-  Printf.sprintf "%%%d : %s%s = %s(%s)" i.id
+let add_inst buf (i : Graph.inst) =
+  Printf.bprintf buf "%%%d : %s%s = " i.id
     (Tensor.Dtype.to_string i.dtype)
-    (Symshape.Sym.to_string i.shape)
-    op_str args
+    (Symshape.Sym.to_string i.shape);
+  (match i.op with
+  | Op.Constant nd -> add_constant buf nd
+  | op -> Buffer.add_string buf (Op.to_string op));
+  Printf.bprintf buf "(%s)"
+    (String.concat ", " (List.map (fun a -> "%" ^ string_of_int a) (Array.to_list i.args)))
 
 (* "sym s0 lb=1 ub=512 likely=64,128" header lines describing the root
    symbols that appear in instruction shapes (so parsed graphs recover
@@ -62,7 +58,7 @@ let to_string ?(with_symbols = false) (g : Graph.t) =
   if with_symbols then Buffer.add_string buf (symbol_headers g);
   Graph.iter g (fun i ->
       Buffer.add_string buf "  ";
-      Buffer.add_string buf (inst_to_string i);
+      add_inst buf i;
       Buffer.add_char buf '\n');
   Buffer.add_string buf
     ("  return "

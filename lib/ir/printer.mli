@@ -4,10 +4,10 @@
     ([sym s0 lb=1 ub=512 likely=64,128]) so that {!Parser.parse} can
     round-trip the full program. *)
 
-val constant_to_string : Tensor.Nd.t -> string
-(** [constant(dtype\[shape\]{v0, v1, ...})] with every element at
+val add_constant : Buffer.t -> Tensor.Nd.t -> unit
+(** Append [constant(dtype\[shape\]{v0, v1, ...})] with every element at
     [%.17g], so the text pins the value exactly: {!Parser.parse} reads it
-    back, and {!Fingerprint} hashes it. *)
+    back, and {!Fingerprint} hashes the same bytes. *)
 
 val to_string : ?with_symbols:bool -> Graph.t -> string
 

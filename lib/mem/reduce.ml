@@ -173,16 +173,23 @@ let units_of ctx pos_of ~recomputed ~extra ~groups =
   in
   singles @ group_units
 
+(* The largest sum of live unit sizes over positions [0, n): one sweep
+   over a difference array, each unit added at its first position and
+   taken off after its last (an output's [max_int] ends at [n - 1]). *)
 let eval_peak ctx pos_of ~recomputed ~extra ~groups =
-  let units = units_of ctx pos_of ~recomputed ~extra ~groups in
-  let best = ref 0 in
+  let delta = Array.make (ctx.n + 1) 0 in
+  List.iter
+    (fun u ->
+      let last = min u.u_last (ctx.n - 1) in
+      if u.u_first <= last then begin
+        delta.(u.u_first) <- delta.(u.u_first) + u.u_size;
+        delta.(last + 1) <- delta.(last + 1) - u.u_size
+      end)
+    (units_of ctx pos_of ~recomputed ~extra ~groups);
+  let best = ref 0 and live = ref 0 in
   for p = 0 to ctx.n - 1 do
-    let s =
-      List.fold_left
-        (fun acc u -> if u.u_first <= p && p <= u.u_last then acc + u.u_size else acc)
-        0 units
-    in
-    if s > !best then best := s
+    live := !live + delta.(p);
+    if !live > !best then best := !live
   done;
   !best
 

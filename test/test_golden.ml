@@ -343,6 +343,70 @@ let test_fingerprint_golden () =
            built.Models.Common.graph))
     pinned_fingerprints
 
+(* Pinned canonical forms and cleaned-up graphs of every suite model:
+   the MD5 of [Fingerprint.canonical ~dims] of each paper-scale model as
+   built (the tiny forms are pinned above through their fingerprints),
+   and the MD5 of each model's graph after [Passes.run_all] (the printed
+   program with its symbol ranges and outputs, then the pass
+   statistics) at paper and tiny scale. A rewrite of the canonical
+   writer or of the cleanup passes must leave every digest in place. *)
+let md5 s = Digest.to_hex (Digest.string s)
+
+let pinned_paper_canonical =
+  [
+    ("bert", "a9108acd7827210b6ab1f4e14b16fff4");
+    ("gpt2", "0d4822c261449c1daab03044c239b19e");
+    ("gpt2-decode", "e217c171d2c0f110264bf83bd015f463");
+    ("seq2seq", "1a231ff0122e614d4b720415f1d1a23c");
+    ("t5", "b96cb70aead2e2202a293c01fc8713a4");
+    ("crnn", "7536769493d316b20869cb51cdd2c1c2");
+    ("fastspeech", "c1360de724c1f71a440a8a4a66dfc01a");
+    ("asr", "f15e88f67bd1f96058c9f4073f479cff");
+    ("vit", "f3fae05e4c17ec5fe3a252af0b629fe7");
+    ("dien", "ed9ac7aad4a7ad5c8f37323718e35ef9");
+  ]
+
+(* (model, paper digest, tiny digest) *)
+let pinned_post_pass =
+  [
+    ("bert", "e5badfdbccf578617f962e7e4f8f3b7e", "ab57af096224bd23a45120127313cda8");
+    ("gpt2", "d2966f54f11802e3b87baabef5eced83", "e20e727a413f80d089ee0c3e61722cb3");
+    ("gpt2-decode", "1911c72e2c2601c8dfcc421bfe5c7def", "79d1d896c153434ab4488c1c7961b984");
+    ("seq2seq", "c987f5c44426f55f0df2b12251e0bff3", "7f5771004e528600c983c05eb167d094");
+    ("t5", "0797ad71fd52a9a38f2b2177ea0d2406", "be93ae0fba248f6796a2673933201226");
+    ("crnn", "6fffb1b90171bb10c66f48e63a3352e4", "80990cf8500cf527df174224ab0b3537");
+    ("fastspeech", "da18bfedcff6f57f0a3d947b83ef2895", "ada5204373438c8b8d8df6aa77096f2a");
+    ("asr", "0a5c789063d9c9d7c7d4ae111bbc8f99", "b89cb3278f992f09e1dbbe610ae8bf33");
+    ("vit", "bf791aa7b4c3db86fae566318852e092", "48240775949ccfe73da268c7c53ec211");
+    ("dien", "027a72d1cf9caae95b45438834f85f28", "4e56d5e55e45143ecfac6dfe786a89bb");
+  ]
+
+let test_canonical_and_passes_golden () =
+  Alcotest.(check int) "every suite model pinned"
+    (List.length Models.Suite.all)
+    (List.length pinned_paper_canonical);
+  Alcotest.(check int) "every suite model pinned after the passes"
+    (List.length Models.Suite.all)
+    (List.length pinned_post_pass);
+  List.iter
+    (fun (name, expected) ->
+      let built = (Models.Suite.find name).Models.Suite.build () in
+      check_string (name ^ " paper canonical form") expected
+        (md5 (Ir.Fingerprint.canonical ~dims:built.Models.Common.dims built.Models.Common.graph)))
+    pinned_paper_canonical;
+  List.iter
+    (fun (name, paper, tiny) ->
+      let entry = Models.Suite.find name in
+      let digest build =
+        let g = (build ()).Models.Common.graph in
+        let stats = Ir.Passes.run_all g in
+        md5 (Ir.Printer.to_string ~with_symbols:true g ^ Ir.Passes.stats_to_string stats)
+      in
+      check_string (name ^ " paper graph after the passes") paper (digest entry.Models.Suite.build);
+      check_string (name ^ " tiny graph after the passes") tiny
+        (digest entry.Models.Suite.build_tiny))
+    pinned_post_pass
+
 (* Pinned fusion plans: the MD5 of [Fusion.Cluster.to_string] for every
    suite model, at paper and tiny scale, under each planner config, on
    the graph the compiler plans (after [Ir.Passes.run_all]). Any change
@@ -714,7 +778,11 @@ let () =
           Alcotest.test_case "hbm aware/blind pair" `Quick test_hbm_pair_golden;
         ] );
       ( "fingerprints",
-        [ Alcotest.test_case "suite models pinned" `Quick test_fingerprint_golden ] );
+        [
+          Alcotest.test_case "suite models pinned" `Quick test_fingerprint_golden;
+          Alcotest.test_case "paper canonical forms and post-pass graphs" `Quick
+            test_canonical_and_passes_golden;
+        ] );
       ( "fusion plans",
         [ Alcotest.test_case "suite plan digests, six configs" `Quick test_plan_digests_golden ] );
       ( "tuned schedules",

@@ -351,6 +351,27 @@ let test_simplify_reshape_chain () =
   let reshapes = Graph.fold g (fun n i -> match i.op with Op.Reshape _ -> n + 1 | _ -> n) 0 in
   check_int "reshape chain collapsed" 0 reshapes
 
+(* Composing two permuting broadcasts can leave an identity broadcast,
+   which simplify then removes, also when nothing else in the graph
+   simplifies. *)
+let test_broadcast_compose_to_identity () =
+  let g = Graph.create () in
+  let x = B.param g ~name:"x" [| Sym.Static 2; Sym.Static 3 |] Dtype.F32 in
+  let a = B.broadcast g x ~dims:[| 1; 0 |] ~out:[| Sym.Static 3; Sym.Static 2 |] in
+  let b = B.broadcast g a ~dims:[| 1; 0 |] ~out:[| Sym.Static 2; Sym.Static 3 |] in
+  let z = B.exp g b in
+  Graph.set_outputs g [ z ];
+  let input = Nd.init [| 2; 3 |] (fun i -> float_of_int ((i.(0) * 3) + i.(1))) in
+  let before = Ir.Interp.run g [ input ] in
+  ignore (Ir.Passes.run_all g);
+  let broadcasts =
+    Graph.fold g (fun n i -> match i.op with Op.Broadcast _ -> n + 1 | _ -> n) 0
+  in
+  check_int "composed identity broadcast removed" 0 broadcasts;
+  List.iter2
+    (fun e o -> Alcotest.check nd_testable "same results" e o)
+    before (Ir.Interp.run g [ input ])
+
 let test_transpose_compose () =
   let g = Graph.create () in
   let x = B.param g ~name:"x" [| Sym.Static 2; Sym.Static 3; Sym.Static 4 |] Dtype.F32 in
@@ -467,6 +488,7 @@ let () =
           Alcotest.test_case "broadcast identity" `Quick test_simplify_broadcast_identity;
           Alcotest.test_case "reshape chain" `Quick test_simplify_reshape_chain;
           Alcotest.test_case "transpose compose" `Quick test_transpose_compose;
+          Alcotest.test_case "broadcast compose to identity" `Quick test_broadcast_compose_to_identity;
           Alcotest.test_case "semantics preserved" `Quick test_passes_preserve_semantics;
         ] );
       ( "properties",

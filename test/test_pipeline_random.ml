@@ -338,6 +338,208 @@ let prop_roundtrip_structured =
       let a = Ir.Interp.run g1 [ input ] and b = Ir.Interp.run g2 [ input ] in
       List.for_all2 (Nd.equal_approx ~eps:1e-6) a b)
 
+(* --- the cleanup passes against a whole-graph reference ---------------------
+
+   [Passes.cse] and [Passes.simplify] walk the graph once and rewrite
+   operands through a substitution array. The reference below redirects
+   each removed instruction with a scan of the whole graph, and reruns
+   simplify over the whole graph, up to 8 rounds, while a round finds
+   anything to redirect. Both must leave the same program and the same
+   counts; the reference counts each instruction it redirects once. *)
+
+module Reference_passes = struct
+  module Passes = Ir.Passes
+
+  let replace_uses g ~old_id ~new_id =
+    if old_id <> new_id then begin
+      Graph.iter g (fun i ->
+          Array.iteri (fun k a -> if a = old_id then i.Graph.args.(k) <- new_id) i.Graph.args);
+      Graph.set_outputs g (List.map (fun o -> if o = old_id then new_id else o) (Graph.outputs g))
+    end
+
+  let op_key (i : Graph.inst) = Hashtbl.hash (Op.to_string i.Graph.op, Array.to_list i.Graph.args)
+
+  let cse (stats : Passes.stats) g =
+    let seen : (int, Graph.inst list) Hashtbl.t = Hashtbl.create 64 in
+    Graph.iter g (fun i ->
+        match i.Graph.op with
+        | Op.Parameter _ -> ()
+        | _ -> (
+            let key = op_key i in
+            let bucket = Option.value (Hashtbl.find_opt seen key) ~default:[] in
+            match
+              List.find_opt
+                (fun (e : Graph.inst) -> e.Graph.op = i.Graph.op && e.Graph.args = i.Graph.args)
+                bucket
+            with
+            | Some earlier ->
+                replace_uses g ~old_id:i.Graph.id ~new_id:earlier.Graph.id;
+                stats.Passes.cse_removed <- stats.Passes.cse_removed + 1
+            | None -> Hashtbl.replace seen key (i :: bucket)))
+
+  let is_scalar_const g id v =
+    match (Graph.inst g id).Graph.op with
+    | Op.Constant nd -> Nd.numel nd = 1 && Nd.get_linear nd 0 = v
+    | _ -> false
+
+  let identity_perm perm = Array.for_all2 ( = ) perm (Array.init (Array.length perm) (fun i -> i))
+
+  let simplify_inst g (i : Graph.inst) : int option =
+    let tab = Graph.symtab g in
+    let arg k = Graph.inst g i.Graph.args.(k) in
+    match i.Graph.op with
+    | Op.Binary Op.Add when is_scalar_const g i.Graph.args.(1) 0.0 -> Some i.Graph.args.(0)
+    | Op.Binary Op.Add when is_scalar_const g i.Graph.args.(0) 0.0 -> Some i.Graph.args.(1)
+    | Op.Binary Op.Sub when is_scalar_const g i.Graph.args.(1) 0.0 -> Some i.Graph.args.(0)
+    | Op.Binary Op.Mul when is_scalar_const g i.Graph.args.(1) 1.0 -> Some i.Graph.args.(0)
+    | Op.Binary Op.Mul when is_scalar_const g i.Graph.args.(0) 1.0 -> Some i.Graph.args.(1)
+    | Op.Binary Op.Div when is_scalar_const g i.Graph.args.(1) 1.0 -> Some i.Graph.args.(0)
+    | Op.Binary Op.Pow when is_scalar_const g i.Graph.args.(1) 1.0 -> Some i.Graph.args.(0)
+    | Op.Cast d when (arg 0).Graph.dtype = d -> Some i.Graph.args.(0)
+    | Op.Transpose perm when identity_perm perm -> Some i.Graph.args.(0)
+    | Op.Transpose perm -> (
+        let a = arg 0 in
+        match a.Graph.op with
+        | Op.Transpose inner ->
+            let composed = Array.map (fun p -> inner.(p)) perm in
+            i.Graph.op <- Op.Transpose composed;
+            i.Graph.args <- [| a.Graph.args.(0) |];
+            if identity_perm composed then Some a.Graph.args.(0) else None
+        | _ -> None)
+    | Op.Reshape out -> (
+        let a = arg 0 in
+        match a.Graph.op with
+        | Op.Reshape _ ->
+            i.Graph.args <- [| a.Graph.args.(0) |];
+            let src = Graph.inst g a.Graph.args.(0) in
+            if Table.equal_shapes tab src.Graph.shape out then Some a.Graph.args.(0) else None
+        | _ -> if Table.equal_shapes tab a.Graph.shape out then Some i.Graph.args.(0) else None)
+    | Op.Broadcast { dims; out } -> (
+        let a = arg 0 in
+        let identity_map =
+          Array.length dims = Sym.rank out && identity_perm dims
+          && Table.equal_shapes tab a.Graph.shape out
+        in
+        if identity_map then Some i.Graph.args.(0)
+        else
+          match a.Graph.op with
+          | Op.Broadcast { dims = inner_dims; out = _ } ->
+              let composed = Array.map (fun d -> dims.(d)) inner_dims in
+              i.Graph.op <- Op.Broadcast { dims = composed; out };
+              i.Graph.args <- [| a.Graph.args.(0) |];
+              None
+          | _ -> None)
+    | Op.Slice { starts; limits; strides } ->
+        let a = arg 0 in
+        let full =
+          Array.length starts = Sym.rank a.Graph.shape
+          && Array.for_all (fun s -> s = 0) starts
+          && Array.for_all (fun s -> s = 1) strides
+          && Array.for_all2
+               (fun l d ->
+                 l = -1 || match Table.resolve tab d with Sym.Static v -> l = v | _ -> false)
+               limits a.Graph.shape
+        in
+        if full then Some i.Graph.args.(0) else None
+    | Op.Pad { low; high; _ }
+      when Array.for_all (fun x -> x = 0) low && Array.for_all (fun x -> x = 0) high ->
+        Some i.Graph.args.(0)
+    | Op.Select
+      when match (arg 0).Graph.op with Op.Constant nd -> Nd.numel nd = 1 | _ -> false -> (
+        match (arg 0).Graph.op with
+        | Op.Constant nd ->
+            Some (if Nd.get_linear nd 0 <> 0.0 then i.Graph.args.(1) else i.Graph.args.(2))
+        | _ -> None)
+    | _ -> None
+
+  let simplify_rounds (stats : Passes.stats) g =
+    let redirected = Hashtbl.create 16 in
+    let changed = ref true and rounds = ref 0 in
+    while !changed && !rounds < 8 do
+      changed := false;
+      incr rounds;
+      Graph.iter g (fun i ->
+          match simplify_inst g i with
+          | Some target ->
+              replace_uses g ~old_id:i.Graph.id ~new_id:target;
+              Hashtbl.replace redirected i.Graph.id ();
+              changed := true
+          | None -> ())
+    done;
+    stats.Passes.simplified <- stats.Passes.simplified + Hashtbl.length redirected
+
+  let run_all g =
+    let stats = Passes.empty_stats () in
+    ignore (Passes.fold_constants ~stats g);
+    simplify_rounds stats g;
+    cse stats g;
+    ignore (Passes.dce ~stats g);
+    stats
+end
+
+(* The program and the statistics [Passes.run_all] leaves, against the
+   reference's, on two builds of [p]. *)
+let passes_match_reference (p : program) =
+  match
+    let g, _ = build_program p and g_ref, _ = build_program p in
+    let stats = Ir.Passes.run_all g and ref_stats = Reference_passes.run_all g_ref in
+    Ir.Printer.to_string ~with_symbols:true g = Ir.Printer.to_string ~with_symbols:true g_ref
+    && Ir.Passes.stats_to_string stats = Ir.Passes.stats_to_string ref_stats
+  with
+  | ok -> ok
+  | exception _ -> false
+
+let prop_passes_match_reference =
+  QCheck.Test.make ~name:"structured graphs: cleanup passes = whole-graph reference"
+    ~count:100 ~long_factor:40
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, long) ->
+      let p = program_of_seed ~long seed in
+      let fails p = not (passes_match_reference p) in
+      if not (fails p) then true
+      else begin
+        report_reproducer ~seed (shrink ~fails p);
+        false
+      end)
+
+(* Seeded short and long programs, each cleaned up by the passes: the
+   printed program, its canonical form, and the memory reducer's
+   decision (order, groups, recomputed values, both peaks) at three
+   bindings, in one pinned MD5. A rewrite of the passes, the canonical
+   writer or the reducer's peak must leave it in place. *)
+let pass_digest_programs =
+  List.init 40 (fun k -> program_of_seed (100 + k))
+  @ List.init 40 (fun k -> program_of_seed ~long:true (200 + k))
+
+let pass_digest_bindings = [ (2, 3); (16, 9); (64, 64) ]
+
+let test_pass_digest () =
+  let buf = Buffer.create 65536 in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  List.iter
+    (fun p ->
+      let g, dims = build_program p in
+      ignore (Ir.Passes.run_all g);
+      Buffer.add_string buf (Ir.Printer.to_string ~with_symbols:true g);
+      Buffer.add_string buf (Ir.Fingerprint.canonical ~dims g);
+      let exe = (Disc.Compiler.compile g).Disc.Compiler.exe in
+      let est = Mem.Estimate.of_executable exe in
+      let tab = Graph.symtab exe.Runtime.Executable.g in
+      List.iter
+        (fun (bv, sv) ->
+          let bnd = Table.empty_binding () in
+          Table.bind_dim tab bnd (List.assoc "b" dims) bv;
+          Table.bind_dim tab bnd (List.assoc "s" dims) sv;
+          let d = Mem.Reduce.decide est bnd in
+          Printf.bprintf buf "decide [%s] [%s] [%s] %d %d\n" (ints d.Mem.Reduce.order)
+            (String.concat ";" (Array.to_list (Array.map ints d.Mem.Reduce.groups)))
+            (ints d.Mem.Reduce.recomputed) d.Mem.Reduce.peak_before d.Mem.Reduce.peak_after)
+        pass_digest_bindings)
+    pass_digest_programs;
+  Alcotest.(check string) "passes, canonical forms and reducer decisions"
+    "7877cafc8c2a4cf8600cc919816cf71c"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- kernel facts against a shape oracle ------------------------------------
 
    What the runtime reads per call — each fused kernel's
@@ -546,10 +748,16 @@ let () =
             prop_all_pipelines_match_interp;
             prop_plan_invariants;
             prop_compile_leaves_input_unchanged;
+            prop_passes_match_reference;
             prop_fusion_never_increases_traffic;
             prop_roundtrip_structured;
             prop_kernel_facts_oracle;
           ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "passes, canonical forms and reducer decisions" `Quick
+            test_pass_digest;
+        ] );
       ( "shrinker",
         [
           Alcotest.test_case "injected failure reduces to <= 4 ops" `Quick

@@ -177,6 +177,34 @@ let test_circuit_breaker_despeculates () =
   check_bool "stats expose despeculation" true
     ((Session.stats sess).Session.despeculated >= 1)
 
+(* The breaker pins a tripped kernel on both planes: once fully
+   faulting data-plane requests have tripped a kernel, a clean
+   data-plane request launches every kernel at the version the cost
+   plane charges at the same env. *)
+let test_breaker_pins_data_plane () =
+  let entry = Suite.find "dien" in
+  let built = entry.Suite.build_tiny () in
+  let sess =
+    Session.create ~fault_config:(Fault.create ~seed:5 ~kernel_fault_rate:1.0 ()) built
+  in
+  let inputs = Common.test_inputs built entry.Suite.tiny_dims in
+  for _ = 1 to 3 do
+    ignore (Session.serve_data_result sess inputs)
+  done;
+  check_bool "breaker tripped a kernel" true (Session.despeculated_kernels sess <> []);
+  Session.set_fault_rates sess ~kernel_fault_rate:0.0 ~oom_rate:0.0 ();
+  let tags (p : Profile.t) =
+    List.map (fun r -> (r.Profile.kname, r.Profile.version_tag)) p.Profile.records
+  in
+  match
+    ( Session.serve_data_result sess inputs,
+      Session.serve_result sess entry.Suite.tiny_dims )
+  with
+  | Ok (_, data, `Compiled), Ok (cost, `Compiled) ->
+      Alcotest.(check (list (pair string string)))
+        "every record's version tag" (tags cost) (tags data)
+  | _ -> Alcotest.fail "both planes should serve on the compiled path"
+
 let test_deadline_exceeded () =
   let entry = Suite.find "dien" in
   let sess = Session.create (entry.Suite.build ()) in
@@ -403,6 +431,7 @@ let () =
           Alcotest.test_case "fallback matches Ir.Interp" `Quick test_fallback_matches_interp;
           Alcotest.test_case "fallback disabled errors" `Quick test_fallback_disabled_errors;
           Alcotest.test_case "breaker despeculates" `Quick test_circuit_breaker_despeculates;
+          Alcotest.test_case "breaker pins the data plane" `Quick test_breaker_pins_data_plane;
           Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;
           Alcotest.test_case "invalid requests" `Quick test_invalid_request_error;
           Alcotest.test_case "latency window bounded" `Quick test_latency_window_bounded;
