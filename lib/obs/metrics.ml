@@ -102,8 +102,14 @@ let observe h v =
 let histogram_count h = h.n
 let histogram_mean h = if h.n = 0 then 0.0 else h.sum /. float_of_int h.n
 
+(* Both percentile readers take p clamped into [0, 1]; a NaN p names
+   no rank. *)
+let clamp_p fn p =
+  if Float.is_nan p then invalid_arg (fn ^ ": p is NaN") else Float.min 1.0 (Float.max 0.0 p)
+
 (* Nearest-rank percentile over the buckets, clamped to exact [min,max]. *)
 let percentile_buckets ~n ~vmin ~vmax (counts : (int * int) list) (p : float) : float =
+  let p = clamp_p "Metrics.percentile" p in
   if n = 0 then 0.0
   else begin
     let rank = max 1 (int_of_float (Float.ceil (p *. float_of_int n))) in
@@ -128,15 +134,98 @@ let percentile h p =
     ~vmax:(if h.n = 0 then 0.0 else h.vmax)
     (buckets_of_histogram h) p
 
+(* --- exact percentiles: selection in place ---------------------------------
+
+   A report that keeps every latency reads a few ranks of it, so it
+   selects each rank instead of sorting the samples. Every comparison is
+   Float.compare on two elements of a float array, which compiles to an
+   unboxed compare; Array.sort's comparator closure boxes both operands
+   on every call. *)
+
+let[@inline] swap (a : float array) i j =
+  let t = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- t
+
+(* Max-heap over a.(lo .. lo+len-1), heap slot h at a.(lo + h): sift
+   slot h down. *)
+let rec sift_down (a : float array) lo len h =
+  let c = (2 * h) + 1 in
+  if c < len then begin
+    let c = if c + 1 < len && Float.compare a.(lo + c + 1) a.(lo + c) > 0 then c + 1 else c in
+    if Float.compare a.(lo + c) a.(lo + h) > 0 then begin
+      swap a (lo + c) (lo + h);
+      sift_down a lo len c
+    end
+  end
+
+(* Heapify a.(lo..hi) and pop its hi - k largest; the root is then the
+   rank-k sample. O(n log n) on any input. *)
+let heap_select a lo hi k =
+  let len = hi - lo + 1 in
+  for h = (len / 2) - 1 downto 0 do
+    sift_down a lo len h
+  done;
+  for last = len - 1 downto k - lo + 1 do
+    swap a lo (lo + last);
+    sift_down a lo last 0
+  done;
+  a.(lo)
+
+(* The sample of rank k (0-based, Float.compare order) in a.(lo..hi),
+   lo <= k <= hi, found by permuting the range in place: a quickselect
+   around the median of a.(lo), a.(mid) and a.(hi), partitioned with
+   Hoare's two scans (elements equal to the pivot stop both, so runs of
+   duplicates split evenly). A round whose kept side holds more than
+   half its range spends one unit of [budget]; when it runs out, as on
+   a median-of-three killer, a heap select finishes, as it does every
+   range of at most 16 samples. So at most log2 n halving rounds plus
+   [budget] others run before it: O(n) expected, O(n log n) worst. *)
+let rec select (a : float array) lo hi k budget =
+  if hi - lo < 16 || budget = 0 then heap_select a lo hi k
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    if Float.compare a.(mid) a.(lo) < 0 then swap a mid lo;
+    if Float.compare a.(hi) a.(lo) < 0 then swap a hi lo;
+    if Float.compare a.(hi) a.(mid) < 0 then swap a hi mid;
+    (* a.(lo) <= pivot <= a.(hi): each scan stops at a sentinel *)
+    swap a mid (hi - 1);
+    let pivot = a.(hi - 1) in
+    let i = ref lo and j = ref (hi - 1) in
+    let scanning = ref true in
+    while !scanning do
+      incr i;
+      while Float.compare a.(!i) pivot < 0 do
+        incr i
+      done;
+      decr j;
+      while Float.compare a.(!j) pivot > 0 do
+        decr j
+      done;
+      if !i < !j then swap a !i !j else scanning := false
+    done;
+    (* a.(lo .. i-1) <= pivot <= a.(i+1 .. hi) *)
+    swap a !i (hi - 1);
+    let p = !i in
+    if k = p then pivot
+    else
+      let lo', hi' = if k < p then (lo, p - 1) else (p + 1, hi) in
+      let budget = if 2 * (hi' - lo' + 1) > hi - lo + 1 then budget - 1 else budget in
+      select a lo' hi' k budget
+  end
+
 (* Exact nearest-rank percentile over raw samples, for reports that keep
-   every latency. Float.compare, not polymorphic compare: the same order
-   on floats, and ~4x faster on million-sample sorts. *)
+   every latency: the sample a sort would put at that rank, selected in
+   place on one copy. *)
 let exact_percentile (xs : float array) p =
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  match Array.length sorted with
+  let p = clamp_p "Metrics.exact_percentile" p in
+  match Array.length xs with
   | 0 -> 0.0
-  | n -> sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
+  | n ->
+      let rec log2 m acc = if m <= 1 then acc else log2 (m / 2) (acc + 1) in
+      select (Array.copy xs) 0 (n - 1)
+        (min (n - 1) (int_of_float (p *. float_of_int n)))
+        (2 * log2 n 0)
 
 (* --- snapshots ------------------------------------------------------------- *)
 

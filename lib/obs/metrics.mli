@@ -59,12 +59,21 @@ val observe : histogram -> float -> unit
 
 val percentile : histogram -> float -> float
 (** [percentile h 0.99]: bucket-midpoint estimate of the p-quantile,
-    clamped to the exact observed [min, max]. 0 on an empty histogram. *)
+    clamped to the exact observed [min, max]. 0 on an empty histogram.
+    [p] is clamped into [[0, 1]].
+    @raise Invalid_argument when [p] is NaN. *)
 
 val exact_percentile : float array -> float -> float
 (** [exact_percentile xs 0.99]: the nearest-rank sample
-    [sorted.(min (n-1) (int_of_float (p *. n)))] of a sorted copy of
-    [xs] (the input is not mutated). 0 on an empty array. *)
+    [sorted.(min (n-1) (int_of_float (p *. n)))], where [sorted] is
+    [xs] in [Float.compare] order. 0 on an empty array. [p] is clamped
+    into [[0, 1]].
+
+    Found without sorting: an introselect on one copy (the input is not
+    mutated) — a median-of-three quickselect on unboxed floats that
+    hands over to a heap select after [2 log2 n] rounds that do not
+    halve the range. O(n) expected, O(n log n) worst.
+    @raise Invalid_argument when [p] is NaN. *)
 
 val histogram_count : histogram -> int
 val histogram_mean : histogram -> float
@@ -92,6 +101,7 @@ val diff : snapshot -> snapshot -> snapshot
     0), later gauge values; metrics only present in [later] pass through. *)
 
 val percentile_of_snapshot : histo_snapshot -> float -> float
+(** {!percentile} over a snapshot's buckets, with the same clamping. *)
 
 val snapshot_to_json : snapshot -> Json.t
 val to_table_string : snapshot -> string

@@ -80,23 +80,15 @@ let widen_scheme = function
 
 let widen (spec : spec) : spec = List.map (fun (n, s) -> (n, widen_scheme s)) spec
 
-let bucket_dims spec dims =
-  List.sort
-    (fun (a, _) (b, _) -> compare a b)
-    (List.map (fun (n, v) -> (n, round_up (scheme_of spec n) v)) dims)
+let padded_env spec env = List.map (fun (n, v) -> (n, round_up (scheme_of spec n) v)) env
 
 let env_key = Tensor.Shape.env_key
 
-let key_of spec dims = env_key (bucket_dims spec dims)
+let key_of spec dims = env_key (padded_env spec dims)
 
 let elements = Workloads.Queueing.elements
 
 let exact_env = Workloads.Queueing.batch_env
-
-let padded_env spec ~batch_dim members =
-  List.map
-    (fun (n, v) -> (n, round_up (scheme_of spec n) v))
-    (exact_env ~batch_dim members)
 
 let waste ~actual ~padded =
   if padded = 0 then 0.0 else float_of_int (padded - actual) /. float_of_int padded

@@ -53,13 +53,20 @@ val widen_scheme : scheme -> scheme
 val widen : spec -> spec
 (** {!widen_scheme} applied to every dim of the spec. *)
 
+val padded_env : spec -> (string * int) list -> (string * int) list
+(** The env with every dim — including the batch dim, when listed in
+    the spec — rounded up to its bucket ceiling, in the env's order.
+    The batcher pads the {!exact_env} it already built. *)
+
 val key_of : spec -> (string * int) list -> string
-(** Canonical bucket key of one request's dims, e.g. ["hist=64,seq=128"]. *)
+(** Canonical bucket key of one request's dims:
+    [env_key (padded_env spec dims)], e.g. ["hist=64,seq=128"]. *)
 
 val env_key : (string * int) list -> string
 (** {!Tensor.Shape.env_key}: the canonical key of a full shape
     environment (name-sorted, no rounding) — the warmth identity of a
-    dispatched batch. *)
+    dispatched batch. A dispatch keys its env once and hands the key to
+    the router and the launch. *)
 
 val elements : (string * int) list -> int
 (** {!Workloads.Queueing.elements}: product of the dim values (1 for
@@ -70,11 +77,6 @@ val exact_env :
 (** {!Workloads.Queueing.batch_env}: batch dim = member count, every
     other dim = max over members (missing dims contribute 1).
     @raise Invalid_argument on an empty batch. *)
-
-val padded_env :
-  spec -> batch_dim:string -> (string * int) list list -> (string * int) list
-(** {!exact_env} with every dim — including the batch dim, when listed
-    in the spec — rounded up to its bucket ceiling. *)
 
 val waste : actual:int -> padded:int -> float
 (** [(padded - actual) / padded], 0 when [padded] is 0. *)

@@ -253,9 +253,22 @@ type report = {
 let padding_waste (r : report) =
   Bucket.waste ~actual:r.actual_elements ~padded:r.padded_elements
 
+(* Counted, then copied: a list of boxed samples would outgrow the
+   minor heap on a large run and be promoted only to die. *)
 let completed_latencies (r : report) =
-  Array.of_list
-    (List.filter (fun l -> not (Float.is_nan l)) (Array.to_list r.latencies_us))
+  let lats = r.latencies_us in
+  let n = ref 0 in
+  for i = 0 to Array.length lats - 1 do
+    if not (Float.is_nan lats.(i)) then incr n
+  done;
+  let out = Array.make !n 0.0 and j = ref 0 in
+  for i = 0 to Array.length lats - 1 do
+    if not (Float.is_nan lats.(i)) then begin
+      out.(!j) <- lats.(i);
+      incr j
+    end
+  done;
+  out
 
 let percentile = Obs.Metrics.exact_percentile
 
@@ -1017,37 +1030,46 @@ let[@inline] batch_cost s elems key =
   (s.clock.us_per_element *. float_of_int elems)
   +. (if warm_somewhere s.pool.pool_replicas key 0 then 0.0 else s.cfg.cold_warmup_us)
 
-(* Batch planning for one member set: pad-vs-exact decision plus the
-   element accounting the waste metric needs. *)
+(* Batch planning for one member set: pad-vs-exact decision, the
+   chosen env's signature key, and the element accounting the waste
+   metric needs. The padded env pads the exact one. Each env is keyed
+   at most once: the chosen one for the router and the launch, the
+   other only where the brownout check or the cost model reads it. *)
 let plan_batch s members =
   let member_dims = List.map (fun i -> s.arr.(i).dims) members in
   let exact = Bucket.exact_env ~batch_dim:s.cfg.batch_dim member_dims in
-  let padded = Bucket.padded_env s.bucket ~batch_dim:s.cfg.batch_dim member_dims in
+  let padded = Bucket.padded_env s.bucket exact in
   let e_actual = List.fold_left (fun acc d -> acc + Bucket.elements d) 0 member_dims in
   let e_exact = Bucket.elements exact and e_padded = Bucket.elements padded in
   (* pad-vs-exact: hard waste cap, then the measured cost model —
      padded repeats across batches (likely warm somewhere in the
      pool), exact executes fewer elements but is usually cold *)
-  let use_padded =
-    let waste = Bucket.waste ~actual:e_actual ~padded:e_padded in
-    if waste > s.cfg.max_pad_waste then false
-    else if
-      waste > eff_pad_cap s && warm_somewhere s.pool.pool_replicas (Bucket.env_key exact) 0
-    then
+  let by_cost exact_key =
+    let padded_key = Bucket.env_key padded in
+    if s.clock.us_per_element <= 0.0 then (true, padded_key)
+    else
+      let exact_key = match exact_key with Some k -> k | None -> Bucket.env_key exact in
+      if batch_cost s e_padded padded_key <= batch_cost s e_exact exact_key then
+        (true, padded_key)
+      else (false, exact_key)
+  in
+  let waste = Bucket.waste ~actual:e_actual ~padded:e_padded in
+  let use_padded, key =
+    if waste > s.cfg.max_pad_waste then (false, Bucket.env_key exact)
+    else if waste > eff_pad_cap s then begin
+      let exact_key = Bucket.env_key exact in
       (* brownout L2+: shed padding beyond the tightened cap, but only
          onto an exact signature that is already warm somewhere —
          minting cold compiles during a capacity crunch would deepen
          the overload the ladder is trying to relieve *)
-      false
-    else if s.clock.us_per_element <= 0.0 then true
-    else
-      batch_cost s e_padded (Bucket.env_key padded)
-      <= batch_cost s e_exact (Bucket.env_key exact)
+      if warm_somewhere s.pool.pool_replicas exact_key 0 then (false, exact_key)
+      else by_cost (Some exact_key)
+    end
+    else by_cost None
   in
-  (exact, padded, e_actual, use_padded)
+  (exact, padded, e_actual, use_padded, key)
 
-let route_and_launch s time ~members ~env ~use_padded ~e_actual =
-  let key = Bucket.env_key env in
+let route_and_launch s time ~members ~env ~key ~use_padded ~e_actual =
   match Router.pick s.router ~now:time ~key s.pool.pool_replicas with
   | None -> assert false (* only called when a replica is free *)
   | Some rep -> ignore (launch s time ~members ~env ~key ~use_padded ~e_actual ~hedge_of:(-1) rep)
@@ -1065,7 +1087,7 @@ let rec dispatch_batch s time members =
   match members with
   | [] -> ()
   | _ -> (
-      let exact, padded, e_actual, use_padded = plan_batch s members in
+      let exact, padded, e_actual, use_padded, key = plan_batch s members in
       let env = if use_padded then padded else exact in
       match s.cfg.hbm_budget with
       | Some budget when s.cfg.mem_aware && not (fits s env budget) -> (
@@ -1073,7 +1095,8 @@ let rec dispatch_batch s time members =
             (* running at the budget edge is pressure *)
             s.mem_forced_exact <- s.mem_forced_exact + 1;
             s.win_hi <- s.win_hi + 1;
-            route_and_launch s time ~members ~env:exact ~use_padded:false ~e_actual
+            route_and_launch s time ~members ~env:exact ~key:(Bucket.env_key exact)
+              ~use_padded:false ~e_actual
           end
           else
             match List.rev members with
@@ -1087,7 +1110,7 @@ let rec dispatch_batch s time members =
                 s.mem_capped <- s.mem_capped + 1;
                 s.win_hi <- s.win_hi + 1;
                 dispatch_batch s time (List.rev rev_rest))
-      | _ -> route_and_launch s time ~members ~env ~use_padded ~e_actual)
+      | _ -> route_and_launch s time ~members ~env ~key ~use_padded ~e_actual)
 
 let try_dispatch s time =
   any_free s.pool.pool_replicas time 0

@@ -21,11 +21,34 @@ let to_string (t : t) =
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
+(* [string_of_int]'s digits. *)
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+let rec sorted_by_name = function
+  | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b <= 0 && sorted_by_name rest
+  | _ -> true
+
+(* Written into one buffer; an env already in name order is not sorted
+   again. *)
 let env_key (env : (string * int) list) =
-  String.concat ","
-    (List.map
-       (fun (n, v) -> Printf.sprintf "%s=%d" n v)
-       (List.sort (fun (a, _) (b, _) -> String.compare a b) env))
+  let env =
+    if sorted_by_name env then env
+    else List.sort (fun (a, _) (b, _) -> String.compare a b) env
+  in
+  let buf = Buffer.create 32 in
+  List.iteri
+    (fun i (n, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf n;
+      Buffer.add_char buf '=';
+      add_int buf v)
+    env;
+  Buffer.contents buf
 
 let validate (t : t) =
   Array.iter (fun d -> if d < 0 then error "negative dimension in %s" (to_string t)) t

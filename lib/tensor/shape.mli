@@ -32,8 +32,12 @@ val pp : Format.formatter -> t -> unit
 val env_key : (string * int) list -> string
 (** Canonical signature of a named-dim environment once its symbols are
     bound: [name=value] pairs sorted by name, comma-joined (e.g.
-    ["batch=4,seq=73"]). The key under which buckets, hot variants and
-    tuned rungs file a concrete shape. *)
+    ["batch=4,seq=73"]); equal names keep their order. The key under
+    which buckets, hot variants and tuned rungs file a concrete shape.
+
+    Written into one buffer with a digit writer (no [Printf], no
+    [String.concat]); an env already in name order is not sorted
+    again. *)
 
 val validate : t -> unit
 (** @raise Shape_error on a negative extent. *)

@@ -196,6 +196,123 @@ let test_exact_percentile () =
   check_bool "input not mutated" true (xs = [| 5.0; 1.0; 4.0; 2.0; 3.0 |]);
   check_float "empty is 0" 0.0 (Metrics.exact_percentile [||] 0.99)
 
+(* p outside [0, 1] clamps to it; a NaN p is rejected. *)
+let test_exact_percentile_p_range () =
+  let xs = [| 3.0; 1.0; 2.0 |] in
+  check_float "p < 0 is the min" 1.0 (Metrics.exact_percentile xs (-1.0));
+  check_float "p = -inf is the min" 1.0 (Metrics.exact_percentile xs neg_infinity);
+  check_float "p > 1 is the max" 3.0 (Metrics.exact_percentile xs 2.0);
+  check_float "p = inf is the max" 3.0 (Metrics.exact_percentile xs infinity);
+  check_bool "NaN p rejected" true
+    (match Metrics.exact_percentile xs nan with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_histogram_percentile_p_range () =
+  let m = Metrics.create () in
+  let h = Metrics.histogram m "lat" in
+  List.iter (Metrics.observe h) [ 3.0; 1.0; 2.0; 1000.0 ];
+  check_float "p > 1 is the max" 1000.0 (Metrics.percentile h 2.0);
+  check_float "p = inf is the max" 1000.0 (Metrics.percentile h infinity);
+  check_float "p < 0 reads as p = 0" (Metrics.percentile h 0.0) (Metrics.percentile h (-1.0));
+  check_float "p = -inf reads as p = 0" (Metrics.percentile h 0.0)
+    (Metrics.percentile h neg_infinity);
+  check_bool "NaN p rejected" true
+    (match Metrics.percentile h nan with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* exact_percentile against a sort: copy, Array.sort Float.compare,
+   nearest rank. *)
+let reference_percentile xs p =
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  match Array.length sorted with
+  | 0 -> 0.0
+  | n -> sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
+
+let percentile_ps = [ 0.0; 0.001; 0.5; 0.95; 0.99; 0.999; 1.0 ]
+
+(* Random floats (NaN and infinities included), at most 8 distinct
+   values, then presorted, reversed and all-equal arrays. *)
+let sample_array_gen =
+  QCheck.Gen.(
+    let* n = int_range 0 3_000 in
+    let* kind = int_range 0 4 in
+    let* xs =
+      array_size (return n)
+        (frequency [ (15, float); (1, oneofl [ nan; infinity; neg_infinity; 0.0; -0.0 ]) ])
+    in
+    let* dups = array_size (return n) (int_range 0 7) in
+    let sorted () =
+      let a = Array.copy xs in
+      Array.sort Float.compare a;
+      a
+    in
+    return
+      (match kind with
+      | 0 -> xs
+      | 1 -> Array.map (fun d -> float_of_int d *. 1.5) dups
+      | 2 -> sorted ()
+      | 3 ->
+          let a = sorted () in
+          Array.init n (fun i -> a.(n - 1 - i))
+      | _ -> Array.make n (if n = 0 then 0.0 else xs.(0))))
+
+let prop_exact_percentile_reference =
+  QCheck.Test.make ~name:"exact_percentile = sorted nearest rank" ~count:200 ~long_factor:25
+    (QCheck.make ~shrink:QCheck.Shrink.array
+       ~print:(fun a ->
+         Printf.sprintf "n=%d [%s]" (Array.length a)
+           (String.concat "; " (List.map (Printf.sprintf "%h") (Array.to_list a))))
+       sample_array_gen)
+    (fun xs ->
+      let before = Array.copy xs in
+      List.for_all
+        (fun p -> Float.equal (Metrics.exact_percentile xs p) (reference_percentile xs p))
+        percentile_ps
+      && Array.for_all2 (fun a b -> Float.equal a b) xs before)
+
+(* A median-of-three killer for the selection: at round r the range is
+   [2r, n-1], its lo and mid slots hold the two smallest samples left
+   (2r and 2r+1) and its hi slot the maximum, so the pivot is the
+   second smallest and each partition peels two samples off a range
+   that still holds the p50 and p99 ranks. Without the heap fallback
+   the first n/4 rounds would scan about 3n^2/16 elements. *)
+let median_of_three_killer n =
+  let a = Array.make n nan in
+  let m0 = (n - 1) / 2 in
+  let rounds = (m0 / 2) - 1 in
+  for r = 0 to rounds - 1 do
+    a.(2 * r) <- float_of_int (2 * r);
+    a.(m0 + r) <- float_of_int ((2 * r) + 1)
+  done;
+  a.(n - 1) <- float_of_int (n - 1);
+  let next = ref (2 * rounds) in
+  Array.iteri
+    (fun i v ->
+      if Float.is_nan v then begin
+        a.(i) <- float_of_int !next;
+        incr next
+      end)
+    a;
+  a
+
+let test_exact_percentile_killer () =
+  let n = 200_000 in
+  let xs = median_of_three_killer n in
+  let sorted = Array.copy xs in
+  Array.sort Float.compare sorted;
+  let permutation = ref true in
+  Array.iteri (fun i v -> if v <> float_of_int i then permutation := false) sorted;
+  check_bool "a permutation of 0 .. n-1" true !permutation;
+  List.iter
+    (fun p ->
+      check_float
+        (Printf.sprintf "p%g on the killer" (100.0 *. p))
+        (reference_percentile xs p) (Metrics.exact_percentile xs p))
+    [ 0.5; 0.99 ]
+
 let test_snapshot_and_diff () =
   let m = Metrics.create () in
   let c = Metrics.counter m "reqs" in
@@ -337,6 +454,12 @@ let () =
           Alcotest.test_case "percentiles (uniform)" `Quick test_histogram_percentiles_uniform;
           Alcotest.test_case "histogram edge cases" `Quick test_histogram_edge_cases;
           Alcotest.test_case "exact percentile" `Quick test_exact_percentile;
+          Alcotest.test_case "exact percentile p range" `Quick test_exact_percentile_p_range;
+          Alcotest.test_case "histogram percentile p range" `Quick
+            test_histogram_percentile_p_range;
+          QCheck_alcotest.to_alcotest prop_exact_percentile_reference;
+          Alcotest.test_case "exact percentile median-of-3 killer" `Quick
+            test_exact_percentile_killer;
           Alcotest.test_case "snapshot + diff" `Quick test_snapshot_and_diff;
         ] );
       ( "compile",

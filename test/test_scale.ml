@@ -16,6 +16,9 @@
      regression trips the test long before the gate;
    - one golden report string, pinning the report accounting
      (dispositions, batch split, padding waste, percentiles) bit-for-bit;
+   - the same bar for the E20b decode run at 10^4 sequences: audit,
+     bit-identical rerun, and a golden report string with the MD5 of
+     its token schedule;
 
    plus QCheck properties of the trace generator itself: strictly
    increasing arrivals, windowed rates inside the [trough, peak]
@@ -190,6 +193,28 @@ let test_decode_bit_identical_rerun () =
     && r1.Sched.decode_steps = r2.Sched.decode_steps
     && r1.Sched.signatures = r2.Sched.signatures)
 
+(* E20b's report at 10^4 sequences, pinned bit-for-bit beside the pool's
+   golden: the TTFT and TPOT p50/p99 come from Obs.Metrics.exact_percentile
+   over every finished sequence's TTFT and every inter-token gap, and the
+   MD5 of the token schedule pins each sequence's (ttft, finish, tokens). *)
+let test_decode_golden_report () =
+  let reqs = decode_reqs 10_000 in
+  let r = Sched.run ~prefill:decode_prefill ~decode:decode_decode (decode_cfg ()) reqs in
+  Alcotest.(check string) "report string pinned"
+    "decode[continuous] workers=4 seqs=10000 finished=10000 lost=0 tokens=63516 \
+     makespan=1843.2ms tokens/s=34459.4\n\
+    \  ttft p50=0.27ms p99=2.15ms ok=10000/10000 | tpot p50=0.18ms p99=0.37ms \
+     ok=53516/53516\n\
+    \  prefill_batches=6443 decode_steps=26007 mean_decode_batch=2.06 slot_waste=12.5%\n\
+    \  signatures=41 dispatches=32450 cold=88 warm_rate=99.7%"
+    (Sched.report_to_string r);
+  Alcotest.(check string) "token schedule digest pinned" "bbf663d5af6fd3edb637683ad9520be7"
+    (Digest.to_hex (Digest.string (Sched.digest r)));
+  Alcotest.(check string) "percentile samples pinned"
+    "0x1.1023f9f14dp+8 0x1.0d3c6fae367p+11 0x1.6725013866p+7 0x1.7293c8e5d8p+8"
+    (Printf.sprintf "%h %h %h %h" r.Sched.ttft_p50_us r.Sched.ttft_p99_us r.Sched.tpot_p50_us
+       r.Sched.tpot_p99_us)
+
 (* --- trace generator properties ------------------------------------------- *)
 
 let spec_of (seed, qps_i, preset) =
@@ -306,6 +331,7 @@ let () =
             test_decode_conservation_at_scale;
           Alcotest.test_case "bit-identical rerun at 10^4" `Quick
             test_decode_bit_identical_rerun;
+          Alcotest.test_case "golden report at 10^4" `Quick test_decode_golden_report;
         ] );
       ( "trace-gen",
         [

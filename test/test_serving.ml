@@ -63,14 +63,10 @@ let test_batch_envs () =
   check_int "batch dim = member count" 3 (List.assoc "batch" exact);
   check_int "other dims = intra-batch max" 9 (List.assoc "seq" exact);
   check_int "missing dims contribute their max" 3 (List.assoc "extra" exact);
-  let padded = Bucket.padded_env [ ("seq", Bucket.Pow2) ] ~batch_dim:"batch" members in
+  let padded = Bucket.padded_env [ ("seq", Bucket.Pow2) ] exact in
   check_int "padded dim at bucket ceiling" 16 (List.assoc "seq" padded);
   check_int "unlisted batch dim stays exact" 3 (List.assoc "batch" padded);
-  let padded_b =
-    Bucket.padded_env
-      [ ("seq", Bucket.Pow2); ("batch", Bucket.Pow2) ]
-      ~batch_dim:"batch" members
-  in
+  let padded_b = Bucket.padded_env [ ("seq", Bucket.Pow2); ("batch", Bucket.Pow2) ] exact in
   check_int "listed batch dim rounds too" 4 (List.assoc "batch" padded_b);
   check_bool "empty batch rejected" true
     (try

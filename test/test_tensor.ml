@@ -276,6 +276,35 @@ let prop_matmul_identity =
       let id = Nd.init [| k; k |] (fun i -> if i.(0) = i.(1) then 1.0 else 0.0) in
       Nd.equal_approx (Ops.matmul a id) a)
 
+(* env_key against its definition before it wrote into one buffer:
+   name-sorted (stable, so duplicate names keep their order),
+   "name=value" pairs, comma-joined. *)
+let reference_env_key env =
+  String.concat ","
+    (List.map
+       (fun (n, v) -> Printf.sprintf "%s=%d" n v)
+       (List.sort (fun (a, _) (b, _) -> String.compare a b) env))
+
+let env_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 6)
+      (pair
+         (string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 1 3))
+         (frequency
+            [
+              (4, int);
+              (2, int_range (-12) 12);
+              (1, oneofl [ 0; -1; min_int; max_int; min_int + 1; max_int - 1 ]);
+            ])))
+
+let prop_env_key_reference =
+  QCheck.Test.make ~name:"env_key = sorted sprintf join" ~count:500 ~long_factor:40
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun env ->
+         String.concat "; " (List.map (fun (n, v) -> Printf.sprintf "(%S, %d)" n v) env))
+       env_gen)
+    (fun env -> String.equal (Shape.env_key env) (reference_env_key env))
+
 let () =
   ignore nd_approx;
   Alcotest.run "tensor"
@@ -324,5 +353,6 @@ let () =
             prop_softmax_like;
             prop_pad_then_slice;
             prop_matmul_identity;
+            prop_env_key_reference;
           ] );
     ]
