@@ -845,10 +845,7 @@ let adaptive_serving () =
            (Serving.Slo.Best_effort, 0.25) ]
   in
   let bucket = [ ("seq", Bucket.Pow2) ] in
-  let autoscale =
-    { Serving.Autoscaler.default_config with
-      Serving.Autoscaler.min_replicas = 2; max_replicas = 4; scale_up_queue = 2 }
-  in
+  let autoscale = { Serving.Autoscaler.min_replicas = 2; max_replicas = 4; scale_up_queue = 2 } in
   let configs =
     [
       ("static-pow2", None);

@@ -583,11 +583,11 @@ let serve_cmd =
           in
           let spec =
             match preset with
-            | "steady" -> Serving.Trace_gen.steady ~seed ~qps ~dims:req_dims ()
-            | "diurnal" -> Serving.Trace_gen.diurnal ~seed ~qps ~dims:req_dims ()
-            | "bursty" -> Serving.Trace_gen.bursty ~seed ~qps ~dims:req_dims ()
+            | "steady" -> Serving.Trace_gen.steady ~seed ~qps ~dims:req_dims
+            | "diurnal" -> Serving.Trace_gen.diurnal ~seed ~qps ~dims:req_dims
+            | "bursty" -> Serving.Trace_gen.bursty ~seed ~qps ~dims:req_dims
             | "drift" ->
-                Serving.Trace_gen.drift ~seed ~qps ~dims_a:req_dims ~dims_b:flipped ()
+                Serving.Trace_gen.drift ~seed ~qps ~dims_a:req_dims ~dims_b:flipped
             | p ->
                 raise
                   (Usage

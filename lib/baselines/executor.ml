@@ -57,7 +57,6 @@ let make_from_strategy (s : strategy) (built : Models.Common.built) : t =
       Disc.Compiler.planner = s.planner;
       codegen = s.codegen;
       host_overhead_us = s.host_overhead_us;
-      run_graph_passes = true;
     }
   in
   let exe = (Disc.Compiler.compile ~options built.Models.Common.graph).Disc.Compiler.exe in

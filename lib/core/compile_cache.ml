@@ -2,10 +2,12 @@
    a computation once, serve it from every session that presents a
    structurally identical graph under identical compiler options.
 
-   Keying. The key digests [Ir.Fingerprint.canonical] — invariant under
-   node renumbering / symbol alpha-renaming / dead code — concatenated
-   with [Compiler.options_signature], plus the named-dynamic-dims
-   binding surface. A hit therefore guarantees both that the cached
+   Keying. The key digests the graph's [Ir.Fingerprint] — the digest of
+   its canonical form, invariant under node renumbering / symbol
+   alpha-renaming / dead code, with the named-dynamic-dims binding
+   surface — concatenated with [Compiler.options_signature]. A lookup
+   digests the canonical form once, and a miss stores that fingerprint.
+   A hit therefore guarantees both that the cached
    executable computes the same function and that every request-level
    dim name of the requesting session maps onto a canonical symbol of
    the cached graph, so bindings translate mechanically.
@@ -102,11 +104,11 @@ let stats t =
     schedules = Hashtbl.length t.schedules;
   }
 
-let key_of_canonical canonical (options : Compiler.options) =
-  Digest.to_hex (Digest.string (canonical ^ "options " ^ Compiler.options_signature options))
+let key_of_fingerprint fingerprint (options : Compiler.options) =
+  Digest.to_hex (Digest.string (fingerprint ^ "|options " ^ Compiler.options_signature options))
 
 let key_of ?(dims = []) ~(options : Compiler.options) (g : Graph.t) : string =
-  key_of_canonical (Ir.Fingerprint.canonical ~dims g) options
+  key_of_fingerprint (Ir.Fingerprint.fingerprint ~dims g) options
 
 (* --- persistence ---------------------------------------------------------- *)
 
@@ -317,9 +319,8 @@ let lookup_span outcome key =
 let find_or_compile t ?(options = Compiler.default_options)
     ?(dims : (string * Sym.dim) list = []) (g : Graph.t) :
     Compiler.compiled * (string * Sym.dim) list * outcome * string =
-  (* key and fingerprint digest one canonical form *)
-  let canonical = Ir.Fingerprint.canonical ~dims g in
-  let key = key_of_canonical canonical options in
+  let fingerprint = Ir.Fingerprint.fingerprint ~dims g in
+  let key = key_of_fingerprint fingerprint options in
   match Hashtbl.find_opt t.table key with
   | Some e ->
       t.hits <- t.hits + 1;
@@ -327,7 +328,6 @@ let find_or_compile t ?(options = Compiler.default_options)
       lookup_span Hit key;
       (e.compiled, e.dims, Hit, key)
   | None ->
-      let fingerprint = Ir.Fingerprint.of_canonical canonical in
       let warm = Hashtbl.mem t.warm key in
       let compiled =
         if warm then

@@ -66,9 +66,9 @@ val health_to_string : stats -> string
 
 val key_of :
   ?dims:(string * Symshape.Sym.dim) list -> options:Compiler.options -> Ir.Graph.t -> string
-(** The cache key: digest of {!Ir.Fingerprint.canonical} (with [dims])
-    and {!Compiler.options_signature}. Compiling a graph leaves its key
-    unchanged. *)
+(** The cache key: digest of {!Ir.Fingerprint.fingerprint} (with
+    [dims]) and {!Compiler.options_signature}. Compiling a graph leaves
+    its key unchanged. *)
 
 val find_or_compile :
   t ->
@@ -80,8 +80,9 @@ val find_or_compile :
     graph} (on a hit these belong to the original graph's symbol table
     and must be used — not the caller's own dims — to bind requests
     against the shared executable), the lookup outcome, and the key
-    ({!key_of}). The key and the stored fingerprint digest one
-    {!Ir.Fingerprint.canonical} form, built once per lookup. On a miss
+    ({!key_of}). A lookup builds and digests one
+    {!Ir.Fingerprint.canonical} form; the key and the stored fingerprint
+    both come from that one digest. On a miss
     the graph is compiled ({!Compiler.compile}, which leaves it
     unchanged) and inserted. *)
 

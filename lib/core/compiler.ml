@@ -17,23 +17,17 @@ type options = {
   planner : Planner.config;
   codegen : Kernel.config;
   host_overhead_us : float;
-  run_graph_passes : bool;
 }
 
 let default_options =
-  {
-    planner = Planner.default_config;
-    codegen = Kernel.default_config;
-    host_overhead_us = 0.3;
-    run_graph_passes = true;
-  }
+  { planner = Planner.default_config; codegen = Kernel.default_config; host_overhead_us = 0.3 }
 
 (* Every field of every nested config, spelled out explicitly: adding a
    field without extending this string is caught by the record-pattern
    exhaustiveness check below, so cache keys can never silently ignore a
    new compilation knob. *)
 let options_signature (o : options) : string =
-  let { planner; codegen; host_overhead_us; run_graph_passes } = o in
+  let { planner; codegen; host_overhead_us } = o in
   let {
     Planner.fusion_enabled;
     oracle;
@@ -46,7 +40,7 @@ let options_signature (o : options) : string =
   in
   let { Kernel.enable_speculation } = codegen in
   Printf.sprintf
-    "planner{fusion=%b,oracle=%s,stitch=%b,smem=%d,max_cluster=%s,horizontal=%b};codegen{spec=%b};host_us=%g;passes=%b"
+    "planner{fusion=%b,oracle=%s,stitch=%b,smem=%d,max_cluster=%s,horizontal=%b};codegen{spec=%b};host_us=%g"
     fusion_enabled
     (match oracle with
     | Planner.Static_only -> "static"
@@ -54,7 +48,7 @@ let options_signature (o : options) : string =
     | Planner.Full_constraints -> "full")
     enable_stitch shared_mem_bytes
     (match max_cluster_size with Some n -> string_of_int n | None -> "-")
-    enable_horizontal enable_speculation host_overhead_us run_graph_passes
+    enable_horizontal enable_speculation host_overhead_us
 
 type compiled = {
   exe : Executable.t;
@@ -87,9 +81,7 @@ let simulated_phase_times_ms ~num_insts ~num_kernels =
    which can prove new equalities between symbols. *)
 let compile ?(options = default_options) (input : Graph.t) : compiled =
   let g = Graph.copy input in
-  let pass_stats =
-    if options.run_graph_passes then Ir.Passes.run_all g else Ir.Passes.empty_stats ()
-  in
+  let pass_stats = Ir.Passes.run_all g in
   Graph.verify g;
   let plan = Planner.plan ~config:options.planner g in
   let exe =

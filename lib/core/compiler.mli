@@ -16,7 +16,6 @@ type options = {
   planner : Planner.config;
   codegen : Kernel.config;
   host_overhead_us : float;
-  run_graph_passes : bool;
 }
 
 val default_options : options

@@ -22,13 +22,11 @@ module Table = Symshape.Table
 module Graph = Ir.Graph
 module Op = Ir.Op
 
-type policy = {
-  max_retries : int; (* compiled-path re-runs after a transient fault *)
-  breaker_threshold : int; (* consecutive faults that de-speculate a kernel *)
-  fallback_to_interp : bool; (* serve via the reference path after retries *)
-}
-
-let default_policy = { max_retries = 1; breaker_threshold = 3; fallback_to_interp = true }
+(* The ladder's fixed policy: one compiled-path re-run after a transient
+   fault, then the reference fallback; [breaker_threshold] consecutive
+   faults de-speculate a kernel. *)
+let max_retries = 1
+let breaker_threshold = 3
 
 type path = [ `Compiled | `Fallback ]
 
@@ -36,7 +34,7 @@ type path = [ `Compiled | `Fallback ]
    sliding window instead of unbounded per-request memory growth. *)
 type ring = { buf : float array; mutable len : int; mutable next : int }
 
-let ring_create cap = { buf = Array.make (max 1 cap) 0.0; len = 0; next = 0 }
+let ring_create cap = { buf = Array.make cap 0.0; len = 0; next = 0 }
 
 let ring_push r v =
   r.buf.(r.next) <- v;
@@ -73,7 +71,6 @@ type t = {
       (* async-compile: virtual time until the compiled artifact is
          "ready"; while positive, requests serve via the reference path *)
   device : Gpusim.Device.t;
-  policy : policy;
   mutable faults : Gpusim.Fault.t option;
   latencies : ring;
   breakers : (string, int) Hashtbl.t; (* kernel -> consecutive faults *)
@@ -122,10 +119,11 @@ type stats = {
   window : int; (* latencies retained for the percentile window *)
 }
 
-let default_window = 1024
+(* Latencies retained for the percentile window. *)
+let window = 1024
 
-let create ?(device = Gpusim.Device.a10) ?(policy = default_policy) ?fault_config
-    ?(window = default_window) ?cache ?(async_compile = false) (built : Common.built) : t =
+let create ?(device = Gpusim.Device.a10) ?fault_config ?cache ?(async_compile = false)
+    (built : Common.built) : t =
   let compiled, serve_dims, cache_hit, cache_ref =
     match cache with
     | None -> (Compiler.compile built.Common.graph, built.Common.dims, false, None)
@@ -151,7 +149,6 @@ let create ?(device = Gpusim.Device.a10) ?(policy = default_policy) ?fault_confi
     cache = cache_ref;
     warmup_remaining_us = (if async_compile && not cache_hit then compile_ms *. 1000.0 else 0.0);
     device;
-    policy;
     faults = Option.map Gpusim.Fault.make fault_config;
     latencies = ring_create window;
     breakers = Hashtbl.create 16;
@@ -226,7 +223,7 @@ let note_fault t (e : Error.t) =
   | Error.Kernel_fault { kernel; _ } ->
       let n = 1 + Option.value (Hashtbl.find_opt t.breakers kernel) ~default:0 in
       Hashtbl.replace t.breakers kernel n;
-      if n >= t.policy.breaker_threshold then begin
+      if n >= breaker_threshold then begin
         Hashtbl.replace t.tripped kernel ();
         invalidate_cached t
       end
@@ -316,7 +313,7 @@ let reference_profile (t : t) (bnd : Table.binding) : Profile.t =
 
 let rec attempt t ?(retries_used = ref 0) ~tries_left
     ~(compiled : unit -> ('a, Error.t) result)
-    ~(fallback : Error.t -> ('a * path, Error.t) result) () : ('a * path, Error.t) result =
+    ~(fallback : unit -> ('a * path, Error.t) result) () : ('a * path, Error.t) result =
   match compiled () with
   | Ok v ->
       note_clean_pass t;
@@ -328,15 +325,8 @@ let rec attempt t ?(retries_used = ref 0) ~tries_left
         incr retries_used;
         attempt t ~retries_used ~tries_left:(tries_left - 1) ~compiled ~fallback ()
       end
-      else fallback e
+      else fallback ()
   | Error e -> Error e (* permanent: retrying or falling back cannot help *)
-
-let fallback_or_fail t e ~(reference : unit -> ('a, Error.t) result) =
-  if not t.policy.fallback_to_interp then Error e
-  else
-    match reference () with
-    | Ok v -> Ok (v, `Fallback)
-    | Error e' -> Error e'
 
 (* Request-span bookkeeping: one span per request on the global trace,
    annotated with the serve path, retry count, outcome, and breaker
@@ -370,7 +360,7 @@ let path_to_string = function `Compiled -> "compiled" | `Fallback -> "fallback"
    fallback → record. [request] is the validated request; [compiled]
    and [reference] serve it once each, and [profile_of] reads the cost
    of a result. *)
-let ladder ?deadline_us t ~name ~env ~request ~profile_of ~compiled ~reference =
+let ladder t ~name ~env ~request ~profile_of ~compiled ~reference =
   let retries_used = ref 0 in
   begin_request_span t name env;
   let fail ~outcome e =
@@ -403,32 +393,26 @@ let ladder ?deadline_us t ~name ~env ~request ~profile_of ~compiled ~reference =
               Ok (v, `Fallback)
           | Error e -> Error e
         else
-          attempt t ~retries_used ~tries_left:t.policy.max_retries
+          attempt t ~retries_used ~tries_left:max_retries
             ~compiled:(fun () -> compiled r)
-            ~fallback:(fun e -> fallback_or_fail t e ~reference)
+            ~fallback:(fun () -> Result.map (fun v -> (v, `Fallback)) (reference ()))
             ()
       in
       match outcome with
       | Error e -> fail ~outcome:"error" e
-      | Ok (v, path) -> (
-          let lat = Profile.total_us (profile_of v) in
-          match deadline_us with
-          | Some budget when lat > budget ->
-              fail ~outcome:"deadline"
-                (Error.Deadline_exceeded { deadline_us = budget; elapsed_us = lat })
-          | _ ->
-              record t lat;
-              (match path with
-              | `Compiled -> Obs.Metrics.inc t.served_c
-              | `Fallback -> Obs.Metrics.inc t.fell_back_c);
-              end_request_span t ~outcome:"ok" ~path:(path_to_string path)
-                ~retries_used:!retries_used;
-              Ok (v, path)))
+      | Ok (v, path) ->
+          record t (Profile.total_us (profile_of v));
+          (match path with
+          | `Compiled -> Obs.Metrics.inc t.served_c
+          | `Fallback -> Obs.Metrics.inc t.fell_back_c);
+          end_request_span t ~outcome:"ok" ~path:(path_to_string path)
+            ~retries_used:!retries_used;
+          Ok (v, path))
 
 (* Cost-only request at named dynamic-dim values. *)
-let serve_result_slow ?deadline_us (t : t) (env : (string * int) list) :
+let serve_result_slow (t : t) (env : (string * int) list) :
     (Profile.t * path, Error.t) result =
-  ladder ?deadline_us t ~name:"serve" ~env ~request:(validate_env t env) ~profile_of:Fun.id
+  ladder t ~name:"serve" ~env ~request:(validate_env t env) ~profile_of:Fun.id
     ~compiled:(fun dims ->
       Compiler.simulate_result ~device:t.device ?faults:t.faults
         ~despeculate:(is_tripped t) t.active dims)
@@ -450,25 +434,19 @@ let steady_state (t : t) =
    the cap is a backstop against adversarial unbounded-shape traffic. *)
 let memo_cap = 4096
 
-let serve_result ?deadline_us (t : t) (env : (string * int) list) :
+let serve_result (t : t) (env : (string * int) list) :
     (Profile.t * path, Error.t) result =
-  if not (steady_state t) then serve_result_slow ?deadline_us t env
+  if not (steady_state t) then serve_result_slow t env
   else
     match Hashtbl.find_opt t.profile_memo env with
-    | Some profile -> (
+    | Some profile ->
         (* replay: same counters, ring push, and histogram update as the
            slow path's success branch — only the simulate walk is skipped *)
-        let lat = Profile.total_us profile in
-        match deadline_us with
-        | Some budget when lat > budget ->
-            Obs.Metrics.inc t.failed_c;
-            Error (Error.Deadline_exceeded { deadline_us = budget; elapsed_us = lat })
-        | _ ->
-            record t lat;
-            Obs.Metrics.inc t.served_c;
-            Ok (profile, `Compiled))
+        record t (Profile.total_us profile);
+        Obs.Metrics.inc t.served_c;
+        Ok (profile, `Compiled)
     | None ->
-        let res = serve_result_slow ?deadline_us t env in
+        let res = serve_result_slow t env in
         (match res with
         | Ok (profile, `Compiled) when steady_state t ->
             if Hashtbl.length t.profile_memo >= memo_cap then

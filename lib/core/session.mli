@@ -7,21 +7,14 @@
 
     {v compiled path -> retry (transient faults) -> reference fallback v}
 
-    where the reference fallback serves exact [Ir.Interp] numerics at
-    op-by-op (unfused, eager-dispatch) cost. A per-kernel circuit
-    breaker de-speculates a kernel — pins it to its generic codegen
-    version — after [breaker_threshold] consecutive faults. *)
+    where a transient fault (kernel fault, OOM) is retried once on the
+    compiled path and then served by the reference fallback: exact
+    [Ir.Interp] numerics at op-by-op (unfused, eager-dispatch) cost. A
+    per-kernel circuit breaker de-speculates a kernel — pins it to its
+    generic codegen version — after 3 consecutive faults. The policy is
+    fixed: every caller gets the same ladder. *)
 
 type t
-
-type policy = {
-  max_retries : int;  (** compiled-path re-runs after a transient fault *)
-  breaker_threshold : int;  (** consecutive faults that de-speculate a kernel *)
-  fallback_to_interp : bool;  (** serve via the reference path after retries *)
-}
-
-val default_policy : policy
-(** [{ max_retries = 1; breaker_threshold = 3; fallback_to_interp = true }] *)
 
 type path = [ `Compiled | `Fallback ]
 (** Which path ultimately served the request. *)
@@ -42,14 +35,14 @@ type stats = {
   retries : int;
   faults : int;  (** kernel faults / OOMs observed *)
   despeculated : int;  (** kernels pinned to their generic version *)
-  window : int;  (** latencies retained for the percentile window *)
+  window : int;
+      (** latencies retained for the percentile window: the most recent
+          1,024 *)
 }
 
 val create :
   ?device:Gpusim.Device.t ->
-  ?policy:policy ->
   ?fault_config:Gpusim.Fault.config ->
-  ?window:int ->
   ?cache:Compile_cache.t ->
   ?async_compile:bool ->
   Models.Common.built ->
@@ -113,15 +106,12 @@ val check_env : Models.Common.built -> (string * int) list -> (unit, Runtime.Err
     otherwise), and every model dim is bound ([Unbound_dim] otherwise). *)
 
 val serve_result :
-  ?deadline_us:float ->
   t ->
   (string * int) list ->
   (Runtime.Profile.t * path, Runtime.Error.t) result
 (** Cost-only request at named dynamic-dim values
     (e.g. [[("batch", 4); ("seq", 73)]]). Validates the binding, runs
     the retry/fallback ladder, and records latency + outcome counters.
-    With [deadline_us], a request whose simulated latency exceeds the
-    budget returns [Deadline_exceeded] and counts as failed.
 
     In steady state — no fault injection armed, no tripped kernels,
     warmup drained, tracing off — the result at a given env is a pure
@@ -136,7 +126,7 @@ val serve_data_result :
   Tensor.Nd.t list ->
   (Tensor.Nd.t list * Runtime.Profile.t * path, Runtime.Error.t) result
 (** Data-plane request on real tensors, through the same ladder as
-    {!serve_result} (without a deadline); a kernel the circuit breaker
+    {!serve_result}; a kernel the circuit breaker
     has tripped runs its generic version, as on the cost plane. On
     fallback the reference interpreter runs the compiled graph —
     bit-identical to [Ir.Interp.run] on it — and cost is charged at the

@@ -306,7 +306,7 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
         let done_at = !now +. service_us in
         w.rep.Replica.free_at <- done_at;
         Replica.note_batch w.rep ~key ~elements:(Bucket.elements env) ~service_us
-          ~rate_us:base_us ~requests:(List.length members) ~cold ();
+          ~rate_us:base_us ~requests:(List.length members) ~cold;
         Hashtbl.replace sig_seen key (1 + Option.value ~default:0 (Hashtbl.find_opt sig_seen key));
         incr dispatches;
         if cold then incr cold_total;

@@ -49,15 +49,11 @@ let rates t = (t.config.kernel_fault_rate, t.config.oom_rate)
 (* SplitMix64 finalizer over (seed, counter): a high-quality stateless
    hash, so each draw is an independent-looking uniform in [0,1). *)
 let uniform seed counter =
-  let z =
-    Int64.add
-      (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-      (Int64.mul (Int64.of_int (counter + 1)) 0xD1B54A32D192ED03L)
-  in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
+  Tensor.Splitmix.to_unit_float
+    (Tensor.Splitmix.finalize
+       (Int64.add
+          (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
+          (Int64.mul (Int64.of_int (counter + 1)) 0xD1B54A32D192ED03L)))
 
 let draw t =
   let u = uniform t.config.seed t.draws in

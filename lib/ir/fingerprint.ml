@@ -164,5 +164,4 @@ let canonical ?(dims : (string * Sym.dim) list = []) (g : Graph.t) : string =
   List.iter (Printf.bprintf buf "fact %s\n") (List.sort_uniq Stdlib.compare facts);
   Buffer.contents buf
 
-let of_canonical canonical = Digest.to_hex (Digest.string canonical)
-let fingerprint ?dims (g : Graph.t) : string = of_canonical (canonical ?dims g)
+let fingerprint ?dims (g : Graph.t) : string = Digest.to_hex (Digest.string (canonical ?dims g))

@@ -19,9 +19,5 @@ val canonical : ?dims:(string * Symshape.Sym.dim) list -> Graph.t -> string
     a cache key can also pin the request-binding surface. Mostly useful
     for debugging fingerprint mismatches. *)
 
-val of_canonical : string -> string
-(** Hex digest of a canonical form: [fingerprint] without rebuilding
-    the form when the caller already holds it. *)
-
 val fingerprint : ?dims:(string * Symshape.Sym.dim) list -> Graph.t -> string
-(** [of_canonical] of {!canonical}. *)
+(** Hex digest of {!canonical}. *)

@@ -14,7 +14,8 @@ let stats_to_string s =
 
 (* --- Dead code elimination -------------------------------------------- *)
 
-let dce ?(stats = empty_stats ()) (g : Graph.t) =
+let dce (g : Graph.t) =
+  let stats = empty_stats () in
   let live = Hashtbl.create 64 in
   let rec mark id =
     if not (Hashtbl.mem live id) then begin
@@ -50,7 +51,8 @@ let substitute (g : Graph.t) (visit : Graph.inst -> int option) =
 
 let insts_equal (a : Graph.inst) (b : Graph.inst) = a.op = b.op && a.args = b.args
 
-let cse ?(stats = empty_stats ()) (g : Graph.t) =
+let cse (g : Graph.t) =
+  let stats = empty_stats () in
   let seen : (int, Graph.inst list) Hashtbl.t = Hashtbl.create 64 in
   substitute g (fun i ->
       match i.op with
@@ -153,7 +155,8 @@ let simplify_inst (g : Graph.t) (i : Graph.inst) : int option =
 (* A rewrite in place can enable another on the same instruction (a
    composed broadcast may now be an identity), so each instruction is
    retried until it stops changing; its operands are already final. *)
-let simplify ?(stats = empty_stats ()) (g : Graph.t) =
+let simplify (g : Graph.t) =
+  let stats = empty_stats () in
   let rec settle (i : Graph.inst) =
     let op = i.op and args = i.args in
     match simplify_inst g i with
@@ -171,7 +174,10 @@ let simplify ?(stats = empty_stats ()) (g : Graph.t) =
    result shape is fully static (so no runtime binding is needed),
    replacing them by materialized constants. Bounded by element count to
    avoid exploding the graph with huge literals. *)
-let fold_constants ?(stats = empty_stats ()) ?(max_elements = 65536) (g : Graph.t) =
+let max_fold_elements = 65536
+
+let fold_constants (g : Graph.t) =
+  let stats = empty_stats () in
   let tab = Graph.symtab g in
   let empty_bnd = Symshape.Table.empty_binding () in
   Graph.iter g (fun i ->
@@ -189,7 +195,7 @@ let fold_constants ?(stats = empty_stats ()) ?(max_elements = 65536) (g : Graph.
           in
           let small =
             match Sym.numel_static (Array.map (Symshape.Table.resolve tab) i.shape) with
-            | Some n -> n <= max_elements
+            | Some n -> n <= max_fold_elements
             | None -> false
           in
           if args_const && static && small then begin
@@ -209,9 +215,9 @@ let fold_constants ?(stats = empty_stats ()) ?(max_elements = 65536) (g : Graph.
 
 (* Canonical cleanup pipeline run before fusion. *)
 let run_all (g : Graph.t) =
-  let stats = empty_stats () in
-  ignore (fold_constants ~stats g);
-  ignore (simplify ~stats g);
-  ignore (cse ~stats g);
-  ignore (dce ~stats g);
+  let folded = (fold_constants g).simplified in
+  let stats = simplify g in
+  stats.simplified <- folded + stats.simplified;
+  stats.cse_removed <- (cse g).cse_removed;
+  stats.dce_removed <- (dce g).dce_removed;
   stats

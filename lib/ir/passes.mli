@@ -12,18 +12,17 @@ type stats = {
   mutable dce_removed : int;
 }
 
-val empty_stats : unit -> stats
 val stats_to_string : stats -> string
 
-val dce : ?stats:stats -> Graph.t -> stats
+val dce : Graph.t -> stats
 (** Remove instructions unreachable from the outputs (parameters are
     always kept). *)
 
-val cse : ?stats:stats -> Graph.t -> stats
+val cse : Graph.t -> stats
 (** Deduplicate structurally identical instructions in one walk in id
     order (run {!dce} after to delete the husks). *)
 
-val simplify : ?stats:stats -> Graph.t -> stats
+val simplify : Graph.t -> stats
 (** Algebraic identities (x+0, x·1, …), cast/transpose/slice/pad
     identities, transpose and broadcast composition, reshape-chain
     collapsing, and the shape-constraint-driven broadcast/reshape
@@ -31,10 +30,11 @@ val simplify : ?stats:stats -> Graph.t -> stats
     operands already simplified and is rewritten until it stops
     changing. [simplified] counts each redirected instruction once. *)
 
-val fold_constants : ?stats:stats -> ?max_elements:int -> Graph.t -> stats
+val fold_constants : Graph.t -> stats
 (** Evaluate constant subgraphs with static shapes into literal
-    constants (bounded by [max_elements] per result). *)
+    constants, each result at most 65,536 elements. *)
 
 val run_all : Graph.t -> stats
 (** The canonical cleanup pipeline run before fusion:
-    fold_constants; simplify; cse; dce. *)
+    fold_constants; simplify; cse; dce. Its [simplified] counts the
+    rewrites of both fold_constants and simplify. *)

@@ -18,14 +18,13 @@ type candidate = { at_pos : int; live : buffer list }
 
 type t = {
   exe : Executable.t;
-  alignment : int;
   buffers : buffer list;
   cands : candidate list;
   resident : Poly.t list; (* per-buffer, so alignment stays exact *)
   n_items : int;
 }
 
-let of_executable ?(alignment = 256) (exe : Executable.t) : t =
+let of_executable (exe : Executable.t) : t =
   let g = exe.Executable.g in
   let tab = Graph.symtab g in
   let poly_of id =
@@ -66,10 +65,9 @@ let of_executable ?(alignment = 256) (exe : Executable.t) : t =
              all))
       all
   in
-  { exe; alignment; buffers; cands; resident; n_items }
+  { exe; buffers; cands; resident; n_items }
 
 let executable t = t.exe
-let alignment t = t.alignment
 let buffers t = t.buffers
 let n_items t = t.n_items
 
@@ -97,11 +95,11 @@ let lookup t bnd =
           memo.(id) <- Some v;
           v
 
-let sum_aligned t lookup polys =
+let sum_aligned lookup polys =
   List.fold_left
     (fun acc p ->
       match (acc, Poly.eval p ~lookup) with
-      | Some a, Some v -> Some (a + Memplan.align t.alignment v)
+      | Some a, Some v -> Some (a + Memplan.align Memplan.alignment v)
       | _ -> None)
     (Some 0) polys
 
@@ -109,12 +107,12 @@ let live_peak_bytes t bnd =
   let lookup = lookup t bnd in
   List.fold_left
     (fun acc c ->
-      match (acc, sum_aligned t lookup (List.map (fun b -> b.poly) c.live)) with
+      match (acc, sum_aligned lookup (List.map (fun b -> b.poly) c.live)) with
       | Some a, Some v -> Some (max a v)
       | _ -> None)
     (Some 0) t.cands
 
-let resident_bytes t bnd = sum_aligned t (lookup t bnd) t.resident
+let resident_bytes t bnd = sum_aligned (lookup t bnd) t.resident
 
 (* The live-sum peak is a lower bound on any correct arena (live buffers
    occupy disjoint ranges), and the concrete plan at the same binding is
@@ -127,7 +125,7 @@ let arena_bound t bnd =
   | None -> None
   | Some lp ->
       let planned =
-        try Some (Memplan.plan ~alignment:t.alignment t.exe bnd).Memplan.arena_bytes
+        try Some (Memplan.plan t.exe bnd).Memplan.arena_bytes
         with Table.Inconsistent _ -> None
       in
       Some (max lp (Option.value planned ~default:0))

@@ -34,12 +34,11 @@ type buffer = {
 
 type t
 
-val of_executable : ?alignment:int -> Runtime.Executable.t -> t
+val of_executable : Runtime.Executable.t -> t
 (** Build the estimate once per compiled executable (binding-free).
-    [alignment] must match the planner's (default 256). *)
+    Buffers round up to the planner's {!Runtime.Memplan.alignment}. *)
 
 val executable : t -> Runtime.Executable.t
-val alignment : t -> int
 val buffers : t -> buffer list
 (** All intermediates in production order (the planner's lifetimes). *)
 
@@ -58,7 +57,8 @@ val lookup : t -> Table.binding -> int -> int option
 
 val live_peak_bytes : t -> Table.binding -> int option
 (** Max over candidates of the live-set byte sum, each buffer rounded up
-    to [alignment] — the symbolic peak evaluated at [bnd]. *)
+    to {!Runtime.Memplan.alignment} — the symbolic peak evaluated at
+    [bnd]. *)
 
 val resident_bytes : t -> Table.binding -> int option
 (** Parameters + constants (weights and inputs), per-buffer aligned. *)

@@ -24,7 +24,6 @@ type decision = {
   peak_after : int;
 }
 
-let block_align = 256 (* arena blocks: the planner's alignment *)
 let sub_align = 64 (* packing inside a regrouped block *)
 let small_buffer_bytes = 262_144 (* regroup only sub-256KB buffers *)
 let cheap_flops = 8.0 (* max summed flops/element of a recomputable producer *)
@@ -131,7 +130,7 @@ let units_of ctx pos_of ~recomputed ~extra ~groups =
       (fun v ->
         if Hashtbl.mem grouped v then []
         else
-          let sz = Memplan.align block_align (Hashtbl.find ctx.sizes v) in
+          let sz = Memplan.align Memplan.alignment (Hashtbl.find ctx.sizes v) in
           let unit_at (first, last) =
             { u_values = [ (v, 0, sz) ]; u_size = sz; u_first = first; u_last = last }
           in
@@ -165,7 +164,7 @@ let units_of ctx pos_of ~recomputed ~extra ~groups =
            let first, last = lifetime ctx pos_of extra g.(0) in
            {
              u_values = members;
-             u_size = Memplan.align block_align !within;
+             u_size = Memplan.align Memplan.alignment !within;
              u_first = first;
              u_last = last;
            })
@@ -211,7 +210,7 @@ let greedy_order ctx =
       Hashtbl.replace remaining v
         (match Hashtbl.find_opt ctx.consumers v with Some cs -> List.length cs | None -> 0))
     ctx.values;
-  let size v = Memplan.align block_align (Hashtbl.find ctx.sizes v) in
+  let size v = Memplan.align Memplan.alignment (Hashtbl.find ctx.sizes v) in
   let alloc j = List.fold_left (fun a v -> a + size v) 0 ctx.outs.(j) in
   let freed j =
     List.fold_left
@@ -421,7 +420,7 @@ let extras_of est ctx pos_of recomputed =
         acc inputs)
     [] recomputed
 
-let decide ?(allow_recompute = true) ?(env = []) est bnd =
+let decide ?(env = []) est bnd =
   match build_ctx est bnd with
   | exception Unsized -> identity ~env est bnd
   | ctx when ctx.n = 0 -> identity ~env est bnd
@@ -436,9 +435,7 @@ let decide ?(allow_recompute = true) ?(env = []) est bnd =
         if p < peak_before then cand else id_order
       in
       let pos_of = pos_of_order order in
-      let recomputed, extra =
-        if allow_recompute then recompute_pass est ctx pos_of else ([], [])
-      in
+      let recomputed, extra = recompute_pass est ctx pos_of in
       let groups = regroup ctx pos_of ~recomputed ~extra in
       let peak_after = eval_peak ctx pos_of ~recomputed ~extra ~groups in
       {

@@ -40,7 +40,6 @@ val identity : ?env:(string * int) list -> Estimate.t -> Table.binding -> decisi
     with both peaks evaluated at [bnd]. *)
 
 val decide :
-  ?allow_recompute:bool ->
   ?env:(string * int) list ->
   Estimate.t ->
   Table.binding ->

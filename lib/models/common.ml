@@ -53,11 +53,9 @@ let dim_exn built dname =
 (* Deterministic pseudo-random stream (SplitMix64-ish), independent of
    the global Random state. *)
 let mix seed i =
-  let z = Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L) in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0 (* [0,1) *)
+  Tensor.Splitmix.to_unit_float
+    (Tensor.Splitmix.finalize
+       (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)))
 
 let generate_value gen seed i =
   match gen with

@@ -13,7 +13,6 @@ type t =
   | Guard_violation of string (* no speculative version's guard held *)
   | Kernel_fault of { kernel : string; reason : string }
   | Oom of { live_bytes : int; capacity_bytes : int }
-  | Deadline_exceeded of { deadline_us : float; elapsed_us : float }
   | Invalid_request of string (* malformed request (bad dims, bad values) *)
   | Fallback_failed of string (* even the reference path could not serve *)
 
@@ -29,16 +28,13 @@ let to_string = function
       Printf.sprintf "out of device memory: %.2f MB live, %.2f MB capacity"
         (float_of_int live_bytes /. 1e6)
         (float_of_int capacity_bytes /. 1e6)
-  | Deadline_exceeded { deadline_us; elapsed_us } ->
-      Printf.sprintf "deadline exceeded: %.0f us elapsed, %.0f us budget" elapsed_us
-        deadline_us
   | Invalid_request m -> Printf.sprintf "invalid request: %s" m
   | Fallback_failed m -> Printf.sprintf "fallback failed: %s" m
 
 (* Transient errors are worth retrying on the same path; permanent ones
    (malformed request, unbound dim) will fail identically every time. *)
 let is_transient = function
-  | Kernel_fault _ | Oom _ | Deadline_exceeded _ -> true
+  | Kernel_fault _ | Oom _ -> true
   | Unbound_dim _ | Guard_violation _ | Invalid_request _ | Fallback_failed _ -> false
 
 let () =

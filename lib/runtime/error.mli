@@ -12,7 +12,6 @@ type t =
   | Guard_violation of string  (** no speculative version's guard held *)
   | Kernel_fault of { kernel : string; reason : string }
   | Oom of { live_bytes : int; capacity_bytes : int }
-  | Deadline_exceeded of { deadline_us : float; elapsed_us : float }
   | Invalid_request of string  (** malformed request (bad dims, bad values) *)
   | Fallback_failed of string  (** even the reference path could not serve *)
 
@@ -24,6 +23,5 @@ val fail : t -> 'a
 val to_string : t -> string
 
 val is_transient : t -> bool
-(** [true] for faults worth retrying ([Kernel_fault], [Oom],
-    [Deadline_exceeded]); [false] for errors that will repeat identically
-    (bad request, unbound dim). *)
+(** [true] for faults worth retrying ([Kernel_fault], [Oom]); [false]
+    for errors that will repeat identically (bad request, unbound dim). *)

@@ -29,6 +29,11 @@ type t = {
 
 let align up n = (n + up - 1) / up * up
 
+(* Every buffer is rounded up to this many bytes. Mem.Estimate and
+   Mem.Reduce size buffers with the same constant, so their peaks are
+   in the planner's units. *)
+let alignment = 256
+
 (* Free-list allocator: offset-sorted free blocks; best-fit. *)
 type block = { b_off : int; b_size : int }
 
@@ -100,7 +105,7 @@ let lifetimes (e : Executable.t) : (int * int * int) list =
            (Executable.cluster_of item).Cluster.outputs)
        e.Executable.items)
 
-let plan ?(alignment = 256) (e : Executable.t) (bnd : Table.binding) : t =
+let plan (e : Executable.t) (bnd : Table.binding) : t =
   let g = e.Executable.g in
   let memo = Executable.numel_memo g bnd in
   let size_of id =
@@ -125,14 +130,14 @@ let plan ?(alignment = 256) (e : Executable.t) (bnd : Table.binding) : t =
 (* Structured-error planning: injected allocation failures and capacity
    checks surface as [Error.Oom] instead of silently planning an arena
    the device could never host. *)
-let plan_result ?alignment ?(device = Gpusim.Device.a10) ?faults (e : Executable.t)
+let plan_result ?(device = Gpusim.Device.a10) ?faults (e : Executable.t)
     (bnd : Table.binding) : (t, Error.t) result =
   let capacity = device.Gpusim.Device.memory_bytes in
   match faults with
   | Some inj when Gpusim.Fault.request_oom inj ->
       Error (Error.Oom { live_bytes = 0; capacity_bytes = capacity })
   | _ -> (
-      match plan ?alignment e bnd with
+      match plan e bnd with
       | p ->
           let total = p.arena_bytes + p.resident_bytes in
           if total > capacity then

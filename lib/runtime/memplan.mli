@@ -24,6 +24,11 @@ type t = {
 val align : int -> int -> int
 (** [align up n] rounds [n] up to a multiple of [up]. *)
 
+val alignment : int
+(** 256: every buffer's size is rounded up to a multiple of this. The
+    symbolic estimator ({!Mem.Estimate}) and the reducers
+    ({!Mem.Reduce}) round with the same constant. *)
+
 val lifetimes : Executable.t -> (int * int * int) list
 (** [(value, first_pos, last_pos)] of every cluster-produced
     intermediate, in production order: born at the producing item's
@@ -40,12 +45,11 @@ val place : (int * int * int) list -> int list * int
     then frees the placed units whose [last] is that position. Returns
     each unit's offset, in list order, and the arena high-water mark. *)
 
-val plan : ?alignment:int -> Executable.t -> Symshape.Table.binding -> t
+val plan : Executable.t -> Symshape.Table.binding -> t
 (** {!place} over {!lifetimes}, each buffer sized at the binding and
-    rounded up to [alignment] (default 256). *)
+    rounded up to {!alignment}. *)
 
 val plan_result :
-  ?alignment:int ->
   ?device:Gpusim.Device.t ->
   ?faults:Gpusim.Fault.t ->
   Executable.t ->

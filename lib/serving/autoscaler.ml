@@ -12,21 +12,15 @@
 type config = {
   min_replicas : int;
   max_replicas : int;
-  target_attainment : float; (* scale up below this SLO-met fraction *)
-  scale_up_queue : int; (* .. or when backlog per alive replica exceeds this *)
-  scale_down_queue : int; (* scale down only at/below this total backlog *)
-  cooldown_us : float;
+  scale_up_queue : int; (* scale up when backlog per alive replica exceeds this *)
 }
 
-let default_config =
-  {
-    min_replicas = 1;
-    max_replicas = 4;
-    target_attainment = 0.95;
-    scale_up_queue = 8;
-    scale_down_queue = 0;
-    cooldown_us = 50_000.0;
-  }
+let default_config = { min_replicas = 1; max_replicas = 4; scale_up_queue = 8 }
+
+(* Scale up below [target_attainment] SLO-met fraction; scale down only
+   with the backlog drained; at most one decision per [cooldown_us]. *)
+let target_attainment = 0.95
+let cooldown_us = 50_000.0
 
 type action = Hold | Scale_up | Scale_down
 
@@ -69,17 +63,17 @@ let note t ~now action =
 let decide ?(mem_pressure = false) t ~now ~alive ~queue_depth ~attainment =
   let c = t.cfg in
   if alive < c.min_replicas then note t ~now Scale_up (* repair below the floor, cooldown or not *)
-  else if now -. t.last_scale_us < c.cooldown_us then Hold
+  else if now -. t.last_scale_us < cooldown_us then Hold
   else if
     alive < c.max_replicas
-    && (attainment < c.target_attainment
+    && (attainment < target_attainment
        || queue_depth > c.scale_up_queue * max 1 alive
        || mem_pressure)
   then note t ~now Scale_up
   else if
     alive > c.min_replicas
-    && attainment >= c.target_attainment
-    && queue_depth <= c.scale_down_queue
+    && attainment >= target_attainment
+    && queue_depth <= 0
     && not mem_pressure
   then note t ~now Scale_down
   else Hold

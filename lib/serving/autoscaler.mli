@@ -1,17 +1,17 @@
 (** Replica autoscaling policy: add or drain replicas from the pool
     based on per-tick SLO attainment and queue depth.
 
-    State machine per control tick (cooldown-gated, floor repair
-    excepted):
+    State machine per control tick (gated by a fixed 50 ms cooldown,
+    floor repair excepted; the attainment target is a fixed 95 %):
 
     {v
         alive < min ──────────────────────────────► Scale_up (always)
         in cooldown ──────────────────────────────► Hold
-        alive < max  ∧ (attainment < target
+        alive < max  ∧ (attainment < 0.95
                         ∨ backlog/alive > up_q
                         ∨ mem_pressure) ──────────► Scale_up
-        alive > min  ∧ attainment ≥ target
-                     ∧ backlog ≤ down_q
+        alive > min  ∧ attainment ≥ 0.95
+                     ∧ backlog = 0
                      ∧ ¬mem_pressure ─────────────► Scale_down
         otherwise ────────────────────────────────► Hold
     v}
@@ -25,17 +25,12 @@
 
 type config = {
   min_replicas : int;
-  max_replicas : int;
-  target_attainment : float;
-      (** scale up while the SLO-met fraction of the last window is below this *)
-  scale_up_queue : int;  (** .. or backlog per alive replica exceeds this *)
-  scale_down_queue : int;  (** scale down only at/below this total backlog *)
-  cooldown_us : float;  (** minimum virtual time between scale decisions *)
+  max_replicas : int;  (** the deployment's replica range *)
+  scale_up_queue : int;  (** scale up when backlog per alive replica exceeds this *)
 }
 
 val default_config : config
-(** 1..4 replicas, 95 % attainment target, up at backlog > 8/replica,
-    down only when drained, 50 ms cooldown. *)
+(** 1..4 replicas, up at backlog > 8/replica. *)
 
 type action = Hold | Scale_up | Scale_down
 

@@ -23,9 +23,7 @@ type config = {
   batch_dim : string;
   max_batch : int;
   bucket : Bucket.spec;
-  slo : Slo.policy;
   router : Router.policy;
-  max_pad_waste : float;
   cold_warmup_us : float;
   hbm_budget : int option;
       (* per-replica device-memory budget in bytes; None = unbudgeted *)
@@ -41,9 +39,7 @@ let default_config ~devices ~batch_dim ~bucket =
     batch_dim;
     max_batch = 8;
     bucket;
-    slo = Slo.default_policy;
     router = Router.Warmth_aware;
-    max_pad_waste = 0.5;
     cold_warmup_us = 1500.0;
     hbm_budget = None;
     mem_aware = true;
@@ -51,8 +47,10 @@ let default_config ~devices ~batch_dim ~bucket =
 
 type request = { arrival_us : float; dims : (string * int) list; cls : Slo.cls }
 
-let of_arrivals ?(cls = Slo.Standard) (arrivals : Q.request list) =
-  List.map (fun (r : Q.request) -> { arrival_us = r.Q.arrival_us; dims = r.Q.dims; cls }) arrivals
+let of_arrivals (arrivals : Q.request list) =
+  List.map
+    (fun (r : Q.request) -> { arrival_us = r.Q.arrival_us; dims = r.Q.dims; cls = Slo.Standard })
+    arrivals
 
 let with_class_mix ~seed (mix : (Slo.cls * float) list) reqs =
   if mix = [] then invalid_arg "Pool.with_class_mix: empty mix";
@@ -71,16 +69,20 @@ let with_class_mix ~seed (mix : (Slo.cls * float) list) reqs =
 
 (* --- fixed policy constants ----------------------------------------------- *)
 
-(* A bucket launches once its oldest request has waited this long. *)
+(* A bucket launches once its oldest request has waited this long. A
+   batch whose padding wastes more than [max_pad_waste] of its elements
+   dispatches at its exact shape. Every request is admitted and expired
+   under the default SLO classes. *)
 let max_wait_us = 2_000.0
+let max_pad_waste = 0.5
+let slo_policy = Slo.default_policy
 
 (* Adaptive control (every tick rebuckets): [max_edges] quantile-placed
-   boundaries per dim, snapped up to multiples of [edge_snap];
+   boundaries per dim (Shape_stats snaps them up to multiples of 4);
    [stats_decay] per-tick decay of the shape stats; [hot_k] hot
    signatures pre-warmed per tick; a scaled-up replica spins up for
    [prewarm_us] before it takes traffic. *)
 let max_edges = 4
-let edge_snap = 4
 let stats_decay = 0.9
 let hot_k = 4
 let prewarm_us = 5_000.0
@@ -552,7 +554,7 @@ let capacity_count s =
 
 let eff_max_batch s = if s.bro_level >= 3 then max 1 (s.cfg.max_batch / 2) else s.cfg.max_batch
 
-let eff_pad_cap s = if s.bro_level >= 2 then s.cfg.max_pad_waste /. 2.0 else s.cfg.max_pad_waste
+let eff_pad_cap s = if s.bro_level >= 2 then max_pad_waste /. 2.0 else max_pad_waste
 
 (* One estimator serves the whole pool: the estimate is a pure function
    of the dispatch env (replica 0's session memoizes per env), and the
@@ -625,29 +627,9 @@ let rekey_queues s =
 
 (* --- admission and expiry ------------------------------------------------- *)
 
-(* Admission-time validation, equivalent to
-   [Workloads.Queueing.validate_request] (missing / unknown / duplicate /
-   non-positive dims all reject) but without building the per-request
-   name and filter lists that check allocates. *)
-let rec known_name expected name k =
-  k < Array.length expected
-  && (String.equal expected.(k) name || known_name expected name (k + 1))
-
-let rec repeated name = function
-  | [] -> false
-  | (n2, _) :: rest -> String.equal n2 name || repeated name rest
-
-let rec dims_ok expected = function
-  | [] -> true
-  | (name, v) :: rest ->
-      v >= 1 && known_name expected name 0 && (not (repeated name rest)) && dims_ok expected rest
-
-let valid_request expected (r : request) =
-  List.length r.dims = Array.length expected && dims_ok expected r.dims
-
 let admit s i =
   let r = s.arr.(i) in
-  if not (valid_request s.pool.expected r) then begin
+  if not (Q.valid_dims ~expected:s.pool.expected r.dims) then begin
     s.dispc.(i) <- d_rejected;
     if s.obs then Obs.Metrics.inc s.c_rejected
   end
@@ -827,7 +809,7 @@ let launch s time ~members ~env ~key ~use_padded ~e_actual ~hedge_of rep =
               Replica.ewma_rate s.clock.us_per_element ~service_us:base_us ~elements:env_elems;
           Replica.note_batch rep ~key ~elements:env_elems ~service_us
             ~rate_us:(base_us *. rep.Replica.slow_factor)
-            ~requests:(List.length members) ~cold ();
+            ~requests:(List.length members) ~cold;
           if use_padded then s.padded_batches <- s.padded_batches + 1
           else s.exact_batches <- s.exact_batches + 1;
           (* hedges duplicate work; keep them out of the padding-waste metric,
@@ -1055,7 +1037,7 @@ let plan_batch s members =
   in
   let waste = Bucket.waste ~actual:e_actual ~padded:e_padded in
   let use_padded, key =
-    if waste > s.cfg.max_pad_waste then (false, Bucket.env_key exact)
+    if waste > max_pad_waste then (false, Bucket.env_key exact)
     else if waste > eff_pad_cap s then begin
       let exact_key = Bucket.env_key exact in
       (* brownout L2+: shed padding beyond the tightened cap, but only
@@ -1204,7 +1186,7 @@ let do_tick s time =
   Shape_stats.decay s.stats ~factor:stats_decay;
   (* 1. re-derive the bucket policy from observed mass *)
   if Shape_stats.observations s.stats > 0 then begin
-    let spec' = Shape_stats.spec ~quantum:edge_snap s.stats ~max_edges ~dims:s.cfg.bucket in
+    let spec' = Shape_stats.spec s.stats ~max_edges ~dims:s.cfg.bucket in
     if spec' <> s.bucket then begin
       s.bucket <- spec';
       s.rebuckets <- s.rebuckets + 1;
@@ -1636,7 +1618,7 @@ let start ?adaptive ?chaos ~resilience t (reqs : request list) =
   let c_rejected = Obs.Metrics.counter mreg "pool.rejected" in
   let c_failed = Obs.Metrics.counter mreg "pool.failed" in
   let h_latency = Obs.Metrics.histogram mreg "pool.latency_us" in
-  let ddl_rel = Array.map (fun c -> (Slo.target_of cfg.slo c).Slo.deadline_us) classes in
+  let ddl_rel = Array.map (fun c -> (Slo.target_of slo_policy c).Slo.deadline_us) classes in
   let scaler = Option.bind adaptive (fun a -> Option.map Autoscaler.create a.autoscale) in
   Array.iter (fun r -> r.Replica.hbm_budget <- cfg.hbm_budget) t.pool_replicas;
   {
@@ -1658,9 +1640,9 @@ let start ?adaptive ?chaos ~resilience t (reqs : request list) =
     dls = Array.init n (fun i -> arr.(i).arrival_us +. ddl_rel.(cls_i arr.(i).cls));
     dispc = Array.make n d_pending;
     lats = Array.make n Float.nan;
-    slo = Slo.create cfg.slo;
+    slo = Slo.create slo_policy;
     ddl_rel;
-    prio = Array.map (fun c -> (Slo.target_of cfg.slo c).Slo.priority) classes;
+    prio = Array.map (fun c -> (Slo.target_of slo_policy c).Slo.priority) classes;
     obs; g_depth; c_served; c_fell_back; c_rejected; c_failed; h_latency;
     bvec = Array.make 8 { bq_key = ""; bq_q = Iq.create (); bq_min_deadline = infinity };
     by_key = Hashtbl.create 16;

@@ -7,9 +7,11 @@
     queue bound sheds) → {e bucket queues} ({!Bucket.key_of} of the
     request dims) → {e batching} (a bucket launches when full, when its
     oldest request has waited 2 ms, or when the trace is drained;
-    expired requests are dropped at dispatch) → {e pad-vs-exact}
-    (measured cost model: the padded env repeats across batches and so
-    runs warm, the exact env wastes fewer elements but rarely repeats)
+    expired requests are dropped at dispatch) → {e pad-vs-exact} (a
+    batch whose padding would waste more than half its elements runs
+    exact; otherwise a measured cost model decides: the padded env
+    repeats across batches and so runs warm, the exact env wastes fewer
+    elements but rarely repeats)
     → {e routing} ({!Router}) → {e service} ({!Disc.Session.serve_result},
     plus a one-off warmup the first time a replica sees a signature).
 
@@ -32,10 +34,7 @@ type config = {
   batch_dim : string;
   max_batch : int;
   bucket : Bucket.spec;
-  slo : Slo.policy;
   router : Router.policy;
-  max_pad_waste : float;
-      (** hard cap: above this padding fraction, dispatch exact-shape *)
   cold_warmup_us : float;
       (** one-off cost the first time a replica executes a signature *)
   hbm_budget : int option;
@@ -54,9 +53,9 @@ type config = {
 
 val default_config :
   devices:Gpusim.Device.t list -> batch_dim:string -> bucket:Bucket.spec -> config
-(** max_batch 8, default SLO policy, warmth-aware routing, 50 % padding
-    cap, 1.5 ms cold warmup, no memory budget (gating on once a budget
-    is set). *)
+(** max_batch 8, warmth-aware routing, 1.5 ms cold warmup, no memory
+    budget (gating on once a budget is set). Admission, deadlines and
+    priorities always follow {!Slo.default_policy}. *)
 
 (** Every control tick re-derives the bucket policy as {!Bucket.Edges}
     at observed traffic quantiles ({!Shape_stats.spec}: 4 edges per dim,
@@ -105,8 +104,8 @@ type request = {
   cls : Slo.cls;
 }
 
-val of_arrivals : ?cls:Slo.cls -> Workloads.Queueing.request list -> request list
-(** Tag queueing arrivals with a class (default [Standard]). *)
+val of_arrivals : Workloads.Queueing.request list -> request list
+(** Tag queueing arrivals with class [Standard]. *)
 
 val with_class_mix :
   seed:int -> (Slo.cls * float) list -> request list -> request list
@@ -249,8 +248,8 @@ type t
 val create : ?cache:Disc.Compile_cache.t -> config -> (unit -> Models.Common.built) -> t
 (** Builds one session per configured device, all sharing [cache]
     (default: a fresh private cache) — the first replica compiles, the
-    rest hit. Sessions use the default compiler options and session
-    policy; faults reach replicas through chaos [flaky] events.
+    rest hit. Sessions use the default compiler options; faults reach
+    replicas through chaos [flaky] events.
     [build] is called once: every replica, including those minted by
     scale-up, serves the same build. The pool can be {!run} once;
     create one per run (sharing [cache] keeps the compiles warm).

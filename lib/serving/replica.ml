@@ -85,7 +85,7 @@ let ewma_rate prev ~service_us ~elements =
     let rate = service_us /. float_of_int elements in
     if prev <= 0.0 then rate else (ewma_alpha *. rate) +. ((1.0 -. ewma_alpha) *. prev)
 
-let note_batch t ~key ~elements ~service_us ?rate_us ~requests ~cold () =
+let note_batch t ~key ~elements ~service_us ~rate_us ~requests ~cold =
   Hashtbl.replace t.warmth key (1 + Option.value (Hashtbl.find_opt t.warmth key) ~default:0);
   t.batches <- t.batches + 1;
   t.requests <- t.requests + requests;
@@ -94,8 +94,7 @@ let note_batch t ~key ~elements ~service_us ?rate_us ~requests ~cold () =
   (* the rate EWMA tracks the warm (steady-state) cost: one-off warmup
      spikes would make replicas that happened to pay more cold
      dispatches look like stragglers to the watchdog *)
-  let basis = Option.value rate_us ~default:service_us in
-  t.us_per_element <- ewma_rate t.us_per_element ~service_us:basis ~elements
+  t.us_per_element <- ewma_rate t.us_per_element ~service_us:rate_us ~elements
 
 (* Seed warmth without dispatch counters: the signature's artifact
    already exists in the shared compile cache, so warming is a cache

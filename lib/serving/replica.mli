@@ -95,16 +95,15 @@ val note_batch :
   key:string ->
   elements:int ->
   service_us:float ->
-  ?rate_us:float ->
+  rate_us:float ->
   requests:int ->
   cold:bool ->
-  unit ->
   unit
 (** Record a completed batch: warmth, EWMA rate, and dispatch counters.
     [service_us] (busy-time accounting) may include one-off warmup;
-    [rate_us] (default [service_us]) is the basis for the rate EWMA and
-    should be the warm steady-state cost, so replicas that happened to
-    pay more cold dispatches don't read as stragglers. *)
+    [rate_us] is the basis for the rate EWMA and should be the warm
+    steady-state cost, so replicas that happened to pay more cold
+    dispatches don't read as stragglers. *)
 
 val prewarm : t -> string list -> int
 (** Seed warmth for shape signatures whose artifacts already live in

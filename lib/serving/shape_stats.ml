@@ -114,27 +114,28 @@ let quantile t name p =
    per bucket instead of equal (or doubling) width. The last edge is the
    observed max, so everything seen so far rounds inside the spec.
 
-   [quantum] rounds every boundary up to a multiple (capped at the
+   Every boundary rounds up to a multiple of [quantum] (capped at the
    observed max, so padding never exceeds a value traffic has actually
    bound): quantile estimates wobble by a bucket as mass accumulates,
    and without quantization each wobble is a fresh shape signature —
    cold dispatches that cost more than the padding the finer edge
    saved. *)
-let edges ?(quantum = 1) t ~max_edges name =
+let quantum = 4
+
+let edges t ~max_edges name =
   match Hashtbl.find_opt t.dims name with
   | None -> []
   | Some s when s.total <= 0.0 -> []
   | Some s ->
       let n = max 1 max_edges in
-      let q = max 1 quantum in
-      let snap v = min s.vmax ((v + q - 1) / q * q) in
+      let snap v = min s.vmax ((v + quantum - 1) / quantum * quantum) in
       let qs = List.init n (fun j -> float_of_int (j + 1) /. float_of_int n) in
       List.sort_uniq compare (s.vmax :: List.map (fun p -> snap (quantile t name p)) qs)
 
-let spec ?quantum t ~max_edges ~(dims : Bucket.spec) : Bucket.spec =
+let spec t ~max_edges ~(dims : Bucket.spec) : Bucket.spec =
   List.map
     (fun (name, scheme) ->
-      match edges ?quantum t ~max_edges name with
+      match edges t ~max_edges name with
       | [] -> (name, scheme) (* no traffic observed: keep the static scheme *)
       | es -> (name, Bucket.Edges es))
     dims

@@ -38,14 +38,14 @@ val quantile : t -> string -> float -> int
     mass, clamped to the exact observed [[min, max]]. Error is bounded
     by one bucket width. 0 for an unseen dim or fully-decayed mass. *)
 
-val edges : ?quantum:int -> t -> max_edges:int -> string -> int list
+val edges : t -> max_edges:int -> string -> int list
 (** Bucket boundaries at the mass quantiles [1/n .. 1], deduplicated
-    ascending, always ending at the observed max. [quantum] (default 1)
-    rounds each boundary up to a multiple, capped at the observed max —
-    hysteresis against quantile wobble, so a stable distribution keeps
-    a stable signature set. [[]] when unseen. *)
+    ascending, always ending at the observed max. Each boundary rounds
+    up to a multiple of 4, capped at the observed max — hysteresis
+    against quantile wobble, so a stable distribution keeps a stable
+    signature set. [[]] when unseen. *)
 
-val spec : ?quantum:int -> t -> max_edges:int -> dims:Bucket.spec -> Bucket.spec
+val spec : t -> max_edges:int -> dims:Bucket.spec -> Bucket.spec
 (** Re-derive a bucket spec: each dim with observed traffic gets
     [Bucket.Edges (edges ...)]; dims without traffic keep their static
     scheme. Deterministic in the observation history, so unchanged

@@ -157,73 +157,34 @@ let generate (s : spec) ~n : Pool.request list =
 
 (* --- presets ---------------------------------------------------------------- *)
 
-let steady ?(mix = default_mix) ~seed ~qps ~dims () =
-  {
-    seed;
-    segments =
-      [
-        { duration_us = 1e9; qps; diurnal = 0.0; period_us = 0.0; burst = None; dims; mix };
-      ];
-  }
+(* Every preset mixes in each SLO class. *)
+let segment ~duration_us ~qps ~diurnal ~period_us ~burst dims =
+  { duration_us; qps; diurnal; period_us; burst; dims; mix = default_mix }
 
-let diurnal ?(mix = default_mix) ?(amplitude = 0.6) ?(period_us = 2e5) ~seed ~qps ~dims
-    () =
-  {
-    seed;
-    segments =
-      [
-        {
-          duration_us = 1e9;
-          qps;
-          diurnal = amplitude;
-          period_us;
-          burst = None;
-          dims;
-          mix;
-        };
-      ];
-  }
+let steady ~seed ~qps ~dims =
+  let seg = segment ~duration_us:1e9 ~qps ~diurnal:0.0 ~period_us:0.0 ~burst:None in
+  { seed; segments = [ seg dims ] }
 
-let bursty ?(mix = default_mix) ?(mult = 4.0) ?(mean_on_us = 2e4) ?(mean_off_us = 8e4)
-    ~seed ~qps ~dims () =
-  {
-    seed;
-    segments =
-      [
-        {
-          duration_us = 1e9;
-          qps;
-          diurnal = 0.0;
-          period_us = 0.0;
-          burst = Some { mult; mean_on_us; mean_off_us };
-          dims;
-          mix;
-        };
-      ];
-  }
+let diurnal ~seed ~qps ~dims =
+  let seg = segment ~duration_us:1e9 ~qps ~diurnal:0.6 ~period_us:2e5 ~burst:None in
+  { seed; segments = [ seg dims ] }
+
+let bursty ~seed ~qps ~dims =
+  let burst = Some { mult = 4.0; mean_on_us = 2e4; mean_off_us = 8e4 } in
+  let seg = segment ~duration_us:1e9 ~qps ~diurnal:0.0 ~period_us:0.0 ~burst in
+  { seed; segments = [ seg dims ] }
 
 (* Shape drift: traffic alternates between two dim distributions every
-   [segment_us] of virtual time. *)
-let drift ?(mix = default_mix) ?(segment_us = 2e5) ~seed ~qps ~dims_a ~dims_b () =
-  let seg dims =
-    { duration_us = segment_us; qps; diurnal = 0.0; period_us = 0.0; burst = None; dims; mix }
-  in
+   200 ms of virtual time. *)
+let drift ~seed ~qps ~dims_a ~dims_b =
+  let seg = segment ~duration_us:2e5 ~qps ~diurnal:0.0 ~period_us:0.0 ~burst:None in
   { seed; segments = [ seg dims_a; seg dims_b ] }
 
 (* The scale-bench trace: diurnal modulation with bursts layered on top,
-   drifting between two shape clusters each segment. *)
-let mixed ?(mix = default_mix) ?(segment_us = 5e5) ~seed ~qps ~dims_a ~dims_b () =
-  let seg dims =
-    {
-      duration_us = segment_us;
-      qps;
-      diurnal = 0.4;
-      period_us = segment_us /. 2.0;
-      burst = Some { mult = 3.0; mean_on_us = 2e4; mean_off_us = 1e5 };
-      dims;
-      mix;
-    }
-  in
+   drifting between two shape clusters every 500 ms. *)
+let mixed ~seed ~qps ~dims_a ~dims_b () =
+  let burst = Some { mult = 3.0; mean_on_us = 2e4; mean_off_us = 1e5 } in
+  let seg = segment ~duration_us:5e5 ~qps ~diurnal:0.4 ~period_us:2.5e5 ~burst in
   { seed; segments = [ seg dims_a; seg dims_b ] }
 
 let describe (s : spec) =

@@ -52,62 +52,42 @@ val generate : spec -> n:int -> Pool.request list
     @raise Invalid_argument when {!validate} rejects the spec or
     [n < 0]. *)
 
-(** {1 Presets} *)
+(** {1 Presets}
+
+    Each preset mixes in every SLO class: a quarter Interactive, half
+    Standard, a quarter Best_effort. *)
 
 val steady :
-  ?mix:(Slo.cls * float) list ->
-  seed:int ->
-  qps:float ->
-  dims:(string * Workloads.Trace.distribution) list ->
-  unit ->
-  spec
+  seed:int -> qps:float -> dims:(string * Workloads.Trace.distribution) list -> spec
 (** Constant-rate Poisson arrivals (the {!Workloads.Queueing}
     generator's shape, expressed as a spec). *)
 
 val diurnal :
-  ?mix:(Slo.cls * float) list ->
-  ?amplitude:float ->
-  ?period_us:float ->
-  seed:int ->
-  qps:float ->
-  dims:(string * Workloads.Trace.distribution) list ->
-  unit ->
-  spec
-(** Sinusoidal load: amplitude 0.6, period 200 ms by default. *)
+  seed:int -> qps:float -> dims:(string * Workloads.Trace.distribution) list -> spec
+(** Sinusoidal load: amplitude 0.6, period 200 ms. *)
 
 val bursty :
-  ?mix:(Slo.cls * float) list ->
-  ?mult:float ->
-  ?mean_on_us:float ->
-  ?mean_off_us:float ->
-  seed:int ->
-  qps:float ->
-  dims:(string * Workloads.Trace.distribution) list ->
-  unit ->
-  spec
-(** On/off bursts: 4x rate for ~20 ms every ~80 ms by default. *)
+  seed:int -> qps:float -> dims:(string * Workloads.Trace.distribution) list -> spec
+(** On/off bursts: 4x rate for ~20 ms every ~80 ms. *)
 
 val drift :
-  ?mix:(Slo.cls * float) list ->
-  ?segment_us:float ->
   seed:int ->
   qps:float ->
   dims_a:(string * Workloads.Trace.distribution) list ->
   dims_b:(string * Workloads.Trace.distribution) list ->
-  unit ->
   spec
 (** Shape drift: the dim distribution alternates between [dims_a] and
-    [dims_b] every [segment_us] (default 200 ms). *)
+    [dims_b] every 200 ms. *)
 
 val mixed :
-  ?mix:(Slo.cls * float) list ->
-  ?segment_us:float ->
   seed:int ->
   qps:float ->
   dims_a:(string * Workloads.Trace.distribution) list ->
   dims_b:(string * Workloads.Trace.distribution) list ->
   unit ->
   spec
-(** The scale-bench trace: diurnal + bursts + shape drift composed. *)
+(** The scale-bench trace: diurnal (amplitude 0.4, period 250 ms) +
+    3x bursts (~20 ms on, ~100 ms off) + shape drift between [dims_a]
+    and [dims_b] every 500 ms. *)
 
 val describe : spec -> string

@@ -24,7 +24,7 @@ type request = {
    members (in first-seen order), and a member missing a dim contributes
    the lower bound 1 — so a stray request can no longer kill the server
    with [Not_found]. Mixed batches should be rejected at enqueue time
-   ({!validate_request}); this is the second line of defense. *)
+   ({!valid_dims}); this is the second line of defense. *)
 let batch_env ~batch_dim (members : (string * int) list list) : (string * int) list =
   if members = [] then invalid_arg "batch_env: empty batch";
   let names =
@@ -126,30 +126,26 @@ let padding_waste (a : accounting) =
   else
     float_of_int (a.padded_elements - a.actual_elements) /. float_of_int a.padded_elements
 
-(* Structured enqueue-time validation: a request must bind exactly the
-   expected dim names, each once, with positive values. *)
-let validate_request ~(expected : string list) (r : request) : (unit, string) result =
-  let names = List.map fst r.dims in
-  let missing = List.filter (fun e -> not (List.mem e names)) expected in
-  let extra = List.filter (fun n -> not (List.mem n expected)) names in
-  let dup =
-    List.filter (fun n -> List.length (List.filter (String.equal n) names) > 1) names
-  in
-  let bad = List.filter (fun (_, v) -> v < 1) r.dims in
-  if missing <> [] then
-    Error (Printf.sprintf "missing dims: %s" (String.concat "," missing))
-  else if extra <> [] then
-    Error (Printf.sprintf "unknown dims: %s" (String.concat "," extra))
-  else if dup <> [] then
-    Error (Printf.sprintf "duplicate dims: %s" (String.concat "," dup))
-  else if bad <> [] then
-    Error
-      (Printf.sprintf "non-positive dims: %s"
-         (String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) bad)))
-  else Ok ()
+(* Enqueue-time validation: a request binds exactly the [expected] dim
+   names (distinct), each once, with values >= 1. It allocates nothing:
+   the serving pool runs it on every arrival. *)
+let rec known_name expected name k =
+  k < Array.length expected
+  && (String.equal expected.(k) name || known_name expected name (k + 1))
+
+let rec repeated name = function
+  | [] -> false
+  | (n2, _) :: rest -> String.equal n2 name || repeated name rest
+
+let rec dims_ok expected = function
+  | [] -> true
+  | (name, v) :: rest ->
+      v >= 1 && known_name expected name 0 && (not (repeated name rest)) && dims_ok expected rest
+
+let valid_dims ~expected dims = List.length dims = Array.length expected && dims_ok expected dims
 
 let simulate_server ~(arrivals : request list) ~(policy : server_policy)
-    ~(batch_dim : string) ?expected_dims
+    ~(batch_dim : string)
     ?(warmup : (float * ((string * int) list -> float)) option)
     ~(service : (string * int) list -> float * [ `Compiled | `Fallback ]) () : accounting =
   let arrivals = List.sort (fun a b -> compare a.arrival_us b.arrival_us) arrivals in
@@ -167,24 +163,20 @@ let simulate_server ~(arrivals : request list) ~(policy : server_policy)
     end
   in
   let expected =
-    match expected_dims with
-    | Some e -> e
-    | None -> ( match arrivals with [] -> [] | r :: _ -> List.map fst r.dims)
+    match arrivals with
+    | [] -> [||]
+    | r :: _ -> Array.of_list (List.sort_uniq String.compare (List.map fst r.dims))
   in
   let actual_elems = ref 0 and padded_elems = ref 0 in
   let bound = max 1 policy.queue_bound in
   let deadline_of (r : request) = r.arrival_us +. policy.deadline_us in
   (* enqueue-time validation: malformed requests never reach the queue *)
   let indexed =
-    List.filteri
-      (fun _ _ -> true)
-      (List.mapi (fun i r -> (i, r)) arrivals)
+    List.mapi (fun i r -> (i, r)) arrivals
     |> List.filter (fun (i, r) ->
-           match validate_request ~expected r with
-           | Ok () -> true
-           | Error _ ->
-               disp.(i) <- Rejected;
-               false)
+           let ok = valid_dims ~expected r.dims in
+           if not ok then disp.(i) <- Rejected;
+           ok)
   in
   (* Chronological loop: one batch per iteration. Arrivals are admitted
      in order as simulated time reaches them, so the queue-occupancy

@@ -74,25 +74,24 @@ val padding_waste : accounting -> float
 (** Fraction of executed elements that were intra-batch padding:
     [(padded - actual) / padded], 0 with no batches. *)
 
-val validate_request :
-  expected:string list -> request -> (unit, string) result
-(** Enqueue-time validation: the request must bind exactly the expected
-    dim names, each once, with positive values. *)
+val valid_dims : expected:string array -> (string * int) list -> bool
+(** Enqueue-time validation: the dims bind exactly the [expected] names
+    (distinct), each once, with values >= 1. Allocation-free; the
+    serving pool's admission runs the same check. *)
 
 val simulate_server :
   arrivals:request list ->
   policy:server_policy ->
   batch_dim:string ->
-  ?expected_dims:string list ->
   ?warmup:float * ((string * int) list -> float) ->
   service:((string * int) list -> float * [ `Compiled | `Fallback ]) ->
   unit ->
   accounting
 (** Simulate the trace. [service] returns the batch execution latency
     in µs plus which path served it (e.g. from
-    {!Disc.Session.serve_result}). [expected_dims] defaults to the
-    first arrival's dim names. Every request ends in exactly one
-    disposition.
+    {!Disc.Session.serve_result}). A request is well-formed when it
+    binds the first arrival's dim names ({!valid_dims}); the others are
+    [Rejected]. Every request ends in exactly one disposition.
 
     [warmup = (until_us, warmup_service)] models an async compile in
     flight: batches that {e launch} before [until_us] are served by

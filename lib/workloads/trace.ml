@@ -9,16 +9,13 @@ let create_rng seed = { state = Int64.of_int (seed * 2 + 1) }
 (* SplitMix64 *)
 let next rng =
   rng.state <- Int64.add rng.state 0x9E3779B97F4A7C15L;
-  let z = rng.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+  Tensor.Splitmix.finalize rng.state
 
 let uniform rng lo hi =
   let span = hi - lo + 1 in
   lo + Int64.to_int (Int64.rem (Int64.logand (next rng) Int64.max_int) (Int64.of_int span))
 
-let float01 rng = Int64.to_float (Int64.shift_right_logical (next rng) 11) /. 9007199254740992.0
+let float01 rng = Tensor.Splitmix.to_unit_float (next rng)
 
 (* Zipf-ish skew towards short sequences, as observed in serving traces. *)
 let skewed rng lo hi =

@@ -45,7 +45,6 @@ let all_option_variants =
     ("no-products", { Compiler.default_options with planner = Planner.no_product_config });
     ("no-stitch", { Compiler.default_options with planner = Planner.no_stitch_config });
     ("no-speculation", { Compiler.default_options with codegen = Kernel.no_speculation_config });
-    ("no-passes", { Compiler.default_options with run_graph_passes = false });
   ]
 
 let test_all_variants_correct () =

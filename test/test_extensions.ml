@@ -63,10 +63,11 @@ let test_fold_respects_dynamic_shapes () =
     (match (Graph.inst g i2).op with Op.Constant _ -> true | _ -> false)
 
 let test_fold_size_bound () =
+  (* 257 x 256 elements: just past the 65,536-element fold bound *)
   let g = Graph.create () in
-  let big = B.iota g ~out:[| Sym.Static 100; Sym.Static 100 |] ~dim:0 in
+  let big = B.iota g ~out:[| Sym.Static 257; Sym.Static 256 |] ~dim:0 in
   Graph.set_outputs g [ B.exp g big ];
-  ignore (Ir.Passes.fold_constants ~max_elements:100 g);
+  ignore (Ir.Passes.fold_constants g);
   check_bool "too big to fold" true
     (match (Graph.inst g big).op with Op.Iota _ -> true | _ -> false)
 

@@ -235,7 +235,6 @@ let test_options_split_keys () =
       { base with Disc.Compiler.planner = Fusion.Planner.no_fusion_config };
       { base with Disc.Compiler.codegen = Codegen.Kernel.no_speculation_config };
       { base with Disc.Compiler.host_overhead_us = 1.0 };
-      { base with Disc.Compiler.run_graph_passes = false };
     ]
   in
   List.iteri

@@ -305,15 +305,7 @@ let test_router_headroom () =
   check_bool "memory-hot replica yields" true
     (Router.score ~now:0.0 ~key reps.(1) > Router.score ~now:0.0 ~key reps.(0))
 
-let scaler_cfg =
-  {
-    Scaler.min_replicas = 1;
-    Scaler.max_replicas = 4;
-    Scaler.target_attainment = 0.5;
-    Scaler.scale_up_queue = 1000;
-    Scaler.scale_down_queue = 0;
-    Scaler.cooldown_us = 10.0;
-  }
+let scaler_cfg = { Scaler.min_replicas = 1; max_replicas = 4; scale_up_queue = 1000 }
 
 let test_autoscaler_mem_pressure () =
   (* healthy pool, small backlog: Hold without pressure, Scale_up with *)

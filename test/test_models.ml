@@ -246,6 +246,22 @@ let test_suite_registry () =
         (List.mem_assoc dname built.Common.dims))
     Suite.all
 
+(* The deterministic input stream (SplitMix64 over seed and element
+   index) is pinned bit for bit: the MD5 of every element of every
+   model's tiny test inputs, printed exactly with %h. *)
+let test_inputs_pinned () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun e ->
+      let built = e.Suite.build_tiny () in
+      List.iter
+        (fun nd -> Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf "%h;" v)) (Nd.data nd))
+        (Common.test_inputs built e.Suite.tiny_dims))
+    Suite.all;
+  Alcotest.(check string)
+    "test inputs digest" "6e0225b73f491feec29c8d7ef9ce82d9"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   let generic = List.concat_map generic_tests Suite.all in
   Alcotest.run "models"
@@ -263,5 +279,6 @@ let () =
           Alcotest.test_case "fastspeech expand" `Quick test_fastspeech_expand_map;
           Alcotest.test_case "registry" `Quick test_suite_registry;
           Alcotest.test_case "every symbol bounded" `Quick test_every_symbol_bounded;
+          Alcotest.test_case "test inputs pinned" `Quick test_inputs_pinned;
         ] );
     ]

@@ -469,11 +469,10 @@ module Reference_passes = struct
     stats.Passes.simplified <- stats.Passes.simplified + Hashtbl.length redirected
 
   let run_all g =
-    let stats = Passes.empty_stats () in
-    ignore (Passes.fold_constants ~stats g);
+    let stats = Passes.fold_constants g in
     simplify_rounds stats g;
     cse stats g;
-    ignore (Passes.dce ~stats g);
+    stats.Passes.dce_removed <- (Passes.dce g).Passes.dce_removed;
     stats
 end
 

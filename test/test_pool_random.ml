@@ -65,8 +65,8 @@ let scenario_of_seed seed =
       let qps = 200.0 +. float_of_int (Random.State.int st 1800) in
       let dims = [ ("hist", Workloads.Trace.Skewed (1, 60)) ] in
       let spec =
-        if Random.State.bool st then Serving.Trace_gen.bursty ~seed ~qps ~dims ()
-        else Serving.Trace_gen.diurnal ~seed ~qps ~dims ()
+        if Random.State.bool st then Serving.Trace_gen.bursty ~seed ~qps ~dims
+        else Serving.Trace_gen.diurnal ~seed ~qps ~dims
       in
       List.map
         (fun (r : Pool.request) ->
@@ -182,7 +182,6 @@ let run_scenario ?cache:(c = shared_cache) (s : scenario) =
                    Scaler.default_config with
                    Scaler.max_replicas = s.replicas + 2;
                    scale_up_queue = 1;
-                   cooldown_us = 10_000.0;
                  }
              else None);
         }

@@ -108,7 +108,7 @@ let test_allocation_ceiling () =
 
 let test_golden_report () =
   let spec =
-    Tg.steady ~seed:7 ~qps:2000.0 ~dims:[ ("hist", Trace.Skewed (5, 100)) ] ()
+    Tg.steady ~seed:7 ~qps:2000.0 ~dims:[ ("hist", Trace.Skewed (5, 100)) ]
   in
   let reqs = Tg.generate spec ~n:500 in
   let cfg =
@@ -221,11 +221,11 @@ let spec_of (seed, qps_i, preset) =
   let qps = float_of_int (100 + (qps_i mod 2900)) in
   let dims = [ ("hist", Trace.Skewed (1, 64)) ] in
   match preset mod 4 with
-  | 0 -> Tg.steady ~seed ~qps ~dims ()
-  | 1 -> Tg.diurnal ~seed ~qps ~dims ()
-  | 2 -> Tg.bursty ~seed ~qps ~dims ()
+  | 0 -> Tg.steady ~seed ~qps ~dims
+  | 1 -> Tg.diurnal ~seed ~qps ~dims
+  | 2 -> Tg.bursty ~seed ~qps ~dims
   | _ ->
-      Tg.drift ~seed ~qps ~dims_a:dims ~dims_b:[ ("hist", Trace.Bimodal (2, 60)) ] ()
+      Tg.drift ~seed ~qps ~dims_a:dims ~dims_b:[ ("hist", Trace.Bimodal (2, 60)) ]
 
 let spec_gen =
   QCheck.(triple (int_bound 1_000_000) (int_bound 10_000) (int_bound 3))
@@ -288,7 +288,7 @@ let prop_prefix_stable =
       prefix half full)
 
 let test_validate_rejects_bad_specs () =
-  let good = Tg.steady ~seed:1 ~qps:100.0 ~dims:[ ("hist", Trace.Fixed 8) ] () in
+  let good = Tg.steady ~seed:1 ~qps:100.0 ~dims:[ ("hist", Trace.Fixed 8) ] in
   Alcotest.(check bool) "good spec validates" true (Tg.validate good = Ok ());
   let bad_qps =
     { good with Tg.segments = List.map (fun s -> { s with Tg.qps = 0.0 }) good.Tg.segments }

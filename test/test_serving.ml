@@ -235,7 +235,7 @@ let test_stats_edges_quantum () =
   observe_all st (List.init 7 (fun i -> 33 + i));
   (* vmax = 39: quantized edges snap up to multiples of 4 but never past
      the observed max, so padding stays within shapes traffic has bound *)
-  let es = Stats.edges ~quantum:4 st ~max_edges:4 "hist" in
+  let es = Stats.edges st ~max_edges:4 "hist" in
   check_bool "nonempty" true (es <> []);
   List.iter
     (fun e ->
@@ -264,35 +264,31 @@ let test_stats_rebucket_key_stability () =
   let dims = [ ("hist", Bucket.Pow2) ] in
   let st = Stats.create () in
   observe_all st trace;
-  let s1 = Bucket.spec_to_string (Stats.spec ~quantum:4 st ~max_edges:4 ~dims) in
+  let s1 = Bucket.spec_to_string (Stats.spec st ~max_edges:4 ~dims) in
   Stats.decay st ~factor:0.9;
   observe_all st trace;
-  let s2 = Bucket.spec_to_string (Stats.spec ~quantum:4 st ~max_edges:4 ~dims) in
+  let s2 = Bucket.spec_to_string (Stats.spec st ~max_edges:4 ~dims) in
   check_string "canonical keys stable on unchanged traffic" s1 s2
 
 (* --- autoscaler ------------------------------------------------------------ *)
 
 let test_autoscaler_state_machine () =
-  let cfg =
-    { Scaler.default_config with
-      Scaler.min_replicas = 2; max_replicas = 4; scale_up_queue = 2;
-      scale_down_queue = 0; cooldown_us = 1_000.0 }
-  in
-  let t = Scaler.create cfg in
+  (* decisions 50 ms apart clear the fixed cooldown *)
+  let t = Scaler.create { Scaler.min_replicas = 2; max_replicas = 4; scale_up_queue = 2 } in
   check_bool "below the floor: repair ignores cooldown" true
     (Scaler.decide t ~now:0.0 ~alive:1 ~queue_depth:0 ~attainment:1.0 = Scaler.Scale_up);
   check_bool "inside cooldown: hold even under pressure" true
-    (Scaler.decide t ~now:500.0 ~alive:2 ~queue_depth:100 ~attainment:0.0 = Scaler.Hold);
+    (Scaler.decide t ~now:49_999.0 ~alive:2 ~queue_depth:100 ~attainment:0.0 = Scaler.Hold);
   check_bool "backlog past the per-replica bound scales up" true
-    (Scaler.decide t ~now:2_000.0 ~alive:2 ~queue_depth:5 ~attainment:1.0 = Scaler.Scale_up);
+    (Scaler.decide t ~now:50_000.0 ~alive:2 ~queue_depth:5 ~attainment:1.0 = Scaler.Scale_up);
   check_bool "missed attainment scales up" true
-    (Scaler.decide t ~now:4_000.0 ~alive:2 ~queue_depth:0 ~attainment:0.5 = Scaler.Scale_up);
+    (Scaler.decide t ~now:100_000.0 ~alive:2 ~queue_depth:0 ~attainment:0.5 = Scaler.Scale_up);
   check_bool "at the ceiling: hold" true
-    (Scaler.decide t ~now:6_000.0 ~alive:4 ~queue_depth:100 ~attainment:0.0 = Scaler.Hold);
+    (Scaler.decide t ~now:150_000.0 ~alive:4 ~queue_depth:100 ~attainment:0.0 = Scaler.Hold);
   check_bool "comfortable and drained: scale down" true
-    (Scaler.decide t ~now:8_000.0 ~alive:3 ~queue_depth:0 ~attainment:1.0 = Scaler.Scale_down);
+    (Scaler.decide t ~now:200_000.0 ~alive:3 ~queue_depth:0 ~attainment:1.0 = Scaler.Scale_down);
   check_bool "at the floor: hold" true
-    (Scaler.decide t ~now:10_000.0 ~alive:2 ~queue_depth:0 ~attainment:1.0 = Scaler.Hold);
+    (Scaler.decide t ~now:250_000.0 ~alive:2 ~queue_depth:0 ~attainment:1.0 = Scaler.Hold);
   check_int "ups counted" 3 (Scaler.ups t);
   check_int "downs counted" 1 (Scaler.downs t)
 
@@ -340,8 +336,8 @@ let test_warmth_score_orders_replicas () =
   with_pool (fun pool ->
       let reps = Pool.replicas pool in
       let key = "batch=1,hist=8" in
-      Replica.note_batch reps.(0) ~key ~elements:8 ~service_us:100.0 ~requests:1 ()
-        ~cold:true;
+      Replica.note_batch reps.(0) ~key ~elements:8 ~service_us:100.0 ~rate_us:100.0
+        ~requests:1 ~cold:true;
       check_bool "warm replica outscores cold" true
         (Router.score ~now:0.0 ~key reps.(0) > Router.score ~now:0.0 ~key reps.(1));
       check_bool "warmth is per signature" true
@@ -379,7 +375,8 @@ let test_replica_health_lifecycle () =
       check_bool "degraded counts as capacity" true (Replica.counts_capacity r);
       Replica.restore r;
       check_string "all-clear restores" "healthy" (Replica.health_to_string r.Replica.health);
-      Replica.note_batch r ~key:"k" ~elements:4 ~service_us:100.0 ~requests:1 ~cold:true ();
+      Replica.note_batch r ~key:"k" ~elements:4 ~service_us:100.0 ~rate_us:100.0 ~requests:1
+        ~cold:true;
       check_bool "rate measured" true (r.Replica.us_per_element > 0.0);
       r.Replica.free_at <- 500.0;
       Replica.crash r ~now:100.0;
@@ -471,8 +468,7 @@ let test_pool_runs_once () =
   let reqs =
     Serving.Trace_gen.generate
       (Serving.Trace_gen.steady ~seed:3 ~qps:2000.0
-         ~dims:[ ("hist", Workloads.Trace.Uniform (1, 60)) ]
-         ())
+         ~dims:[ ("hist", Workloads.Trace.Uniform (1, 60)) ])
       ~n:400
   in
   let pool = Pool.create (base_config ()) build in
@@ -505,12 +501,17 @@ let test_bucketed_batching_and_padding () =
     (Pool.padding_waste r > 0.0 && Pool.padding_waste r < 1.0)
 
 let test_pad_waste_cap_forces_exact () =
-  (* a 0% padding budget forces exact-shape dispatch *)
+  (* padding the batch dim too: three members at hist 33 pad to batch 4
+     x hist 64, wasting 61% of the elements, past the 50% cap, so the
+     batch dispatches at its exact shape *)
   let cfg =
-    { (base_config ~devices:[ Device.a10 ] ()) with Pool.max_pad_waste = 0.0 }
+    {
+      (base_config ~devices:[ Device.a10 ] ()) with
+      Pool.bucket = [ ("batch", Bucket.Pow2); ("hist", Bucket.Pow2) ];
+    }
   in
   let pool = Pool.create cfg dien in
-  let reqs = List.init 8 (fun i -> req (float_of_int i) (120 + i)) in
+  let reqs = List.init 3 (fun i -> req (float_of_int i) 33) in
   let r = Pool.run pool reqs in
   check_int "no padded batches" 0 r.Pool.padded_batches;
   check_bool "exact batches" true (r.Pool.exact_batches >= 1);
@@ -530,28 +531,28 @@ let test_distinct_buckets_do_not_mix () =
 (* --- pool: shed and expiry -------------------------------------------------- *)
 
 let test_shed_and_expiry () =
-  let slo =
-    [ (Slo.Standard, { Slo.deadline_us = 1.0; priority = 1; queue_bound = 2 }) ]
-  in
-  let cfg =
-    { (base_config ~devices:[ Device.a10 ] ()) with Pool.slo; Pool.max_batch = 1 }
-  in
+  let cfg = { (base_config ~devices:[ Device.a10 ] ()) with Pool.max_batch = 1 } in
   let pool = Pool.create cfg dien in
-  (* ten simultaneous arrivals, bound 2: eight shed at admission; the
-     single replica serves one, the other queued request outlives its
-     1 us deadline while the first is in flight *)
-  let reqs = List.init 10 (fun _ -> req 0.0 20) in
-  let r = Pool.run pool reqs in
-  check_int "shed at admission" 8 r.Pool.shed;
-  check_int "expired at dispatch" 1 r.Pool.expired;
+  (* 300 simultaneous Standard arrivals against the class's queue bound
+     of 256: 44 shed at admission. A chaos straggler slows the single
+     replica so far that its first request outlasts the 200 ms
+     Standard deadline, and the 255 still queued expire *)
+  let straggle = Serving.Chaos.Straggle { replica = 0; factor = 1e5; duration_us = 1e9 } in
+  let chaos =
+    { Serving.Chaos.seed = 1; events = [ { Serving.Chaos.at_us = 0.0; event = straggle } ] }
+  in
+  let reqs = List.init 300 (fun _ -> req 0.0 20) in
+  let r = Pool.run ~chaos pool reqs in
+  check_int "shed at admission" 44 r.Pool.shed;
+  check_int "expired at dispatch" 255 r.Pool.expired;
   check_int "one completed" 1 (r.Pool.served + r.Pool.fell_back);
   check_int "no losses" 0 r.Pool.lost;
   let std =
     List.find (fun c -> c.Pool.cr_class = Slo.Standard) r.Pool.classes
   in
-  check_int "class report: arrivals" 10 std.Pool.cr_arrivals;
-  check_int "class report: shed" 8 std.Pool.cr_shed;
-  check_int "class report: expired" 1 std.Pool.cr_expired
+  check_int "class report: arrivals" 300 std.Pool.cr_arrivals;
+  check_int "class report: shed" 44 std.Pool.cr_shed;
+  check_int "class report: expired" 255 std.Pool.cr_expired
 
 let test_malformed_requests_rejected () =
   let pool = Pool.create (base_config ~devices:[ Device.a10 ] ()) dien in
@@ -838,11 +839,7 @@ let test_adaptive_scaling_no_loss () =
      sparse tail that keeps ticks firing while the backlog is empty *)
   let burst = List.init 24 (fun _ -> req 0.0 20) in
   let tail = List.init 12 (fun i -> req (60_000.0 +. (float_of_int i *. 15_000.0)) 20) in
-  let autoscale =
-    { Scaler.default_config with
-      Scaler.min_replicas = 1; max_replicas = 3; scale_up_queue = 2;
-      cooldown_us = 2_000.0 }
-  in
+  let autoscale = { Scaler.min_replicas = 1; max_replicas = 3; scale_up_queue = 2 } in
   let adaptive =
     { Pool.control_interval_us = 1_000.0; autoscale = Some autoscale }
   in

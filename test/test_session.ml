@@ -76,22 +76,27 @@ let test_empty_stats () =
        [ s.Session.mean_us; s.Session.p50_us; s.Session.p95_us; s.Session.p99_us; s.Session.max_us ])
 
 let test_window_one () =
-  (* a window of 1 keeps only the latest latency: every percentile
-     collapses onto it, while the request counters still see all *)
+  (* the window keeps the latest 1,024 latencies: once 1,024 requests
+     at one env have rolled the earlier ones out, it holds one latency
+     value and every percentile collapses onto it, while the request
+     counters still see all *)
   let entry = Suite.find "dien" in
-  let session = Session.create ~window:1 (entry.Suite.build ()) in
-  let last = ref 0.0 in
+  let session = Session.create (entry.Suite.build ()) in
   List.iter
-    (fun (b, h) ->
-      last := Runtime.Profile.total_us (serve session [ ("batch", b); ("hist", h) ]))
-    [ (256, 50); (64, 20); (16, 5) ];
+    (fun (b, h) -> ignore (serve session [ ("batch", b); ("hist", h) ]))
+    [ (256, 50); (64, 20) ];
+  let last = ref 0.0 in
+  for _ = 1 to 1024 do
+    last := Runtime.Profile.total_us (serve session [ ("batch", 16); ("hist", 5) ])
+  done;
   let s = Session.stats session in
-  check_int "window" 1 s.Session.window;
-  check_int "all requests counted" 3 s.Session.requests;
+  check_int "window" 1024 s.Session.window;
+  check_int "all requests counted" 1026 s.Session.requests;
   check_bool "percentiles collapse to the retained latency" true
     (s.Session.p50_us = !last && s.Session.p95_us = !last
-    && s.Session.p99_us = !last && s.Session.max_us = !last
-    && s.Session.mean_us = !last)
+    && s.Session.p99_us = !last && s.Session.max_us = !last);
+  (* the mean sums 1,024 copies, so it may round in the last bits *)
+  check_bool "so does the mean" true (Float.abs (s.Session.mean_us -. !last) <= 1e-9 *. !last)
 
 let test_all_requests_fall_back () =
   (* every kernel launch faults: with retries exhausted, each request is
