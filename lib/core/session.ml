@@ -594,16 +594,20 @@ let serve_data_result (t : t) (inputs : Tensor.Nd.t list) :
    tripped table. *)
 let stats (t : t) : stats =
   let arr = ring_contents t.latencies in
-  (* ascending, so the mean sums in a fixed order *)
-  Array.sort compare arr;
+  (* ascending, so the mean sums in a fixed order and each percentile is
+     the nearest-rank sample [Obs.Metrics.exact_percentile] would select *)
+  Obs.Metrics.sort_floats arr;
   let n = Array.length arr in
-  let total = Array.fold_left ( +. ) 0.0 arr in
-  let pct = Obs.Metrics.exact_percentile arr in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    total := !total +. arr.(i)
+  done;
+  let pct p = if n = 0 then 0.0 else arr.(min (n - 1) (int_of_float (p *. float_of_int n))) in
   {
     requests = Obs.Metrics.counter_value t.requests_c;
     compile_ms = t.compile_ms;
     cache_hit = t.cache_hit;
-    mean_us = (if n = 0 then 0.0 else total /. float_of_int n);
+    mean_us = (if n = 0 then 0.0 else !total /. float_of_int n);
     p50_us = pct 0.5;
     p95_us = pct 0.95;
     p99_us = pct 0.99;

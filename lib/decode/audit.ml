@@ -41,6 +41,11 @@ let check (r : Scheduler.report) : (unit, string list) result =
     err "ttft_ok %d > finished %d" r.Scheduler.ttft_ok r.Scheduler.finished;
   if r.Scheduler.tpot_ok > r.Scheduler.tpot_total then
     err "tpot_ok %d > tpot_total %d" r.Scheduler.tpot_ok r.Scheduler.tpot_total;
+  (* a finished sequence's first token comes from prefill and every
+     later token leaves exactly one gap *)
+  if r.Scheduler.tpot_total <> r.Scheduler.tokens - r.Scheduler.finished then
+    err "tpot_total %d <> tokens %d - finished %d" r.Scheduler.tpot_total r.Scheduler.tokens
+      r.Scheduler.finished;
   (* dispatch accounting: only a lost (failed) launch may leave a batch
      uncounted, and signatures/cold counts are bounded by dispatches *)
   let attempts = r.Scheduler.prefill_batches + r.Scheduler.decode_steps in

@@ -4,7 +4,9 @@
     bookkeeping — sequence conservation (finished + lost = admitted),
     the sequence log agreeing with the finished/token totals,
     per-sequence timestamp sanity against the makespan, percentile
-    ordering, SLO-counter bounds, and dispatch accounting. A violation
+    ordering, SLO-counter bounds, one TPOT gap per finished token after
+    the first ([tpot_total = tokens - finished]), and dispatch
+    accounting. A violation
     means the report is lying about the run; the scale harness gates
     million-token runs on this. *)
 

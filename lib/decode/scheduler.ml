@@ -90,17 +90,75 @@ let gen_requests ~seed ~qps ~n ~prompt ~max_new =
 
 type role = Prefill_only | Decode_only | Both
 
+(* A growable ring of sequences, oldest first; its capacity stays a
+   power of two so an index wraps with a mask. *)
+type ring = { mutable buf : Sequence.t array; mutable head : int; mutable len : int }
+
+let ring_get r i = r.buf.((r.head + i) land (Array.length r.buf - 1))
+
+let ring_push r s =
+  let cap = Array.length r.buf in
+  if r.len = cap then begin
+    r.buf <- Array.init (2 * cap) (fun i -> if i < cap then ring_get r i else s);
+    r.head <- 0
+  end;
+  r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- s;
+  r.len <- r.len + 1
+
+let ring_drop r k =
+  r.head <- (r.head + k) land (Array.length r.buf - 1);
+  r.len <- r.len - k
+
+(* Keep the members that satisfy [keep], in order: the [j]-th kept
+   member is pushed to index [j <= i] after the [i]-th was read. *)
+let ring_filter r keep =
+  let n = r.len in
+  r.len <- 0;
+  for i = 0 to n - 1 do
+    let s = ring_get r i in
+    if keep s then ring_push r s
+  done
+
 type worker = {
   wid : int;
   role : role;
   rep : Replica.t; (* primary session: decode (Decode_only/Both), prefill (Prefill_only) *)
   prefill_session : Session.t option; (* Both: side session, same device *)
-  mutable residents : Sequence.t list; (* continuous: pinned active sequences *)
-  mutable static_members : Sequence.t list; (* static: the fixed batch *)
-  mutable inflight : inflight option;
+  residents : ring;
+      (* continuous: the pinned active sequences, the in-flight batch at
+         the head; static: the fixed batch *)
+  batch : Sequence.t array; (* the in-flight batch, its first [n_batch] slots *)
+  mutable n_batch : int;
+  mutable busy : bool;
+  mutable done_at : float;
+  mutable is_prefill : bool;
 }
 
-and inflight = { done_at : float; batch : Sequence.t list; is_prefill : bool }
+(* A dispatched shape signature, interned once per run by its int
+   rungs: the env every dispatch at those rungs serves, its bucket key
+   and element count, and whether any dispatch has used it yet. *)
+type signature = { env : (string * int) list; key : string; elements : int; mutable seen : bool }
+
+(* [interner dim] maps a (batch rung, [dim] rung) pair to its one
+   signature. *)
+let interner dim =
+  let rows : (int, (int, signature) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
+  fun b v ->
+    let row =
+      match Hashtbl.find rows b with
+      | row -> row
+      | exception Not_found ->
+          let row = Hashtbl.create 16 in
+          Hashtbl.add rows b row;
+          row
+    in
+    match Hashtbl.find row v with
+    | sg -> sg
+    | exception Not_found ->
+        let env = [ ("batch", b); (dim, v) ] in
+        let sg = { env; key = Bucket.env_key env; elements = Bucket.elements env; seen = false } in
+        Hashtbl.add row v sg;
+        sg
 
 type report = {
   mode : mode;
@@ -209,57 +267,70 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
           (Printf.sprintf "Scheduler.run: request %d: prompt+max_new %d exceeds cache bound %d"
              i (r.prompt + r.max_new) cache_ub))
     reqs;
-  let workers =
-    List.mapi
-      (fun wid device ->
-        match cfg.mode with
-        | Continuous when wid < cfg.prefill_workers ->
-            {
-              wid;
-              role = Prefill_only;
-              rep = Replica.create ~id:wid (Session.create ~device ~cache prefill);
-              prefill_session = None;
-              residents = [];
-              static_members = [];
-              inflight = None;
-            }
-        | Continuous ->
-            {
-              wid;
-              role = Decode_only;
-              rep = Replica.create ~id:wid (Session.create ~device ~cache decode);
-              prefill_session = None;
-              residents = [];
-              static_members = [];
-              inflight = None;
-            }
-        | Static ->
-            {
-              wid;
-              role = Both;
-              rep = Replica.create ~id:wid (Session.create ~device ~cache decode);
-              prefill_session = Some (Session.create ~device ~cache prefill);
-              residents = [];
-              static_members = [];
-              inflight = None;
-            })
-      cfg.devices
-  in
   (* ---- run state ---- *)
   let seqs =
-    List.mapi
+    Array.mapi
       (fun id r ->
-        Sequence.create ~id ~arrival_us:r.arrival_us ~prompt:r.prompt ~max_new:r.max_new
-          ~cls:r.cls)
-      reqs
+        Sequence.create ~id ~arrival_us:r.arrival_us ~prompt:r.prompt ~max_new:r.max_new ~cls:r.cls)
+      (Array.of_list reqs)
   in
+  let n_seqs = Array.length seqs in
+  (* Arrivals in (arrival, id) order. Ids follow the request list, so a
+     trace whose arrivals never decrease is already in order: check in
+     O(n) and skip the sort. *)
+  let by_arrival (a : Sequence.t) (b : Sequence.t) =
+    match Float.compare a.arrival_us b.arrival_us with 0 -> Int.compare a.id b.id | c -> c
+  in
+  let rec in_order i = i >= n_seqs || (by_arrival seqs.(i - 1) seqs.(i) <= 0 && in_order (i + 1)) in
   let arrivals =
-    List.stable_sort (fun (a : Sequence.t) b -> compare (a.arrival_us, a.id) (b.arrival_us, b.id)) seqs
-    |> Array.of_list
+    if in_order 1 then seqs
+    else begin
+      let a = Array.copy seqs in
+      Array.stable_sort by_arrival a;
+      a
+    end
   in
-  let n_seqs = Array.length arrivals in
+  (* [arrivals.(wait_head .. arr_idx - 1)] have arrived and wait for
+     prefill, oldest first; [arr_idx ..] have not arrived yet. *)
+  let wait_head = ref 0 in
   let arr_idx = ref 0 in
-  let waiting : Sequence.t Queue.t = Queue.create () in
+  let placeholder =
+    Sequence.create ~id:(-1) ~arrival_us:0.0 ~prompt:1 ~max_new:1 ~cls:Slo.Standard
+  in
+  let batch_cap = max max_prefill_batch cfg.max_decode_batch in
+  let worker wid role rep prefill_session =
+    {
+      wid;
+      role;
+      rep;
+      prefill_session;
+      residents = { buf = Array.make 16 placeholder; head = 0; len = 0 };
+      batch = Array.make batch_cap placeholder;
+      n_batch = 0;
+      busy = false;
+      done_at = 0.0;
+      is_prefill = false;
+    }
+  in
+  let workers =
+    Array.of_list
+      (List.mapi
+         (fun wid device ->
+           match cfg.mode with
+           | Continuous when wid < cfg.prefill_workers ->
+               worker wid Prefill_only
+                 (Replica.create ~id:wid (Session.create ~device ~cache prefill))
+                 None
+           | Continuous ->
+               worker wid Decode_only
+                 (Replica.create ~id:wid (Session.create ~device ~cache decode))
+                 None
+           | Static ->
+               worker wid Both
+                 (Replica.create ~id:wid (Session.create ~device ~cache decode))
+                 (Some (Session.create ~device ~cache prefill)))
+         cfg.devices)
+  in
   let now = ref 0.0 in
   let last_done = ref 0.0 in
   let prefill_batches = ref 0 in
@@ -268,171 +339,202 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
   let decode_slots = ref 0 in
   let dispatches = ref 0 in
   let cold_total = ref 0 in
-  let sig_seen : (string, int) Hashtbl.t = Hashtbl.create 32 in
+  let signatures = ref 0 in
   let lost = ref 0 in
+  (* Each finished sequence adds to these, and copies its gaps into
+     [gap_buf], sized for every request's gaps. *)
+  let finished = ref 0 in
+  let tokens = ref 0 in
+  let ttft_ok = ref 0 in
+  let tpot_ok = ref 0 in
+  let tpot_total = ref 0 in
+  let gap_buf = Array.make (List.fold_left (fun acc r -> acc + r.max_new - 1) 0 reqs) 0.0 in
+  let finish (s : Sequence.t) =
+    let target = Slo.decode_target_of decode_slo s.cls in
+    let gaps = s.gaps_us in
+    incr finished;
+    tokens := !tokens + s.generated;
+    if s.ttft_us <= target.Slo.ttft_us then incr ttft_ok;
+    for i = 0 to Array.length gaps - 1 do
+      if gaps.(i) <= target.Slo.tpot_us then incr tpot_ok
+    done;
+    Array.blit gaps 0 gap_buf !tpot_total (Array.length gaps);
+    tpot_total := !tpot_total + Array.length gaps
+  in
   let clamp ub v = if v > ub then ub else v in
-  let prefill_env members =
-    let b = List.length members in
-    let s = List.fold_left (fun acc (m : Sequence.t) -> max acc m.prompt) 1 members in
-    [
-      ("batch", clamp batch_ub (Bucket.round_up cfg.batch_scheme b));
-      ("seq", clamp seq_ub (Bucket.round_up prompt_scheme s));
-    ]
+  let batch_rung count = clamp batch_ub (Bucket.round_up cfg.batch_scheme count) in
+  let prefill_sig = interner "seq" and decode_sig = interner "cache" in
+  let prefill_signature w =
+    let s = ref 1 in
+    for i = 0 to w.n_batch - 1 do
+      s := max !s w.batch.(i).Sequence.prompt
+    done;
+    prefill_sig (batch_rung w.n_batch) (clamp seq_ub (Bucket.round_up prompt_scheme !s))
   in
-  let decode_env ~count members =
-    let c = List.fold_left (fun acc (m : Sequence.t) -> max acc m.kv_len) 1 members in
-    [
-      ("batch", clamp batch_ub (Bucket.round_up cfg.batch_scheme count));
-      ("cache", clamp cache_ub (Bucket.round_up cfg.cache_scheme c));
-    ]
+  let decode_signature w b =
+    let c = ref 1 in
+    for i = 0 to w.n_batch - 1 do
+      c := max !c w.batch.(i).Sequence.kv_len
+    done;
+    decode_sig b (clamp cache_ub (Bucket.round_up cfg.cache_scheme !c))
   in
-  (* Serve a batch env on a worker and park the members in flight.
+  (* Serve the worker's batch at a signature and mark it in flight.
      Warmth is per worker per signature; a fresh signature pays the
      one-off warmup. On a serve error the members are lost (counted;
      acceptance requires this never fires). *)
-  let launch w session env members ~is_prefill =
-    match Session.serve_result session env with
+  let launch w session sg ~is_prefill =
+    match Session.serve_result session sg.env with
     | Error _ ->
-        List.iter Sequence.note_lost members;
-        lost := !lost + List.length members;
-        w.residents <- List.filter Sequence.active w.residents;
-        w.static_members <-
-          List.filter (fun (s : Sequence.t) -> s.phase <> Sequence.Lost) w.static_members
+        for i = 0 to w.n_batch - 1 do
+          Sequence.note_lost w.batch.(i)
+        done;
+        lost := !lost + w.n_batch;
+        ring_filter w.residents (fun (s : Sequence.t) -> s.phase <> Sequence.Lost)
     | Ok (profile, _path) ->
-        let key = Bucket.env_key env in
-        let cold = not (Replica.is_warm w.rep key) in
+        let cold = not (Replica.is_warm w.rep sg.key) in
         let base_us = Profile.total_us profile in
-        let service_us = base_us +. (if cold then cold_warmup_us else 0.0) in
+        let service_us = base_us +. if cold then cold_warmup_us else 0.0 in
         let done_at = !now +. service_us in
         w.rep.Replica.free_at <- done_at;
-        Replica.note_batch w.rep ~key ~elements:(Bucket.elements env) ~service_us
-          ~rate_us:base_us ~requests:(List.length members) ~cold;
-        Hashtbl.replace sig_seen key (1 + Option.value ~default:0 (Hashtbl.find_opt sig_seen key));
+        Replica.note_batch w.rep ~key:sg.key ~elements:sg.elements ~service_us ~rate_us:base_us
+          ~requests:w.n_batch ~cold;
+        if not sg.seen then begin
+          sg.seen <- true;
+          incr signatures
+        end;
         incr dispatches;
         if cold then incr cold_total;
         if done_at > !last_done then last_done := done_at;
-        w.inflight <- Some { done_at; batch = members; is_prefill }
+        w.busy <- true;
+        w.done_at <- done_at;
+        w.is_prefill <- is_prefill
   in
   (* Continuous: place a prefilled sequence on the decode worker with
      the fewest residents (tie: lowest id) and pin it there — the KV
      cache lives on that worker. *)
   let place (s : Sequence.t) =
-    let best = ref None in
-    List.iter
-      (fun w ->
-        if w.role = Decode_only then
-          match !best with
-          | None -> best := Some w
-          | Some b -> if List.length w.residents < List.length b.residents then best := Some w)
-      workers;
-    match !best with
-    | None -> invalid_arg "Scheduler.run: no decode worker"
-    | Some w ->
-        s.Sequence.worker <- w.wid;
-        w.residents <- w.residents @ [ s ]
+    let best = ref (-1) in
+    for i = 0 to Array.length workers - 1 do
+      let w = workers.(i) in
+      if w.role = Decode_only && (!best < 0 || w.residents.len < workers.(!best).residents.len)
+      then best := i
+    done;
+    if !best < 0 then invalid_arg "Scheduler.run: no decode worker";
+    s.Sequence.worker <- workers.(!best).wid;
+    ring_push workers.(!best).residents s
   in
-  let complete w inflight =
-    w.inflight <- None;
-    if inflight.is_prefill then begin
-      List.iter
-        (fun (s : Sequence.t) ->
-          if s.phase = Sequence.Waiting then begin
-            Sequence.note_prefilled s ~now:!now;
-            match cfg.mode with
-            | Continuous -> if Sequence.active s then place s
-            | Static -> () (* stays in this worker's static batch *)
-          end)
-        inflight.batch;
-      if cfg.mode = Static then
-        w.static_members <- List.filter (fun (s : Sequence.t) -> s.phase <> Sequence.Lost) w.static_members
-    end
+  let complete w =
+    w.busy <- false;
+    let now = !now in
+    if w.is_prefill then
+      for i = 0 to w.n_batch - 1 do
+        let s = w.batch.(i) in
+        Sequence.note_prefilled s ~now;
+        if s.phase = Sequence.Finished then finish s
+        else if cfg.mode = Continuous then place s
+      done
     else begin
-      List.iter (fun (s : Sequence.t) -> if Sequence.active s then Sequence.note_token s ~now:!now) inflight.batch;
+      for i = 0 to w.n_batch - 1 do
+        let s = w.batch.(i) in
+        Sequence.note_token s ~now;
+        if s.phase = Sequence.Finished then finish s
+      done;
       match cfg.mode with
       | Continuous ->
-          (* fairness rotation: dispatched members that remain active go
-             to the back of the resident queue *)
-          let stayed, went =
-            List.partition (fun (s : Sequence.t) -> not (List.memq s inflight.batch)) w.residents
-          in
-          w.residents <- List.filter Sequence.active stayed @ List.filter Sequence.active went
+          (* fairness rotation: the in-flight head goes to the back of
+             the residents, its finished members dropped *)
+          ring_drop w.residents w.n_batch;
+          for i = 0 to w.n_batch - 1 do
+            if Sequence.active w.batch.(i) then ring_push w.residents w.batch.(i)
+          done
       | Static ->
-          if not (List.exists Sequence.active w.static_members) then w.static_members <- []
+          let r = w.residents in
+          let rec any_active i =
+            i < r.len && (Sequence.active (ring_get r i) || any_active (i + 1))
+          in
+          if not (any_active 0) then r.len <- 0
     end
   in
-  let pop_waiting cap =
-    let rec go acc k =
-      if k >= cap || Queue.is_empty waiting then List.rev acc
-      else go (Queue.pop waiting :: acc) (k + 1)
-    in
-    go [] 0
+  let pop_waiting w cap =
+    let k = min cap (!arr_idx - !wait_head) in
+    Array.blit arrivals !wait_head w.batch 0 k;
+    wait_head := !wait_head + k;
+    w.n_batch <- k
   in
   (* One dispatch attempt on an idle worker; returns true if launched. *)
   let try_dispatch w =
-    if w.inflight <> None then false
+    if w.busy then false
     else
+      let r = w.residents in
       match w.role with
       | Prefill_only ->
-          if Queue.is_empty waiting then false
+          if !wait_head = !arr_idx then false
           else begin
-            let members = pop_waiting max_prefill_batch in
+            pop_waiting w max_prefill_batch;
             incr prefill_batches;
-            launch w w.rep.Replica.session (prefill_env members) members ~is_prefill:true;
+            launch w w.rep.Replica.session (prefill_signature w) ~is_prefill:true;
             true
           end
       | Decode_only ->
-          if w.residents = [] then false
+          if r.len = 0 then false
           else begin
-            let rec take k = function
-              | [] -> []
-              | _ when k = 0 -> []
-              | s :: rest -> s :: take (k - 1) rest
-            in
-            let members = take cfg.max_decode_batch w.residents in
-            let env = decode_env ~count:(List.length members) members in
+            w.n_batch <- min cfg.max_decode_batch r.len;
+            for i = 0 to w.n_batch - 1 do
+              w.batch.(i) <- ring_get r i
+            done;
+            let b = batch_rung w.n_batch in
             incr decode_steps;
-            decode_members := !decode_members + List.length members;
-            decode_slots := !decode_slots + List.assoc "batch" env;
-            launch w w.rep.Replica.session env members ~is_prefill:false;
+            decode_members := !decode_members + w.n_batch;
+            decode_slots := !decode_slots + b;
+            launch w w.rep.Replica.session (decode_signature w b) ~is_prefill:false;
             true
           end
-      | Both -> (
-          match w.static_members with
-          | [] ->
-              if Queue.is_empty waiting then false
-              else begin
-                let members = pop_waiting cfg.max_decode_batch in
-                w.static_members <- members;
-                incr prefill_batches;
-                launch w (Option.get w.prefill_session) (prefill_env members) members
-                  ~is_prefill:true;
-                true
-              end
-          | members when List.exists Sequence.active members ->
-              (* request-level batching: the batch keeps its original
-                 size until every member finishes — finished members
-                 occupy padded slots that produce no tokens *)
-              let active = List.filter Sequence.active members in
-              let env = decode_env ~count:(List.length members) active in
-              incr decode_steps;
-              decode_members := !decode_members + List.length active;
-              decode_slots := !decode_slots + List.assoc "batch" env;
-              launch w w.rep.Replica.session env active ~is_prefill:false;
+      | Both ->
+          if r.len = 0 then
+            if !wait_head = !arr_idx then false
+            else begin
+              pop_waiting w cfg.max_decode_batch;
+              for i = 0 to w.n_batch - 1 do
+                ring_push r w.batch.(i)
+              done;
+              incr prefill_batches;
+              launch w (Option.get w.prefill_session) (prefill_signature w) ~is_prefill:true;
               true
-          | _ ->
-              w.static_members <- [];
-              false)
+            end
+          else begin
+            (* request-level batching: the batch keeps its original size
+               until every member finishes — finished members occupy
+               padded slots that produce no tokens *)
+            w.n_batch <- 0;
+            for i = 0 to r.len - 1 do
+              let s = ring_get r i in
+              if Sequence.active s then begin
+                w.batch.(w.n_batch) <- s;
+                w.n_batch <- w.n_batch + 1
+              end
+            done;
+            if w.n_batch = 0 then begin
+              r.len <- 0;
+              false
+            end
+            else begin
+              let b = batch_rung r.len in
+              incr decode_steps;
+              decode_members := !decode_members + w.n_batch;
+              decode_slots := !decode_slots + b;
+              launch w w.rep.Replica.session (decode_signature w b) ~is_prefill:false;
+              true
+            end
+          end
   in
   let admit_arrivals () =
     while !arr_idx < n_seqs && arrivals.(!arr_idx).Sequence.arrival_us <= !now do
-      Queue.push arrivals.(!arr_idx) waiting;
       incr arr_idx
     done
   in
   let work_remains () =
-    !arr_idx < n_seqs
-    || (not (Queue.is_empty waiting))
-    || List.exists (fun w -> w.inflight <> None || w.residents <> [] || w.static_members <> []) workers
+    !arr_idx < n_seqs || !wait_head < !arr_idx
+    || Array.exists (fun w -> w.busy || w.residents.len > 0) workers
   in
   (* ---- event loop ---- *)
   admit_arrivals ();
@@ -441,24 +543,25 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
     incr guard;
     if !guard > 10_000_000 then failwith "Scheduler.run: event-loop guard tripped";
     (* complete everything due now (worker id order: deterministic) *)
-    List.iter
-      (fun w ->
-        match w.inflight with
-        | Some f when f.done_at <= !now -> complete w f
-        | _ -> ())
-      workers;
+    for i = 0 to Array.length workers - 1 do
+      let w = workers.(i) in
+      if w.busy && w.done_at <= !now then complete w
+    done;
     (* dispatch until no idle worker can act *)
     let progressed = ref true in
     while !progressed do
       progressed := false;
-      List.iter (fun w -> if try_dispatch w then progressed := true) workers
+      for i = 0 to Array.length workers - 1 do
+        if try_dispatch workers.(i) then progressed := true
+      done
     done;
     (* advance virtual time to the next completion or arrival *)
     if work_remains () then begin
       let next = ref infinity in
-      List.iter
-        (fun w -> match w.inflight with Some f -> if f.done_at < !next then next := f.done_at | None -> ())
-        workers;
+      for i = 0 to Array.length workers - 1 do
+        let w = workers.(i) in
+        if w.busy && w.done_at < !next then next := w.done_at
+      done;
       if !arr_idx < n_seqs then begin
         let a = arrivals.(!arr_idx).Sequence.arrival_us in
         if a < !next then next := a
@@ -468,51 +571,44 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
            only possible if every one of them is lost — drain below *)
         failwith "Scheduler.run: stalled with pending work"
       else begin
-        now := max !now !next;
+        if !next > !now then now := !next;
         admit_arrivals ()
       end
     end
   done;
   (* ---- report ---- *)
-  let finished = List.filter (fun (s : Sequence.t) -> s.phase = Sequence.Finished) seqs in
-  let tokens = List.fold_left (fun acc (s : Sequence.t) -> acc + s.generated) 0 finished in
   let makespan = !last_done in
-  let ttfts =
-    Array.of_list (List.map (fun (s : Sequence.t) -> s.ttft_us) finished)
-  in
+  let ttfts = Array.make !finished 0.0 in
+  let seq_log = ref [] in
+  let k = ref !finished in
+  for id = n_seqs - 1 downto 0 do
+    let s = seqs.(id) in
+    if s.phase = Sequence.Finished then begin
+      decr k;
+      ttfts.(!k) <- s.ttft_us;
+      seq_log := (s.id, s.ttft_us, s.finished_us, s.generated) :: !seq_log
+    end
+  done;
   let gaps =
-    Array.of_list (List.concat_map (fun (s : Sequence.t) -> List.rev s.gaps_us) finished)
-  in
-  let ttft_ok =
-    List.length
-      (List.filter
-         (fun (s : Sequence.t) ->
-           s.ttft_us <= (Slo.decode_target_of decode_slo s.cls).Slo.ttft_us)
-         finished)
-  in
-  let tpot_ok =
-    List.fold_left
-      (fun acc (s : Sequence.t) ->
-        let budget = (Slo.decode_target_of decode_slo s.cls).Slo.tpot_us in
-        acc + List.length (List.filter (fun g -> g <= budget) s.gaps_us))
-      0 finished
+    (* full unless a sequence was lost *)
+    if !tpot_total = Array.length gap_buf then gap_buf else Array.sub gap_buf 0 !tpot_total
   in
   {
     mode = cfg.mode;
     workers = n_workers;
     sequences = n_seqs;
-    finished = List.length finished;
+    finished = !finished;
     lost = !lost;
-    tokens;
+    tokens = !tokens;
     makespan_us = makespan;
-    tokens_per_s = (if makespan > 0.0 then float_of_int tokens /. (makespan /. 1e6) else 0.0);
+    tokens_per_s = (if makespan > 0.0 then float_of_int !tokens /. (makespan /. 1e6) else 0.0);
     ttft_p50_us = Obs.Metrics.exact_percentile ttfts 0.5;
     ttft_p99_us = Obs.Metrics.exact_percentile ttfts 0.99;
     tpot_p50_us = Obs.Metrics.exact_percentile gaps 0.5;
     tpot_p99_us = Obs.Metrics.exact_percentile gaps 0.99;
-    ttft_ok;
-    tpot_ok;
-    tpot_total = Array.length gaps;
+    ttft_ok = !ttft_ok;
+    tpot_ok = !tpot_ok;
+    tpot_total = !tpot_total;
     prefill_batches = !prefill_batches;
     decode_steps = !decode_steps;
     mean_decode_batch =
@@ -521,16 +617,12 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
     decode_slot_waste =
       (if !decode_slots = 0 then 0.0
        else float_of_int (!decode_slots - !decode_members) /. float_of_int !decode_slots);
-    signatures = Hashtbl.length sig_seen;
+    signatures = !signatures;
     dispatches = !dispatches;
     cold_dispatches = !cold_total;
     warm_rate =
       (if !dispatches = 0 then 0.0
        else float_of_int (!dispatches - !cold_total) /. float_of_int !dispatches);
     cache = Compile_cache.stats cache;
-    seq_log =
-      List.map
-        (fun (s : Sequence.t) ->
-          (s.id, s.ttft_us, s.finished_us, s.generated))
-        finished;
+    seq_log = !seq_log;
   }

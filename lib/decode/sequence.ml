@@ -22,7 +22,9 @@ type t = {
   mutable ttft_us : float; (* arrival -> first token; nan until prefilled *)
   mutable last_token_us : float; (* virtual time of the newest token *)
   mutable finished_us : float; (* completion time; nan until Finished *)
-  mutable gaps_us : float list; (* inter-token gaps, newest first *)
+  mutable gaps_us : float array;
+      (* inter-token gaps, oldest first, unboxed: max_new - 1 slots from
+         prefill on, the first generated - 1 of them filled *)
 }
 
 let create ~id ~arrival_us ~prompt ~max_new ~cls =
@@ -41,15 +43,17 @@ let create ~id ~arrival_us ~prompt ~max_new ~cls =
     ttft_us = Float.nan;
     last_token_us = Float.nan;
     finished_us = Float.nan;
-    gaps_us = [];
+    gaps_us = [||];
   }
 
 let active s = s.phase = Decoding
 
 (* Prefill completed at [now]: the prompt is in the cache and the first
-   token is out (TTFT clock stops here). *)
+   token is out (TTFT clock stops here). Every later token leaves one
+   gap, so the gap slots are sized here, once. *)
 let note_prefilled s ~now =
   s.phase <- Decoding;
+  if s.max_new > 1 then s.gaps_us <- Array.make (s.max_new - 1) 0.0;
   s.generated <- 1;
   s.kv_len <- s.prompt + 1;
   s.ttft_us <- now -. s.arrival_us;
@@ -62,7 +66,7 @@ let note_prefilled s ~now =
 (* One decode step completed at [now]: one more token, one more cache
    slot, one TPOT gap. *)
 let note_token s ~now =
-  s.gaps_us <- (now -. s.last_token_us) :: s.gaps_us;
+  s.gaps_us.(s.generated - 1) <- now -. s.last_token_us;
   s.last_token_us <- now;
   s.generated <- s.generated + 1;
   s.kv_len <- s.kv_len + 1;

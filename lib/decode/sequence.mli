@@ -21,7 +21,11 @@ type t = {
   mutable ttft_us : float;  (** arrival -> first token; [nan] until prefilled *)
   mutable last_token_us : float;
   mutable finished_us : float;  (** [nan] until [Finished] *)
-  mutable gaps_us : float list;  (** inter-token gaps, newest first *)
+  mutable gaps_us : float array;
+      (** inter-token gaps, oldest first, in an unboxed array of
+          [max_new - 1] slots allocated at prefill; the first
+          [generated - 1] are filled, so a finished sequence's array is
+          full *)
 }
 
 val create :

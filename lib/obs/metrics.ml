@@ -172,6 +172,10 @@ let heap_select a lo hi k =
   done;
   a.(lo)
 
+(* Selecting rank 0 pops every larger sample behind the root: a heap
+   sort, ascending in Float.compare order. *)
+let sort_floats a = if Array.length a > 1 then ignore (heap_select a 0 (Array.length a - 1) 0)
+
 (* The sample of rank k (0-based, Float.compare order) in a.(lo..hi),
    lo <= k <= hi, found by permuting the range in place: a quickselect
    around the median of a.(lo), a.(mid) and a.(hi), partitioned with

@@ -75,6 +75,11 @@ val exact_percentile : float array -> float -> float
     halve the range. O(n) expected, O(n log n) worst.
     @raise Invalid_argument when [p] is NaN. *)
 
+val sort_floats : float array -> unit
+(** Sort in place, ascending in [Float.compare] order, in O(n log n)
+    without allocating: [Array.sort]'s comparator boxes both operands of
+    every comparison on a float array. *)
+
 val histogram_count : histogram -> int
 val histogram_mean : histogram -> float
 

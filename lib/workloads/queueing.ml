@@ -180,43 +180,47 @@ let simulate_server ~(arrivals : request list) ~(policy : server_policy)
   in
   (* Chronological loop: one batch per iteration. Arrivals are admitted
      in order as simulated time reaches them, so the queue-occupancy
-     check at each admission is exact. *)
-  let rec loop queue upcoming t_free batches batched_total =
-    match (queue, upcoming) with
-    | [], [] -> (t_free, batches, batched_total)
-    | [], a :: rest ->
+     check at each admission is exact. The queue holds a subsequence of
+     the sorted arrivals, so it stays in arrival order: admission
+     appends, and since a deadline is the arrival plus a constant, the
+     requests that expire before a formation are a prefix. Each request
+     is pushed and popped once. *)
+  let queue : (int * request) Queue.t = Queue.create () in
+  let rec loop upcoming t_free batches batched_total =
+    match (Queue.peek_opt queue, upcoming) with
+    | None, [] -> (t_free, batches, batched_total)
+    | None, a :: rest ->
         (* idle server: the next arrival opens a fresh queue (bound >= 1) *)
-        loop [ a ] rest t_free batches batched_total
-    | (_, first) :: _, _ -> (
+        Queue.push a queue;
+        loop rest t_free batches batched_total
+    | Some (_, first), _ -> (
         let form_start = Float.max t_free first.arrival_us in
         let window_end = form_start +. policy.batching.max_wait_us in
         (* admit (or shed) arrivals up to the formation deadline *)
-        let rec admit q up =
-          match up with
+        let rec admit = function
           | (i, r) :: rest when r.arrival_us <= window_end ->
-              if List.length q >= bound then begin
-                disp.(i) <- Shed;
-                admit q rest
-              end
-              else admit (q @ [ (i, r) ]) rest
-          | _ -> (q, up)
+              if Queue.length queue >= bound then disp.(i) <- Shed else Queue.push (i, r) queue;
+              admit rest
+          | up -> up
         in
-        let queue, upcoming = admit queue upcoming in
-        note_depth (List.length queue);
+        let upcoming = admit upcoming in
+        note_depth (Queue.length queue);
         (* expire queued requests whose deadline passed before service *)
-        let live, dead =
-          List.partition (fun (_, r) -> deadline_of r >= form_start) queue
+        let rec expire () =
+          match Queue.peek_opt queue with
+          | Some (i, r) when not (deadline_of r >= form_start) ->
+              disp.(i) <- Expired;
+              ignore (Queue.pop queue);
+              expire ()
+          | _ -> ()
         in
-        List.iter (fun (i, _) -> disp.(i) <- Expired) dead;
-        match live with
-        | [] -> loop [] upcoming (Float.max t_free form_start) batches batched_total
-        | _ ->
-            let rec take taken rest k =
-              match rest with
-              | r :: tl when k < policy.batching.max_batch -> take (r :: taken) tl (k + 1)
-              | _ -> (List.rev taken, rest)
+        expire ();
+        match Queue.length queue with
+        | 0 -> loop upcoming (Float.max t_free form_start) batches batched_total
+        | queued ->
+            let batch =
+              List.init (min queued policy.batching.max_batch) (fun _ -> Queue.pop queue)
             in
-            let batch, remaining = take [] live 0 in
             let last_arrival =
               List.fold_left (fun acc (_, r) -> Float.max acc r.arrival_us) 0.0 batch
             in
@@ -248,11 +252,10 @@ let simulate_server ~(arrivals : request list) ~(policy : server_policy)
                 lats.(i) <- done_at -. r.arrival_us;
                 disp.(i) <- bdisp)
               batch;
-            note_depth (List.length remaining);
-            loop remaining upcoming done_at (batches + 1)
-              (batched_total + List.length batch))
+            note_depth (Queue.length queue);
+            loop upcoming done_at (batches + 1) (batched_total + List.length batch))
   in
-  let makespan, batches, batched_total = loop [] indexed 0.0 0 0 in
+  let makespan, batches, batched_total = loop indexed 0.0 0 0 in
   let count d = Array.fold_left (fun acc x -> if x = d then acc + 1 else acc) 0 disp in
   if obs then begin
     (* Per-request end-to-end spans on the server track, stamped at the

@@ -124,20 +124,6 @@ let test_golden_report () =
      p99=4584us makespan=249987us"
     (Pool.report_to_string r)
 
-(* The audit layer itself must catch a cooked report: flip counters a
-   subtle way and expect named violations. *)
-let test_audit_catches_tampering () =
-  let r = run_scale 2_000 in
-  Alcotest.(check string) "clean report passes" "audit: ok"
-    (Audit.to_string (Audit.check r));
-  let cooked = { r with Pool.served = r.Pool.served - 1; Pool.lost = 1 } in
-  let vs = Audit.check cooked in
-  Alcotest.(check bool) "tampered counters caught" true (List.length vs >= 2);
-  let cooked2 = { r with Pool.time_monotone = false } in
-  Alcotest.(check bool) "monotonicity violation caught" true (Audit.check cooked2 <> []);
-  let cooked3 = { r with Pool.peak_queued = -1 } in
-  Alcotest.(check bool) "peak_queued bound caught" true (Audit.check cooked3 <> [])
-
 (* --- decode serving at scale (E20b's test layer) --------------------------- *)
 
 module Sched = Decode.Scheduler
@@ -167,6 +153,35 @@ let decode_cfg () =
     with
     Sched.cache_scheme = Bucket.Linear 8;
   }
+
+(* The audit layers themselves, the pool's and the decode scheduler's,
+   must catch a cooked report: flip counters a subtle way and expect
+   named violations. *)
+let test_audit_catches_tampering () =
+  let r = run_scale 2_000 in
+  Alcotest.(check string) "clean report passes" "audit: ok"
+    (Audit.to_string (Audit.check r));
+  let cooked = { r with Pool.served = r.Pool.served - 1; Pool.lost = 1 } in
+  let vs = Audit.check cooked in
+  Alcotest.(check bool) "tampered counters caught" true (List.length vs >= 2);
+  let cooked2 = { r with Pool.time_monotone = false } in
+  Alcotest.(check bool) "monotonicity violation caught" true (Audit.check cooked2 <> []);
+  let cooked3 = { r with Pool.peak_queued = -1 } in
+  Alcotest.(check bool) "peak_queued bound caught" true (Audit.check cooked3 <> []);
+  (* one gap more than the tokens after each first one: every bound
+     holds (tpot_ok <= tpot_total), only the gap identity breaks *)
+  let d =
+    Sched.run ~prefill:decode_prefill ~decode:decode_decode (decode_cfg ()) (decode_reqs 2_000)
+  in
+  Alcotest.(check string) "clean decode report passes" "audit: ok"
+    (Decode.Audit.to_string (Decode.Audit.check d));
+  Alcotest.(check (result unit (list string))) "tampered tpot_total caught"
+    (Error
+       [
+         Printf.sprintf "tpot_total %d <> tokens %d - finished %d" (d.Sched.tpot_total + 1)
+           d.Sched.tokens d.Sched.finished;
+       ])
+    (Decode.Audit.check { d with Sched.tpot_total = d.Sched.tpot_total + 1 })
 
 let test_decode_conservation_at_scale () =
   let n = 10_000 in

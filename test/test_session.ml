@@ -152,6 +152,48 @@ let prop_stats_match_recorded_latencies =
       s.Session.requests = List.length reqs
       && Float.abs (s.Session.max_us -. List.fold_left Float.max 0.0 lats) < 1e-6)
 
+(* [stats] sorts its window once and reads each percentile at the
+   nearest rank; [exact_percentile] over the same window (the last
+   1,024 latencies) must agree to the bit. Windows run from empty
+   through one request to rings that wrapped, and envs repeat, so
+   latencies do too. *)
+let stats_agree_with_exact_percentile envs =
+  let session = Session.create ((Suite.find "dien").Suite.build ()) in
+  let lats =
+    Array.of_list
+      (List.map
+         (fun (b, h) -> Runtime.Profile.total_us (serve session [ ("batch", b); ("hist", h) ]))
+         envs)
+  in
+  let n = Array.length lats in
+  let window = Array.sub lats (max 0 (n - 1024)) (min n 1024) in
+  let s = Session.stats session in
+  let pct = Obs.Metrics.exact_percentile window in
+  s.Session.window = Array.length window
+  && Float.equal s.Session.p50_us (pct 0.5)
+  && Float.equal s.Session.p95_us (pct 0.95)
+  && Float.equal s.Session.p99_us (pct 0.99)
+  && Float.equal s.Session.max_us (pct 1.0)
+
+let env_gen = QCheck.Gen.(pair (int_range 1 64) (int_range 1 100))
+
+let prop_stats_percentiles_exact =
+  QCheck.Test.make ~name:"stats percentiles = exact_percentile over the window" ~count:12
+    (QCheck.make
+       ~print:(fun envs -> Printf.sprintf "%d requests" (List.length envs))
+       QCheck.Gen.(
+         let* n = frequency [ (1, return 0); (1, return 1); (4, int_range 2 3_000) ] in
+         list_size (return n) env_gen))
+    stats_agree_with_exact_percentile
+
+let test_stats_percentile_edges () =
+  let rng = Random.State.make [| 7 |] in
+  List.iter
+    (fun n ->
+      let envs = QCheck.Gen.list_size (QCheck.Gen.return n) env_gen rng in
+      check_bool (Printf.sprintf "%d requests" n) true (stats_agree_with_exact_percentile envs))
+    [ 0; 1; 1_024; 1_025; 2_500 ]
+
 let () =
   Alcotest.run "session"
     [
@@ -165,6 +207,10 @@ let () =
           Alcotest.test_case "window of one" `Quick test_window_one;
           Alcotest.test_case "all requests fall back" `Quick test_all_requests_fall_back;
           Alcotest.test_case "hints keep the profile memo" `Quick test_profile_memo;
+          Alcotest.test_case "stats percentiles at the window edges" `Quick
+            test_stats_percentile_edges;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_stats_match_recorded_latencies ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_stats_match_recorded_latencies; prop_stats_percentiles_exact ] );
     ]
