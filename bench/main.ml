@@ -928,8 +928,8 @@ let adaptive_serving () =
    a heavy straggler, a hard crash with recovery, and a traffic spike —
    replayed against the same pool twice: once with every resilience
    mechanism off (the pre-chaos pool's behaviour) and once with the
-   full stack (watchdog, hedged re-dispatch, crash re-queue, replica
-   recovery, brownout ladder). The resilient config must keep lost=0,
+   full stack (watchdog, crash re-queue, replica recovery, brownout
+   ladder). The resilient config must keep lost=0,
    complete >=99% of admitted traffic, and wind the brownout ladder
    back to level 0 before the trace ends; the baseline measurably
    degrades. The resilient config runs twice to pin bit-reproducibility:
@@ -1032,7 +1032,6 @@ let chaos_serving () =
               text ("\n  " ^ String.concat "\n  "
                                 (String.split_on_char '\n' (Pool.resilience_summary_to_string xr)));
               int "recoveries" xr.Pool.xr_recoveries; int "redispatched" xr.Pool.xr_redispatched;
-              int "hedges" xr.Pool.xr_hedges; int "hedge_wins" xr.Pool.xr_hedge_wins;
               int "degraded_events" xr.Pool.xr_degraded_events;
               int "brownout_transitions" xr.Pool.xr_brownout_transitions;
               int "brownout_max" xr.Pool.xr_brownout_max;

@@ -429,7 +429,7 @@ let serve_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let router_arg =
-    let doc = "Routing policy: warmth (default), least, rr." in
+    let doc = "Routing policy: warmth (default) or rr (round-robin)." in
     Arg.(value & opt string "warmth" & info [ "router" ] ~docv:"POLICY" ~doc)
   in
   let max_batch_arg =
@@ -446,9 +446,9 @@ let serve_cmd =
   in
   let chaos_arg =
     let doc =
-      "Replay a chaos scenario (JSON: seeded crash / straggler / flaky / spike / \
-       cache-corruption events in virtual time) against the fleet, with the full \
-       resilience stack on: crash re-dispatch, hedging, watchdog, brownout."
+      "Replay a chaos scenario (JSON: seeded crash / straggle / flaky / spike \
+       events in virtual time) against the fleet, with the full resilience stack \
+       on: crash re-dispatch, the straggler watchdog, the brownout ladder."
     in
     Arg.(value & opt (some string) None & info [ "chaos" ] ~docv:"FILE" ~doc)
   in
@@ -518,7 +518,7 @@ let serve_cmd =
     let router =
       match Serving.Router.policy_of_string router with
       | Some p -> p
-      | None -> raise (Usage (Printf.sprintf "unknown router %S (warmth, least, rr)" router))
+      | None -> raise (Usage (Printf.sprintf "unknown router %S (warmth, rr)" router))
     in
     let decode_mode =
       match decode with

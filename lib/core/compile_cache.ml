@@ -59,7 +59,7 @@ type t = {
          artifact: one search per fingerprint × device ×
          shape-bucket set, replayed by every sharing session and adopted
          by pool replicas on prewarm/revive. Dropped with the artifact
-         on invalidation/corruption — a recompiled graph re-tunes. *)
+         on invalidation — a recompiled graph re-tunes. *)
   mutable dir : string option;
   mutable tick : int;
   mutable hits : int;
@@ -67,7 +67,7 @@ type t = {
   mutable evictions : int;
   mutable warm_hits : int;
   mutable invalidations : int;
-  mutable corrupt : int; (* persisted records quarantined, chaos corruptions *)
+  mutable corrupt : int; (* persisted records quarantined *)
 }
 
 let default_capacity = 64
@@ -240,33 +240,6 @@ let drop_schedules t key =
     Hashtbl.fold (fun (k, b) _ acc -> if k = key then (k, b) :: acc else acc) t.schedules []
   in
   List.iter (Hashtbl.remove t.schedules) stale
-
-(* Chaos injection: deterministically corrupt a fraction of the cache.
-   Selected entries vanish from both the live table and the warm set (a
-   fresh session or a recovering replica recompiles cold) and are
-   counted as corrupt. Selection hashes (seed, sorted-key index) so two
-   runs of the same scenario corrupt the same entries. Persisted files
-   are untouched — the simulation corrupts the *in-process* view. *)
-let corrupt t ~seed ~fraction =
-  if fraction < 0.0 || fraction > 1.0 then
-    invalid_arg "Compile_cache.corrupt: fraction must be in [0,1]";
-  let keys = Hashtbl.create 16 in
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) t.table;
-  Hashtbl.iter (fun k _ -> Hashtbl.replace keys k ()) t.warm;
-  let sorted = Hashtbl.fold (fun k () acc -> k :: acc) keys [] |> List.sort compare in
-  let hit = ref 0 in
-  List.iteri
-    (fun i key ->
-      if Gpusim.Fault.stream_uniform ~seed ~counter:i < fraction then begin
-        Hashtbl.remove t.table key;
-        Hashtbl.remove t.warm key;
-        drop_schedules t key;
-        t.corrupt <- t.corrupt + 1;
-        incr hit;
-        if Obs.Scope.on () then Obs.Scope.count "cache.corrupt"
-      end)
-    sorted;
-  !hit
 
 (* --- lookup --------------------------------------------------------------- *)
 

@@ -33,9 +33,7 @@ type stats = {
   evictions : int;
   warm_hits : int;
   invalidations : int;
-  corrupt : int;
-      (** persisted records quarantined at {!attach_dir} + entries
-          destroyed by chaos {!corrupt} *)
+  corrupt : int;  (** persisted records quarantined at {!attach_dir} *)
   entries : int;
   schedules : int;  (** tuned schedule plans attached (side table) *)
 }
@@ -62,7 +60,7 @@ val health_to_string : stats -> string
 (** The one cache-health line serving surfaces print: core stats plus
     the schedule side-table entry count ([side: schedules=N]), the hit
     rate, and a verdict — [healthy], or [UNHEALTHY (n corrupt artifacts
-    quarantined)] when any record was quarantined or destroyed. *)
+    quarantined)] when any record was quarantined. *)
 
 val key_of :
   ?dims:(string * Symshape.Sym.dim) list -> options:Compiler.options -> Ir.Graph.t -> string
@@ -112,7 +110,7 @@ val store_schedule : t -> key:string -> bucket:string -> Tune.Plan.t -> unit
     (executable, device, rung set) — so one search per fingerprint ×
     device × bucket is replayed by every session sharing the artifact
     and adopted by pool replicas on prewarm/revive. Dropped together
-    with the artifact by {!invalidate} and chaos {!corrupt}. *)
+    with the artifact by {!invalidate}. *)
 
 val find_schedule : t -> key:string -> bucket:string -> Tune.Plan.t option
 
@@ -123,11 +121,3 @@ val find_schedule_for_device : t -> key:string -> device:string -> Tune.Plan.t o
 
 val schedules_cached : t -> int
 (** Number of tuned schedule plans currently attached. *)
-
-val corrupt : t -> seed:int -> fraction:float -> int
-(** Chaos injection: deterministically destroy about [fraction] of the
-    cache's keys (live + warm), selected by hashing (seed, sorted-key
-    index) so two runs of one scenario corrupt identically. Destroyed
-    keys recompile cold on next lookup and count in [stats.corrupt].
-    Persisted files are untouched. Returns the number destroyed.
-    @raise Invalid_argument if [fraction] is outside [0,1]. *)

@@ -248,6 +248,15 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
       if cfg.prefill_workers < 1 || cfg.prefill_workers >= n_workers then
         invalid_arg "Scheduler.run: need 1 <= prefill_workers < devices"
   | Static -> ());
+  (* a NaN or infinite arrival is never admitted nor ever the next
+     event: refuse it before building either model *)
+  List.iteri
+    (fun i r ->
+      if not (Float.is_finite r.arrival_us) then
+        invalid_arg
+          (Printf.sprintf "Scheduler.run: request %d: arrival_us must be finite, got %g" i
+             r.arrival_us))
+    reqs;
   let cache = match cache with Some c -> c | None -> Compile_cache.create () in
   (* One build per graph serves every session; the shared cache makes
      every session after the first per graph a compile hit. *)
@@ -490,7 +499,30 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
             true
           end
       | Both ->
-          if r.len = 0 then
+          (* request-level batching: the batch keeps its original size
+             until every member finishes — finished members occupy
+             padded slots that produce no tokens *)
+          w.n_batch <- 0;
+          for i = 0 to r.len - 1 do
+            let s = ring_get r i in
+            if Sequence.active s then begin
+              w.batch.(w.n_batch) <- s;
+              w.n_batch <- w.n_batch + 1
+            end
+          done;
+          if w.n_batch > 0 then begin
+            let b = batch_rung r.len in
+            incr decode_steps;
+            decode_members := !decode_members + w.n_batch;
+            decode_slots := !decode_slots + b;
+            launch w w.rep.Replica.session (decode_signature w b) ~is_prefill:false;
+            true
+          end
+          else begin
+            (* a batch with no active member (every one finished at
+               prefill) is cleared, and the worker takes the next
+               waiting sequences in the same call *)
+            r.len <- 0;
             if !wait_head = !arr_idx then false
             else begin
               pop_waiting w cfg.max_decode_batch;
@@ -499,30 +531,6 @@ let run ?cache ~prefill:(prefill_built : unit -> Models.Common.built)
               done;
               incr prefill_batches;
               launch w (Option.get w.prefill_session) (prefill_signature w) ~is_prefill:true;
-              true
-            end
-          else begin
-            (* request-level batching: the batch keeps its original size
-               until every member finishes — finished members occupy
-               padded slots that produce no tokens *)
-            w.n_batch <- 0;
-            for i = 0 to r.len - 1 do
-              let s = ring_get r i in
-              if Sequence.active s then begin
-                w.batch.(w.n_batch) <- s;
-                w.n_batch <- w.n_batch + 1
-              end
-            done;
-            if w.n_batch = 0 then begin
-              r.len <- 0;
-              false
-            end
-            else begin
-              let b = batch_rung r.len in
-              incr decode_steps;
-              decode_members := !decode_members + w.n_batch;
-              decode_slots := !decode_slots + b;
-              launch w w.rep.Replica.session (decode_signature w b) ~is_prefill:false;
               true
             end
           end

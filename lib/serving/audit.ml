@@ -97,7 +97,7 @@ let check (r : Pool.report) : violation list =
   let batched =
     int_of_float (Float.round (r.Pool.mean_batch *. float_of_int r.Pool.batches))
   in
-  (* hedges duplicate members, crashes relaunch them: batched >= completed *)
+  (* crashes relaunch members: batched >= completed *)
   let acc =
     checkf acc (batched >= completed)
       "batched member count %d < completed %d (members can only be over-launched)" batched

@@ -11,8 +11,8 @@
     - {e latency coherence}: a latency is finite and nonnegative iff
       the request completed ([Served] / [Fell_back]), [nan] otherwise;
     - {e batching arithmetic}: [padded + exact = batches], launched
-      member count [>=] completed (hedges and crash re-dispatch can
-      over-launch, never under-), [padded_elements >= actual_elements],
+      member count [>=] completed (crash re-dispatch can over-launch,
+      never under-), [padded_elements >= actual_elements],
       [cold_dispatches <= batches];
     - {e per-class accounting} sums back to the pool totals, and no
       class meets more SLOs than it completed;

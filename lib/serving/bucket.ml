@@ -65,21 +65,6 @@ let ladder scheme ~lb ~ub =
   in
   go lb []
 
-(* Brownout ladder, last rung: trade padding waste for fewer distinct
-   signatures. Wider buckets mean more requests share a batch env, so a
-   capacity-starved pool serves more batches warm at a worse pad ratio.
-   Idempotent on Pow2; Edges keeps its last boundary so the covered
-   range never shrinks. *)
-let widen_scheme = function
-  | Exact -> Pow2
-  | Pow2 -> Pow2
-  | Linear s -> Linear (2 * s)
-  | Edges es ->
-      let n = List.length es in
-      Edges (List.filteri (fun i _ -> (n - 1 - i) mod 2 = 0) es)
-
-let widen (spec : spec) : spec = List.map (fun (n, s) -> (n, widen_scheme s)) spec
-
 let padded_env spec env = List.map (fun (n, v) -> (n, round_up (scheme_of spec n) v)) env
 
 let env_key = Tensor.Shape.env_key

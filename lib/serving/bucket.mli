@@ -44,15 +44,6 @@ val ladder : scheme -> lb:int -> ub:int -> int list
     decoding. [Exact] yields one rung per value.
     @raise Invalid_argument unless [1 <= lb <= ub]. *)
 
-val widen_scheme : scheme -> scheme
-(** One step coarser: [Exact] -> [Pow2], [Linear s] -> [Linear 2s],
-    [Edges] -> every other boundary keeping the last (covered range
-    never shrinks). [Pow2] is a fixed point. Used by the brownout
-    ladder to trade padding waste for fewer distinct signatures. *)
-
-val widen : spec -> spec
-(** {!widen_scheme} applied to every dim of the spec. *)
-
 val padded_env : spec -> (string * int) list -> (string * int) list
 (** The env with every dim — including the batch dim, when listed in
     the spec — rounded up to its bucket ceiling, in the env's order.

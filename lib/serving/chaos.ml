@@ -1,9 +1,9 @@
 (* Scenario-driven fault injection for the serving fleet.
 
    A scenario is data, not code: a seed plus a list of events pinned to
-   virtual time. The pool replays it deterministically — every random
-   draw (spike arrival times, spike shapes, cache-corruption victims)
-   is a counter-hash off the scenario seed, so two runs of one
+   virtual time. The pool replays it deterministically — spike arrival
+   times and shapes are counter-hash draws off the scenario seed, and
+   flaky windows seed their fault draws from it, so two runs of one
    (seed, scenario) pair inject byte-identical chaos. That is what
    makes a chaos failure a test case instead of an anecdote. *)
 
@@ -24,7 +24,6 @@ type event =
       hi : int;
       cls : Slo.cls;
     }
-  | Corrupt_cache of { fraction : float }
 
 type timed = { at_us : float; event : event }
 
@@ -35,7 +34,6 @@ let event_name = function
   | Straggle _ -> "straggle"
   | Flaky _ -> "flaky"
   | Spike _ -> "spike"
-  | Corrupt_cache _ -> "corrupt_cache"
 
 let event_to_string = function
   | Crash { replica; recover_after_us; spinup_us } ->
@@ -52,7 +50,6 @@ let event_to_string = function
   | Spike { duration_us; requests; dim; lo; hi; cls } ->
       Printf.sprintf "spike %d %s requests %s=%d..%d over %.0fus" requests
         (Slo.cls_to_string cls) dim lo hi duration_us
-  | Corrupt_cache { fraction } -> Printf.sprintf "corrupt_cache fraction=%.2f" fraction
 
 let scenario_to_string s =
   Printf.sprintf "seed=%d events=[%s]" s.seed
@@ -89,10 +86,7 @@ let validate s =
           if requests <= 0 then err i "spike: requests must be > 0";
           if dim = "" then err i "spike: dim must be named";
           if lo < 1 then err i "spike: lo must be >= 1";
-          if hi < lo then err i "spike: hi must be >= lo"
-      | Corrupt_cache { fraction } ->
-          if fraction < 0.0 || fraction > 1.0 then
-            err i "corrupt_cache: fraction must be in [0,1]"))
+          if hi < lo then err i "spike: hi must be >= lo"))
     s.events;
   match List.rev !errs with [] -> Ok () | es -> Error es
 
@@ -131,7 +125,6 @@ let event_to_json (t : timed) : Obs.Json.t =
           ("hi", Obs.Json.Int hi);
           ("cls", cls_json cls);
         ]
-    | Corrupt_cache { fraction } -> [ ("fraction", Obs.Json.Float fraction) ]
   in
   Obs.Json.Obj (base @ rest)
 
@@ -210,9 +203,6 @@ let event_of_json j =
           | None -> Error (Printf.sprintf "unknown SLO class %S" cls_s)
         in
         Ok (Spike { duration_us; requests; dim; lo; hi; cls })
-    | "corrupt_cache" ->
-        let* fraction = float_field "fraction" j in
-        Ok (Corrupt_cache { fraction })
     | other -> Error (Printf.sprintf "unknown event type %S" other)
   in
   Ok { at_us; event }
@@ -259,7 +249,6 @@ type action =
   | Unslow of { replica : int }
   | Set_faults of { replica : int; kernel_fault_rate : float; oom_rate : float }
   | Clear_faults of { replica : int }
-  | Corrupt of { fraction : float }
 
 let action_to_string = function
   | Kill { replica } -> Printf.sprintf "kill replica=%d" replica
@@ -271,7 +260,6 @@ let action_to_string = function
       Printf.sprintf "set_faults replica=%d kernel=%.3f oom=%.3f" replica kernel_fault_rate
         oom_rate
   | Clear_faults { replica } -> Printf.sprintf "clear_faults replica=%d" replica
-  | Corrupt { fraction } -> Printf.sprintf "corrupt fraction=%.2f" fraction
 
 (* Expand durations into start/end actions and sort by delivery time.
    The sort key includes the event's scenario position so simultaneous
@@ -299,8 +287,7 @@ let deliveries s =
                  (at_us, i, Set_faults { replica; kernel_fault_rate; oom_rate });
                  (at_us +. duration_us, i, Clear_faults { replica });
                ]
-           | Spike _ -> []
-           | Corrupt_cache { fraction } -> [ (at_us, i, Corrupt { fraction }) ])
+           | Spike _ -> [])
          s.events)
   in
   List.sort

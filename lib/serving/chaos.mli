@@ -1,8 +1,8 @@
 (** Scenario-driven fault injection for the serving fleet.
 
     A chaos scenario is data: a seed plus events pinned to virtual
-    time. {!Pool.run} replays it deterministically — spike arrivals and
-    corruption victims are counter-hash draws off the scenario seed
+    time. {!Pool.run} replays it deterministically — spike arrivals
+    are counter-hash draws off the scenario seed
     ({!Gpusim.Fault.stream_uniform}), so one (seed, scenario) pair
     injects byte-identical chaos on every run and a chaos failure is a
     reproducible test case.
@@ -35,9 +35,6 @@ type event =
     }
       (** [requests] extra arrivals uniform over the window, shapes
           uniform on [dim] in [[lo,hi]], all at class [cls] *)
-  | Corrupt_cache of { fraction : float }
-      (** destroy about [fraction] of the shared compile cache's keys
-          (and the matching replica warmth) — cold recompiles follow *)
 
 type timed = { at_us : float; event : event }
 
@@ -70,7 +67,6 @@ type action =
   | Unslow of { replica : int }
   | Set_faults of { replica : int; kernel_fault_rate : float; oom_rate : float }
   | Clear_faults of { replica : int }
-  | Corrupt of { fraction : float }
 
 val action_to_string : action -> string
 

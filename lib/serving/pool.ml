@@ -9,10 +9,10 @@
    delivers chaos events, finishes due drains, spin-ups and batches,
    runs due control ticks, admits arrivals, expires stale queue entries,
    dispatches batches while any (free replica, launchable bucket) pair
-   exists, steps the brownout ladder and hedges. The next event is the
-   earliest of: next arrival, a busy replica freeing, a waiting bucket's
-   batching window closing, a batch completing, or a scheduled chaos,
-   hedge, brownout or control event. *)
+   exists, and steps the brownout ladder. The next event is the earliest
+   of: next arrival, a busy replica freeing, a waiting bucket's batching
+   window closing, a batch completing, or a scheduled chaos, brownout or
+   control event. *)
 
 module Q = Workloads.Queueing
 module Session = Disc.Session
@@ -88,15 +88,13 @@ let hot_k = 4
 let prewarm_us = 5_000.0
 
 (* Resilience: a request is re-queued off at most [redispatch_budget]
-   crashes; a Degraded-hosted Interactive batch is hedged after
-   [hedge_age_us]; the watchdog degrades a replica above
-   [watchdog_degrade] x the median rate and restores it under
-   [watchdog_restore] x, after [watchdog_min_batches] batches; brownout
-   steps up at [brownout_up_backlog] queued per replica held for
+   crashes; the watchdog degrades a replica above [watchdog_degrade] x
+   the median rate and restores it under [watchdog_restore] x, after
+   [watchdog_min_batches] batches; brownout steps up at
+   [brownout_up_backlog] queued per replica held for
    [brownout_up_hold_us], and down at [brownout_down_backlog] held for
    [brownout_down_hold_us]. *)
 let redispatch_budget = 2
-let hedge_age_us = 10_000.0
 let watchdog_degrade = 2.5
 let watchdog_restore = 1.3
 let watchdog_min_batches = 3
@@ -119,7 +117,7 @@ let default_adaptive = { control_interval_us = 20_000.0; autoscale = None }
    compares against. *)
 type resilience = {
   redispatch : bool; (* re-queue a crashed replica's in-flight requests *)
-  watchdog : bool; (* EWMA straggler detection -> Degraded/Healthy, and hedging *)
+  watchdog : bool; (* EWMA straggler detection -> Degraded/Healthy *)
   brownout : bool; (* stepwise degradation ladder under overload *)
 }
 
@@ -180,8 +178,6 @@ type resilience_report = {
   xr_crashes : int;
   xr_recoveries : int; (* completed Recovering -> Healthy spin-ups *)
   xr_redispatched : int; (* requests re-queued off a crashed replica *)
-  xr_hedges : int;
-  xr_hedge_wins : int; (* hedge finished before its primary *)
   xr_degraded_events : int; (* watchdog Healthy -> Degraded verdicts *)
   xr_brownout_transitions : int;
   xr_brownout_max : int;
@@ -189,17 +185,15 @@ type resilience_report = {
   xr_brownout_us : float; (* virtual time spent above level 0 *)
   xr_last_level0_us : float; (* last return to level 0; 0 if never left *)
   xr_spike_requests : int; (* extra arrivals injected by chaos spikes *)
-  xr_cache_corruptions : int; (* cache keys destroyed by chaos *)
 }
 
 let resilience_summary_to_string (x : resilience_report) =
   Printf.sprintf
-    "chaos: crashes=%d recoveries=%d redispatched=%d hedges=%d hedge_wins=%d degraded=%d \
-     spikes=%d cache_corruptions=%d\n\
+    "chaos: crashes=%d recoveries=%d redispatched=%d degraded=%d spikes=%d\n\
      brownout: transitions=%d max=%d brownout_final=%d time_browned=%.0fus last_level0=%.0fus"
-    x.xr_crashes x.xr_recoveries x.xr_redispatched x.xr_hedges x.xr_hedge_wins
-    x.xr_degraded_events x.xr_spike_requests x.xr_cache_corruptions x.xr_brownout_transitions
-    x.xr_brownout_max x.xr_brownout_final x.xr_brownout_us x.xr_last_level0_us
+    x.xr_crashes x.xr_recoveries x.xr_redispatched x.xr_degraded_events x.xr_spike_requests
+    x.xr_brownout_transitions x.xr_brownout_max x.xr_brownout_final x.xr_brownout_us
+    x.xr_last_level0_us
 
 (* Memory accounting under an HBM budget ([Some] in [report.mem] iff
    [cfg.hbm_budget] was set). The estimated peaks come from the symbolic
@@ -323,32 +317,21 @@ let create ?cache cfg build =
 
 (* A dispatched batch whose completion is still in the future. Requests
    acquire their disposition when the batch *completes*, not when it
-   launches — the window in which a crash can strand them, and the unit
-   of hedged re-dispatch. [if_hedge]/[if_hedge_of] tie a primary and its
-   hedge together; whichever completes first finalizes the members and
-   cancels the partner (the partner's replica stays busy: duplicated
-   work is wasted, never double-counted).
+   launches — the window in which a crash can strand them.
 
    All fields are mutable because the records live in a reusable slab
    (see the hot-path comment below): a launch fills a recycled record
    instead of allocating one, so a million-request run's event loop
    allocates inflight state proportional to peak concurrency, not to
-   batch count. Members are request indexes. Hedge links are ids with
-   -1 for "none" — an [int option] would re-box on every recycle. *)
+   batch count. Members are request indexes; [if_id] is the launch
+   sequence number, the tie-break among batches due at one instant. *)
 type inflight = {
   mutable if_id : int;
   mutable if_members : int list;
-  mutable if_key : string;
-  mutable if_env : (string * int) list;
   mutable if_rep : Replica.t;
-  mutable if_started : float;
   mutable if_done : float;
-  mutable if_use_padded : bool;
   mutable if_path : [ `Compiled | `Fallback ];
-  mutable if_hedge_of : int; (* primary id iff this is a hedge; -1 = primary *)
-  mutable if_hedge : int; (* hedge id launched for this primary; -1 = none *)
   mutable if_active : bool; (* slot holds a live (launched, unprocessed) batch *)
-  mutable if_cancelled : bool;
 }
 
 (* --- hot-path queue structures --------------------------------------------
@@ -505,7 +488,7 @@ type run = {
   mutable slab : inflight array;
   mutable slab_n : int;
   mutable next_if_id : int;
-  (* batcher accounting; hedges stay out of the element counts *)
+  (* batcher accounting *)
   mutable padded_batches : int;
   mutable exact_batches : int;
   mutable actual_elems : int;
@@ -529,18 +512,14 @@ type run = {
   spike_requests : int;
   retry : (int, int) Hashtbl.t; (* crash re-queues per request *)
   base_rates : (int, float * float) Hashtbl.t; (* fault rates before a flaky window *)
-  mutable hedges : int;
-  mutable hedge_wins : int;
   mutable degraded : int;
-  mutable corruptions : int;
-  (* brownout ladder: level 0 (normal) .. 4 (widest degradation); a
-     pending step (direction [bro_dir], armed at [clock.bro_armed]) must
-     hold for its hysteresis window before firing *)
+  (* brownout ladder: level 0 (normal) .. [bro_top]; a pending step
+     (direction [bro_dir], armed at [clock.bro_armed]) must hold for its
+     hysteresis window before firing *)
   mutable bro_level : int;
   mutable bro_dir : int; (* 1 up, -1 down, 0 nothing pending *)
   mutable bro_transitions : int;
   mutable bro_max : int;
-  mutable saved_bucket : Bucket.spec option;
 }
 
 let alive_count s =
@@ -551,8 +530,6 @@ let alive_count s =
 let capacity_count s =
   let reps = s.pool.pool_replicas in
   Array.fold_left (fun n r -> if Replica.counts_capacity r then n + 1 else n) 0 reps
-
-let eff_max_batch s = if s.bro_level >= 3 then max 1 (s.cfg.max_batch / 2) else s.cfg.max_batch
 
 let eff_pad_cap s = if s.bro_level >= 2 then max_pad_waste /. 2.0 else max_pad_waste
 
@@ -691,15 +668,14 @@ let finish_due_replicas s time =
    Scale discipline: inflight records are recycled through a growable
    slab instead of consed onto a list. Slots [0, slab_n) are in launch
    order; iterating backwards reproduces the old list's newest-first
-   order exactly (hedge scans and crash re-queues are order-sensitive).
+   order exactly (crash re-queues are order-sensitive).
    Allocation happens only when every slot is live: [if_alloc] first
    compacts retired slots out (keeping the spare records for reuse), and
    only doubles the array if the slab is genuinely full of in-flight
    batches. *)
 let new_inflight rep =
-  { if_id = -1; if_members = []; if_key = ""; if_env = []; if_rep = rep; if_started = 0.0;
-    if_done = 0.0; if_use_padded = false; if_path = `Compiled; if_hedge_of = -1; if_hedge = -1;
-    if_active = false; if_cancelled = false }
+  { if_id = -1; if_members = []; if_rep = rep; if_done = 0.0; if_path = `Compiled;
+    if_active = false }
 
 let slab_compact s =
   let k = ref 0 in
@@ -729,8 +705,6 @@ let if_alloc s =
   let fl = s.slab.(s.slab_n) in
   s.slab_n <- s.slab_n + 1;
   fl.if_active <- true;
-  fl.if_cancelled <- false;
-  fl.if_hedge <- -1;
   fl
 
 (* Earliest completion among live batches. Inlined so the float it
@@ -739,21 +713,9 @@ let[@inline] min_done s =
   let acc = ref infinity in
   for j = 0 to s.slab_n - 1 do
     let fl = s.slab.(j) in
-    if fl.if_active && (not fl.if_cancelled) && fl.if_done < !acc then acc := fl.if_done
+    if fl.if_active && fl.if_done < !acc then acc := fl.if_done
   done;
   !acc
-
-let cancel_by_id s id =
-  for j = 0 to s.slab_n - 1 do
-    let o = s.slab.(j) in
-    if o.if_active && o.if_id = id then o.if_cancelled <- true
-  done
-
-let rec live_batch s id j =
-  j < s.slab_n
-  &&
-  let o = s.slab.(j) in
-  (o.if_active && (not o.if_cancelled) && o.if_id = id) || live_batch s id (j + 1)
 
 let rec any_active s j = j < s.slab_n && (s.slab.(j).if_active || any_active s (j + 1))
 let work_left s = s.cursor < Array.length s.arr || s.queued_total > 0 || any_active s 0
@@ -763,19 +725,15 @@ let fail_members s members =
 
 (* --- launch --------------------------------------------------------------- *)
 
-(* A primary that fails to launch fails its members; a hedge that fails
-   leaves them to its primary. *)
-let fail_launch s ~hedge_of members =
-  if hedge_of < 0 then begin
-    fail_members s members;
-    if s.obs then Obs.Metrics.inc ~by:(List.length members) s.c_failed
-  end
+let fail_launch s members =
+  fail_members s members;
+  if s.obs then Obs.Metrics.inc ~by:(List.length members) s.c_failed
 
-(* Launch a batch (a primary, or a hedge of primary [hedge_of]) on
-   [rep]; returns its inflight id, or -1 if it failed to launch. Work
-   and replica accounting happen at dispatch; request dispositions are
-   deferred to completion (the batch is in flight until then). *)
-let launch s time ~members ~env ~key ~use_padded ~e_actual ~hedge_of rep =
+(* Launch a batch on [rep]; a batch that fails to launch fails its
+   members. Work and replica accounting happen at dispatch; request
+   dispositions are deferred to completion (the batch is in flight
+   until then). *)
+let launch s time ~members ~env ~key ~use_padded ~e_actual rep =
   let est_bytes = est_env s env in
   match (s.cfg.hbm_budget, est_bytes) with
   | Some budget, Some est when est > budget ->
@@ -784,13 +742,10 @@ let launch s time ~members ~env ~key ~use_padded ~e_actual ~hedge_of rep =
          fit the device — it is lost to an OOM, not served. *)
       rep.Replica.ooms <- rep.Replica.ooms + 1;
       if est > rep.Replica.mem_peak_bytes then rep.Replica.mem_peak_bytes <- est;
-      fail_launch s ~hedge_of members;
-      -1
+      fail_launch s members
   | _ -> (
       match Session.serve_result rep.Replica.session env with
-      | Error _ ->
-          fail_launch s ~hedge_of members;
-          -1
+      | Error _ -> fail_launch s members
       | Ok (profile, path) ->
           let cold = not (Replica.is_warm rep key) in
           let env_elems = Bucket.elements env in
@@ -804,43 +759,31 @@ let launch s time ~members ~env ~key ~use_padded ~e_actual ~hedge_of rep =
           if done_at > s.clock.last_done then s.clock.last_done <- done_at;
           (* the pool's rate model tracks nominal (unslowed) cost — that
              is what the watchdog compares a straggler's EWMA against *)
-          if hedge_of < 0 then
-            s.clock.us_per_element <-
-              Replica.ewma_rate s.clock.us_per_element ~service_us:base_us ~elements:env_elems;
+          s.clock.us_per_element <-
+            Replica.ewma_rate s.clock.us_per_element ~service_us:base_us ~elements:env_elems;
           Replica.note_batch rep ~key ~elements:env_elems ~service_us
             ~rate_us:(base_us *. rep.Replica.slow_factor)
             ~requests:(List.length members) ~cold;
           if use_padded then s.padded_batches <- s.padded_batches + 1
           else s.exact_batches <- s.exact_batches + 1;
-          (* hedges duplicate work; keep them out of the padding-waste metric,
-             which measures batcher decisions *)
-          if hedge_of < 0 then begin
-            s.actual_elems <- s.actual_elems + e_actual;
-            s.padded_elems <- s.padded_elems + env_elems
-          end;
+          s.actual_elems <- s.actual_elems + e_actual;
+          s.padded_elems <- s.padded_elems + env_elems;
           (match est_bytes with
-          | Some est ->
+          | Some est -> (
               rep.Replica.mem_last_bytes <- est;
               if est > rep.Replica.mem_peak_bytes then rep.Replica.mem_peak_bytes <- est;
-              if hedge_of < 0 then begin
-                s.win_disp <- s.win_disp + 1;
-                match s.cfg.hbm_budget with
-                | Some b when 20 * est > 17 * b ->
-                    s.win_hi <- s.win_hi + 1 (* est > 85% of budget *)
-                | _ -> ()
-              end
+              s.win_disp <- s.win_disp + 1;
+              match s.cfg.hbm_budget with
+              | Some b when 20 * est > 17 * b ->
+                  s.win_hi <- s.win_hi + 1 (* est > 85% of budget *)
+              | _ -> ())
           | None -> ());
           let fl = if_alloc s in
           fl.if_id <- s.next_if_id;
           fl.if_members <- members;
-          fl.if_key <- key;
-          fl.if_env <- env;
           fl.if_rep <- rep;
-          fl.if_started <- time;
           fl.if_done <- done_at;
-          fl.if_use_padded <- use_padded;
           fl.if_path <- path;
-          fl.if_hedge_of <- hedge_of;
           s.next_if_id <- s.next_if_id + 1;
           if s.obs then begin
             Obs.Trace.set_track_name Obs.Trace.global (2 + rep.Replica.id)
@@ -852,11 +795,9 @@ let launch s time ~members ~env ~key ~use_padded ~e_actual ~hedge_of rep =
                   ("n", string_of_int (List.length members));
                   ("padded", string_of_bool use_padded);
                   ("cold", string_of_bool cold);
-                  ("hedge", string_of_bool (hedge_of >= 0));
                 ]
               (Printf.sprintf "batch@%s" key)
-          end;
-          fl.if_id)
+          end)
 
 (* --- completion ----------------------------------------------------------- *)
 
@@ -925,11 +866,8 @@ let finalize s fl =
 let by_done_then_id a b =
   match Float.compare a.if_done b.if_done with 0 -> Int.compare a.if_id b.if_id | c -> c
 
-(* Finalize every due batch in (done, id) order. First result wins a
-   hedged pair: the winner finalizes the members and cancels the
-   partner; the partner's replica stays busy until its own free_at
-   (duplicated work is wasted, not double-counted). The [min_done]
-   guard keeps drained event-loop iterations allocation-free. *)
+(* Finalize every due batch in (done, id) order. The [min_done] guard
+   keeps drained event-loop iterations allocation-free. *)
 let complete_inflights s time =
   if min_done s <= time then begin
     let due = ref [] in
@@ -937,27 +875,15 @@ let complete_inflights s time =
        the retired list-partition's order before the sort *)
     for j = 0 to s.slab_n - 1 do
       let fl = s.slab.(j) in
-      if fl.if_active && (not fl.if_cancelled) && fl.if_done <= time then due := fl :: !due
+      if fl.if_active && fl.if_done <= time then due := fl :: !due
     done;
     List.iter
       (fun fl ->
-        if not fl.if_cancelled then begin
-          finalize s fl;
-          (if fl.if_hedge_of >= 0 then begin
-             s.hedge_wins <- s.hedge_wins + 1;
-             cancel_by_id s fl.if_hedge_of
-           end
-           else if fl.if_hedge >= 0 then cancel_by_id s fl.if_hedge);
-          watchdog_check s fl.if_rep;
-          fl.if_cancelled <- true (* processed: retired by the sweep below *)
-        end)
-      (List.sort by_done_then_id !due);
-    (* retire everything completed or cancelled; slots recycle via
-       [if_alloc]'s compaction *)
-    for j = 0 to s.slab_n - 1 do
-      let fl = s.slab.(j) in
-      if fl.if_active && fl.if_cancelled then fl.if_active <- false
-    done
+        finalize s fl;
+        watchdog_check s fl.if_rep;
+        (* retired: the slot recycles via [if_alloc]'s compaction *)
+        fl.if_active <- false)
+      (List.sort by_done_then_id !due)
   end
 
 (* --- dispatch ------------------------------------------------------------- *)
@@ -968,7 +894,7 @@ let rec any_free reps time i =
 let launchable s time b =
   let len = Iq.length b.bq_q in
   len > 0
-  && (len >= eff_max_batch s
+  && (len >= s.cfg.max_batch
      || s.arr.(Iq.peek b.bq_q).arrival_us +. max_wait_us <= time
      || s.cursor >= Array.length s.arr)
 
@@ -1040,7 +966,7 @@ let plan_batch s members =
     if waste > max_pad_waste then (false, Bucket.env_key exact)
     else if waste > eff_pad_cap s then begin
       let exact_key = Bucket.env_key exact in
-      (* brownout L2+: shed padding beyond the tightened cap, but only
+      (* brownout L2: shed padding beyond the tightened cap, but only
          onto an exact signature that is already warm somewhere —
          minting cold compiles during a capacity crunch would deepen
          the overload the ladder is trying to relieve *)
@@ -1054,7 +980,7 @@ let plan_batch s members =
 let route_and_launch s time ~members ~env ~key ~use_padded ~e_actual =
   match Router.pick s.router ~now:time ~key s.pool.pool_replicas with
   | None -> assert false (* only called when a replica is free *)
-  | Some rep -> ignore (launch s time ~members ~env ~key ~use_padded ~e_actual ~hedge_of:(-1) rep)
+  | Some rep -> launch s time ~members ~env ~key ~use_padded ~e_actual rep
 
 let fits s env budget = match est_env s env with Some b -> b <= budget | None -> true
 
@@ -1100,7 +1026,7 @@ let try_dispatch s time =
   let bi = pick_bucket s time in
   bi >= 0
   && begin
-       dispatch_batch s time (pop_members s s.bvec.(bi) (eff_max_batch s) [] 0);
+       dispatch_batch s time (pop_members s s.bvec.(bi) s.cfg.max_batch [] 0);
        true
      end
 
@@ -1125,10 +1051,7 @@ let fail_everything_left s =
   for j = 0 to s.slab_n - 1 do
     let fl = s.slab.(j) in
     if fl.if_active then begin
-      if not fl.if_cancelled then begin
-        fl.if_cancelled <- true;
-        fail_members s fl.if_members
-      end;
+      fail_members s fl.if_members;
       fl.if_active <- false
     end
   done
@@ -1233,73 +1156,33 @@ let run_ticks s now =
 (* --- chaos delivery ------------------------------------------------------- *)
 
 (* Hard crash: the replica dies mid-service. Its in-flight batches are
-   cancelled; any member not covered by a live hedge/primary partner
-   goes back in its bucket queue (within the per-request retry budget)
-   or fails. Nothing is lost, nothing is served twice. *)
+   retired, newest first, and each member goes back in its bucket queue
+   (within the per-request retry budget) or fails. Nothing is lost,
+   nothing is served twice. *)
 let crash_replica s time rep =
   if rep.Replica.health <> Replica.Dead then begin
-    (* Pass 1: cancel every live batch on the crashed replica first,
-       so the coverage scan below (partner lookup among survivors)
-       cannot count a doomed partner on the same replica as cover —
-       the semantics of the retired list-partition, which removed all
-       of [mine] before checking coverage in [rest]. Consing
-       oldest-first slab order gives the newest-first processing
-       order of the old list (crashes are rare; this path may
-       allocate). *)
-    let mine = ref [] in
-    for j = 0 to s.slab_n - 1 do
+    for j = s.slab_n - 1 downto 0 do
       let fl = s.slab.(j) in
-      if fl.if_active && fl.if_rep == rep && not fl.if_cancelled then begin
-        fl.if_cancelled <- true;
-        mine := fl :: !mine
+      if fl.if_active && fl.if_rep == rep then begin
+        List.iter
+          (fun i ->
+            if s.dispc.(i) = d_pending then begin
+              let tries = Option.value (Hashtbl.find_opt s.retry i) ~default:0 in
+              if s.resilience.redispatch && tries < redispatch_budget then begin
+                Hashtbl.replace s.retry i (tries + 1);
+                requeue s ~front:false i
+              end
+              else begin
+                s.dispc.(i) <- d_failed;
+                if s.obs then Obs.Metrics.inc s.c_failed
+              end
+            end)
+          fl.if_members;
+        fl.if_active <- false
       end
     done;
-    (* Pass 2: re-queue or fail the members of every uncovered batch. *)
-    List.iter
-      (fun fl ->
-        let covered =
-          if fl.if_hedge_of >= 0 then live_batch s fl.if_hedge_of 0
-          else fl.if_hedge >= 0 && live_batch s fl.if_hedge 0
-        in
-        if not covered then
-          List.iter
-            (fun i ->
-              if s.dispc.(i) = d_pending then begin
-                let tries = Option.value (Hashtbl.find_opt s.retry i) ~default:0 in
-                if s.resilience.redispatch && tries < redispatch_budget then begin
-                  Hashtbl.replace s.retry i (tries + 1);
-                  requeue s ~front:false i
-                end
-                else begin
-                  s.dispc.(i) <- d_failed;
-                  if s.obs then Obs.Metrics.inc s.c_failed
-                end
-              end)
-            fl.if_members;
-        fl.if_active <- false)
-      !mine;
     Replica.crash rep ~now:time
   end
-
-(* Warmth keyed on artifacts a cache corruption destroyed is gone too:
-   strip a deterministic fraction of each alive replica's warmth so
-   those signatures re-dispatch cold. *)
-let strip_warmth s fraction =
-  Array.iter
-    (fun rep ->
-      if Replica.alive rep then begin
-        let keys = List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) rep.Replica.warmth []) in
-        List.iteri
-          (fun i k ->
-            if
-              Gpusim.Fault.stream_uniform
-                ~seed:(s.chaos_seed + (7919 * (rep.Replica.id + 1)))
-                ~counter:i
-              < fraction
-            then Hashtbl.remove rep.Replica.warmth k)
-          keys
-      end)
-    s.pool.pool_replicas
 
 let apply_action s time (act : Chaos.action) =
   if s.obs then
@@ -1335,10 +1218,6 @@ let apply_action s time (act : Chaos.action) =
       with_rep replica (fun rep ->
           let k, o = Option.value (Hashtbl.find_opt s.base_rates replica) ~default:(0.0, 0.0) in
           Session.set_fault_rates rep.Replica.session ~kernel_fault_rate:k ~oom_rate:o ())
-  | Chaos.Corrupt { fraction } ->
-      s.corruptions <-
-        s.corruptions + Disc.Compile_cache.corrupt s.pool.pool_cache ~seed:s.chaos_seed ~fraction;
-      strip_warmth s fraction
 
 let rec process_chaos s time =
   match s.pending_chaos with
@@ -1351,72 +1230,14 @@ let rec process_chaos s time =
 let pending_revive s =
   List.exists (fun (_, a) -> match a with Chaos.Revive _ -> true | _ -> false) s.pending_chaos
 
-(* --- hedged re-dispatch --------------------------------------------------- *)
-
-let rec pending_interactive s = function
-  | [] -> false
-  | i :: rest ->
-      (s.dispc.(i) = d_pending && s.arr.(i).cls = Slo.Interactive) || pending_interactive s rest
-
-(* A live primary, not yet hedged, on a Degraded replica, with a pending
-   Interactive member: hedged once it reaches the hedge age. *)
-let hedge_eligible s fl =
-  fl.if_active && (not fl.if_cancelled) && fl.if_hedge_of < 0 && fl.if_hedge < 0
-  && fl.if_rep.Replica.health = Replica.Degraded
-  && pending_interactive s fl.if_members
-
-(* An Interactive batch stuck on a Degraded replica past the hedge
-   age gets a duplicate launch on a free Healthy replica; first
-   result wins (see [complete_inflights]). One hedge per primary.
-   Only the watchdog marks a replica Degraded, so it gates hedging. *)
-let try_hedge s time =
-  if s.resilience.watchdog then begin
-    (* snapshot the candidates before launching anything: a hedge
-       launch recycles slab slots (possibly compacting the array), so
-       the scan must not interleave with allocation. Newest-first, the
-       retired inflight list's order. Allocates only when a Degraded
-       replica holds an overdue Interactive batch — a rare chaos
-       condition, not the hot path. *)
-    let candidates = ref [] in
-    for j = 0 to s.slab_n - 1 do
-      let fl = s.slab.(j) in
-      if
-        hedge_eligible s fl && fl.if_done > time
-        && time -. fl.if_started >= hedge_age_us -. 1e-9
-      then candidates := fl :: !candidates
-    done;
-    List.iter
-      (fun fl ->
-        match Router.pick s.router ~now:time ~key:fl.if_key s.pool.pool_replicas with
-        | Some rep when rep.Replica.health = Replica.Healthy && rep != fl.if_rep ->
-            let h =
-              launch s time ~members:fl.if_members ~env:fl.if_env ~key:fl.if_key
-                ~use_padded:fl.if_use_padded ~e_actual:0 ~hedge_of:fl.if_id rep
-            in
-            if h >= 0 then begin
-              fl.if_hedge <- h;
-              s.hedges <- s.hedges + 1;
-              if s.obs then
-                Obs.Scope.span ~cat:"hedge" ~ts:time ~dur_us:0.0
-                  ~args:
-                    [
-                      ("primary", string_of_int fl.if_rep.Replica.id);
-                      ("hedge", string_of_int rep.Replica.id);
-                      ("key", fl.if_key);
-                    ]
-                  "hedge_launch"
-            end
-        | _ -> ())
-      !candidates
-  end
-
 (* --- brownout ladder ------------------------------------------------------ *)
 
 (* Stepwise degradation under sustained overload or capacity loss:
-   L1 shed Best_effort at admission; L2 halve the padding cap;
-   L3 halve the batch cap; L4 widen the bucket policy. Both edges
-   are hysteretic: a step arms when the backlog signal crosses its
-   threshold and fires only after holding through the window. *)
+   L1 shed Best_effort at admission; L2 halve the padding cap. Both
+   edges are hysteretic: a step arms when the backlog signal crosses
+   its threshold and fires only after holding through the window. *)
+let bro_top = 2
+
 let[@inline] bro_signal s =
   let d = alive_count s in
   if d = 0 then infinity else float_of_int s.queued_total /. float_of_int d
@@ -1424,19 +1245,6 @@ let[@inline] bro_signal s =
 let bro_apply s time lvl' =
   let lvl = s.bro_level in
   if lvl' <> lvl then begin
-    if lvl' = 4 && lvl = 3 then begin
-      s.saved_bucket <- Some s.bucket;
-      s.bucket <- Bucket.widen s.bucket;
-      rekey_queues s
-    end
-    else if lvl = 4 && lvl' = 3 then begin
-      (match s.saved_bucket with
-      | Some b ->
-          s.bucket <- b;
-          s.saved_bucket <- None
-      | None -> ());
-      rekey_queues s
-    end;
     if lvl = 0 && lvl' > 0 then s.clock.bro_since <- time;
     if lvl > 0 && lvl' = 0 then begin
       s.clock.bro_us <- s.clock.bro_us +. (time -. s.clock.bro_since);
@@ -1464,7 +1272,7 @@ let eval_brownout s time =
   if s.resilience.brownout then begin
     let signal = bro_signal s in
     let want =
-      if signal >= brownout_up_backlog && s.bro_level < 4 then 1
+      if signal >= brownout_up_backlog && s.bro_level < bro_top then 1
       else if signal <= brownout_down_backlog && s.bro_level > 0 then -1
       else 0
     in
@@ -1475,7 +1283,7 @@ let eval_brownout s time =
     end
     else if time -. s.clock.bro_armed >= bro_hold want -. 1e-9 then begin
       bro_apply s time (s.bro_level + want);
-      if (want = 1 && s.bro_level >= 4) || (want = -1 && s.bro_level <= 0) then s.bro_dir <- 0
+      if (want = 1 && s.bro_level >= bro_top) || (want = -1 && s.bro_level <= 0) then s.bro_dir <- 0
       else s.clock.bro_armed <- time
     end
   end
@@ -1484,8 +1292,8 @@ let eval_brownout s time =
 
 (* The next event time after [now]: the earliest of the next arrival, a
    busy replica freeing, a waiting bucket's batching window closing, a
-   chaos delivery, a batch completing, a hedge deadline, a brownout
-   step firing and a control tick. *)
+   chaos delivery, a batch completing, a brownout step firing and a
+   control tick. *)
 let next_event s now =
   let t_arr = if s.cursor < Array.length s.arr then s.arr.(s.cursor).arrival_us else infinity in
   let reps = s.pool.pool_replicas in
@@ -1505,17 +1313,6 @@ let next_event s now =
       end
     done;
   let t_chaos = match s.pending_chaos with [] -> infinity | (ct, _) :: _ -> ct in
-  let t_hedge = ref infinity in
-  if s.resilience.watchdog then
-    for j = 0 to s.slab_n - 1 do
-      let fl = s.slab.(j) in
-      (* only a *future* hedge deadline is a wake-up; an attempt
-         already due fired in try_hedge this instant and retries
-         piggyback on the next real event — otherwise a hedge
-         with no eligible peer pins the clock and livelocks *)
-      if hedge_eligible s fl && fl.if_started +. hedge_age_us > now then
-        t_hedge := Float.min !t_hedge (fl.if_started +. hedge_age_us)
-    done;
   let t_brownout =
     if s.bro_dir = 0 then infinity else s.clock.bro_armed +. bro_hold s.bro_dir
   in
@@ -1527,14 +1324,13 @@ let next_event s now =
   Float.min t_arr
     (Float.min !t_free
        (Float.min !t_window
-          (Float.min t_chaos
-             (Float.min (min_done s) (Float.min !t_hedge (Float.min t_brownout t_tick))))))
+          (Float.min t_chaos (Float.min (min_done s) (Float.min t_brownout t_tick)))))
 
 (* One event time: deliver chaos, finish due drains, spin-ups and
    batches, run due control ticks, admit, expire, dispatch while any
-   (free replica, launchable bucket) pair exists, step the brownout
-   ladder and hedge; then advance to the next event. Returns the time
-   the run ended. *)
+   (free replica, launchable bucket) pair exists and step the brownout
+   ladder; then advance to the next event. Returns the time the run
+   ended. *)
 let rec loop s now =
   process_chaos s now;
   finish_due_replicas s now;
@@ -1544,7 +1340,6 @@ let rec loop s now =
   expire_queues s now;
   dispatch_all s now;
   eval_brownout s now;
-  try_hedge s now;
   if
     (not (work_left s))
     && ((not s.resilience.brownout) || s.bro_level = 0 || alive_count s = 0)
@@ -1585,6 +1380,18 @@ let spike_request expected (at, dims, cls) =
     cls;
   }
 
+(* A NaN arrival is never admitted and, as the next event time, would
+   re-enter the loop forever; an infinite one is never admitted and
+   would end the run as a failure. Both are refused up front. *)
+let check_arrivals what (rs : request list) =
+  List.iteri
+    (fun i r ->
+      if not (Float.is_finite r.arrival_us) then
+        invalid_arg
+          (Printf.sprintf "Pool.run: %s %d: arrival_us must be finite, got %g" what i
+             r.arrival_us))
+    rs
+
 let trace ?chaos t (reqs : request list) =
   (* chaos spike traffic merges with the organic trace before indexing,
      so spiked requests are first-class: admitted, tracked, reported *)
@@ -1593,6 +1400,8 @@ let trace ?chaos t (reqs : request list) =
     | None -> []
     | Some sc -> List.map (spike_request t.expected) (Chaos.spike_arrivals sc)
   in
+  check_arrivals "request" reqs;
+  check_arrivals "chaos spike request" spikes;
   (* Traces are normally generated in arrival order ({!Trace_gen}
      guarantees strictly increasing times), and sorting a 10^6-element
      boxed list dominates the whole run's cost at scale. Detect
@@ -1604,9 +1413,9 @@ let trace ?chaos t (reqs : request list) =
 
 let start ?adaptive ?chaos ~resilience t (reqs : request list) =
   if t.ran then invalid_arg "Pool.run: this pool has already run; create a fresh pool per run";
+  let arr = trace ?chaos t reqs in
   t.ran <- true;
   let cfg = t.cfg in
-  let arr = trace ?chaos t reqs in
   let n = Array.length arr in
   let obs = Obs.Scope.on () in
   let mreg = if obs then Obs.Metrics.global else Obs.Metrics.create () in
@@ -1654,13 +1463,12 @@ let start ?adaptive ?chaos ~resilience t (reqs : request list) =
     retry = Hashtbl.create 16;
     base_rates = Hashtbl.create 8;
     mono = true;
-    saved_bucket = None;
     (* every counter starts at 0 *)
     cursor = 0; bcount = 0; queued_total = 0; peak_queued = 0; slab_n = 0; next_if_id = 0;
     padded_batches = 0; exact_batches = 0; actual_elems = 0; padded_elems = 0;
     ticks = 0; rebuckets = 0; minted = 0; win_total = 0; win_met = 0;
     mem_capped = 0; mem_forced_exact = 0; mem_rejected = 0; pressure_ticks = 0;
-    win_disp = 0; win_hi = 0; hedges = 0; hedge_wins = 0; degraded = 0; corruptions = 0;
+    win_disp = 0; win_hi = 0; degraded = 0;
     bro_level = 0; bro_dir = 0; bro_transitions = 0; bro_max = 0;
   }
 
@@ -1732,8 +1540,6 @@ let report s now =
         xr_crashes = sum (fun r -> r.Replica.crashes);
         xr_recoveries = sum (fun r -> r.Replica.recoveries);
         xr_redispatched = Hashtbl.fold (fun _ tries acc -> acc + tries) s.retry 0;
-        xr_hedges = s.hedges;
-        xr_hedge_wins = s.hedge_wins;
         xr_degraded_events = s.degraded;
         xr_brownout_transitions = s.bro_transitions;
         xr_brownout_max = s.bro_max;
@@ -1741,7 +1547,6 @@ let report s now =
         xr_brownout_us = c.bro_us;
         xr_last_level0_us = c.last_level0;
         xr_spike_requests = s.spike_requests;
-        xr_cache_corruptions = s.corruptions;
       };
     mem =
       Option.map

@@ -23,11 +23,10 @@
 
     A pool runs once ({!run}). The run keeps its state in one record and
     steps it through named stages at each event time, in this order:
-    chaos delivery, due drains and spin-ups, batch completions
-    (first result of a hedged pair wins), adaptive control ticks,
-    admission, queue expiry, dispatch while a replica is free and a
-    bucket is launchable, the brownout ladder, hedging; then virtual
-    time jumps to the next event. *)
+    chaos delivery, due drains and spin-ups, batch completions,
+    adaptive control ticks, admission, queue expiry, dispatch while a
+    replica is free and a bucket is launchable, the brownout ladder;
+    then virtual time jumps to the next event. *)
 
 type config = {
   devices : Gpusim.Device.t list;  (** one replica per device *)
@@ -84,12 +83,13 @@ type resilience = {
   watchdog : bool;
       (** flag a replica [Degraded] once, after 3 batches, its EWMA
           service rate exceeds 2.5× the median of its peers; restore
-          under 1.3×. An Interactive batch stuck 10 ms on a [Degraded]
-          replica is hedged onto a Healthy one; first result wins, the
-          loser's work is wasted *)
+          under 1.3×. The router sends work to a [Degraded] replica
+          only when no Healthy one is free *)
   brownout : bool;
-      (** stepwise degradation ladder under overload: steps up at 12
-          queued per replica held 15 ms, down at 4 held 20 ms *)
+      (** two-step degradation ladder under overload (L1 sheds
+          Best_effort at admission, L2 halves the padding-waste cap):
+          steps up at 12 queued per replica held 15 ms, down at 4 held
+          20 ms *)
 }
 
 val default_resilience : resilience
@@ -162,8 +162,6 @@ type resilience_report = {
   xr_crashes : int;  (** chaos [Kill]s delivered to live replicas *)
   xr_recoveries : int;  (** completed [Recovering] -> [Healthy] spin-ups *)
   xr_redispatched : int;  (** requests re-queued off a crashed replica *)
-  xr_hedges : int;
-  xr_hedge_wins : int;  (** hedge finished before its primary *)
   xr_degraded_events : int;  (** watchdog [Healthy] -> [Degraded] verdicts *)
   xr_brownout_transitions : int;
   xr_brownout_max : int;
@@ -173,7 +171,6 @@ type resilience_report = {
       (** when the ladder last returned to level 0 (0 if it never left) —
           with the first fault time, the time-to-recover metric *)
   xr_spike_requests : int;  (** extra arrivals injected by chaos spikes *)
-  xr_cache_corruptions : int;  (** cache keys destroyed by chaos *)
 }
 
 val resilience_summary_to_string : resilience_report -> string
@@ -278,17 +275,14 @@ val run :
     cancel in-flight batches mid-service (members re-queued within the
     [resilience] retry budget, or failed), stragglers scale a replica's
     service time, flaky windows raise a session's fault-injection
-    rates, spikes inject extra arrivals (merged with the trace before
-    admission), and cache corruption destroys compiled artifacts and
-    the warmth derived from them. The whole run is a pure function of
+    rates, and spikes inject extra arrivals (merged with the trace
+    before admission). The whole run is a pure function of
     (trace, scenario, seeds): two runs produce identical dispositions.
 
     [resilience] (default {!no_resilience}) controls the response:
-    crash re-dispatch, the EWMA straggler watchdog with hedged
-    duplicates for Interactive batches stuck on Degraded replicas
-    (first result wins — never lost, never double-counted), and the
-    brownout ladder (L1 shed Best_effort, L2 halve the padding cap, L3
-    halve the batch cap, L4 widen buckets; hysteretic in both
+    crash re-dispatch, the EWMA straggler watchdog that routes work
+    around Degraded replicas, and the brownout ladder (L1 shed
+    Best_effort, L2 halve the padding cap; hysteretic in both
     directions).
     With everything off, chaos-free runs are bit-identical to the
     pre-resilience pool.
@@ -303,9 +297,14 @@ val run :
     finishes its in-flight batch and queued traffic re-routes
     ([lost = 0] holds throughout).
 
-    @raise Invalid_argument when the pool has already run. *)
+    @raise Invalid_argument when the pool has already run, or when a
+    request or a chaos spike arrives at a non-finite time (the message
+    names its index; the pool stays unrun). *)
 
 val trace : ?chaos:Chaos.scenario -> t -> request list -> request array
 (** The trace {!run} serves: the requests merged with [chaos]'s spike
     arrivals, stably sorted by arrival time. The report's per-request
-    arrays ([dispositions], [latencies_us]) follow this order. *)
+    arrays ([dispositions], [latencies_us]) follow this order.
+    @raise Invalid_argument on a non-finite arrival time, naming the
+    request's index in [reqs] (or the spike's among the spike
+    arrivals). *)

@@ -1,15 +1,11 @@
 (* Routing policies over free replicas. *)
 
-type policy = Round_robin | Least_loaded | Warmth_aware
+type policy = Round_robin | Warmth_aware
 
-let policy_to_string = function
-  | Round_robin -> "round_robin"
-  | Least_loaded -> "least_loaded"
-  | Warmth_aware -> "warmth"
+let policy_to_string = function Round_robin -> "round_robin" | Warmth_aware -> "warmth"
 
 let policy_of_string = function
   | "round_robin" | "round-robin" | "rr" -> Some Round_robin
-  | "least_loaded" | "least-loaded" | "least" -> Some Least_loaded
   | "warmth" | "warmth_aware" | "warmth-aware" -> Some Warmth_aware
   | _ -> None
 
@@ -99,16 +95,6 @@ let pick t ~now ~key (replicas : Replica.t array) =
              done
            with Exit -> ());
           !found
-      | Least_loaded ->
-          let best = ref None in
-          for i = 0 to nreps - 1 do
-            let r = replicas.(i) in
-            if eligible r then
-              match !best with
-              | None -> best := Some r
-              | Some b -> if r.Replica.busy_us < b.Replica.busy_us then best := Some r
-          done;
-          Option.get !best
       | Warmth_aware ->
           let best = ref None and best_score = ref neg_infinity in
           for i = 0 to nreps - 1 do

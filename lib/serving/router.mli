@@ -17,7 +17,6 @@
 
 type policy =
   | Round_robin  (** rotate over free replicas, warmth-blind *)
-  | Least_loaded  (** least accumulated busy time first *)
   | Warmth_aware  (** warmth, breaker state, memory headroom, speed, then load *)
 
 val policy_to_string : policy -> string

@@ -1,8 +1,8 @@
 (* Tests for the chaos scenario engine and the pool's resilience
    mechanisms: scenario JSON round-trips and validation, delivery
    expansion, deterministic spike traffic, and end-to-end pool behavior
-   under crashes, stragglers, spikes and cache corruption — lost = 0
-   and bit-reproducibility throughout. *)
+   under crashes, stragglers, flaky windows and spikes — lost = 0 and
+   bit-reproducibility throughout. *)
 
 module Chaos = Serving.Chaos
 module Pool = Serving.Pool
@@ -38,7 +38,6 @@ let kitchen_sink =
             Chaos.Spike
               { duration_us = 5_000.0; requests = 12; dim = "hist"; lo = 2; hi = 40;
                 cls = Slo.Interactive } };
-        { Chaos.at_us = 30_000.0; event = Chaos.Corrupt_cache { fraction = 0.5 } };
       ];
   }
 
@@ -76,7 +75,10 @@ let test_validate_reports_every_problem () =
               Chaos.Spike
                 { duration_us = 1.0; requests = 0; dim = ""; lo = 0; hi = -1;
                   cls = Slo.Standard } };
-          { Chaos.at_us = 0.0; event = Chaos.Corrupt_cache { fraction = 1.5 } };
+          { Chaos.at_us = 0.0;
+            event =
+              Chaos.Flaky
+                { replica = 0; kernel_fault_rate = 1.5; oom_rate = 0.0; duration_us = 1.0 } };
         ];
     }
   in
@@ -96,6 +98,15 @@ let test_parse_errors () =
   (match Chaos.of_string {|{"seed":1,"events":[{"type":"meteor","at_us":0}]}|} with
   | Ok _ -> Alcotest.fail "unknown event type parsed"
   | Error m -> check_bool "unknown type named" true (contains m "meteor"));
+  (* the retired cache-corruption event fails loudly, like any unknown type *)
+  (match
+     Chaos.of_string
+       {|{"seed":1,"events":[{"type":"corrupt_cache","at_us":0,"fraction":0.5}]}|}
+   with
+  | Ok _ -> Alcotest.fail "corrupt_cache parsed"
+  | Error m ->
+      check_bool "corrupt_cache is an unknown event type" true
+        (contains m "unknown event type \"corrupt_cache\""));
   (match
      Chaos.of_string
        {|{"seed":1,"events":[{"type":"spike","at_us":0,"duration_us":1,
@@ -112,8 +123,8 @@ let test_parse_errors () =
 let test_deliveries_expansion () =
   let ds = Chaos.deliveries kitchen_sink in
   (* spikes contribute no actions; crash-with-recovery and the windowed
-     events are two each, corrupt is one: 2 + 2 + 2 + 0 + 1 *)
-  check_int "expanded action count" 7 (List.length ds);
+     events are two each: 2 + 2 + 2 + 0 *)
+  check_int "expanded action count" 6 (List.length ds);
   check_bool "sorted by delivery time" true
     (let rec sorted = function
        | (a, _) :: ((b, _) :: _ as rest) -> a <= b && sorted rest
@@ -152,7 +163,8 @@ let test_spike_determinism () =
   let shifted =
     { kitchen_sink with
       Chaos.events =
-        { Chaos.at_us = 0.0; event = Chaos.Corrupt_cache { fraction = 0.1 } }
+        { Chaos.at_us = 0.0;
+          event = Chaos.Straggle { replica = 0; factor = 2.0; duration_us = 1_000.0 } }
         :: kitchen_sink.Chaos.events }
   in
   check_bool "non-spike events do not reshuffle spike draws" true
@@ -161,8 +173,9 @@ let test_spike_determinism () =
 (* --- pool integration ------------------------------------------------------ *)
 
 (* One shared compile cache so the model compiles once across tests;
-   reproducibility tests build private caches instead (a corrupted
-   shared cache would leak state between the paired runs). *)
+   reproducibility tests build private caches instead (a flaky window's
+   faults invalidate cached artifacts, which would leak state between
+   the paired runs). *)
 let cache = Disc.Compile_cache.create ()
 let build = (Suite.find "dien").Suite.build
 
@@ -259,69 +272,6 @@ let test_watchdog_flags_straggler () =
   check_bool "watchdog flagged the straggler" true
     (r.Pool.resilience.Pool.xr_degraded_events >= 1)
 
-let test_hedge_first_result_wins () =
-  (* a straggle strong enough that a batch on the Degraded replica is
-     still in flight at the 10 ms hedge age *)
-  let run ?crash factor =
-    let straggle =
-      { Chaos.at_us = 5_000.0;
-        event = Chaos.Straggle { replica = 0; factor; duration_us = 300_000.0 } }
-    in
-    let crashes =
-      match crash with
-      | None -> []
-      | Some replica ->
-          [ { Chaos.at_us = 54_701.0;
-              event = Chaos.Crash { replica; recover_after_us = None; spinup_us = 0.0 } } ]
-    in
-    run_chaos ~replicas:3
-      ~scenario:{ Chaos.seed = 6; events = straggle :: crashes }
-      (varied ~cls:Slo.Interactive 150)
-  in
-  let r = run 100.0 in
-  check_bool "conserved (no double-count despite duplicates)" true (conserved r 150);
-  check_bool "hedges launched" true (r.Pool.resilience.Pool.xr_hedges >= 1);
-  check_bool "hedge wins counted at most once per hedge" true
-    (r.Pool.resilience.Pool.xr_hedge_wins <= r.Pool.resilience.Pool.xr_hedges);
-  (* at 150x the primary finishes after its hedge: the hedge's result wins *)
-  Obs.Trace.clear Obs.Trace.global;
-  Obs.Scope.enable ();
-  let r = Fun.protect ~finally:Obs.Scope.disable (fun () -> run 150.0) in
-  let launches =
-    List.filter_map
-      (fun (s : Obs.Trace.span) ->
-        if s.Obs.Trace.name = "hedge_launch" then
-          Some
-            ( s.Obs.Trace.begin_us,
-              List.assoc "primary" s.Obs.Trace.args,
-              List.assoc "hedge" s.Obs.Trace.args )
-        else None)
-      (Obs.Trace.spans Obs.Trace.global)
-  in
-  Obs.Trace.clear Obs.Trace.global;
-  check_bool "one hedge, replica 0 -> 1 at 54,700 us" true
-    (launches = [ (54_700.0, "0", "1") ]);
-  let xr = r.Pool.resilience in
-  check_int "one hedge" 1 xr.Pool.xr_hedges;
-  check_int "the hedge won" 1 xr.Pool.xr_hedge_wins;
-  check_int "150x: all served" 150 r.Pool.served;
-  (* the primary's replica crashes after the hedge launched: the hedge
-     covers its members, nothing is re-queued *)
-  let r = run ~crash:0 150.0 in
-  check_bool "crash 0: conserved" true (conserved r 150);
-  check_int "crash 0: delivered" 1 r.Pool.resilience.Pool.xr_crashes;
-  check_int "crash 0: hedge covers, nothing re-queued" 0
-    r.Pool.resilience.Pool.xr_redispatched;
-  check_int "crash 0: all served" 150 r.Pool.served;
-  (* the hedge's replica crashes instead: the primary covers *)
-  let r = run ~crash:1 150.0 in
-  check_bool "crash 1: conserved" true (conserved r 150);
-  check_int "crash 1: delivered" 1 r.Pool.resilience.Pool.xr_crashes;
-  check_int "crash 1: primary covers, no hedge win" 0
-    r.Pool.resilience.Pool.xr_hedge_wins;
-  check_int "crash 1: nothing re-queued" 0 r.Pool.resilience.Pool.xr_redispatched;
-  check_int "crash 1: all served" 150 r.Pool.served
-
 let test_brownout_rises_and_recovers () =
   let scenario =
     {
@@ -346,23 +296,6 @@ let test_brownout_rises_and_recovers () =
   check_int "wound back down to level 0" 0 xr.Pool.xr_brownout_final;
   check_bool "time above level 0 accounted" true (xr.Pool.xr_brownout_us > 0.0);
   check_bool "recovery time stamped" true (xr.Pool.xr_last_level0_us > 0.0)
-
-let test_corrupt_cache_event () =
-  let scenario =
-    {
-      Chaos.seed = 9;
-      events = [ { Chaos.at_us = 8_000.0; event = Chaos.Corrupt_cache { fraction = 1.0 } } ];
-    }
-  in
-  let reqs = steady ~gap_us:1_000.0 30 in
-  let c = Disc.Compile_cache.create () in
-  let r = run_chaos ~private_cache:c ~scenario reqs in
-  check_bool "conserved" true (conserved r 30);
-  check_bool "corruption destroyed entries" true
-    (r.Pool.resilience.Pool.xr_cache_corruptions >= 1);
-  check_bool "stats carry the corruption" true
-    ((Disc.Compile_cache.stats c).Disc.Compile_cache.corrupt >= 1);
-  check_int "still nothing lost" 0 r.Pool.lost
 
 let test_bit_reproducible () =
   let reqs = steady ~gap_us:700.0 60 in
@@ -453,9 +386,8 @@ let test_chaos_free_run_has_zero_report () =
   let xr = r.Pool.resilience in
   check_bool "resilience report is all-zero without chaos" true
     (xr.Pool.xr_crashes = 0 && xr.Pool.xr_recoveries = 0 && xr.Pool.xr_redispatched = 0
-    && xr.Pool.xr_hedges = 0 && xr.Pool.xr_degraded_events = 0
-    && xr.Pool.xr_brownout_transitions = 0 && xr.Pool.xr_spike_requests = 0
-    && xr.Pool.xr_cache_corruptions = 0)
+    && xr.Pool.xr_degraded_events = 0 && xr.Pool.xr_brownout_transitions = 0
+    && xr.Pool.xr_spike_requests = 0)
 
 let () =
   Alcotest.run "chaos"
@@ -481,10 +413,8 @@ let () =
           Alcotest.test_case "recovery rejoins the fleet" `Quick test_recovery_rejoins;
           Alcotest.test_case "watchdog flags the straggler" `Quick
             test_watchdog_flags_straggler;
-          Alcotest.test_case "hedging: first result wins" `Quick test_hedge_first_result_wins;
           Alcotest.test_case "brownout rises and recovers" `Quick
             test_brownout_rises_and_recovers;
-          Alcotest.test_case "cache corruption survives" `Quick test_corrupt_cache_event;
           Alcotest.test_case "bit-reproducible" `Quick test_bit_reproducible;
           Alcotest.test_case "report follows the merged trace" `Quick test_trace_order;
           Alcotest.test_case "chaos-free report is zero" `Quick

@@ -162,6 +162,23 @@ let test_static_mode_completes_all () =
   check_bool "request-level batching wastes slots on finished members" true
     (r.Scheduler.decode_slot_waste > 0.0)
 
+(* A static batch whose every member finishes at prefill (max_new = 1)
+   holds no active sequence; the worker clears it and prefills the
+   sequences that arrived meanwhile, instead of idling with work
+   waiting. *)
+let test_static_batch_done_at_prefill () =
+  let req arrival_us max_new =
+    { Scheduler.arrival_us; prompt = 4; max_new; cls = Slo.Standard }
+  in
+  let r =
+    Scheduler.run ~prefill:tiny_prefill ~decode:tiny_decode
+      (tiny_config ~mode:Scheduler.Static ~devices:[ a10 ] ())
+      [ req 0.0 1; req 10.0 3; req 10.0 3; req 10.0 3 ]
+  in
+  check_int "all finished" 4 r.Scheduler.finished;
+  check_int "nothing lost" 0 r.Scheduler.lost;
+  check_int "two prefill batches" 2 r.Scheduler.prefill_batches
+
 let test_continuous_beats_static_ttft () =
   (* saturating burst: static mode's head-of-line blocking shows up as
      tail TTFT; continuous admits arrivals between decode steps *)
@@ -234,6 +251,39 @@ let test_config_validation () =
     (rejects (fun () ->
          Scheduler.run ~prefill:tiny_prefill ~decode:tiny_decode (tiny_config ())
            [ { Scheduler.arrival_us = 0.0; prompt = 40; max_new = 40; cls = Slo.Standard } ]))
+
+(* A NaN or infinite arrival is never admitted and never the next
+   event; it is refused, naming the request, before either model is
+   built. *)
+let test_non_finite_arrival_refused () =
+  let builds = ref 0 in
+  let counted build () =
+    incr builds;
+    build ()
+  in
+  List.iter
+    (fun (mode, at) ->
+      let reqs =
+        List.mapi
+          (fun i (q : Scheduler.request) ->
+            if i = 1 then { q with Scheduler.arrival_us = at } else q)
+          (tiny_reqs ~seed:1 ~qps:1000.0 ~n:3)
+      in
+      match
+        Scheduler.run ~prefill:(counted tiny_prefill) ~decode:(counted tiny_decode)
+          (tiny_config ~mode ()) reqs
+      with
+      | _ -> Alcotest.failf "arrival %g was served" at
+      | exception Invalid_argument m ->
+          check_bool "names the request" true
+            (String.starts_with ~prefix:"Scheduler.run: request 1:" m))
+    [
+      (Scheduler.Continuous, Float.nan);
+      (Scheduler.Continuous, Float.infinity);
+      (Scheduler.Static, Float.nan);
+      (Scheduler.Static, Float.infinity);
+    ];
+  check_int "no model built" 0 !builds
 
 (* --- random scenarios ------------------------------------------------------ *)
 
@@ -328,7 +378,7 @@ let test_pinned_scenarios () =
   in
   Alcotest.(check string) "continuous" "12c18cdd31601b8493c4534d596da2ba"
     (pinned Scheduler.Continuous);
-  Alcotest.(check string) "static" "a082e59b2b2996478952be0e46f66280" (pinned Scheduler.Static)
+  Alcotest.(check string) "static" "d28417c8d69647c3a9be8be16870e277" (pinned Scheduler.Static)
 
 let () =
   Alcotest.run "decode"
@@ -354,10 +404,14 @@ let () =
             test_signature_alphabet_bounded;
           Alcotest.test_case "deterministic rerun" `Quick test_deterministic_rerun;
           Alcotest.test_case "static completes all" `Quick test_static_mode_completes_all;
+          Alcotest.test_case "static batch done at prefill" `Quick
+            test_static_batch_done_at_prefill;
           Alcotest.test_case "continuous beats static on tail TTFT" `Quick
             test_continuous_beats_static_ttft;
           Alcotest.test_case "request stream" `Quick test_gen_requests_deterministic;
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "non-finite arrival refused" `Quick
+            test_non_finite_arrival_refused;
         ] );
       ( "random",
         [

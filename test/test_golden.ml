@@ -175,7 +175,7 @@ let test_adaptive_run_golden () =
             Printf.sprintf "%s=%d" (Pool.disposition_to_string d) n)
           [ Pool.Served; Pool.Fell_back; Pool.Shed; Pool.Expired; Pool.Rejected; Pool.Failed ]))
 
-(* Pool runs that reach the hedge and memory-gate paths, pinned exactly:
+(* Pool runs that reach the memory-gate paths, pinned exactly:
    the report line, the resilience and memory summaries and the
    disposition counts. *)
 let pool_summary (r : Serving.Pool.report) =
@@ -191,72 +191,6 @@ let pool_summary (r : Serving.Pool.report) =
            (fun d -> Printf.sprintf "%s=%d" (Pool.disposition_to_string d) (count d))
            [ Pool.Served; Pool.Fell_back; Pool.Shed; Pool.Expired; Pool.Rejected; Pool.Failed ]);
     ]
-
-(* dien on three A10s, 150 Interactive requests cycling hist 6/20/40
-   every 300 us, replica 0 straggled 150x from 5 ms: the watchdog flags
-   it, and its batch still in flight at the 10 ms hedge age is hedged
-   onto replica 1 at 54,700 us, where the hedge finishes first. A crash
-   1 us later of replica 0 leaves the hedge to cover; of replica 1, the
-   primary. *)
-let hedge_run ?crash () =
-  let module Pool = Serving.Pool in
-  let module Chaos = Serving.Chaos in
-  let events =
-    { Chaos.at_us = 5_000.0;
-      event = Chaos.Straggle { replica = 0; factor = 150.0; duration_us = 300_000.0 } }
-    :: (match crash with
-       | None -> []
-       | Some replica ->
-           [ { Chaos.at_us = 54_701.0;
-               event = Chaos.Crash { replica; recover_after_us = None; spinup_us = 0.0 } } ])
-  in
-  let cfg =
-    Pool.default_config
-      ~devices:[ Gpusim.Device.a10; Gpusim.Device.a10; Gpusim.Device.a10 ]
-      ~batch_dim:"batch"
-      ~bucket:[ ("hist", Serving.Bucket.Pow2) ]
-  in
-  let reqs =
-    List.init 150 (fun i ->
-        { Pool.arrival_us = float_of_int i *. 300.0;
-          dims = [ ("hist", [| 6; 20; 40 |].(i mod 3)) ];
-          cls = Serving.Slo.Interactive })
-  in
-  Pool.run ~chaos:{ Chaos.seed = 6; events } ~resilience:Pool.default_resilience
-    (Pool.create cfg (Models.Suite.find "dien").Models.Suite.build)
-    reqs
-
-let test_hedge_runs_golden () =
-  check_string "hedge wins"
-    "served=150 fell_back=0 shed=0 expired=0 rejected=0 failed=0 lost=0 batches=52 \
-     mean_batch=2.9 (padded=16 exact=36 cold=12) pad_waste=2.8% p50=1190us p99=14161us \
-     makespan=59299us\n\
-     chaos: crashes=0 recoveries=0 redispatched=0 hedges=1 hedge_wins=1 degraded=1 spikes=0 \
-     cache_corruptions=0\n\
-     brownout: transitions=0 max=0 brownout_final=0 time_browned=0us last_level0=0us\n\
-     mem: (none)\n\
-     served=150 fell_back=0 shed=0 expired=0 rejected=0 failed=0"
-    (pool_summary (hedge_run ()));
-  check_string "primary's replica crashes: the hedge covers"
-    "served=150 fell_back=0 shed=0 expired=0 rejected=0 failed=0 lost=0 batches=52 \
-     mean_batch=2.9 (padded=16 exact=36 cold=12) pad_waste=2.8% p50=1190us p99=14161us \
-     makespan=59299us\n\
-     chaos: crashes=1 recoveries=0 redispatched=0 hedges=1 hedge_wins=1 degraded=1 spikes=0 \
-     cache_corruptions=0\n\
-     brownout: transitions=0 max=0 brownout_final=0 time_browned=0us last_level0=0us\n\
-     mem: (none)\n\
-     served=150 fell_back=0 shed=0 expired=0 rejected=0 failed=0"
-    (pool_summary (hedge_run ~crash:0 ()));
-  check_string "hedge's replica crashes: the primary covers"
-    "served=150 fell_back=0 shed=0 expired=0 rejected=0 failed=0 lost=0 batches=52 \
-     mean_batch=2.9 (padded=16 exact=36 cold=12) pad_waste=2.8% p50=1190us p99=14599us \
-     makespan=59299us\n\
-     chaos: crashes=1 recoveries=0 redispatched=0 hedges=1 hedge_wins=0 degraded=1 spikes=0 \
-     cache_corruptions=0\n\
-     brownout: transitions=0 max=0 brownout_final=0 time_browned=0us last_level0=0us\n\
-     mem: (none)\n\
-     served=150 fell_back=0 shed=0 expired=0 rejected=0 failed=0"
-    (pool_summary (hedge_run ~crash:1 ()))
 
 (* dien on two A10s, Pow2 hist buckets, a 13.65 MB budget (just above
    the single-request estimate) and 64 requests every 200 us cycling
@@ -289,8 +223,7 @@ let test_hbm_pair_golden () =
     "served=64 fell_back=0 shed=0 expired=0 rejected=0 failed=0 lost=0 batches=27 \
      mean_batch=2.4 (padded=26 exact=1 cold=11) pad_waste=11.6% p50=2095us p99=5567us \
      makespan=14282us\n\
-     chaos: crashes=0 recoveries=0 redispatched=0 hedges=0 hedge_wins=0 degraded=0 spikes=0 \
-     cache_corruptions=0\n\
+     chaos: crashes=0 recoveries=0 redispatched=0 degraded=0 spikes=0\n\
      brownout: transitions=0 max=0 brownout_final=0 time_browned=0us last_level0=0us\n\
      mem: budget=13.7MB est_peak=13.6MB capped=35 forced_exact=0 rejected=0 oom=0 \
      pressure_ticks=0\n\
@@ -300,13 +233,58 @@ let test_hbm_pair_golden () =
     "served=33 fell_back=0 shed=0 expired=0 rejected=0 failed=31 lost=0 batches=17 \
      mean_batch=1.9 (padded=16 exact=1 cold=5) pad_waste=0.0% p50=2087us p99=4379us \
      makespan=14191us\n\
-     chaos: crashes=0 recoveries=0 redispatched=0 hedges=0 hedge_wins=0 degraded=0 spikes=0 \
-     cache_corruptions=0\n\
+     chaos: crashes=0 recoveries=0 redispatched=0 degraded=0 spikes=0\n\
      brownout: transitions=0 max=0 brownout_final=0 time_browned=0us last_level0=0us\n\
      mem: budget=13.7MB est_peak=14.1MB capped=0 forced_exact=0 rejected=0 oom=5 \
      pressure_ticks=0\n\
      served=33 fell_back=0 shed=0 expired=0 rejected=0 failed=31"
     (pool_summary (hbm_run ~aware:false))
+
+(* The memory gate's two last resorts, pinned: dien on two A10s, Pow2
+   hist buckets, 32 requests every 200 us cycling hist 33/5/70/9/100,
+   and a 13.2 MB budget. A padded batch that overruns the budget is
+   re-planned at its exact shape (forced_exact), and a single request
+   whose estimate alone overruns it is refused (rejected) — never
+   dispatched, so nothing is lost to an OOM. *)
+let mem_gate_run () =
+  let module Pool = Serving.Pool in
+  let cfg =
+    {
+      (Pool.default_config
+         ~devices:[ Gpusim.Device.a10; Gpusim.Device.a10 ]
+         ~batch_dim:"batch"
+         ~bucket:[ ("hist", Serving.Bucket.Pow2) ])
+      with
+      Pool.hbm_budget = Some 13_200_000;
+    }
+  in
+  let hists = [| 33; 5; 70; 9; 100 |] in
+  let reqs =
+    List.init 32 (fun i ->
+        { Pool.arrival_us = 200.0 *. float_of_int i;
+          dims = [ ("hist", hists.(i mod 5)) ];
+          cls = Serving.Slo.Standard })
+  in
+  Pool.run (Pool.create cfg (Models.Suite.find "dien").Models.Suite.build) reqs
+
+let test_mem_gate_golden () =
+  let module Pool = Serving.Pool in
+  let r = mem_gate_run () in
+  check_string "forced exact and rejected"
+    "served=26 fell_back=0 shed=0 expired=0 rejected=6 failed=0 lost=0 batches=15 \
+     mean_batch=1.7 (padded=0 exact=15 cold=7) pad_waste=0.0% p50=2587us p99=4777us \
+     makespan=9373us\n\
+     chaos: crashes=0 recoveries=0 redispatched=0 degraded=0 spikes=0\n\
+     brownout: transitions=0 max=0 brownout_final=0 time_browned=0us last_level0=0us\n\
+     mem: budget=13.2MB est_peak=13.2MB capped=53 forced_exact=1 rejected=6 oom=0 \
+     pressure_ticks=0\n\
+     served=26 fell_back=0 shed=0 expired=0 rejected=6 failed=0"
+    (pool_summary r);
+  let m = Option.get r.Pool.mem in
+  Alcotest.(check int) "no OOM" 0 m.Pool.mr_oom;
+  Alcotest.(check int) "nothing lost" 0 r.Pool.lost;
+  Alcotest.(check int) "every Rejected disposition is a gate refusal" m.Pool.mr_rejected
+    (Array.fold_left (fun n d -> if d = Pool.Rejected then n + 1 else n) 0 r.Pool.dispositions)
 
 (* Pinned structural fingerprints of the tiny suite models — the
    identities the compilation cache keys on. A mismatch here means the
@@ -774,8 +752,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats_string_golden;
           Alcotest.test_case "adaptive summary" `Quick test_adaptive_summary_golden;
           Alcotest.test_case "adaptive run" `Quick test_adaptive_run_golden;
-          Alcotest.test_case "hedge runs" `Quick test_hedge_runs_golden;
           Alcotest.test_case "hbm aware/blind pair" `Quick test_hbm_pair_golden;
+          Alcotest.test_case "memory gate last resorts" `Quick test_mem_gate_golden;
         ] );
       ( "fingerprints",
         [

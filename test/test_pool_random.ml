@@ -6,7 +6,7 @@
 
    The invariant under test is conservation: across random arrivals,
    chaos (crashes with and without recovery, stragglers, traffic
-   spikes, cache corruption), online rebucketing and scale events, every
+   spikes), online rebucketing and scale events, every
    admitted request — spike traffic included — ends in exactly one
    disposition, lost = 0, no request is served twice, the per-class
    reports partition the trace, and completed latencies are finite and
@@ -40,7 +40,6 @@ type chaos_draw =
   | C_crash of int * int option * int (* replica, recover_after_us, spinup_us *)
   | C_straggle of int * int * int (* replica, factor, duration_us *)
   | C_spike of int * int * int * int (* duration_us, requests, lo, hi *)
-  | C_corrupt of int (* percent of warm cache entries, 0..100 *)
 
 type scenario = {
   arrivals : (int * int * int) list; (* arrival_us, hist value, class code *)
@@ -89,7 +88,7 @@ let scenario_of_seed seed =
   let chaos =
     List.init (Random.State.int st 3) (fun _ ->
         let at = Random.State.int st 100_000 in
-        match Random.State.int st 4 with
+        match Random.State.int st 3 with
         | 0 ->
             let recover =
               if Random.State.bool st then Some (1 + Random.State.int st 50_000) else None
@@ -101,14 +100,13 @@ let scenario_of_seed seed =
                 ( Random.State.int st replicas,
                   2 + Random.State.int st 15,
                   1 + Random.State.int st 80_000 ) )
-        | 2 ->
+        | _ ->
             ( at,
               C_spike
                 ( 1 + Random.State.int st 30_000,
                   1 + Random.State.int st 30,
                   1 + Random.State.int st 30,
-                  31 + Random.State.int st 30 ) )
-        | _ -> (at, C_corrupt (Random.State.int st 101)))
+                  31 + Random.State.int st 30 ) ))
   in
   {
     arrivals;
@@ -144,7 +142,6 @@ let chaos_scenario_of (s : scenario) =
                 hi;
                 cls = Slo.Standard;
               }
-        | C_corrupt pct -> Chaos.Corrupt_cache { fraction = float_of_int pct /. 100.0 }
       in
       Some
         {
@@ -271,7 +268,6 @@ let chaos_draw_to_string (at, d) =
         spin
   | C_straggle (r, f, dur) -> Printf.sprintf "straggle@%d(replica=%d,x%d,for=%d)" at r f dur
   | C_spike (dur, n, lo, hi) -> Printf.sprintf "spike@%d(over=%d,n=%d,hist=%d..%d)" at dur n lo hi
-  | C_corrupt pct -> Printf.sprintf "corrupt@%d(%d%%)" at pct
 
 let scenario_to_string s =
   Printf.sprintf
@@ -385,7 +381,6 @@ let pinned_chaos =
         (8_000, C_straggle (1, 6, 30_000));
         (15_000, C_spike (10_000, 14, 5, 40));
         (20_000, C_crash (0, Some 15_000, 2_000));
-        (30_000, C_corrupt 100);
       ];
     replicas = 2;
     adaptive = false;
@@ -401,8 +396,7 @@ let test_pinned_chaos_scenario_conserves () =
     (violates { pinned_chaos with resilient = false })
 
 let test_pinned_chaos_scenario_reproducible () =
-  (* private caches: the corrupt_cache event mutates its cache, so the
-     paired runs must not share one *)
+  (* private caches: the paired runs share no state *)
   let run () = run_scenario ~cache:(Disc.Compile_cache.create ()) pinned_chaos in
   let r1 = run () and r2 = run () in
   Alcotest.(check bool) "dispositions identical across runs" true

@@ -78,19 +78,6 @@ let test_waste () =
   Alcotest.(check (float 1e-9)) "waste fraction" 0.25 (Bucket.waste ~actual:96 ~padded:128);
   Alcotest.(check (float 1e-9)) "zero padded" 0.0 (Bucket.waste ~actual:0 ~padded:0)
 
-let test_bucket_widen () =
-  check_bool "exact widens to pow2" true (Bucket.widen_scheme Bucket.Exact = Bucket.Pow2);
-  check_bool "pow2 is already widest" true (Bucket.widen_scheme Bucket.Pow2 = Bucket.Pow2);
-  check_bool "linear doubles its step" true
-    (Bucket.widen_scheme (Bucket.Linear 3) = Bucket.Linear 6);
-  check_bool "edges drop every other boundary, keeping the last" true
-    (Bucket.widen_scheme (Bucket.Edges [ 2; 4; 8 ]) = Bucket.Edges [ 2; 8 ]);
-  check_bool "even-length edges keep the last" true
-    (Bucket.widen_scheme (Bucket.Edges [ 2; 4; 8; 16 ]) = Bucket.Edges [ 4; 16 ]);
-  check_bool "spec widens per dim" true
-    (Bucket.widen [ ("a", Bucket.Exact); ("b", Bucket.Linear 4) ]
-    = [ ("a", Bucket.Pow2); ("b", Bucket.Linear 8) ])
-
 let test_edges_scheme () =
   let e = Bucket.Edges [ 20; 24; 40 ] in
   check_int "rounds up to the first covering edge" 20 (Bucket.round_up e 17);
@@ -149,53 +136,6 @@ let test_bucket_ladder () =
        ignore (Bucket.ladder Bucket.Pow2 ~lb:4 ~ub:2);
        false
      with Invalid_argument _ -> true)
-
-(* --- widen_scheme properties (satellite: brownout ladder soundness) ------- *)
-
-let scheme_arb =
-  let open QCheck in
-  let edges_gen =
-    Gen.map
-      (fun l ->
-        match List.sort_uniq compare (List.map (fun x -> 1 + (abs x mod 500)) l) with
-        | [] -> [ 1 ]
-        | es -> es)
-      Gen.(list_size (int_range 1 8) int)
-  in
-  make
-    ~print:Bucket.scheme_to_string
-    Gen.(
-      oneof
-        [
-          return Bucket.Exact;
-          return Bucket.Pow2;
-          map (fun s -> Bucket.Linear (1 + (s mod 64))) (int_range 0 1000);
-          map (fun es -> Bucket.Edges es) edges_gen;
-        ])
-
-let prop_widen_monotone =
-  QCheck.Test.make ~name:"bucket: widening never shrinks any bucket ceiling"
-    ~count:500
-    QCheck.(pair scheme_arb (int_range 1 2000))
-    (fun (s, v) -> Bucket.round_up (Bucket.widen_scheme s) v >= Bucket.round_up s v)
-
-let prop_widen_fixpoint =
-  (* Linear doubles its step forever by design; the other schemes must
-     reach a widest form that widening then leaves alone. *)
-  QCheck.Test.make ~name:"bucket: widening reaches an idempotent widest scheme"
-    ~count:500 scheme_arb (fun s ->
-      match s with
-      | Bucket.Linear _ -> QCheck.assume_fail ()
-      | _ ->
-          let rec fix s k =
-            if k = 0 then None
-            else
-              let w = Bucket.widen_scheme s in
-              if w = s then Some s else fix w (k - 1)
-          in
-          (match fix s 12 with
-          | None -> false
-          | Some fp -> Bucket.widen_scheme fp = fp))
 
 (* --- shape-distribution statistics ---------------------------------------- *)
 
@@ -361,7 +301,8 @@ let test_policy_of_string () =
   check_bool "rr alias" true (Router.policy_of_string "rr" = Some Router.Round_robin);
   check_bool "warmth alias" true
     (Router.policy_of_string "warmth-aware" = Some Router.Warmth_aware);
-  check_bool "unknown" true (Router.policy_of_string "bogus" = None)
+  check_bool "unknown" true (Router.policy_of_string "bogus" = None);
+  check_bool "no least-loaded policy" true (Router.policy_of_string "least" = None)
 
 (* --- replica health lifecycle (chaos-facing state machine) ------------------ *)
 
@@ -480,6 +421,43 @@ let test_pool_runs_once () =
      with Invalid_argument _ -> true);
   check_string "a fresh pool reproduces the first run" first
     (Pool.report_to_string (Pool.run (Pool.create (base_config ()) build) reqs))
+
+(* A non-finite arrival is refused before the run starts, naming the
+   request's index, and leaves the pool unrun: a NaN arrival would never
+   be admitted and, as the next event time, would spin the loop forever;
+   an infinite one would end the run as a failure. *)
+let tiny_dien () = (Suite.find "dien").Suite.build_tiny ()
+
+let refuses_arrival ~at ~index =
+  let pool = Pool.create (base_config ()) tiny_dien in
+  let reqs = List.init 3 (fun i -> req (if i = index then at else float_of_int (100 * i)) 20) in
+  (match Pool.run pool reqs with
+  | _ -> Alcotest.failf "arrival %g at index %d was served" at index
+  | exception Invalid_argument m ->
+      check_bool "names the request" true (contains m (Printf.sprintf "request %d:" index)));
+  check_int "the pool is still unrun" 2
+    (Pool.run pool (List.filteri (fun i _ -> i <> index) reqs)).Pool.served
+
+let test_nan_arrival_refused () =
+  refuses_arrival ~at:Float.nan ~index:0;
+  refuses_arrival ~at:Float.nan ~index:1
+
+let test_infinite_arrival_refused () =
+  refuses_arrival ~at:Float.infinity ~index:1;
+  (* spike traffic merges into the same trace: a spike window of
+     unbounded length draws non-finite arrivals *)
+  let module Chaos = Serving.Chaos in
+  let spike =
+    Chaos.Spike
+      { duration_us = Float.infinity; requests = 2; dim = "hist"; lo = 1; hi = 4;
+        cls = Slo.Standard }
+  in
+  let chaos = { Chaos.seed = 1; events = [ { Chaos.at_us = 0.0; event = spike } ] } in
+  let pool = Pool.create (base_config ()) tiny_dien in
+  check_bool "a non-finite spike arrival is refused" true
+    (match Pool.run ~chaos pool [ req 0.0 20 ] with
+    | _ -> false
+    | exception Invalid_argument m -> contains m "chaos spike request")
 
 (* --- pool: bucket formation and padding accounting ------------------------- *)
 
@@ -702,7 +680,7 @@ let randomize_replicas st reps =
       if Random.State.bool st then Hashtbl.replace r.Replica.warmth hot_key 1)
     reps
 
-let all_policies = [ Router.Round_robin; Router.Least_loaded; Router.Warmth_aware ]
+let all_policies = [ Router.Round_robin; Router.Warmth_aware ]
 
 let prop_router_never_picks_unavailable =
   QCheck.Test.make ~name:"router: never picks dead, draining or busy replicas"
@@ -880,14 +858,10 @@ let () =
           Alcotest.test_case "batch envs" `Quick test_batch_envs;
           Alcotest.test_case "waste" `Quick test_waste;
           Alcotest.test_case "edges scheme" `Quick test_edges_scheme;
-          Alcotest.test_case "widen (brownout L4)" `Quick test_bucket_widen;
           Alcotest.test_case "validate_edges rejections" `Quick test_validate_edges;
           Alcotest.test_case "ladder (decode signature alphabet)" `Quick
             test_bucket_ladder;
         ] );
-      ( "bucket properties",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_widen_monotone; prop_widen_fixpoint ] );
       ( "shape stats",
         [
           Alcotest.test_case "quantile error bound" `Quick test_stats_quantile_bound;
@@ -935,6 +909,8 @@ let () =
           Alcotest.test_case "shares cache" `Quick test_pool_shares_cache;
           Alcotest.test_case "create validation" `Quick test_pool_create_validation;
           Alcotest.test_case "runs once" `Quick test_pool_runs_once;
+          Alcotest.test_case "nan arrival refused" `Quick test_nan_arrival_refused;
+          Alcotest.test_case "infinite arrival refused" `Quick test_infinite_arrival_refused;
           Alcotest.test_case "bucketed batching" `Quick test_bucketed_batching_and_padding;
           Alcotest.test_case "pad waste cap" `Quick test_pad_waste_cap_forces_exact;
           Alcotest.test_case "distinct buckets" `Quick test_distinct_buckets_do_not_mix;
