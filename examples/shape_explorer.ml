@@ -19,7 +19,7 @@ let () =
   let g = Graph.create () in
   let tab = Graph.symtab g in
   let b = Table.fresh ~name:"batch" ~lb:1 ~ub:64 tab in
-  let s = Table.fresh ~name:"seq" ~lb:1 ~ub:512 ~likely:[ 64; 128 ] tab in
+  let s = Table.fresh ~name:"seq" ~lb:1 ~ub:512 tab in
   let x = B.param g ~name:"x" [| b; s; Sym.Static 64 |] Tensor.Dtype.F32 in
 
   (* head split: [b, s, 64] -> [b, s, 4, 16] -> [b, 4, s, 16] *)
@@ -46,8 +46,6 @@ let () =
   Printf.printf "  %-58s %d..%s\n" "range of seq (distribution constraint)"
     (Table.lower_bound tab s)
     (match Table.upper_bound tab s with Some u -> string_of_int u | None -> "?");
-  Printf.printf "  %-58s %s\n" "likely values of seq"
-    (String.concat "," (List.map string_of_int (Table.likely_values tab s)));
 
   section "fusion decisions unlocked by those proofs";
   let plan = Planner.plan g in

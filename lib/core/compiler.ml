@@ -76,9 +76,9 @@ let simulated_phase_times_ms ~num_insts ~num_kernels =
 (* The passes rewrite a private copy, so [compile] is a function of its
    input: the caller's graph, its fingerprint and every later compile of
    it are unchanged. The copy keeps instruction and symbol ids, so the
-   input's dims name the compiled graph's symbols. It has its own symbol
-   table because verifying the rewritten graph re-infers its shapes,
-   which can prove new equalities between symbols. *)
+   input's dims name the compiled graph's symbols. Verification records
+   nothing, so the compiled table holds exactly the input's symbols,
+   equality classes and product facts. *)
 let compile ?(options = default_options) (input : Graph.t) : compiled =
   let g = Graph.copy input in
   let pass_stats = Ir.Passes.run_all g in

@@ -43,7 +43,9 @@ val compile : ?options:options -> Graph.t -> compiled
     [exe.g]: read instructions, plans and kernels from it, not from the
     input, and bind it with {!binding_of_dims} [exe.g]. It keeps the
     input's instruction and symbol ids, so the input's dims name its
-    symbols. @raise Graph.Type_error on invalid graphs. *)
+    symbols, and its symbol table holds exactly the input's symbols,
+    equality classes and product facts.
+    @raise Graph.Type_error on invalid graphs. *)
 
 val run :
   ?device:Gpusim.Device.t ->

@@ -8,7 +8,7 @@
    Reconstruction goes through Graph.add, so the clone's shapes and
    constraints are re-inferred from scratch — re-recorded product facts
    re-derive their ranges; unbound symbols are re-created with their
-   range/likely metadata copied. *)
+   ranges copied. *)
 
 module Sym = Symshape.Sym
 module Table = Symshape.Table
@@ -40,8 +40,7 @@ let clone ?(bind : (Sym.dim * int) list = []) (g : Graph.t) : Graph.t =
             | None ->
                 let lb = Table.lower_bound old_tab (Sym.Sym root) in
                 let ub = Table.upper_bound old_tab (Sym.Sym root) in
-                let likely = Table.likely_values old_tab (Sym.Sym root) in
-                let nd = Table.fresh ~lb ?ub ~likely new_tab in
+                let nd = Table.fresh ~lb ?ub new_tab in
                 Hashtbl.add sym_map root nd;
                 nd))
   in

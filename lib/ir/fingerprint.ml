@@ -20,11 +20,9 @@
    depends on: the op sequence and op payloads (constants with every
    element at full precision), dtypes, the symbolic shape structure
    (which dims are provably equal), each symbol's range (lb/ub — it
-   steers kStitch feasibility and speculation) and likely values
-   (metadata no compile decision reads, hashed so the key covers
-   everything the printer shows), and the product facts recorded by
-   reshapes. Compiler options are hashed separately by the cache (they
-   live above the IR). *)
+   steers kStitch feasibility and speculation), and the product facts
+   recorded by reshapes. Compiler options are hashed separately by the
+   cache (they live above the IR). *)
 
 module Sym = Symshape.Sym
 module Table = Symshape.Table
@@ -134,13 +132,12 @@ let canonical ?(dims : (string * Sym.dim) list = []) (g : Graph.t) : string =
       add_dim d;
       Buffer.add_char buf '\n')
     dims;
-  (* distribution constraints of every canonical symbol, in canonical order *)
+  (* the range of every canonical symbol, in canonical order *)
   List.iteri
     (fun id root ->
       let d = Sym.Sym root in
-      Printf.bprintf buf "sym d%d lb=%d ub=%s likely=%s\n" id (Table.lower_bound tab d)
-        (match Table.upper_bound tab d with Some u -> string_of_int u | None -> "-")
-        (String.concat "," (List.map string_of_int (Table.likely_values tab d))))
+      Printf.bprintf buf "sym d%d lb=%d ub=%s\n" id (Table.lower_bound tab d)
+        (match Table.upper_bound tab d with Some u -> string_of_int u | None -> "-"))
     (List.rev !sym_order);
   (* product facts: canonical symbols, per-side sort, side sort, fact
      sort — recording order and raw ids cannot leak in. Symbols that

@@ -6,10 +6,9 @@
     param-preserving instruction reordering; it is {e sensitive} to the
     op sequence and payloads (constants with every element at full
     precision), dtypes, the symbolic shape structure (dimension-equality
-    classes, product facts recorded by reshapes) and each symbol's
-    distribution constraints (lb / ub / likely values). Two graphs with
-    equal fingerprints compile to interchangeable artifacts under equal
-    compiler options. *)
+    classes, product facts recorded by reshapes) and each symbol's range
+    (lb / ub). Two graphs with equal fingerprints compile to
+    interchangeable artifacts under equal compiler options. *)
 
 val canonical : ?dims:(string * Symshape.Sym.dim) list -> Graph.t -> string
 (** The canonical textual form the digest is taken over: value-numbered

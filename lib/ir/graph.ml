@@ -356,7 +356,11 @@ let remove g id =
 
 (* --- Verifier ----------------------------------------------------------- *)
 
+(* Re-inference records constraints as a side effect: merges, product
+   facts, fresh symbols for concat/pad/conv dims. It runs against a
+   scratch copy of the table, so verifying a graph records nothing. *)
 let verify g =
+  let scratch = { g with symtab = Table.copy g.symtab } in
   iter g (fun i ->
       Array.iter
         (fun a ->
@@ -367,11 +371,11 @@ let verify g =
       | Op.Parameter _ | Op.Constant _ -> ()
       | _ ->
           let args = List.map (inst g) (Array.to_list i.args) in
-          let shape, dtype = infer g i.op args in
+          let shape, dtype = infer scratch i.op args in
           if dtype <> i.dtype then
             type_error "%%%d: recorded dtype %s but inference gives %s" i.id
               (Dtype.to_string i.dtype) (Dtype.to_string dtype);
-          if not (Table.equal_shapes g.symtab shape i.shape) then begin
+          if not (Table.equal_shapes scratch.symtab shape i.shape) then begin
             (* Re-inference may produce fresh symbols for concat/pad/conv
                output dims; accept when ranks agree and static dims match. *)
             if Sym.rank shape <> Sym.rank i.shape then

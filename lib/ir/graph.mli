@@ -68,5 +68,7 @@ val remove : t -> int -> unit
 (** Delete a dead instruction. @raise Type_error on parameters/outputs. *)
 
 val verify : t -> unit
-(** Structural + type checking of the whole graph.
+(** Structural + type checking of the whole graph. Shapes are
+    re-inferred against a scratch copy of the symbol table, so the
+    graph's own table is left as it was.
     @raise Type_error on the first violation. *)

@@ -2,7 +2,7 @@
    ~with_symbols:true — a small, hand-writable IR dialect:
 
      graph {
-       sym s0 lb=1 ub=512 likely=64,128
+       sym s0 lb=1 ub=512
        %0 : f32[s0x8] = parameter(0, "x")()
        %1 : f32[] = constant(f32[]{0.5})()
        %2 : f32[s0x8] = mul(%0, %1)
@@ -467,27 +467,12 @@ let parse_sym_header st =
   let tab = Graph.symtab st.g in
   let rec attrs () =
     match peek st with
-    | Some (Ident ("lb" | "ub" | "likely")) -> (
+    | Some (Ident ("lb" | "ub")) ->
         let key = expect_ident st in
         expect st (Punct '=');
-        match key with
-        | "lb" ->
-            Table.set_range tab d ~lb:(expect_int st) ();
-            attrs ()
-        | "ub" ->
-            Table.set_range tab d ~ub:(expect_int st) ();
-            attrs ()
-        | _ ->
-            let rec vals acc =
-              let v = expect_int st in
-              match peek st with
-              | Some (Punct ',') ->
-                  ignore (next st);
-                  vals (v :: acc)
-              | _ -> List.rev (v :: acc)
-            in
-            Table.add_likely tab d (vals []);
-            attrs ())
+        let v = expect_int st in
+        if key = "lb" then Table.set_range tab d ~lb:v () else Table.set_range tab d ~ub:v ();
+        attrs ()
     | _ -> ()
   in
   attrs ()

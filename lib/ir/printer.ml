@@ -24,9 +24,9 @@ let add_inst buf (i : Graph.inst) =
   Printf.bprintf buf "(%s)"
     (String.concat ", " (List.map (fun a -> "%" ^ string_of_int a) (Array.to_list i.args)))
 
-(* "sym s0 lb=1 ub=512 likely=64,128" header lines describing the root
-   symbols that appear in instruction shapes (so parsed graphs recover
-   their distribution constraints). *)
+(* "sym s0 lb=1 ub=512" header lines describing the root symbols that
+   appear in instruction shapes (so parsed graphs recover their
+   ranges). *)
 let symbol_headers (g : Graph.t) =
   let tab = Graph.symtab g in
   let seen = Hashtbl.create 8 in
@@ -39,14 +39,10 @@ let symbol_headers (g : Graph.t) =
               Hashtbl.add seen root ();
               let lb = Symshape.Table.lower_bound tab d in
               let ub = Symshape.Table.upper_bound tab d in
-              let likely = Symshape.Table.likely_values tab d in
               Buffer.add_string buf (Printf.sprintf "  sym s%d lb=%d" root lb);
               (match ub with
               | Some u -> Buffer.add_string buf (Printf.sprintf " ub=%d" u)
               | None -> ());
-              if likely <> [] then
-                Buffer.add_string buf
-                  (" likely=" ^ String.concat "," (List.map string_of_int likely));
               Buffer.add_char buf '\n'
           | _ -> ())
         i.shape);

@@ -1,8 +1,7 @@
 (** Textual form of graphs: one instruction per line,
     [%id : dtype\[shape\] = op(attrs)(args)]. With [~with_symbols], the
-    header also lists the root symbols' distribution constraints
-    ([sym s0 lb=1 ub=512 likely=64,128]) so that {!Parser.parse} can
-    round-trip the full program. *)
+    header also lists the root symbols' ranges ([sym s0 lb=1 ub=512])
+    so that {!Parser.parse} can round-trip the full program. *)
 
 val add_constant : Buffer.t -> Tensor.Nd.t -> unit
 (** Append [constant(dtype\[shape\]{v0, v1, ...})] with every element at

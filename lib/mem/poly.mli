@@ -10,7 +10,6 @@
 
 type t
 
-val zero : t
 val const : int -> t
 
 val var : int -> t

@@ -20,8 +20,8 @@ let tiny = { layers = 1; hidden = 32; heads = 2; ffn = 64; mel = 8; vocab = 12 }
 let build ?(config = default) () : C.built =
   let ctx = C.new_ctx () in
   let g = ctx.C.g in
-  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:32 ~likely:[ 1; 8 ] ctx in
-  let frames = C.fresh_dim ~name:"frames" ~lb:16 ~ub:4000 ~likely:[ 500; 1500 ] ctx in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:32 ctx in
+  let frames = C.fresh_dim ~name:"frames" ~lb:16 ~ub:4000 ctx in
   (* log-mel features as an image: [b, frames, mel, 1] *)
   let feats =
     C.param ctx ~name:"features" [| batch; frames; Sym.Static config.mel; Sym.Static 1 |]

@@ -17,8 +17,8 @@ let tiny = { layers = 2; hidden = 32; heads = 4; ffn = 64; vocab = 100; max_pos 
 let build ?(config = base) () : C.built =
   let ctx = C.new_ctx () in
   let g = ctx.C.g in
-  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ~likely:[ 1; 4; 8 ] ctx in
-  let seq = C.fresh_dim ~name:"seq" ~lb:1 ~ub:config.max_pos ~likely:[ 32; 64; 128 ] ctx in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ctx in
+  let seq = C.fresh_dim ~name:"seq" ~lb:1 ~ub:config.max_pos ctx in
   let ids = C.param ctx ~name:"input_ids" [| batch; seq |] Dtype.I32 (C.Ids config.vocab) in
   let mask = C.param ctx ~name:"attention_mask" [| batch; seq |] Dtype.F32 C.Binary_mask in
   let x =

@@ -21,7 +21,7 @@ let new_ctx () = { g = Graph.create (); gens = [] }
 
 let symtab ctx = Graph.symtab ctx.g
 
-let fresh_dim ?name ?lb ?ub ?likely ctx = Table.fresh ?name ?lb ?ub ?likely (symtab ctx)
+let fresh_dim ?name ?lb ?ub ctx = Table.fresh ?name ?lb ?ub (symtab ctx)
 
 let param ctx ~name shape dtype gen =
   ctx.gens <- (name, gen) :: ctx.gens;

@@ -17,8 +17,7 @@ type ctx = { g : Graph.t; mutable gens : (string * gen) list }
 val new_ctx : unit -> ctx
 val symtab : ctx -> Table.t
 
-val fresh_dim :
-  ?name:string -> ?lb:int -> ?ub:int -> ?likely:int list -> ctx -> Sym.dim
+val fresh_dim : ?name:string -> ?lb:int -> ?ub:int -> ctx -> Sym.dim
 
 val param : ctx -> name:string -> Sym.shape -> Tensor.Dtype.t -> gen -> int
 val weight : ctx -> string -> int list -> int

@@ -16,9 +16,9 @@ let tiny = { channels = [ 4; 8 ]; charset = 10; height = 8 }
 let build ?(config = default) () : C.built =
   let ctx = C.new_ctx () in
   let g = ctx.C.g in
-  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ~likely:[ 8; 16 ] ctx in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ctx in
   (* width must survive the stride-2 convs; keep a generous lower bound *)
-  let width = C.fresh_dim ~name:"width" ~lb:32 ~ub:512 ~likely:[ 100; 160 ] ctx in
+  let width = C.fresh_dim ~name:"width" ~lb:32 ~ub:512 ctx in
   let img =
     C.param ctx ~name:"image"
       [| batch; Sym.Static config.height; width; Sym.Static 1 |]

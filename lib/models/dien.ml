@@ -23,8 +23,8 @@ let dice ctx x =
 let build ?(config = default) () : C.built =
   let ctx = C.new_ctx () in
   let g = ctx.C.g in
-  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:1024 ~likely:[ 128; 256 ] ctx in
-  let hist = C.fresh_dim ~name:"hist" ~lb:1 ~ub:100 ~likely:[ 20; 50 ] ctx in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:1024 ctx in
+  let hist = C.fresh_dim ~name:"hist" ~lb:1 ~ub:100 ctx in
   let hist_items = C.param ctx ~name:"hist_items" [| batch; hist |] Dtype.I32 (C.Ids config.items) in
   let hist_cats = C.param ctx ~name:"hist_cats" [| batch; hist |] Dtype.I32 (C.Ids config.cats) in
   let target_item = C.param ctx ~name:"target_item" [| batch |] Dtype.I32 (C.Ids config.items) in

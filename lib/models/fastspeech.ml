@@ -21,9 +21,9 @@ let tiny = { layers = 1; hidden = 32; heads = 2; ffn = 64; phones = 10; mel = 8 
 let build ?(config = default) () : C.built =
   let ctx = C.new_ctx () in
   let g = ctx.C.g in
-  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:16 ~likely:[ 1; 4 ] ctx in
-  let phon = C.fresh_dim ~name:"phon" ~lb:1 ~ub:256 ~likely:[ 48; 96 ] ctx in
-  let frames = C.fresh_dim ~name:"frames" ~lb:1 ~ub:2048 ~likely:[ 400; 800 ] ctx in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:16 ctx in
+  let phon = C.fresh_dim ~name:"phon" ~lb:1 ~ub:256 ctx in
+  let frames = C.fresh_dim ~name:"frames" ~lb:1 ~ub:2048 ctx in
   let ids = C.param ctx ~name:"phoneme_ids" [| batch; phon |] Dtype.I32 (C.Ids config.phones) in
   (* frame -> flattened (batch*phon) index map produced by the duration
      model upstream *)

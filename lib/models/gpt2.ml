@@ -15,8 +15,8 @@ let tiny = { layers = 2; hidden = 32; heads = 4; ffn = 64; vocab = 100; max_pos 
 let build ?(config = small) () : C.built =
   let ctx = C.new_ctx () in
   let g = ctx.C.g in
-  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:32 ~likely:[ 1; 4 ] ctx in
-  let seq = C.fresh_dim ~name:"seq" ~lb:1 ~ub:config.max_pos ~likely:[ 64; 256 ] ctx in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:32 ctx in
+  let seq = C.fresh_dim ~name:"seq" ~lb:1 ~ub:config.max_pos ctx in
   let ids = C.param ctx ~name:"input_ids" [| batch; seq |] Dtype.I32 (C.Ids config.vocab) in
   let x =
     C.embed ctx ~name:"emb" ids ~batch_dim:batch ~seq_dim:seq ~vocab:config.vocab
@@ -59,10 +59,8 @@ let build ?(config = small) () : C.built =
 let build_decode ?(config = small) () : C.built =
   let ctx = C.new_ctx () in
   let g = ctx.C.g in
-  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:32 ~likely:[ 1; 4; 8 ] ctx in
-  let cache =
-    C.fresh_dim ~name:"cache" ~lb:1 ~ub:config.max_pos ~likely:[ 64; 128; 256 ] ctx
-  in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:32 ctx in
+  let cache = C.fresh_dim ~name:"cache" ~lb:1 ~ub:config.max_pos ctx in
   let one = Sym.Static 1 in
   let ids = C.param ctx ~name:"input_ids" [| batch; one |] Dtype.I32 (C.Ids config.vocab) in
   let pos_ids =

@@ -28,9 +28,9 @@ let decoder_layer ctx ~name x ~memory ~heads ~hidden ~inner ~self_bias ~cross_bi
 let build ?(config = base) () : C.built =
   let ctx = C.new_ctx () in
   let g = ctx.C.g in
-  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ~likely:[ 1; 8 ] ctx in
-  let src = C.fresh_dim ~name:"src" ~lb:1 ~ub:config.max_pos ~likely:[ 24; 48 ] ctx in
-  let tgt = C.fresh_dim ~name:"tgt" ~lb:1 ~ub:config.max_pos ~likely:[ 24; 48 ] ctx in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ctx in
+  let src = C.fresh_dim ~name:"src" ~lb:1 ~ub:config.max_pos ctx in
+  let tgt = C.fresh_dim ~name:"tgt" ~lb:1 ~ub:config.max_pos ctx in
   let src_ids = C.param ctx ~name:"src_ids" [| batch; src |] Dtype.I32 (C.Ids config.vocab) in
   let tgt_ids = C.param ctx ~name:"tgt_ids" [| batch; tgt |] Dtype.I32 (C.Ids config.vocab) in
   let src_mask = C.param ctx ~name:"src_mask" [| batch; src |] Dtype.F32 C.Binary_mask in

@@ -33,8 +33,8 @@ let relative_bias ctx ~config ~batch_dim ~seq_dim =
 
 let build ?(config = small) () : C.built =
   let ctx = C.new_ctx () in
-  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ~likely:[ 1; 8 ] ctx in
-  let seq = C.fresh_dim ~name:"seq" ~lb:1 ~ub:512 ~likely:[ 32; 128 ] ctx in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ctx in
+  let seq = C.fresh_dim ~name:"seq" ~lb:1 ~ub:512 ctx in
   let ids = C.param ctx ~name:"input_ids" [| batch; seq |] Dtype.I32 (C.Ids config.vocab) in
   let x =
     C.embed ctx ~name:"emb" ids ~batch_dim:batch ~seq_dim:seq ~vocab:config.vocab

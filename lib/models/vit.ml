@@ -18,9 +18,9 @@ let build ?(config = small) () : C.built =
   let ctx = C.new_ctx () in
   let g = ctx.C.g in
   let p = config.patch in
-  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ~likely:[ 1; 8 ] ctx in
-  let h = C.fresh_dim ~name:"h" ~lb:(2 * p) ~ub:(24 * p) ~likely:[ 14 * p ] ctx in
-  let w = C.fresh_dim ~name:"w" ~lb:(2 * p) ~ub:(24 * p) ~likely:[ 14 * p ] ctx in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ctx in
+  let h = C.fresh_dim ~name:"h" ~lb:(2 * p) ~ub:(24 * p) ctx in
+  let w = C.fresh_dim ~name:"w" ~lb:(2 * p) ~ub:(24 * p) ctx in
   let img =
     C.param ctx ~name:"image" [| batch; h; w; Sym.Static 3 |] Dtype.F32 (C.Normal 1.0)
   in

@@ -1,5 +1,5 @@
-(* Minimal JSON emitter: enough for trace files, metrics snapshots and
-   benchmark headline output. Build the document, serialize once. *)
+(* Minimal JSON emitter: enough for trace files and benchmark headline
+   output. Build the document, serialize once. *)
 
 type t =
   | Null
@@ -32,7 +32,8 @@ let float_to_string f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.12g" f
 
-let to_string ?(pretty = false) (v : t) : string =
+(* Compact, or with objects and lists indented. *)
+let render ~pretty (v : t) : string =
   let buf = Buffer.create 1024 in
   let pad n = if pretty then Buffer.add_string buf (String.make (2 * n) ' ') in
   let nl () = if pretty then Buffer.add_char buf '\n' in
@@ -79,9 +80,11 @@ let to_string ?(pretty = false) (v : t) : string =
   go 0 v;
   Buffer.contents buf
 
+let to_string v = render ~pretty:false v
+
 let write_file path v =
   Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string ~pretty:true v);
+      Out_channel.output_string oc (render ~pretty:true v);
       Out_channel.output_char oc '\n')
 
 (* --- parsing ---------------------------------------------------------------

@@ -1,9 +1,9 @@
 (** Minimal JSON document model and serializer.
 
-    The observability layer emits Chrome [trace_event] files and metrics
-    snapshots; the benchmark harness emits headline-number files. All of
-    them build a {!t} and serialize with {!to_string} — no external JSON
-    dependency, no printf-escaping bugs at the call sites. *)
+    The observability layer emits Chrome [trace_event] files; the
+    benchmark harness emits headline-number files. All of them build a
+    {!t} and serialize it — no external JSON dependency, no
+    printf-escaping bugs at the call sites. *)
 
 type t =
   | Null
@@ -14,11 +14,12 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_string : ?pretty:bool -> t -> string
-(** Compact by default; [~pretty:true] indents objects and lists. *)
+val to_string : t -> string
+(** Compact: no whitespace between tokens. *)
 
 val write_file : string -> t -> unit
-(** Serialize pretty-printed to [path] with a trailing newline. *)
+(** Serialize to [path] with objects and lists indented, and a trailing
+    newline. *)
 
 val parse : string -> (t, string) result
 (** Parse one JSON document. Strict: rejects trailing garbage,

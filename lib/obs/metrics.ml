@@ -1,5 +1,5 @@
-(* Counters, gauges, log-linear histograms; snapshot/diff and JSON /
-   table export. See metrics.mli for the model. *)
+(* Counters, gauges, log-linear histograms; snapshots and their table
+   export. See metrics.mli for the model. *)
 
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
@@ -269,59 +269,7 @@ let snapshot (t : t) : snapshot =
 let percentile_of_snapshot (hs : histo_snapshot) p =
   percentile_buckets ~n:hs.h_count ~vmin:hs.h_min ~vmax:hs.h_max hs.buckets p
 
-let diff (earlier : snapshot) (later : snapshot) : snapshot =
-  let sub_counter name v =
-    max 0 (v - Option.value (List.assoc_opt name earlier.counters) ~default:0)
-  in
-  let sub_histo name (hs : histo_snapshot) =
-    match List.assoc_opt name earlier.histograms with
-    | None -> hs
-    | Some old ->
-        let buckets =
-          List.filter_map
-            (fun (i, c) ->
-              let c' = c - Option.value (List.assoc_opt i old.buckets) ~default:0 in
-              if c' > 0 then Some (i, c') else None)
-            hs.buckets
-        in
-        {
-          h_count = max 0 (hs.h_count - old.h_count);
-          h_sum = Float.max 0.0 (hs.h_sum -. old.h_sum);
-          (* exact interval min/max are not recoverable from endpoints *)
-          h_min = hs.h_min;
-          h_max = hs.h_max;
-          buckets;
-        }
-  in
-  {
-    counters = List.map (fun (n, v) -> (n, sub_counter n v)) later.counters;
-    gauges = later.gauges;
-    histograms = List.map (fun (n, h) -> (n, sub_histo n h)) later.histograms;
-  }
-
 (* --- export ---------------------------------------------------------------- *)
-
-let histo_to_json (hs : histo_snapshot) : Json.t =
-  Json.Obj
-    [
-      ("count", Json.Int hs.h_count);
-      ("sum", Json.Float hs.h_sum);
-      ("min", Json.Float hs.h_min);
-      ("max", Json.Float hs.h_max);
-      ("mean", Json.Float (if hs.h_count = 0 then 0.0 else hs.h_sum /. float_of_int hs.h_count));
-      ("p50", Json.Float (percentile_of_snapshot hs 0.5));
-      ("p95", Json.Float (percentile_of_snapshot hs 0.95));
-      ("p99", Json.Float (percentile_of_snapshot hs 0.99));
-      ("buckets", Json.Obj (List.map (fun (i, c) -> (string_of_int i, Json.Int c)) hs.buckets));
-    ]
-
-let snapshot_to_json (s : snapshot) : Json.t =
-  Json.Obj
-    [
-      ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) s.counters));
-      ("gauges", Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) s.gauges));
-      ("histograms", Json.Obj (List.map (fun (n, h) -> (n, histo_to_json h)) s.histograms));
-    ]
 
 let to_table_string (s : snapshot) : string =
   let buf = Buffer.create 512 in

@@ -9,9 +9,7 @@
     Registries are cheap: serving layers create their own (a session's
     registry {e is} its stats — single source of truth), while
     process-wide instrumentation shares {!global}. {!snapshot} gives an
-    immutable, name-sorted view; {!diff} subtracts two snapshots of the
-    same registry (counters and histogram buckets subtract, gauges take
-    the later value) for interval reporting. *)
+    immutable, name-sorted view. *)
 
 type t
 type counter
@@ -101,14 +99,6 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-val diff : snapshot -> snapshot -> snapshot
-(** [diff earlier later]: counter and histogram-bucket deltas (clamped at
-    0), later gauge values; metrics only present in [later] pass through. *)
-
-val percentile_of_snapshot : histo_snapshot -> float -> float
-(** {!percentile} over a snapshot's buckets, with the same clamping. *)
-
-val snapshot_to_json : snapshot -> Json.t
 val to_table_string : snapshot -> string
 (** Pretty table: counters, gauges, then histograms with count / mean /
     p50 / p95 / p99 / max per row. *)

@@ -14,19 +14,6 @@ let end_span ?track ?args () = if !enabled then Trace.end_span ?track ?args Trac
 let span ?track ?cat ?args ?ts ?advance ~dur_us name =
   if !enabled then Trace.complete ?track ?cat ?args ?ts ?advance ~dur_us Trace.global name
 
-let with_span ?track ?cat ?args name f =
-  if not !enabled then f ()
-  else begin
-    Trace.begin_span ?track ?cat ?args Trace.global name;
-    match f () with
-    | v ->
-        Trace.end_span ?track Trace.global ();
-        v
-    | exception e ->
-        Trace.end_span ?track ~args:[ ("error", "true") ] Trace.global ();
-        raise e
-  end
-
 let advance dt = if !enabled then Trace.advance Trace.global dt
 
 let count ?by name = if !enabled then Metrics.inc ?by (Metrics.counter Metrics.global name)
@@ -35,22 +22,3 @@ let gauge name v = if !enabled then Metrics.set_gauge (Metrics.gauge Metrics.glo
 
 let observe name v =
   if !enabled then Metrics.observe (Metrics.histogram Metrics.global name) v
-
-let time_counter name f =
-  if not !enabled then f ()
-  else begin
-    let t0 = Trace.now_us Trace.global in
-    let finish () =
-      Metrics.inc (Metrics.counter Metrics.global (name ^ ".calls"));
-      Metrics.observe
-        (Metrics.histogram Metrics.global (name ^ ".us"))
-        (Trace.now_us Trace.global -. t0)
-    in
-    match f () with
-    | v ->
-        finish ();
-        v
-    | exception e ->
-        finish ();
-        raise e
-  end

@@ -32,13 +32,6 @@ val span :
   string ->
   unit
 
-val with_span :
-  ?track:int -> ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a scoped span; its duration is whatever virtual
-    time the thunk's own instrumentation advanced. Exception-safe: the
-    span is closed (and tagged [error=true]) if the thunk raises. When
-    disabled this is exactly [f ()]. *)
-
 val advance : float -> unit
 (** Advance the global virtual clock (µs); no-op when disabled. *)
 
@@ -47,8 +40,3 @@ val advance : float -> unit
 val count : ?by:int -> string -> unit
 val gauge : string -> float -> unit
 val observe : string -> float -> unit
-
-val time_counter : string -> (unit -> 'a) -> 'a
-(** Run the thunk; record the virtual time it advanced into the
-    histogram [name ^ ".us"] and bump the counter [name ^ ".calls"].
-    When disabled this is exactly [f ()]. *)

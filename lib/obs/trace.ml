@@ -140,39 +140,4 @@ let to_chrome_json t : Json.t =
       ("otherData", Json.Obj [ ("dropped_spans", Json.Int t.dropped) ]);
     ]
 
-let export_chrome t = Json.to_string ~pretty:true (to_chrome_json t)
 let write_chrome t path = Json.write_file path (to_chrome_json t)
-
-(* --- text report ----------------------------------------------------------- *)
-
-let to_text_report t =
-  let buf = Buffer.create 1024 in
-  let tracks =
-    List.sort_uniq compare (List.map (fun s -> s.track) (spans t))
-  in
-  List.iter
-    (fun track ->
-      let tname =
-        match List.assoc_opt track t.track_names with
-        | Some n -> Printf.sprintf "track %d (%s)" track n
-        | None -> Printf.sprintf "track %d" track
-      in
-      Buffer.add_string buf (Printf.sprintf "%s\n" tname);
-      List.iter
-        (fun s ->
-          if s.track = track then
-            Buffer.add_string buf
-              (Printf.sprintf "  %s%-24s %12.1f us @ %.1f%s\n"
-                 (String.concat "" (List.init s.depth (fun _ -> "  ")))
-                 s.name s.dur_us s.begin_us
-                 (match s.args with
-                 | [] -> ""
-                 | args ->
-                     "  ["
-                     ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) args)
-                     ^ "]")))
-        (spans t))
-    tracks;
-  if t.dropped > 0 then
-    Buffer.add_string buf (Printf.sprintf "(%d spans dropped: buffer full)\n" t.dropped);
-  Buffer.contents buf

@@ -11,8 +11,7 @@
 
     The buffer is bounded: past [cap] spans, new ones are counted as
     dropped instead of growing memory. Export to Chrome [trace_event]
-    JSON (open in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto})
-    or an indented text report.
+    JSON (open in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}).
 
     Most callers go through {!Scope}, which wraps the process-wide
     {!global} instance behind an on/off switch; this module itself is
@@ -87,10 +86,5 @@ val to_chrome_json : t -> Json.t
     ["ph":"X"] (complete) event per span, µs timestamps, and
     [thread_name] metadata for named tracks. *)
 
-val export_chrome : t -> string
 val write_chrome : t -> string -> unit
-(** {!to_chrome_json} serialized (to a string / to a file). *)
-
-val to_text_report : t -> string
-(** Indented per-track text rendering of the span tree, one line per
-    span with begin/duration and attributes. *)
+(** {!to_chrome_json} written to a file. *)

@@ -127,24 +127,6 @@ let plan (e : Executable.t) (bnd : Table.binding) : t =
   let naive_bytes = List.fold_left (fun acc a -> acc + a.size) 0 assignments in
   { assignments; arena_bytes; naive_bytes; resident_bytes }
 
-(* Structured-error planning: injected allocation failures and capacity
-   checks surface as [Error.Oom] instead of silently planning an arena
-   the device could never host. *)
-let plan_result ?(device = Gpusim.Device.a10) ?faults (e : Executable.t)
-    (bnd : Table.binding) : (t, Error.t) result =
-  let capacity = device.Gpusim.Device.memory_bytes in
-  match faults with
-  | Some inj when Gpusim.Fault.request_oom inj ->
-      Error (Error.Oom { live_bytes = 0; capacity_bytes = capacity })
-  | _ -> (
-      match plan e bnd with
-      | p ->
-          let total = p.arena_bytes + p.resident_bytes in
-          if total > capacity then
-            Error (Error.Oom { live_bytes = total; capacity_bytes = capacity })
-          else Ok p
-      | exception Table.Inconsistent m -> Error (Error.Unbound_dim m))
-
 (* Validity: two assignments alive at the same time never overlap. *)
 let validate (p : t) : bool =
   let overlaps a b =

@@ -49,16 +49,6 @@ val plan : Executable.t -> Symshape.Table.binding -> t
 (** {!place} over {!lifetimes}, each buffer sized at the binding and
     rounded up to {!alignment}. *)
 
-val plan_result :
-  ?device:Gpusim.Device.t ->
-  ?faults:Gpusim.Fault.t ->
-  Executable.t ->
-  Symshape.Table.binding ->
-  (t, Error.t) result
-(** {!plan} with structured errors: [Error.Oom] when the arena plus
-    resident weights exceed [device] capacity or the injector fires a
-    seeded allocation failure; [Error.Unbound_dim] for missing bindings. *)
-
 val validate : t -> bool
 (** No two simultaneously-live buffers overlap. *)
 

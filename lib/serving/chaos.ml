@@ -57,32 +57,38 @@ let scenario_to_string s =
        (List.map (fun t -> Printf.sprintf "@%.0fus %s" t.at_us (event_to_string t.event)) s.events))
 
 (* Validation is all-at-once so a bad scenario file reports every
-   problem, not just the first. *)
+   problem, not just the first. A float is checked finite before its
+   range [ok]: an infinite time never fires, and a NaN passes every [<]
+   and [>] check. *)
 let validate s =
   let errs = ref [] in
   let err i fmt = Printf.ksprintf (fun m -> errs := Printf.sprintf "event %d: %s" i m :: !errs) fmt in
+  let check i what v ok bound =
+    if not (Float.is_finite v) then err i "%s must be finite, got %g" what v
+    else if not (ok v) then err i "%s must be %s" what bound
+  in
   List.iteri
     (fun i { at_us; event } ->
-      if at_us < 0.0 || Float.is_nan at_us then err i "at_us must be >= 0";
+      check i "at_us" at_us (fun v -> v >= 0.0) ">= 0";
       (match event with
       | Crash { replica; recover_after_us; spinup_us } ->
           if replica < 0 then err i "crash: replica must be >= 0";
-          if spinup_us < 0.0 then err i "crash: spinup_us must be >= 0";
+          check i "crash: spinup_us" spinup_us (fun v -> v >= 0.0) ">= 0";
           Option.iter
-            (fun r -> if r <= 0.0 then err i "crash: recover_after_us must be > 0")
+            (fun r -> check i "crash: recover_after_us" r (fun v -> v > 0.0) "> 0")
             recover_after_us
       | Straggle { replica; factor; duration_us } ->
           if replica < 0 then err i "straggle: replica must be >= 0";
-          if factor < 1.0 then err i "straggle: factor must be >= 1";
-          if duration_us <= 0.0 then err i "straggle: duration_us must be > 0"
+          check i "straggle: factor" factor (fun v -> v >= 1.0) ">= 1";
+          check i "straggle: duration_us" duration_us (fun v -> v > 0.0) "> 0"
       | Flaky { replica; kernel_fault_rate; oom_rate; duration_us } ->
+          let rate v = v >= 0.0 && v <= 1.0 in
           if replica < 0 then err i "flaky: replica must be >= 0";
-          if kernel_fault_rate < 0.0 || kernel_fault_rate > 1.0 then
-            err i "flaky: kernel_fault_rate must be in [0,1]";
-          if oom_rate < 0.0 || oom_rate > 1.0 then err i "flaky: oom_rate must be in [0,1]";
-          if duration_us <= 0.0 then err i "flaky: duration_us must be > 0"
+          check i "flaky: kernel_fault_rate" kernel_fault_rate rate "in [0,1]";
+          check i "flaky: oom_rate" oom_rate rate "in [0,1]";
+          check i "flaky: duration_us" duration_us (fun v -> v > 0.0) "> 0"
       | Spike { duration_us; requests; dim; lo; hi; cls = _ } ->
-          if duration_us <= 0.0 then err i "spike: duration_us must be > 0";
+          check i "spike: duration_us" duration_us (fun v -> v > 0.0) "> 0";
           if requests <= 0 then err i "spike: requests must be > 0";
           if dim = "" then err i "spike: dim must be named";
           if lo < 1 then err i "spike: lo must be >= 1";
@@ -237,8 +243,6 @@ let load_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error m -> Error m
   | text -> of_string text
-
-let save_file path s = Obs.Json.write_file path (to_json s)
 
 (* --- Delivery schedule -------------------------------------------- *)
 

@@ -43,16 +43,17 @@ type scenario = { seed : int; events : timed list }
 val scenario_to_string : scenario -> string
 
 val validate : scenario -> (unit, string list) result
-(** Every problem in the scenario, not just the first. *)
+(** Every problem in the scenario, not just the first, each prefixed
+    with its event's index ([event 2: ...]). Every time, duration,
+    factor and rate must be finite (an infinite time never fires; a
+    NaN passes every range check) before its range is checked. *)
 
 val to_json : scenario -> Obs.Json.t
 
-val of_json : Obs.Json.t -> (scenario, string) result
+val of_string : string -> (scenario, string) result
 (** Parse + {!validate}. *)
 
-val of_string : string -> (scenario, string) result
 val load_file : string -> (scenario, string) result
-val save_file : string -> scenario -> unit
 
 (** {2 Delivery schedule}
 

@@ -293,6 +293,9 @@ let cache t = t.pool_cache
 
 let create ?cache cfg build =
   if cfg.devices = [] then invalid_arg "Pool.create: empty device list";
+  (* a batch of no one is launchable forever: dispatch would spin *)
+  if cfg.max_batch < 1 then
+    invalid_arg (Printf.sprintf "Pool.create: max_batch must be >= 1, got %d" cfg.max_batch);
   let shared = match cache with Some c -> c | None -> Disc.Compile_cache.create () in
   let built = build () in
   let dim_names = List.map fst built.Models.Common.dims in
@@ -315,23 +318,21 @@ let create ?cache cfg build =
 
 (* --- the event loop ------------------------------------------------------- *)
 
-(* A dispatched batch whose completion is still in the future. Requests
-   acquire their disposition when the batch *completes*, not when it
-   launches — the window in which a crash can strand them.
+(* A replica's in-flight slot: the dispatched batch whose completion is
+   still in the future. Requests acquire their disposition when the
+   batch *completes*, not when it launches — the window in which a
+   crash can strand them.
 
-   All fields are mutable because the records live in a reusable slab
-   (see the hot-path comment below): a launch fills a recycled record
-   instead of allocating one, so a million-request run's event loop
-   allocates inflight state proportional to peak concurrency, not to
-   batch count. Members are request indexes; [if_id] is the launch
-   sequence number, the tie-break among batches due at one instant. *)
+   A replica holds at most one batch: it takes a batch only when it is
+   free, and the launch keeps it busy until the batch completes. So each
+   replica owns one slot, which every launch refills in place. Members
+   are request indexes; [if_id] is the launch sequence number, the
+   tie-break among batches due at one instant. *)
 type inflight = {
   mutable if_id : int;
   mutable if_members : int list;
-  mutable if_rep : Replica.t;
-  mutable if_done : float;
+  mutable if_done : float; (* infinity: the slot is empty *)
   mutable if_path : [ `Compiled | `Fallback ];
-  mutable if_active : bool; (* slot holds a live (launched, unprocessed) batch *)
 }
 
 (* --- hot-path queue structures --------------------------------------------
@@ -484,9 +485,7 @@ type run = {
   mutable queued_total : int;
   mutable peak_queued : int;
   mutable mono : bool; (* virtual time never stepped backwards *)
-  (* inflight slab: slots [0, slab_n) in launch order *)
-  mutable slab : inflight array;
-  mutable slab_n : int;
+  mutable slots : inflight array; (* one per replica, indexed by replica id *)
   mutable next_if_id : int;
   (* batcher accounting *)
   mutable padded_batches : int;
@@ -664,140 +663,24 @@ let finish_due_replicas s time =
     Replica.finish_recover_if_due reps.(i) ~now:time
   done
 
-(* --- inflight slab -----------------------------------------------------------
-   Scale discipline: inflight records are recycled through a growable
-   slab instead of consed onto a list. Slots [0, slab_n) are in launch
-   order; iterating backwards reproduces the old list's newest-first
-   order exactly (crash re-queues are order-sensitive).
-   Allocation happens only when every slot is live: [if_alloc] first
-   compacts retired slots out (keeping the spare records for reuse), and
-   only doubles the array if the slab is genuinely full of in-flight
-   batches. *)
-let new_inflight rep =
-  { if_id = -1; if_members = []; if_rep = rep; if_done = 0.0; if_path = `Compiled;
-    if_active = false }
+(* --- in-flight slots --------------------------------------------------------- *)
 
-let slab_compact s =
-  let k = ref 0 in
-  for j = 0 to s.slab_n - 1 do
-    let fl = s.slab.(j) in
-    if fl.if_active then begin
-      if j <> !k then begin
-        (* swap, not overwrite: the retired record at [k] stays in the
-           slab for reuse *)
-        s.slab.(j) <- s.slab.(!k);
-        s.slab.(!k) <- fl
-      end;
-      incr k
-    end
-  done;
-  s.slab_n <- !k
+let empty_slot () = { if_id = -1; if_members = []; if_done = infinity; if_path = `Compiled }
 
-let if_alloc s =
-  if s.slab_n = Array.length s.slab then begin
-    slab_compact s;
-    if s.slab_n = Array.length s.slab then
-      s.slab <-
-        Array.init
-          (2 * Array.length s.slab)
-          (fun j -> if j < s.slab_n then s.slab.(j) else new_inflight s.pool.pool_replicas.(0))
-  end;
-  let fl = s.slab.(s.slab_n) in
-  s.slab_n <- s.slab_n + 1;
-  fl.if_active <- true;
-  fl
-
-(* Earliest completion among live batches. Inlined so the float it
-   returns is never boxed. *)
+(* Earliest completion among live batches (infinity when none is in
+   flight). Inlined so the float it returns is never boxed. *)
 let[@inline] min_done s =
   let acc = ref infinity in
-  for j = 0 to s.slab_n - 1 do
-    let fl = s.slab.(j) in
-    if fl.if_active && fl.if_done < !acc then acc := fl.if_done
+  for j = 0 to Array.length s.slots - 1 do
+    let d = s.slots.(j).if_done in
+    if d < !acc then acc := d
   done;
   !acc
 
-let rec any_active s j = j < s.slab_n && (s.slab.(j).if_active || any_active s (j + 1))
-let work_left s = s.cursor < Array.length s.arr || s.queued_total > 0 || any_active s 0
+let work_left s = s.cursor < Array.length s.arr || s.queued_total > 0 || min_done s < infinity
 
 let fail_members s members =
   List.iter (fun i -> if s.dispc.(i) = d_pending then s.dispc.(i) <- d_failed) members
-
-(* --- launch --------------------------------------------------------------- *)
-
-let fail_launch s members =
-  fail_members s members;
-  if s.obs then Obs.Metrics.inc ~by:(List.length members) s.c_failed
-
-(* Launch a batch on [rep]; a batch that fails to launch fails its
-   members. Work and replica accounting happen at dispatch; request
-   dispositions are deferred to completion (the batch is in flight
-   until then). *)
-let launch s time ~members ~env ~key ~use_padded ~e_actual rep =
-  let est_bytes = est_env s env in
-  match (s.cfg.hbm_budget, est_bytes) with
-  | Some budget, Some est when est > budget ->
-      (* only reachable memory-blind: the aware gate never hands this
-         function an over-budget env. The batch's working set does not
-         fit the device — it is lost to an OOM, not served. *)
-      rep.Replica.ooms <- rep.Replica.ooms + 1;
-      if est > rep.Replica.mem_peak_bytes then rep.Replica.mem_peak_bytes <- est;
-      fail_launch s members
-  | _ -> (
-      match Session.serve_result rep.Replica.session env with
-      | Error _ -> fail_launch s members
-      | Ok (profile, path) ->
-          let cold = not (Replica.is_warm rep key) in
-          let env_elems = Bucket.elements env in
-          let base_us = Profile.total_us profile in
-          let service_us =
-            (base_us *. rep.Replica.slow_factor)
-            +. (if cold then s.cfg.cold_warmup_us else 0.0)
-          in
-          let done_at = time +. service_us in
-          rep.Replica.free_at <- done_at;
-          if done_at > s.clock.last_done then s.clock.last_done <- done_at;
-          (* the pool's rate model tracks nominal (unslowed) cost — that
-             is what the watchdog compares a straggler's EWMA against *)
-          s.clock.us_per_element <-
-            Replica.ewma_rate s.clock.us_per_element ~service_us:base_us ~elements:env_elems;
-          Replica.note_batch rep ~key ~elements:env_elems ~service_us
-            ~rate_us:(base_us *. rep.Replica.slow_factor)
-            ~requests:(List.length members) ~cold;
-          if use_padded then s.padded_batches <- s.padded_batches + 1
-          else s.exact_batches <- s.exact_batches + 1;
-          s.actual_elems <- s.actual_elems + e_actual;
-          s.padded_elems <- s.padded_elems + env_elems;
-          (match est_bytes with
-          | Some est -> (
-              rep.Replica.mem_last_bytes <- est;
-              if est > rep.Replica.mem_peak_bytes then rep.Replica.mem_peak_bytes <- est;
-              s.win_disp <- s.win_disp + 1;
-              match s.cfg.hbm_budget with
-              | Some b when 20 * est > 17 * b ->
-                  s.win_hi <- s.win_hi + 1 (* est > 85% of budget *)
-              | _ -> ())
-          | None -> ());
-          let fl = if_alloc s in
-          fl.if_id <- s.next_if_id;
-          fl.if_members <- members;
-          fl.if_rep <- rep;
-          fl.if_done <- done_at;
-          fl.if_path <- path;
-          s.next_if_id <- s.next_if_id + 1;
-          if s.obs then begin
-            Obs.Trace.set_track_name Obs.Trace.global (2 + rep.Replica.id)
-              (Printf.sprintf "replica%d" rep.Replica.id);
-            Obs.Scope.span ~track:(2 + rep.Replica.id) ~cat:"batch" ~ts:time ~dur_us:service_us
-              ~args:
-                [
-                  ("env", key);
-                  ("n", string_of_int (List.length members));
-                  ("padded", string_of_bool use_padded);
-                  ("cold", string_of_bool cold);
-                ]
-              (Printf.sprintf "batch@%s" key)
-          end)
 
 (* --- completion ----------------------------------------------------------- *)
 
@@ -863,28 +746,116 @@ let finalize s fl =
   if s.obs && k > 0 then
     Obs.Metrics.inc ~by:k (if code = d_served then s.c_served else s.c_fell_back)
 
-let by_done_then_id a b =
-  match Float.compare a.if_done b.if_done with 0 -> Int.compare a.if_id b.if_id | c -> c
+(* Retire slot [j]: its batch completes, then the watchdog judges its
+   replica. *)
+let complete_slot s j =
+  let fl = s.slots.(j) in
+  finalize s fl;
+  watchdog_check s s.pool.pool_replicas.(j);
+  fl.if_done <- infinity;
+  fl.if_members <- []
 
-(* Finalize every due batch in (done, id) order. The [min_done] guard
-   keeps drained event-loop iterations allocation-free. *)
-let complete_inflights s time =
-  if min_done s <= time then begin
-    let due = ref [] in
-    (* collect oldest-first so the cons-list is newest-first, matching
-       the retired list-partition's order before the sort *)
-    for j = 0 to s.slab_n - 1 do
-      let fl = s.slab.(j) in
-      if fl.if_active && fl.if_done <= time then due := fl :: !due
-    done;
-    List.iter
-      (fun fl ->
-        finalize s fl;
-        watchdog_check s fl.if_rep;
-        (* retired: the slot recycles via [if_alloc]'s compaction *)
-        fl.if_active <- false)
-      (List.sort by_done_then_id !due)
+(* Finalize every due batch in (done, id) order: retire the earliest due
+   slot until none is left, so the walk allocates nothing. *)
+let rec complete_inflights s time =
+  let best = ref (-1) in
+  for j = 0 to Array.length s.slots - 1 do
+    let fl = s.slots.(j) in
+    if
+      fl.if_done <= time
+      && (!best < 0
+         ||
+         let b = s.slots.(!best) in
+         fl.if_done < b.if_done || (fl.if_done = b.if_done && fl.if_id < b.if_id))
+    then best := j
+  done;
+  if !best >= 0 then begin
+    complete_slot s !best;
+    complete_inflights s time
   end
+
+(* --- launch --------------------------------------------------------------- *)
+
+let fail_launch s members =
+  fail_members s members;
+  if s.obs then Obs.Metrics.inc ~by:(List.length members) s.c_failed
+
+(* Launch a batch on [rep]; a batch that fails to launch fails its
+   members. Work and replica accounting happen at dispatch; request
+   dispositions are deferred to completion (the batch is in flight
+   until then). *)
+let launch s time ~members ~env ~key ~use_padded ~e_actual rep =
+  let est_bytes = est_env s env in
+  match (s.cfg.hbm_budget, est_bytes) with
+  | Some budget, Some est when est > budget ->
+      (* only reachable memory-blind: the aware gate never hands this
+         function an over-budget env. The batch's working set does not
+         fit the device — it is lost to an OOM, not served. *)
+      rep.Replica.ooms <- rep.Replica.ooms + 1;
+      if est > rep.Replica.mem_peak_bytes then rep.Replica.mem_peak_bytes <- est;
+      fail_launch s members
+  | _ -> (
+      match Session.serve_result rep.Replica.session env with
+      | Error _ -> fail_launch s members
+      | Ok (profile, path) ->
+          let cold = not (Replica.is_warm rep key) in
+          let env_elems = Bucket.elements env in
+          let base_us = Profile.total_us profile in
+          let service_us =
+            (base_us *. rep.Replica.slow_factor)
+            +. (if cold then s.cfg.cold_warmup_us else 0.0)
+          in
+          let done_at = time +. service_us in
+          rep.Replica.free_at <- done_at;
+          if done_at > s.clock.last_done then s.clock.last_done <- done_at;
+          (* the pool's rate model tracks nominal (unslowed) cost — that
+             is what the watchdog compares a straggler's EWMA against *)
+          s.clock.us_per_element <-
+            Replica.ewma_rate s.clock.us_per_element ~service_us:base_us ~elements:env_elems;
+          Replica.note_batch rep ~key ~elements:env_elems ~service_us
+            ~rate_us:(base_us *. rep.Replica.slow_factor)
+            ~requests:(List.length members) ~cold;
+          if use_padded then s.padded_batches <- s.padded_batches + 1
+          else s.exact_batches <- s.exact_batches + 1;
+          s.actual_elems <- s.actual_elems + e_actual;
+          s.padded_elems <- s.padded_elems + env_elems;
+          (match est_bytes with
+          | Some est -> (
+              rep.Replica.mem_last_bytes <- est;
+              if est > rep.Replica.mem_peak_bytes then rep.Replica.mem_peak_bytes <- est;
+              s.win_disp <- s.win_disp + 1;
+              match s.cfg.hbm_budget with
+              | Some b when 20 * est > 17 * b ->
+                  s.win_hi <- s.win_hi + 1 (* est > 85% of budget *)
+              | _ -> ())
+          | None -> ());
+          let j = rep.Replica.id in
+          (* the router picked a free replica, so its slot is empty —
+             unless its last batch cost 0 µs (a warm kernel-free graph)
+             and is due at this very instant: retire that one first *)
+          if s.slots.(j).if_done <= time then complete_slot s j;
+          let fl = s.slots.(j) in
+          if fl.if_done < infinity then
+            invalid_arg
+              (Printf.sprintf "Pool.run: replica %d launched a batch while one is in flight" j);
+          fl.if_id <- s.next_if_id;
+          fl.if_members <- members;
+          fl.if_done <- done_at;
+          fl.if_path <- path;
+          s.next_if_id <- s.next_if_id + 1;
+          if s.obs then begin
+            Obs.Trace.set_track_name Obs.Trace.global (2 + rep.Replica.id)
+              (Printf.sprintf "replica%d" rep.Replica.id);
+            Obs.Scope.span ~track:(2 + rep.Replica.id) ~cat:"batch" ~ts:time ~dur_us:service_us
+              ~args:
+                [
+                  ("env", key);
+                  ("n", string_of_int (List.length members));
+                  ("padded", string_of_bool use_padded);
+                  ("cold", string_of_bool cold);
+                ]
+              (Printf.sprintf "batch@%s" key)
+          end)
 
 (* --- dispatch ------------------------------------------------------------- *)
 
@@ -1048,13 +1019,12 @@ let fail_everything_left s =
     s.dispc.(s.cursor) <- d_failed;
     s.cursor <- s.cursor + 1
   done;
-  for j = 0 to s.slab_n - 1 do
-    let fl = s.slab.(j) in
-    if fl.if_active then begin
+  Array.iter
+    (fun fl ->
       fail_members s fl.if_members;
-      fl.if_active <- false
-    end
-  done
+      fl.if_done <- infinity;
+      fl.if_members <- [])
+    s.slots
 
 (* --- adaptive control tick ------------------------------------------------ *)
 
@@ -1096,7 +1066,8 @@ let autoscale s asc time ~mem_pressure ~hot_keys =
       (* fleet-warm tuned artifacts: a fresh replica adopts any
          schedule plan already tuned for its device *)
       ignore (Session.adopt_tuned_schedules rep.Replica.session);
-      s.pool.pool_replicas <- Array.append s.pool.pool_replicas [| rep |]
+      s.pool.pool_replicas <- Array.append s.pool.pool_replicas [| rep |];
+      s.slots <- Array.append s.slots [| empty_slot () |]
   | Autoscaler.Scale_down ->
       (* drain the youngest alive replica: warmth seniority stays *)
       let victim = ref None in
@@ -1155,32 +1126,29 @@ let run_ticks s now =
 
 (* --- chaos delivery ------------------------------------------------------- *)
 
-(* Hard crash: the replica dies mid-service. Its in-flight batches are
-   retired, newest first, and each member goes back in its bucket queue
-   (within the per-request retry budget) or fails. Nothing is lost,
-   nothing is served twice. *)
+(* Hard crash: the replica dies mid-service. Its in-flight batch is
+   retired, and each member goes back in its bucket queue (within the
+   per-request retry budget) or fails. Nothing is lost, nothing is
+   served twice. *)
 let crash_replica s time rep =
   if rep.Replica.health <> Replica.Dead then begin
-    for j = s.slab_n - 1 downto 0 do
-      let fl = s.slab.(j) in
-      if fl.if_active && fl.if_rep == rep then begin
-        List.iter
-          (fun i ->
-            if s.dispc.(i) = d_pending then begin
-              let tries = Option.value (Hashtbl.find_opt s.retry i) ~default:0 in
-              if s.resilience.redispatch && tries < redispatch_budget then begin
-                Hashtbl.replace s.retry i (tries + 1);
-                requeue s ~front:false i
-              end
-              else begin
-                s.dispc.(i) <- d_failed;
-                if s.obs then Obs.Metrics.inc s.c_failed
-              end
-            end)
-          fl.if_members;
-        fl.if_active <- false
-      end
-    done;
+    let fl = s.slots.(rep.Replica.id) in
+    List.iter
+      (fun i ->
+        if s.dispc.(i) = d_pending then begin
+          let tries = Option.value (Hashtbl.find_opt s.retry i) ~default:0 in
+          if s.resilience.redispatch && tries < redispatch_budget then begin
+            Hashtbl.replace s.retry i (tries + 1);
+            requeue s ~front:false i
+          end
+          else begin
+            s.dispc.(i) <- d_failed;
+            if s.obs then Obs.Metrics.inc s.c_failed
+          end
+        end)
+      fl.if_members;
+    fl.if_done <- infinity;
+    fl.if_members <- [];
     Replica.crash rep ~now:time
   end
 
@@ -1456,7 +1424,7 @@ let start ?adaptive ?chaos ~resilience t (reqs : request list) =
     bvec = Array.make 8 { bq_key = ""; bq_q = Iq.create (); bq_min_deadline = infinity };
     by_key = Hashtbl.create 16;
     route = Hashtbl.create 64;
-    slab = Array.init 16 (fun _ -> new_inflight t.pool_replicas.(0));
+    slots = Array.init (Array.length t.pool_replicas) (fun _ -> empty_slot ());
     pending_chaos = (match chaos with None -> [] | Some sc -> Chaos.deliveries sc);
     chaos_seed = (match chaos with Some sc -> sc.Chaos.seed | None -> 0);
     spike_requests = (match chaos with Some sc -> Chaos.spike_request_count sc | None -> 0);
@@ -1464,7 +1432,7 @@ let start ?adaptive ?chaos ~resilience t (reqs : request list) =
     base_rates = Hashtbl.create 8;
     mono = true;
     (* every counter starts at 0 *)
-    cursor = 0; bcount = 0; queued_total = 0; peak_queued = 0; slab_n = 0; next_if_id = 0;
+    cursor = 0; bcount = 0; queued_total = 0; peak_queued = 0; next_if_id = 0;
     padded_batches = 0; exact_batches = 0; actual_elems = 0; padded_elems = 0;
     ticks = 0; rebuckets = 0; minted = 0; win_total = 0; win_met = 0;
     mem_capped = 0; mem_forced_exact = 0; mem_rejected = 0; pressure_ticks = 0;

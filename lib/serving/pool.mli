@@ -250,8 +250,8 @@ val create : ?cache:Disc.Compile_cache.t -> config -> (unit -> Models.Common.bui
     [build] is called once: every replica, including those minted by
     scale-up, serves the same build. The pool can be {!run} once;
     create one per run (sharing [cache] keeps the compiles warm).
-    @raise Invalid_argument on an empty device list or a [batch_dim]
-    the model does not declare. *)
+    @raise Invalid_argument on an empty device list, a [max_batch]
+    below 1, or a [batch_dim] the model does not declare. *)
 
 val replicas : t -> Replica.t array
 (** Includes replicas minted by adaptive scale-up. *)

@@ -1,8 +1,8 @@
 (* Online per-dim shape-distribution statistics.
 
-   The paper's symbol table carries distribution constraints — likely
-   values and ranges — as *static* compilation hints. This module
-   measures the distribution at runtime instead: every admitted
+   The symbol table carries one *static* distribution constraint, each
+   dim's declared range. This module measures the distribution at
+   runtime instead: every admitted
    request's dims land in decayed log-linear histograms (the same
    bucket geometry as [Obs.Metrics], so quantile error is bounded by one
    bucket width, i.e. 1/sub_buckets relative), and the accumulated mass

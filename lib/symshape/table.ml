@@ -1,8 +1,8 @@
 (* Global symbolic-dimension table: union-find over symbols with an
-   optional static binding per class, distribution info (range, likely
-   values), and a fact base of product equalities used to reason through
-   reshapes. This is the OCaml rendition of the paper's cross-level
-   symbolic shape representation (§4). *)
+   optional static binding per class, a value range per class, and a
+   fact base of product equalities used to reason through reshapes.
+   This is the OCaml rendition of the paper's cross-level symbolic
+   shape representation (§4). *)
 
 (* How a symbol's value is computed from other dims, when it is not an
    independent input dimension. [Affine] covers conv/pool output extents
@@ -17,7 +17,6 @@ type info = {
   mutable static : int option; (* known value of the class, if any *)
   mutable lb : int; (* lower bound, >= 1 for tensor dims *)
   mutable ub : int option; (* upper bound if known *)
-  mutable likely : int list; (* distribution hint: likely runtime values *)
   mutable deriv : deriv option;
   name : string;
 }
@@ -49,7 +48,7 @@ let ensure_capacity t n =
     let fresh_info i =
       if i < cap then t.syms.(i)
       else
-        { parent = i; static = None; lb = 1; ub = None; likely = []; deriv = None; name = "" }
+        { parent = i; static = None; lb = 1; ub = None; deriv = None; name = "" }
     in
     t.syms <- Array.init ncap fresh_info
   end
@@ -64,9 +63,9 @@ let check_range id (i : info) =
         i.lb ub
   | _ -> ()
 
-let fresh ?(name = "") ?(lb = 1) ?ub ?(likely = []) t =
+let fresh ?(name = "") ?(lb = 1) ?ub t =
   let id = t.count in
-  let i = { parent = id; static = None; lb; ub; likely; deriv = None; name } in
+  let i = { parent = id; static = None; lb; ub; deriv = None; name } in
   check_range id i;
   ensure_capacity t (id + 1);
   t.count <- id + 1;
@@ -120,8 +119,7 @@ let merge_roots t a b =
       (match (ia.ub, ib.ub) with
       | Some x, Some y -> Some (min x y)
       | (Some _ as s), None | None, s -> s);
-    check_range a ia;
-    ia.likely <- List.sort_uniq Stdlib.compare (ia.likely @ ib.likely)
+    check_range a ia
   end
 
 let merge t (a : Sym.dim) (b : Sym.dim) =
@@ -145,9 +143,6 @@ let lower_bound t (d : Sym.dim) =
 
 let upper_bound t (d : Sym.dim) =
   match resolve t d with Sym.Static v -> Some v | Sym.Sym id -> (info t id).ub
-
-let likely_values t (d : Sym.dim) =
-  match resolve t d with Sym.Static v -> [ v ] | Sym.Sym id -> (info t id).likely
 
 (* Display metadata for symbolic expressions (the memory estimator's
    peak polynomials): prefer the class root's name, fall back to the
@@ -174,13 +169,6 @@ let set_range t (d : Sym.dim) ?lb ?ub () =
           i.ub <- (match i.ub with Some u' -> Some (min u u') | None -> Some u)
       | None -> ());
       check_range id i
-
-let add_likely t (d : Sym.dim) vs =
-  match resolve t d with
-  | Sym.Static _ -> ()
-  | Sym.Sym id ->
-      let i = info t id in
-      i.likely <- List.sort_uniq Stdlib.compare (vs @ i.likely)
 
 let shape_upper_bound_numel t (s : Sym.shape) =
   Array.fold_left
@@ -458,14 +446,11 @@ let pp fmt t =
     let root = find t id in
     if root = id then begin
       let i = t.syms.(id) in
-      Format.fprintf fmt "  s%d%s: lb=%d%s%s%s@," id
+      Format.fprintf fmt "  s%d%s: lb=%d%s%s@," id
         (if i.name = "" then "" else "(" ^ i.name ^ ")")
         i.lb
         (match i.ub with Some u -> Printf.sprintf " ub=%d" u | None -> "")
         (match i.static with Some v -> Printf.sprintf " =%d" v | None -> "")
-        (match i.likely with
-        | [] -> ""
-        | vs -> " likely=" ^ String.concat "," (List.map string_of_int vs))
     end
   done;
   Format.fprintf fmt "@]"

@@ -4,11 +4,9 @@
     - {b structural constraints}: dimension-equality classes (union-find,
       possibly resolved to a static value) and product-of-dimensions
       equality facts (recorded by reshape-like ops, queried by fusion);
-    - {b distribution constraints}: value range [[lb, ub]] — declared,
+    - {b distribution constraint}: the value range [[lb, ub]] — declared,
       or derived from a product fact ({!record_product_equal}) — which
-      proves shared-memory feasibility for kStitch; and likely runtime
-      values, display and fingerprint metadata that no compile decision
-      reads.
+      proves shared-memory feasibility for kStitch.
 
     All queries are conservative: [true] means {e provably} equal. *)
 
@@ -24,7 +22,7 @@ val copy : t -> t
     ranges and facts: constraints recorded in one never reach the
     other. *)
 
-val fresh : ?name:string -> ?lb:int -> ?ub:int -> ?likely:int list -> t -> Sym.dim
+val fresh : ?name:string -> ?lb:int -> ?ub:int -> t -> Sym.dim
 (** New symbol; [lb] defaults to 1 (tensor dims are non-empty unless
     stated otherwise).
     @raise Inconsistent if [lb > ub]. *)
@@ -44,7 +42,6 @@ val equal_shapes : t -> Sym.shape -> Sym.shape -> bool
 
 val lower_bound : t -> Sym.dim -> int
 val upper_bound : t -> Sym.dim -> int option
-val likely_values : t -> Sym.dim -> int list
 
 val dim_name : t -> Sym.dim -> string option
 (** The user-facing name the symbol (or its equality-class root) was
@@ -57,8 +54,6 @@ val set_range : t -> Sym.dim -> ?lb:int -> ?ub:int -> unit -> unit
     the same way.
     @raise Inconsistent if the range becomes empty, or excludes the
     dim's static value. *)
-
-val add_likely : t -> Sym.dim -> int list -> unit
 
 val shape_upper_bound_numel : t -> Sym.shape -> int option
 (** Upper bound on element count, if every dim has one (kStitch

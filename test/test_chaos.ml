@@ -44,12 +44,17 @@ let kitchen_sink =
 (* --- JSON surface ---------------------------------------------------------- *)
 
 let test_json_round_trip () =
-  match Chaos.of_json (Chaos.to_json kitchen_sink) with
-  | Ok s -> check_bool "scenario survives to_json/of_json" true (s = kitchen_sink)
+  match Chaos.of_string (Obs.Json.to_string (Chaos.to_json kitchen_sink)) with
+  | Ok s -> check_bool "scenario survives to_json/of_string" true (s = kitchen_sink)
   | Error m -> Alcotest.failf "round-trip failed: %s" m
 
+(* the indented text a scenario file holds *)
 let test_text_round_trip () =
-  let text = Obs.Json.to_string ~pretty:true (Chaos.to_json kitchen_sink) in
+  let path = Filename.temp_file "chaos" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Obs.Json.write_file path (Chaos.to_json kitchen_sink);
+  let text = In_channel.with_open_text path In_channel.input_all in
+  check_bool "indented" true (contains text "\n  ");
   match Chaos.of_string text with
   | Ok s -> check_bool "scenario survives serialization to text" true (s = kitchen_sink)
   | Error m -> Alcotest.failf "text round-trip failed: %s" m
@@ -57,7 +62,7 @@ let test_text_round_trip () =
 let test_file_round_trip () =
   let path = Filename.temp_file "chaos" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Chaos.save_file path kitchen_sink;
+  Obs.Json.write_file path (Chaos.to_json kitchen_sink);
   match Chaos.load_file path with
   | Ok s -> check_bool "scenario survives save/load" true (s = kitchen_sink)
   | Error m -> Alcotest.failf "file round-trip failed: %s" m
@@ -90,6 +95,47 @@ let test_validate_reports_every_problem () =
         (List.exists (fun e -> contains e "event 0:") es
         && List.exists (fun e -> contains e "event 1:") es
         && List.exists (fun e -> contains e "event 2:") es)
+
+(* Every float field must be finite: an infinite time never fires, and a
+   NaN passes every [<] and [>] range check. The error names the field
+   and the event's index (the bad event is the second one). *)
+let rejects_non_finite field event_of () =
+  let fine =
+    { Chaos.at_us = 0.0; event = Chaos.Straggle { replica = 0; factor = 2.0; duration_us = 1.0 } }
+  in
+  List.iter
+    (fun v ->
+      match Chaos.validate { Chaos.seed = 1; events = [ fine; event_of v ] } with
+      | Ok () -> Alcotest.failf "%s = %g validated" field v
+      | Error es ->
+          check_bool
+            (Printf.sprintf "%s = %g rejected at event 1" field v)
+            true
+            (List.exists
+               (fun e -> contains e "event 1:" && contains e field && contains e "finite")
+               es))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let crash ?(recover_after_us = Some 1.0) ?(spinup_us = 0.0) at_us =
+  { Chaos.at_us; event = Chaos.Crash { replica = 0; recover_after_us; spinup_us } }
+
+let straggle ?(factor = 2.0) ?(duration_us = 1.0) () =
+  { Chaos.at_us = 0.0; event = Chaos.Straggle { replica = 0; factor; duration_us } }
+
+let flaky ?(kernel_fault_rate = 0.5) ?(oom_rate = 0.5) () =
+  { Chaos.at_us = 0.0;
+    event = Chaos.Flaky { replica = 0; kernel_fault_rate; oom_rate; duration_us = 1.0 } }
+
+let non_finite_cases =
+  [
+    ("at_us", fun v -> crash v);
+    ("spinup_us", fun v -> crash ~spinup_us:v 0.0);
+    ("recover_after_us", fun v -> crash ~recover_after_us:(Some v) 0.0);
+    ("duration_us", fun v -> straggle ~duration_us:v ());
+    ("factor", fun v -> straggle ~factor:v ());
+    ("kernel_fault_rate", fun v -> flaky ~kernel_fault_rate:v ());
+    ("oom_rate", fun v -> flaky ~oom_rate:v ());
+  ]
 
 let test_parse_errors () =
   (match Chaos.of_string "not json at all" with
@@ -400,7 +446,11 @@ let () =
           Alcotest.test_case "validation reports everything" `Quick
             test_validate_reports_every_problem;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
-        ] );
+        ]
+        @ List.map
+            (fun (field, event_of) ->
+              Alcotest.test_case ("non-finite " ^ field) `Quick (rejects_non_finite field event_of))
+            non_finite_cases );
       ( "delivery",
         [
           Alcotest.test_case "expansion" `Quick test_deliveries_expansion;

@@ -72,15 +72,14 @@ let test_clone_rejects_wrong_static_binding () =
 let test_clone_metadata_copied () =
   let g = Graph.create () in
   let tab = Graph.symtab g in
-  let s = Table.fresh ~lb:2 ~ub:99 ~likely:[ 10 ] tab in
+  let s = Table.fresh ~lb:2 ~ub:99 tab in
   let x = B.param g ~name:"x" [| s |] Dtype.F32 in
   Graph.set_outputs g [ B.exp g x ];
   let g2 = Ir.Clone.clone g in
   let d2 = (Graph.inst g2 0).Graph.shape.(0) in
   let tab2 = Graph.symtab g2 in
   check_int "lb" 2 (Table.lower_bound tab2 d2);
-  Alcotest.(check (option int)) "ub" (Some 99) (Table.upper_bound tab2 d2);
-  Alcotest.(check (list int)) "likely" [ 10 ] (Table.likely_values tab2 d2)
+  Alcotest.(check (option int)) "ub" (Some 99) (Table.upper_bound tab2 d2)
 
 (* --- static clone vs generic artifact ----------------------------------------- *)
 

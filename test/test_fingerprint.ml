@@ -24,17 +24,13 @@ module Common = Models.Common
 
 (* Small random graph over [b, s] symbols: enough op/shape variety to
    exercise every section of the canonical form (elementwise chains,
-   reductions, reshape product facts, constants, ranges, likely values). *)
+   reductions, reshape product facts, constants, ranges). *)
 let random_graph (st : Random.State.t) : Graph.t * (string * Sym.dim) list =
   let h = 4 * (1 + Random.State.int st 3) in
   let g = Graph.create () in
   let tab = Graph.symtab g in
   let b = Table.fresh ~name:"b" ~lb:1 ~ub:(16 + Random.State.int st 48) tab in
-  let s =
-    Table.fresh ~name:"s" ~lb:1 ~ub:64
-      ~likely:(if Random.State.bool st then [ 8; 16 ] else [])
-      tab
-  in
+  let s = Table.fresh ~name:"s" ~lb:1 ~ub:64 tab in
   let x = B.param g ~name:"x" [| b; s; Sym.Static h |] Dtype.F32 in
   let f_shape = [| b; s; Sym.Static h |] in
   let pool = ref [ x ] in
@@ -155,7 +151,7 @@ let prop_mutation_changes_hash =
       else QCheck.assume_fail ())
 
 (* Shape-constraint mutations: the graph's instructions are untouched —
-   only the symbol table's distribution/structural facts move. *)
+   only the symbol table's ranges and equality classes move. *)
 let prop_constraint_changes_hash =
   QCheck.Test.make ~name:"shape-constraint mutation changes the hash" ~count:50
     QCheck.(pair (int_bound 1_000_000) (int_range 0 2))
@@ -166,7 +162,7 @@ let prop_constraint_changes_hash =
       let b = List.assoc "b" dims and s = List.assoc "s" dims in
       (match kind with
       | 0 -> Table.set_range tab b ~ub:7 () (* ranges only tighten; 7 < every generated ub *)
-      | 1 -> Table.add_likely tab s [ 73 ]
+      | 1 -> Table.set_range tab s ~lb:2 () (* every generated lb is 1 *)
       | _ -> Table.merge tab b s (* collapse two equality classes into one *));
       not (String.equal before (Fp.fingerprint g)))
 

@@ -14,7 +14,7 @@ let check_string = Alcotest.(check string)
 let scaled_exp_graph () =
   let g = Graph.create () in
   let tab = Graph.symtab g in
-  let s = Table.fresh ~lb:1 ~ub:128 ~likely:[ 16 ] tab in
+  let s = Table.fresh ~lb:1 ~ub:128 tab in
   let x = B.param g ~name:"x" [| s; Sym.Static 4 |] Dtype.F32 in
   let y = B.exp g (B.mulf g x 2.0) in
   Graph.set_outputs g [ y ];
@@ -24,7 +24,7 @@ let test_printer_golden () =
   let g, _ = scaled_exp_graph () in
   check_string "printed program"
     "graph {\n\
-    \  sym s0 lb=1 ub=128 likely=16\n\
+    \  sym s0 lb=1 ub=128\n\
     \  %0 : f32[s0x4] = parameter(0, \"x\")()\n\
     \  %1 : f32[] = constant(f32[]{2})()\n\
     \  %2 : f32[s0x4] = mul(%0, %1)\n\
@@ -297,16 +297,16 @@ let test_mem_gate_golden () =
    and paste the table below. *)
 let pinned_fingerprints =
   [
-    ("bert", "3c97396cc6b4027ed2dceb1cc9699611");
-    ("gpt2", "2c902eabae696664fe80966c43a05283");
-    ("gpt2-decode", "d12a1be6573a844dcda1f061e65e5f7e");
-    ("seq2seq", "3da6971b3153156719f484bd435687dd");
-    ("t5", "3493c6723cc310befc0860fff61de119");
-    ("crnn", "1ae88223a32328bd03cdcb1e90902ac3");
-    ("fastspeech", "50658d2d53e8fe959ec8e4c7edcf40c8");
-    ("asr", "fce4877b4dba7ede889cf54b88991d11");
-    ("vit", "cc12fc158842977dba567ef3d51b4629");
-    ("dien", "f41b7444936c3f49093f194e38c8332e");
+    ("bert", "4cb6d498117bbddd70a84406b36c81bd");
+    ("gpt2", "421fc12fa37c50013f2a479c7b406f30");
+    ("gpt2-decode", "dbc4772d6f62ada65cf30b1941a3790e");
+    ("seq2seq", "f1f824a3c8f9d3b0c9efa43b894871db");
+    ("t5", "85230d0c539ad898cf55b968b24267a0");
+    ("crnn", "fae7a4ff829df1124530b65f3370628a");
+    ("fastspeech", "68cd22cde1bbb13cf594d05e06ab034e");
+    ("asr", "d9537fed2d97abb69153d417955175e7");
+    ("vit", "114a838f5924efd7db77a0555ac65d35");
+    ("dien", "5bb830535e5f893c3db31a98d5d2bd6f");
   ]
 
 let test_fingerprint_golden () =
@@ -332,31 +332,31 @@ let md5 s = Digest.to_hex (Digest.string s)
 
 let pinned_paper_canonical =
   [
-    ("bert", "a9108acd7827210b6ab1f4e14b16fff4");
-    ("gpt2", "0d4822c261449c1daab03044c239b19e");
-    ("gpt2-decode", "e217c171d2c0f110264bf83bd015f463");
-    ("seq2seq", "1a231ff0122e614d4b720415f1d1a23c");
-    ("t5", "b96cb70aead2e2202a293c01fc8713a4");
-    ("crnn", "7536769493d316b20869cb51cdd2c1c2");
-    ("fastspeech", "c1360de724c1f71a440a8a4a66dfc01a");
-    ("asr", "f15e88f67bd1f96058c9f4073f479cff");
-    ("vit", "f3fae05e4c17ec5fe3a252af0b629fe7");
-    ("dien", "ed9ac7aad4a7ad5c8f37323718e35ef9");
+    ("bert", "e6a34896f935e3d7f236370ec037d4a4");
+    ("gpt2", "6ee8c7e027a7a08e7ad6ad06777b6c6e");
+    ("gpt2-decode", "183c72605e508304df542d7d163b6365");
+    ("seq2seq", "b71e6aef5bbc47249e24d6f378e99677");
+    ("t5", "b05866c2b35d03508c51998ac2db7ecd");
+    ("crnn", "dd96a99c1955b85eb34912cd0262e144");
+    ("fastspeech", "6aa098be12e4df6fe46736f888f015ad");
+    ("asr", "b5a156d9581995bcd7a2f5cb10c38def");
+    ("vit", "9a4c5c67563243a700a7761ea90e16d6");
+    ("dien", "04c9ae27e50abb3a7c9f2cccfd432e0f");
   ]
 
 (* (model, paper digest, tiny digest) *)
 let pinned_post_pass =
   [
-    ("bert", "e5badfdbccf578617f962e7e4f8f3b7e", "ab57af096224bd23a45120127313cda8");
-    ("gpt2", "d2966f54f11802e3b87baabef5eced83", "e20e727a413f80d089ee0c3e61722cb3");
-    ("gpt2-decode", "1911c72e2c2601c8dfcc421bfe5c7def", "79d1d896c153434ab4488c1c7961b984");
-    ("seq2seq", "c987f5c44426f55f0df2b12251e0bff3", "7f5771004e528600c983c05eb167d094");
-    ("t5", "0797ad71fd52a9a38f2b2177ea0d2406", "be93ae0fba248f6796a2673933201226");
-    ("crnn", "6fffb1b90171bb10c66f48e63a3352e4", "80990cf8500cf527df174224ab0b3537");
-    ("fastspeech", "da18bfedcff6f57f0a3d947b83ef2895", "ada5204373438c8b8d8df6aa77096f2a");
-    ("asr", "0a5c789063d9c9d7c7d4ae111bbc8f99", "b89cb3278f992f09e1dbbe610ae8bf33");
-    ("vit", "bf791aa7b4c3db86fae566318852e092", "48240775949ccfe73da268c7c53ec211");
-    ("dien", "027a72d1cf9caae95b45438834f85f28", "4e56d5e55e45143ecfac6dfe786a89bb");
+    ("bert", "23656b5d8c64f55365306211c7fea0a8", "d5e962a7faf2607777f1139627e840a7");
+    ("gpt2", "7113cebc5200a1c6110e93038d507ba6", "5ff1ffcc2e63b533f9a3f7d79f70fc3c");
+    ("gpt2-decode", "dd7be1786151321947f40b862ffe2cc9", "a3beafe6764ee606a2611510d43da921");
+    ("seq2seq", "334c35494023a411c6f6eb656dfda7ad", "83572c1eb3badadcbfa67007f776639c");
+    ("t5", "8adf517a6fb7b357b289b6acc8adac19", "27b85fe8ed3f74811724eb22fb036e8f");
+    ("crnn", "da8eba0af769934289f750fc7ad3fc17", "180e196e616aa44d15e7ec1e350dde33");
+    ("fastspeech", "22293cdb39869e902fc447b954145e91", "f6632e32d5b420d72528d3273f68ec1d");
+    ("asr", "a3df925094accfda6c302943467cae61", "c5686edbaada3f5145e21d7b2b3f4430");
+    ("vit", "9786bfd21db5bb5562453ad92353ea27", "cea4f54c24b4c3defcdca47cbfa43c1a");
+    ("dien", "8d586ad5d25eb4df5dfa0fbcbcbd2187", "5542f4b375644e0accc044228e43fc9f");
   ]
 
 let test_canonical_and_passes_golden () =

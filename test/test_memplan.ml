@@ -107,9 +107,9 @@ let test_zero_sized_dim () =
   check_int "empty arena" 0 p.Memplan.arena_bytes;
   check_int "naive also empty" 0 p.Memplan.naive_bytes;
   List.iter (fun a -> check_int "zero-size assignment" 0 a.Memplan.size) p.Memplan.assignments;
-  (match Memplan.plan_result exe (bind g [ (s, 0) ]) with
-  | Ok p2 -> check_bool "plan_result agrees" true (Memplan.validate p2)
-  | Error e -> Alcotest.failf "plan_result failed: %s" (Runtime.Error.to_string e))
+  match Executable.simulate_result exe (bind g [ (s, 0) ]) with
+  | Ok prof -> check_int "no live bytes at size zero" 0 prof.Runtime.Profile.peak_bytes
+  | Error e -> Alcotest.failf "zero-size run failed: %s" (Runtime.Error.to_string e)
 
 let test_single_op_graph () =
   let g = Graph.create () in
@@ -117,21 +117,23 @@ let test_single_op_graph () =
   let s = Table.fresh tab in
   let x = B.param g ~name:"x" [| s |] Dtype.F32 in
   Graph.set_outputs g [ B.tanh g x ];
-  let exe, p = plan_for g [ (s, 17) ] in
+  let _, p = plan_for g [ (s, 17) ] in
   check_bool "valid" true (Memplan.validate p);
   check_int "one buffer" 1 (List.length p.Memplan.assignments);
   check_bool "nothing to reuse: arena = naive" true
-    (p.Memplan.arena_bytes = p.Memplan.naive_bytes);
-  (match Memplan.plan_result exe (bind g [ (s, 17) ]) with
-  | Ok p2 -> check_int "plan_result matches plan" p.Memplan.arena_bytes p2.Memplan.arena_bytes
-  | Error e -> Alcotest.failf "plan_result failed: %s" (Runtime.Error.to_string e))
+    (p.Memplan.arena_bytes = p.Memplan.naive_bytes)
 
 let test_unbound_dim_is_structured () =
   let g, _s = chain_graph 2 in
   let plan = Planner.plan ~config:Planner.no_fusion_config g in
   let exe = Executable.compile g plan in
-  match Memplan.plan_result exe (bind g []) with
-  | Ok _ -> Alcotest.fail "unbound dim should not plan"
+  check_bool "unbound dim does not plan" true
+    (try
+       ignore (Memplan.plan exe (bind g []));
+       false
+     with Table.Inconsistent _ -> true);
+  match Executable.simulate_result exe (bind g []) with
+  | Ok _ -> Alcotest.fail "unbound dim should not run"
   | Error (Runtime.Error.Unbound_dim _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Runtime.Error.to_string e)
 

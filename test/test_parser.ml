@@ -18,7 +18,7 @@ let run_both g1 g2 inputs =
 let test_hand_written () =
   let src =
     {|graph {
-        sym s0 lb=1 ub=512 likely=64
+        sym s0 lb=1 ub=512
         %0 : f32[s0x8] = parameter(0, "x")()
         %1 : f32[] = constant(f32[]{2})()
         %2 : f32[s0x8] = mul(%0, %1)
@@ -44,7 +44,7 @@ let test_hand_written () =
 let test_symbol_constraints_recovered () =
   let src =
     {|graph {
-        sym s0 lb=2 ub=128 likely=16,32
+        sym s0 lb=2 ub=128
         %0 : f32[s0] = parameter(0, "x")()
         %1 : f32[s0] = tanh(%0)
         return %1
@@ -54,8 +54,7 @@ let test_symbol_constraints_recovered () =
   let tab = Graph.symtab g in
   let d = (Graph.inst g 0).Graph.shape.(0) in
   check_int "lb" 2 (Table.lower_bound tab d);
-  Alcotest.(check (option int)) "ub" (Some 128) (Table.upper_bound tab d);
-  Alcotest.(check (list int)) "likely" [ 16; 32 ] (Table.likely_values tab d)
+  Alcotest.(check (option int)) "ub" (Some 128) (Table.upper_bound tab d)
 
 let test_shared_symbols_unify () =
   (* two parameters declared with the same textual symbol share one
@@ -99,6 +98,21 @@ let test_empty_range_rejected () =
                %0 : f32[s1] = parameter(0, "x")()
                return %0
              }|}))
+
+(* a symbol header carries a range only: the retired likely-values token
+   is a parse error, not a silently dropped hint *)
+let test_likely_header_rejected () =
+  check_bool "likely= is a parse error" true
+    (try
+       ignore
+         (Ir.Parser.parse
+            {|graph {
+                sym s0 lb=1 ub=64 likely=8
+                %0 : f32[s0] = parameter(0, "x")()
+                return %0
+              }|});
+       false
+     with Ir.Parser.Parse_error _ -> true)
 
 (* round-trip: build programmatically, print with symbols, parse, compare *)
 let roundtrip_graph build inputs =
@@ -243,6 +257,7 @@ let () =
           Alcotest.test_case "shared symbols" `Quick test_shared_symbols_unify;
           Alcotest.test_case "errors" `Quick test_errors;
           Alcotest.test_case "empty range" `Quick test_empty_range_rejected;
+          Alcotest.test_case "likely header" `Quick test_likely_header_rejected;
         ] );
       ( "round trips",
         [

@@ -306,6 +306,29 @@ let prop_compile_leaves_input_unchanged =
       && lookup () = Disc.Compile_cache.Miss
       && lookup () = Disc.Compile_cache.Hit)
 
+(* Compile records nothing in the symbol table: the compiled graph's
+   table holds exactly the input's symbols, equality classes, ranges
+   and product facts. A merge that only a product fact justified would
+   let the no-products planner fuse across a reshape. *)
+let table_facts tab =
+  ( List.init (Table.num_symbols tab) (fun id ->
+        let d = Sym.Sym id in
+        (Table.resolve tab d, Table.lower_bound tab d, Table.upper_bound tab d)),
+    Table.product_facts tab )
+
+let prop_compile_records_no_constraint =
+  QCheck.Test.make ~name:"structured graphs: compile adds no symbol, merge or product fact"
+    ~count:30 ~long_factor:40
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, long) ->
+      let g, _ = build_program (program_of_seed ~long seed) in
+      let input = table_facts (Graph.symtab g) in
+      List.for_all
+        (fun (_, planner) ->
+          let c = Disc.Compiler.compile ~options:{ Disc.Compiler.default_options with planner } g in
+          table_facts (Graph.symtab c.Disc.Compiler.exe.Runtime.Executable.g) = input)
+        pipeline_variants)
+
 let prop_fusion_never_increases_traffic =
   QCheck.Test.make ~name:"structured graphs: fusion never increases traffic or launches"
     ~count:40
@@ -536,7 +559,7 @@ let test_pass_digest () =
         pass_digest_bindings)
     pass_digest_programs;
   Alcotest.(check string) "passes, canonical forms and reducer decisions"
-    "7877cafc8c2a4cf8600cc919816cf71c"
+    "3474b79eb97877c71866d9ca3a6c8437"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* --- kernel facts against a shape oracle ------------------------------------
@@ -747,6 +770,7 @@ let () =
             prop_all_pipelines_match_interp;
             prop_plan_invariants;
             prop_compile_leaves_input_unchanged;
+            prop_compile_records_no_constraint;
             prop_passes_match_reference;
             prop_fusion_never_increases_traffic;
             prop_roundtrip_structured;

@@ -95,14 +95,12 @@ let test_memplan_oom_error () =
   let bnd = Compiler.binding_of_dims c.Compiler.exe.Runtime.Executable.g
       (dims_of built [ ("batch", 2); ("hist", 5) ]) in
   let faults = Fault.make (Fault.create ~oom_rate:1.0 ()) in
-  (match Runtime.Memplan.plan_result ~faults c.Compiler.exe bnd with
+  (match Runtime.Executable.simulate_result ~faults c.Compiler.exe bnd with
   | Error (Error.Oom { capacity_bytes; _ }) -> check_bool "capacity reported" true (capacity_bytes > 0)
   | Ok _ -> Alcotest.fail "expected OOM"
   | Error e -> Alcotest.fail ("unexpected error: " ^ Error.to_string e));
-  (* without injection the same plan succeeds *)
-  match Runtime.Memplan.plan_result c.Compiler.exe bnd with
-  | Ok p -> check_bool "plan valid" true (Runtime.Memplan.validate p)
-  | Error e -> Alcotest.fail ("clean plan failed: " ^ Error.to_string e)
+  (* without injection the same binding plans cleanly *)
+  check_bool "plan valid" true (Runtime.Memplan.validate (Runtime.Memplan.plan c.Compiler.exe bnd))
 
 let test_despeculate_pins_generic () =
   let built, c = compile_dien_tiny () in

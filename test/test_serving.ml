@@ -459,6 +459,42 @@ let test_infinite_arrival_refused () =
     | _ -> false
     | exception Invalid_argument m -> contains m "chaos spike request")
 
+(* A batch of no one is launchable forever, so dispatch would spin:
+   [max_batch < 1] is refused when the pool is created. *)
+let test_max_batch_below_one_refused () =
+  List.iter
+    (fun max_batch ->
+      match Pool.create { (base_config ()) with Pool.max_batch } tiny_dien with
+      | _ -> Alcotest.failf "max_batch %d accepted" max_batch
+      | exception Invalid_argument m -> check_bool "names max_batch" true (contains m "max_batch"))
+    [ 0; -1 ]
+
+(* A graph with no kernel costs 0 µs warm, so its batch completes at its
+   launch instant and leaves the replica free with the batch still in
+   its slot. Four such batches launch at one instant on one replica:
+   each launch must retire the batch before it, and every request is
+   served at its arrival. *)
+let kernel_free () =
+  let module C = Models.Common in
+  let ctx = C.new_ctx () in
+  let batch = C.fresh_dim ~name:"batch" ~lb:1 ~ub:64 ctx in
+  let hist = C.fresh_dim ~name:"hist" ~lb:1 ~ub:100 ctx in
+  let x = C.param ctx ~name:"x" [| batch; hist |] Tensor.Dtype.F32 (C.Normal 1.0) in
+  C.finish ctx ~name:"identity" ~dims:[ ("batch", batch); ("hist", hist) ] ~outputs:[ x ]
+
+let test_kernel_free_batches_share_an_instant () =
+  (* 8 requests warm the signature at 0; 32 more arrive at 10 ms *)
+  let reqs = List.init 40 (fun i -> req (if i < 8 then 0.0 else 10_000.0) 20) in
+  let run () = Pool.run (Pool.create (base_config ~devices:[ Device.a10 ] ()) kernel_free) reqs in
+  let r = run () in
+  check_int "every request served" 40 r.Pool.served;
+  check_int "five batches" 5 r.Pool.batches;
+  check_int "one cold dispatch" 1 r.Pool.cold_dispatches;
+  check_bool "the burst is served at its arrival" true
+    (Array.for_all (fun l -> l = 0.0) (Array.sub r.Pool.latencies_us 8 32));
+  check_string "audit" "audit: ok" (Serving.Audit.to_string (Serving.Audit.check r));
+  check_string "bit-reproducible" (Pool.report_to_string r) (Pool.report_to_string (run ()))
+
 (* --- pool: bucket formation and padding accounting ------------------------- *)
 
 let test_bucketed_batching_and_padding () =
@@ -911,6 +947,9 @@ let () =
           Alcotest.test_case "runs once" `Quick test_pool_runs_once;
           Alcotest.test_case "nan arrival refused" `Quick test_nan_arrival_refused;
           Alcotest.test_case "infinite arrival refused" `Quick test_infinite_arrival_refused;
+          Alcotest.test_case "max_batch below 1 refused" `Quick test_max_batch_below_one_refused;
+          Alcotest.test_case "kernel-free batches share an instant" `Quick
+            test_kernel_free_batches_share_an_instant;
           Alcotest.test_case "bucketed batching" `Quick test_bucketed_batching_and_padding;
           Alcotest.test_case "pad waste cap" `Quick test_pad_waste_cap_forces_exact;
           Alcotest.test_case "distinct buckets" `Quick test_distinct_buckets_do_not_mix;

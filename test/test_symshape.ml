@@ -1,5 +1,5 @@
 (* Tests for the symbolic shape representation: union-find merges,
-   ranges (declared and derived from product facts), likely values,
+   ranges (declared and derived from product facts),
    product-equality reasoning, derived dims and runtime bindings. *)
 
 module Sym = Symshape.Sym
@@ -56,12 +56,6 @@ let test_range_merge_tightens () =
   Table.merge t a b;
   check_int "merged lb is max" 5 (Table.lower_bound t a);
   Alcotest.(check (option int)) "merged ub is min" (Some 50) (Table.upper_bound t a)
-
-let test_likely () =
-  let t = Table.create () in
-  let a = Table.fresh ~likely:[ 64 ] t in
-  Table.add_likely t a [ 128; 64 ];
-  Alcotest.(check (list int)) "sorted unique" [ 64; 128 ] (Table.likely_values t a)
 
 let test_binding_out_of_range_rejected () =
   let t = Table.create () in
@@ -392,7 +386,6 @@ let () =
           Alcotest.test_case "value through class" `Quick test_merge_propagates_value_through_class;
           Alcotest.test_case "ranges" `Quick test_ranges;
           Alcotest.test_case "range merge tightens" `Quick test_range_merge_tightens;
-          Alcotest.test_case "likely values" `Quick test_likely;
           Alcotest.test_case "range rejects binding" `Quick test_binding_out_of_range_rejected;
           Alcotest.test_case "empty range rejected" `Quick test_empty_range_rejected;
         ] );
