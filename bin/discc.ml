@@ -14,7 +14,12 @@
    compile/run/exec additionally take --trace FILE.json (Chrome
    trace_event export of compile phases / kernel launches, loadable in
    chrome://tracing or Perfetto) and --metrics (print the metrics
-   registry after the command). *)
+   registry after the command).
+
+   The subcommands are the rows of the table at the end of this file.
+   Every flag value parses through a typed converter, so a bad value is
+   refused before any subcommand body runs; a body checks only the
+   rules that involve several flags. *)
 
 open Cmdliner
 
@@ -27,60 +32,96 @@ module Compiler = Disc.Compiler
    exit 2. Both print one line to stderr — no backtraces at users. *)
 exception Usage of string
 
-let planner_of_string = function
-  | "default" -> Ok Planner.default_config
-  | "no-fusion" -> Ok Planner.no_fusion_config
-  | "static-only" -> Ok Planner.static_only_config
-  | "no-products" -> Ok Planner.no_product_config
-  | "no-stitch" -> Ok Planner.no_stitch_config
-  | other -> Error (Printf.sprintf "unknown planner %S" other)
+(* --- typed values ------------------------------------------------------------ *)
 
-let parse_dims s =
-  String.split_on_char ',' s
-  |> List.map (fun kv ->
-         match String.split_on_char '=' kv with
-         | [ k; v ] -> (
-             let k = String.trim k in
-             match int_of_string_opt (String.trim v) with
-             | Some n when n < 1 ->
-                 raise (Usage (Printf.sprintf "bad dim %s=%d (must be >= 1)" k n))
-             | Some n -> (k, n)
-             | None ->
-                 raise (Usage (Printf.sprintf "bad --dims value %S (want an integer)" v)))
-         | _ -> raise (Usage (Printf.sprintf "bad --dims entry %S (want name=value)" kv)))
+(* [conv] restricted to the values [ok] accepts. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
 
-(* A request env must bind every model dim exactly once: checked before
-   any output, with the same checks a serving session makes. *)
-let check_dims built env =
-  match Disc.Session.check_env built env with
-  | Ok () -> ()
-  | Error e -> raise (Usage (Runtime.Error.to_string e))
+let count = checked Arg.int ~expected:"an integer >= 1" (fun n -> n >= 1)
+let rate = checked Arg.float ~expected:"a finite number > 0" (fun x -> Float.is_finite x && x > 0.0)
 
-let device_of_string s =
-  match Gpusim.Device.by_name s with
-  | Some d -> d
-  | None -> raise (Usage (Printf.sprintf "unknown device %S (A10 or T4)" s))
+(* A converter from a name lookup; [names] lists the accepted names. *)
+let named of_string to_string ~names =
+  let parse s =
+    match of_string s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "unknown value '%s', expected %s" s names))
+  in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (to_string v))
+
+let device = named Gpusim.Device.by_name (fun d -> d.Gpusim.Device.name) ~names:"A10 or T4"
+
+(* Suite names map to names: an entry holds closures, which the help
+   printer cannot compare. *)
+let model = Arg.enum (List.map (fun e -> (e.Suite.name, e.Suite.name)) Suite.all)
+
+(* name=value,...; each value an integer >= 1, blanks ignored *)
+let env =
+  let pairs = Arg.(list (pair ~sep:'=' string count)) in
+  let parse s = Arg.conv_parser pairs (String.concat "" (String.split_on_char ' ' s)) in
+  Arg.conv (parse, Arg.conv_printer pairs)
+
+let env_to_string env = String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) env)
 
 (* common options *)
 let model_arg =
   let doc = "Model from the suite (see `discc list`)." in
-  Arg.(required & opt (some string) None & info [ "model"; "m" ] ~docv:"NAME" ~doc)
+  Arg.(required & opt (some model) None & info [ "model"; "m" ] ~docv:"NAME" ~doc)
 
 let tiny_arg =
   let doc = "Use the structurally-identical test-scale configuration." in
   Arg.(value & flag & info [ "tiny" ] ~doc)
 
-let planner_arg =
+let options_arg =
   let doc = "Fusion planner variant: default, no-fusion, static-only, no-products, no-stitch." in
-  Arg.(value & opt string "default" & info [ "planner" ] ~docv:"VARIANT" ~doc)
+  let planner =
+    Arg.enum
+      [
+        ("default", Planner.default_config);
+        ("no-fusion", Planner.no_fusion_config);
+        ("static-only", Planner.static_only_config);
+        ("no-products", Planner.no_product_config);
+        ("no-stitch", Planner.no_stitch_config);
+      ]
+  in
+  let planner_arg =
+    Arg.(value & opt planner Planner.default_config & info [ "planner" ] ~docv:"VARIANT" ~doc)
+  in
+  Term.(const (fun planner -> { Compiler.default_options with planner }) $ planner_arg)
 
 let device_arg =
   let doc = "Simulated device: A10 or T4." in
-  Arg.(value & opt string "A10" & info [ "device"; "d" ] ~docv:"DEV" ~doc)
+  Arg.(value & opt device Gpusim.Device.a10 & info [ "device"; "d" ] ~docv:"DEV" ~doc)
 
 let dims_arg =
   let doc = "Dynamic dimension values, e.g. batch=4,seq=73." in
-  Arg.(required & opt (some string) None & info [ "dims" ] ~docv:"DIMS" ~doc)
+  Arg.(required & opt (some env) None & info [ "dims" ] ~docv:"DIMS" ~doc)
+
+(* What --dump prints; compile-file takes all but stats. *)
+let dump_targets =
+  [ ("ir", `Ir); ("plan", `Plan); ("symbols", `Symbols); ("stats", `Stats); ("kernels", `Kernels) ]
+
+let dump_arg targets =
+  let names = String.concat ", " (List.map fst targets) in
+  let doc = Printf.sprintf "What to print: %s (repeatable)." names in
+  Arg.(value & opt_all (enum targets) [] & info [ "dump" ] ~docv:"WHAT" ~doc)
+
+let dump ~with_symbols (c : Compiler.compiled) what =
+  let g = c.Compiler.exe.Runtime.Executable.g in
+  match what with
+  | `Ir -> print_string (Ir.Printer.to_string ~with_symbols g)
+  | `Plan -> print_string (Fusion.Cluster.to_string c.Compiler.plan)
+  | `Symbols -> Format.printf "%a@." Symshape.Table.pp (Ir.Graph.symtab g)
+  | `Stats -> print_endline (Disc.Stats.to_string (Disc.Stats.coverage g))
+  | `Kernels ->
+      print_string (Codegen.Emit.emit_program g c.Compiler.plan Codegen.Kernel.default_config)
 
 let trace_arg =
   let doc =
@@ -100,6 +141,13 @@ let cache_dir_arg =
      the hit rate is reported."
   in
   Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
+
+(* A request env must bind every model dim exactly once: checked before
+   any output, with the same checks a serving session makes. *)
+let check_dims built env =
+  match Disc.Session.check_env built env with
+  | Ok () -> ()
+  | Error e -> raise (Usage (Runtime.Error.to_string e))
 
 (* Arm the observability layer around a subcommand body: spans/metrics
    are only collected when one of the flags asks for them, so the
@@ -122,14 +170,9 @@ let build_model name tiny =
   let entry = Suite.find name in
   if tiny then entry.Suite.build_tiny () else entry.Suite.build ()
 
-let options_of planner_name =
-  match planner_of_string planner_name with
-  | Ok p -> { Compiler.default_options with planner = p }
-  | Error e -> raise (Usage e)
-
 (* --- list ---------------------------------------------------------------- *)
 
-let list_cmd =
+let list_term =
   let run () =
     Printf.printf "%-12s %-10s %s\n" "name" "dyn dims" "description";
     List.iter
@@ -140,19 +183,14 @@ let list_cmd =
           e.Suite.description)
       Suite.all
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the model suite") Term.(const run $ const ())
+  Term.(const run $ const ())
 
 (* --- compile ------------------------------------------------------------- *)
 
-let compile_cmd =
-  let dump_arg =
-    let doc = "What to print: ir, plan, symbols, stats, kernels (repeatable)." in
-    Arg.(value & opt_all string [] & info [ "dump" ] ~docv:"WHAT" ~doc)
-  in
-  let run model tiny planner dumps cache_dir trace metrics =
+let compile_term =
+  let run model tiny options dumps cache_dir trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     let built = build_model model tiny in
-    let options = options_of planner in
     let c, cache_report =
       match cache_dir with
       | None -> (Compiler.compile ~options built.Common.graph, None)
@@ -183,30 +221,18 @@ let compile_cmd =
     Printf.printf "  phases: %s\n"
       (String.concat " "
          (List.map (fun (ph, ms) -> Printf.sprintf "%s=%.1fms" ph ms) c.Compiler.phases));
-    List.iter
-      (fun what ->
-        match what with
-        | "ir" -> print_string (Ir.Printer.to_string g)
-        | "plan" -> print_string (Fusion.Cluster.to_string c.Compiler.plan)
-        | "symbols" -> Format.printf "%a@." Symshape.Table.pp (Ir.Graph.symtab g)
-        | "stats" -> print_endline (Disc.Stats.to_string (Disc.Stats.coverage g))
-        | "kernels" ->
-            print_string (Codegen.Emit.emit_program g c.Compiler.plan Codegen.Kernel.default_config)
-        | other -> Printf.eprintf "unknown --dump %s\n" other)
-      dumps
+    List.iter (dump ~with_symbols:false c) dumps
   in
-  Cmd.v
-    (Cmd.info "compile" ~doc:"Compile a model and inspect the pipeline")
-    Term.(
-      const run $ model_arg $ tiny_arg $ planner_arg $ dump_arg $ cache_dir_arg $ trace_arg
-      $ metrics_arg)
+  Term.(
+    const run $ model_arg $ tiny_arg $ options_arg $ dump_arg dump_targets $ cache_dir_arg
+    $ trace_arg $ metrics_arg)
 
 (* --- fingerprint ----------------------------------------------------------- *)
 
-let fingerprint_cmd =
+let fingerprint_term =
   let model_opt_arg =
     let doc = "Model from the suite (see `discc list`)." in
-    Arg.(value & opt (some string) None & info [ "model"; "m" ] ~docv:"NAME" ~doc)
+    Arg.(value & opt (some model) None & info [ "model"; "m" ] ~docv:"NAME" ~doc)
   in
   let all_arg =
     let doc = "Print the fingerprint of every suite model." in
@@ -224,28 +250,21 @@ let fingerprint_cmd =
       | Some m -> print_one m
       | None -> raise (Usage "fingerprint: need --model NAME or --all")
   in
-  Cmd.v
-    (Cmd.info "fingerprint"
-       ~doc:
-         "Print the canonical structural fingerprint (compile-cache identity) of suite \
-          models")
-    Term.(const run $ model_opt_arg $ all_arg $ tiny_arg)
+  Term.(const run $ model_opt_arg $ all_arg $ tiny_arg)
 
 (* --- run (cost simulation) ------------------------------------------------ *)
 
-let run_cmd =
-  let run model tiny planner device dims trace metrics =
+let run_term =
+  let run model tiny options device env trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     let built = build_model model tiny in
-    let device = device_of_string device in
-    let env = parse_dims dims in
     check_dims built env;
-    let c = Compiler.compile ~options:(options_of planner) built.Common.graph in
+    let c = Compiler.compile ~options built.Common.graph in
     let binding =
       List.map (fun (n, v) -> (Common.dim_exn built n, v)) env
     in
     let profile = Compiler.simulate ~device c binding in
-    Printf.printf "%s on %s at %s:\n  %s\n" model device.Gpusim.Device.name dims
+    Printf.printf "%s on %s at %s:\n  %s\n" model device.Gpusim.Device.name (env_to_string env)
       (Runtime.Profile.to_string profile);
     (* the concrete memory plan at this binding: arena/naive/reuse,
        resident share — same line the memory bench and tests read *)
@@ -267,74 +286,53 @@ let run_cmd =
             r.Runtime.Profile.kind r.Runtime.Profile.version_tag r.Runtime.Profile.time_us)
       recs
   in
-  Cmd.v
-    (Cmd.info "run" ~doc:"Simulate one inference at given dynamic-dim values")
-    Term.(
-      const run $ model_arg $ tiny_arg $ planner_arg $ device_arg $ dims_arg $ trace_arg
-      $ metrics_arg)
+  Term.(
+    const run $ model_arg $ tiny_arg $ options_arg $ device_arg $ dims_arg $ trace_arg
+    $ metrics_arg)
 
 (* --- exec (data plane, tiny) ---------------------------------------------- *)
 
-let exec_cmd =
-  let run model dims trace metrics =
+let exec_term =
+  let run model env trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
     let built = build_model model true in
-    let env = parse_dims dims in
     check_dims built env;
     let inputs = Common.test_inputs built env in
     let c = Compiler.compile built.Common.graph in
     let outs, profile = Compiler.run c inputs in
-    Printf.printf "%s (tiny) at %s: %s\n" model dims (Runtime.Profile.to_string profile);
+    Printf.printf "%s (tiny) at %s: %s\n" model (env_to_string env)
+      (Runtime.Profile.to_string profile);
     List.iteri
       (fun i o -> Printf.printf "  output %d: %s\n" i (Tensor.Nd.to_string o))
       outs
   in
-  Cmd.v
-    (Cmd.info "exec" ~doc:"Execute the tiny model on real data and print outputs")
-    Term.(const run $ model_arg $ dims_arg $ trace_arg $ metrics_arg)
+  Term.(const run $ model_arg $ dims_arg $ trace_arg $ metrics_arg)
 
 (* --- compile-file ----------------------------------------------------------- *)
 
-let compile_file_cmd =
+let compile_file_term =
   let file_arg =
     let doc = "Path to a textual graph (.disc) file; see examples/graphs/." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
-  let dump_arg =
-    let doc = "What to print: ir, plan, symbols, kernels (repeatable)." in
-    Arg.(value & opt_all string [] & info [ "dump" ] ~docv:"WHAT" ~doc)
-  in
-  let run file planner dumps =
+  let run file options dumps =
     let src = In_channel.with_open_text file In_channel.input_all in
-    let c = Compiler.compile ~options:(options_of planner) (Ir.Parser.parse src) in
+    let c = Compiler.compile ~options (Ir.Parser.parse src) in
     let g = c.Compiler.exe.Runtime.Executable.g in
     Printf.printf "parsed and compiled %s: %d instructions -> %d kernels\n" file
       (Ir.Graph.num_insts g)
       (List.length c.Compiler.plan.Fusion.Cluster.clusters);
-    List.iter
-      (fun what ->
-        match what with
-        | "ir" -> print_string (Ir.Printer.to_string ~with_symbols:true g)
-        | "plan" -> print_string (Fusion.Cluster.to_string c.Compiler.plan)
-        | "symbols" -> Format.printf "%a@." Symshape.Table.pp (Ir.Graph.symtab g)
-        | "kernels" ->
-            print_string
-              (Codegen.Emit.emit_program g c.Compiler.plan Codegen.Kernel.default_config)
-        | other -> Printf.eprintf "unknown --dump %s\n" other)
-      dumps
+    List.iter (dump ~with_symbols:true c) dumps
   in
-  Cmd.v
-    (Cmd.info "compile-file" ~doc:"Parse and compile a textual .disc graph")
-    Term.(const run $ file_arg $ planner_arg $ dump_arg)
+  Term.(const run $ file_arg $ options_arg $ dump_arg (List.remove_assoc "stats" dump_targets))
 
 (* --- explain ----------------------------------------------------------------- *)
 
-let explain_cmd =
+let explain_term =
   let a_arg = Arg.(required & opt (some int) None & info [ "inst-a" ] ~docv:"ID" ~doc:"First instruction id.") in
   let b_arg = Arg.(required & opt (some int) None & info [ "inst-b" ] ~docv:"ID" ~doc:"Second instruction id.") in
-  let run model tiny planner a b =
+  let run model tiny options a b =
     let built = build_model model tiny in
-    let options = options_of planner in
     let c = Compiler.compile ~options built.Common.graph in
     let g = c.Compiler.exe.Runtime.Executable.g in
     let v = Fusion.Explain.explain ~config:options.Compiler.planner g c.Compiler.plan ~a ~b in
@@ -344,9 +342,7 @@ let explain_cmd =
       (Ir.Op.to_string (Ir.Graph.inst g b).Ir.Graph.op)
       (Fusion.Explain.verdict_to_string v)
   in
-  Cmd.v
-    (Cmd.info "explain" ~doc:"Explain why two instructions did (not) fuse")
-    Term.(const run $ model_arg $ tiny_arg $ planner_arg $ a_arg $ b_arg)
+  Term.(const run $ model_arg $ tiny_arg $ options_arg $ a_arg $ b_arg)
 
 (* --- serve ------------------------------------------------------------------ *)
 
@@ -354,14 +350,13 @@ let explain_cmd =
    decoding (lib/decode) — prefill/decode phase split over the device
    fleet, symbolic KV-cache bucketed so growth mints a bounded
    signature set, one shared compile cache across every session. *)
-let serve_decode ~tiny ~devices ~qps ~requests ~seed ~max_batch ~prefill_workers ~mode
-    ~cache_health =
+let serve_decode ~tiny ~devices ~qps ~requests ~seed ~max_batch ~prefill_workers ~mode =
   let n = List.length devices in
   (match mode with
   | Decode.Scheduler.Continuous ->
       if n < 2 then
         raise (Usage "serve: --decode continuous disaggregates phases; need >= 2 replicas");
-      if prefill_workers < 1 || prefill_workers >= n then
+      if prefill_workers >= n then
         raise
           (Usage
              (Printf.sprintf "serve: --prefill-workers must be in 1..%d (replicas - 1)"
@@ -405,36 +400,40 @@ let serve_decode ~tiny ~devices ~qps ~requests ~seed ~max_batch ~prefill_workers
     *. float_of_int r.Decode.Scheduler.finished
     /. float_of_int (max 1 r.Decode.Scheduler.sequences))
     r.Decode.Scheduler.lost;
-  Printf.printf "  %s\n" (cache_health r.Decode.Scheduler.cache)
+  Printf.printf "  %s\n" (Disc.Compile_cache.health_to_string r.Decode.Scheduler.cache)
 
-let serve_cmd =
+let serve_term =
   let replicas_arg =
-    let doc = "Replica count (one session per replica, all on --device)." in
-    Arg.(value & opt int 2 & info [ "replicas" ] ~docv:"N" ~doc)
+    let doc = "Replica count (one A10 session per replica; see --devices)." in
+    Arg.(value & opt count 2 & info [ "replicas" ] ~docv:"N" ~doc)
   in
   let devices_arg =
     let doc = "Explicit per-replica device list, e.g. A10,A10,T4 (overrides --replicas)." in
-    Arg.(value & opt (some string) None & info [ "devices" ] ~docv:"D1,D2" ~doc)
+    let devices = checked Arg.(list device) ~expected:"a device list" (fun ds -> ds <> []) in
+    Arg.(value & opt (some devices) None & info [ "devices" ] ~docv:"D1,D2" ~doc)
   in
   let qps_arg =
-    let doc = "Offered load: Poisson arrival rate, queries per second." in
-    Arg.(value & opt float 100.0 & info [ "qps" ] ~docv:"QPS" ~doc)
+    let doc = "Offered load: mean arrival rate, queries per second (finite, > 0)." in
+    Arg.(value & opt rate 100.0 & info [ "qps" ] ~docv:"QPS" ~doc)
   in
   let requests_arg =
     let doc = "Number of requests in the synthetic trace." in
-    Arg.(value & opt int 200 & info [ "requests"; "n" ] ~docv:"N" ~doc)
+    Arg.(value & opt count 200 & info [ "requests"; "n" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     let doc = "Trace seed (arrivals, shapes, class mix)." in
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let router_arg =
-    let doc = "Routing policy: warmth (default) or rr (round-robin)." in
-    Arg.(value & opt string "warmth" & info [ "router" ] ~docv:"POLICY" ~doc)
+    let doc = "Routing policy: warmth (default) or rr (round-robin). Not with --decode." in
+    let router =
+      named Serving.Router.policy_of_string Serving.Router.policy_to_string ~names:"warmth or rr"
+    in
+    Arg.(value & opt (some router) None & info [ "router" ] ~docv:"POLICY" ~doc)
   in
   let max_batch_arg =
     let doc = "Max requests per formed batch." in
-    Arg.(value & opt int 8 & info [ "max-batch" ] ~docv:"N" ~doc)
+    Arg.(value & opt count 8 & info [ "max-batch" ] ~docv:"N" ~doc)
   in
   let adaptive_arg =
     let doc =
@@ -459,23 +458,29 @@ let serve_cmd =
        scheduling. Optional MODE: continuous (default) or static (request-level \
        batching baseline)."
     in
+    let mode =
+      Arg.enum [ ("continuous", Decode.Scheduler.Continuous); ("static", Decode.Scheduler.Static) ]
+    in
     Arg.(
       value
-      & opt ~vopt:(Some "continuous") (some string) None
+      & opt ~vopt:(Some Decode.Scheduler.Continuous) (some mode) None
       & info [ "decode" ] ~docv:"MODE" ~doc)
   in
   let prefill_workers_arg =
-    let doc = "Decode serving: devices dedicated to the prefill phase." in
-    Arg.(value & opt int 1 & info [ "prefill-workers" ] ~docv:"N" ~doc)
+    let doc = "Continuous decode serving: devices dedicated to the prefill phase (default 1)." in
+    Arg.(value & opt (some count) None & info [ "prefill-workers" ] ~docv:"N" ~doc)
   in
   let traffic_arg =
     let doc =
-      "Traffic preset from the seeded trace generator: steady (plain Poisson), \
-       diurnal (sinusoidal load), bursty (Markov on/off spikes), or drift (the \
-       shape distribution alternates between segments). Omitted: the legacy \
-       constant-rate trace."
+      "Traffic preset from the seeded trace generator: steady (constant-rate \
+       Poisson, the default), diurnal (sinusoidal load), bursty (Markov on/off \
+       spikes), or drift (the shape distribution alternates between segments)."
     in
-    Arg.(value & opt (some string) None & info [ "traffic" ] ~docv:"PRESET" ~doc)
+    let preset =
+      Arg.enum
+        [ ("steady", `Steady); ("diurnal", `Diurnal); ("bursty", `Bursty); ("drift", `Drift) ]
+    in
+    Arg.(value & opt (some preset) None & info [ "traffic" ] ~docv:"PRESET" ~doc)
   in
   let hbm_budget_arg =
     let doc =
@@ -483,7 +488,9 @@ let serve_cmd =
        symbolic peak-memory estimate of each batch's env: a batch that would \
        not fit is re-planned (padded to exact, then shrunk) instead of OOMing."
     in
-    Arg.(value & opt (some float) None & info [ "hbm-budget" ] ~docv:"MB" ~doc)
+    (* the pool holds the budget in bytes, as an int (max_int ~ 4.6e18) *)
+    let mb = checked rate ~expected:"a budget below 4e12 MB" (fun mb -> mb < 4e12) in
+    Arg.(value & opt (some mb) None & info [ "hbm-budget" ] ~docv:"MB" ~doc)
   in
   let mem_blind_arg =
     let doc =
@@ -492,58 +499,41 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "mem-blind" ] ~doc)
   in
-  (* Shared cache line for the end-of-run report: warm/corrupt health
-     and the schedule side-table count at a glance, without --metrics. *)
-  let cache_health = Disc.Compile_cache.health_to_string in
   let run model tiny replicas devices qps requests seed router max_batch adaptive chaos_file
       decode prefill_workers traffic hbm_budget_mb mem_blind trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
-    let entry = Suite.find model in
-    (* Reject contradictory or out-of-range flag combinations up front:
-       a silently-ignored flag reads as a run that did what was asked. *)
-    if replicas < 1 then raise (Usage "serve: --replicas must be >= 1");
-    if qps <= 0.0 then raise (Usage "serve: --qps must be > 0");
-    if requests < 1 then raise (Usage "serve: --requests must be >= 1");
-    if max_batch < 1 then raise (Usage "serve: --max-batch must be >= 1");
-    (match hbm_budget_mb with
-    | Some mb when mb <= 0.0 -> raise (Usage "serve: --hbm-budget must be > 0")
-    | _ -> ());
+    (* Each mode refuses the flags it never reads: a silently-ignored
+       flag reads as a run that did what was asked. *)
     if mem_blind && hbm_budget_mb = None then
       raise (Usage "serve: --mem-blind requires --hbm-budget");
+    if prefill_workers <> None && decode <> Some Decode.Scheduler.Continuous then
+      raise (Usage "serve: --prefill-workers applies only to --decode continuous");
     let devices =
       match devices with
-      | Some s -> List.map device_of_string (String.split_on_char ',' s)
+      | Some ds -> ds
       | None -> List.init replicas (fun _ -> Gpusim.Device.a10)
     in
-    let router =
-      match Serving.Router.policy_of_string router with
-      | Some p -> p
-      | None -> raise (Usage (Printf.sprintf "unknown router %S (warmth, rr)" router))
-    in
-    let decode_mode =
-      match decode with
-      | None -> None
-      | Some "continuous" -> Some Decode.Scheduler.Continuous
-      | Some "static" -> Some Decode.Scheduler.Static
-      | Some m -> raise (Usage (Printf.sprintf "unknown decode mode %S (continuous, static)" m))
-    in
-    if decode_mode <> None then begin
-      if model <> "gpt2" then
-        raise (Usage "serve: --decode requires --model gpt2 (the decode-step graph)");
-      if chaos_file <> None then raise (Usage "serve: --decode cannot combine with --chaos");
-      if adaptive then raise (Usage "serve: --decode cannot combine with --adaptive");
-      if traffic <> None then raise (Usage "serve: --decode cannot combine with --traffic");
-      if hbm_budget_mb <> None then
-        raise (Usage "serve: --decode cannot combine with --hbm-budget")
-    end;
-    match decode_mode with
+    match decode with
     | Some mode ->
-        serve_decode ~tiny ~devices ~qps ~requests ~seed ~max_batch ~prefill_workers ~mode
-          ~cache_health
+        if model <> "gpt2" then
+          raise (Usage "serve: --decode requires --model gpt2 (the decode-step graph)");
+        List.iter
+          (fun (flag, given) ->
+            if given then raise (Usage ("serve: --decode cannot combine with " ^ flag)))
+          [
+            ("--chaos", chaos_file <> None);
+            ("--adaptive", adaptive);
+            ("--traffic", traffic <> None);
+            ("--hbm-budget", hbm_budget_mb <> None);
+            ("--router", router <> None);
+          ];
+        serve_decode ~tiny ~devices ~qps ~requests ~seed ~max_batch ~mode
+          ~prefill_workers:(Option.value prefill_workers ~default:1)
     | None ->
-    let mix = Workloads.Trace.serving_mix entry in
-    let req_dims = List.filter (fun (n, _) -> n <> "batch") mix in
-    if req_dims = [] then raise (Usage (Printf.sprintf "serve: %s has no non-batch dims" model));
+    let router = Option.value router ~default:Serving.Router.Warmth_aware in
+    let req_dims =
+      List.filter (fun (n, _) -> n <> "batch") (Workloads.Trace.serving_mix (Suite.find model))
+    in
     let bucket = List.map (fun (n, _) -> (n, Serving.Bucket.Pow2)) req_dims in
     let cfg =
       {
@@ -554,19 +544,12 @@ let serve_cmd =
         mem_aware = not mem_blind;
       }
     in
-    let pool = Serving.Pool.create cfg (fun () -> build_model model tiny) in
-    let reqs =
-      match traffic with
-      | None ->
-          Workloads.Queueing.generate_arrivals ~seed ~qps ~n:requests ~dims:req_dims
-          |> Serving.Pool.of_arrivals
-          |> Serving.Pool.with_class_mix ~seed
-               [
-                 (Serving.Slo.Interactive, 0.25);
-                 (Serving.Slo.Standard, 0.5);
-                 (Serving.Slo.Best_effort, 0.25);
-               ]
-      | Some preset ->
+    let spec =
+      match Option.value traffic ~default:`Steady with
+      | `Steady -> Serving.Trace_gen.steady ~seed ~qps ~dims:req_dims
+      | `Diurnal -> Serving.Trace_gen.diurnal ~seed ~qps ~dims:req_dims
+      | `Bursty -> Serving.Trace_gen.bursty ~seed ~qps ~dims:req_dims
+      | `Drift ->
           (* drift's second segment flips each dim's distribution family
              so consecutive segments exercise genuinely different shapes *)
           let flipped =
@@ -581,22 +564,12 @@ let serve_cmd =
                   | Workloads.Trace.Fixed v -> Workloads.Trace.Fixed v ))
               req_dims
           in
-          let spec =
-            match preset with
-            | "steady" -> Serving.Trace_gen.steady ~seed ~qps ~dims:req_dims
-            | "diurnal" -> Serving.Trace_gen.diurnal ~seed ~qps ~dims:req_dims
-            | "bursty" -> Serving.Trace_gen.bursty ~seed ~qps ~dims:req_dims
-            | "drift" ->
-                Serving.Trace_gen.drift ~seed ~qps ~dims_a:req_dims ~dims_b:flipped
-            | p ->
-                raise
-                  (Usage
-                     (Printf.sprintf
-                        "unknown traffic preset %S (steady, diurnal, bursty, drift)" p))
-          in
-          Printf.printf "traffic: %s\n" (Serving.Trace_gen.describe spec);
-          Serving.Trace_gen.generate spec ~n:requests
+          Serving.Trace_gen.drift ~seed ~qps ~dims_a:req_dims ~dims_b:flipped
     in
+    let pool = Serving.Pool.create cfg (fun () -> build_model model tiny) in
+    (* generating first validates the spec: a refused rate prints nothing *)
+    let reqs = Serving.Trace_gen.generate spec ~n:requests in
+    Printf.printf "traffic: %s\n" (Serving.Trace_gen.describe spec);
     let adaptive_cfg =
       if not adaptive then None
       else
@@ -665,37 +638,35 @@ let serve_cmd =
           rep.Serving.Pool.rr_batches rep.Serving.Pool.rr_requests
           rep.Serving.Pool.rr_cold_dispatches rep.Serving.Pool.rr_busy_us)
       r.Serving.Pool.replicas;
-    let cs = Disc.Compile_cache.stats (Serving.Pool.cache pool) in
-    Printf.printf "  %s\n" (cache_health cs)
+    (* the cache line: warm/corrupt health and the schedule side-table
+       count at a glance, without --metrics *)
+    Printf.printf "  %s\n"
+      (Disc.Compile_cache.health_to_string (Disc.Compile_cache.stats (Serving.Pool.cache pool)))
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Simulate a multi-replica serving pool on a synthetic arrival trace")
-    Term.(
-      const run $ model_arg $ tiny_arg $ replicas_arg $ devices_arg $ qps_arg
-      $ requests_arg $ seed_arg $ router_arg $ max_batch_arg $ adaptive_arg
-      $ chaos_arg $ decode_arg $ prefill_workers_arg $ traffic_arg $ hbm_budget_arg
-      $ mem_blind_arg $ trace_arg $ metrics_arg)
+  Term.(
+    const run $ model_arg $ tiny_arg $ replicas_arg $ devices_arg $ qps_arg
+    $ requests_arg $ seed_arg $ router_arg $ max_batch_arg $ adaptive_arg
+    $ chaos_arg $ decode_arg $ prefill_workers_arg $ traffic_arg $ hbm_budget_arg
+    $ mem_blind_arg $ trace_arg $ metrics_arg)
 
 (* --- tune ------------------------------------------------------------------- *)
 
-let tune_cmd =
+let tune_term =
   let rungs_arg =
     let doc =
       "Representative bucket-rung envs to rank schedules at, \
        semicolon-separated, e.g. 'batch=1,seq=37;batch=8,seq=120'. \
        Default: 1/8, 1/2 and full ceiling of every dynamic dim."
     in
-    Arg.(value & opt (some string) None & info [ "rungs" ] ~docv:"ENVS" ~doc)
+    Arg.(value & opt (some (list ~sep:';' env)) None & info [ "rungs" ] ~docv:"ENVS" ~doc)
   in
   let run model tiny device rungs trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
-    let device = device_of_string device in
     let build () = build_model model tiny in
     let probe = build () in
     let envs =
       match rungs with
-      | Some s -> List.map parse_dims (String.split_on_char ';' s)
+      | Some envs -> envs
       | None ->
           (* ceiling ladder: every dynamic dim at 1/8, 1/2 and full bound *)
           let tab = Ir.Graph.symtab probe.Common.graph in
@@ -727,8 +698,7 @@ let tune_cmd =
     List.iter2
       (fun env (d, t) ->
         Printf.printf "  rung %-24s default=%8.1fus tuned=%8.1fus speedup=%.2fx\n"
-          (String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) env))
-          d t
+          (env_to_string env) d t
           (if t > 0.0 then d /. t else 1.0))
       envs
       (List.combine default_us tuned_us);
@@ -753,23 +723,14 @@ let tune_cmd =
     Printf.printf "%s\n"
       (Disc.Compile_cache.health_to_string (Disc.Compile_cache.stats cache))
   in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:
-         "Autotune kernel schedules for a device (sample-free: hierarchical \
-          hardware pruning + analytical cost ranking) and persist the plan in \
-          the schedule cache")
-    Term.(
-      const run $ model_arg $ tiny_arg $ device_arg $ rungs_arg $ trace_arg $ metrics_arg)
+  Term.(
+    const run $ model_arg $ tiny_arg $ device_arg $ rungs_arg $ trace_arg $ metrics_arg)
 
 (* --- compare --------------------------------------------------------------- *)
 
-let compare_cmd =
-  let run model device dims =
-    let device = device_of_string device in
-    let env = parse_dims dims in
-    let entry = Suite.find model in
-    let built = entry.Suite.build () in
+let compare_term =
+  let run model device env =
+    let built = (Suite.find model).Suite.build () in
     check_dims built env;
     Printf.printf "%-12s %12s %12s %10s\n" "system" "latency(us)" "compile(ms)" "vs disc";
     let disc = Baselines.Systems.make "bladedisc" built in
@@ -783,50 +744,45 @@ let compare_cmd =
           (r.Baselines.Executor.latency_us /. d))
       Baselines.Systems.all_strategies
   in
-  Cmd.v
-    (Cmd.info "compare" ~doc:"Compare all systems at one shape")
-    Term.(const run $ model_arg $ device_arg $ dims_arg)
+  Term.(const run $ model_arg $ device_arg $ dims_arg)
+
+(* --- the subcommand table ---------------------------------------------------- *)
+
+let commands =
+  [
+    ("list", "List the model suite", list_term);
+    ("compile", "Compile a model and inspect the pipeline", compile_term);
+    ("compile-file", "Parse and compile a textual .disc graph", compile_file_term);
+    ("run", "Simulate one inference at given dynamic-dim values", run_term);
+    ("exec", "Execute the tiny model on real data and print outputs", exec_term);
+    ("serve", "Simulate a multi-replica serving pool on a synthetic arrival trace", serve_term);
+    ("explain", "Explain why two instructions did (not) fuse", explain_term);
+    ("tune", "Autotune kernel schedules for a device and cache the plan", tune_term);
+    ("compare", "Compare all systems at one shape", compare_term);
+    ("fingerprint", "Print the compile-cache fingerprint of suite models", fingerprint_term);
+  ]
 
 (* invoked with no subcommand: print the table and exit 1 (usage error) *)
-let no_subcommand_term =
-  let table =
-    [
-      ("list", "List the model suite");
-      ("compile", "Compile a model and inspect the pipeline");
-      ("compile-file", "Parse and compile a textual .disc graph");
-      ("run", "Simulate one inference at given dynamic-dim values");
-      ("exec", "Execute the tiny model on real data and print outputs");
-      ("serve", "Simulate a multi-replica serving pool on an arrival trace");
-      ("explain", "Explain why two instructions did (not) fuse");
-      ("tune", "Autotune kernel schedules for a device and cache the plan");
-      ("compare", "Compare all systems at one shape");
-      ("fingerprint", "Print compile-cache identities of suite models");
-    ]
-  in
-  Term.(
-    const (fun () ->
-        Printf.eprintf "discc: missing subcommand\n\nsubcommands:\n";
-        List.iter (fun (n, d) -> Printf.eprintf "  %-14s %s\n" n d) table;
-        Printf.eprintf "\nSee 'discc COMMAND --help' for options. Exit codes: 0 ok, 1 usage error, 2 compile/runtime error.\n";
-        Stdlib.exit 1)
-    $ const ())
+let listing () =
+  Printf.eprintf "discc: missing subcommand\n\nsubcommands:\n";
+  List.iter (fun (n, d, _) -> Printf.eprintf "  %-14s %s\n" n d) commands;
+  Printf.eprintf
+    "\nSee 'discc COMMAND --help' for options. Exit codes: 0 ok, 1 usage error, 2 \
+     compile/runtime error.\n";
+  exit 1
 
 let () =
   let info =
     Cmd.info "discc" ~version:"1.0"
       ~doc:"BladeDISC dynamic-shape ML compiler reproduction driver"
   in
+  let cmds = List.map (fun (name, doc, term) -> Cmd.v (Cmd.info name ~doc) term) commands in
   let die code msg =
     Printf.eprintf "discc: %s\n" msg;
     exit code
   in
-  match
-    Cmd.eval ~catch:false (Cmd.group ~default:no_subcommand_term info
-      [
-        list_cmd; compile_cmd; compile_file_cmd; run_cmd; exec_cmd; serve_cmd;
-        explain_cmd; tune_cmd; compare_cmd; fingerprint_cmd;
-      ])
-  with
+  match Cmd.eval ~catch:false (Cmd.group ~default:Term.(const listing $ const ()) info cmds) with
+  | code when code = Cmd.Exit.cli_error -> exit 1 (* cmdliner already printed why *)
   | code -> exit code
   | exception Usage msg -> die 1 msg
   | exception Invalid_argument msg -> die 1 msg

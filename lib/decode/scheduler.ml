@@ -68,7 +68,8 @@ type request = { arrival_us : float; prompt : int; max_new : int; cls : Slo.cls 
    uniform generation lengths, a fixed class mix. The draw order per
    request (class, generation length, prompt) is part of the stream. *)
 let gen_requests ~seed ~qps ~n ~prompt ~max_new =
-  if qps <= 0.0 then invalid_arg "Scheduler.gen_requests: qps must be > 0";
+  if not (Float.is_finite qps && qps > 0.0) then
+    invalid_arg "Scheduler.gen_requests: qps must be finite and > 0";
   if n < 1 then invalid_arg "Scheduler.gen_requests: n must be >= 1";
   let dims = [ ("cls", Workloads.Trace.Uniform (0, 9)); ("new", max_new); ("prompt", prompt) ] in
   List.map

@@ -72,7 +72,8 @@ val gen_requests :
   request list
 (** Deterministic stream: Poisson arrivals at [qps], prompt/generation
     lengths drawn per request, fixed class mix (30% interactive, 60%
-    standard, 10% best-effort). Same seed, same stream. *)
+    standard, 10% best-effort). Same seed, same stream.
+    @raise Invalid_argument when [qps] is not finite and > 0, or [n < 1]. *)
 
 type report = {
   mode : mode;

@@ -472,10 +472,6 @@ type run = {
      re-resolves names (and never builds a name with Printf) *)
   obs : bool;
   g_depth : Obs.Metrics.gauge;
-  c_served : Obs.Metrics.counter;
-  c_fell_back : Obs.Metrics.counter;
-  c_rejected : Obs.Metrics.counter;
-  c_failed : Obs.Metrics.counter;
   h_latency : Obs.Metrics.histogram;
   (* bucket queues, in first-seen key order for determinism *)
   mutable bvec : bq array;
@@ -605,19 +601,13 @@ let rekey_queues s =
 
 let admit s i =
   let r = s.arr.(i) in
-  if not (Q.valid_dims ~expected:s.pool.expected r.dims) then begin
-    s.dispc.(i) <- d_rejected;
-    if s.obs then Obs.Metrics.inc s.c_rejected
-  end
+  if not (Q.valid_dims ~expected:s.pool.expected r.dims) then s.dispc.(i) <- d_rejected
   else begin
     (* well-formed traffic feeds the distribution estimator even when
        shed: offered load is what the bucket policy must fit *)
     if Option.is_some s.adaptive then Shape_stats.observe s.stats r.dims;
-    if s.bro_level >= 1 && r.cls = Slo.Best_effort then begin
-      (* brownout L1: background traffic sheds outright *)
-      s.dispc.(i) <- d_shed;
-      Slo.note_shed s.slo r.cls
-    end
+    (* brownout L1: background traffic sheds outright *)
+    if s.bro_level >= 1 && r.cls = Slo.Best_effort then s.dispc.(i) <- d_shed
     else if not (Slo.admit s.slo r.cls) then s.dispc.(i) <- d_shed
     else enqueue s ~front:false i
   end
@@ -642,7 +632,6 @@ let expire_queues s time =
             let r = s.arr.(i) in
             s.dispc.(i) <- d_expired;
             Slo.dequeue s.slo r.cls;
-            Slo.note_expired s.slo r.cls;
             s.queued_total <- s.queued_total - 1;
             false
           end
@@ -725,9 +714,9 @@ let watchdog_check s rep =
           Replica.restore rep
 
 (* Give every still-pending member of [fl] disposition [code] and its
-   latency; returns [k] plus the number finalized. *)
-let rec finalize_members s fl code k = function
-  | [] -> k
+   latency. *)
+let rec finalize_members s fl code = function
+  | [] -> ()
   | i :: rest ->
       if s.dispc.(i) = d_pending then begin
         let r = s.arr.(i) in
@@ -735,16 +724,13 @@ let rec finalize_members s fl code k = function
         s.lats.(i) <- fl.if_done -. r.arrival_us;
         s.win_total <- s.win_total + 1;
         if s.lats.(i) <= s.ddl_rel.(cls_i r.cls) then s.win_met <- s.win_met + 1;
-        if s.obs then Obs.Metrics.observe s.h_latency s.lats.(i);
-        finalize_members s fl code (k + 1) rest
-      end
-      else finalize_members s fl code k rest
+        if s.obs then Obs.Metrics.observe s.h_latency s.lats.(i)
+      end;
+      finalize_members s fl code rest
 
 let finalize s fl =
   let code = match fl.if_path with `Compiled -> d_served | `Fallback -> d_fell_back in
-  let k = finalize_members s fl code 0 fl.if_members in
-  if s.obs && k > 0 then
-    Obs.Metrics.inc ~by:k (if code = d_served then s.c_served else s.c_fell_back)
+  finalize_members s fl code fl.if_members
 
 (* Retire slot [j]: its batch completes, then the watchdog judges its
    replica. *)
@@ -776,10 +762,6 @@ let rec complete_inflights s time =
 
 (* --- launch --------------------------------------------------------------- *)
 
-let fail_launch s members =
-  fail_members s members;
-  if s.obs then Obs.Metrics.inc ~by:(List.length members) s.c_failed
-
 (* Launch a batch on [rep]; a batch that fails to launch fails its
    members. Work and replica accounting happen at dispatch; request
    dispositions are deferred to completion (the batch is in flight
@@ -793,10 +775,10 @@ let launch s time ~members ~env ~key ~use_padded ~e_actual rep =
          fit the device — it is lost to an OOM, not served. *)
       rep.Replica.ooms <- rep.Replica.ooms + 1;
       if est > rep.Replica.mem_peak_bytes then rep.Replica.mem_peak_bytes <- est;
-      fail_launch s members
+      fail_members s members
   | _ -> (
       match Session.serve_result rep.Replica.session env with
-      | Error _ -> fail_launch s members
+      | Error _ -> fail_members s members
       | Ok (profile, path) ->
           let cold = not (Replica.is_warm rep key) in
           let env_elems = Bucket.elements env in
@@ -982,8 +964,7 @@ let rec dispatch_batch s time members =
             | [] -> ()
             | [ i ] ->
                 s.dispc.(i) <- d_rejected;
-                s.mem_rejected <- s.mem_rejected + 1;
-                if s.obs then Obs.Metrics.inc s.c_rejected
+                s.mem_rejected <- s.mem_rejected + 1
             | last :: rev_rest ->
                 requeue s ~front:true last;
                 s.mem_capped <- s.mem_capped + 1;
@@ -1141,10 +1122,7 @@ let crash_replica s time rep =
             Hashtbl.replace s.retry i (tries + 1);
             requeue s ~front:false i
           end
-          else begin
-            s.dispc.(i) <- d_failed;
-            if s.obs then Obs.Metrics.inc s.c_failed
-          end
+          else s.dispc.(i) <- d_failed
         end)
       fl.if_members;
     fl.if_done <- infinity;
@@ -1390,10 +1368,6 @@ let start ?adaptive ?chaos ~resilience t (reqs : request list) =
   (* record fields evaluate right to left: the cells are bound here so
      they register in this order *)
   let g_depth = Obs.Metrics.gauge mreg "pool.queue_depth" in
-  let c_served = Obs.Metrics.counter mreg "pool.served" in
-  let c_fell_back = Obs.Metrics.counter mreg "pool.fell_back" in
-  let c_rejected = Obs.Metrics.counter mreg "pool.rejected" in
-  let c_failed = Obs.Metrics.counter mreg "pool.failed" in
   let h_latency = Obs.Metrics.histogram mreg "pool.latency_us" in
   let ddl_rel = Array.map (fun c -> (Slo.target_of slo_policy c).Slo.deadline_us) classes in
   let scaler = Option.bind adaptive (fun a -> Option.map Autoscaler.create a.autoscale) in
@@ -1420,7 +1394,7 @@ let start ?adaptive ?chaos ~resilience t (reqs : request list) =
     slo = Slo.create slo_policy;
     ddl_rel;
     prio = Array.map (fun c -> (Slo.target_of slo_policy c).Slo.priority) classes;
-    obs; g_depth; c_served; c_fell_back; c_rejected; c_failed; h_latency;
+    obs; g_depth; h_latency;
     bvec = Array.make 8 { bq_key = ""; bq_q = Iq.create (); bq_min_deadline = infinity };
     by_key = Hashtbl.create 16;
     route = Hashtbl.create 64;
@@ -1468,6 +1442,21 @@ let class_reports s =
         cr_expired = expired.(ci);
       })
     Slo.all_classes
+
+(* The exported disposition counters, each added once from the final
+   dispositions, so they cannot drift from the report. A class's shed
+   and expired cells appear once it has any. *)
+let publish r =
+  List.iter
+    (fun (name, v) -> Obs.Scope.count ~by:v name)
+    [ ("pool.served", r.served); ("pool.fell_back", r.fell_back);
+      ("pool.rejected", r.rejected); ("pool.failed", r.failed) ];
+  List.iter
+    (fun c ->
+      let cls = Slo.cls_to_string c.cr_class in
+      if c.cr_shed > 0 then Obs.Scope.count ~by:c.cr_shed ("pool.shed." ^ cls);
+      if c.cr_expired > 0 then Obs.Scope.count ~by:c.cr_expired ("pool.expired." ^ cls))
+    r.classes
 
 (* The report of a run that ended at [now]. The pool's replicas are
    fresh at the start of a run, so their counters are this run's. *)
@@ -1564,4 +1553,6 @@ let report s now =
 
 let run ?adaptive ?chaos ?(resilience = no_resilience) t reqs =
   let s = start ?adaptive ?chaos ~resilience t reqs in
-  report s (loop s 0.0)
+  let r = report s (loop s 0.0) in
+  if s.obs then publish r;
+  r

@@ -62,21 +62,9 @@ type t = { p : policy; queued_a : int array }
 
 let create p = { p; queued_a = Array.make 3 0 }
 
-(* Metric names precomputed per class: sheds and expiries are hot under
-   overload, and a Printf per event would dominate the admission path. *)
-let shed_name = [| "pool.shed.interactive"; "pool.shed.standard"; "pool.shed.best_effort" |]
-
-let expired_name =
-  [| "pool.expired.interactive"; "pool.expired.standard"; "pool.expired.best_effort" |]
-
-let note_shed _ cls = if Obs.Scope.on () then Obs.Scope.count shed_name.(idx cls)
-
 let admit t cls =
   let i = idx cls in
-  if t.queued_a.(i) >= (target_of t.p cls).queue_bound then begin
-    note_shed t cls;
-    false
-  end
+  if t.queued_a.(i) >= (target_of t.p cls).queue_bound then false
   else begin
     t.queued_a.(i) <- t.queued_a.(i) + 1;
     true
@@ -93,5 +81,4 @@ let dequeue t cls =
   let i = idx cls in
   t.queued_a.(i) <- max 0 (t.queued_a.(i) - 1)
 
-let note_expired _ cls = if Obs.Scope.on () then Obs.Scope.count expired_name.(idx cls)
 let queued t cls = t.queued_a.(idx cls)

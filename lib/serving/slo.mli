@@ -63,13 +63,7 @@ val create : policy -> t
 
 val admit : t -> cls -> bool
 (** [true]: the request may queue (backlog incremented). [false]: the
-    class is at its bound — shed (counted in [pool.shed.<class>] when
-    {!Obs.Scope} is on). *)
-
-val note_shed : t -> cls -> unit
-(** Count a shed in [pool.shed.<class>] without touching the backlog —
-    for sheds decided outside the queue-bound check (brownout shedding a
-    class outright). *)
+    class is at its bound — shed. *)
 
 val requeue : t -> cls -> unit
 (** Put an already-admitted request back in the backlog (crash
@@ -78,8 +72,5 @@ val requeue : t -> cls -> unit
 val dequeue : t -> cls -> unit
 (** A queued request of the class left the queue (dispatched or
     expired). *)
-
-val note_expired : t -> cls -> unit
-(** Count an expiry in [pool.expired.<class>]. *)
 
 val queued : t -> cls -> int

@@ -38,34 +38,6 @@ type spec = { seed : int; segments : segment list }
 let default_mix =
   [ (Slo.Interactive, 0.25); (Slo.Standard, 0.5); (Slo.Best_effort, 0.25) ]
 
-let validate (s : spec) : (unit, string) result =
-  let seg_err i msg = Error (Printf.sprintf "segment %d: %s" i msg) in
-  if s.segments = [] then Error "spec has no segments"
-  else
-    let rec go i = function
-      | [] -> Ok ()
-      | seg :: rest ->
-          if seg.duration_us <= 0.0 then seg_err i "duration_us must be > 0"
-          else if seg.qps <= 0.0 then seg_err i "qps must be > 0"
-          else if seg.diurnal < 0.0 || seg.diurnal >= 1.0 then
-            seg_err i "diurnal amplitude must be in [0, 1)"
-          else if seg.diurnal > 0.0 && seg.period_us <= 0.0 then
-            seg_err i "period_us must be > 0 when diurnal > 0"
-          else if seg.dims = [] then seg_err i "dims must be non-empty"
-          else if seg.mix = [] then seg_err i "mix must be non-empty"
-          else if List.exists (fun (_, w) -> w < 0.0) seg.mix then
-            seg_err i "mix weights must be >= 0"
-          else if List.fold_left (fun a (_, w) -> a +. w) 0.0 seg.mix <= 0.0 then
-            seg_err i "mix weights must not all be 0"
-          else
-            (match seg.burst with
-            | Some b when b.mult < 1.0 -> seg_err i "burst mult must be >= 1"
-            | Some b when b.mean_on_us <= 0.0 || b.mean_off_us <= 0.0 ->
-                seg_err i "burst holding times must be > 0"
-            | _ -> go (i + 1) rest)
-    in
-    go 0 s.segments
-
 (* Peak instantaneous rate of a segment — the thinning envelope, and the
    upper bound the property tests check windowed counts against. *)
 let peak_qps (seg : segment) =
@@ -77,6 +49,57 @@ let trough_qps (seg : segment) = seg.qps *. (1.0 -. seg.diurnal)
 
 let spec_peak_qps (s : spec) =
   List.fold_left (fun acc seg -> Float.max acc (peak_qps seg)) 0.0 s.segments
+
+(* Exponential holding/gap draw; clamped strictly positive so arrival
+   times are strictly increasing (the monotonicity property the scale
+   harness and QCheck tests rely on). Its mean is at most
+   c + m e^(-c/m), the mean of max(c, X) for X exponential of mean m. *)
+let exp_draw rng ~mean_us =
+  Float.max 1e-3 (-.mean_us *. Float.log (Float.max 1e-12 (T.float01 rng)))
+
+let mean_draw_us ~mean_us = 1e-3 +. (mean_us *. Float.exp (-1e-3 /. mean_us))
+
+(* Besides the structural rules (written so that a NaN fails each), a
+   segment must be servable. [generate] carries the candidate clock
+   across a segment boundary, so the overshoot past each boundary moves
+   by (gap - duration) per crossing: a mean gap below the duration
+   drifts it back into the segment, and generation ends; at or above
+   the duration the clock may never land in a segment again. *)
+let validate (s : spec) : (unit, string) result =
+  let seg_err i msg = Error (Printf.sprintf "segment %d: %s" i msg) in
+  if s.segments = [] then Error "spec has no segments"
+  else
+    let rec go i = function
+      | [] -> Ok ()
+      | seg :: rest ->
+          if not (Float.is_finite seg.qps && seg.qps > 0.0) then
+            seg_err i (Printf.sprintf "qps must be finite and > 0, got %g" seg.qps)
+          else if not (seg.duration_us > 0.0) then seg_err i "duration_us must be > 0"
+          else if not (seg.diurnal >= 0.0 && seg.diurnal < 1.0) then
+            seg_err i "diurnal amplitude must be in [0, 1)"
+          else if Float.is_nan seg.period_us || (seg.diurnal > 0.0 && seg.period_us <= 0.0) then
+            seg_err i "period_us must be > 0 when diurnal > 0, and never NaN"
+          else if seg.dims = [] then seg_err i "dims must be non-empty"
+          else if seg.mix = [] then seg_err i "mix must be non-empty"
+          else if List.exists (fun (_, w) -> not (w >= 0.0)) seg.mix then
+            seg_err i "mix weights must be >= 0"
+          else if List.fold_left (fun a (_, w) -> a +. w) 0.0 seg.mix <= 0.0 then
+            seg_err i "mix weights must not all be 0"
+          else
+            let gap = mean_draw_us ~mean_us:(1e6 /. peak_qps seg) in
+            match seg.burst with
+            | Some b when not (b.mult >= 1.0) -> seg_err i "burst mult must be >= 1"
+            | Some b when not (b.mean_on_us > 0.0 && b.mean_off_us > 0.0) ->
+                seg_err i "burst holding times must be > 0"
+            | _ when not (Float.is_finite (peak_qps seg)) -> seg_err i "peak qps must be finite"
+            | _ when not (gap < seg.duration_us) ->
+                seg_err i
+                  (Printf.sprintf
+                     "mean candidate gap %g us (1e6 / peak qps) must be below duration_us %g" gap
+                     seg.duration_us)
+            | _ -> go (i + 1) rest
+    in
+    go 0 s.segments
 
 let two_pi = 8.0 *. Float.atan 1.0
 
@@ -94,12 +117,6 @@ let pick_class rng (mix : (Slo.cls * float) list) =
     | [] -> assert false
   in
   choose 0.0 mix
-
-(* Exponential holding/gap draw; clamped strictly positive so arrival
-   times are strictly increasing (the monotonicity property the scale
-   harness and QCheck tests rely on). *)
-let exp_draw rng ~mean_us =
-  Float.max 1e-3 (-.mean_us *. Float.log (Float.max 1e-12 (T.float01 rng)))
 
 let generate (s : spec) ~n : Pool.request list =
   (match validate s with Ok () -> () | Error m -> invalid_arg ("Trace_gen: " ^ m));

@@ -25,7 +25,7 @@ type burst = {
 
 type segment = {
   duration_us : float;
-  qps : float;  (** base rate, requests per second; > 0 *)
+  qps : float;  (** base rate, requests per second; finite and > 0 *)
   diurnal : float;  (** sinusoid amplitude in [0, 1) *)
   period_us : float;  (** sinusoid period (ignored when [diurnal = 0]) *)
   burst : burst option;
@@ -36,7 +36,12 @@ type segment = {
 type spec = { seed : int; segments : segment list }
 
 val validate : spec -> (unit, string) result
-(** Structural validation; errors name the offending segment index. *)
+(** Validation; errors name the offending segment index. Besides the
+    structural rules (no NaN field, a finite [qps] > 0, a finite peak
+    rate), a segment's mean candidate gap, [1e6 / peak qps] µs, must be
+    below its [duration_us]: the candidate clock carries across segment
+    boundaries, and only then does it keep landing inside a segment, so
+    {!generate} ends. *)
 
 val trough_qps : segment -> float
 (** Base rate at the diurnal trough with the burst off. *)

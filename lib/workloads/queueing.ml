@@ -50,7 +50,8 @@ let batch_env ~batch_dim (members : (string * int) list list) : (string * int) l
    distribution spec. *)
 let generate_arrivals ~seed ~qps ~n ~(dims : (string * Trace.distribution) list) :
     request list =
-  if qps <= 0.0 then invalid_arg "Queueing.generate_arrivals: qps must be > 0";
+  if not (Float.is_finite qps && qps > 0.0) then
+    invalid_arg "Queueing.generate_arrivals: qps must be finite and > 0";
   if n < 0 then invalid_arg "Queueing.generate_arrivals: n must be >= 0";
   let rng = Trace.create_rng seed in
   let mean_gap_us = 1e6 /. qps in

@@ -25,7 +25,7 @@ val generate_arrivals :
   seed:int -> qps:float -> n:int -> dims:(string * Trace.distribution) list -> request list
 (** [n] Poisson arrivals at [qps] with per-request dims drawn from
     [dims], in [dims] order. Same seed, same stream.
-    @raise Invalid_argument when [qps <= 0] or [n < 0]. *)
+    @raise Invalid_argument when [qps] is not finite and > 0, or [n < 0]. *)
 
 (** {1 The server}
 

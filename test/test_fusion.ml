@@ -241,6 +241,60 @@ let prop_random_pointwise_fuses_to_one =
       let plan = Planner.plan g in
       Cluster.num_kernels plan = 1)
 
+(* More fusion never costs more: on every suite model at paper scale,
+   on A10 and T4, the simulated total with no fusion >= without kStitch
+   >= the default planner. Each case draws one env per model, each dim
+   uniform in its declared [lb, ub]; QCHECK_LONG runs 12x the cases. *)
+let fusion_ladders =
+  lazy
+    (List.map
+       (fun (e : Models.Suite.entry) ->
+         let built = e.Models.Suite.build () in
+         let compile planner =
+           Disc.Compiler.compile
+             ~options:{ Disc.Compiler.default_options with planner }
+             built.Models.Common.graph
+         in
+         ( e.Models.Suite.name,
+           built,
+           List.map compile
+             [ Planner.no_fusion_config; Planner.no_stitch_config; Planner.default_config ] ))
+       Models.Suite.all)
+
+let prop_more_fusion_never_costs_more =
+  QCheck.Test.make ~name:"suite models: more fusion never costs more (A10, T4)" ~count:5
+    ~long_factor:12 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun (name, (built : Models.Common.built), ladder) ->
+          let tab = Graph.symtab built.Models.Common.graph in
+          let binding =
+            List.map
+              (fun (_, d) ->
+                let lb = Table.lower_bound tab d in
+                let ub = Option.get (Table.upper_bound tab d) in
+                (d, lb + Random.State.int st (ub - lb + 1)))
+              built.Models.Common.dims
+          in
+          List.for_all
+            (fun device ->
+              let totals =
+                List.map
+                  (fun c -> Runtime.Profile.total_us (Disc.Compiler.simulate ~device c binding))
+                  ladder
+              in
+              match totals with
+              | [ unfused; no_stitch; fused ] when unfused >= no_stitch && no_stitch >= fused ->
+                  true
+              | _ ->
+                  QCheck.Test.fail_reportf "%s on %s at [%s]: no-fusion, no-stitch, default = %s"
+                    name device.Gpusim.Device.name
+                    (String.concat "," (List.map (fun (_, v) -> string_of_int v) binding))
+                    (String.concat ", " (List.map (Printf.sprintf "%.3f") totals)))
+            [ Gpusim.Device.a10; Gpusim.Device.t4 ])
+        (Lazy.force fusion_ladders))
+
 let () =
   ignore plan_kinds;
   Alcotest.run "fusion"
@@ -264,5 +318,6 @@ let () =
           Alcotest.test_case "plan partitions graph" `Quick test_plan_partition_property;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_random_pointwise_fuses_to_one ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_random_pointwise_fuses_to_one; prop_more_fusion_never_costs_more ] );
     ]

@@ -326,6 +326,60 @@ let test_validate_rejects_bad_specs () =
   Alcotest.(check bool) "diurnal >= 1 rejected" true
     (Result.is_error (Tg.validate bad_diurnal))
 
+(* Rates the generators cannot serve are refused, never looped on: a
+   NaN or infinite qps (thinning never accepts a candidate), any other
+   NaN field, and a mean candidate gap at or above its segment (the
+   carried clock never lands in a segment again). [validate] is checked
+   before [generate] runs, so a regression fails here, not hangs. *)
+let test_unservable_rates_refused () =
+  let dims = [ ("hist", Trace.Fixed 8) ] in
+  let steady qps = Tg.steady ~seed:1 ~qps ~dims in
+  let drift qps = Tg.drift ~seed:1 ~qps ~dims_a:dims ~dims_b:dims in
+  let with_seg f spec = { spec with Tg.segments = List.map f spec.Tg.segments } in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let bursty_with mult =
+    with_seg
+      (fun g -> { g with Tg.burst = Option.map (fun b -> { b with Tg.mult }) g.Tg.burst })
+      (Tg.bursty ~seed:1 ~qps:100.0 ~dims)
+  in
+  List.iter
+    (fun (what, spec) ->
+      Alcotest.(check bool) (what ^ " refused") true (Result.is_error (Tg.validate spec));
+      Alcotest.(check bool) (what ^ ": generate raises") true
+        (raises (fun () -> Tg.generate spec ~n:5)))
+    [ ("qps nan", steady Float.nan); ("qps inf", steady Float.infinity);
+      ("qps 1e-320", steady 1e-320); ("steady at 0.0005 qps", steady 0.0005);
+      ("drift at 2 qps", drift 2.0); ("drift at 4 qps", drift 4.0);
+      (* a mean gap of 1e-6 us, but every drawn gap is at least 1e-3 *)
+      ("segment under the gap floor",
+        with_seg (fun g -> { g with Tg.duration_us = 1e-4 }) (steady 1e12));
+      ("nan duration", with_seg (fun g -> { g with Tg.duration_us = Float.nan }) (steady 100.0));
+      ("nan diurnal", with_seg (fun g -> { g with Tg.diurnal = Float.nan }) (steady 100.0));
+      ("nan period", with_seg (fun g -> { g with Tg.period_us = Float.nan }) (steady 100.0));
+      ("nan mix weight",
+        with_seg (fun g -> { g with Tg.mix = [ (Serving.Slo.Standard, Float.nan) ] })
+          (steady 100.0));
+      ("nan burst mult", bursty_with Float.nan); ("inf burst mult", bursty_with Float.infinity) ];
+  Alcotest.(check (result unit string)) "the gap error names its segment"
+    (Error
+       "segment 0: mean candidate gap 500000 us (1e6 / peak qps) must be below duration_us 200000")
+    (Tg.validate (drift 2.0));
+  List.iter
+    (fun (what, spec) ->
+      Alcotest.(check bool) (what ^ " servable") true (Tg.validate spec = Ok ()))
+    [ ("drift at 6 qps", drift 6.0); ("steady at 0.002 qps", steady 0.002);
+      ("mixed at 3500 qps", Tg.mixed ~seed:42 ~qps:3500.0 ~dims_a:dims ~dims_b:dims ()) ];
+  List.iter
+    (fun qps ->
+      let q = Printf.sprintf "qps %g" qps in
+      Alcotest.(check bool) (q ^ ": Queueing.generate_arrivals raises") true
+        (raises (fun () -> Workloads.Queueing.generate_arrivals ~seed:1 ~qps ~n:5 ~dims));
+      Alcotest.(check bool) (q ^ ": Scheduler.gen_requests raises") true
+        (raises (fun () ->
+             Decode.Scheduler.gen_requests ~seed:1 ~qps ~n:5 ~prompt:(Trace.Fixed 4)
+               ~max_new:(Trace.Fixed 4))))
+    [ Float.nan; Float.infinity ]
+
 let () =
   Alcotest.run "scale"
     [
@@ -355,5 +409,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_prefix_stable;
           Alcotest.test_case "validate rejects bad specs" `Quick
             test_validate_rejects_bad_specs;
+          Alcotest.test_case "unservable rates refused" `Quick test_unservable_rates_refused;
         ] );
     ]

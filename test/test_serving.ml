@@ -371,8 +371,6 @@ let test_slo_shed_requeue_counters () =
   let s = Slo.create Slo.default_policy in
   check_bool "admit queues" true (Slo.admit s Slo.Standard);
   check_int "queued" 1 (Slo.queued s Slo.Standard);
-  Slo.note_shed s Slo.Best_effort;
-  check_int "backlog untouched by note_shed" 0 (Slo.queued s Slo.Best_effort);
   Slo.dequeue s Slo.Standard;
   check_int "dequeue drains" 0 (Slo.queued s Slo.Standard);
   Slo.requeue s Slo.Standard;
@@ -544,6 +542,17 @@ let test_distinct_buckets_do_not_mix () =
 
 (* --- pool: shed and expiry -------------------------------------------------- *)
 
+(* Run [f] with observability on over an emptied global registry;
+   return its result and a reader of the published counters (0 when a
+   name is absent). *)
+let run_observed f =
+  Obs.Metrics.reset Obs.Metrics.global;
+  Obs.Scope.enable ();
+  let r = Fun.protect ~finally:Obs.Scope.disable f in
+  let counters = (Obs.Metrics.snapshot Obs.Metrics.global).Obs.Metrics.counters in
+  Obs.Metrics.reset Obs.Metrics.global;
+  (r, fun name -> Option.value (List.assoc_opt name counters) ~default:0)
+
 let test_shed_and_expiry () =
   let cfg = { (base_config ~devices:[ Device.a10 ] ()) with Pool.max_batch = 1 } in
   let pool = Pool.create cfg dien in
@@ -556,7 +565,7 @@ let test_shed_and_expiry () =
     { Serving.Chaos.seed = 1; events = [ { Serving.Chaos.at_us = 0.0; event = straggle } ] }
   in
   let reqs = List.init 300 (fun _ -> req 0.0 20) in
-  let r = Pool.run ~chaos pool reqs in
+  let r, counter = run_observed (fun () -> Pool.run ~chaos pool reqs) in
   check_int "shed at admission" 44 r.Pool.shed;
   check_int "expired at dispatch" 255 r.Pool.expired;
   check_int "one completed" 1 (r.Pool.served + r.Pool.fell_back);
@@ -566,7 +575,11 @@ let test_shed_and_expiry () =
   in
   check_int "class report: arrivals" 300 std.Pool.cr_arrivals;
   check_int "class report: shed" 44 std.Pool.cr_shed;
-  check_int "class report: expired" 255 std.Pool.cr_expired
+  check_int "class report: expired" 255 std.Pool.cr_expired;
+  check_int "pool.shed.standard" 44 (counter "pool.shed.standard");
+  check_int "pool.expired.standard" 255 (counter "pool.expired.standard");
+  check_int "no other class shed" 0
+    (counter "pool.shed.interactive" + counter "pool.shed.best_effort")
 
 let test_malformed_requests_rejected () =
   let pool = Pool.create (base_config ~devices:[ Device.a10 ] ()) dien in
@@ -665,6 +678,27 @@ let test_whole_pool_death_fails_remainder () =
   check_int "accounted exactly once" 10
     (r.Pool.served + r.Pool.fell_back + r.Pool.shed + r.Pool.expired
    + r.Pool.rejected + r.Pool.failed)
+
+(* Every published disposition counter equals the report's count, also
+   for requests failed when the whole pool dies: queued, in flight and
+   not yet admitted. *)
+let test_counters_match_report () =
+  let pool =
+    Pool.create (base_config ~devices:[ Device.a10 ] ()) (Suite.find "dien").Suite.build_tiny
+  in
+  let reqs = List.init 10 (fun i -> req (float_of_int i *. 5_000.0) 5) in
+  let r, counter = run_observed (fun () -> Pool.run ~chaos:(crash_at 12_000.0 0) pool reqs) in
+  check_bool "the pool died with work left" true (r.Pool.failed > 0 && r.Pool.served > 0);
+  List.iter
+    (fun (name, v) -> check_int name v (counter name))
+    [ ("pool.served", r.Pool.served); ("pool.fell_back", r.Pool.fell_back);
+      ("pool.rejected", r.Pool.rejected); ("pool.failed", r.Pool.failed) ];
+  List.iter
+    (fun c ->
+      let cls = Slo.cls_to_string c.Pool.cr_class in
+      check_int ("pool.shed." ^ cls) c.Pool.cr_shed (counter ("pool.shed." ^ cls));
+      check_int ("pool.expired." ^ cls) c.Pool.cr_expired (counter ("pool.expired." ^ cls)))
+    r.Pool.classes
 
 (* --- pool: heterogeneous devices and report text ----------------------------- *)
 
@@ -959,6 +993,7 @@ let () =
           Alcotest.test_case "warmth beats rr" `Quick test_warmth_beats_round_robin;
           Alcotest.test_case "failure drains" `Quick test_replica_failure_drains_cleanly;
           Alcotest.test_case "pool death" `Quick test_whole_pool_death_fails_remainder;
+          Alcotest.test_case "counters match the report" `Quick test_counters_match_report;
           Alcotest.test_case "heterogeneous" `Quick test_heterogeneous_pool_runs;
         ] );
       ( "adaptive",
